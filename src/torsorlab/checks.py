@@ -566,18 +566,8 @@ def check_product_h1() -> CheckResult:
             parts = []
             for (i, pmap), f in zip(proj_maps, factors):
                 vals = tuple(pmap[v] for v in cls.values)
-                orb = co._Ops(f)  # canonicalize through twisted conjugation
-                reps = min(
-                    tuple(
-                        f.underlying.mul(
-                            f.underlying.mul(f.underlying.inv(a), vals[t]),
-                            f.act(t, a),
-                        )
-                        for t in c2.elements()
-                    )
-                    for a in f.underlying.elements()
-                )
-                parts.append(reps)
+                # canonicalize through twisted conjugation
+                parts.append(min(co.twist_values(f, vals, f.underlying.elements())))
             canon.append(tuple(parts))
         bijective = len(set(canon)) == len(canon) == expect
         ok = ok and count_ok and bijective

@@ -77,8 +77,20 @@ class GammaGroup:
                 if not (a[g.mul(t1, t2)] == composed).all():
                     raise NotAction("action is not a homomorphism")
 
+    # coefficient protocol: neutral/op/inv/act/canon on canonical values
+    neutral = 0
+
+    def op(self, x: int, y: int) -> int:
+        return self.underlying.mul(x, y)
+
+    def inv(self, x: int) -> int:
+        return self.underlying.inv(x)
+
     def act(self, t: int, x: int) -> int:
         return int(self.action[t, x])
+
+    def canon(self, x) -> int:
+        return int(x)
 
     def fixed_points(self) -> tuple:
         return tuple(
@@ -152,16 +164,20 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
     return prod, maps
 
 
-class FiniteModule:
+class FiniteModule(la.FgAbelian):
     """Finite abelian module Z^n / diag(relations) with integer action."""
 
+    # a module is more than its relations: compare by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, gamma: FiniteGroup, relations, mats, validate: bool = True):
-        self.gamma = gamma
-        self.relations = tuple(int(d) for d in relations)
+        super().__init__(tuple(int(d) for d in relations))
         if any(d <= 0 for d in self.relations):
             raise ValueError("relations must be positive (finite module)")
-        self.ngens = len(self.relations)
+        self.gamma = gamma
         self.mats = tuple(la.intmat(m) for m in mats)
+        self.neutral = (0,) * self.ngens
         if validate:
             self._validate()
 
@@ -186,66 +202,17 @@ class FiniteModule:
                     if any(int(v) % di != 0 for v in diff[i, :]):
                         raise NotAction("action not multiplicative mod relations")
 
-    def reduce(self, vec) -> tuple:
-        return tuple(int(v) % d for v, d in zip(np.asarray(vec).ravel(), self.relations))
+    def op(self, a, b) -> tuple:
+        return self.reduce([x + y for x, y in zip(a, b)])
+
+    def inv(self, a) -> tuple:
+        return self.reduce([-x for x in a])
 
     def act(self, t: int, vec) -> tuple:
-        return self.reduce(self.mats[t] @ la.intmat(vec).reshape(-1, 1))
+        return self.reduce((self.mats[t] @ la.intmat(vec).reshape(-1, 1)).ravel())
 
-    def elements(self):
-        out = [()]
-        for d in self.relations:
-            out = [t + (k,) for t in out for k in range(d)]
-        return out
-
-    def order(self) -> int:
-        n = 1
-        for d in self.relations:
-            n *= d
-        return n
-
-    def relation_matrix(self):
-        m = la.zeros(self.ngens, self.ngens)
-        for i, d in enumerate(self.relations):
-            m[i, i] = d
-        return m
-
-
-# ---------------------------------------------------------------------------
-# coefficient protocol shims
-
-
-class _Ops:
-    """Uniform neutral/op/inv/act/canon over the three coefficient kinds."""
-
-    def __init__(self, coeff):
-        self.coeff = coeff
-        if isinstance(coeff, GammaGroup):
-            n = coeff.underlying
-            self.gamma = coeff.gamma
-            self.neutral = 0
-            self.op = n.mul
-            self.inv = n.inv
-            self.act = coeff.act
-            self.canon = lambda x: int(x)
-        elif isinstance(coeff, ZGLattice):
-            self.gamma = coeff.group
-            self.neutral = (0,) * coeff.rank
-            self.op = lambda a, b: tuple(x + y for x, y in zip(a, b))
-            self.inv = lambda a: tuple(-x for x in a)
-            self.act = lambda t, a: tuple(
-                int(v) for v in (coeff.rho[t] @ la.intmat(a).reshape(-1, 1)).ravel()
-            )
-            self.canon = lambda a: tuple(int(x) for x in a)
-        elif isinstance(coeff, FiniteModule):
-            self.gamma = coeff.gamma
-            self.neutral = (0,) * coeff.ngens
-            self.op = lambda a, b: coeff.reduce([x + y for x, y in zip(a, b)])
-            self.inv = lambda a: coeff.reduce([-x for x in a])
-            self.act = lambda t, a: coeff.act(t, a)
-            self.canon = lambda a: coeff.reduce(a)
-        else:
-            raise TypeError("unsupported coefficient type")
+    def canon(self, vec) -> tuple:
+        return self.reduce(vec)
 
 
 @dataclass(frozen=True)
@@ -258,19 +225,18 @@ class CrossedHom:
     validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        ops = _Ops(self.coefficient)
-        vals = tuple(ops.canon(v) for v in self.values)
+        c = self.coefficient
+        vals = tuple(c.canon(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) != self.group.order:
             raise NotCocycle("one value per group element required")
         if self.validate:
-            if vals[0] != ops.neutral:
+            if vals[0] != c.neutral:
                 raise NotCocycle("value at the identity must be neutral")
             g = self.group
             for s in g.elements():
                 for t in g.elements():
-                    want = ops.op(vals[s], ops.act(s, vals[t]))
-                    if ops.canon(want) != vals[g.mul(s, t)]:
+                    if c.op(vals[s], c.act(s, vals[t])) != vals[g.mul(s, t)]:
                         raise NotCocycle("cocycle law fails at (%d,%d)" % (s, t))
 
     def __call__(self, t: int):
@@ -279,16 +245,16 @@ class CrossedHom:
     @classmethod
     def from_generators(cls, group, coefficient, gen_values: dict) -> "CrossedHom":
         """Close generator values over a spanning tree; reject inconsistency."""
-        ops = _Ops(coefficient)
-        vals = {0: ops.neutral}
-        gens = list(gen_values)
+        op, act = coefficient.op, coefficient.act
+        gen_values = {s: coefficient.canon(v) for s, v in gen_values.items()}
+        vals = {0: coefficient.neutral}
         frontier = [0]
         while frontier:
             new = []
             for g in frontier:
-                for s in gens:
+                for s, fs in gen_values.items():
                     t = group.mul(g, s)
-                    v = ops.canon(ops.op(vals[g], ops.act(g, ops.canon(gen_values[s]))))
+                    v = op(vals[g], act(g, fs))
                     if t not in vals:
                         vals[t] = v
                         new.append(t)
@@ -297,33 +263,33 @@ class CrossedHom:
             frontier = new
         if len(vals) != group.order:
             raise NotCocycle("generators do not generate the group")
-        return cls(group, coefficient, tuple(vals[t] for t in group.elements()))
+        # every Cayley edge satisfies f(gs) = f(g) (g . f(s)); the action is by
+        # automorphisms, so induction on word length gives the law for all pairs
+        return cls(group, coefficient, tuple(vals[t] for t in group.elements()),
+                   validate=False)
 
 
 def trivial_cocycle(group: FiniteGroup, coefficient) -> CrossedHom:
-    ops = _Ops(coefficient)
     return CrossedHom(
-        group, coefficient, tuple(ops.neutral for _ in group.elements()), validate=False
+        group, coefficient, (coefficient.neutral,) * group.order, validate=False
     )
 
 
-def coboundary(coefficient, a) -> CrossedHom:
-    """The cocycle t -> a^-1 * (t . a)."""
-    ops = _Ops(coefficient)
-    a = ops.canon(a)
-    vals = tuple(ops.op(ops.inv(a), ops.act(t, a)) for t in ops.gamma.elements())
-    return CrossedHom(ops.gamma, coefficient, vals, validate=False)
+def twist_values(coefficient, values, elements):
+    """Yield, for each a in `elements`, the value table t -> a^-1 * f(t) * (t . a)
+    of the cocycle f whose value table is `values`."""
+    op, act = coefficient.op, coefficient.act
+    ts = range(len(values))
+    for a in elements:
+        ai = coefficient.inv(a)
+        yield tuple(op(op(ai, values[t]), act(t, a)) for t in ts)
 
 
 def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
-    """f'(t) = a^-1 * f(t) * (t . a)."""
-    ops = _Ops(f.coefficient)
-    a = ops.canon(a)
-    ai = ops.inv(a)
-    vals = tuple(
-        ops.op(ops.op(ai, f(t)), ops.act(t, a)) for t in f.group.elements()
-    )
-    return CrossedHom(f.group, f.coefficient, vals, validate=False)
+    """The cocycle f twisted by a (see twist_values)."""
+    c = f.coefficient
+    vals = next(twist_values(c, f.values, [c.canon(a)]))
+    return CrossedHom(f.group, c, vals, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +323,7 @@ def h0(gamma: FiniteGroup, coeff):
         for s in gens:
             blocks.append(coeff.mats[s] - la.identity(n))
         C = np.concatenate(blocks, axis=0)
-        slack = la.zeros(C.shape[0], len(gens) * n)
-        for i in range(len(gens)):
-            slack[i * n : (i + 1) * n, i * n : (i + 1) * n] = rel
+        slack = la.FgAbelian(coeff.relations * len(gens)).relation_matrix()
         K = la.kernel_basis(np.concatenate([C, slack], axis=1))
         lift = K[:n, :] if K.size else la.zeros(n, 0)
         L = la.column_space_basis(np.concatenate([lift, rel], axis=1))
@@ -427,12 +391,6 @@ def _tree_expressions(gamma: FiniteGroup, mats, r: int, gens):
     return exprs, C
 
 
-def _closure_values(gamma, ops, gens, gen_vals):
-    return CrossedHom.from_generators(
-        gamma, ops.coeff, {s: v for s, v in zip(gens, gen_vals)}
-    )
-
-
 def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
     """Z^1/B^1 over the integers, exact; finite for lattice coefficients."""
     if isinstance(coeff, ZGLattice):
@@ -455,30 +413,19 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
     if relations is None:
         Z = la.kernel_basis(C) if C.shape[0] else la.identity(width)
     else:
-        rel = la.intmat(np.diag(np.array(relations, dtype=object)))
         nrows = C.shape[0]
-        nblocks = nrows // r
-        slack = la.zeros(nrows, nblocks * r)
-        for i in range(nblocks):
-            slack[i * r : (i + 1) * r, i * r : (i + 1) * r] = rel
-        K = (
-            la.kernel_basis(np.concatenate([C, slack], axis=1))
-            if nrows
-            else la.identity(width)
-        )
+        if nrows:
+            slack = la.FgAbelian(relations * (nrows // r)).relation_matrix()
+            K = la.kernel_basis(np.concatenate([C, slack], axis=1))
+        else:
+            K = la.identity(width)
         proj = K[:width, :] if K.size else la.zeros(width, 0)
-        lam = la.zeros(width, width)
-        for i in range(k):
-            lam[i * r : (i + 1) * r, i * r : (i + 1) * r] = rel
+        lam = la.FgAbelian(relations * k).relation_matrix()
         Z = la.column_space_basis(np.concatenate([proj, lam], axis=1))
 
     # coboundaries: values (rho(s) - 1) m on the generators
     D = np.concatenate([mats[s] - la.identity(r) for s in gens], axis=0)
     if relations is not None:
-        lam = la.zeros(width, width)
-        rel = la.intmat(np.diag(np.array(relations, dtype=object)))
-        for i in range(k):
-            lam[i * r : (i + 1) * r, i * r : (i + 1) * r] = rel
         D = np.concatenate([D, lam], axis=1)
     if Z.shape[1] == 0:
         return CohomologyGroup((), ())
@@ -488,7 +435,6 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
     z = Z.shape[1]
     invs = []
     gens_out = []
-    ops = _Ops(coeff)
     for i in range(z):
         d = s.diagonal[i] if i < len(s.diagonal) else 0
         if d == 1:
@@ -498,7 +444,9 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
         gen_vals = [
             tuple(int(v) for v in gen_coords[j * r : (j + 1) * r, 0]) for j in range(k)
         ]
-        gens_out.append(_closure_values(gamma, ops, gens, gen_vals))
+        gens_out.append(
+            CrossedHom.from_generators(gamma, coeff, dict(zip(gens, gen_vals)))
+        )
     order = [(d if d else 0) for d in invs]
     # deterministic: nonzero divisors ascending, then free factors
     paired = sorted(zip(order, gens_out), key=lambda t: (t[0] == 0, t[0]))
@@ -554,6 +502,7 @@ def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
 def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
                   budget: int = DEFAULT_BUDGET) -> NonabelianH1:
     cocycles = enumerate_cocycles(gamma, n, budget)
+    cocycle_set = set(cocycles)
     und = n.underlying
     seen = set()
     classes = []
@@ -561,15 +510,8 @@ def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
     for vals in cocycles:
         if vals in seen:
             continue
-        orbit = set()
-        for a in und.elements():
-            ai = und.inv(a)
-            tw = tuple(
-                und.mul(und.mul(ai, vals[t]), n.act(t, a))
-                for t in gamma.elements()
-            )
-            orbit.add(tw)
-        assert orbit <= set(cocycles)
+        orbit = set(twist_values(n, vals, und.elements()))
+        assert orbit <= cocycle_set
         seen |= orbit
         rep = min(orbit)
         classes.append(CrossedHom(gamma, n, rep, validate=False))
@@ -740,18 +682,10 @@ def check_family(system: TruncatedGammaSystem, family) -> None:
 
 
 def level_witnesses(f: CrossedHom, fprime: CrossedHom) -> tuple:
-    """All a with f'(t) = a^-1 f(t) (t.a) for every t."""
-    n: GammaGroup = f.coefficient
-    und = n.underlying
-    out = []
-    for a in und.elements():
-        ai = und.inv(a)
-        if all(
-            fprime(t) == und.mul(und.mul(ai, f(t)), n.act(t, a))
-            for t in f.group.elements()
-        ):
-            out.append(a)
-    return tuple(out)
+    """All a that twist f into fprime (see twist_values)."""
+    elements = f.coefficient.underlying.elements()
+    twisted = twist_values(f.coefficient, f.values, elements)
+    return tuple(a for a, tw in zip(elements, twisted) if tw == fprime.values)
 
 
 @dataclass(frozen=True)

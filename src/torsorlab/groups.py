@@ -7,6 +7,7 @@ cubic associativity check is cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -120,7 +121,7 @@ class FiniteGroup:
     def exponent(self) -> int:
         e = 1
         for a in self.elements():
-            e = _lcm(e, self.element_order(a))
+            e = math.lcm(e, self.element_order(a))
         return e
 
     def label(self, a: int) -> str:
@@ -138,12 +139,6 @@ class FiniteGroup:
 
     def __hash__(self):
         return hash((self.order, self.table.tobytes()))
-
-
-def _lcm(a, b):
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -346,11 +341,6 @@ def special_linear_2_3() -> FiniteGroup:
             )
             table[i, j] = index[mm]
     return FiniteGroup(table)
-
-
-def dicyclic_group(m: int) -> FiniteGroup:
-    """Dicyclic group of order 4m (m >= 2); m = 2 gives the quaternions."""
-    return quaternion_group(4 * m)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,6 @@ class TruncatedLimit:
     size: int
     tuples: tuple  # compatible families (x_0, ..., x_N), possibly sampled
     level0_image: tuple  # image of the limit in the bottom group
-    top_projection_bijective: bool
 
 
 def lim_truncated(sys: ExplicitFinite, enumerate_all: bool = True) -> TruncatedLimit:
@@ -205,7 +204,6 @@ def lim_truncated(sys: ExplicitFinite, enumerate_all: bool = True) -> TruncatedL
         size=size,
         tuples=tuple(fams) if enumerate_all else tuple(fams[:100]),
         level0_image=level0,
-        top_projection_bijective=True,
     )
 
 

@@ -111,21 +111,6 @@ def gamma_group_from_json(obj, basedir="."):
     return co.GammaGroup(gamma, und, np.asarray(action, dtype=np.int64))
 
 
-def cocycle_from_json(obj, coefficient, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    try:
-        values = obj["values"]
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad cocycle object: {e}") from e
-    gamma = co._Ops(coefficient).gamma
-    if isinstance(values, dict):
-        vals = co.CrossedHom.from_generators(
-            gamma, coefficient, {int(k): v for k, v in values.items()}
-        )
-        return vals
-    return co.CrossedHom(gamma, coefficient, tuple(values))
-
-
 def datum_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:

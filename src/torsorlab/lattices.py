@@ -57,6 +57,7 @@ class ZGLattice:
             if m.shape != (self.rank, self.rank):
                 raise ValueError("matrices must be square of equal rank")
         self.rho = tuple(mats)
+        self.neutral = (0,) * self.rank
         if validate:
             self._validate()
 
@@ -70,8 +71,19 @@ class ZGLattice:
                 if not la.mat_eq(self.rho[g.mul(s, h)], self.rho[s] @ self.rho[h]):
                     raise ValueError("rho is not multiplicative")
 
-    def act(self, g: int, vec) -> np.ndarray:
-        return self.rho[g] @ la.intmat(vec).reshape(-1, 1)
+    # coefficient protocol: neutral/op/inv/act/canon on integer tuples
+    def op(self, a, b) -> tuple:
+        return tuple(x + y for x, y in zip(a, b))
+
+    def inv(self, a) -> tuple:
+        return tuple(-x for x in a)
+
+    def act(self, g: int, vec) -> tuple:
+        col = self.rho[g] @ la.intmat(vec).reshape(-1, 1)
+        return tuple(int(v) for v in col.ravel())
+
+    def canon(self, vec) -> tuple:
+        return tuple(int(x) for x in vec)
 
     def __eq__(self, other):
         return (

@@ -561,14 +561,7 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     for coset in cosets:
         acc = ()
         for k in coset:
-            t = zeta_pow(k % m)
-            n = max(len(acc), len(t))
-            acc = pnormalize(
-                [
-                    (acc[i] if i < len(acc) else 0) + (t[i] if i < len(t) else 0)
-                    for i in range(n)
-                ]
-            )
+            acc = padd_z(acc, zeta_pow(k % m))
         periods.append(acc)
     # expand prod (T - eta_j) with coefficients in Z[zeta]
     coeffs = [(1,)]  # polynomial "1" in T
@@ -709,7 +702,7 @@ def verify_tower_containments(levels) -> None:
     """Each field must contain the previous one: on the common conductor the
     corresponding unit subgroups must be nested (kernels shrink)."""
     for a, b in zip(levels, levels[1:]):
-        m = _lcm(a.conductor, b.conductor)
+        m = math.lcm(a.conductor, b.conductor)
         ha = _lift_subgroup(a, m)
         hb = _lift_subgroup(b, m)
         if not hb <= ha:
@@ -722,10 +715,6 @@ def _lift_subgroup(fld: AbelianFieldDatum, m: int) -> set:
     return {
         x for x in units_mod(m) if (x % fld.conductor) in set(fld.subgroup)
     }
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 @dataclass(frozen=True)

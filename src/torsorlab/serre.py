@@ -42,6 +42,7 @@ from .lattices import (
     zero_lattice,
     zero_map,
 )
+from .numtheory import NotATower
 
 
 class InvalidDatum(ValueError):
@@ -49,10 +50,6 @@ class InvalidDatum(ValueError):
 
 
 class NotCMType(ValueError):
-    pass
-
-
-class NotATower(ValueError):
     pass
 
 
@@ -154,21 +151,17 @@ class SequenceReport:
 
 
 def _coset_restriction(d: CMGaloisDatum):
-    """Sigma_F with the left action, and the restriction matrix e_s -> e_{s<i>}."""
+    """Sigma_F with the left action, each element's coset index, and each
+    coset's smallest element."""
     g = d.group
     sigma_f = coset_gset(g, generated_subgroup(g, [d.iota]))
-    # recover each element's coset index
-    coset_index = [-1] * g.order
+    # coset_gset orders cosets by minimal element, so the identity's is point 0
+    coset_index = [sigma_f.apply(s, 0) for s in g.elements()]
+    smallest = {}
     for s in g.elements():
-        coset_index[s] = sigma_f.apply(s, coset_index_of_identity(sigma_f))
-    return sigma_f, coset_index
-
-
-def coset_index_of_identity(sigma_f: GSet) -> int:
-    # the identity coset is the point fixed by... it is simply the orbit
-    # label of the group identity; coset_gset orders cosets by minimal
-    # element, and the identity coset contains 0
-    return 0
+        smallest.setdefault(coset_index[s], s)
+    reps = tuple(smallest[c] for c in range(sigma_f.size))
+    return sigma_f, coset_index, reps
 
 
 def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
@@ -176,7 +169,7 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     data = build_serre(d)
     g = d.group
     n = g.order
-    sigma_f, coset_index = _coset_restriction(d)
+    sigma_f, coset_index, _ = _coset_restriction(d)
     f_lat = permutation_lattice(sigma_f)
     # with the constants axis: (m, c) -> (sum over the fibre) - c
     eta = la.zeros(f_lat.rank, n + 1)
@@ -239,7 +232,7 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     n = g.order
     right = _right_regular(g)
     xsbar_r, xsbar_r_inc = equivariant_sublattice(right, _pair_equations(d, False))
-    sigma_f, coset_index = _coset_restriction(d)
+    sigma_f, coset_index, reps = _coset_restriction(d)
     m = sigma_f.size
     # right translation descends to cosets because the subgroup is central
     right_cosets = []
@@ -247,8 +240,7 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
         ti = g.inv(t)
         mat = la.zeros(m, m)
         for c in range(m):
-            rep = _rep_of(coset_index, c, g)
-            mat[coset_index[g.mul(rep, ti)], c] = 1
+            mat[coset_index[g.mul(reps[c], ti)], c] = 1
         right_cosets.append(mat)
     f_right = ZGLattice(g, right_cosets)
 
@@ -259,8 +251,7 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     for x in g.elements():
         mat = la.zeros(m, m)
         for c in range(m):
-            rep = next(i for i in g.elements() if coset_index[i] == c)
-            mat[coset_index[g.mul(x, rep)], c] = 1
+            mat[coset_index[g.mul(x, reps[c])], c] = 1
         left_coset_mats.append(mat)
     left_sub_mats = []
     for x in g.elements():
@@ -277,7 +268,7 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     # conjugation on cosets of the central subgroup generated by iota
     coset_conj = []
     for t in g.elements():
-        row = [coset_index[g.conj(t, _rep_of(coset_index, c, g))] for c in range(m)]
+        row = [coset_index[g.conj(t, reps[c])] for c in range(m)]
         coset_conj.append(row)
     quot_ok = tw_quotient == permutation_lattice(GSet(g, np.array(coset_conj)))
 
@@ -309,10 +300,6 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
         rep.exact,
         action_trivial,
     )
-
-
-def _rep_of(coset_index, c, g):
-    return next(i for i in g.elements() if coset_index[i] == c)
 
 
 # ---------------------------------------------------------------------------

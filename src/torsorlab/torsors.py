@@ -21,6 +21,7 @@ from .cohomology import (
     h1_nonabelian,
     trivial_cocycle,
     twist_group,
+    twist_values,
 )
 from .groups import FiniteGroup, GroupHom, generating_set
 from .gsets import GSet
@@ -212,17 +213,7 @@ class RelativeClass:
 
 def _kernel_twists(vals, b: GammaGroup, kernel) -> tuple:
     """Orbit of a cocycle value table under twisted conjugation by the kernel."""
-    und = b.underlying
-    orbit = set()
-    for a in kernel:
-        ai = und.inv(a)
-        orbit.add(
-            tuple(
-                und.mul(und.mul(ai, vals[t]), b.act(t, a))
-                for t in b.gamma.elements()
-            )
-        )
-    return tuple(sorted(orbit))
+    return tuple(sorted(set(twist_values(b, vals, kernel))))
 
 
 def relative_h1(v: EquivariantHom, q: TorsorRep,
@@ -365,7 +356,7 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     neutral_vals = trivial_cocycle(gamma, twisted_kernel).values
     neutral_idx = next(
         (i for i, cls in enumerate(kernel_h1.classes) if neutral_vals in
-         {tw for tw in _orbit_under_twists(cls.values, twisted_kernel)}),
+         twist_values(twisted_kernel, cls.values, A.underlying.elements())),
         None,
     )
     neutral_to_base = False
@@ -410,17 +401,3 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
         neutral_to_base,
         factors,
     )
-
-
-def _orbit_under_twists(vals, n: GammaGroup):
-    und = n.underlying
-    out = set()
-    for a in und.elements():
-        ai = und.inv(a)
-        out.add(
-            tuple(
-                und.mul(und.mul(ai, vals[t]), n.act(t, a))
-                for t in n.gamma.elements()
-            )
-        )
-    return out

@@ -4,9 +4,16 @@ Run with -s to see the per-criterion lines; each prints claim, verdict,
 and elapsed time, and fails unless the verdict is `verified` within budget.
 """
 
+import dataclasses
+import hashlib
+import json
 import time
 
 from torsorlab import checks as pc
+
+# sha256 of the seed-0 suite's results as sorted-key JSON; a refactor that
+# changes any verdict or evidence byte changes it
+SUITE_SHA256 = "46382c16ca389658cd57e7405c38b2a03cee7d0c71c5eac9438350b70b1454cd"
 
 
 def run_check(fn, criterion, budget_seconds, **kw):
@@ -114,3 +121,5 @@ def test_suite_is_deterministic():
     b = pc.run_suite(seed=0)
     assert [r.verdict for r in a] == [r.verdict for r in b]
     assert [r.evidence for r in a] == [r.evidence for r in b]
+    entries = json.dumps([dataclasses.asdict(r) for r in a], sort_keys=True)
+    assert hashlib.sha256(entries.encode()).hexdigest() == SUITE_SHA256

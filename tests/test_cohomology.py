@@ -327,21 +327,65 @@ def test_lim1_obstruction_not_equivalent():
         co.lim1_obstruction(system3, (triv, triv), (transp, transp))
 
 
-def test_enumerate_cocycles_is_complete():
-    # |Z^1| by generator enumeration matches whole-map filtering
-    c2 = gr.cyclic_group(2)
-    s3 = gr.symmetric_group(3)
-    n = co.trivial_gamma_group(c2, s3)
-    via_gens = co.enumerate_cocycles(c2, n)
-    brute = []
-    for vals in itertools.product(range(6), repeat=2):
-        if vals[0] != 0:
-            continue
-        ok = all(
-            vals[c2.mul(s, t)] == s3.mul(vals[s], n.act(s, vals[t]))
-            for s in range(2)
-            for t in range(2)
+def brute_cocycles(gamma, n):
+    """Every map gamma -> n with f(st) = f(s) (s . f(t)) for all pairs."""
+    und = n.underlying
+    return sorted(
+        vals
+        for vals in itertools.product(und.elements(), repeat=gamma.order)
+        if all(
+            vals[gamma.mul(s, t)] == und.mul(vals[s], n.act(s, vals[t]))
+            for s in gamma.elements()
+            for t in gamma.elements()
         )
-        if ok:
-            brute.append(vals)
-    assert sorted(via_gens) == sorted(tuple(v) for v in brute)
+    )
+
+
+def action_through(gamma, und, hom, auto):
+    """gamma acting on und by auto ** hom(t), for a hom gamma -> Z/k and an
+    automorphism auto (a permutation of und's elements) of order dividing k."""
+    rows = []
+    for t in gamma.elements():
+        row = list(und.elements())
+        for _ in range(hom(t)):
+            row = [auto[x] for x in row]
+        rows.append(row)
+    return co.GammaGroup(gamma, und, np.array(rows))
+
+
+def test_enumerate_cocycles_is_complete():
+    # generator enumeration against whole-map filtering, |N|^|Gamma| <= 10^4
+    c2, c3, s3 = gr.cyclic_group(2), gr.cyclic_group(3), gr.symmetric_group(3)
+    v4 = gr.direct_product(c2, c2)  # index a + 2b
+    inversion = (0, 2, 1)
+    swap = (0, 2, 1, 3)
+    rotate = (0, 2, 3, 1)  # cycles the involutions of v4
+    s = next(x for x in s3.elements() if s3.element_order(x) == 2)
+    inner = tuple(s3.conj(s, x) for x in s3.elements())
+
+    def ident(t):
+        return t
+
+    def first(t):
+        return t % 2
+
+    def sign(t):
+        return 0 if s3.element_order(t) in (1, 3) else 1
+
+    trivial = [
+        (c2, s3), (c2, c2), (c3, c3), (c3, v4), (v4, c3), (v4, s3),
+        (s3, c2), (s3, c3), (s3, v4),
+    ]
+    cases = [co.trivial_gamma_group(g, u) for g, u in trivial] + [
+        action_through(c2, c3, ident, inversion),
+        action_through(c2, v4, ident, swap),
+        action_through(c2, s3, ident, inner),
+        action_through(c3, v4, ident, rotate),
+        action_through(v4, c3, first, inversion),
+        action_through(v4, v4, first, swap),
+        action_through(s3, c3, sign, inversion),
+        action_through(s3, v4, sign, swap),
+    ]
+    for n in cases:
+        assert n.underlying.order ** n.gamma.order <= 10**4
+        assert list(co.enumerate_cocycles(n.gamma, n)) == brute_cocycles(n.gamma, n)

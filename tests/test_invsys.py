@@ -55,7 +55,7 @@ def test_lim_truncated_surjective_maps():
     proj = gr.GroupHom(c4, c2, (0, 1, 0, 1))
     sys = iv.ExplicitFinite((c2, c4), (proj,))
     lim = iv.lim_truncated(sys)
-    assert lim.size == 4 and lim.top_projection_bijective
+    assert lim.size == 4
     assert lim.level0_image == (0, 1)
 
 
