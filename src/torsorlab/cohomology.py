@@ -430,8 +430,10 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
     if Z.shape[1] == 0:
         return CohomologyGroup((), ())
     Y = la.solve_int(Z, D)
-    assert Y is not None, "coboundaries must lie in the cocycle lattice"
-    s = la.smith_normal_form(Y)
+    if Y is None:
+        # every coboundary is a cocycle when the matrices form an action
+        raise NotAction("coboundaries must lie in the cocycle lattice")
+    s = la.smith_normal_form(Y, transforms=("left_inv",))
     z = Z.shape[1]
     invs = []
     gens_out = []

@@ -182,12 +182,9 @@ def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeM
     for s in generating_set(group):
         if not la.is_zero(E @ (m.rho[s] @ K)):
             raise NotStable("action does not preserve the solution space")
-    rho = []
-    for g in group.elements():
-        X = la.solve_int(K, m.rho[g] @ K)
-        if X is None:
-            raise NotStable("restricted action is not integral")
-        rho.append(X)
+    rho = la.solve_blocks(K, [m.rho[g] @ K for g in group.elements()])
+    if rho is None:
+        raise NotStable("restricted action is not integral")
     sub = ZGLattice(group, rho, validate=False)
     incl = LatticeMap(sub, m, K, validate=False)
     return sub, incl
@@ -262,5 +259,5 @@ def is_equivariant_iso(f: LatticeMap) -> bool:
     """True iff the map is a square unimodular equivariant matrix."""
     if f.source.rank != f.target.rank:
         return False
-    s = smith_normal_form(f.matrix)
+    s = smith_normal_form(f.matrix, transforms=())
     return s.rank == f.source.rank and all(d == 1 for d in s.diagonal)

@@ -42,125 +42,166 @@ def is_zero(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.equal(a, 0).all())
 
 
+SNF_TRANSFORMS = ("left", "right", "left_inv", "right_inv")
+
+
 @dataclass(frozen=True)
 class SNFResult:
     """left @ matrix @ right == diag(diagonal); transforms unimodular.
 
     left_inv and right_inv are the tracked inverses of the transforms;
-    they make column-space and solving computations cheap.
+    they make column-space and solving computations cheap.  A transform
+    the caller did not ask `smith_normal_form` for is None.
     """
 
     diagonal: tuple
-    left: np.ndarray
-    right: np.ndarray
-    left_inv: np.ndarray
-    right_inv: np.ndarray
+    left: np.ndarray | None
+    right: np.ndarray | None
+    left_inv: np.ndarray | None
+    right_inv: np.ndarray | None
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _pivot(M, t):
+def _pivot(A, t, n):
     # smallest nonzero absolute value, ties broken row-major: deterministic
     best = None
-    m, n = M.shape
-    for i in range(t, m):
+    for i in range(t, len(A)):
+        row = A[i]
         for j in range(t, n):
-            v = M[i, j]
-            if v != 0:
+            v = row[j]
+            if v:
                 a = -v if v < 0 else v
                 if best is None or a < best[0]:
-                    best = (a, i, j)
                     if a == 1:
-                        return best[1], best[2]
+                        return i, j
+                    best = (a, i, j)
     return (best[1], best[2]) if best else None
 
 
-def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form over the integers with full transform tracking."""
-    A = intmat(matrix).copy()
-    m, n = A.shape
-    L, Li = identity(m), identity(m)
-    R, Ri = identity(n), identity(n)
+def _identity_rows(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _add_row(rows, i, j, q):
+    # rows[i] += q * rows[j]
+    rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+
+
+def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
+    """Smith normal form over the integers.
+
+    `transforms` names the transforms to track, among SNF_TRANSFORMS; the
+    others are returned as None and cost nothing.  The pivots and the
+    operations, hence the diagonal and every tracked transform, do not
+    depend on which transforms are tracked.
+    """
+    unknown = set(transforms) - set(SNF_TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown transforms {sorted(unknown)}")
+    src = intmat(matrix)
+    m, n = src.shape
+    A = src.tolist()
+
+    def track(name, size):
+        return _identity_rows(size) if name in transforms else None
+
+    # R and left_inv are kept transposed, so every update is a row update:
+    # a row op on A is a row op on L and on the rows of Li^T, a column op
+    # a row op on the rows of R^T and on Ri
+    L, LiT = track("left", m), track("left_inv", m)
+    RT, Ri = track("right", n), track("right_inv", n)
+    # what a row swap or sign change of A moves along, and a column swap
+    with_rows = [M for M in (A, L, LiT) if M is not None]
+    with_cols = [M for M in (RT, Ri) if M is not None]
 
     def row_op(i, j, q):
-        # row_i -= q * row_j ; inverse op applied to Li columns
-        A[i, :] -= q * A[j, :]
-        L[i, :] -= q * L[j, :]
-        Li[:, j] += q * Li[:, i]
-
-    def col_op(j, i, q):
-        A[:, j] -= q * A[:, i]
-        R[:, j] -= q * R[:, i]
-        Ri[i, :] += q * Ri[j, :]
-
-    def row_swap(i, j):
-        A[[i, j], :] = A[[j, i], :]
-        L[[i, j], :] = L[[j, i], :]
-        Li[:, [i, j]] = Li[:, [j, i]]
-
-    def col_swap(i, j):
-        A[:, [i, j]] = A[:, [j, i]]
-        R[:, [i, j]] = R[:, [j, i]]
-        Ri[[i, j], :] = Ri[[j, i], :]
+        # row_i -= q * row_j; both rows of A are zero left of column t
+        A[i][t:] = [a - q * b for a, b in zip(A[i][t:], A[j][t:])]
+        if L is not None:
+            _add_row(L, i, j, -q)
+        if LiT is not None:
+            _add_row(LiT, j, i, q)
 
     t = 0
     while t < min(m, n):
-        p = _pivot(A, t)
+        p = _pivot(A, t, n)
         if p is None:
             break
         i, j = p
         if i != t:
-            row_swap(i, t)
+            for M in with_rows:
+                M[i], M[t] = M[t], M[i]
         if j != t:
-            col_swap(j, t)
-        piv = A[t, t]
+            for row in A:
+                row[j], row[t] = row[t], row[j]
+            for M in with_cols:
+                M[j], M[t] = M[t], M[j]
+        At = A[t]
+        piv = At[t]
         # reduce column t; a nonzero remainder is smaller than the pivot,
         # so restarting with a fresh pivot terminates
         clean = True
         for i in range(t + 1, m):
-            if A[i, t] != 0:
-                q = A[i, t] // piv
+            if A[i][t]:
+                q = A[i][t] // piv
                 if q:
                     row_op(i, t, q)
-                if A[i, t] != 0:
+                if A[i][t]:
                     clean = False
         if not clean:
             continue
         for j in range(t + 1, n):
-            if A[t, j] != 0:
-                q = A[t, j] // piv
+            if At[j]:
+                q = At[j] // piv
                 if q:
-                    col_op(j, t, q)
-                if A[t, j] != 0:
+                    # column t is zero off the pivot, so of A only A[t, j] moves
+                    At[j] -= q * piv
+                    if RT is not None:
+                        _add_row(RT, j, t, -q)
+                    if Ri is not None:
+                        _add_row(Ri, t, j, q)
+                if At[j]:
                     clean = False
         if not clean:
             continue
-        # divisibility: pivot must divide every remaining entry
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i, j] % piv != 0:
+        # divisibility: pivot must divide every remaining entry; a unit
+        # pivot divides everything
+        if piv not in (1, -1):
+            fixed = False
+            for i in range(t + 1, m):
+                row = A[i]
+                if any(row[j] % piv for j in range(t + 1, n)):
                     row_op(t, i, -1)  # add row i to row t, re-reduce
                     fixed = True
                     break
             if fixed:
-                break
-        if fixed:
-            continue
-        if A[t, t] < 0:
-            A[t, :] = -A[t, :]
-            L[t, :] = -L[t, :]
-            Li[:, t] = -Li[:, t]
+                continue
+        if piv < 0:
+            for M in with_rows:
+                M[t] = [-a for a in M[t]]
         t += 1
 
-    diag = tuple(A[i, i] for i in range(min(m, n)))
-    return SNFResult(diag, L, R, Li, Ri)
+    diag = tuple(A[i][i] for i in range(min(m, n)))
+
+    def out(rows, size, transposed=False):
+        if rows is None:
+            return None
+        a = np.array(rows, dtype=object).reshape(size, size)
+        return a.T.copy() if transposed else a
+
+    return SNFResult(
+        diag, out(L, m), out(RT, n, True), out(LiT, m, True), out(Ri, n)
+    )
 
 
 def rank(matrix) -> int:
-    return smith_normal_form(matrix).rank
+    return smith_normal_form(matrix, transforms=()).rank
 
 
 def kernel_basis(matrix) -> np.ndarray:
@@ -169,7 +210,7 @@ def kernel_basis(matrix) -> np.ndarray:
     m, n = A.shape
     if n == 0:
         return zeros(0, 0)
-    s = smith_normal_form(A)
+    s = smith_normal_form(A, transforms=("right",))
     r = s.rank
     return s.right[:, r:].copy()
 
@@ -178,32 +219,39 @@ def solve_int(matrix, rhs) -> np.ndarray | None:
     """One integer solution X of A X = B, or None. B may be a matrix."""
     A = intmat(matrix)
     B = intmat(rhs)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    s = smith_normal_form(A)
-    m, n = A.shape
-    Y = s.left @ B
-    r = s.rank
+    s = smith_normal_form(A, transforms=("left", "right"))
+    n = A.shape[1]
     X = zeros(n, B.shape[1])
-    for i in range(m):
+    for i, row in enumerate((s.left @ B).tolist()):
         d = s.diagonal[i] if i < len(s.diagonal) else 0
-        for k in range(B.shape[1]):
-            v = Y[i, k]
-            if d == 0:
-                if v != 0:
-                    return None
-            else:
-                if v % d != 0:
-                    return None
-                if i < n:
-                    X[i, k] = v // d
+        if d == 0:
+            if any(row):
+                return None
+        elif any(v % d for v in row):
+            return None
+        else:
+            X[i, :] = [v // d for v in row]
     return s.right @ X
+
+
+def solve_blocks(matrix, blocks) -> list | None:
+    """[solve_int(A, B) for B in blocks], or None if one has no solution.
+
+    The blocks have equal widths. solve_int solves each column of its
+    right-hand side on its own, so one solve against [B1 | B2 | ...] split
+    by columns gives the same matrices from one factorisation of A.
+    """
+    k = blocks[0].shape[1]
+    X = solve_int(matrix, np.concatenate(blocks, axis=1))
+    if X is None:
+        return None
+    return [X[:, i * k : (i + 1) * k] for i in range(len(blocks))]
 
 
 def column_space_basis(matrix) -> np.ndarray:
     """Basis (as columns) of the lattice spanned by the columns of A."""
     A = intmat(matrix)
-    s = smith_normal_form(A)
+    s = smith_normal_form(A, transforms=("left_inv",))
     r = s.rank
     cols = []
     for i in range(r):
@@ -234,7 +282,7 @@ def lattice_index(big: np.ndarray, small: np.ndarray):
     X = solve_int(big, small)
     if X is None:
         return None
-    s = smith_normal_form(X)
+    s = smith_normal_form(X, transforms=())
     if s.rank < big.shape[1] or big.shape[1] != small.shape[1]:
         return None
     idx = 1
@@ -335,7 +383,7 @@ def cokernel_invariants(matrix, ambient_rank: int | None = None) -> tuple:
     """
     A = intmat(matrix)
     m = A.shape[0] if ambient_rank is None else ambient_rank
-    s = smith_normal_form(A)
+    s = smith_normal_form(A, transforms=())
     divs = [d for d in s.diagonal if d not in (0, 1)]
     free = m - s.rank
     return tuple(divs) + (0,) * free

@@ -133,11 +133,11 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     if xs.rank != d.half_order + 1 or xsbar.rank != d.half_order:
         raise InvalidDatum("rank law violated")  # cannot happen for valid data
     weight = tuple([1] * n + [2])
-    assert la.solve_int(xs_inc.matrix, la.intmat(weight).reshape(-1, 1)) is not None
+    if la.solve_int(xs_inc.matrix, la.intmat(weight).reshape(-1, 1)) is None:
+        raise InvalidDatum("the weight lies outside X*(S)")  # cannot happen
     # the zero-condition lattice meets the weight axis trivially
-    assert la.solve_int(
-        xsbar_inc.matrix, la.intmat([1] * n).reshape(-1, 1)
-    ) is None
+    if la.solve_int(xsbar_inc.matrix, la.intmat([1] * n).reshape(-1, 1)) is not None:
+        raise InvalidDatum("X*(Sbar) meets the weight axis")  # cannot happen
     return SerreData(d, regular, ambient, xs, xs_inc, xsbar, xsbar_inc, weight)
 
 
@@ -253,11 +253,10 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
         for c in range(m):
             mat[coset_index[g.mul(x, reps[c])], c] = 1
         left_coset_mats.append(mat)
-    left_sub_mats = []
-    for x in g.elements():
-        X = la.solve_int(xsbar_r_inc.matrix, left_mats[x] @ xsbar_r_inc.matrix)
-        assert X is not None
-        left_sub_mats.append(X)
+    K = xsbar_r_inc.matrix
+    left_sub_mats = la.solve_blocks(K, [left_mats[x] @ K for x in g.elements()])
+    if left_sub_mats is None:
+        raise InvalidDatum("left translation does not preserve X*(Sbar)")  # cannot happen
 
     tw_middle = twist_lattice(right, taut, left_mats)
     tw_quotient = twist_lattice(f_right, taut, left_coset_mats)
@@ -531,7 +530,7 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     in_lattice = X is not None
     is_basis = False
     if in_lattice:
-        s = la.smith_normal_form(X)
+        s = la.smith_normal_form(X, transforms=())
         is_basis = (
             X.shape == (data.xs.rank, data.xs.rank)
             and s.rank == data.xs.rank

@@ -7,6 +7,10 @@ and elapsed time, and fails unless the verdict is `verified` within budget.
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 from torsorlab import checks as pc
@@ -80,6 +84,33 @@ def test_criterion_07_truncated_orbits():
     assert r.evidence["orbit_failures"] == 0
     assert r.evidence["scan_systems"] >= 5
     assert r.evidence["scan_choices"] >= 20
+
+
+# criterion 7 under `python -O`, which strips assert statements, and its
+# negative control: a transport that misses the basepoint must still refute
+_OPTIMIZED_CRITERION_07 = """
+import dataclasses, json
+from torsorlab import checks, invsys
+assert False, "assert statements must be stripped"
+result = checks.check_truncated_orbit_transitivity(seed=0)
+invsys._transport = lambda groups, maps, x, y: (0,) * (len(groups) + 1)
+control = checks.check_truncated_orbit_transitivity(seed=0, count=3)
+print(json.dumps([dataclasses.asdict(result), control.verdict]))
+"""
+
+
+def test_criterion_07_without_asserts():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CRITERION_07],
+                          capture_output=True, text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    optimized, control = json.loads(proc.stdout)
+    here = pc.check_truncated_orbit_transitivity(seed=0)
+    assert optimized["verdict"] == here.verdict == "verified"
+    assert optimized["evidence"] == json.loads(json.dumps(here.evidence))
+    assert control == "refuted"
 
 
 def test_criterion_08_lim1_dichotomy():

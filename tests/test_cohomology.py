@@ -389,3 +389,11 @@ def test_enumerate_cocycles_is_complete():
     for n in cases:
         assert n.underlying.order ** n.gamma.order <= 10**4
         assert list(co.enumerate_cocycles(n.gamma, n)) == brute_cocycles(n.gamma, n)
+
+
+def test_h1_abelian_rejects_a_table_that_is_no_action():
+    # rho(1) rho(1) != rho(2): the coboundaries leave the cocycle lattice
+    c3 = gr.cyclic_group(3)
+    rho = [la.identity(2), la.intmat([[1, -1], [-2, 1]]), la.intmat([[-2, 1], [1, 2]])]
+    with pytest.raises(co.NotAction):
+        co.h1_abelian(c3, lt.ZGLattice(c3, rho, validate=False))

@@ -71,6 +71,32 @@ def test_lim1_truncated_single_orbit():
     assert rep.orbit_count == 1 and rep.verified_mode == "constructive"
 
 
+def _identity_transport(groups, maps, x, y):
+    # wrong on purpose: the all-identity tuple carries x to x, not to y
+    return (0,) * (len(groups) + 1)
+
+
+def test_lim1_truncated_counts_failed_transports(monkeypatch):
+    # negative control: transports that miss the basepoint show no single orbit
+    monkeypatch.setattr(iv, "_transport", _identity_transport)
+    rep = iv.lim1_truncated(constant_system(gr.cyclic_group(2), 2))
+    assert rep.verified_mode == "exhaustive" and rep.checked_pairs == 8
+    assert rep.failed_transports == 7  # all but the basepoint itself
+    assert rep.orbit_count != 1
+    rep = iv.lim1_truncated(constant_system(gr.symmetric_group(4), 4), budget=1000)
+    assert rep.verified_mode == "constructive" and rep.failed_transports > 0
+    assert rep.orbit_count != 1
+
+
+def test_criterion_7_refutes_failed_transports(monkeypatch):
+    from torsorlab import checks as pc
+
+    monkeypatch.setattr(iv, "_transport", _identity_transport)
+    r = pc.check_truncated_orbit_transitivity(seed=0, count=3)
+    assert r.verdict == "refuted"
+    assert r.evidence["orbit_failures"] == 3
+
+
 def test_lim1_truncated_brute_force_orbit_scan():
     # independent oracle: BFS the actual orbit of the basepoint
     c2 = gr.cyclic_group(2)

@@ -158,3 +158,29 @@ def test_direct_sum():
     m = lt.direct_sum(sign_lattice(c2), lt.trivial_lattice(c2, 1))
     assert m.rank == 2
     assert la.mat_eq(m.rho[1], la.intmat([[-1, 0], [0, 1]]))
+
+
+def test_equivariant_sublattice_on_serre_lattices():
+    # the batched solve must give each g the matrix with K rho_sub(g) = rho(g) K
+    from torsorlab import serre as sr
+    from torsorlab.catalog import central_involutions, group_catalog
+
+    checked = 0
+    for _, g in group_catalog(12):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            regular = sr._left_regular(g)
+            ambient = lt.direct_sum(regular, lt.trivial_lattice(g, 1))
+            for m, eqs in (
+                (ambient, sr._pair_equations(d, True)),
+                (regular, sr._pair_equations(d, False)),
+                (sr._right_regular(g), sr._pair_equations(d, False)),
+            ):
+                sub, incl = lt.equivariant_sublattice(m, eqs)
+                K = incl.matrix
+                assert len(sub.rho) == g.order and sub.rank == K.shape[1]
+                for x in g.elements():
+                    assert la.mat_eq(K @ sub.rho[x], m.rho[x] @ K)
+                lt.ZGLattice(g, sub.rho)  # identity and multiplicativity
+                checked += 1
+    assert checked >= 30

@@ -1,10 +1,108 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torsorlab import linalg as la
+
+
+def _reference_pivot(M, t):
+    best = None
+    m, n = M.shape
+    for i in range(t, m):
+        for j in range(t, n):
+            v = M[i, j]
+            if v != 0:
+                a = -v if v < 0 else v
+                if best is None or a < best[0]:
+                    best = (a, i, j)
+                    if a == 1:
+                        return best[1], best[2]
+    return (best[1], best[2]) if best else None
+
+
+def _reference_snf(matrix):
+    """The first SNF: numpy object arrays, all four transforms, every step.
+
+    Kept as the oracle of `la.smith_normal_form`, which must take the same
+    pivots and operations and so return equal arrays.
+    """
+    A = la.intmat(matrix).copy()
+    m, n = A.shape
+    L, Li = la.identity(m), la.identity(m)
+    R, Ri = la.identity(n), la.identity(n)
+
+    def row_op(i, j, q):
+        A[i, :] -= q * A[j, :]
+        L[i, :] -= q * L[j, :]
+        Li[:, j] += q * Li[:, i]
+
+    def col_op(j, i, q):
+        A[:, j] -= q * A[:, i]
+        R[:, j] -= q * R[:, i]
+        Ri[i, :] += q * Ri[j, :]
+
+    def row_swap(i, j):
+        A[[i, j], :] = A[[j, i], :]
+        L[[i, j], :] = L[[j, i], :]
+        Li[:, [i, j]] = Li[:, [j, i]]
+
+    def col_swap(i, j):
+        A[:, [i, j]] = A[:, [j, i]]
+        R[:, [i, j]] = R[:, [j, i]]
+        Ri[[i, j], :] = Ri[[j, i], :]
+
+    t = 0
+    while t < min(m, n):
+        p = _reference_pivot(A, t)
+        if p is None:
+            break
+        i, j = p
+        if i != t:
+            row_swap(i, t)
+        if j != t:
+            col_swap(j, t)
+        piv = A[t, t]
+        clean = True
+        for i in range(t + 1, m):
+            if A[i, t] != 0:
+                q = A[i, t] // piv
+                if q:
+                    row_op(i, t, q)
+                if A[i, t] != 0:
+                    clean = False
+        if not clean:
+            continue
+        for j in range(t + 1, n):
+            if A[t, j] != 0:
+                q = A[t, j] // piv
+                if q:
+                    col_op(j, t, q)
+                if A[t, j] != 0:
+                    clean = False
+        if not clean:
+            continue
+        fixed = False
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if A[i, j] % piv != 0:
+                    row_op(t, i, -1)
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if A[t, t] < 0:
+            A[t, :] = -A[t, :]
+            L[t, :] = -L[t, :]
+            Li[:, t] = -Li[:, t]
+        t += 1
+
+    diag = tuple(A[i, i] for i in range(min(m, n)))
+    return la.SNFResult(diag, L, R, Li, Ri)
 
 
 def check_snf(A):
@@ -130,3 +228,83 @@ def test_cokernel_invariants():
     assert la.cokernel_invariants([[1, 0], [0, 1]]) == ()
     assert la.cokernel_invariants([[2, 0], [0, 0]]) == (2, 0)
     assert la.cokernel_invariants(la.zeros(2, 0)) == (0, 0)
+
+
+def _oracle_matrices():
+    rng = random.Random(2024)
+    out = []
+    for k in range(400):
+        m = rng.randint(0, 60) if k % 10 == 0 else rng.randint(1, 8)
+        n = rng.randint(0, 8)
+        style = k % 4
+        if style == 0:  # small entries: mostly unit pivots
+            A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        elif style == 1:  # even multiples: non-unit pivots, divisibility fix-up
+            A = [[rng.choice((0, 2, -4, 6, 9, 15)) for _ in range(n)] for _ in range(m)]
+        elif style == 2:  # wide range, with a zero row and a zero column
+            A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
+            if m:
+                A[rng.randrange(m)] = [0] * n
+            if n:
+                c = rng.randrange(n)
+                for row in A:
+                    row[c] = 0
+        else:  # rank-deficient products
+            r = rng.randint(0, 3)
+            P = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+            Q = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            A = [[sum(P[i][k] * Q[k][j] for k in range(r)) for j in range(n)]
+                 for i in range(m)]
+        out.append(la.intmat(A).reshape(m, n))
+    # the divisibility fix-up: 2 does not divide 3 in the trailing block
+    out.append(la.intmat([[2, 0], [0, 3]]))
+    out.append(la.intmat([[6, 0, 0], [0, 10, 0], [0, 0, 15]]))
+    return out
+
+
+def test_snf_matches_reference_on_random_matrices():
+    tall = 0
+    for A in _oracle_matrices():
+        ref = _reference_snf(A)
+        got = la.smith_normal_form(A)
+        assert got.diagonal == ref.diagonal
+        assert all(type(d) is int for d in got.diagonal)
+        for name in la.SNF_TRANSFORMS:
+            mine, theirs = getattr(got, name), getattr(ref, name)
+            assert mine.shape == theirs.shape and mine.tolist() == theirs.tolist(), name
+        tall += A.shape[0] > 20
+    assert tall >= 10
+
+
+def test_snf_narrowed_transforms():
+    rng = random.Random(5)
+    asks = [(), ("left",), ("right",), ("left_inv",), ("right_inv",),
+            ("left", "right"), ("right", "right_inv"), la.SNF_TRANSFORMS]
+    for A in _oracle_matrices()[::7]:
+        full = la.smith_normal_form(A)
+        ask = asks[rng.randrange(len(asks))]
+        part = la.smith_normal_form(A, transforms=ask)
+        assert part.diagonal == full.diagonal
+        for name in la.SNF_TRANSFORMS:
+            got = getattr(part, name)
+            if name in ask:
+                assert got.tolist() == getattr(full, name).tolist(), name
+            else:
+                assert got is None, name
+    with pytest.raises(ValueError):
+        la.smith_normal_form([[1]], transforms=("left", "lft"))
+
+
+def test_solve_blocks_equals_one_solve_per_block():
+    rng = random.Random(13)
+    for _ in range(40):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)
+        A = la.intmat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        blocks = [la.intmat([[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]).reshape(m, k)
+                  for _ in range(rng.randint(1, 4))]
+        each = [la.solve_int(A, B) for B in blocks]
+        got = la.solve_blocks(A, blocks)
+        if any(X is None for X in each):
+            assert got is None
+        else:
+            assert [X.tolist() for X in got] == [X.tolist() for X in each]
