@@ -11,8 +11,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cohomology as co
 from . import groups as gr
 from . import invsys as iv
@@ -293,36 +291,6 @@ def check_twist_bijection() -> CheckResult:
 # 7. truncated systems: one orbit, witness-independent obstructions
 
 
-def _all_homs(src, tgt):
-    gens = gr.generating_set(src)
-    out = []
-    for images in itertools.product(tgt.elements(), repeat=len(gens)):
-        mapping = {0: 0}
-        frontier = [0]
-        good = True
-        while frontier and good:
-            new = []
-            for x in frontier:
-                for s, im in zip(gens, images):
-                    y = src.mul(x, s)
-                    v = tgt.mul(mapping[x], im)
-                    if y not in mapping:
-                        mapping[y] = v
-                        new.append(y)
-                    elif mapping[y] != v:
-                        good = False
-                        break
-                if not good:
-                    break
-            frontier = new
-        if good and len(mapping) == src.order:
-            try:
-                out.append(gr.GroupHom(src, tgt, tuple(mapping[x] for x in src.elements())))
-            except gr.InvalidHom:
-                pass
-    return out
-
-
 def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckResult:
     rng = random.Random(seed)
     pool = [
@@ -336,7 +304,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         maps = []
         good = True
         for i in range(length):
-            homs = _all_homs(groups[i + 1], groups[i])
+            homs = gr.all_homs(groups[i + 1], groups[i])
             maps.append(homs[rng.randrange(len(homs))])
         sys = iv.ExplicitFinite(tuple(groups), tuple(maps))
         rep = iv.lim1_truncated(sys, budget=50000)
@@ -358,12 +326,10 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         levels = [co.trivial_gamma_group(gamma, g) for g in groups]
         maps = []
         for i in range(length):
-            homs = _all_homs(groups[i + 1], groups[i])
+            homs = gr.all_homs(groups[i + 1], groups[i])
             maps.append(homs[rng.randrange(len(homs))])
         system = co.TruncatedGammaSystem(tuple(levels), tuple(maps))
-        tops = [
-            h for h in _all_homs(gamma, groups[length])
-        ]
+        tops = gr.all_homs(gamma, groups[length])
         if not tops:
             continue
         top_hom = tops[rng.randrange(len(tops))]
@@ -393,7 +359,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
     # systems with a nontrivial action at every level
     c2 = gr.cyclic_group(2)
     c3 = gr.cyclic_group(3)
-    inv = co.GammaGroup(c2, c3, np.array([[0, 1, 2], [0, 2, 1]]))
+    inv = co.GammaGroup(c2, c3, ((0, 1, 2), (0, 2, 1)))
     doubling = gr.GroupHom(c3, c3, (0, 2, 1))  # equivariant with inversion
     evidence["nontrivial_action_systems"] = 0
     for transition in (gr.identity_hom(c3), doubling):
@@ -539,7 +505,7 @@ def check_product_h1() -> CheckResult:
     c2 = gr.cyclic_group(2)
     c3 = gr.cyclic_group(3)
     s3 = gr.symmetric_group(3)
-    inv_c3 = co.GammaGroup(c2, c3, np.array([[0, 1, 2], [0, 2, 1]]))
+    inv_c3 = co.GammaGroup(c2, c3, ((0, 1, 2), (0, 2, 1)))
 
     def triv(grp):
         return co.trivial_gamma_group(c2, grp)

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg as la
-from .groups import FiniteGroup, generating_set
+from .groups import FiniteGroup, generating_set, int_rows
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
 
@@ -45,49 +45,54 @@ DEFAULT_BUDGET = 10**6
 
 
 class GammaGroup:
-    """A finite group `underlying` with `gamma` acting by automorphisms."""
+    """A finite group `underlying` with `gamma` acting by automorphisms.
+
+    `action[t][x]` is the image of x under t, stored as a tuple of int tuples.
+    """
 
     def __init__(self, gamma: FiniteGroup, underlying: FiniteGroup, action,
                  validate: bool = True):
         self.gamma = gamma
         self.underlying = underlying
-        a = np.asarray(action, dtype=np.int64)
-        if a.shape != (gamma.order, underlying.order):
+        try:
+            a = int_rows(action)
+        except (TypeError, ValueError) as e:
+            raise NotAction("action table must be an array of integers") from e
+        if len(a) != gamma.order or any(len(r) != underlying.order for r in a):
             raise NotAction("action table shape mismatch")
         self.action = a
-        self.action.setflags(write=False)
         if validate:
             self._validate()
 
     def _validate(self):
         g, n, a = self.gamma, self.underlying, self.action
-        if not (a[0] == np.arange(n.order)).all():
+        if a[0] != tuple(n.elements()):
             raise NotAction("identity must act trivially")
-        for t in g.elements():
-            row = a[t]
-            if sorted(row) != list(range(n.order)):
+        nrows = n.rows
+        for t, row in enumerate(a):
+            if sorted(row) != list(n.elements()):
                 raise NotAction("element %d does not act bijectively" % t)
-            for x in n.elements():
-                for y in n.elements():
-                    if row[n.mul(x, y)] != n.mul(row[x], row[y]):
+            for x, xrow in enumerate(nrows):
+                rx = nrows[row[x]]
+                for y, xy in enumerate(xrow):
+                    if row[xy] != rx[row[y]]:
                         raise NotAction("element %d not an automorphism" % t)
-        for t1 in g.elements():
-            for t2 in g.elements():
-                composed = a[t1][a[t2]]
-                if not (a[g.mul(t1, t2)] == composed).all():
+        for t1, grow in enumerate(g.rows):
+            for t2, t12 in enumerate(grow):
+                if tuple(map(a[t1].__getitem__, a[t2])) != a[t12]:
                     raise NotAction("action is not a homomorphism")
 
     # coefficient protocol: neutral/op/inv/act/canon on canonical values
     neutral = 0
 
     def op(self, x: int, y: int) -> int:
-        return self.underlying.mul(x, y)
+        return self.underlying.rows[x][y]
 
     def inv(self, x: int) -> int:
-        return self.underlying.inv(x)
+        return self.underlying.inverses[x]
 
     def act(self, t: int, x: int) -> int:
-        return int(self.action[t, x])
+        return self.action[t][x]
 
     def canon(self, x) -> int:
         return int(x)
@@ -104,7 +109,7 @@ class GammaGroup:
             isinstance(other, GammaGroup)
             and self.gamma == other.gamma
             and self.underlying == other.underlying
-            and (self.action == other.action).all()
+            and self.action == other.action
         )
 
     def __repr__(self):
@@ -115,7 +120,7 @@ class GammaGroup:
 
 
 def trivial_gamma_group(gamma: FiniteGroup, underlying: FiniteGroup) -> GammaGroup:
-    action = np.tile(np.arange(underlying.order), (gamma.order, 1))
+    action = (tuple(underlying.elements()),) * gamma.order
     return GammaGroup(gamma, underlying, action, validate=False)
 
 
@@ -148,19 +153,13 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
             x = x * s + p
         return x
 
-    action = np.empty((gamma.order, und.order), dtype=np.int64)
-    for t in gamma.elements():
-        for x in range(und.order):
-            parts = split(x)
-            action[t, x] = join([f.act(t, p) for f, p in zip(factors, parts)])
+    parts = [split(x) for x in und.elements()]
+    action = [
+        [join([f.act(t, p) for f, p in zip(factors, xp)]) for xp in parts]
+        for t in gamma.elements()
+    ]
     prod = GammaGroup(gamma, und, action)
-    maps = tuple(
-        (
-            i,
-            tuple(split(x)[i] for x in range(und.order)),
-        )
-        for i in range(len(factors))
-    )
+    maps = tuple((i, tuple(xp[i] for xp in parts)) for i in range(len(factors)))
     return prod, maps
 
 
@@ -246,27 +245,31 @@ class CrossedHom:
     def from_generators(cls, group, coefficient, gen_values: dict) -> "CrossedHom":
         """Close generator values over a spanning tree; reject inconsistency."""
         op, act = coefficient.op, coefficient.act
-        gen_values = {s: coefficient.canon(v) for s, v in gen_values.items()}
-        vals = {0: coefficient.neutral}
+        gen_values = [(s, coefficient.canon(v)) for s, v in gen_values.items()]
+        rows = group.rows
+        vals = [None] * group.order
+        vals[0] = coefficient.neutral
+        reached = 1
         frontier = [0]
         while frontier:
             new = []
             for g in frontier:
-                for s, fs in gen_values.items():
-                    t = group.mul(g, s)
-                    v = op(vals[g], act(g, fs))
-                    if t not in vals:
+                row, fg = rows[g], vals[g]
+                for s, fs in gen_values:
+                    t = row[s]
+                    v = op(fg, act(g, fs))
+                    if vals[t] is None:
                         vals[t] = v
                         new.append(t)
                     elif vals[t] != v:
                         raise NotCocycle("generator values are inconsistent")
+            reached += len(new)
             frontier = new
-        if len(vals) != group.order:
+        if reached != group.order:
             raise NotCocycle("generators do not generate the group")
         # every Cayley edge satisfies f(gs) = f(g) (g . f(s)); the action is by
         # automorphisms, so induction on word length gives the law for all pairs
-        return cls(group, coefficient, tuple(vals[t] for t in group.elements()),
-                   validate=False)
+        return cls(group, coefficient, tuple(vals), validate=False)
 
 
 def trivial_cocycle(group: FiniteGroup, coefficient) -> CrossedHom:
@@ -513,7 +516,10 @@ def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
         if vals in seen:
             continue
         orbit = set(twist_values(n, vals, und.elements()))
-        assert orbit <= cocycle_set
+        if not orbit <= cocycle_set:
+            # twisting maps cocycles to cocycles when n is a Gamma-group
+            raise NotAction("twisted conjugation leaves the cocycles: "
+                            "the action is not by automorphisms")
         seen |= orbit
         rep = min(orbit)
         classes.append(CrossedHom(gamma, n, rep, validate=False))
@@ -569,20 +575,17 @@ def twist_group(n: GammaGroup, f) -> GammaGroup:
     if isinstance(f, CrossedHom):
         if f.coefficient is not n and f.coefficient != n:
             raise NotCocycle("cocycle must take values in the twisted group")
-        action = np.empty((g.order, und.order), dtype=np.int64)
-        for t in g.elements():
-            ft = f(t)
-            fti = und.inv(ft)
-            for x in und.elements():
-                action[t, x] = und.mul(und.mul(ft, n.act(t, x)), fti)
+        rows = und.rows
+        action = []
+        for t, nrow in enumerate(n.action):
+            ft = rows[f(t)]
+            fti = und.inverses[f(t)]
+            action.append([rows[ft[y]][fti] for y in nrow])
         return GammaGroup(g, und, action)
     if isinstance(f, AutValuedCocycle):
         if f.base is not n and f.base != n:
             raise NotCocycle("cocycle base mismatch")
-        action = np.empty((g.order, und.order), dtype=np.int64)
-        for t in g.elements():
-            for x in und.elements():
-                action[t, x] = f.autos[t][n.act(t, x)]
+        action = [[f.autos[t][y] for y in nrow] for t, nrow in enumerate(n.action)]
         return GammaGroup(g, und, action)
     raise TypeError("unsupported twisting datum")
 

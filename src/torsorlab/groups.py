@@ -38,32 +38,46 @@ class NotSurjective(ValueError):
     pass
 
 
+def int_rows(table) -> tuple:
+    """A table (nested sequence or 2-D array) as a tuple of int tuples."""
+    if isinstance(table, np.ndarray):
+        table = table.tolist()
+    return tuple(tuple(map(int, row)) for row in table)
+
+
 class FiniteGroup:
-    """Group given by an order x order table of element indices."""
+    """Group given by an order x order table of element indices.
+
+    The table is stored once, as `rows`: a tuple of int tuples with
+    `rows[a][b]` the index of a*b, and `inverses[a]` the index of a^-1.
+    """
 
     def __init__(self, table, labels=None, validate: bool = True):
-        t = np.asarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        try:
+            rows = int_rows(table)
+        except (TypeError, ValueError) as e:
+            raise InvalidGroup("table must be a square array of integers") from e
+        self.order = n = len(rows)
+        if any(len(r) != n for r in rows):
             raise InvalidGroup("table must be square")
-        self.order = int(t.shape[0])
-        self.table = t
-        self.table.setflags(write=False)
+        self.rows = rows
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.order:
             raise InvalidGroup("labels length mismatch")
         if validate:
             self._validate()
-        self._inverses = self._compute_inverses()
+        self.inverses = self._compute_inverses()
 
     def _validate(self):
         n = self.order
-        t = self.table
+        rows = self.rows
         if n == 0:
             raise InvalidGroup("empty group")
-        if t.min() < 0 or t.max() >= n:
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
             raise InvalidGroup("table entries out of range")
-        if not (t[0] == np.arange(n)).all() or not (t[:, 0] == np.arange(n)).all():
+        if rows[0] != tuple(range(n)) or any(r[0] != a for a, r in enumerate(rows)):
             raise InvalidGroup("element 0 is not a two-sided identity")
+        t = np.array(rows, dtype=np.int64)
         for a in range(n):
             # (a*b)*c == a*(b*c) for all b, c
             lhs = t[t[a]]
@@ -71,28 +85,26 @@ class FiniteGroup:
             if not (lhs == rhs).all():
                 raise InvalidGroup("multiplication is not associative")
         for a in range(n):
-            if not (sorted(t[a]) == list(range(n))):
+            if len(set(rows[a])) != n:
                 raise InvalidGroup("row %d is not a bijection" % a)
 
-    def _compute_inverses(self):
-        inv = np.empty(self.order, dtype=np.int64)
-        for a in range(self.order):
-            hits = np.where(self.table[a] == 0)[0]
-            if len(hits) != 1:
+    def _compute_inverses(self) -> tuple:
+        inv = []
+        for a, r in enumerate(self.rows):
+            if r.count(0) != 1:
                 raise InvalidGroup("element %d has no unique inverse" % a)
-            inv[a] = hits[0]
-        inv.setflags(write=False)
-        return inv
+            inv.append(r.index(0))
+        return tuple(inv)
 
     @property
     def identity(self) -> int:
         return 0
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.rows[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self._inverses[a])
+        return self.inverses[a]
 
     def conj(self, g: int, x: int) -> int:
         return self.mul(self.mul(g, x), self.inv(g))
@@ -116,7 +128,7 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return self.rows == tuple(zip(*self.rows))
 
     def exponent(self) -> int:
         e = 1
@@ -131,14 +143,10 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGroup)
-            and self.order == other.order
-            and (self.table == other.table).all()
-        )
+        return isinstance(other, FiniteGroup) and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.order, self.table.tobytes()))
+        return hash(self.rows)
 
 
 @dataclass(frozen=True)
@@ -155,11 +163,11 @@ class GroupHom:
         if self.validate:
             if self.map[0] != 0:
                 raise InvalidHom("identity not preserved")
-            s, t, f = self.source, self.target, self.map
-            for a in s.elements():
-                fa = f[a]
-                for b in s.elements():
-                    if f[s.mul(a, b)] != t.mul(fa, f[b]):
+            trows, f = self.target.rows, self.map
+            for a, row in enumerate(self.source.rows):
+                frow = trows[f[a]]
+                for b, ab in enumerate(row):
+                    if f[ab] != frow[f[b]]:
                         raise InvalidHom("not multiplicative at (%d,%d)" % (a, b))
 
     def __call__(self, a: int) -> int:
@@ -210,10 +218,10 @@ def trivial_group() -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Index of (a, b) is a + g.order * b, so (0, 0) = 0."""
     n, m = g.order, h.order
-    table = np.empty((n * m, n * m), dtype=np.int64)
+    table = [[0] * (n * m) for _ in range(n * m)]
     for a, b in product(range(n), range(m)):
         for c, d in product(range(n), range(m)):
-            table[a + n * b, c + n * d] = g.mul(a, c) + n * h.mul(b, d)
+            table[a + n * b][c + n * d] = g.mul(a, c) + n * h.mul(b, d)
     return FiniteGroup(table)
 
 
@@ -247,10 +255,10 @@ def group_from_permutations(perms) -> FiniteGroup:
         frontier = new
     index = {p: i for i, p in enumerate(elems)}
     n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
+    table = [[0] * n for _ in range(n)]
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
-            table[i, j] = index[tuple(p[q[k]] for k in range(deg))]
+            table[i][j] = index[tuple(p[q[k]] for k in range(deg))]
     return FiniteGroup(table)
 
 
@@ -282,7 +290,7 @@ def quaternion_group(n: int = 8) -> FiniteGroup:
     def idx(i, j):
         return i + m * j
 
-    table = np.empty((n, n), dtype=np.int64)
+    table = [[0] * n for _ in range(n)]
     half = m // 2
     for i, j in product(range(m), range(2)):
         for k, l in product(range(m), range(2)):
@@ -293,7 +301,7 @@ def quaternion_group(n: int = 8) -> FiniteGroup:
                 ii, jj = (i - k) % m, 1
             else:
                 ii, jj = (i - k + half) % m, 0
-            table[idx(i, j), idx(k, l)] = idx(ii, jj)
+            table[idx(i, j)][idx(k, l)] = idx(ii, jj)
     return FiniteGroup(table)
 
 
@@ -304,14 +312,14 @@ def semidihedral_group_16() -> FiniteGroup:
     def idx(i, j):
         return i + 8 * j
 
-    table = np.empty((n, n), dtype=np.int64)
+    table = [[0] * n for _ in range(n)]
     for i, j in product(range(8), range(2)):
         for k, l in product(range(8), range(2)):
             if j == 0:
                 ii, jj = (i + k) % 8, l
             else:
                 ii, jj = (i + 3 * k) % 8, 1 - l
-            table[idx(i, j), idx(k, l)] = idx(ii, jj)
+            table[idx(i, j)][idx(k, l)] = idx(ii, jj)
     return FiniteGroup(table)
 
 
@@ -330,7 +338,7 @@ def special_linear_2_3() -> FiniteGroup:
     mats.insert(0, ident)
     index = {mm: i for i, mm in enumerate(mats)}
     n = len(mats)
-    table = np.empty((n, n), dtype=np.int64)
+    table = [[0] * n for _ in range(n)]
     for i, (a, b, c, d) in enumerate(mats):
         for j, (e, f_, g_, h) in enumerate(mats):
             mm = (
@@ -339,7 +347,7 @@ def special_linear_2_3() -> FiniteGroup:
                 (c * e + d * g_) % 3,
                 (c * f_ + d * h) % 3,
             )
-            table[i, j] = index[mm]
+            table[i][j] = index[mm]
     return FiniteGroup(table)
 
 
@@ -391,10 +399,10 @@ def semidirect_product(d: SemidirectDatum) -> SemidirectProduct:
     def idx(a, y):
         return a + nn * y
 
-    table = np.empty((size, size), dtype=np.int64)
+    table = [[0] * size for _ in range(size)]
     for a, y in product(range(nn), range(nq)):
         for b, z in product(range(nn), range(nq)):
-            table[idx(a, y), idx(b, z)] = idx(N.mul(a, th[y][b]), Q.mul(y, z))
+            table[idx(a, y)][idx(b, z)] = idx(N.mul(a, th[y][b]), Q.mul(y, z))
     g = FiniteGroup(table)
     embed_n = GroupHom(N, g, tuple(idx(a, 0) for a in range(nn)), validate=False)
     embed_q = GroupHom(Q, g, tuple(idx(0, y) for y in range(nq)), validate=False)
@@ -451,8 +459,8 @@ def centralizer(g: FiniteGroup, x: int) -> tuple:
 
 
 def center(g: FiniteGroup) -> tuple:
-    t = g.table
-    return tuple(int(y) for y in range(g.order) if (t[y] == t[:, y]).all())
+    cols = tuple(zip(*g.rows))
+    return tuple(y for y, row in enumerate(g.rows) if row == cols[y])
 
 
 def is_subgroup(g: FiniteGroup, elems) -> bool:
@@ -510,6 +518,38 @@ def generating_set(g: FiniteGroup) -> tuple:
     return tuple(gens)
 
 
+def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
+    """Every homomorphism src -> tgt, ordered by the images it gives the
+    generating set of src."""
+    gens = generating_set(src)
+    srows, trows = src.rows, tgt.rows
+    out = []
+    for images in product(tgt.elements(), repeat=len(gens)):
+        f = [-1] * src.order
+        f[0] = 0
+        frontier = [0]
+        good = True
+        while frontier and good:
+            new = []
+            for x in frontier:
+                sx, tx = srows[x], trows[f[x]]
+                for s, im in zip(gens, images):
+                    y, v = sx[s], tx[im]
+                    if f[y] < 0:
+                        f[y] = v
+                        new.append(y)
+                    elif f[y] != v:
+                        good = False
+                        break
+                if not good:
+                    break
+            frontier = new
+        # f(xs) = f(x) f(s) on every Cayley edge, so f is multiplicative
+        if good:
+            out.append(GroupHom(src, tgt, tuple(f), validate=False))
+    return tuple(out)
+
+
 def all_subgroups(g: FiniteGroup) -> tuple:
     """Every subgroup, found by closing each subgroup with one more element."""
     trivial = (0,)
@@ -547,10 +587,10 @@ def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
             coset_of[y] = ci
     # identity coset contains 0 and is found first, so identity index is 0
     m = len(cosets)
-    table = np.empty((m, m), dtype=np.int64)
+    table = [[0] * m for _ in range(m)]
     for i, ci in enumerate(cosets):
         for j, cj in enumerate(cosets):
-            table[i, j] = coset_of[g.mul(ci[0], cj[0])]
+            table[i][j] = coset_of[g.mul(ci[0], cj[0])]
     q = FiniteGroup(table)
     proj = GroupHom(g, q, tuple(coset_of), validate=False)
     return q, proj

@@ -38,7 +38,7 @@ class GSet:
             raise InvalidAction("point indices out of range")
         if not (a[0] == np.arange(m)).all():
             raise InvalidAction("identity must act trivially")
-        t = self.group.table
+        t = np.array(self.group.rows, dtype=np.int64)
         for g in range(n):
             # action[g*h] == action[g] o action[h]
             composed = a[g][a]
@@ -101,7 +101,7 @@ def trivial_gset(g: FiniteGroup, size: int) -> GSet:
 
 
 def regular_gset(g: FiniteGroup) -> GSet:
-    return GSet(g, g.table.copy())
+    return GSet(g, g.rows)
 
 
 def coset_gset(g: FiniteGroup, h) -> GSet:

@@ -224,12 +224,12 @@ def _transport(groups, maps, x, y):
     """
     N = len(groups) - 1
     a = [0] * (N + 2)
-    a[N + 1] = 0
     # choose downward: constraint n fixes a_n from a_{n+1}
     for n in range(N, -1, -1):
         g = groups[n]
-        push = maps[n](a[n + 1]) if n < N else a[N + 1]
-        a[n] = g.mul(g.mul(y[n], push), g.inv(x[n]))
+        rows = g.rows
+        push = maps[n].map[a[n + 1]] if n < N else a[N + 1]
+        a[n] = rows[rows[y[n]][push]][g.inverses[x[n]]]
     return tuple(a)
 
 
@@ -238,8 +238,9 @@ def _apply_action(groups, maps, a, x):
     out = []
     for n in range(N + 1):
         g = groups[n]
-        nxt = maps[n](a[n + 1]) if n < N else a[N + 1]
-        out.append(g.mul(g.mul(a[n], x[n]), g.inv(nxt)))
+        rows = g.rows
+        nxt = maps[n].map[a[n + 1]] if n < N else a[N + 1]
+        out.append(rows[rows[a[n]][x[n]]][g.inverses[nxt]])
     return tuple(out)
 
 
@@ -514,11 +515,13 @@ def six_term_check(
         for n in range(N):
             g = B_groups[n]
             e = g.mul(g.inv(lifts[n]), total.maps[n](lifts[n + 1]))
-            assert e in images[n]
+            if e not in images[n]:
+                raise ValueError("connecting element outside the subgroup at "
+                                 "level %d" % n)
             es.append(e)
         return tuple(es)
 
-    # every connecting tuple lands in the kernel levels (asserted inside)
+    # every connecting tuple lands in the kernel levels (checked inside)
     for fam in coset_fams:
         delta(fam)
 
@@ -536,7 +539,8 @@ def six_term_check(
                 for i in range(N + 1)
             )
             orbit.add(moved)
-        assert orbit <= fam_set
+        if not orbit <= fam_set:
+            raise ValueError("lim B moves a coset family out of lim(B/A)")
         seen |= orbit
         orbits.append(orbit)
     # the connecting map is constant on orbits iff fibres are unions of

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from . import cohomology as co
 from . import invsys as iv
 from . import linalg as la
@@ -47,7 +45,7 @@ def group_from_json(obj, basedir="."):
 
 
 def group_to_json(g: FiniteGroup) -> dict:
-    out = {"order": g.order, "table": g.table.tolist()}
+    out = {"order": g.order, "table": [list(r) for r in g.rows]}
     if g.labels:
         out["labels"] = list(g.labels)
     return out
@@ -108,7 +106,7 @@ def gamma_group_from_json(obj, basedir="."):
         raise ParseError(f"bad Gamma-group object: {e}") from e
     if action is None:
         return co.trivial_gamma_group(gamma, und)
-    return co.GammaGroup(gamma, und, np.asarray(action, dtype=np.int64))
+    return co.GammaGroup(gamma, und, action)
 
 
 def datum_from_json(obj, basedir="."):

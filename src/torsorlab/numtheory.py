@@ -55,14 +55,20 @@ def pmod(f, p):
     return pnormalize([c % p for c in f])
 
 
-def padd(f, g, p):
+def padd(f, g, p=None):
     n = max(len(f), len(g))
-    return pnormalize([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p for i in range(n)])
+    out = [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+    if p is not None:
+        out = [c % p for c in out]
+    return pnormalize(out)
 
 
-def psub(f, g, p):
+def psub(f, g, p=None):
     n = max(len(f), len(g))
-    return pnormalize([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p for i in range(n)])
+    out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
+    if p is not None:
+        out = [c % p for c in out]
+    return pnormalize(out)
 
 
 def pmul(f, g, p=None):
@@ -561,15 +567,15 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     for coset in cosets:
         acc = ()
         for k in coset:
-            acc = padd_z(acc, zeta_pow(k % m))
+            acc = padd(acc, zeta_pow(k % m))
         periods.append(acc)
     # expand prod (T - eta_j) with coefficients in Z[zeta]
     coeffs = [(1,)]  # polynomial "1" in T
     for eta in periods:
         new = [()] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
-            new[k + 1] = padd_z(new[k + 1], c)
-            new[k] = psub_z(new[k], _cyclo_mul(c, eta, phi))
+            new[k + 1] = padd(new[k + 1], c)
+            new[k] = psub(new[k], _cyclo_mul(c, eta, phi))
         coeffs = new
     out = []
     for c in coeffs:
@@ -577,20 +583,6 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
         assert len(c) <= 1, "period polynomial coefficient is not rational"
         out.append(c[0] if c else 0)
     return NumberFieldDatum(tuple(out))
-
-
-def padd_z(f, g):
-    n = max(len(f), len(g))
-    return pnormalize(
-        [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    )
-
-
-def psub_z(f, g):
-    n = max(len(f), len(g))
-    return pnormalize(
-        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    )
 
 
 # ---------------------------------------------------------------------------

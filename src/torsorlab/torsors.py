@@ -101,7 +101,7 @@ class EquivariantASet:
 def left_translation_aset(structure: GammaGroup) -> EquivariantASet:
     """A acting on itself by left translation, Gamma by its given action."""
     und = structure.underlying
-    return EquivariantASet(structure, und.table.copy(), structure.action.copy())
+    return EquivariantASet(structure, und.rows, structure.action)
 
 
 def conjugation_aset(structure: GammaGroup) -> EquivariantASet:
@@ -111,7 +111,7 @@ def conjugation_aset(structure: GammaGroup) -> EquivariantASet:
     for a in und.elements():
         for x in und.elements():
             a_action[a, x] = und.conj(a, x)
-    return EquivariantASet(structure, a_action, structure.action.copy())
+    return EquivariantASet(structure, a_action, structure.action)
 
 
 def pushforward_aset(v: GroupHom, target: GammaGroup, source: GammaGroup) -> EquivariantASet:
@@ -121,7 +121,7 @@ def pushforward_aset(v: GroupHom, target: GammaGroup, source: GammaGroup) -> Equ
     for a in source.underlying.elements():
         for b in B.elements():
             a_action[a, b] = B.mul(v(a), b)
-    return EquivariantASet(source, a_action, target.action.copy())
+    return EquivariantASet(source, a_action, target.action)
 
 
 def contracted_product(p: TorsorRep, x: EquivariantASet) -> GSet:
@@ -314,18 +314,16 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     A = seq.a
     inc = seq.include
     p0 = base.p.cocycle
-    # inner form of the kernel: conjugate the action through the base cocycle
+    # inner form of the kernel: the twist of B by the base cocycle, restricted
     emb = inc.hom.map
     back = {e: i for i, e in enumerate(emb)}
-    action = np.empty((gamma.order, A.underlying.order), dtype=np.int64)
-    for t in gamma.elements():
-        c = p0(t)
-        ci = B.underlying.inv(c)
-        for x in A.underlying.elements():
-            y = B.underlying.mul(B.underlying.mul(c, B.act(t, emb[x])), ci)
-            if y not in back:
-                raise NotExact("kernel is not stable under the twisted action")
-            action[t, x] = back[y]
+    twisted_b = twist_group(B, p0)
+    action = []
+    for row in twisted_b.action:
+        ys = [row[e] for e in emb]
+        if any(y not in back for y in ys):
+            raise NotExact("kernel is not stable under the twisted action")
+        action.append([back[y] for y in ys])
     twisted_kernel = GammaGroup(gamma, A.underlying, action)
 
     kernel_h1 = h1_nonabelian(gamma, twisted_kernel, budget)

@@ -87,15 +87,22 @@ def test_criterion_07_truncated_orbits():
 
 
 # criterion 7 under `python -O`, which strips assert statements, and its
-# negative control: a transport that misses the basepoint must still refute
+# negative controls: a transport that misses the basepoint must still refute,
+# and h1_nonabelian must still reject an action that is not by automorphisms
 _OPTIMIZED_CRITERION_07 = """
 import dataclasses, json
-from torsorlab import checks, invsys
+from torsorlab import checks, cohomology, groups, invsys
 assert False, "assert statements must be stripped"
 result = checks.check_truncated_orbit_transitivity(seed=0)
 invsys._transport = lambda groups, maps, x, y: (0,) * (len(groups) + 1)
 control = checks.check_truncated_orbit_transitivity(seed=0, count=3)
-print(json.dumps([dataclasses.asdict(result), control.verdict]))
+bad = cohomology.GammaGroup(groups.cyclic_group(2), groups.cyclic_group(4),
+                            [(0, 1, 2, 3), (0, 1, 3, 2)], validate=False)
+try:
+    h1 = cohomology.h1_nonabelian(bad.gamma, bad).count
+except cohomology.NotAction:
+    h1 = "NotAction"
+print(json.dumps([dataclasses.asdict(result), control.verdict, h1]))
 """
 
 
@@ -106,11 +113,13 @@ def test_criterion_07_without_asserts():
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CRITERION_07],
                           capture_output=True, text=True, timeout=600, env=env)
     assert proc.returncode == 0, proc.stderr
-    optimized, control = json.loads(proc.stdout)
+    optimized, control, h1 = json.loads(proc.stdout)
     here = pc.check_truncated_orbit_transitivity(seed=0)
     assert optimized["verdict"] == here.verdict == "verified"
     assert optimized["evidence"] == json.loads(json.dumps(here.evidence))
     assert control == "refuted"
+    # an action that is not by automorphisms raises, and yields no H^1 count
+    assert h1 == "NotAction"
 
 
 def test_criterion_08_lim1_dichotomy():

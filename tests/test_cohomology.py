@@ -208,7 +208,7 @@ def test_twist_group_double_twist_recovers():
     # inverse cocycle is a cocycle for the twisted action
     ginv = co.CrossedHom(c2, tw, tuple(s3.inv(v) for v in f.values))
     back = co.twist_group(tw, ginv)
-    assert (back.action == n.action).all()
+    assert back.action == n.action
 
 
 def test_twist_group_aut_valued():
@@ -397,3 +397,18 @@ def test_h1_abelian_rejects_a_table_that_is_no_action():
     rho = [la.identity(2), la.intmat([[1, -1], [-2, 1]]), la.intmat([[-2, 1], [1, 2]])]
     with pytest.raises(co.NotAction):
         co.h1_abelian(c3, lt.ZGLattice(c3, rho, validate=False))
+
+
+def not_by_automorphisms():
+    # C2 swaps 2 and 3 in C4: a permutation action that is no automorphism
+    c2, c4 = gr.cyclic_group(2), gr.cyclic_group(4)
+    return co.GammaGroup(c2, c4, [(0, 1, 2, 3), (0, 1, 3, 2)], validate=False)
+
+
+def test_h1_nonabelian_rejects_an_action_not_by_automorphisms():
+    n = not_by_automorphisms()
+    with pytest.raises(co.NotAction):
+        co.GammaGroup(n.gamma, n.underlying, n.action)
+    # twisted conjugation leaves the edge-consistent value tables
+    with pytest.raises(co.NotAction):
+        co.h1_nonabelian(n.gamma, n)

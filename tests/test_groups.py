@@ -1,5 +1,10 @@
+import itertools
+
+import numpy as np
 import pytest
 
+from torsorlab import catalog
+from torsorlab import cohomology as co
 from torsorlab import groups as gr
 
 
@@ -196,3 +201,146 @@ def test_sl23():
     assert sl.order == 24
     assert len(gr.center(sl)) == 2
     assert sorted(len(c) for c in gr.conjugacy_classes(sl)) == [1, 1, 4, 4, 4, 4, 6]
+
+
+# ---------------------------------------------------------------------------
+# the row tables against a numpy-table reference
+
+
+class _NumpyGroup:
+    """Reference: the table as a numpy array, read the way FiniteGroup read it
+    before it stored int rows."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.int64)
+        self.order = self.table.shape[0]
+
+    def mul(self, a, b):
+        return int(self.table[a, b])
+
+    def inv(self, a):
+        (hits,) = np.where(self.table[a] == 0)
+        assert len(hits) == 1
+        return int(hits[0])
+
+    def is_abelian(self):
+        return bool((self.table == self.table.T).all())
+
+    def __eq__(self, other):
+        return self.table.shape == other.table.shape and bool(
+            (self.table == other.table).all())
+
+
+def _record_inputs(monkeypatch, cls):
+    """Record the raw table each new instance of cls was built from."""
+    seen = []
+    init = cls.__init__
+
+    def recording_init(self, gamma_or_table, *args, **kwargs):
+        init(self, gamma_or_table, *args, **kwargs)
+        raw = gamma_or_table if cls is gr.FiniteGroup else args[1]
+        seen.append((self, np.array(raw, dtype=np.int64)))
+
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    return seen
+
+
+def _oracle_groups():
+    """Catalog groups of order <= 24, products of small ones, and every
+    quotient by a normal subgroup, as built by the library."""
+    cat = [g for _, g in catalog.group_catalog(24)]
+    small = [g for g in cat if g.order <= 6]
+    for g, h in itertools.product(small, small):
+        gr.direct_product(g, h)
+    for g in cat:
+        for n in gr.all_subgroups(g):
+            if gr.is_normal(g, n):
+                gr.quotient(g, n)
+    sp, _ = gr.heisenberg_group(3)
+
+
+def test_rows_agree_with_numpy_reference(monkeypatch):
+    seen = _record_inputs(monkeypatch, gr.FiniteGroup)
+    _oracle_groups()
+    monkeypatch.undo()
+    assert len(seen) > 100
+    refs = [(g, _NumpyGroup(raw)) for g, raw in seen]
+    for g, ref in refs:
+        assert g.order == ref.order
+        assert all(g.mul(a, b) == ref.mul(a, b)
+                   for a in range(g.order) for b in range(g.order))
+        assert all(g.inv(a) == ref.inv(a) for a in range(g.order))
+        assert g.is_abelian() == ref.is_abelian()
+        assert all(isinstance(x, int) for r in g.rows for x in r)
+    by_order = {}
+    for g, ref in refs:
+        by_order.setdefault(g.order, []).append((g, ref))
+    for group in by_order.values():
+        for (g, gref), (h, href) in itertools.product(group, group):
+            assert (g == h) == (gref == href)
+            if g == h:
+                assert hash(g) == hash(h)
+    # equal tables in another container type give an equal, equal-hash group
+    for g, ref in refs:
+        again = gr.FiniteGroup(ref.table)
+        assert again == g and hash(again) == hash(g)
+    assert gr.cyclic_group(4) != gr.direct_product(gr.cyclic_group(2), gr.cyclic_group(2))
+
+
+def _oracle_gamma_groups():
+    for gamma in (gr.cyclic_group(2), gr.cyclic_group(3)):
+        for _, und in catalog.group_catalog(8):
+            base = co.trivial_gamma_group(gamma, und)
+            for vals in co.enumerate_cocycles(gamma, base):
+                tw = co.twist_group(base, co.CrossedHom(gamma, base, vals))
+                co.gamma_group_product([tw, base])
+
+
+def test_gamma_group_act_agrees_with_numpy_reference(monkeypatch):
+    seen = _record_inputs(monkeypatch, co.GammaGroup)
+    _oracle_gamma_groups()
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for n, raw in seen:
+        assert raw.shape == (n.gamma.order, n.underlying.order)
+        assert all(n.act(t, x) == int(raw[t, x])
+                   for t in n.gamma.elements() for x in n.underlying.elements())
+        assert n == co.GammaGroup(n.gamma, n.underlying, raw)
+
+
+def test_center_matches_definition():
+    for _, g in catalog.group_catalog(24):
+        brute = tuple(y for y in g.elements()
+                      if all(g.mul(x, y) == g.mul(y, x) for x in g.elements()))
+        assert gr.center(g) == brute
+
+
+def test_malformed_tables_rejected():
+    for bad in ([0, 1], [[0, 1], [1]], [["a", 0], [0, 1]], [[0, 1, 2], [1, 2, 0]]):
+        with pytest.raises(gr.InvalidGroup):
+            gr.FiniteGroup(bad)
+    with pytest.raises(co.NotAction):
+        co.GammaGroup(gr.cyclic_group(2), gr.cyclic_group(3), [[0, 1, 2], [0, 2]])
+
+
+def _brute_homs(src, tgt):
+    # every map with f(0) = 0, kept when f(ab) = f(a) f(b) for all a, b
+    out = set()
+    for rest in itertools.product(tgt.elements(), repeat=src.order - 1):
+        f = (0,) + rest
+        if all(f[src.mul(a, b)] == tgt.mul(f[a], f[b])
+               for a in src.elements() for b in src.elements()):
+            out.add(f)
+    return out
+
+
+def test_all_homs_matches_brute_force():
+    small = [g for _, g in catalog.group_catalog(6)]
+    assert len(small) >= 7
+    for src, tgt in itertools.product(small, small):
+        homs = gr.all_homs(src, tgt)
+        maps = [h.map for h in homs]
+        assert len(set(maps)) == len(maps)
+        assert set(maps) == _brute_homs(src, tgt), (src, tgt)
+        for h in homs:
+            gr.GroupHom(src, tgt, h.map)  # validates multiplicativity

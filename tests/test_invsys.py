@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from torsorlab import groups as gr
@@ -86,6 +92,32 @@ def test_lim1_truncated_counts_failed_transports(monkeypatch):
     rep = iv.lim1_truncated(constant_system(gr.symmetric_group(4), 4), budget=1000)
     assert rep.verified_mode == "constructive" and rep.failed_transports > 0
     assert rep.orbit_count != 1
+
+
+_OPTIMIZED_LIM1 = """
+import json
+from torsorlab import groups as gr, invsys as iv
+assert False, "assert statements must be stripped"
+c2 = gr.cyclic_group(2)
+sys = iv.ExplicitFinite((c2,) * 3, (gr.identity_hom(c2),) * 2)
+good = iv.lim1_truncated(sys)
+iv._transport = lambda groups, maps, x, y: (0,) * (len(groups) + 1)
+bad = iv.lim1_truncated(sys)
+print(json.dumps([[r.orbit_count, r.checked_pairs, r.failed_transports]
+                  for r in (good, bad)]))
+"""
+
+
+def test_lim1_truncated_counts_failed_transports_without_asserts():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_LIM1],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    good, bad = json.loads(proc.stdout)
+    assert good == [1, 8, 0]
+    assert bad == [0, 8, 7]
 
 
 def test_criterion_7_refutes_failed_transports(monkeypatch):

@@ -1,4 +1,9 @@
+import hashlib
+import importlib.util
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 import sympy
@@ -23,6 +28,41 @@ def test_poly_arithmetic():
     assert q == (1, 1) and r == ()
     assert nt.poly_gcd((1, 2, 1), (1, 1), 5) == (1, 1)
     assert nt.ppow_mod((0, 1), 5, (1, 0, 1), 5) == nt.pdivmod((0, 0, 0, 0, 0, 1), (1, 0, 1), 5)[1]
+
+
+def test_padd_psub_with_and_without_modulus():
+    assert nt.padd((1, 2, 3), (4, -2, -3)) == (5,)
+    assert nt.psub((1, 2), (1, 2, 7)) == (0, 0, -7)
+    assert nt.padd((1, 2, 3), (4, 3, 2), 5) == ()
+    assert nt.psub((1, 2), (1, 2, 7), 5) == (0, 0, 3)
+
+
+def _perfbench_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the defining polynomials below, taken before padd/psub took over
+# the integer period sums
+PERIOD_POLYNOMIALS_SHA256 = (
+    "4e194191ed873ea1d1a5bf83d3539638a96e650cfcc0061de55e2d851c5773df")
+
+
+def test_abelian_defining_polynomial_on_benchmark_fields():
+    # every conductor and subgroup the benchmark's splitting cases draw from
+    wl = _perfbench_workloads()
+    rows = []
+    for m in wl.CONDUCTORS:
+        for h in wl.split_fields(m):
+            fld = nt.AbelianFieldDatum(m, h)
+            rows.append([m, list(h), list(nt.abelian_defining_polynomial(fld).poly)])
+    assert len(rows) == 267
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == PERIOD_POLYNOMIALS_SHA256
 
 
 def test_factor_fixed_examples():
