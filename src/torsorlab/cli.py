@@ -123,7 +123,7 @@ def cmd_gset(args):
 def cmd_lattice(args):
     if args.op == "snf":
         with open(args.infile) as fh:
-            mat = json.load(fh)
+            mat = jsonio.matrix_from_json(json.load(fh))
         s = la.smith_normal_form(mat)
         evidence = {
             "diagonal": [int(d) for d in s.diagonal],

@@ -358,40 +358,54 @@ class CohomologyGroup:
         return not self.invariants
 
 
-def _tree_expressions(gamma: FiniteGroup, mats, r: int, gens):
-    """Linear expression of each cocycle value in the generator unknowns.
+def _tree_expressions(gamma: FiniteGroup, mats, r: int, gens) -> list:
+    """Constraint rows on the cocycle values at the generators.
 
-    Returns (exprs, constraints): exprs[g] is r x (len(gens) * r); the
-    constraints stack enforces the non-tree Cayley edges.
+    Along the spanning tree of the Cayley graph, f(g s) = f(g) + rho(g) f(s)
+    writes each value f(g) as r rows over the len(gens) * r unknowns f(s);
+    every non-tree edge g -> g s contributes the r rows of
+    f(g) + rho(g) f(s) - f(g s) = 0.  The rows are lists of Python ints.
     """
-    k = len(gens)
-    width = k * r
-    blocks = {}
-    for i, s in enumerate(gens):
-        b = la.zeros(r, width)
-        b[:, i * r : (i + 1) * r] = la.identity(r)
-        blocks[s] = b
-    exprs = {0: la.zeros(r, width)}
+    width = len(gens) * r
+    # f(g) as r sparse rows {column: coefficient}
+    exprs = {0: [{} for _ in range(r)]}
     constraints = []
     frontier = [0]
     while frontier:
         new = []
         for g in frontier:
-            for s in gens:
-                t = gamma.mul(g, s)
-                e = exprs[g] + mats[g] @ blocks[s]
-                if t not in exprs:
-                    exprs[t] = e
+            eg = exprs[g]
+            # rho(g) f(s) adds row a of rho(g) into the block of s
+            nonzeros = [
+                [(c, v) for c, v in enumerate(row) if v] for row in mats[g].tolist()
+            ]
+            grow = gamma.rows[g]
+            for i, s in enumerate(gens):
+                t = grow[s]
+                off = i * r
+                et = exprs.get(t)
+                if et is None:
                     new.append(t)
-                else:
-                    constraints.append(e - exprs[t])
+                    exprs[t] = rows = []
+                    for ga, nz in zip(eg, nonzeros):
+                        row = dict(ga)
+                        for c, v in nz:
+                            row[off + c] = row.get(off + c, 0) + v
+                        rows.append(row)
+                    continue
+                for ga, ta, nz in zip(eg, et, nonzeros):
+                    row = [0] * width
+                    for c, v in ga.items():
+                        row[c] = v
+                    for c, v in ta.items():
+                        row[c] -= v
+                    for c, v in nz:
+                        row[off + c] += v
+                    constraints.append(row)
         frontier = new
-    assert len(exprs) == gamma.order
-    if constraints:
-        C = np.concatenate(constraints, axis=0)
-    else:
-        C = la.zeros(0, width)
-    return exprs, C
+    if len(exprs) != gamma.order:
+        raise ValueError("the generators do not reach every group element")
+    return constraints
 
 
 def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
@@ -411,17 +425,17 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
     gens = generating_set(gamma)
     k = len(gens)
     width = k * r
-    exprs, C = _tree_expressions(gamma, mats, r, gens)
+    C = _tree_expressions(gamma, mats, r, gens)
 
     if relations is None:
-        Z = la.kernel_basis(C) if C.shape[0] else la.identity(width)
+        Z = la.kernel_basis(C) if C else la.identity(width)
     else:
-        nrows = C.shape[0]
-        if nrows:
-            slack = la.FgAbelian(relations * (nrows // r)).relation_matrix()
-            K = la.kernel_basis(np.concatenate([C, slack], axis=1))
-        else:
-            K = la.identity(width)
+        # row j holds modulo relations[j % r]: one slack unknown per row
+        for j, row in enumerate(C):
+            slack = [0] * len(C)
+            slack[j] = relations[j % r]
+            row.extend(slack)
+        K = la.kernel_basis(C) if C else la.identity(width)
         proj = K[:width, :] if K.size else la.zeros(width, 0)
         lam = la.FgAbelian(relations * k).relation_matrix()
         Z = la.column_space_basis(np.concatenate([proj, lam], axis=1))

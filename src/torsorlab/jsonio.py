@@ -36,6 +36,22 @@ def _resolve(obj, basedir):
     return obj, basedir
 
 
+def matrix_from_json(obj):
+    """An integer matrix: a list of equal-length rows of integers; a flat list
+    of integers is one row and an integer a 1 x 1 matrix."""
+    if isinstance(obj, int):
+        obj = [[obj]]
+    elif isinstance(obj, list) and obj and not isinstance(obj[0], list):
+        obj = [obj]
+    if not (
+        isinstance(obj, list)
+        and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
+        and all(isinstance(v, int) for row in obj for v in row)
+    ):
+        raise ParseError("a matrix is a list of equal-length rows of integers")
+    return la.intmat(obj)
+
+
 def group_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:

@@ -88,6 +88,23 @@ def _identity_rows(n: int) -> list:
     return rows
 
 
+def _row_lists(matrix):
+    """(rows, m, n): a fresh list of the matrix's rows, each a list.
+
+    A 2-d array is read by `tolist`, a list of equal-length lists, such as
+    the cocycle constraint rows, is copied row by row; anything else goes
+    through `intmat`.
+    """
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
+        return matrix.tolist(), matrix.shape[0], matrix.shape[1]
+    if isinstance(matrix, list) and matrix and isinstance(matrix[0], list):
+        n = len(matrix[0])
+        if all(isinstance(row, list) and len(row) == n for row in matrix):
+            return [row[:] for row in matrix], len(matrix), n
+    a = intmat(matrix)
+    return a.tolist(), a.shape[0], a.shape[1]
+
+
 def _add_row(rows, i, j, q):
     # rows[i] += q * rows[j]
     rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
@@ -104,9 +121,7 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
     unknown = set(transforms) - set(SNF_TRANSFORMS)
     if unknown:
         raise ValueError(f"unknown transforms {sorted(unknown)}")
-    src = intmat(matrix)
-    m, n = src.shape
-    A = src.tolist()
+    A, m, n = _row_lists(matrix)
 
     def track(name, size):
         return _identity_rows(size) if name in transforms else None
@@ -120,9 +135,12 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
     with_rows = [M for M in (A, L, LiT) if M is not None]
     with_cols = [M for M in (RT, Ri) if M is not None]
 
-    def row_op(i, j, q):
-        # row_i -= q * row_j; both rows of A are zero left of column t
-        A[i][t:] = [a - q * b for a, b in zip(A[i][t:], A[j][t:])]
+    def row_op(i, j, q, cols):
+        # row_i -= q * row_j; cols are the columns >= t where row_j is
+        # nonzero, and both rows of A are zero left of column t
+        Ai, Aj = A[i], A[j]
+        for c in cols:
+            Ai[c] -= q * Aj[c]
         if L is not None:
             _add_row(L, i, j, -q)
         if LiT is not None:
@@ -147,11 +165,13 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
         # reduce column t; a nonzero remainder is smaller than the pivot,
         # so restarting with a fresh pivot terminates
         clean = True
+        # row t does not change while column t is cleared
+        cols = [c for c in range(t, n) if At[c]]
         for i in range(t + 1, m):
             if A[i][t]:
                 q = A[i][t] // piv
                 if q:
-                    row_op(i, t, q)
+                    row_op(i, t, q, cols)
                 if A[i][t]:
                     clean = False
         if not clean:
@@ -177,7 +197,8 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
             for i in range(t + 1, m):
                 row = A[i]
                 if any(row[j] % piv for j in range(t + 1, n)):
-                    row_op(t, i, -1)  # add row i to row t, re-reduce
+                    # add row i to row t, re-reduce
+                    row_op(t, i, -1, [c for c in range(t, n) if row[c]])
                     fixed = True
                     break
             if fixed:
@@ -206,13 +227,13 @@ def rank(matrix) -> int:
 
 def kernel_basis(matrix) -> np.ndarray:
     """Columns form a basis of {x : A x = 0}; the lattice is saturated."""
-    A = intmat(matrix)
-    m, n = A.shape
-    if n == 0:
-        return zeros(0, 0)
-    s = smith_normal_form(A, transforms=("right",))
-    r = s.rank
-    return s.right[:, r:].copy()
+    if not isinstance(matrix, list):
+        # a list of rows, such as the cocycle constraints, goes to the SNF as is
+        matrix = intmat(matrix)
+        if matrix.shape[1] == 0:
+            return zeros(0, 0)
+    s = smith_normal_form(matrix, transforms=("right",))
+    return s.right[:, s.rank :].copy()
 
 
 def solve_int(matrix, rhs) -> np.ndarray | None:

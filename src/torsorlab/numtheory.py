@@ -489,14 +489,16 @@ def _zdiv_exact(f, g):
     q = [0] * (len(f) - dg)
     while len(f) - 1 >= dg and any(f):
         c, r = divmod(f[-1], g[-1])
-        assert r == 0
+        if r:
+            raise ValueError("polynomial division is not exact over Z")
         k = len(f) - 1 - dg
         q[k] = c
         for i, b in enumerate(g):
             f[k + i] -= c * b
         while f and f[-1] == 0:
             f.pop()
-    assert not pnormalize(f)
+    if pnormalize(f):
+        raise ValueError("polynomial division leaves a remainder")
     return pnormalize(q)
 
 
@@ -580,7 +582,8 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     out = []
     for c in coeffs:
         c = pnormalize(c)
-        assert len(c) <= 1, "period polynomial coefficient is not rational"
+        if len(c) > 1:
+            raise ValueError("period polynomial coefficient is not rational")
         out.append(c[0] if c else 0)
     return NumberFieldDatum(tuple(out))
 
@@ -599,15 +602,16 @@ class TameNormIndexReport:
 
 def tame_local_norm_index(l: int, p: int) -> TameNormIndexReport:
     """Index of l-th powers in the units mod p: the norm-unit obstruction of
-    the tame totally ramified cyclic degree-l local extension."""
+    the tame totally ramified cyclic degree-l local extension.
+
+    The index is measured, not assumed: theory says it is l, and the
+    callers decide what a different value means."""
     if not _is_prime(l) or not _is_prime(p):
         raise HypothesisFailed("both arguments must be prime")
     if (p - 1) % l != 0:
         raise HypothesisFailed(f"{l} does not divide {p}-1")
     powers = {pow(x, l, p) for x in range(1, p)}
-    index = (p - 1) // len(powers)
-    assert index == l
-    return TameNormIndexReport(l, p, len(powers), index)
+    return TameNormIndexReport(l, p, len(powers), (p - 1) // len(powers))
 
 
 @dataclass(frozen=True)
@@ -849,8 +853,13 @@ def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
         # lower levels are locally full at the new prime (split completely);
         # the new layer is totally ramified there with norm-unit index l
         ram = abelian_split(new_layer, chosen)
-        assert ram.pairs == ((l, 1),)
+        if ram.pairs != ((l, 1),):
+            raise HypothesisFailed(f"the new layer is not totally ramified at {chosen}")
         obstruction = tame_local_norm_index(l, chosen)
+        if obstruction.index != l:
+            raise HypothesisFailed(
+                f"the norm-unit index at {chosen} is {obstruction.index}, not {l}"
+            )
         back_split = abelian_split(fields[0], chosen)
         level_payload.append(
             {

@@ -106,12 +106,16 @@ print(json.dumps([dataclasses.asdict(result), control.verdict, h1]))
 """
 
 
-def test_criterion_07_without_asserts():
+def _env(**extra):
+    # this checkout's src first, so a subprocess imports the code under test
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_criterion_07_without_asserts():
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CRITERION_07],
-                          capture_output=True, text=True, timeout=600, env=env)
+                          capture_output=True, text=True, timeout=600, env=_env())
     assert proc.returncode == 0, proc.stderr
     optimized, control, h1 = json.loads(proc.stdout)
     here = pc.check_truncated_orbit_transitivity(seed=0)
@@ -156,10 +160,22 @@ def test_criterion_11_product_h1():
         assert row["product_count"] == prod
 
 
+_SUITE_JSON = """
+import dataclasses, json
+from torsorlab import checks
+print(json.dumps([dataclasses.asdict(r) for r in checks.run_suite(seed=0)],
+                 sort_keys=True))
+"""
+
+
 def test_suite_is_deterministic():
-    a = pc.run_suite(seed=0)
-    b = pc.run_suite(seed=0)
-    assert [r.verdict for r in a] == [r.verdict for r in b]
-    assert [r.evidence for r in a] == [r.evidence for r in b]
-    entries = json.dumps([dataclasses.asdict(r) for r in a], sort_keys=True)
+    # the second run is another process, with another hash seed
+    other = subprocess.Popen([sys.executable, "-c", _SUITE_JSON], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env=_env(PYTHONHASHSEED="123"))
+    entries = json.dumps([dataclasses.asdict(r) for r in pc.run_suite(seed=0)],
+                         sort_keys=True)
+    out, err = other.communicate(timeout=600)
+    assert other.returncode == 0, err
+    assert out.rstrip("\n") == entries
     assert hashlib.sha256(entries.encode()).hexdigest() == SUITE_SHA256

@@ -120,6 +120,14 @@ def test_lattice_snf(fixtures, capsys):
     assert rep["evidence"]["diagonal"] == [1, 6]
 
 
+def test_lattice_snf_rejects_malformed_matrices(capsys, tmp_path):
+    path = tmp_path / "bad_matrix.json"
+    for bad in ([[1, "a"]], [[[1]]], [[1.5, 2]], [[1, 2], [3]], [[None]], {"a": 1}, [1, [2]]):
+        path.write_text(json.dumps(bad))
+        assert cli.main(["lattice", "snf", "--in", str(path)]) == cli.EXIT_ERROR, bad
+        assert "parse error" in capsys.readouterr().err
+
+
 def test_lattice_exact_and_iso(fixtures, capsys, tmp_path):
     c1 = gr.trivial_group()
     gj = jsonio.group_to_json(c1)

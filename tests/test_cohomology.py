@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from torsorlab import catalog
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
@@ -139,6 +140,89 @@ def test_h1_finite_module_matches_enumeration():
         brute = brute_module_h1_order(mod.gamma, mod)
         assert mine == brute
 
+
+def _reference_tree_constraints(gamma, mats, r, gens):
+    """The first construction of the cocycle constraints: numpy object blocks,
+    one matmul `mats[g] @ blocks[s]` per Cayley edge, and one r-row block
+    `f(g) + rho(g) f(s) - f(g s)` per non-tree edge.
+
+    Kept as the oracle of `co._tree_expressions`, which must give the same
+    rows in the same order.
+    """
+    width = len(gens) * r
+    blocks = {}
+    for i, s in enumerate(gens):
+        b = la.zeros(r, width)
+        b[:, i * r : (i + 1) * r] = la.identity(r)
+        blocks[s] = b
+    exprs = {0: la.zeros(r, width)}
+    constraints = []
+    frontier = [0]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                t = gamma.mul(g, s)
+                e = exprs[g] + mats[g] @ blocks[s]
+                if t not in exprs:
+                    exprs[t] = e
+                    new.append(t)
+                else:
+                    constraints.append(e - exprs[t])
+        frontier = new
+    assert len(exprs) == gamma.order
+    if constraints:
+        return np.concatenate(constraints, axis=0)
+    return la.zeros(0, width)
+
+
+def constraint_cases():
+    """(label, gamma, mats, r, relations) for the cocycle-constraint oracles,
+    relations None for a lattice: every permutation lattice Z[G/H] of the
+    catalog up to order 12, the C2 sign lattice, finite modules, and actions
+    with negative entries that are no permutations."""
+    cases = []
+    for name, g in catalog.group_catalog(12):
+        for h in gr.all_subgroups(g):
+            m = lt.permutation_lattice(gs.coset_gset(g, h))
+            cases.append((f"{name}/{len(h)}", g, m.rho, m.rank, None))
+    c2, c3, c4 = gr.cyclic_group(2), gr.cyclic_group(3), gr.cyclic_group(4)
+    cases.append(("C2 sign", c2, sign_lattice(c2).rho, 1, None))
+    swap = la.intmat([[0, 1], [1, 0]])
+    for mod in (
+        co.FiniteModule(c2, (4,), [la.identity(1), la.intmat([[-1]])]),
+        co.FiniteModule(c4, (2, 2), [la.identity(2), swap, la.identity(2), swap]),
+    ):
+        cases.append((f"module {mod.relations}", mod.gamma, mod.mats, mod.ngens,
+                      mod.relations))
+    m3 = la.intmat([[0, -1], [1, -1]])
+    # C4 on Z^4 by -P, P the regular permutation: (-1)^g P^g
+    reg = lt.permutation_lattice(gs.coset_gset(c4, (0,)))
+    # S3 on the sum-zero sublattice of Z^3, basis e0 - e2, e1 - e2
+    s3 = gr.symmetric_group(3)
+    pts = lt.permutation_lattice(gs.coset_gset(s3, (0, 1)))
+    basis = la.intmat([[1, 0], [0, 1], [-1, -1]])
+    for label, m in (
+        ("C3 rotation", lt.ZGLattice(c3, [la.identity(2), m3, m3 @ m3])),
+        ("C4 signed regular", lt.ZGLattice(c4, [(-1) ** g * reg.rho[g] for g in range(4)])),
+        ("S3 root lattice", lt.ZGLattice(s3, [(p @ basis)[:2, :] for p in pts.rho])),
+    ):
+        cases.append((label, m.group, m.rho, m.rank, None))
+    return cases
+
+
+def test_tree_constraints_match_numpy_reference():
+    negative = 0
+    for label, g, mats, r, _ in constraint_cases():
+        gens = gr.generating_set(g)
+        got = co._tree_expressions(g, mats, r, gens)
+        ref = _reference_tree_constraints(g, mats, r, gens)
+        assert isinstance(got, list) and len(got) == ref.shape[0], label
+        assert all(type(row) is list and len(row) == ref.shape[1] for row in got), label
+        assert all(type(v) is int for row in got for v in row), label
+        assert got == ref.tolist(), label
+        negative += any(v < 0 for row in got for v in row)
+    assert negative > 20
 
 def test_shapiro_various():
     s3 = gr.symmetric_group(3)

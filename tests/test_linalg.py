@@ -5,7 +5,10 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from torsorlab import cohomology as co
+from torsorlab import groups as gr
 from torsorlab import linalg as la
+from test_cohomology import constraint_cases
 
 
 def _reference_pivot(M, t):
@@ -182,6 +185,10 @@ def test_kernel_and_solve():
     assert X is not None and X[0, 0] == 2 and X[1, 0] == 3
     assert la.solve_int([[2]], [[3]]) is None
     assert la.solve_int([[0]], [[1]]) is None
+    # no equations: every vector; no unknowns: the zero lattice
+    assert la.kernel_basis(la.zeros(0, 3)).tolist() == la.identity(3).tolist()
+    assert la.kernel_basis(la.zeros(2, 0)).shape == (0, 0)
+    assert la.kernel_basis([[1, 2, 3]]).tolist() == la.kernel_basis(la.intmat([[1, 2, 3]])).tolist()
 
 
 def test_column_space_and_index():
@@ -274,6 +281,39 @@ def test_snf_matches_reference_on_random_matrices():
             assert mine.shape == theirs.shape and mine.tolist() == theirs.tolist(), name
         tall += A.shape[0] > 20
     assert tall >= 10
+
+
+def _constraint_matrices():
+    """The cocycle constraint rows `h1_abelian` hands to `kernel_basis`: Python
+    int lists, sparse, with duplicate and zero rows; for a finite module each
+    row j carries its slack column relations[j % r], as in `h1_abelian`."""
+    out = []
+    for _, g, mats, r, relations in constraint_cases():
+        C = co._tree_expressions(g, mats, r, gr.generating_set(g))
+        if relations:
+            C = [row + [relations[j % r] if i == j else 0 for i in range(len(C))]
+                 for j, row in enumerate(C)]
+        if C:
+            out.append(C)
+    return out
+
+
+def test_snf_matches_reference_on_constraint_matrices():
+    duplicate = zero = non_unit = 0
+    for C in _constraint_matrices():
+        rows = [tuple(row) for row in C]
+        ref = _reference_snf(C)
+        got = la.smith_normal_form(C)
+        assert [tuple(row) for row in C] == rows  # the input rows are not touched
+        assert got.diagonal == ref.diagonal
+        for name in la.SNF_TRANSFORMS:
+            mine, theirs = getattr(got, name), getattr(ref, name)
+            assert mine.shape == theirs.shape and mine.tolist() == theirs.tolist(), name
+        duplicate += len(set(rows)) < len(rows)
+        zero += any(not any(row) for row in rows)
+        non_unit += any(d not in (0, 1) for d in got.diagonal)
+        assert la.kernel_basis(C).tolist() == ref.right[:, ref.rank :].tolist()
+    assert duplicate > 100 and zero > 20 and non_unit > 100
 
 
 def test_snf_narrowed_transforms():

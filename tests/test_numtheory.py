@@ -1,9 +1,14 @@
+import builtins
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
+import types
 
 import pytest
 import sympy
@@ -204,6 +209,82 @@ def test_tame_local_norm_index():
     with pytest.raises(nt.HypothesisFailed):
         nt.tame_local_norm_index(3, 5)
 
+
+
+def _power_off_by_one(x, e, m):
+    # wrong on purpose: x^(e+1) for x^e, so the "cubes" mod 13 are the
+    # fourth powers and the measured index there is 4 = l + 1
+    return builtins.pow(x, e + 1, m)
+
+
+def test_tame_local_norm_index_reports_what_it_measures(monkeypatch):
+    monkeypatch.setattr(nt, "pow", _power_off_by_one, raising=False)
+    rep = nt.tame_local_norm_index(3, 13)
+    assert rep.index == 4 and rep.power_subgroup_order == 3
+
+
+def test_criterion_10_refutes_a_wrong_index(monkeypatch):
+    from torsorlab import checks as pc
+
+    monkeypatch.setattr(nt, "pow", _power_off_by_one, raising=False)
+    r = pc.check_tame_norm_index()
+    assert r.verdict == "refuted"
+    assert not r.evidence["all_equal_l"]
+
+
+def _index_plus_one(monkeypatch):
+    measured = nt.tame_local_norm_index
+    monkeypatch.setattr(nt, "tame_local_norm_index", lambda l, p: dataclasses.replace(
+        measured(l, p), index=l + 1))
+
+
+def test_split_obstruction_raises_on_a_wrong_index(monkeypatch):
+    _index_plus_one(monkeypatch)
+    with pytest.raises(nt.HypothesisFailed, match="norm-unit index"):
+        nt.split_obstruction_certificate(nt.SplitObstructionLaw(3, 7, levels=1))
+
+
+_OPTIMIZED_CRITERION_10 = """
+import builtins, dataclasses, json
+from torsorlab import checks, numtheory as nt
+assert False, "assert statements must be stripped"
+nt.pow = lambda x, e, m: builtins.pow(x, e + 1, m)
+off = [nt.tame_local_norm_index(3, 13).index, checks.check_tame_norm_index().verdict]
+del nt.pow
+measured = nt.tame_local_norm_index
+nt.tame_local_norm_index = lambda l, p: dataclasses.replace(measured(l, p), index=l + 1)
+try:
+    nt.split_obstruction_certificate(nt.SplitObstructionLaw(3, 7, levels=1))
+    split = "no raise"
+except nt.HypothesisFailed:
+    split = "HypothesisFailed"
+print(json.dumps(off + [checks.check_tame_norm_index().verdict, split]))
+"""
+
+
+def test_criterion_10_refutes_a_wrong_index_without_asserts():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CRITERION_10],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [4, "refuted", "refuted", "HypothesisFailed"]
+
+
+def test_inexact_division_raises():
+    with pytest.raises(ValueError, match="not exact"):
+        nt._zdiv_exact((1, 0, 1), (0, 2))  # 2x does not divide x^2 + 1 over Z
+    with pytest.raises(ValueError, match="remainder"):
+        nt._zdiv_exact((1, 0, 1), (1, 1))  # x^2 + 1 = (x - 1)(x + 1) + 2
+
+
+def test_period_polynomial_rejects_a_non_subgroup(monkeypatch):
+    # {1, 2} is no subgroup of (Z/7)^*: its "periods" are not Galois-stable
+    fake = types.SimpleNamespace(conductor=7, subgroup=(1, 2), degree=3)
+    monkeypatch.setattr(nt, "reduce_to_conductor", lambda fld: fake)
+    with pytest.raises(ValueError, match="not rational"):
+        nt.abelian_defining_polynomial(fake)
 
 def test_embedding_skeleton():
     for l in (3, 5):
