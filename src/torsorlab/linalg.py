@@ -88,23 +88,6 @@ def _identity_rows(n: int) -> list:
     return rows
 
 
-def _row_lists(matrix):
-    """(rows, m, n): a fresh list of the matrix's rows, each a list.
-
-    A 2-d array is read by `tolist`, a list of equal-length lists, such as
-    the cocycle constraint rows, is copied row by row; anything else goes
-    through `intmat`.
-    """
-    if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
-        return matrix.tolist(), matrix.shape[0], matrix.shape[1]
-    if isinstance(matrix, list) and matrix and isinstance(matrix[0], list):
-        n = len(matrix[0])
-        if all(isinstance(row, list) and len(row) == n for row in matrix):
-            return [row[:] for row in matrix], len(matrix), n
-    a = intmat(matrix)
-    return a.tolist(), a.shape[0], a.shape[1]
-
-
 def _add_row(rows, i, j, q):
     # rows[i] += q * rows[j]
     rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
@@ -121,7 +104,9 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
     unknown = set(transforms) - set(SNF_TRANSFORMS)
     if unknown:
         raise ValueError(f"unknown transforms {sorted(unknown)}")
-    A, m, n = _row_lists(matrix)
+    src = intmat(matrix)
+    m, n = src.shape
+    A = src.tolist()
 
     def track(name, size):
         return _identity_rows(size) if name in transforms else None
@@ -227,11 +212,6 @@ def rank(matrix) -> int:
 
 def kernel_basis(matrix) -> np.ndarray:
     """Columns form a basis of {x : A x = 0}; the lattice is saturated."""
-    if not isinstance(matrix, list):
-        # a list of rows, such as the cocycle constraints, goes to the SNF as is
-        matrix = intmat(matrix)
-        if matrix.shape[1] == 0:
-            return zeros(0, 0)
     s = smith_normal_form(matrix, transforms=("right",))
     return s.right[:, s.rank :].copy()
 

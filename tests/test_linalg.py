@@ -191,6 +191,14 @@ def test_kernel_and_solve():
     assert la.kernel_basis([[1, 2, 3]]).tolist() == la.kernel_basis(la.intmat([[1, 2, 3]])).tolist()
 
 
+def test_nested_input_is_no_matrix():
+    # a list of lists of lists is a 3-d array, not a matrix of lists
+    for nested in ([[[]]], [[[1]]], [[[1, 2]], [[3, 4]]]):
+        for f in (la.smith_normal_form, la.rank, la.kernel_basis):
+            with pytest.raises(ValueError):
+                f(nested)
+
+
 def test_column_space_and_index():
     B = la.column_space_basis([[2, 4], [0, 0]])
     assert B.shape == (2, 1) and abs(B[0, 0]) == 2 and B[1, 0] == 0

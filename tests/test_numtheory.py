@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
-import os
 import pathlib
 import random
 import subprocess
@@ -14,6 +13,7 @@ import pytest
 import sympy
 
 from torsorlab import numtheory as nt
+from test_acceptance import _env
 
 
 def sympy_factor_mod(poly, p):
@@ -263,11 +263,8 @@ print(json.dumps(off + [checks.check_tame_norm_index().verdict, split]))
 
 
 def test_criterion_10_refutes_a_wrong_index_without_asserts():
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CRITERION_10],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120, env=_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [4, "refuted", "refuted", "HypothesisFailed"]
 
@@ -285,6 +282,7 @@ def test_period_polynomial_rejects_a_non_subgroup(monkeypatch):
     monkeypatch.setattr(nt, "reduce_to_conductor", lambda fld: fake)
     with pytest.raises(ValueError, match="not rational"):
         nt.abelian_defining_polynomial(fake)
+
 
 def test_embedding_skeleton():
     for l in (3, 5):
