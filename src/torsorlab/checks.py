@@ -146,8 +146,7 @@ def check_cm_type_bases(max_order: int = 12) -> CheckResult:
         for iota in central_involutions(g):
             d = sr.CMGaloisDatum(g, iota)
             evidence["data_checked"] += 1
-            for phi in sr.all_cm_types(d):
-                rep = sr.cm_type_basis(d, phi)
+            for phi, rep in zip(sr.all_cm_types(d), sr.cm_type_bases(d)):
                 evidence["types_checked"] += 1
                 if not (rep.in_lattice and rep.is_basis):
                     ok = False
@@ -344,7 +343,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         witness_lists = [
             co.level_witnesses(fam[i], famp[i]) for i in range(length + 1)
         ]
-        assert all(witness_lists)
+        # a level without witnesses leaves `verdicts` empty: refuted below
         verdicts = set()
         members = set()
         for choice in itertools.product(*witness_lists):

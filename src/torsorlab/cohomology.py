@@ -428,7 +428,8 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
     C = _tree_expressions(gamma, mats, r, gens)
 
     if relations is None:
-        Z = la.kernel_basis(C) if C else la.identity(width)
+        # W Z = I: the coboundaries' coordinates below need no second SNF
+        Z, W = la.saturated_kernel(C) if C else (la.identity(width),) * 2
     else:
         # row j holds modulo relations[j % r]: one slack unknown per row
         for j, row in enumerate(C):
@@ -446,7 +447,7 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
         D = np.concatenate([D, lam], axis=1)
     if Z.shape[1] == 0:
         return CohomologyGroup((), ())
-    Y = la.solve_int(Z, D)
+    Y = la.coordinates(Z, W, D) if relations is None else la.solve_int(Z, D)
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise NotAction("coboundaries must lie in the cocycle lattice")
@@ -775,13 +776,14 @@ def lim1_obstruction(
             ok = False
             break
         cs[i] = c
-    trivial = ok and member_ok
-    trivialization = tuple(cs) if ok else ()
     if ok:
+        # replay: the trivialization reproduces the obstruction
         for i in range(N):
             und = system.levels[i].underlying
             u = system.transitions[i]
-            assert obstruction[i] == und.mul(cs[i], und.inv(u(cs[i + 1])))
+            ok = ok and obstruction[i] == und.mul(cs[i], und.inv(u(cs[i + 1])))
+    trivial = ok and member_ok
+    trivialization = tuple(cs) if ok else ()
     return ObstructionReport(
         witnesses, obstruction, member_ok, trivial, trivialization
     )

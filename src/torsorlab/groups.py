@@ -454,7 +454,8 @@ def conjugacy_classes(g: FiniteGroup) -> tuple:
 
 def centralizer(g: FiniteGroup, x: int) -> tuple:
     cz = tuple(y for y in g.elements() if g.mul(y, x) == g.mul(x, y))
-    assert is_subgroup(g, cz)
+    if not is_subgroup(g, cz):
+        raise InvalidGroup("the centralizer is not a subgroup")
     return cz
 
 
@@ -606,5 +607,6 @@ def class_fiber(q: GroupHom, cls) -> tuple:
         raise ValueError("input is not a conjugacy class of the target")
     fiber = {x for x in q.source.elements() if q(x) in cset}
     out = [c for c in conjugacy_classes(q.source) if set(c) <= fiber]
-    assert set().union(*out) == fiber if out else not fiber
+    if set().union(*out) != fiber:
+        raise InvalidHom("the preimage of a class is not a union of classes")
     return tuple(out)

@@ -89,8 +89,8 @@ def orbits(x: GSet) -> EtaleDecomposition:
         for q in orb:
             seen[q] = True
         stab = tuple(g for g in x.group.elements() if x.apply(g, p) == p)
-        assert is_subgroup(x.group, stab)
-        assert len(orb) * len(stab) == x.group.order
+        if not is_subgroup(x.group, stab) or len(orb) * len(stab) != x.group.order:
+            raise InvalidAction("orbit and stabilizer break orbit-stabilizer")
         out.append((orb, stab))
     out.sort(key=lambda t: t[0][0])
     return EtaleDecomposition(x, tuple(out))
@@ -185,7 +185,8 @@ def _transversal(x: GSet, base: int, orbit) -> dict:
                     reach[q] = x.group.mul(g, reach[p])
                     new.append(q)
         frontier = new
-    assert set(reach) == set(orbit)
+    if set(reach) != set(orbit):
+        raise InvalidAction("the orbit is not the set of points reached")
     return reach
 
 
@@ -224,10 +225,12 @@ def gset_iso(x: GSet, y: GSet):
         if not matched:
             return None
     mapping = tuple(mapping)
-    assert sorted(mapping) == list(range(y.size))
-    for g_ in g.elements():
-        for p in x.points():
-            assert mapping[x.apply(g_, p)] == y.apply(g_, mapping[p])
+    if sorted(mapping) != list(range(y.size)) or any(
+        mapping[x.apply(g_, p)] != y.apply(g_, mapping[p])
+        for g_ in g.elements()
+        for p in x.points()
+    ):
+        raise InvalidAction("the matched map is not an equivariant bijection")
     return mapping
 
 

@@ -199,7 +199,6 @@ def lim_truncated(sys: ExplicitFinite, enumerate_all: bool = True) -> TruncatedL
         fams.append(tuple(fam))
     level0 = tuple(sorted({f[0] for f in fams}))
     size = len(fams)
-    assert size == groups[N].order
     return TruncatedLimit(
         size=size,
         tuples=tuple(fams) if enumerate_all else tuple(fams[:100]),

@@ -99,12 +99,17 @@ class ZGLattice:
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Equivariant map given by a target.rank x source.rank integer matrix."""
+    """Equivariant map given by a target.rank x source.rank integer matrix.
+
+    `retraction`, when set, is an integral left inverse of `matrix` (see
+    equivariant_sublattice).
+    """
 
     source: ZGLattice
     target: ZGLattice
     matrix: np.ndarray
     validate: bool = field(default=True, compare=False)
+    retraction: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = la.intmat(self.matrix)
@@ -172,21 +177,24 @@ def induced_lattice(g: FiniteGroup, h) -> ZGLattice:
 def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeMap]:
     """Saturated solution lattice of `equations @ v = 0` with restricted action.
 
-    Raises NotStable when the action does not preserve the solution space.
+    One SNF of the equations gives the kernel basis K and its retraction W
+    (W K = I, linalg.saturated_kernel); the inclusion map carries W as its
+    `retraction`, so later solves against K multiply and check
+    (linalg.coordinates) instead of factoring K again.  The restricted
+    action is rho_sub(g) = W rho(g) K, checked by K rho_sub(g) == rho(g) K
+    for every group element g: raises NotStable when some rho(g) does not
+    preserve the solution space.
     """
     E = la.intmat(equations)
     if E.shape[1] != m.rank:
         raise ValueError("equation width must match rank")
-    K = la.kernel_basis(E)  # saturated
+    K, W = la.saturated_kernel(E)
     group = m.group
-    for s in generating_set(group):
-        if not la.is_zero(E @ (m.rho[s] @ K)):
-            raise NotStable("action does not preserve the solution space")
-    rho = la.solve_blocks(K, [m.rho[g] @ K for g in group.elements()])
+    rho = la.restricted_action(K, W, [m.rho[g] for g in group.elements()])
     if rho is None:
-        raise NotStable("restricted action is not integral")
+        raise NotStable("action does not preserve the solution space")
     sub = ZGLattice(group, rho, validate=False)
-    incl = LatticeMap(sub, m, K, validate=False)
+    incl = LatticeMap(sub, m, K, validate=False, retraction=W)
     return sub, incl
 
 

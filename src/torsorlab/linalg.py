@@ -2,6 +2,11 @@
 
 All matrices are numpy arrays with dtype=object so entries are unbounded
 Python ints; SNF intermediates blow up well past 64 bits even at modest rank.
+
+A kernel that saturated_kernel computes comes with its retraction, an
+integral left inverse W of the basis K, from the same SNF.  Solving against
+K is then a multiply-and-check (coordinates, restricted_action): X = W V is
+the only candidate and K X == V decides, so no further SNF is needed.
 """
 
 from __future__ import annotations
@@ -216,6 +221,111 @@ def kernel_basis(matrix) -> np.ndarray:
     return s.right[:, s.rank :].copy()
 
 
+def saturated_kernel(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(K, W): the columns of K are a basis of {x : A x = 0}, and W K = I.
+
+    One SNF L A R = D gives both (Cohen, GTM 138, §2.4): K is the last
+    columns of R, the kernel_basis of A, and W the matching rows of R^-1.
+    W is an integral left inverse of K, its retraction, so K is saturated
+    and `coordinates(K, W, V)` solves K X = V without a further SNF.
+    """
+    s = smith_normal_form(matrix, transforms=("right", "right_inv"))
+    return s.right[:, s.rank :].copy(), s.right_inv[s.rank :, :].copy()
+
+
+def _sparse(a: np.ndarray) -> list:
+    # each row of a 2-d array as its nonzeros [(column, value), ...]
+    rows = [[] for _ in range(a.shape[0])]
+    i, j = np.nonzero(a != 0)
+    for r, c, v in zip(i.tolist(), j.tolist(), a[i, j].tolist()):
+        rows[r].append((c, v))
+    return rows
+
+
+def _times(a, b) -> list:
+    # A @ B with every matrix as the nonzeros of its rows, by column
+    out = []
+    for nz in a:
+        if len(nz) == 1:
+            # a multiple of one row of B, often the row itself
+            ((j, v),) = nz
+            out.append(b[j] if v == 1 else [(c, v * w) for c, w in b[j]])
+        elif nz:
+            acc = {}
+            for j, v in nz:
+                for c, w in b[j]:
+                    acc[c] = acc.get(c, 0) + v * w
+            out.append(sorted((c, x) for c, x in acc.items() if x))
+        else:
+            out.append(nz)
+    return out
+
+
+def _retract(K, W, V) -> list | None:
+    # X = W V if K X == V, else None
+    X = _times(W, V)
+    return X if _times(K, X) == V else None
+
+
+def _dense(rows, m, n) -> np.ndarray:
+    out = zeros(m, n)
+    for i, nz in enumerate(rows):
+        for c, v in nz:
+            out[i, c] = v
+    return out
+
+
+def _basis_pair(basis, retraction):
+    K, W = intmat(basis), intmat(retraction)
+    if W.shape != K.shape[::-1]:
+        raise ValueError("the retraction must have the transposed shape of the basis")
+    return K, W
+
+
+def coordinates(basis, retraction, rhs) -> np.ndarray | None:
+    """The X with basis @ X == rhs, or None; retraction @ basis must be I.
+
+    A left inverse W of K leaves X = W V as the only candidate, so
+    multiplying and checking K X == V gives solve_int(K, V)'s answer, the
+    unique one, from two products over the nonzeros of the rows instead of
+    an SNF.
+    """
+    K, W = _basis_pair(basis, retraction)
+    V = intmat(rhs)
+    if V.shape[0] != K.shape[0]:
+        raise ValueError("rhs must have as many rows as the basis")
+    X = _retract(_sparse(K), _sparse(W), _sparse(V))
+    return None if X is None else _dense(X, W.shape[0], V.shape[1])
+
+
+def restricted_action(basis, retraction, mats) -> list | None:
+    """[W M K for M in mats], or None unless every M maps the column lattice
+    of K = basis into itself; retraction W is a left inverse of K.
+
+    M K lies in that lattice exactly when K (W M K) == M K, so each matrix
+    returned is the unique integer one with K X == M K, as coordinates
+    gives it.
+    """
+    K, W = _basis_pair(basis, retraction)
+    n, r = K.shape
+    mats = [np.asarray(M, dtype=object) for M in mats]
+    if any(M.shape != (n, n) for M in mats):
+        raise ValueError("each matrix must be square of the basis's height")
+    k_rows = _sparse(K)
+    # V = [M_0 K | M_1 K | ...] side by side, so one retraction serves all
+    products = _times(_sparse(np.concatenate(mats)), k_rows)
+    V = [[] for _ in range(n)]
+    for g in range(len(mats)):
+        off = g * r
+        for row, nz in zip(V, products[g * n : (g + 1) * n]):
+            row.extend([(c + off, x) for c, x in nz])
+    X = _retract(k_rows, _sparse(W), V)
+    if X is None:
+        return None
+    X = _dense(X, r, r * len(mats))
+    return [X[:, g * r : (g + 1) * r] for g in range(len(mats))]
+
+
 def solve_int(matrix, rhs) -> np.ndarray | None:
     """One integer solution X of A X = B, or None. B may be a matrix."""
     A = intmat(matrix)
@@ -233,20 +343,6 @@ def solve_int(matrix, rhs) -> np.ndarray | None:
         else:
             X[i, :] = [v // d for v in row]
     return s.right @ X
-
-
-def solve_blocks(matrix, blocks) -> list | None:
-    """[solve_int(A, B) for B in blocks], or None if one has no solution.
-
-    The blocks have equal widths. solve_int solves each column of its
-    right-hand side on its own, so one solve against [B1 | B2 | ...] split
-    by columns gives the same matrices from one factorisation of A.
-    """
-    k = blocks[0].shape[1]
-    X = solve_int(matrix, np.concatenate(blocks, axis=1))
-    if X is None:
-        return None
-    return [X[:, i * k : (i + 1) * k] for i in range(len(blocks))]
 
 
 def column_space_basis(matrix) -> np.ndarray:
@@ -307,7 +403,8 @@ def bareiss_det(matrix):
     n = len(A)
     if n == 0:
         return 1
-    assert all(len(r) == n for r in A)
+    if any(len(r) != n for r in A):
+        raise ValueError("the determinant needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):

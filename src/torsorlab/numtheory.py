@@ -230,7 +230,8 @@ def factor_mod_p(poly, p, seed: int = 0) -> tuple:
     for irr, mult in out:
         for _ in range(mult):
             prod = pmul(prod, irr, p)
-    assert prod == _monic(poly, p)
+    if prod != _monic(poly, p):
+        raise ValueError("the factors do not multiply back to the polynomial")
     return tuple(out)
 
 
@@ -324,7 +325,8 @@ def dedekind_split(fld: NumberFieldDatum, p: int, seed: int = 0) -> SplittingTyp
         (gh[i] if i < len(gh) else 0) - (fld.poly[i] if i < len(fld.poly) else 0)
         for i in range(n)
     ]
-    assert all(c % p == 0 for c in diff)
+    if any(c % p for c in diff):
+        raise ValueError("the radical does not divide the polynomial mod p")
     t_poly = pmod([c // p for c in diff], p)
     inner = poly_gcd(g_bar, h_bar, p)
     test = poly_gcd(t_poly, inner, p)
@@ -432,7 +434,8 @@ def abelian_split(fld: AbelianFieldDatum, p: int) -> SplittingType:
         acc = (acc * p) % m
         f += 1
     d = fld.degree
-    assert d % f == 0
+    if d % f:
+        raise ValueError("the residue degree does not divide the degree")
     return SplittingType(tuple((1, f) for _ in range(d // f)), d)
 
 
@@ -638,7 +641,8 @@ def scholz_reichardt_skeleton(l: int) -> EmbeddingSkeletonReport:
     g = sp.group
     b = gens["b"]
     bgrp = gr.generated_subgroup(g, [b])
-    assert gr.center(g) == bgrp
+    if gr.center(g) != bgrp:
+        raise HypothesisFailed("b does not generate the center")
     quot, proj = gr.quotient(g, bgrp)
     fiber = gr.class_fiber(sp.project_q, (1,))
     centralizers = tuple(len(gr.centralizer(g, cls[0])) for cls in fiber)

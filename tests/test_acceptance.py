@@ -169,8 +169,9 @@ print(json.dumps([dataclasses.asdict(r) for r in checks.run_suite(seed=0)],
 
 
 def test_suite_is_deterministic():
-    # the second run is another process, with another hash seed
-    other = subprocess.Popen([sys.executable, "-c", _SUITE_JSON], stdout=subprocess.PIPE,
+    # the second run is another process, with another hash seed and with
+    # asserts stripped (python -O): no verdict may rest on an assert
+    other = subprocess.Popen([sys.executable, "-O", "-c", _SUITE_JSON], stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True,
                              env=_env(PYTHONHASHSEED="123"))
     entries = json.dumps([dataclasses.asdict(r) for r in pc.run_suite(seed=0)],

@@ -224,6 +224,28 @@ def test_tree_constraints_match_numpy_reference():
         negative += any(v < 0 for row in got for v in row)
     assert negative > 20
 
+def test_h1_coboundary_coordinates_equal_solve_int(monkeypatch):
+    # h1_abelian's Y, read off the kernel's retraction, is solve_int(Z, D)
+    calls = []
+    coordinates = la.coordinates
+
+    def spy(Z, W, D):
+        Y = coordinates(Z, W, D)
+        calls.append((Z, D, Y))
+        return Y
+
+    monkeypatch.setattr(la, "coordinates", spy)
+    nontrivial = 0
+    for label, g, mats, r, relations in constraint_cases():
+        if relations is None:
+            nontrivial += not co.h1_abelian(g, lt.ZGLattice(g, mats, validate=False)).is_trivial
+    for Z, D, Y in calls:
+        want = la.solve_int(Z, D)
+        assert Y.shape == want.shape and Y.tolist() == want.tolist()
+        assert all(type(v) is int for row in Y.tolist() for v in row)
+    assert len(calls) > 100 and nontrivial >= 3
+
+
 def test_shapiro_various():
     s3 = gr.symmetric_group(3)
     for h in gr.all_subgroups(s3):

@@ -5,6 +5,7 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
+from test_linalg import _same
 
 
 def sign_lattice(c2):
@@ -88,6 +89,34 @@ def test_equivariant_sublattice_not_stable():
         lt.equivariant_sublattice(reg, [[1, 0]])  # first coordinate not invariant
 
 
+def test_equivariant_sublattice_checks_every_element():
+    # unvalidated C4 matrices that fix the diagonal line at the generator but
+    # not at g = 2, which maps (1, 1) to (1, -1)
+    c4 = gr.cyclic_group(4)
+    assert 2 not in gr.generating_set(c4)
+    flip = la.intmat([[1, 0], [0, -1]])
+    m = lt.ZGLattice(c4, [la.identity(2), la.identity(2), flip, la.identity(2)],
+                     validate=False)
+    E = [[1, -1]]
+    K = la.kernel_basis(E)
+    for s in gr.generating_set(c4):
+        assert la.is_zero(la.intmat(E) @ m.rho[s] @ K)
+    with pytest.raises(lt.NotStable):
+        lt.equivariant_sublattice(m, E)
+    # with the identity at every element the line is stable
+    ok = lt.ZGLattice(c4, [la.identity(2)] * 4, validate=False)
+    sub, incl = lt.equivariant_sublattice(ok, E)
+    assert sub.rank == 1 and la.mat_eq(incl.retraction @ incl.matrix, la.identity(1))
+
+
+def test_restricted_action_rejects_mismatched_shapes():
+    K, W = la.saturated_kernel([[1, -1]])
+    with pytest.raises(ValueError):
+        la.restricted_action(K, W, [la.identity(3)])
+    with pytest.raises(ValueError):
+        la.restricted_action(K, K, [la.identity(2)])
+
+
 def test_exactness_split_sequence():
     c1 = gr.trivial_group()
     z = lt.trivial_lattice(c1, 1)
@@ -160,13 +189,24 @@ def test_direct_sum():
     assert la.mat_eq(m.rho[1], la.intmat([[-1, 0], [0, 1]]))
 
 
+def _reference_restriction(K, mats):
+    """The restriction before kernels carried their retraction: one solve_int
+    of K against every rho(g) K side by side, split into r-column blocks."""
+    r = K.shape[1]
+    X = la.solve_int(K, np.concatenate([M @ K for M in mats], axis=1))
+    if X is None:
+        return None
+    return [X[:, i * r : (i + 1) * r] for i in range(len(mats))]
+
+
 def test_equivariant_sublattice_on_serre_lattices():
-    # the batched solve must give each g the matrix with K rho_sub(g) = rho(g) K
+    # rho_sub(g) = W rho(g) K is the reference restriction, entry for entry,
+    # on the ambient, left and right lattices of every CM datum of order <= 16
     from torsorlab import serre as sr
     from torsorlab.catalog import central_involutions, group_catalog
 
     checked = 0
-    for _, g in group_catalog(12):
+    for _, g in group_catalog(16):
         for iota in central_involutions(g):
             d = sr.CMGaloisDatum(g, iota)
             regular = sr._left_regular(g)
@@ -177,10 +217,17 @@ def test_equivariant_sublattice_on_serre_lattices():
                 (sr._right_regular(g), sr._pair_equations(d, False)),
             ):
                 sub, incl = lt.equivariant_sublattice(m, eqs)
-                K = incl.matrix
+                K, W = incl.matrix, incl.retraction
                 assert len(sub.rho) == g.order and sub.rank == K.shape[1]
+                assert la.mat_eq(W @ K, la.identity(sub.rank))
+                ref = _reference_restriction(K, m.rho)
+                assert all(_same(a, b) for a, b in zip(sub.rho, ref))
                 for x in g.elements():
                     assert la.mat_eq(K @ sub.rho[x], m.rho[x] @ K)
                 lt.ZGLattice(g, sub.rho)  # identity and multiplicativity
                 checked += 1
-    assert checked >= 30
+            # twist_serre's left translations on the right lattice's sublattice
+            left = la.restricted_action(K, W, regular.rho)
+            ref = _reference_restriction(K, regular.rho)
+            assert all(_same(a, b) for a, b in zip(left, ref))
+    assert checked == 3 * 65

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torsorlab import cohomology as co
@@ -199,6 +201,12 @@ def test_nested_input_is_no_matrix():
                 f(nested)
 
 
+def test_bareiss_det_needs_a_square_matrix():
+    assert la.bareiss_det([[2, 1], [1, 1]]) == 1
+    with pytest.raises(ValueError):
+        la.bareiss_det([[1, 2, 3], [4, 5, 6]])
+
+
 def test_column_space_and_index():
     B = la.column_space_basis([[2, 4], [0, 0]])
     assert B.shape == (2, 1) and abs(B[0, 0]) == 2 and B[1, 0] == 0
@@ -343,16 +351,80 @@ def test_snf_narrowed_transforms():
         la.smith_normal_form([[1]], transforms=("left", "lft"))
 
 
-def test_solve_blocks_equals_one_solve_per_block():
+def _same(a, b) -> bool:
+    # equal shapes and equal Python-int entries
+    return (
+        a.shape == b.shape
+        and a.tolist() == b.tolist()
+        and all(type(v) is int for row in a.tolist() for v in row)
+    )
+
+
+def test_coordinates_equal_solve_int():
+    """coordinates(K, W, V) against solve_int(K, V) for saturated kernels K of
+    random, rank-deficient, 0-row and 0-column matrices, with right-hand
+    sides inside and outside the kernel lattice."""
     rng = random.Random(13)
-    for _ in range(40):
-        m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 3)
-        A = la.intmat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
-        blocks = [la.intmat([[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]).reshape(m, k)
-                  for _ in range(rng.randint(1, 4))]
-        each = [la.solve_int(A, B) for B in blocks]
-        got = la.solve_blocks(A, blocks)
-        if any(X is None for X in each):
-            assert got is None
-        else:
-            assert [X.tolist() for X in got] == [X.tolist() for X in each]
+    rand = lambda m, n: la.intmat(  # noqa: E731
+        [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]).reshape(m, n)
+    matrices = [rand(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(30)]
+    for _ in range(10):
+        top = rand(2, 5)
+        matrices.append(np.concatenate([top, rand(2, 2) @ top], axis=0))  # rank <= 2
+    matrices += [la.zeros(0, 4), la.zeros(3, 0), la.zeros(0, 0), la.zeros(2, 3)]
+    solved = unsolvable = 0
+    for E in matrices:
+        K, W = la.saturated_kernel(E)
+        n, k = K.shape
+        assert k == E.shape[1] - la.rank(E)
+        for c in range(4):
+            for V in (rand(n, c), K @ rand(k, c), K @ rand(k, c) + rand(n, c)):
+                want = la.solve_int(K, V)
+                got = la.coordinates(K, W, V)
+                if want is None:
+                    assert got is None
+                    unsolvable += 1
+                else:
+                    assert _same(got, want)
+                    solved += 1
+    assert solved > 100 and unsolvable > 50
+    K, W = la.saturated_kernel([[1, 1, 0]])
+    with pytest.raises(ValueError):
+        la.coordinates(K, W.T, la.zeros(3, 1))
+    with pytest.raises(ValueError):
+        la.coordinates(K, W, la.zeros(2, 1))
+
+
+@st.composite
+def _matrices(draw, max_rows=6, max_cols=7):
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(0, max_cols))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return la.intmat(rows).reshape(m, n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_matrices())
+def test_saturated_kernel_is_a_kernel_with_a_left_inverse(E):
+    K, W = la.saturated_kernel(E)
+    n = E.shape[1]
+    assert K.shape == (n, n - la.rank(E)) and W.shape == K.shape[::-1]
+    assert la.is_zero(E @ K)
+    assert la.mat_eq(W @ K, la.identity(K.shape[1]))
+    assert _same(K, la.kernel_basis(E))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_matrices(), st.data())
+def test_coordinates_equal_solve_int_on_random_input(E, data):
+    K, W = la.saturated_kernel(E)
+    n, k = K.shape
+    c = data.draw(st.integers(0, 3))
+    cells = st.lists(st.integers(-3, 3), min_size=c, max_size=c)
+    Y = la.intmat(data.draw(st.lists(cells, min_size=k, max_size=k))).reshape(k, c)
+    N = la.intmat(data.draw(st.lists(cells, min_size=n, max_size=n))).reshape(n, c)
+    for V in (K @ Y, K @ Y + N):
+        want = la.solve_int(K, V)
+        got = la.coordinates(K, W, V)
+        assert got is None if want is None else _same(got, want)

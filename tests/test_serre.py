@@ -151,6 +151,29 @@ def test_cm_type_basis_nonabelian():
     assert count == 2 ** d.half_order
 
 
+def test_cm_type_bases_match_one_call_per_type():
+    from torsorlab.catalog import central_involutions, group_catalog
+
+    data = 0
+    for _, g in group_catalog(8):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            want = [sr.cm_type_basis(d, phi) for phi in sr.all_cm_types(d)]
+            assert list(sr.cm_type_bases(d)) == want
+            data += 1
+    assert data >= 8
+
+
+def test_coordinates_in_the_serre_lattice_can_fail():
+    # e_0 breaks n_s + n_(iota s) = c, so it has no coordinates in X*(S)
+    d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
+    data = sr.build_serre(d)
+    n = d.group.order
+    assert sr._coordinates(data.xs_inclusion, [[1] + [0] * n]) is None
+    X = sr._coordinates(data.xs_inclusion, [data.weight, [2] * n + [4]])
+    assert X is not None and la.mat_eq(X[:, 1], 2 * X[:, 0])
+
+
 def test_tower_recipe_validation():
     d = quad_datum()
     tower = sr.constant_tower(d, 2)
