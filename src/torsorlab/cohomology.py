@@ -3,9 +3,11 @@
 Coefficients come in three flavours: free integer lattices (ZGLattice),
 finite abelian modules, and arbitrary finite groups with action.  Abelian
 H^1 is solved exactly over the integers: a cocycle is determined by its
-values on a generating set, the spanning tree of the Cayley graph turns
-every value into a linear expression in those unknowns, and the non-tree
-edges contribute the relation constraints.
+values on the generators of a presentation (groups.presentation), and any
+values there extend to a cocycle exactly when the cocycle vanishes on every
+relator.  By the cocycle law that condition is linear in the unknowns, with
+the Fox derivatives of the relator as coefficients (Fox, "Free differential
+calculus I", Ann. Math. 1953): r constraint rows per relator.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg as la
-from .groups import FiniteGroup, generating_set, int_rows
+from .groups import FiniteGroup, generating_set, int_rows, presentation
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
 
@@ -358,53 +360,42 @@ class CohomologyGroup:
         return not self.invariants
 
 
-def _tree_expressions(gamma: FiniteGroup, mats, r: int, gens) -> list:
-    """Constraint rows on the cocycle values at the generators.
+def _relator_rows(gamma: FiniteGroup, mats, r: int, gens, relators) -> list:
+    """Constraint rows on the cocycle values at the generators, r per relator.
 
-    Along the spanning tree of the Cayley graph, f(g s) = f(g) + rho(g) f(s)
-    writes each value f(g) as r rows over the len(gens) * r unknowns f(s);
-    every non-tree edge g -> g s contributes the r rows of
-    f(g) + rho(g) f(s) - f(g s) = 0.  The rows are lists of Python ints.
+    The cocycle law f(u v) = f(u) + rho(u) f(v) gives, letter by letter,
+    f(w) = sum of +rho(prefix) f(s) over the letters s of w and
+    -rho(prefix s^-1) f(s) over the letters s^-1, prefix the part of w before
+    the letter; f(w) = 0 is r rows of Python ints over the len(gens) * r
+    unknowns f(s).
     """
     width = len(gens) * r
-    # f(g) as r sparse rows {column: coefficient}
-    exprs = {0: [{} for _ in range(r)]}
+    grows, inverses = gamma.rows, gamma.inverses
+    nonzeros = {}  # g -> rho(g) as sparse rows [(column, value), ...]
     constraints = []
-    frontier = [0]
-    while frontier:
-        new = []
-        for g in frontier:
-            eg = exprs[g]
-            # rho(g) f(s) adds row a of rho(g) into the block of s
-            nonzeros = [
-                [(c, v) for c, v in enumerate(row) if v] for row in mats[g].tolist()
-            ]
-            grow = gamma.rows[g]
-            for i, s in enumerate(gens):
-                t = grow[s]
-                off = i * r
-                et = exprs.get(t)
-                if et is None:
-                    new.append(t)
-                    exprs[t] = rows = []
-                    for ga, nz in zip(eg, nonzeros):
-                        row = dict(ga)
-                        for c, v in nz:
-                            row[off + c] = row.get(off + c, 0) + v
-                        rows.append(row)
-                    continue
-                for ga, ta, nz in zip(eg, et, nonzeros):
-                    row = [0] * width
-                    for c, v in ga.items():
-                        row[c] = v
-                    for c, v in ta.items():
-                        row[c] -= v
-                    for c, v in nz:
-                        row[off + c] += v
-                    constraints.append(row)
-        frontier = new
-    if len(exprs) != gamma.order:
-        raise ValueError("the generators do not reach every group element")
+    for w in relators:
+        block = [[0] * width for _ in range(r)]
+        x = 0
+        for letter in w:
+            s = gens[letter >> 1]
+            if letter & 1:
+                x = grows[x][inverses[s]]
+                h, sign = x, -1
+            else:
+                h, sign = x, 1
+                x = grows[x][s]
+            nz = nonzeros.get(h)
+            if nz is None:
+                nz = nonzeros[h] = [
+                    [(c, v) for c, v in enumerate(row) if v] for row in mats[h].tolist()
+                ]
+            off = (letter >> 1) * r
+            for row, rho_row in zip(block, nz):
+                for c, v in rho_row:
+                    row[off + c] += sign * v
+        if x != 0:
+            raise ValueError("a relator does not evaluate to the identity")
+        constraints.extend(block)
     return constraints
 
 
@@ -422,21 +413,21 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
         raise TypeError("abelian H^1 needs a lattice or finite module")
     if r == 0:
         return CohomologyGroup((), ())
-    gens = generating_set(gamma)
+    gens, relators = presentation(gamma)
     k = len(gens)
     width = k * r
-    C = _tree_expressions(gamma, mats, r, gens)
+    C = _relator_rows(gamma, mats, r, gens, relators)
 
     if relations is None:
         # W Z = I: the coboundaries' coordinates below need no second SNF
-        Z, W = la.saturated_kernel(C) if C else (la.identity(width),) * 2
+        Z, W = la.saturated_kernel(C)
     else:
         # row j holds modulo relations[j % r]: one slack unknown per row
         for j, row in enumerate(C):
             slack = [0] * len(C)
             slack[j] = relations[j % r]
             row.extend(slack)
-        K = la.kernel_basis(C) if C else la.identity(width)
+        K = la.kernel_basis(C)
         proj = K[:width, :] if K.size else la.zeros(width, 0)
         lam = la.FgAbelian(relations * k).relation_matrix()
         Z = la.column_space_basis(np.concatenate([proj, lam], axis=1))

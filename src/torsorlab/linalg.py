@@ -186,7 +186,7 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
             fixed = False
             for i in range(t + 1, m):
                 row = A[i]
-                if any(row[j] % piv for j in range(t + 1, n)):
+                if any(v % piv for v in filter(None, row[t + 1 :])):
                     # add row i to row t, re-reduce
                     row_op(t, i, -1, [c for c in range(t, n) if row[c]])
                     fixed = True

@@ -160,23 +160,21 @@ def test_criterion_11_product_h1():
         assert row["product_count"] == prod
 
 
-_SUITE_JSON = """
-import dataclasses, json
-from torsorlab import checks
-print(json.dumps([dataclasses.asdict(r) for r in checks.run_suite(seed=0)],
-                 sort_keys=True))
-"""
+# sha256 of the stdout of `torsor-lab suite checks`, the whole report
+SUITE_CHECKS_STDOUT_SHA256 = "dee73a1079b9ac58a43d272065e04c4f956d7fb1bea3e0aaaa9919174e5f02b2"
 
 
 def test_suite_is_deterministic():
-    # the second run is another process, with another hash seed and with
-    # asserts stripped (python -O): no verdict may rest on an assert
-    other = subprocess.Popen([sys.executable, "-O", "-c", _SUITE_JSON], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True,
+    # the second run is the CLI's `suite checks` in another process, with
+    # another hash seed and with asserts stripped (python -O): no verdict may
+    # rest on an assert, and the report is pinned byte for byte
+    other = subprocess.Popen([sys.executable, "-O", "-m", "torsorlab.cli", "suite", "checks"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              env=_env(PYTHONHASHSEED="123"))
     entries = json.dumps([dataclasses.asdict(r) for r in pc.run_suite(seed=0)],
                          sort_keys=True)
     out, err = other.communicate(timeout=600)
-    assert other.returncode == 0, err
-    assert out.rstrip("\n") == entries
+    assert other.returncode == 0, err.decode()
+    assert hashlib.sha256(out).hexdigest() == SUITE_CHECKS_STDOUT_SHA256
+    assert json.loads(out)["evidence"]["entries"] == json.loads(entries)
     assert hashlib.sha256(entries.encode()).hexdigest() == SUITE_SHA256

@@ -146,8 +146,8 @@ def _reference_tree_constraints(gamma, mats, r, gens):
     one matmul `mats[g] @ blocks[s]` per Cayley edge, and one r-row block
     `f(g) + rho(g) f(s) - f(g s)` per non-tree edge.
 
-    Kept as the oracle of `co._tree_expressions`, which must give the same
-    rows in the same order.
+    Kept as the oracle of `co._relator_rows`: the relator rows must cut out
+    the same cocycle lattice.
     """
     width = len(gens) * r
     blocks = {}
@@ -211,18 +211,89 @@ def constraint_cases():
     return cases
 
 
-def test_tree_constraints_match_numpy_reference():
-    negative = 0
-    for label, g, mats, r, _ in constraint_cases():
-        gens = gr.generating_set(g)
-        got = co._tree_expressions(g, mats, r, gens)
-        ref = _reference_tree_constraints(g, mats, r, gens)
-        assert isinstance(got, list) and len(got) == ref.shape[0], label
-        assert all(type(row) is list and len(row) == ref.shape[1] for row in got), label
+def _cocycle_lattice(C, width, relations):
+    """Z^1 in the coordinates of the generator values, from constraint rows C:
+    their kernel for a lattice; for a finite module the values of the
+    solutions mod relations[j % r] (one slack column per row) plus the
+    relation lattice."""
+    if relations is None:
+        return la.kernel_basis(C)
+    C = [row + [relations[j % len(relations)] if i == j else 0 for i in range(len(C))]
+         for j, row in enumerate(C)]
+    K = la.kernel_basis(C)
+    lam = la.FgAbelian(relations * (width // len(relations))).relation_matrix()
+    return la.column_space_basis(np.concatenate([K[:width, :], lam], axis=1))
+
+
+def _coefficient(g, mats, relations):
+    if relations is None:
+        return lt.ZGLattice(g, mats, validate=False)
+    return co.FiniteModule(g, relations, mats, validate=False)
+
+
+def _tree_h1(g, mats, relations, monkeypatch):
+    """H^1 from h1_abelian with the reference tree constraints in place of
+    the relator rows."""
+    with monkeypatch.context() as m:
+        m.setattr(co, "_relator_rows", lambda gamma, mats, r, gens, relators:
+                  _reference_tree_constraints(gamma, mats, r, gens).tolist())
+        return co.h1_abelian(g, _coefficient(g, mats, relations))
+
+
+def _relator_disagreements(monkeypatch):
+    """Labels of the constraint cases on which the relator rows of
+    co.presentation cut out another cocycle lattice than the tree reference,
+    or h1_abelian reads other invariants than through the tree reference (or
+    fails to close a generator to a cocycle)."""
+    bad = []
+    for label, g, mats, r, relations in constraint_cases():
+        gens, relators = co.presentation(g)
+        got = co._relator_rows(g, mats, r, gens, relators)
+        ref = _reference_tree_constraints(g, mats, r, gens).tolist()
+        assert all(type(row) is list and len(row) == len(ref[0]) for row in got), label
         assert all(type(v) is int for row in got for v in row), label
-        assert got == ref.tolist(), label
-        negative += any(v < 0 for row in got for v in row)
-    assert negative > 20
+        width = len(gens) * r
+        same_z1 = la.lattice_eq(_cocycle_lattice(got, width, relations),
+                                _cocycle_lattice(ref, width, relations))
+        try:
+            mine = co.h1_abelian(g, _coefficient(g, mats, relations)).invariants
+        except co.NotCocycle:  # a basis vector of the kernel is no cocycle
+            mine = None
+        if not same_z1 or mine != _tree_h1(g, mats, relations, monkeypatch).invariants:
+            bad.append(label)
+    return bad
+
+
+def test_relator_rows_match_tree_reference_kernel(monkeypatch):
+    assert _relator_disagreements(monkeypatch) == []
+    rows = sum(len(co.presentation(g)[1]) * r for _, g, _, r, _ in constraint_cases())
+    tree = sum(_reference_tree_constraints(g, mats, r, gr.generating_set(g)).shape[0]
+               for _, g, mats, r, _ in constraint_cases())
+    assert rows < tree / 3
+
+
+def test_relator_oracle_refutes_a_missing_relator(monkeypatch):
+    # the same comparison, with one relator dropped from each presentation
+    # that has more than one, must see the difference
+    presentation = gr.presentation
+
+    def short(g):
+        gens, relators = presentation(g)
+        return gens, relators[:-1] if len(relators) > 1 else relators
+
+    monkeypatch.setattr(co, "presentation", short)
+    bad = _relator_disagreements(monkeypatch)
+    assert len(bad) > 20
+
+
+def test_relator_rows_reject_a_word_that_is_no_relator(monkeypatch):
+    s3 = gr.symmetric_group(3)
+    gens, relators = gr.presentation(s3)
+    monkeypatch.setattr(co, "presentation", lambda g: (gens, relators + ((0,),)))
+    m = lt.permutation_lattice(gs.coset_gset(s3, (0,)))
+    with pytest.raises(ValueError, match="identity"):
+        co.h1_abelian(s3, m)
+
 
 def test_h1_coboundary_coordinates_equal_solve_int(monkeypatch):
     # h1_abelian's Y, read off the kernel's retraction, is solve_int(Z, D)

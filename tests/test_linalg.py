@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import linalg as la
-from test_cohomology import constraint_cases
+from test_cohomology import _reference_tree_constraints, constraint_cases
 
 
 def _reference_pivot(M, t):
@@ -300,12 +299,13 @@ def test_snf_matches_reference_on_random_matrices():
 
 
 def _constraint_matrices():
-    """The cocycle constraint rows `h1_abelian` hands to `kernel_basis`: Python
-    int lists, sparse, with duplicate and zero rows; for a finite module each
-    row j carries its slack column relations[j % r], as in `h1_abelian`."""
+    """The cocycle constraints of the Cayley graph's non-tree edges, one block
+    per edge (`_reference_tree_constraints`): Python int lists, sparse, with
+    duplicate and zero rows; for a finite module each row j carries its slack
+    column relations[j % r], as in `h1_abelian`."""
     out = []
     for _, g, mats, r, relations in constraint_cases():
-        C = co._tree_expressions(g, mats, r, gr.generating_set(g))
+        C = _reference_tree_constraints(g, mats, r, gr.generating_set(g)).tolist()
         if relations:
             C = [row + [relations[j % r] if i == j else 0 for i in range(len(C))]
                  for j, row in enumerate(C)]
