@@ -67,12 +67,6 @@ def _emit(rep, args):
 
 
 def _default(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if hasattr(obj, "__dict__"):
         return obj.__dict__
     return str(obj)
@@ -137,11 +131,7 @@ def cmd_lattice(args):
 
     basedir = os.path.dirname(args.infile)
     if args.op == "exact":
-        lattices = [jsonio.lattice_from_json(x, basedir) for x in obj["lattices"]]
-        maps = []
-        for i, m in enumerate(obj["maps"]):
-            maps.append(lt.LatticeMap(lattices[i], lattices[i + 1], m))
-        rep = lt.exactness_report(maps)
+        rep = lt.exactness_report(jsonio.exact_sequence_from_json(obj, basedir))
         verdict = "verified" if rep.exact else "refuted"
         evidence = {
             "joints": [
@@ -156,10 +146,7 @@ def cmd_lattice(args):
             "last_surjective": rep.last_surjective,
         }
         return _emit(_report("lattice-exactness", verdict, evidence, args), args)
-    src = jsonio.lattice_from_json(obj["source"], basedir)
-    tgt = jsonio.lattice_from_json(obj["target"], basedir)
-    f = lt.LatticeMap(src, tgt, obj["matrix"])
-    ok = lt.is_equivariant_iso(f)
+    ok = lt.is_equivariant_iso(jsonio.lattice_map_from_json(obj, basedir))
     return _emit(
         _report(
             "lattice-isomorphism", "verified" if ok else "refuted",

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-
-import numpy as np
+from operator import mul
 
 from . import linalg as la
-from .groups import FiniteGroup, generating_set, int_rows, presentation
+from .groups import FiniteGroup, generating_set, presentation
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
 
@@ -57,7 +56,7 @@ class GammaGroup:
         self.gamma = gamma
         self.underlying = underlying
         try:
-            a = int_rows(action)
+            a = la.int_rows(action)
         except (TypeError, ValueError) as e:
             raise NotAction("action table must be an array of integers") from e
         if len(a) != gamma.order or any(len(r) != underlying.order for r in a):
@@ -177,7 +176,7 @@ class FiniteModule(la.FgAbelian):
         if any(d <= 0 for d in self.relations):
             raise ValueError("relations must be positive (finite module)")
         self.gamma = gamma
-        self.mats = tuple(la.intmat(m) for m in mats)
+        self.mats = tuple(la.int_rows(m) for m in mats)
         self.neutral = (0,) * self.ngens
         if validate:
             self._validate()
@@ -187,20 +186,19 @@ class FiniteModule(la.FgAbelian):
             raise NotAction("one matrix per group element required")
         n = self.ngens
         for m in self.mats:
-            if m.shape != (n, n):
+            if len(m) != n or la.width(m) != n:
                 raise NotAction("matrix shape mismatch")
             # columns must respect the relation lattice
             for j, dj in enumerate(self.relations):
                 for i, di in enumerate(self.relations):
-                    if (dj * m[i, j]) % di != 0:
+                    if (dj * m[i][j]) % di != 0:
                         raise NotAction("action does not preserve relations")
         for s in generating_set(self.gamma):
             for h in self.gamma.elements():
-                prod_ = self.mats[s] @ self.mats[h]
+                prod_ = la.matmul(self.mats[s], self.mats[h])
                 tgt = self.mats[self.gamma.mul(s, h)]
-                diff = prod_ - tgt
-                for i, di in enumerate(self.relations):
-                    if any(int(v) % di != 0 for v in diff[i, :]):
+                for di, prow, trow in zip(self.relations, prod_, tgt):
+                    if any((v - w) % di for v, w in zip(prow, trow)):
                         raise NotAction("action not multiplicative mod relations")
 
     def op(self, a, b) -> tuple:
@@ -210,7 +208,7 @@ class FiniteModule(la.FgAbelian):
         return self.reduce([-x for x in a])
 
     def act(self, t: int, vec) -> tuple:
-        return self.reduce((self.mats[t] @ la.intmat(vec).reshape(-1, 1)).ravel())
+        return self.reduce([sum(map(mul, row, vec)) for row in self.mats[t]])
 
     def canon(self, vec) -> tuple:
         return self.reduce(vec)
@@ -303,9 +301,13 @@ def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
 
 @dataclass(frozen=True)
 class FixedSubmodule:
-    basis: np.ndarray  # columns span the fixed sublattice / lattice lift
+    basis: tuple  # columns span the fixed sublattice / lattice lift
     rank: int
     invariants: tuple = ()  # finite part, for finite modules
+
+
+def _minus_identity(matrix) -> tuple:
+    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(matrix))
 
 
 def h0(gamma: FiniteGroup, coeff):
@@ -315,26 +317,19 @@ def h0(gamma: FiniteGroup, coeff):
     gens = generating_set(gamma)
     if isinstance(coeff, ZGLattice):
         if coeff.rank == 0:
-            return FixedSubmodule(la.zeros(0, 0), 0)
-        stack = np.concatenate(
-            [coeff.rho[s] - la.identity(coeff.rank) for s in gens], axis=0
-        )
-        K = la.kernel_basis(stack)
-        return FixedSubmodule(K, K.shape[1])
+            return FixedSubmodule((), 0)
+        K = la.kernel_basis(la.stack(_minus_identity(coeff.rho[s]) for s in gens))
+        return FixedSubmodule(K, la.width(K))
     if isinstance(coeff, FiniteModule):
         n = coeff.ngens
         rel = coeff.relation_matrix()
-        blocks = []
-        for s in gens:
-            blocks.append(coeff.mats[s] - la.identity(n))
-        C = np.concatenate(blocks, axis=0)
+        C = la.stack(_minus_identity(coeff.mats[s]) for s in gens)
         slack = la.FgAbelian(coeff.relations * len(gens)).relation_matrix()
-        K = la.kernel_basis(np.concatenate([C, slack], axis=1))
-        lift = K[:n, :] if K.size else la.zeros(n, 0)
-        L = la.column_space_basis(np.concatenate([lift, rel], axis=1))
+        K = la.kernel_basis(la.beside([C, slack]))
+        L = la.column_space_basis(la.beside([K[:n], rel]))
         X = la.solve_int(L, rel)
-        inv = la.cokernel_invariants(X, ambient_rank=L.shape[1])
-        return FixedSubmodule(L, L.shape[1], invariants=inv)
+        inv = la.cokernel_invariants(X, ambient_rank=la.width(L))
+        return FixedSubmodule(L, la.width(L), invariants=inv)
     raise TypeError("unsupported coefficient type")
 
 
@@ -387,7 +382,7 @@ def _relator_rows(gamma: FiniteGroup, mats, r: int, gens, relators) -> list:
             nz = nonzeros.get(h)
             if nz is None:
                 nz = nonzeros[h] = [
-                    [(c, v) for c, v in enumerate(row) if v] for row in mats[h].tolist()
+                    [(c, v) for c, v in enumerate(row) if v] for row in mats[h]
                 ]
             off = (letter >> 1) * r
             for row, rho_row in zip(block, nz):
@@ -428,22 +423,22 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
             slack[j] = relations[j % r]
             row.extend(slack)
         K = la.kernel_basis(C)
-        proj = K[:width, :] if K.size else la.zeros(width, 0)
         lam = la.FgAbelian(relations * k).relation_matrix()
-        Z = la.column_space_basis(np.concatenate([proj, lam], axis=1))
+        Z = la.column_space_basis(la.beside([K[:width], lam]))
 
     # coboundaries: values (rho(s) - 1) m on the generators
-    D = np.concatenate([mats[s] - la.identity(r) for s in gens], axis=0)
+    D = la.stack(_minus_identity(mats[s]) for s in gens)
     if relations is not None:
-        D = np.concatenate([D, lam], axis=1)
-    if Z.shape[1] == 0:
+        D = la.beside([D, lam])
+    z = la.width(Z)
+    if z == 0:
         return CohomologyGroup((), ())
     Y = la.coordinates(Z, W, D) if relations is None else la.solve_int(Z, D)
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise NotAction("coboundaries must lie in the cocycle lattice")
     s = la.smith_normal_form(Y, transforms=("left_inv",))
-    z = Z.shape[1]
+    left_inv = s.left_inv.tolist()
     invs = []
     gens_out = []
     for i in range(z):
@@ -451,10 +446,9 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
         if d == 1:
             continue
         invs.append(int(d))
-        gen_coords = Z @ s.left_inv[:, i].reshape(-1, 1)
-        gen_vals = [
-            tuple(int(v) for v in gen_coords[j * r : (j + 1) * r, 0]) for j in range(k)
-        ]
+        column = [row[i] for row in left_inv]
+        gen_coords = [sum(map(mul, row, column)) for row in Z]
+        gen_vals = [tuple(gen_coords[j * r : (j + 1) * r]) for j in range(k)]
         gens_out.append(
             CrossedHom.from_generators(gamma, coeff, dict(zip(gens, gen_vals)))
         )
@@ -605,22 +599,22 @@ def twist_lattice(m: ZGLattice, f: CrossedHom, value_matrices) -> ZGLattice:
     if not isinstance(f.coefficient, GammaGroup):
         raise NotCocycle("twisting needs a group-valued cocycle")
     n = f.coefficient
-    nu = [la.intmat(v) for v in value_matrices]
+    nu = [la.int_rows(v) for v in value_matrices]
     if len(nu) != n.underlying.order:
         raise NotAction("one matrix per value-group element required")
     gamma = m.group
     if n.gamma != gamma:
         raise NotAction("cocycle and lattice have different acting groups")
     for v in nu:
-        if v.shape != (m.rank, m.rank):
+        if len(v) != m.rank or la.width(v) != m.rank:
             raise NotAction("value matrices must match the lattice rank")
     for s in generating_set(gamma):
         for x in n.underlying.elements():
-            lhs = nu[n.act(s, x)] @ m.rho[s]
-            rhs = m.rho[s] @ nu[x]
-            if not la.mat_eq(lhs, rhs):
+            lhs = la.matmul(nu[n.act(s, x)], m.rho[s])
+            rhs = la.matmul(m.rho[s], nu[x])
+            if lhs != rhs:
                 raise NotAction("auxiliary action incompatible with the twist")
-    rho = [nu[f(t)] @ m.rho[t] for t in gamma.elements()]
+    rho = [la.matmul(nu[f(t)], m.rho[t]) for t in gamma.elements()]
     try:
         return ZGLattice(gamma, rho, validate=True)
     except ValueError as e:

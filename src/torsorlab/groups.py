@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
+from .linalg import int_rows
 
 
 class InvalidGroup(ValueError):
@@ -37,13 +37,6 @@ class NotSubgroup(ValueError):
 
 class NotSurjective(ValueError):
     pass
-
-
-def int_rows(table) -> tuple:
-    """A table (nested sequence or 2-D array) as a tuple of int tuples."""
-    if isinstance(table, np.ndarray):
-        table = table.tolist()
-    return tuple(tuple(map(int, row)) for row in table)
 
 
 class FiniteGroup:
@@ -81,13 +74,15 @@ class FiniteGroup:
             raise InvalidGroup("table entries out of range")
         if rows[0] != tuple(range(n)) or any(r[0] != a for a, r in enumerate(rows)):
             raise InvalidGroup("element 0 is not a two-sided identity")
-        t = np.array(rows, dtype=np.int64)
-        for a in range(n):
-            # (a*b)*c == a*(b*c) for all b, c
-            lhs = t[t[a]]
-            rhs = t[a][t]
-            if not (lhs == rhs).all():
-                raise InvalidGroup("multiplication is not associative")
+        # Light's associativity test: the s with (x*s)*y == x*(s*y) for all
+        # x, y are closed under products, so checking a generating set (one
+        # that reaches every element from 0 by right multiplications) suffices
+        for s in _greedy_generating_set(self):
+            rs = rows[s]
+            for rx in rows:
+                # row x*s is row s read through row x
+                if rows[rx[s]] != tuple(map(rx.__getitem__, rs)):
+                    raise InvalidGroup("multiplication is not associative")
         for a in range(n):
             if len(set(rows[a])) != n:
                 raise InvalidGroup("row %d is not a bijection" % a)

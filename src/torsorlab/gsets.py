@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .groups import FiniteGroup, NotSubgroup, is_subgroup
+from .groups import FiniteGroup, NotSubgroup, generating_set, is_subgroup
+from .linalg import int_rows
 
 
 class InvalidAction(ValueError):
@@ -18,35 +17,41 @@ class InvalidAction(ValueError):
 
 
 class GSet:
-    """Left action: action[g][x] is the image of point x under g."""
+    """Left action: action[g][x] is the image of point x under g.
+
+    The action is stored as a tuple of int tuples, one row per element.
+    """
 
     def __init__(self, group: FiniteGroup, action, validate: bool = True):
         self.group = group
-        a = np.asarray(action, dtype=np.int64)
-        if a.ndim != 2 or a.shape[0] != group.order:
+        try:
+            a = int_rows(action)
+        except ValueError as e:
+            raise InvalidAction("need one permutation per group element") from e
+        if len(a) != group.order:
             raise InvalidAction("need one permutation per group element")
-        self.size = int(a.shape[1])
+        self.size = len(a[0])
         self.action = a
-        self.action.setflags(write=False)
         if validate:
             self._validate()
 
     def _validate(self):
-        n, m = self.group.order, self.size
-        a = self.action
-        if m and (a.min() < 0 or a.max() >= m):
+        g, m, a = self.group, self.size, self.action
+        if m and (min(map(min, a)) < 0 or max(map(max, a)) >= m):
             raise InvalidAction("point indices out of range")
-        if not (a[0] == np.arange(m)).all():
+        if a[0] != tuple(range(m)):
             raise InvalidAction("identity must act trivially")
-        t = np.array(self.group.rows, dtype=np.int64)
-        for g in range(n):
-            # action[g*h] == action[g] o action[h]
-            composed = a[g][a]
-            if not (a[t[g]] == composed).all():
-                raise InvalidAction("not an action at element %d" % g)
+        # action[s*h] == action[s] o action[h] on a generating set propagates
+        # to every pair, as for ZGLattice
+        rows = g.rows
+        for s in generating_set(g):
+            after = a[s].__getitem__
+            for h, sh in enumerate(rows[s]):
+                if tuple(map(after, a[h])) != a[sh]:
+                    raise InvalidAction("not an action at element %d" % s)
 
     def apply(self, g: int, x: int) -> int:
-        return int(self.action[g, x])
+        return self.action[g][x]
 
     def points(self) -> range:
         return range(self.size)
@@ -55,8 +60,7 @@ class GSet:
         return (
             isinstance(other, GSet)
             and self.group == other.group
-            and self.size == other.size
-            and (self.action == other.action).all()
+            and self.action == other.action
         )
 
     def __repr__(self):
@@ -97,7 +101,7 @@ def orbits(x: GSet) -> EtaleDecomposition:
 
 
 def trivial_gset(g: FiniteGroup, size: int) -> GSet:
-    return GSet(g, np.tile(np.arange(size), (g.order, 1)), validate=False)
+    return GSet(g, (tuple(range(size)),) * g.order, validate=False)
 
 
 def regular_gset(g: FiniteGroup) -> GSet:
@@ -119,11 +123,8 @@ def coset_gset(g: FiniteGroup, h) -> GSet:
         cosets.append(cs)
         for y in cs:
             coset_of[y] = ci
-    m = len(cosets)
-    action = np.empty((g.order, m), dtype=np.int64)
-    for t in g.elements():
-        for i, cs in enumerate(cosets):
-            action[t, i] = coset_of[g.mul(t, cs[0])]
+    firsts = [cs[0] for cs in cosets]
+    action = [[coset_of[row[x]] for x in firsts] for row in g.rows]
     return GSet(g, action)
 
 
@@ -133,10 +134,7 @@ def conjugation_twist(g: FiniteGroup) -> GSet:
     This is the translation action twisted by the tautological cocycle; its
     orbits are the conjugacy classes.
     """
-    action = np.empty((g.order, g.order), dtype=np.int64)
-    for t in g.elements():
-        for x in g.elements():
-            action[t, x] = g.conj(t, x)
+    action = [[g.conj(t, x) for x in g.elements()] for t in g.elements()]
     return GSet(g, action)
 
 
@@ -144,20 +142,19 @@ def sub_gset(x: GSet, points) -> GSet:
     """Restriction of the action to an invariant subset of points."""
     pts = tuple(sorted(set(points)))
     pos = {p: i for i, p in enumerate(pts)}
-    action = np.empty((x.group.order, len(pts)), dtype=np.int64)
-    for g in x.group.elements():
-        for i, p in enumerate(pts):
-            q = x.apply(g, p)
-            if q not in pos:
-                raise InvalidAction("subset is not invariant")
-            action[g, i] = pos[q]
+    try:
+        action = [[pos[row[p]] for p in pts] for row in x.action]
+    except KeyError as e:
+        raise InvalidAction("subset is not invariant") from e
     return GSet(x.group, action, validate=False)
 
 
 def disjoint_union(x: GSet, y: GSet) -> GSet:
     if x.group != y.group:
         raise InvalidAction("actions of different groups")
-    action = np.concatenate([x.action, y.action + x.size], axis=1)
+    action = [
+        rx + tuple(p + x.size for p in ry) for rx, ry in zip(x.action, y.action)
+    ]
     return GSet(x.group, action, validate=False)
 
 

@@ -9,9 +9,8 @@ for countable terms, never as a computed cardinality.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg as la
 from . import numtheory as nt
@@ -59,19 +58,16 @@ class ConstantEndo:
     endo: tuple  # square integer matrix, ngens x ngens
 
     def __post_init__(self):
-        m = la.intmat(self.endo)
+        m = la.int_rows(self.endo)
         n = self.module.ngens
-        if m.shape != (n, n):
+        if (len(m), la.width(m)) != (n, n):
             raise ValueError("endomorphism shape mismatch")
-        object.__setattr__(self, "endo", tuple(tuple(int(x) for x in row) for row in m))
+        object.__setattr__(self, "endo", m)
         # must respect the relation lattice
         for j, dj in enumerate(self.module.relations):
             for i, di in enumerate(self.module.relations):
-                if di and (dj * m[i, j]) % di != 0:
+                if di and (dj * m[i][j]) % di != 0:
                     raise ValueError("endomorphism does not preserve relations")
-
-    def matrix(self) -> np.ndarray:
-        return la.intmat(self.endo)
 
 
 @dataclass(frozen=True)
@@ -83,23 +79,22 @@ class SubgroupChain:
     base: tuple  # B, columns generate level 0
 
     def __post_init__(self):
-        T = la.intmat(self.step)
-        B = la.intmat(self.base)
-        if T.shape != (self.rank, self.rank) or B.shape[0] != self.rank:
+        T = la.int_rows(self.step)
+        B = la.int_rows(self.base)
+        if (len(T), la.width(T)) != (self.rank, self.rank) or len(B) != self.rank:
             raise ValueError("shape mismatch")
-        object.__setattr__(self, "step", tuple(tuple(int(x) for x in r) for r in T))
-        object.__setattr__(self, "base", tuple(tuple(int(x) for x in r) for r in B))
+        object.__setattr__(self, "step", T)
+        object.__setattr__(self, "base", B)
         # descending chain required
         L0 = la.column_space_basis(B)
-        L1 = la.column_space_basis(T @ B)
+        L1 = la.column_space_basis(la.matmul(T, B))
         if not la.lattice_contains(L0, L1):
             raise ValueError("step does not descend the chain")
 
-    def level(self, n: int) -> np.ndarray:
-        M = la.intmat(self.base)
-        T = la.intmat(self.step)
+    def level(self, n: int) -> tuple:
+        M = self.base
         for _ in range(n):
-            M = T @ M
+            M = la.matmul(self.step, M)
         return la.column_space_basis(M)
 
 
@@ -158,7 +153,7 @@ def truncate(recipe, n: int):
             raise NotMaterializable("truncation beyond the given data")
         return ExplicitFinite(recipe.groups[: n + 1], recipe.maps[:n])
     if isinstance(recipe, ConstantEndo):
-        return tuple((recipe.module, recipe.matrix()) for _ in range(n + 1))
+        return tuple((recipe.module, recipe.endo) for _ in range(n + 1))
     if isinstance(recipe, SubgroupChain):
         return tuple(recipe.level(k) for k in range(n + 1))
     if isinstance(recipe, Product):
@@ -261,8 +256,8 @@ def lim1_truncated(sys: ExplicitFinite, budget: int = 200000) -> Lim1Orbits:
         sample = itertools.product(*(g.elements() for g in groups))
     else:
         mode = "constructive"
-        rng = np.random.default_rng(0)
-        sample = (tuple(int(rng.integers(g.order)) for g in groups) for _ in range(200))
+        rng = random.Random(0)
+        sample = (tuple(rng.randrange(g.order) for g in groups) for _ in range(200))
     checked = failed = 0
     for x in sample:
         a = _transport(groups, maps, x, base)
@@ -276,13 +271,14 @@ def lim1_truncated(sys: ExplicitFinite, budget: int = 200000) -> Lim1Orbits:
 # Mittag-Leffler analysis
 
 
-def _lattice_chain_verdict(chain_next, L0, horizon: int, modrel=None) -> MLVerdict:
-    """Stabilization of L_{k+1} = step(L_k): equality detection, or a strict
-    drop at stable rank, which repeats forever under an invertible step."""
+def _lattice_chain_verdict(step, L0, horizon: int) -> MLVerdict:
+    """Stabilization of L_{k+1} = step L_k (column lattices): equality
+    detection, or a strict drop at stable rank, which repeats forever under an
+    invertible step."""
     prev = L0
     prev_rank = la.rank(prev)
     for k in range(horizon):
-        nxt = chain_next(prev)
+        nxt = la.column_space_basis(la.matmul(step, prev))
         if la.lattice_eq(prev, nxt):
             return MLVerdict("holds", level=k, proof="image chain stabilizes")
         r = la.rank(nxt)
@@ -324,25 +320,15 @@ def ml_check(recipe, horizon: int = DEFAULT_HORIZON) -> MLVerdict:
         # reduce to the free quotient: the torsion part is finite and its
         # image chain always stabilizes
         rel = recipe.module.relations
-        U = recipe.matrix()
+        U = recipe.endo
         free_idx = [i for i, d in enumerate(rel) if d == 0]
         if not free_idx:
             return MLVerdict("holds", level=0, proof="finite module")
-        if len(free_idx) != len(rel):
-            sel = la.zeros(len(free_idx), len(rel))
-            for r_, i in enumerate(free_idx):
-                sel[r_, i] = 1
-            Ufree = la.intmat(
-                [[U[i, j] for j in free_idx] for i in free_idx]
-            )
-        else:
-            Ufree = U
-        L0 = la.identity(len(free_idx))
-        return _lattice_chain_verdict(lambda L: la.column_space_basis(Ufree @ L), L0, horizon)
+        Ufree = tuple(tuple(U[i][j] for j in free_idx) for i in free_idx)
+        return _lattice_chain_verdict(Ufree, la.identity(len(free_idx)), horizon)
     if isinstance(recipe, SubgroupChain):
-        T = la.intmat(recipe.step)
-        L0 = la.column_space_basis(la.intmat(recipe.base))
-        return _lattice_chain_verdict(lambda L: la.column_space_basis(T @ L), L0, horizon)
+        L0 = la.column_space_basis(recipe.base)
+        return _lattice_chain_verdict(recipe.step, L0, horizon)
     if isinstance(recipe, NormTower):
         analysis = _tower_analysis(recipe, horizon)
         if analysis.status == "fails":

@@ -17,7 +17,7 @@ from . import serre as sr
 from . import torsors as to
 from .groups import FiniteGroup, GroupHom
 from .gsets import GSet
-from .lattices import ZGLattice
+from .lattices import LatticeMap, ZGLattice
 
 
 class ParseError(ValueError):
@@ -36,20 +36,28 @@ def _resolve(obj, basedir):
     return obj, basedir
 
 
-def matrix_from_json(obj):
-    """An integer matrix: a list of equal-length rows of integers; a flat list
-    of integers is one row and an integer a 1 x 1 matrix."""
-    if isinstance(obj, int):
+def matrix_from_json(obj) -> tuple:
+    """An integer matrix as int-tuple rows: a list of equal-length rows of
+    integers; a flat list of integers is one row and an integer a 1 x 1
+    matrix.  JSON true and false are not integers."""
+    if type(obj) is int:
         obj = [[obj]]
     elif isinstance(obj, list) and obj and not isinstance(obj[0], list):
         obj = [obj]
     if not (
         isinstance(obj, list)
         and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
-        and all(isinstance(v, int) for row in obj for v in row)
+        and all(type(v) is int for row in obj for v in row)
     ):
         raise ParseError("a matrix is a list of equal-length rows of integers")
-    return la.intmat(obj)
+    return tuple(map(tuple, obj))
+
+
+def _field(obj, key):
+    """obj[key] of a JSON object; ParseError when obj has no such field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"missing field {key!r}")
+    return obj[key]
 
 
 def group_from_json(obj, basedir="."):
@@ -79,17 +87,25 @@ def gset_from_json(obj, basedir="."):
 def lattice_from_json(obj, basedir="."):
     """Full table, or generators-only with the closure computed here."""
     obj, basedir = _resolve(obj, basedir)
-    try:
-        g = group_from_json(obj["group"], basedir)
-        rho_in = {int(k): la.intmat(v) for k, v in obj["rho"].items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad lattice object: {e}") from e
+    g = group_from_json(_field(obj, "group"), basedir)
+    rho = _field(obj, "rho")
+    if not isinstance(rho, dict):
+        raise ParseError("rho maps group elements to matrices")
+    rho_in = {}
+    for k, v in rho.items():
+        if not (k.isdigit() and int(k) < g.order):
+            raise ParseError(f"rho key {k!r} is not an element of the group")
+        rho_in[int(k)] = matrix_from_json(v)
     if "rank" in obj:
-        rank = int(obj["rank"])
+        rank = obj["rank"]
+        if type(rank) is not int or rank < 0:
+            raise ParseError("the rank is a nonnegative integer")
     elif rho_in:
-        rank = int(next(iter(rho_in.values())).shape[0])
+        rank = len(next(iter(rho_in.values())))
     else:
         raise ParseError("lattice needs a rank or at least one matrix")
+    if any(len(m) != rank or la.width(m) != rank for m in rho_in.values()):
+        raise ParseError("each matrix must be rank x rank")
     if rho_in and set(rho_in) == set(g.elements()):
         return ZGLattice(g, [rho_in[t] for t in g.elements()])
     # closure from generator values
@@ -100,16 +116,36 @@ def lattice_from_json(obj, basedir="."):
         for x in frontier:
             for s, m in rho_in.items():
                 y = g.mul(x, s)
-                cand = mats[x] @ m
+                cand = la.matmul(mats[x], m)
                 if y not in mats:
                     mats[y] = cand
                     new.append(y)
-                elif not la.mat_eq(mats[y], cand):
+                elif mats[y] != cand:
                     raise ParseError("generator matrices are inconsistent")
         frontier = new
     if len(mats) != g.order:
         raise ParseError("generators do not generate the group")
     return ZGLattice(g, [mats[t] for t in g.elements()])
+
+
+def exact_sequence_from_json(obj, basedir=".") -> list:
+    """The maps of {"lattices": [...], "maps": [...]}, map i from lattice i
+    to lattice i + 1."""
+    lattices = [lattice_from_json(x, basedir) for x in _field(obj, "lattices")]
+    maps = _field(obj, "maps")
+    if not isinstance(maps, list) or len(maps) != len(lattices) - 1:
+        raise ParseError("need one map between each pair of adjacent lattices")
+    return [
+        LatticeMap(lattices[i], lattices[i + 1], matrix_from_json(m))
+        for i, m in enumerate(maps)
+    ]
+
+
+def lattice_map_from_json(obj, basedir=".") -> LatticeMap:
+    """The map of {"source": ..., "target": ..., "matrix": ...}."""
+    src = lattice_from_json(_field(obj, "source"), basedir)
+    tgt = lattice_from_json(_field(obj, "target"), basedir)
+    return LatticeMap(src, tgt, matrix_from_json(_field(obj, "matrix")))
 
 
 def gamma_group_from_json(obj, basedir="."):

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import mul
 
 from . import linalg as la
 from .groups import FiniteGroup, NotSubgroup, generating_set, is_subgroup
@@ -45,30 +44,34 @@ class NotComposable(ValueError):
 
 
 class ZGLattice:
-    """Rank-r free module with the group acting by integer matrices."""
+    """Rank-r free module with the group acting by integer matrices.
+
+    `rho[g]` is the matrix of g as int-tuple rows (linalg).  With
+    validate=False the caller vouches that rho already is an action in that
+    form; otherwise every matrix is read through la.int_rows and checked.
+    """
 
     def __init__(self, group: FiniteGroup, rho, validate: bool = True):
         self.group = group
-        mats = [la.intmat(m) for m in rho]
+        mats = tuple(la.int_rows(m) for m in rho) if validate else tuple(rho)
         if len(mats) != group.order:
             raise ValueError("one matrix per group element required")
-        self.rank = int(mats[0].shape[0]) if mats else 0
-        for m in mats:
-            if m.shape != (self.rank, self.rank):
-                raise ValueError("matrices must be square of equal rank")
-        self.rho = tuple(mats)
+        self.rank = len(mats[0])
+        self.rho = mats
         self.neutral = (0,) * self.rank
         if validate:
             self._validate()
 
     def _validate(self):
-        g = self.group
-        if not la.mat_eq(self.rho[0], la.identity(self.rank)):
+        g, n = self.group, self.rank
+        if any(len(m) != n or la.width(m) != n for m in self.rho):
+            raise ValueError("matrices must be square of equal rank")
+        if self.rho[0] != la.identity(n):
             raise ValueError("identity must act as the identity matrix")
         # multiplicativity on a generating set propagates to all elements
         for s in generating_set(g):
             for h in g.elements():
-                if not la.mat_eq(self.rho[g.mul(s, h)], self.rho[s] @ self.rho[h]):
+                if self.rho[g.mul(s, h)] != la.matmul(self.rho[s], self.rho[h]):
                     raise ValueError("rho is not multiplicative")
 
     # coefficient protocol: neutral/op/inv/act/canon on integer tuples
@@ -79,8 +82,7 @@ class ZGLattice:
         return tuple(-x for x in a)
 
     def act(self, g: int, vec) -> tuple:
-        col = self.rho[g] @ la.intmat(vec).reshape(-1, 1)
-        return tuple(int(v) for v in col.ravel())
+        return tuple(sum(map(mul, row, vec)) for row in self.rho[g])
 
     def canon(self, vec) -> tuple:
         return tuple(int(x) for x in vec)
@@ -89,8 +91,7 @@ class ZGLattice:
         return (
             isinstance(other, ZGLattice)
             and self.group == other.group
-            and self.rank == other.rank
-            and all(la.mat_eq(a, b) for a, b in zip(self.rho, other.rho))
+            and self.rho == other.rho
         )
 
     def __repr__(self):
@@ -99,37 +100,42 @@ class ZGLattice:
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Equivariant map given by a target.rank x source.rank integer matrix.
+    """Equivariant map given by a target.rank x source.rank integer matrix,
+    as int-tuple rows; a map into the zero lattice has the 0 x 0 matrix.
 
     `retraction`, when set, is an integral left inverse of `matrix` (see
-    equivariant_sublattice).
+    equivariant_sublattice).  With validate=False the caller vouches for
+    the matrix, in rows form, and for its equivariance.
     """
 
     source: ZGLattice
     target: ZGLattice
-    matrix: np.ndarray
+    matrix: tuple
     validate: bool = field(default=True, compare=False)
-    retraction: np.ndarray | None = field(default=None, compare=False)
+    retraction: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        m = la.intmat(self.matrix)
-        if m.shape != (self.target.rank, self.source.rank):
+        if not self.validate:
+            return
+        m = la.int_rows(self.matrix)
+        rows, cols = self.target.rank, self.source.rank
+        if (len(m), la.width(m)) != (rows, cols if rows else 0):
             raise ValueError("matrix shape mismatch")
         object.__setattr__(self, "matrix", m)
-        if self.validate:
-            if self.source.group != self.target.group:
-                raise NotEquivariant("source and target have different groups")
-            for s in generating_set(self.source.group):
-                lhs = m @ self.source.rho[s]
-                rhs = self.target.rho[s] @ m
-                if not la.mat_eq(lhs, rhs):
-                    raise NotEquivariant("matrix does not commute with the action")
+        if self.source.group != self.target.group:
+            raise NotEquivariant("source and target have different groups")
+        for s in generating_set(self.source.group):
+            lhs = la.matmul(m, self.source.rho[s])
+            rhs = la.matmul(self.target.rho[s], m)
+            if lhs != rhs:
+                raise NotEquivariant("matrix does not commute with the action")
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
         if other.target is not self.source and other.target != self.source:
             raise NotComposable("composition mismatch")
         return LatticeMap(
-            other.source, self.target, self.matrix @ other.matrix, validate=False
+            other.source, self.target, la.matmul(self.matrix, other.matrix),
+            validate=False,
         )
 
 
@@ -138,33 +144,37 @@ def trivial_lattice(group: FiniteGroup, rank: int = 1) -> ZGLattice:
 
 
 def zero_lattice(group: FiniteGroup) -> ZGLattice:
-    return ZGLattice(group, [la.zeros(0, 0)] * group.order, validate=False)
+    return ZGLattice(group, [()] * group.order, validate=False)
 
 
 def zero_map(source: ZGLattice, target: ZGLattice) -> LatticeMap:
-    return LatticeMap(source, target, la.zeros(target.rank, source.rank))
+    return LatticeMap(source, target, ((0,) * source.rank,) * target.rank)
 
 
 def direct_sum(a: ZGLattice, b: ZGLattice) -> ZGLattice:
     if a.group != b.group:
         raise ValueError("different groups")
-    mats = []
-    for g in a.group.elements():
-        m = la.zeros(a.rank + b.rank, a.rank + b.rank)
-        m[: a.rank, : a.rank] = a.rho[g]
-        m[a.rank :, a.rank :] = b.rho[g]
-        mats.append(m)
+    right, left = (0,) * b.rank, (0,) * a.rank
+    mats = [
+        tuple(row + right for row in ma) + tuple(left + row for row in mb)
+        for ma, mb in zip(a.rho, b.rho)
+    ]
     return ZGLattice(a.group, mats, validate=False)
 
 
 def permutation_lattice(x: GSet) -> ZGLattice:
-    """Free module on the points, rho(g) e_j = e_{g.j}."""
+    """Free module on the points, rho(g) e_j = e_{g.j}.
+
+    Row g.j of rho(g) is the unit row e_j, so every matrix is made of the
+    same x.size unit rows.
+    """
+    units = la.identity(x.size)
     mats = []
-    for g in x.group.elements():
-        m = la.zeros(x.size, x.size)
-        for j in x.points():
-            m[x.apply(g, j), j] = 1
-        mats.append(m)
+    for perm in x.action:
+        rows = [None] * x.size
+        for j, i in enumerate(perm):
+            rows[i] = units[j]
+        mats.append(tuple(rows))
     return ZGLattice(x.group, mats, validate=False)
 
 
@@ -185,12 +195,13 @@ def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeM
     for every group element g: raises NotStable when some rho(g) does not
     preserve the solution space.
     """
-    E = la.intmat(equations)
-    if E.shape[1] != m.rank:
+    # no equations: one zero row has the same solutions
+    E = la.int_rows(equations) or ((0,) * m.rank,)
+    if la.width(E) != m.rank:
         raise ValueError("equation width must match rank")
     K, W = la.saturated_kernel(E)
     group = m.group
-    rho = la.restricted_action(K, W, [m.rho[g] for g in group.elements()])
+    rho = la.restricted_action(K, W, m.rho)
     if rho is None:
         raise NotStable("action does not preserve the solution space")
     sub = ZGLattice(group, rho, validate=False)
@@ -198,12 +209,13 @@ def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeM
     return sub, incl
 
 
-def image_basis(f: LatticeMap) -> np.ndarray:
+def image_basis(f: LatticeMap) -> tuple:
     return la.column_space_basis(f.matrix)
 
 
-def kernel_sublattice(f: LatticeMap) -> np.ndarray:
-    return la.kernel_basis(f.matrix)
+def kernel_sublattice(f: LatticeMap) -> tuple:
+    # a map into the zero lattice has no rows; one zero row has its kernel
+    return la.kernel_basis(f.matrix or ((0,) * f.source.rank,))
 
 
 @dataclass(frozen=True)
@@ -247,13 +259,13 @@ def exactness_report(seq) -> ExactnessReport:
             raise NotComposable("maps do not compose")
     joints = []
     for f, g in zip(maps, maps[1:]):
-        comp_zero = la.is_zero(g.matrix @ f.matrix)
+        comp_zero = not any(map(any, la.matmul(g.matrix, f.matrix)))
         im = image_basis(f)
         ker = kernel_sublattice(g)  # saturated by construction
         sat_eq = la.lattice_eq(la.saturation(im), ker)
         int_eq = la.lattice_eq(im, ker)
         joints.append(JointReport(comp_zero, sat_eq, int_eq))
-    first_inj = la.kernel_basis(maps[0].matrix).shape[1] == 0
+    first_inj = la.width(kernel_sublattice(maps[0])) == 0
     last_im = image_basis(maps[-1])
     last_surj = la.lattice_eq(last_im, la.identity(maps[-1].target.rank))
     return ExactnessReport(tuple(joints), first_inj, last_surj)

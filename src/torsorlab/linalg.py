@@ -1,7 +1,14 @@
 """Exact integer matrix algebra: Smith normal form, kernels, lattice arithmetic.
 
-All matrices are numpy arrays with dtype=object so entries are unbounded
-Python ints; SNF intermediates blow up well past 64 bits even at modest rank.
+A matrix is a tuple of rows, each a tuple of Python ints, so entries are
+unbounded; SNF intermediates blow up well past 64 bits even at modest rank.
+A matrix with no rows is 0 x 0: for no equations on n unknowns, callers
+pass one zero row of length n, which has the same kernel.  int_rows is the
+one conversion from nested sequences; the functions that factor read their
+input through it, while matmul, coordinates and restricted_action, which
+only multiply, take rows as given.  The one exception to rows: the four
+SNFResult transforms are numpy object arrays, which the `lattice snf`
+report and the benchmark's tracer read; readers here take `tolist()` once.
 
 A kernel that saturated_kernel computes comes with its retraction, an
 integral left inverse W of the basis K, from the same SNF.  Solving against
@@ -12,39 +19,63 @@ the only candidate and K X == V decides, so no further SNF is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import index
 
 import numpy as np
 
 
-def intmat(rows) -> np.ndarray:
-    """Build a 2-d object-dtype integer matrix from nested sequences."""
-    a = np.array(rows, dtype=object)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
-    return a
+def int_rows(matrix) -> tuple:
+    """The matrix as a tuple of int tuples; ValueError unless it is a nested
+    sequence of integers with rows of equal length."""
+    return tuple(_rows(matrix, tuple))
 
 
-def zeros(m: int, n: int) -> np.ndarray:
-    a = np.empty((m, n), dtype=object)
-    a[:] = 0
-    return a
+def _rows(matrix, make) -> list:
+    # the rows, each made from its entries read through operator.index
+    try:
+        rows = [make(map(index, row)) for row in matrix]
+    except TypeError as e:
+        raise ValueError("a matrix is a sequence of equal-length rows of integers") from e
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("a matrix is a sequence of equal-length rows of integers")
+    return rows
 
 
-def identity(n: int) -> np.ndarray:
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
+def width(matrix) -> int:
+    """The number of columns; 0 for a matrix with no rows."""
+    return len(matrix[0]) if matrix else 0
 
 
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.equal(a, b).all())
+def identity(n: int) -> tuple:
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return a.size == 0 or bool(np.equal(a, 0).all())
+def transpose(matrix) -> tuple:
+    return tuple(zip(*matrix))
+
+
+def columns(matrix, start: int, stop: int | None = None) -> tuple:
+    """The columns start..stop-1 of the matrix."""
+    return tuple(tuple(row[start:stop]) for row in matrix)
+
+
+def stack(mats) -> tuple:
+    """The matrices one below the other."""
+    return tuple(chain.from_iterable(mats))
+
+
+def beside(mats) -> tuple:
+    """The matrices side by side; they have equally many rows."""
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*mats))
+
+
+def matmul(a, b) -> tuple:
+    """The product A B, over the nonzeros of the rows of A and of B."""
+    if a and width(a) != len(b):
+        raise ValueError("the inner dimensions of a product must agree")
+    return _dense(_times(_sparse(a), _sparse(b)), width(b))
 
 
 SNF_TRANSFORMS = ("left", "right", "left_inv", "right_inv")
@@ -55,8 +86,9 @@ class SNFResult:
     """left @ matrix @ right == diag(diagonal); transforms unimodular.
 
     left_inv and right_inv are the tracked inverses of the transforms;
-    they make column-space and solving computations cheap.  A transform
-    the caller did not ask `smith_normal_form` for is None.
+    they make column-space and solving computations cheap.  The transforms
+    are numpy object arrays; one the caller did not ask `smith_normal_form`
+    for is None.
     """
 
     diagonal: tuple
@@ -109,9 +141,8 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
     unknown = set(transforms) - set(SNF_TRANSFORMS)
     if unknown:
         raise ValueError(f"unknown transforms {sorted(unknown)}")
-    src = intmat(matrix)
-    m, n = src.shape
-    A = src.tolist()
+    A = _rows(matrix, list)
+    m, n = len(A), width(A)
 
     def track(name, size):
         return _identity_rows(size) if name in transforms else None
@@ -215,13 +246,13 @@ def rank(matrix) -> int:
     return smith_normal_form(matrix, transforms=()).rank
 
 
-def kernel_basis(matrix) -> np.ndarray:
+def kernel_basis(matrix) -> tuple:
     """Columns form a basis of {x : A x = 0}; the lattice is saturated."""
     s = smith_normal_form(matrix, transforms=("right",))
-    return s.right[:, s.rank :].copy()
+    return columns(s.right.tolist(), s.rank)
 
 
-def saturated_kernel(matrix) -> tuple[np.ndarray, np.ndarray]:
+def saturated_kernel(matrix) -> tuple[tuple, tuple]:
     """(K, W): the columns of K are a basis of {x : A x = 0}, and W K = I.
 
     One SNF L A R = D gives both (Cohen, GTM 138, §2.4): K is the last
@@ -230,16 +261,13 @@ def saturated_kernel(matrix) -> tuple[np.ndarray, np.ndarray]:
     and `coordinates(K, W, V)` solves K X = V without a further SNF.
     """
     s = smith_normal_form(matrix, transforms=("right", "right_inv"))
-    return s.right[:, s.rank :].copy(), s.right_inv[s.rank :, :].copy()
+    W = tuple(map(tuple, s.right_inv.tolist()[s.rank :]))
+    return columns(s.right.tolist(), s.rank), W
 
 
-def _sparse(a: np.ndarray) -> list:
-    # each row of a 2-d array as its nonzeros [(column, value), ...]
-    rows = [[] for _ in range(a.shape[0])]
-    i, j = np.nonzero(a != 0)
-    for r, c, v in zip(i.tolist(), j.tolist(), a[i, j].tolist()):
-        rows[r].append((c, v))
-    return rows
+def _sparse(matrix) -> list:
+    # each row as its nonzeros [(column, value), ...]
+    return [list(compress(enumerate(row), row)) for row in matrix]
 
 
 def _times(a, b) -> list:
@@ -261,126 +289,132 @@ def _times(a, b) -> list:
     return out
 
 
+def _dense(rows, n) -> tuple:
+    out = []
+    for nz in rows:
+        row = [0] * n
+        for c, v in nz:
+            row[c] = v
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _retract(K, W, V) -> list | None:
     # X = W V if K X == V, else None
     X = _times(W, V)
     return X if _times(K, X) == V else None
 
 
-def _dense(rows, m, n) -> np.ndarray:
-    out = zeros(m, n)
-    for i, nz in enumerate(rows):
-        for c, v in nz:
-            out[i, c] = v
-    return out
-
-
-def _basis_pair(basis, retraction):
-    K, W = intmat(basis), intmat(retraction)
-    if W.shape != K.shape[::-1]:
+def _check_pair(K, W):
+    # with no columns K has no retraction rows, and W is 0 x 0
+    if (len(W), width(W) if W else len(K)) != (width(K), len(K)):
         raise ValueError("the retraction must have the transposed shape of the basis")
-    return K, W
 
 
-def coordinates(basis, retraction, rhs) -> np.ndarray | None:
-    """The X with basis @ X == rhs, or None; retraction @ basis must be I.
+def coordinates(K, W, V) -> tuple | None:
+    """The X with K X == V, or None; W K must be I.  All three are
+    int-tuple rows, as saturated_kernel returns K and W.
 
     A left inverse W of K leaves X = W V as the only candidate, so
     multiplying and checking K X == V gives solve_int(K, V)'s answer, the
     unique one, from two products over the nonzeros of the rows instead of
     an SNF.
     """
-    K, W = _basis_pair(basis, retraction)
-    V = intmat(rhs)
-    if V.shape[0] != K.shape[0]:
+    _check_pair(K, W)
+    if len(V) != len(K):
         raise ValueError("rhs must have as many rows as the basis")
     X = _retract(_sparse(K), _sparse(W), _sparse(V))
-    return None if X is None else _dense(X, W.shape[0], V.shape[1])
+    return None if X is None else _dense(X, width(V))
 
 
-def restricted_action(basis, retraction, mats) -> list | None:
+def restricted_action(K, W, mats) -> list | None:
     """[W M K for M in mats], or None unless every M maps the column lattice
-    of K = basis into itself; retraction W is a left inverse of K.
+    of K into itself; W is a left inverse of K, and all are int-tuple rows.
 
     M K lies in that lattice exactly when K (W M K) == M K, so each matrix
     returned is the unique integer one with K X == M K, as coordinates
     gives it.
     """
-    K, W = _basis_pair(basis, retraction)
-    n, r = K.shape
-    mats = [np.asarray(M, dtype=object) for M in mats]
-    if any(M.shape != (n, n) for M in mats):
+    _check_pair(K, W)
+    n, r = len(K), width(K)
+    mats = tuple(mats)
+    if any(len(M) != n or width(M) != n for M in mats):
         raise ValueError("each matrix must be square of the basis's height")
-    k_rows = _sparse(K)
-    # V = [M_0 K | M_1 K | ...] side by side, so one retraction serves all
-    products = _times(_sparse(np.concatenate(mats)), k_rows)
-    V = [[] for _ in range(n)]
-    for g in range(len(mats)):
-        off = g * r
-        for row, nz in zip(V, products[g * n : (g + 1) * n]):
-            row.extend([(c + off, x) for c, x in nz])
-    X = _retract(k_rows, _sparse(W), V)
-    if X is None:
-        return None
-    X = _dense(X, r, r * len(mats))
-    return [X[:, g * r : (g + 1) * r] for g in range(len(mats))]
+    k_rows, w_rows = _sparse(K), _sparse(W)
+    # each distinct row of the M (of a permutation matrix: a unit row) is
+    # multiplied by K once
+    distinct = dict.fromkeys(chain.from_iterable(mats))
+    product = dict(zip(distinct, _times(_sparse(distinct), k_rows)))
+    out = []
+    for M in mats:
+        X = _retract(k_rows, w_rows, [product[row] for row in M])
+        if X is None:
+            return None
+        out.append(_dense(X, r))
+    return out
 
 
-def solve_int(matrix, rhs) -> np.ndarray | None:
-    """One integer solution X of A X = B, or None. B may be a matrix."""
-    A = intmat(matrix)
-    B = intmat(rhs)
-    s = smith_normal_form(A, transforms=("left", "right"))
-    n = A.shape[1]
-    X = zeros(n, B.shape[1])
-    for i, row in enumerate((s.left @ B).tolist()):
+def _quotient(s: SNFResult, B) -> list | None:
+    # Y = D^-1 L B as sparse rows, one per nonzero d_i, for the SNF
+    # L A R = D in s; None unless L B is divisible row by row, and zero past
+    # the rank, which is when A X = B has an integer solution (X = R Y)
+    if len(B) != len(s.left):
+        raise ValueError("rhs must have as many rows as the matrix")
+    Y = []
+    for i, nz in enumerate(_times(_sparse(s.left.tolist()), _sparse(B))):
         d = s.diagonal[i] if i < len(s.diagonal) else 0
         if d == 0:
-            if any(row):
+            if nz:
                 return None
-        elif any(v % d for v in row):
+        elif any(v % d for _, v in nz):
             return None
         else:
-            X[i, :] = [v // d for v in row]
-    return s.right @ X
+            Y.append([(c, v // d) for c, v in nz])
+    return Y
 
 
-def column_space_basis(matrix) -> np.ndarray:
+def solve_int(matrix, rhs) -> tuple | None:
+    """One integer solution X of A X = B, or None. B may be a matrix."""
+    B = int_rows(rhs)
+    s = smith_normal_form(matrix, transforms=("left", "right"))
+    Y = _quotient(s, B)
+    if Y is None:
+        return None
+    Y += [[]] * (len(s.right) - len(Y))
+    return _dense(_times(_sparse(s.right.tolist()), Y), width(B))
+
+
+def column_space_basis(matrix) -> tuple:
     """Basis (as columns) of the lattice spanned by the columns of A."""
-    A = intmat(matrix)
-    s = smith_normal_form(A, transforms=("left_inv",))
-    r = s.rank
-    cols = []
-    for i in range(r):
-        cols.append(s.left_inv[:, i] * s.diagonal[i])
-    if not cols:
-        return zeros(A.shape[0], 0)
-    return np.stack(cols, axis=1)
+    s = smith_normal_form(matrix, transforms=("left_inv",))
+    d = s.diagonal[: s.rank]
+    return tuple(
+        tuple(v * di for v, di in zip(row, d)) for row in s.left_inv.tolist()
+    )
 
 
-def lattice_contains(basis: np.ndarray, vectors) -> bool:
+def lattice_contains(basis, vectors) -> bool:
     """Do all columns of `vectors` lie in the column lattice of `basis`?"""
-    V = intmat(vectors)
-    if V.ndim == 1:
-        V = V.reshape(-1, 1)
-    if V.shape[1] == 0:
+    V = int_rows(vectors)
+    if not width(V):
         return True
-    if basis.shape[1] == 0:
-        return is_zero(V)
-    return solve_int(basis, V) is not None
+    if not width(basis):
+        return not any(map(any, V))
+    # solvable is all solve_int would say: no need to track R
+    return _quotient(smith_normal_form(basis, transforms=("left",)), V) is not None
 
 
-def lattice_eq(b1: np.ndarray, b2: np.ndarray) -> bool:
+def lattice_eq(b1, b2) -> bool:
     return lattice_contains(b1, b2) and lattice_contains(b2, b1)
 
 
-def lattice_index(big: np.ndarray, small: np.ndarray):
+def lattice_index(big, small):
     """Index [big : small] for sublattices of equal rank, else None."""
     X = solve_int(big, small)
     if X is None:
         return None
     s = smith_normal_form(X, transforms=())
-    if s.rank < big.shape[1] or big.shape[1] != small.shape[1]:
+    if s.rank < width(big) or width(big) != width(small):
         return None
     idx = 1
     for d in s.diagonal:
@@ -388,18 +422,19 @@ def lattice_index(big: np.ndarray, small: np.ndarray):
     return abs(idx) if idx else None
 
 
-def saturation(basis: np.ndarray) -> np.ndarray:
+def saturation(basis) -> tuple:
     """Basis of (ℚ-span of the columns) ∩ ℤ^m."""
-    B = intmat(basis)
-    if B.shape[1] == 0:
-        return B.copy()
-    K = kernel_basis(B.T)  # columns y with B^T y = 0
-    return kernel_basis(K.T)
+    B = int_rows(basis)
+    if not width(B):
+        return B
+    K = kernel_basis(transpose(B))  # columns y with B^T y = 0
+    # no such y: the span is all of ℚ^m, whose zero row has kernel ℤ^m
+    return kernel_basis(transpose(K) or ((0,) * len(B),))
 
 
 def bareiss_det(matrix):
     """Fraction-free determinant; independent of the SNF path."""
-    A = [list(map(int, row)) for row in intmat(matrix)]
+    A = _rows(matrix, list)
     n = len(A)
     if n == 0:
         return 1
@@ -424,8 +459,8 @@ def bareiss_det(matrix):
 
 
 def is_unimodular(matrix) -> bool:
-    A = intmat(matrix)
-    return A.shape[0] == A.shape[1] and abs(bareiss_det(A)) == 1
+    A = int_rows(matrix)
+    return len(A) == width(A) and abs(bareiss_det(A)) == 1
 
 
 @dataclass(frozen=True)
@@ -466,12 +501,10 @@ class FgAbelian:
             out = [t + (k,) for t in out for k in range(d)]
         return out
 
-    def relation_matrix(self) -> np.ndarray:
-        n = self.ngens
-        a = zeros(n, n)
-        for i, d in enumerate(self.relations):
-            a[i, i] = d
-        return a
+    def relation_matrix(self) -> tuple:
+        rel = self.relations
+        return tuple(tuple(d if i == j else 0 for j in range(len(rel)))
+                     for i, d in enumerate(rel))
 
 
 def cokernel_invariants(matrix, ambient_rank: int | None = None) -> tuple:
@@ -479,9 +512,8 @@ def cokernel_invariants(matrix, ambient_rank: int | None = None) -> tuple:
 
     Trailing zeros mark free factors.
     """
-    A = intmat(matrix)
-    m = A.shape[0] if ambient_rank is None else ambient_rank
-    s = smith_normal_form(A, transforms=())
+    s = smith_normal_form(matrix, transforms=())
+    m = len(int_rows(matrix)) if ambient_rank is None else ambient_rank
     divs = [d for d in s.diagonal if d not in (0, 1)]
     free = m - s.rank
     return tuple(divs) + (0,) * free

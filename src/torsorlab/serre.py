@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from . import SBAR_CONDITION
 from . import linalg as la
 from . import numtheory as nt
@@ -76,42 +74,41 @@ class CMGaloisDatum:
 
 
 def _left_regular(group: FiniteGroup) -> ZGLattice:
-    mats = []
-    for t in group.elements():
-        m = la.zeros(group.order, group.order)
-        for s in group.elements():
-            m[group.mul(t, s), s] = 1
-        mats.append(m)
-    return ZGLattice(group, mats, validate=False)
+    # t e_s = e_(t s)
+    return permutation_lattice(GSet(group, group.rows, validate=False))
 
 
 def _right_regular(group: FiniteGroup) -> ZGLattice:
-    mats = []
-    for t in group.elements():
-        ti = group.inv(t)
-        m = la.zeros(group.order, group.order)
-        for s in group.elements():
-            m[group.mul(s, ti), s] = 1
-        mats.append(m)
-    return ZGLattice(group, mats, validate=False)
+    # t e_s = e_(s t^-1)
+    rows, inverses = group.rows, group.inverses
+    action = [[rows[s][inverses[t]] for s in group.elements()] for t in group.elements()]
+    return permutation_lattice(GSet(group, action, validate=False))
 
 
-def _pair_equations(d: CMGaloisDatum, with_constant: bool) -> np.ndarray:
+def _pair_equations(d: CMGaloisDatum, with_constant: bool) -> tuple:
     g = d.group
     n = g.order
     width = n + 1 if with_constant else n
-    rows = la.zeros(n, width)
+    rows = [[0] * width for _ in range(n)]
     for s in g.elements():
-        rows[s, s] += 1
-        rows[s, g.mul(d.iota, s)] += 1
+        rows[s][s] += 1
+        rows[s][g.mul(d.iota, s)] += 1
         if with_constant:
-            rows[s, n] = -1
+            rows[s][n] = -1
+    return la.int_rows(rows)
+
+
+def _fibre_sums(coset_index, width: int, cosets: int) -> list:
+    """The cosets x width matrix summing each coset's coordinates."""
+    rows = [[0] * width for _ in range(cosets)]
+    for s, c in enumerate(coset_index):
+        rows[c][s] += 1
     return rows
 
 
 def _coordinates(inclusion: LatticeMap, vectors):
     """Coordinates of the vectors (ambient rows) in the sublattice, or None."""
-    V = la.intmat(vectors).T
+    V = la.transpose(vectors)
     return la.coordinates(inclusion.matrix, inclusion.retraction, V)
 
 
@@ -178,11 +175,9 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     sigma_f, coset_index, _ = _coset_restriction(d)
     f_lat = permutation_lattice(sigma_f)
     # with the constants axis: (m, c) -> (sum over the fibre) - c
-    eta = la.zeros(f_lat.rank, n + 1)
-    for s in g.elements():
-        eta[coset_index[s], s] += 1
-    for rho in range(f_lat.rank):
-        eta[rho, n] = -1
+    eta = _fibre_sums(coset_index, n + 1, f_lat.rank)
+    for row in eta:
+        row[n] = -1
     eta_map = LatticeMap(data.ambient, f_lat, eta)
     seq1 = [
         zero_map(zero_lattice(g), data.xs),
@@ -192,10 +187,7 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     ]
     rep1 = exactness_report(seq1)
     # plain restriction
-    res = la.zeros(f_lat.rank, n)
-    for s in g.elements():
-        res[coset_index[s], s] += 1
-    res_map = LatticeMap(data.regular, f_lat, res)
+    res_map = LatticeMap(data.regular, f_lat, _fibre_sums(coset_index, n, f_lat.rank))
     seq2 = [
         zero_map(zero_lattice(g), data.xsbar),
         data.xsbar_inclusion,
@@ -241,24 +233,16 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     sigma_f, coset_index, reps = _coset_restriction(d)
     m = sigma_f.size
     # right translation descends to cosets because the subgroup is central
-    right_cosets = []
-    for t in g.elements():
-        ti = g.inv(t)
-        mat = la.zeros(m, m)
-        for c in range(m):
-            mat[coset_index[g.mul(reps[c], ti)], c] = 1
-        right_cosets.append(mat)
-    f_right = ZGLattice(g, right_cosets)
+    right_cosets = [
+        [coset_index[g.mul(reps[c], g.inv(t))] for c in range(m)] for t in g.elements()
+    ]
+    f_right = permutation_lattice(GSet(g, right_cosets))
 
     selfn = trivial_gamma_group(g, g)
     taut = CrossedHom(g, selfn, tuple(g.elements()))
-    left_mats = [_left_regular(g).rho[x] for x in g.elements()]
-    left_coset_mats = []
-    for x in g.elements():
-        mat = la.zeros(m, m)
-        for c in range(m):
-            mat[coset_index[g.mul(x, reps[c])], c] = 1
-        left_coset_mats.append(mat)
+    left_mats = _left_regular(g).rho
+    # left translation of cosets: the action of sigma_f
+    left_coset_mats = permutation_lattice(sigma_f).rho
     left_sub_mats = la.restricted_action(
         xsbar_r_inc.matrix, xsbar_r_inc.retraction, left_mats
     )
@@ -276,13 +260,10 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     for t in g.elements():
         row = [coset_index[g.conj(t, reps[c])] for c in range(m)]
         coset_conj.append(row)
-    quot_ok = tw_quotient == permutation_lattice(GSet(g, np.array(coset_conj)))
+    quot_ok = tw_quotient == permutation_lattice(GSet(g, coset_conj))
 
     sub_inc = LatticeMap(tw_sub, tw_middle, xsbar_r_inc.matrix)
-    res = la.zeros(m, n)
-    for s in g.elements():
-        res[coset_index[s], s] += 1
-    res_map = LatticeMap(tw_middle, tw_quotient, res)
+    res_map = LatticeMap(tw_middle, tw_quotient, _fibre_sums(coset_index, n, m))
     rep = exactness_report(
         [
             zero_map(zero_lattice(g), tw_sub),
@@ -292,7 +273,7 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
         ]
     )
     action_trivial = g.is_abelian() and all(
-        la.mat_eq(tw_middle.rho[t], la.identity(n)) for t in g.elements()
+        rho == la.identity(n) for rho in tw_middle.rho
     )
     return TwistedSequence(
         d,
@@ -350,13 +331,9 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
     first_map_iso = True
     for cls in classes:
         # the class inside the factor, acted on through the projection
-        proj_action = np.array(
-            [
-                [cls.index(f_group.conj(t % nF, x)) for x in cls]
-                for t in G.elements()
-            ],
-            dtype=np.int64,
-        )
+        proj_action = [
+            [cls.index(f_group.conj(t % nF, x)) for x in cls] for t in G.elements()
+        ]
         c_set = GSet(G, proj_action)
         c1 = sub_gset(conj_g, cls)  # {(tau, 1)} has the factor's indices
         c_iota = sub_gset(conj_g, tuple(x + nF for x in cls))
@@ -365,9 +342,7 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
             class_iso_ok = False
         else:
             # first map of the decomposition at lattice level, per block
-            mat = la.zeros(len(cls), len(cls))
-            for j in range(len(cls)):
-                mat[bij[j], j] = 1
+            mat = [[int(bij[j] == i) for j in range(len(cls))] for i in range(len(cls))]
             block_map = LatticeMap(
                 permutation_lattice(c_set), permutation_lattice(c1), mat
             )
@@ -378,9 +353,7 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
         )
 
     # the projection of the twisted sub onto the {(tau, 1)} coordinates
-    proj = la.zeros(nF, 2 * nF)
-    for i in range(nF):
-        proj[i, i] = 1
+    proj = la.beside([la.identity(nF), ((0,) * nF,) * nF])
     block_points = sub_gset(conj_g, tuple(range(nF)))
     block_lattice = permutation_lattice(block_points)
     proj_map = LatticeMap(tw.middle, block_lattice, proj)
@@ -389,10 +362,9 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
 
     # cross-check: each class, as an F-set, is the centralizer coset space
     for cls, blk in zip(classes, blocks):
-        f_action = np.array(
-            [[cls.index(f_group.conj(t, x)) for x in cls] for t in f_group.elements()],
-            dtype=np.int64,
-        )
+        f_action = [
+            [cls.index(f_group.conj(t, x)) for x in cls] for t in f_group.elements()
+        ]
         as_f_set = GSet(f_group, f_action)
         if gset_iso(as_f_set, coset_gset(f_group, blk.centralizer)) is None:
             class_iso_ok = False
@@ -456,10 +428,9 @@ def scenario_report(kind: str, **params) -> dict:
         conj_small = conjugation_twist(g1)
         n1 = g1.order
         # section x -> (x, 1) and the projection, both equivariant over G
-        proj_action = np.array(
-            [[g1.conj(t % n1, x) for x in g1.elements()] for t in G.elements()],
-            dtype=np.int64,
-        )
+        proj_action = [
+            [g1.conj(t % n1, x) for x in g1.elements()] for t in G.elements()
+        ]
         small_as_G = GSet(G, proj_action)
         section = tuple(x for x in g1.elements())  # point x -> point (x,1)
         section_ok = all(
@@ -470,12 +441,8 @@ def scenario_report(kind: str, **params) -> dict:
         # lattice-level split: proj o section = identity
         big_lat = permutation_lattice(conj_big)
         small_lat = permutation_lattice(small_as_G)
-        sec = la.zeros(G.order, n1)
-        for x in g1.elements():
-            sec[section[x], x] = 1
-        prj = la.zeros(n1, G.order)
-        for y in G.elements():
-            prj[y % n1, y] = 1
+        sec = [[int(section[x] == y) for x in g1.elements()] for y in G.elements()]
+        prj = [[int(y % n1 == x) for y in G.elements()] for x in g1.elements()]
         sec_map = LatticeMap(small_lat, big_lat, sec)
         prj_map = LatticeMap(big_lat, small_lat, prj)
         split = prj_map.compose(sec_map)
@@ -484,7 +451,7 @@ def scenario_report(kind: str, **params) -> dict:
             "factor_classes": len(conjugacy_classes(g1)),
             "direct_factor_verified": section_ok
             and is_equivariant_iso(split)
-            and la.mat_eq(split.matrix, la.identity(n1)),
+            and split.matrix == la.identity(n1),
         }
     if kind == "heisenberg":
         l = params["l"]
@@ -545,7 +512,7 @@ def _type_report(data: SerreData, phi: tuple) -> CMTypeBasisReport:
     if in_lattice:
         s = la.smith_normal_form(X, transforms=())
         is_basis = (
-            X.shape == (data.xs.rank, data.xs.rank)
+            len(X) == la.width(X) == data.xs.rank
             and s.rank == data.xs.rank
             and all(dd == 1 for dd in s.diagonal)
         )

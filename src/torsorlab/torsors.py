@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .cohomology import (
     BudgetExceeded,
     CrossedHom,
@@ -25,6 +23,7 @@ from .cohomology import (
 )
 from .groups import FiniteGroup, GroupHom, generating_set
 from .gsets import GSet
+from .linalg import int_rows
 
 
 class IncompatibleActions(ValueError):
@@ -52,11 +51,10 @@ class TorsorRep:
         """Galois action on the set model (points = structure group elements)."""
         n = self.structure
         und = n.underlying
-        action = np.empty((n.gamma.order, und.order), dtype=np.int64)
-        for t in n.gamma.elements():
-            c = self.cocycle(t)
-            for a in und.elements():
-                action[t, a] = und.mul(c, n.act(t, a))
+        action = [
+            [und.mul(self.cocycle(t), n.act(t, a)) for a in und.elements()]
+            for t in n.gamma.elements()
+        ]
         return GSet(n.gamma, action)
 
 
@@ -70,32 +68,28 @@ class EquivariantASet:
     def __init__(self, structure: GammaGroup, a_action, gamma_action,
                  validate: bool = True):
         self.structure = structure
-        self.a_action = np.asarray(a_action, dtype=np.int64)
-        self.gamma_action = np.asarray(gamma_action, dtype=np.int64)
-        self.size = int(self.a_action.shape[1])
+        self.a_action = int_rows(a_action)
+        self.gamma_action = int_rows(gamma_action)
+        self.size = len(self.a_action[0])
         if validate:
             self._validate()
 
     def _validate(self):
         A, G = self.structure.underlying, self.structure.gamma
-        if self.a_action.shape != (A.order, self.size):
+        if len(self.a_action) != A.order:
             raise IncompatibleActions("A-action shape mismatch")
-        if self.gamma_action.shape != (G.order, self.size):
+        if len(self.gamma_action) != G.order or len(self.gamma_action[0]) != self.size:
             raise IncompatibleActions("Gamma-action shape mismatch")
         GSet(A, self.a_action)  # left action axioms
         GSet(G, self.gamma_action)
         # compatibility: t . (a . x) = (t . a) . (t . x)
-        for t in G.elements():
-            for a in A.elements():
-                for x in range(self.size):
-                    lhs = self.gamma_action[t, self.a_action[a, x]]
-                    rhs = self.a_action[
-                        self.structure.act(t, a), self.gamma_action[t, x]
-                    ]
-                    if lhs != rhs:
-                        raise IncompatibleActions(
-                            "Gamma does not act on the A-set equivariantly"
-                        )
+        for t, gt in enumerate(self.gamma_action):
+            for a, ax in enumerate(self.a_action):
+                tax = self.a_action[self.structure.act(t, a)]
+                if any(gt[y] != tax[gx] for y, gx in zip(ax, gt)):
+                    raise IncompatibleActions(
+                        "Gamma does not act on the A-set equivariantly"
+                    )
 
 
 def left_translation_aset(structure: GammaGroup) -> EquivariantASet:
@@ -107,20 +101,14 @@ def left_translation_aset(structure: GammaGroup) -> EquivariantASet:
 def conjugation_aset(structure: GammaGroup) -> EquivariantASet:
     """A acting on itself by inner automorphisms."""
     und = structure.underlying
-    a_action = np.empty((und.order, und.order), dtype=np.int64)
-    for a in und.elements():
-        for x in und.elements():
-            a_action[a, x] = und.conj(a, x)
+    a_action = [[und.conj(a, x) for x in und.elements()] for a in und.elements()]
     return EquivariantASet(structure, a_action, structure.action)
 
 
 def pushforward_aset(v: GroupHom, target: GammaGroup, source: GammaGroup) -> EquivariantASet:
     """Target group as an A-set via a . b = v(a) b, for extension of structure."""
     B = target.underlying
-    a_action = np.empty((source.underlying.order, B.order), dtype=np.int64)
-    for a in source.underlying.elements():
-        for b in B.elements():
-            a_action[a, b] = B.mul(v(a), b)
+    a_action = [B.rows[v(a)] for a in source.underlying.elements()]
     return EquivariantASet(source, a_action, target.action)
 
 
@@ -130,11 +118,10 @@ def contracted_product(p: TorsorRep, x: EquivariantASet) -> GSet:
     if x.structure != p.structure:
         raise IncompatibleActions("torsor and A-set have different structures")
     n = p.structure
-    action = np.empty((n.gamma.order, x.size), dtype=np.int64)
-    for t in n.gamma.elements():
-        c = p.cocycle(t)
-        for pt in range(x.size):
-            action[t, pt] = x.a_action[c, x.gamma_action[t, pt]]
+    action = [
+        [x.a_action[p.cocycle(t)][y] for y in x.gamma_action[t]]
+        for t in n.gamma.elements()
+    ]
     out = GSet(n.gamma, action)  # validation doubles as well-definedness
     return out
 

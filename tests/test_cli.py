@@ -163,6 +163,32 @@ def test_lattice_exact_and_iso(fixtures, capsys, tmp_path):
     assert code == 0 and rep["evidence"]["is_isomorphism"]
 
 
+SIGN = {"rank": 1, "group": "c2.json", "rho": {"1": [[-1]]}}
+
+
+@pytest.mark.parametrize("command,document", [
+    (("lattice", "exact"), {"lattices": [SIGN, SIGN], "maps": [[["a"]]]}),
+    (("lattice", "exact"), {"lattices": [SIGN, SIGN], "maps": [[[1]], [[1]]]}),
+    (("lattice", "exact"), {"lattices": [SIGN, SIGN]}),
+    (("lattice", "iso"), {"source": SIGN, "target": SIGN}),
+    (("lattice", "iso"), {"source": SIGN, "target": SIGN, "matrix": [["x"]]}),
+    (("cohomology", "h1"), dict(SIGN, rho={"1": [["a"]]})),
+    (("cohomology", "h1"), dict(SIGN, rho={"5": [[-1]]})),
+    (("cohomology", "h1"), dict(SIGN, rho={"1": [[True]]})),
+], ids=["map-entry", "extra-map", "no-maps", "no-matrix", "matrix-entry",
+        "rho-entry", "rho-key", "rho-bool"])
+def test_malformed_lattice_json_exits_3(command, document, tmp_path, capsys):
+    # a matrix entry that is no integer, a missing field, a map too many, a
+    # rho key that is no group element: exit 3 with a message, no traceback
+    (tmp_path / "c2.json").write_text(json.dumps(jsonio.group_to_json(gr.cyclic_group(2))))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    flag = "--module" if command[0] == "cohomology" else "--in"
+    assert cli.main([*command, flag, str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
 def test_cohomology_h1(fixtures, capsys):
     code, rep = run_cli(
         capsys, ["cohomology", "h1", "--module", str(fixtures["lattice"])]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_generators_alone_need_no_presentation(monkeypatch):
     co.CrossedHom.from_generators(s3, co.trivial_gamma_group(s3, c2),
                                   dict.fromkeys(gr.generating_set(s3), 0))
     lt.permutation_lattice(gs.coset_gset(s3, (0,)))
-    co.FiniteModule(c2, (4,), [la.identity(1), la.intmat([[-1]])])
+    co.FiniteModule(c2, (4,), [la.identity(1), la.int_rows([[-1]])])
     assert c2._presentation is None and s3._presentation is None
 
 
@@ -454,3 +455,46 @@ def test_all_homs_matches_brute_force():
         assert set(maps) == _brute_homs(src, tgt), (src, tgt)
         for h in homs:
             gr.GroupHom(src, tgt, h.map)  # validates multiplicativity
+
+
+def _random_loop(n, rng):
+    """A random n x n Latin square with 0 as two-sided identity."""
+    t = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        options = [v for v in range(n) if v not in t[i] and all(r[j] != v for r in t)]
+        rng.shuffle(options)
+        for v in options:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    fill(0)
+    return t
+
+
+def test_associativity_check_agrees_with_brute_force_on_loops():
+    # FiniteGroup checks (x*s)*y == x*(s*y) for s in a generating set only
+    # (Light's test); on random loops it must accept exactly the groups
+    rng = random.Random(5)
+    accepted = rejected = 0
+    for n in (4, 5, 6, 7):
+        for _ in range(60):
+            t = _random_loop(n, rng)
+            brute = all(t[t[x][y]][z] == t[x][t[y][z]]
+                        for x in range(n) for y in range(n) for z in range(n))
+            try:
+                gr.FiniteGroup(t)
+                ok = True
+            except gr.InvalidGroup:
+                ok = False
+            assert ok == brute, t
+            accepted += ok
+            rejected += not ok
+    assert accepted > 30 and rejected > 100

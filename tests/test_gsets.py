@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from torsorlab import catalog
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 
@@ -178,3 +180,26 @@ def test_orbits_reject_a_table_that_is_no_action():
     x = gs.GSet(c3, np.array([[0, 1, 2], [1, 0, 2], [0, 1, 2]]), validate=False)
     with pytest.raises(gs.InvalidAction):
         gs.orbits(x)
+
+
+def test_generator_check_refutes_every_single_entry_change():
+    """GSet checks action[s*h] == action[s] o action[h] only for s in
+    generating_set: a changed entry in the row of any non-identity element of
+    a coset action must still be caught.  The one-point action of H = G has
+    no other in-range table, so it is left out."""
+    rng = random.Random(0)
+    checked = 0
+    for _, g in catalog.group_catalog(24):
+        for h in gr.all_subgroups(g):
+            x = gs.coset_gset(g, h)
+            m = x.size
+            if m == 1:
+                continue
+            for t in range(1, g.order):
+                table = [list(row) for row in x.action]
+                i = rng.randrange(m)
+                table[t][i] = (table[t][i] + rng.randrange(1, m)) % m
+                with pytest.raises(gs.InvalidAction):
+                    gs.GSet(g, table)
+                checked += 1
+    assert checked > 5000

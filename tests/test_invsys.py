@@ -23,7 +23,7 @@ def test_truncate_constant_endo():
     levels = iv.truncate(rec, 3)
     assert len(levels) == 4
     assert all(m.relations == (0,) for m, _ in levels)
-    assert all(mat[0, 0] == 2 for _, mat in levels)
+    assert all(mat == ((2,),) for _, mat in levels)
 
 
 def test_truncate_norm_tower_not_materializable():

@@ -5,20 +5,21 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
+from test_cohomology import _np
 from test_linalg import _same
 
 
 def sign_lattice(c2):
-    return lt.ZGLattice(c2, [la.intmat([[1]]), la.intmat([[-1]])])
+    return lt.ZGLattice(c2, [la.int_rows([[1]]), la.int_rows([[-1]])])
 
 
 def test_zglattice_validation():
     c2 = gr.cyclic_group(2)
     sign_lattice(c2)  # valid
     with pytest.raises(ValueError):
-        lt.ZGLattice(c2, [la.intmat([[1]]), la.intmat([[2]])])  # 2 not unimodular here
+        lt.ZGLattice(c2, [la.int_rows([[1]]), la.int_rows([[2]])])  # 2 not unimodular here
     with pytest.raises(ValueError):
-        lt.ZGLattice(c2, [la.intmat([[-1]]), la.intmat([[-1]])])  # identity wrong
+        lt.ZGLattice(c2, [la.int_rows([[-1]]), la.int_rows([[-1]])])  # identity wrong
 
 
 def test_permutation_lattice_and_fixed_rank():
@@ -27,16 +28,16 @@ def test_permutation_lattice_and_fixed_rank():
     assert m.rank == 6
     # fixed sublattice rank = number of orbits (Burnside cross-check)
     stack = np.concatenate(
-        [m.rho[g] - la.identity(6) for g in s3.elements()], axis=0
+        [_np(m.rho[g]) - _np(la.identity(6)) for g in s3.elements()], axis=0
     )
-    fixed_rank = la.kernel_basis(stack).shape[1]
+    fixed_rank = la.width(la.kernel_basis(stack.tolist()))
     assert fixed_rank == len(gr.conjugacy_classes(s3)) == 3
     # regular C2 lattice is the swap
     c2 = gr.cyclic_group(2)
     reg = lt.permutation_lattice(gs.regular_gset(c2))
-    assert la.mat_eq(reg.rho[1], la.intmat([[0, 1], [1, 0]]))
+    assert reg.rho[1] == ((0, 1), (1, 0))
     one = lt.permutation_lattice(gs.trivial_gset(c2, 1))
-    assert one.rank == 1 and la.mat_eq(one.rho[1], la.identity(1))
+    assert one.rank == 1 and one.rho[1] == la.identity(1)
 
 
 def test_fixed_rank_counts_orbits():
@@ -53,9 +54,9 @@ def test_fixed_rank_counts_orbits():
     for x in cases:
         m = lt.permutation_lattice(x)
         stack = np.concatenate(
-            [m.rho[g] - la.identity(m.rank) for g in x.group.elements()], axis=0
+            [_np(m.rho[g]) - _np(la.identity(m.rank)) for g in x.group.elements()], axis=0
         )
-        fixed_rank = la.kernel_basis(stack).shape[1]
+        fixed_rank = la.width(la.kernel_basis(stack.tolist()))
         assert fixed_rank == len(gs.orbits(x).orbits)
 
 
@@ -72,10 +73,12 @@ def test_equivariant_sublattice_antisymmetric_line():
     # n + (swap n) = 0
     sub, incl = lt.equivariant_sublattice(reg, [[1, 1]])
     assert sub.rank == 1
-    v = incl.matrix[:, 0]
-    assert sorted([int(v[0]), int(v[1])]) == [-1, 1]
-    # no conditions: everything
-    whole, i2 = lt.equivariant_sublattice(reg, la.zeros(0, 2))
+    v = [row[0] for row in incl.matrix]
+    assert sorted(v) == [-1, 1]
+    # no conditions: everything, whether as no rows or as one zero row
+    whole, i2 = lt.equivariant_sublattice(reg, ())
+    assert whole.rank == 2 and lt.is_equivariant_iso(i2)
+    whole, i2 = lt.equivariant_sublattice(reg, [[0, 0]])
     assert whole.rank == 2 and lt.is_equivariant_iso(i2)
     # v = 0: rank 0
     zero, _ = lt.equivariant_sublattice(reg, la.identity(2))
@@ -94,19 +97,19 @@ def test_equivariant_sublattice_checks_every_element():
     # not at g = 2, which maps (1, 1) to (1, -1)
     c4 = gr.cyclic_group(4)
     assert 2 not in gr.generating_set(c4)
-    flip = la.intmat([[1, 0], [0, -1]])
+    flip = ((1, 0), (0, -1))
     m = lt.ZGLattice(c4, [la.identity(2), la.identity(2), flip, la.identity(2)],
                      validate=False)
     E = [[1, -1]]
     K = la.kernel_basis(E)
     for s in gr.generating_set(c4):
-        assert la.is_zero(la.intmat(E) @ m.rho[s] @ K)
+        assert la.matmul(la.matmul(E, m.rho[s]), K) == ((0,),)
     with pytest.raises(lt.NotStable):
         lt.equivariant_sublattice(m, E)
     # with the identity at every element the line is stable
     ok = lt.ZGLattice(c4, [la.identity(2)] * 4, validate=False)
     sub, incl = lt.equivariant_sublattice(ok, E)
-    assert sub.rank == 1 and la.mat_eq(incl.retraction @ incl.matrix, la.identity(1))
+    assert sub.rank == 1 and la.matmul(incl.retraction, incl.matrix) == la.identity(1)
 
 
 def test_restricted_action_rejects_mismatched_shapes():
@@ -186,17 +189,17 @@ def test_direct_sum():
     c2 = gr.cyclic_group(2)
     m = lt.direct_sum(sign_lattice(c2), lt.trivial_lattice(c2, 1))
     assert m.rank == 2
-    assert la.mat_eq(m.rho[1], la.intmat([[-1, 0], [0, 1]]))
+    assert m.rho[1] == ((-1, 0), (0, 1))
 
 
 def _reference_restriction(K, mats):
     """The restriction before kernels carried their retraction: one solve_int
     of K against every rho(g) K side by side, split into r-column blocks."""
-    r = K.shape[1]
-    X = la.solve_int(K, np.concatenate([M @ K for M in mats], axis=1))
+    r = la.width(K)
+    X = la.solve_int(K, np.concatenate([_np(M) @ _np(K) for M in mats], axis=1).tolist())
     if X is None:
         return None
-    return [X[:, i * r : (i + 1) * r] for i in range(len(mats))]
+    return [la.columns(X, i * r, (i + 1) * r) for i in range(len(mats))]
 
 
 def test_equivariant_sublattice_on_serre_lattices():
@@ -218,12 +221,12 @@ def test_equivariant_sublattice_on_serre_lattices():
             ):
                 sub, incl = lt.equivariant_sublattice(m, eqs)
                 K, W = incl.matrix, incl.retraction
-                assert len(sub.rho) == g.order and sub.rank == K.shape[1]
-                assert la.mat_eq(W @ K, la.identity(sub.rank))
+                assert len(sub.rho) == g.order and sub.rank == la.width(K)
+                assert la.matmul(W, K) == la.identity(sub.rank)
                 ref = _reference_restriction(K, m.rho)
                 assert all(_same(a, b) for a, b in zip(sub.rho, ref))
                 for x in g.elements():
-                    assert la.mat_eq(K @ sub.rho[x], m.rho[x] @ K)
+                    assert la.matmul(K, sub.rho[x]) == la.matmul(m.rho[x], K)
                 lt.ZGLattice(g, sub.rho)  # identity and multiplicativity
                 checked += 1
             # twist_serre's left translations on the right lattice's sublattice

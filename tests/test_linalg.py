@@ -9,7 +9,11 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torsorlab import groups as gr
 from torsorlab import linalg as la
-from test_cohomology import _reference_tree_constraints, constraint_cases
+from test_cohomology import _np, _reference_tree_constraints, constraint_cases
+
+
+def _np_identity(n: int) -> np.ndarray:
+    return _np(la.identity(n))
 
 
 def _reference_pivot(M, t):
@@ -33,10 +37,10 @@ def _reference_snf(matrix):
     Kept as the oracle of `la.smith_normal_form`, which must take the same
     pivots and operations and so return equal arrays.
     """
-    A = la.intmat(matrix).copy()
+    A = _np(matrix)
     m, n = A.shape
-    L, Li = la.identity(m), la.identity(m)
-    R, Ri = la.identity(n), la.identity(n)
+    L, Li = _np_identity(m), _np_identity(m)
+    R, Ri = _np_identity(n), _np_identity(n)
 
     def row_op(i, j, q):
         A[i, :] -= q * A[j, :]
@@ -111,14 +115,14 @@ def _reference_snf(matrix):
 
 def check_snf(A):
     s = la.smith_normal_form(A)
-    A = la.intmat(A)
+    A = _np(la.int_rows(A))
     m, n = A.shape
-    D = la.zeros(m, n)
+    D = _np([[0] * n for _ in range(m)])
     for i, d in enumerate(s.diagonal):
         D[i, i] = d
-    assert la.mat_eq(s.left @ A @ s.right, D)
-    assert la.mat_eq(s.left @ s.left_inv, la.identity(m))
-    assert la.mat_eq(s.right @ s.right_inv, la.identity(n))
+    assert (s.left @ A @ s.right).tolist() == D.tolist()
+    assert (s.left @ s.left_inv).tolist() == _np_identity(m).tolist()
+    assert (s.right @ s.right_inv).tolist() == _np_identity(n).tolist()
     assert la.is_unimodular(s.left) and la.is_unimodular(s.right)
     nz = [d for d in s.diagonal if d != 0]
     assert all(d > 0 for d in nz)
@@ -178,18 +182,21 @@ def test_snf_entry_blowup_exactness():
 def test_kernel_and_solve():
     A = [[2, 4, 6], [1, 2, 3]]
     K = la.kernel_basis(A)
-    assert K.shape == (3, 2)
-    assert la.is_zero(la.intmat(A) @ K)
+    assert len(K) == 3 and la.width(K) == 2
+    assert la.matmul(A, K) == ((0, 0), (0, 0))
     # saturated: (1,1,-1) lies in the kernel and in the basis lattice
     assert la.lattice_contains(K, [[1], [1], [-1]])
     X = la.solve_int([[2, 0], [0, 3]], [[4], [9]])
-    assert X is not None and X[0, 0] == 2 and X[1, 0] == 3
+    assert X == ((2,), (3,))
     assert la.solve_int([[2]], [[3]]) is None
     assert la.solve_int([[0]], [[1]]) is None
-    # no equations: every vector; no unknowns: the zero lattice
-    assert la.kernel_basis(la.zeros(0, 3)).tolist() == la.identity(3).tolist()
-    assert la.kernel_basis(la.zeros(2, 0)).shape == (0, 0)
-    assert la.kernel_basis([[1, 2, 3]]).tolist() == la.kernel_basis(la.intmat([[1, 2, 3]])).tolist()
+    # a matrix with no rows is 0 x 0, so it has no unknowns; no equations on
+    # three unknowns are one zero row, whose kernel is every vector
+    assert la.kernel_basis(()) == ()
+    assert la.kernel_basis([[0, 0, 0]]) == la.identity(3)
+    # no unknowns: the zero lattice
+    assert la.kernel_basis(((), ())) == ()
+    assert la.kernel_basis([[1, 2, 3]]) == la.kernel_basis(np.array([[1, 2, 3]]))
 
 
 def test_nested_input_is_no_matrix():
@@ -208,18 +215,18 @@ def test_bareiss_det_needs_a_square_matrix():
 
 def test_column_space_and_index():
     B = la.column_space_basis([[2, 4], [0, 0]])
-    assert B.shape == (2, 1) and abs(B[0, 0]) == 2 and B[1, 0] == 0
-    big = la.intmat([[1, 0], [0, 1]])
-    small = la.intmat([[2, 0], [0, 3]])
+    assert len(B) == 2 and la.width(B) == 1 and abs(B[0][0]) == 2 and B[1][0] == 0
+    big = la.identity(2)
+    small = ((2, 0), (0, 3))
     assert la.lattice_index(big, small) == 6
     assert la.lattice_index(small, big) is None
 
 
 def test_saturation():
-    B = la.intmat([[2], [4]])
+    B = ((2,), (4,))
     S = la.saturation(B)
     assert la.lattice_contains(S, [[1], [2]])
-    assert la.lattice_eq(S, la.intmat([[1], [2]]))
+    assert la.lattice_eq(S, ((1,), (2,)))
     # index of a lattice in its saturation
     assert la.lattice_index(S, B) == 2
 
@@ -229,12 +236,12 @@ def test_random_kernel_solve_roundtrip():
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        A = la.intmat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
-        X = la.intmat([[rng.randint(-6, 6)] for _ in range(n)])
-        B = A @ X
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        X = [[rng.randint(-6, 6)] for _ in range(n)]
+        B = la.matmul(A, X)
         Y = la.solve_int(A, B)
         assert Y is not None
-        assert la.mat_eq(A @ Y, B)
+        assert la.matmul(A, Y) == B
 
 
 def test_fg_abelian():
@@ -249,7 +256,7 @@ def test_cokernel_invariants():
     assert la.cokernel_invariants([[2, 0], [0, 3]]) == (6,)
     assert la.cokernel_invariants([[1, 0], [0, 1]]) == ()
     assert la.cokernel_invariants([[2, 0], [0, 0]]) == (2, 0)
-    assert la.cokernel_invariants(la.zeros(2, 0)) == (0, 0)
+    assert la.cokernel_invariants(((), ())) == (0, 0)
 
 
 def _oracle_matrices():
@@ -277,10 +284,10 @@ def _oracle_matrices():
             Q = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
             A = [[sum(P[i][k] * Q[k][j] for k in range(r)) for j in range(n)]
                  for i in range(m)]
-        out.append(la.intmat(A).reshape(m, n))
+        out.append(la.int_rows(A))  # with no rows, 0 x 0
     # the divisibility fix-up: 2 does not divide 3 in the trailing block
-    out.append(la.intmat([[2, 0], [0, 3]]))
-    out.append(la.intmat([[6, 0, 0], [0, 10, 0], [0, 0, 15]]))
+    out.append(((2, 0), (0, 3)))
+    out.append(((6, 0, 0), (0, 10, 0), (0, 0, 15)))
     return out
 
 
@@ -294,7 +301,7 @@ def test_snf_matches_reference_on_random_matrices():
         for name in la.SNF_TRANSFORMS:
             mine, theirs = getattr(got, name), getattr(ref, name)
             assert mine.shape == theirs.shape and mine.tolist() == theirs.tolist(), name
-        tall += A.shape[0] > 20
+        tall += len(A) > 20
     assert tall >= 10
 
 
@@ -305,7 +312,7 @@ def _constraint_matrices():
     column relations[j % r], as in `h1_abelian`."""
     out = []
     for _, g, mats, r, relations in constraint_cases():
-        C = _reference_tree_constraints(g, mats, r, gr.generating_set(g)).tolist()
+        C = _reference_tree_constraints(g, mats, r, gr.generating_set(g))
         if relations:
             C = [row + [relations[j % r] if i == j else 0 for i in range(len(C))]
                  for j, row in enumerate(C)]
@@ -328,7 +335,7 @@ def test_snf_matches_reference_on_constraint_matrices():
         duplicate += len(set(rows)) < len(rows)
         zero += any(not any(row) for row in rows)
         non_unit += any(d not in (0, 1) for d in got.diagonal)
-        assert la.kernel_basis(C).tolist() == ref.right[:, ref.rank :].tolist()
+        assert la.kernel_basis(C) == la.int_rows(ref.right[:, ref.rank :])
     assert duplicate > 100 and zero > 20 and non_unit > 100
 
 
@@ -352,12 +359,9 @@ def test_snf_narrowed_transforms():
 
 
 def _same(a, b) -> bool:
-    # equal shapes and equal Python-int entries
-    return (
-        a.shape == b.shape
-        and a.tolist() == b.tolist()
-        and all(type(v) is int for row in a.tolist() for v in row)
-    )
+    # equal int-tuple rows
+    return a == b and all(type(r) is tuple for r in a) and all(
+        type(v) is int for row in a for v in row)
 
 
 def test_coordinates_equal_solve_int():
@@ -365,20 +369,25 @@ def test_coordinates_equal_solve_int():
     random, rank-deficient, 0-row and 0-column matrices, with right-hand
     sides inside and outside the kernel lattice."""
     rng = random.Random(13)
-    rand = lambda m, n: la.intmat(  # noqa: E731
-        [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]).reshape(m, n)
+    rand = lambda m, n: tuple(  # noqa: E731
+        tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m))
+
+    def plus(a, b):
+        return tuple(tuple(map(sum, zip(x, y))) for x, y in zip(a, b))
+
     matrices = [rand(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(30)]
     for _ in range(10):
         top = rand(2, 5)
-        matrices.append(np.concatenate([top, rand(2, 2) @ top], axis=0))  # rank <= 2
-    matrices += [la.zeros(0, 4), la.zeros(3, 0), la.zeros(0, 0), la.zeros(2, 3)]
+        matrices.append(la.stack([top, la.matmul(rand(2, 2), top)]))  # rank <= 2
+    matrices += [((0,) * 4,), ((),) * 3, (), ((0,) * 3,) * 2]
     solved = unsolvable = 0
     for E in matrices:
         K, W = la.saturated_kernel(E)
-        n, k = K.shape
-        assert k == E.shape[1] - la.rank(E)
+        n, k = len(K), la.width(K)
+        assert k == la.width(E) - la.rank(E)
         for c in range(4):
-            for V in (rand(n, c), K @ rand(k, c), K @ rand(k, c) + rand(n, c)):
+            KY = la.matmul(K, rand(k, c)) if k else ((0,) * c,) * n
+            for V in (rand(n, c), KY, plus(KY, rand(n, c))):
                 want = la.solve_int(K, V)
                 got = la.coordinates(K, W, V)
                 if want is None:
@@ -390,9 +399,9 @@ def test_coordinates_equal_solve_int():
     assert solved > 100 and unsolvable > 50
     K, W = la.saturated_kernel([[1, 1, 0]])
     with pytest.raises(ValueError):
-        la.coordinates(K, W.T, la.zeros(3, 1))
+        la.coordinates(K, la.transpose(W), ((0,),) * 3)
     with pytest.raises(ValueError):
-        la.coordinates(K, W, la.zeros(2, 1))
+        la.coordinates(K, W, ((0,),) * 2)
 
 
 @st.composite
@@ -401,17 +410,18 @@ def _matrices(draw, max_rows=6, max_cols=7):
     n = draw(st.integers(0, max_cols))
     entry = st.integers(-6, 6)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
-    return la.intmat(rows).reshape(m, n)
+    return la.int_rows(rows)  # with no rows, 0 x 0
 
 
 @settings(derandomize=True, deadline=None)
 @given(_matrices())
 def test_saturated_kernel_is_a_kernel_with_a_left_inverse(E):
     K, W = la.saturated_kernel(E)
-    n = E.shape[1]
-    assert K.shape == (n, n - la.rank(E)) and W.shape == K.shape[::-1]
-    assert la.is_zero(E @ K)
-    assert la.mat_eq(W @ K, la.identity(K.shape[1]))
+    n, k = la.width(E), la.width(K)
+    assert len(K) == n and k == n - la.rank(E)
+    assert len(W) == k and (la.width(W) == n or not W)
+    assert not any(map(any, la.matmul(E, K)))
+    assert la.matmul(W, K) == la.identity(k)
     assert _same(K, la.kernel_basis(E))
 
 
@@ -419,12 +429,58 @@ def test_saturated_kernel_is_a_kernel_with_a_left_inverse(E):
 @given(_matrices(), st.data())
 def test_coordinates_equal_solve_int_on_random_input(E, data):
     K, W = la.saturated_kernel(E)
-    n, k = K.shape
+    n, k = len(K), la.width(K)
     c = data.draw(st.integers(0, 3))
     cells = st.lists(st.integers(-3, 3), min_size=c, max_size=c)
-    Y = la.intmat(data.draw(st.lists(cells, min_size=k, max_size=k))).reshape(k, c)
-    N = la.intmat(data.draw(st.lists(cells, min_size=n, max_size=n))).reshape(n, c)
-    for V in (K @ Y, K @ Y + N):
+    Y = la.int_rows(data.draw(st.lists(cells, min_size=k, max_size=k)))
+    N = la.int_rows(data.draw(st.lists(cells, min_size=n, max_size=n)))
+    KY = la.matmul(K, Y) if k else ((0,) * c,) * n
+    KYN = tuple(tuple(map(sum, zip(a, b))) for a, b in zip(KY, N))
+    for V in (KY, KYN):
         want = la.solve_int(K, V)
         got = la.coordinates(K, W, V)
         assert got is None if want is None else _same(got, want)
+
+
+@st.composite
+def _product_pair(draw):
+    # A is m x k and B is k x n with k >= 1: a matrix with no rows is 0 x 0,
+    # so an m x 0 by 0 x n product has no rows form
+    m, k, n = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    entry = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+
+    def rows(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    return (m, k, n), rows(m, k), rows(k, n)
+
+
+def _listed(matrix) -> list:
+    assert type(matrix) is tuple and all(type(r) is tuple for r in matrix)
+    assert all(type(v) is int for row in matrix for v in row)
+    return [list(row) for row in matrix]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_product_pair(), st.data())
+def test_row_operations_agree_with_numpy(pair, data):
+    """matmul, transpose, stack, beside and columns on int-tuple rows give
+    numpy's object @, .T, concatenate and column slices, entry for entry."""
+    (m, k, n), a, b = pair
+    A, B = la.int_rows(a), la.int_rows(b)
+    NA = np.array(a, dtype=object).reshape(m, k)
+    NB = np.array(b, dtype=object).reshape(k, n)
+    assert _listed(la.matmul(A, B)) == (NA @ NB).tolist()
+    assert _listed(la.transpose(B)) == NB.T.tolist()
+    if m:
+        assert _listed(la.transpose(A)) == NA.T.tolist()
+    assert _listed(la.stack([B, B])) == np.concatenate([NB, NB], axis=0).tolist()
+    side = la.beside([A, la.matmul(A, B)])
+    assert _listed(side) == np.concatenate([NA, NA @ NB], axis=1).tolist()
+    i = data.draw(st.integers(0, k))
+    j = data.draw(st.integers(i, k))
+    assert _listed(la.columns(A, i, j)) == NA[:, i:j].tolist()
+    assert _listed(la.columns(A, i)) == NA[:, i:].tolist()
+    if k != n:
+        with pytest.raises(ValueError):
+            la.matmul(B, B)
