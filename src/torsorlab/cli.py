@@ -220,6 +220,8 @@ def cmd_nt_split(args):
         st = nt.dedekind_split(fld, args.p, seed=args.seed)
         route = "dedekind"
     else:
+        if args.conductor is None or args.subgroup is None:
+            raise ValueError("nt split needs --poly, or --conductor and --subgroup")
         fld = nt.AbelianFieldDatum(
             args.conductor, tuple(int(x) for x in args.subgroup.split(","))
         )

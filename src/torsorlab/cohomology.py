@@ -310,6 +310,17 @@ def _minus_identity(matrix) -> tuple:
     return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(matrix))
 
 
+def _solution_lattice(C, relations) -> tuple[tuple, tuple]:
+    """(L, lam): L spans the x in Z^u with C x == 0, row j modulo
+    relations[j % r], through one slack unknown per row; lam = diag of the
+    relations repeated u / r times, which L contains."""
+    r, u = len(relations), la.width(C)
+    slack = la.FgAbelian(relations * (len(C) // r)).relation_matrix()
+    K = la.kernel_basis(la.beside([C, slack]))
+    lam = la.FgAbelian(relations * (u // r)).relation_matrix()
+    return la.column_space_basis(la.beside([K[:u], lam])), lam
+
+
 def h0(gamma: FiniteGroup, coeff):
     """Fixed points: sublattice, finite-subgroup data, or element tuple."""
     if isinstance(coeff, GammaGroup):
@@ -321,12 +332,8 @@ def h0(gamma: FiniteGroup, coeff):
         K = la.kernel_basis(la.stack(_minus_identity(coeff.rho[s]) for s in gens))
         return FixedSubmodule(K, la.width(K))
     if isinstance(coeff, FiniteModule):
-        n = coeff.ngens
-        rel = coeff.relation_matrix()
         C = la.stack(_minus_identity(coeff.mats[s]) for s in gens)
-        slack = la.FgAbelian(coeff.relations * len(gens)).relation_matrix()
-        K = la.kernel_basis(la.beside([C, slack]))
-        L = la.column_space_basis(la.beside([K[:n], rel]))
+        L, rel = _solution_lattice(C, coeff.relations)
         X = la.solve_int(L, rel)
         inv = la.cokernel_invariants(X, ambient_rank=la.width(L))
         return FixedSubmodule(L, la.width(L), invariants=inv)
@@ -410,21 +417,13 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
         return CohomologyGroup((), ())
     gens, relators = presentation(gamma)
     k = len(gens)
-    width = k * r
     C = _relator_rows(gamma, mats, r, gens, relators)
 
     if relations is None:
         # W Z = I: the coboundaries' coordinates below need no second SNF
         Z, W = la.saturated_kernel(C)
     else:
-        # row j holds modulo relations[j % r]: one slack unknown per row
-        for j, row in enumerate(C):
-            slack = [0] * len(C)
-            slack[j] = relations[j % r]
-            row.extend(slack)
-        K = la.kernel_basis(C)
-        lam = la.FgAbelian(relations * k).relation_matrix()
-        Z = la.column_space_basis(la.beside([K[:width], lam]))
+        Z, lam = _solution_lattice(C, relations)
 
     # coboundaries: values (rho(s) - 1) m on the generators
     D = la.stack(_minus_identity(mats[s]) for s in gens)

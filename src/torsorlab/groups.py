@@ -160,6 +160,8 @@ class GroupHom:
         if len(self.map) != self.source.order:
             raise InvalidHom("map length mismatch")
         if self.validate:
+            if any(not 0 <= x < self.target.order for x in self.map):
+                raise InvalidHom("map values must be elements of the target")
             if self.map[0] != 0:
                 raise InvalidHom("identity not preserved")
             trows, f = self.target.rows, self.map

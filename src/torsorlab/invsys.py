@@ -274,25 +274,25 @@ def lim1_truncated(sys: ExplicitFinite, budget: int = 200000) -> Lim1Orbits:
 def _lattice_chain_verdict(step, L0, horizon: int) -> MLVerdict:
     """Stabilization of L_{k+1} = step L_k (column lattices): equality
     detection, or a strict drop at stable rank, which repeats forever under an
-    invertible step."""
+    invertible step.  Each level's width is its rank, and the index
+    [L_k : L_{k+1}] is 1 exactly when the levels are equal."""
     prev = L0
-    prev_rank = la.rank(prev)
     for k in range(horizon):
         nxt = la.column_space_basis(la.matmul(step, prev))
-        if la.lattice_eq(prev, nxt):
+        idx = la.lattice_index(prev, nxt)
+        if idx == 1:
             return MLVerdict("holds", level=k, proof="image chain stabilizes")
-        r = la.rank(nxt)
-        if r == prev_rank:
+        if la.width(nxt) == la.width(prev):
             # strict inclusion at stable rank: the step is invertible on the
             # common rational span, so strictness repeats at every level
             cert = {
                 "witness_level": k,
-                "index": la.lattice_index(prev, nxt),
+                "index": idx,
                 "law": "strict drop at stable rank repeats under an "
                 "invertible step",
             }
             return MLVerdict("fails", level=k, proof="strict chain", certificate=cert)
-        prev, prev_rank = nxt, r
+        prev = nxt
     return MLVerdict("unknown-at-horizon", level=horizon)
 
 

@@ -53,11 +53,23 @@ def matrix_from_json(obj) -> tuple:
     return tuple(map(tuple, obj))
 
 
-def _field(obj, key):
-    """obj[key] of a JSON object; ParseError when obj has no such field."""
+def _field(obj, key, kind=object, default=None):
+    """obj[key] of a JSON object, or `default`, if given, when the field is
+    absent; ParseError when obj is no object or the field is missing or not
+    of type `kind` (JSON true and false are no int)."""
+    if isinstance(obj, dict) and key not in obj and default is not None:
+        return default
     if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"missing field {key!r}")
+        raise ParseError(f"missing field {key!r} of a JSON object")
+    if kind is not object and type(obj[key]) is not kind:
+        raise ParseError(f"field {key!r} must be of type {kind.__name__}")
     return obj[key]
+
+
+def _int_row(value) -> tuple:
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise ParseError("expected a list of integers")
+    return tuple(value)
 
 
 def group_from_json(obj, basedir="."):
@@ -163,68 +175,65 @@ def gamma_group_from_json(obj, basedir="."):
 
 def datum_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
-    try:
-        g = group_from_json(obj["group"], basedir)
-        return sr.CMGaloisDatum(g, int(obj["iota"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad CM datum: {e}") from e
+    g = group_from_json(_field(obj, "group"), basedir)
+    return sr.CMGaloisDatum(g, _field(obj, "iota", int))
 
 
 def abelian_field_from_json(obj) -> nt.AbelianFieldDatum:
-    try:
-        return nt.AbelianFieldDatum(int(obj["conductor"]), tuple(obj["subgroup"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad abelian field datum: {e}") from e
+    return nt.AbelianFieldDatum(
+        _field(obj, "conductor", int), _int_row(_field(obj, "subgroup"))
+    )
 
 
 def tower_law_from_json(obj):
     if obj is None:
         return None
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "cyclotomic-power":
-        return nt.CyclotomicPowerLaw(int(obj["l"]))
+        return nt.CyclotomicPowerLaw(_field(obj, "l", int))
     if kind == "split-obstruction":
         return nt.SplitObstructionLaw(
-            int(obj["l"]),
-            int(obj["p0"]),
-            int(obj.get("levels", 2)),
-            int(obj.get("prime_bound", 20000)),
+            _field(obj, "l", int),
+            _field(obj, "p0", int),
+            _field(obj, "levels", int, 2),
+            _field(obj, "prime_bound", int, 20000),
         )
     raise ParseError(f"unknown tower law kind: {kind}")
 
 
 def norm_tower_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
-    try:
-        levels = tuple(abelian_field_from_json(x) for x in obj["levels"])
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad tower object: {e}") from e
+    levels = tuple(abelian_field_from_json(x) for x in _field(obj, "levels", list))
     return iv.NormTower(levels, law=tower_law_from_json(obj.get("law")))
 
 
 def recipe_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "explicit":
-        groups = [group_from_json(g, basedir) for g in obj["groups"]]
-        maps = [
-            GroupHom(groups[i + 1], groups[i], tuple(m))
-            for i, m in enumerate(obj["maps"])
-        ]
-        return iv.ExplicitFinite(tuple(groups), tuple(maps))
+        groups = [group_from_json(g, basedir) for g in _field(obj, "groups", list)]
+        maps = _field(obj, "maps", list)
+        if len(maps) != len(groups) - 1:
+            raise ParseError("need one map between each pair of adjacent groups")
+        homs = [GroupHom(b, a, _int_row(m)) for a, b, m in zip(groups, groups[1:], maps)]
+        return iv.ExplicitFinite(tuple(groups), tuple(homs))
     if kind == "constant-endo":
         return iv.ConstantEndo(
-            la.FgAbelian(tuple(obj["relations"])), tuple(map(tuple, obj["endo"]))
+            la.FgAbelian(_int_row(_field(obj, "relations"))),
+            matrix_from_json(_field(obj, "endo")),
         )
     if kind == "subgroup-chain":
         return iv.SubgroupChain(
-            int(obj["rank"]), tuple(map(tuple, obj["step"])),
-            tuple(map(tuple, obj["base"])),
+            _field(obj, "rank", int),
+            matrix_from_json(_field(obj, "step")),
+            matrix_from_json(_field(obj, "base")),
         )
     if kind == "norm-tower":
         return norm_tower_from_json(obj, basedir)
     if kind == "product":
-        return iv.Product(tuple(recipe_from_json(f, basedir) for f in obj["factors"]))
+        return iv.Product(
+            tuple(recipe_from_json(f, basedir) for f in _field(obj, "factors", list))
+        )
     raise ParseError(f"unknown recipe kind: {kind}")
 
 
@@ -257,15 +266,15 @@ def base_class_from_json(obj, seq, basedir="."):
 
 def chain_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "layered-obstruction":
         return sr.layered_obstruction_tower(
-            int(obj["l"]), int(obj["p0"]), int(obj.get("levels", 1)),
-            int(obj.get("prime_bound", 20000)),
+            _field(obj, "l", int), _field(obj, "p0", int),
+            _field(obj, "levels", int, 1), _field(obj, "prime_bound", int, 20000),
         )
     if kind == "constant":
-        datum = datum_from_json(obj["datum"], basedir)
-        return sr.constant_tower(datum, int(obj.get("length", 2)))
+        datum = datum_from_json(_field(obj, "datum"), basedir)
+        return sr.constant_tower(datum, _field(obj, "length", int, 2))
     raise ParseError(f"unknown chain kind: {kind}")
 
 

@@ -209,15 +209,6 @@ def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeM
     return sub, incl
 
 
-def image_basis(f: LatticeMap) -> tuple:
-    return la.column_space_basis(f.matrix)
-
-
-def kernel_sublattice(f: LatticeMap) -> tuple:
-    # a map into the zero lattice has no rows; one zero row has its kernel
-    return la.kernel_basis(f.matrix or ((0,) * f.source.rank,))
-
-
 @dataclass(frozen=True)
 class JointReport:
     composite_zero: bool
@@ -247,9 +238,10 @@ class ExactnessReport:
 def exactness_report(seq) -> ExactnessReport:
     """Exactness of a composable chain of maps, ends included.
 
-    At each interior joint the image of the incoming map is compared with
-    the kernel of the outgoing map both after saturation and as honest
-    subgroups; integral equality is what Hilbert-90 style arguments need.
+    At each joint f, g the coordinates X of im f in the saturated kernel K
+    of g exist exactly when g f == 0.  Then ker g / im f is the cokernel of
+    X: a free factor of it breaks equality after saturation, and any factor
+    breaks integral equality, which is what Hilbert-90 style arguments need.
     """
     maps = list(seq)
     if not maps:
@@ -259,15 +251,17 @@ def exactness_report(seq) -> ExactnessReport:
             raise NotComposable("maps do not compose")
     joints = []
     for f, g in zip(maps, maps[1:]):
-        comp_zero = not any(map(any, la.matmul(g.matrix, f.matrix)))
-        im = image_basis(f)
-        ker = kernel_sublattice(g)  # saturated by construction
-        sat_eq = la.lattice_eq(la.saturation(im), ker)
-        int_eq = la.lattice_eq(im, ker)
-        joints.append(JointReport(comp_zero, sat_eq, int_eq))
-    first_inj = la.width(kernel_sublattice(maps[0])) == 0
-    last_im = image_basis(maps[-1])
-    last_surj = la.lattice_eq(last_im, la.identity(maps[-1].target.rank))
+        # a map into the zero lattice has no rows; one zero row has its kernel
+        K, W = la.saturated_kernel(g.matrix or ((0,) * g.source.rank,))
+        X = la.coordinates(K, W, f.matrix)
+        if X is None:
+            joints.append(JointReport(False, False, False))
+            continue
+        inv = la.cokernel_invariants(X, ambient_rank=la.width(K))
+        joints.append(JointReport(True, 0 not in inv, not inv))
+    first, last = maps[0], maps[-1]
+    first_inj = la.rank(first.matrix) == first.source.rank
+    last_surj = la.cokernel_invariants(last.matrix, ambient_rank=last.target.rank) == ()
     return ExactnessReport(tuple(joints), first_inj, last_surj)
 
 

@@ -422,16 +422,6 @@ def lattice_index(big, small):
     return abs(idx) if idx else None
 
 
-def saturation(basis) -> tuple:
-    """Basis of (ℚ-span of the columns) ∩ ℤ^m."""
-    B = int_rows(basis)
-    if not width(B):
-        return B
-    K = kernel_basis(transpose(B))  # columns y with B^T y = 0
-    # no such y: the span is all of ℚ^m, whose zero row has kernel ℤ^m
-    return kernel_basis(transpose(K) or ((0,) * len(B),))
-
-
 def bareiss_det(matrix):
     """Fraction-free determinant; independent of the SNF path."""
     A = _rows(matrix, list)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .groups import FiniteGroup, all_subgroups
 
 
 class NotIrreducible(ValueError):
@@ -309,6 +310,8 @@ def dedekind_split(fld: NumberFieldDatum, p: int, seed: int = 0) -> SplittingTyp
     """Splitting type from the factorization mod p, with the full Dedekind
     index test; IndexDivisor when p may divide the index of the equation
     order."""
+    if not _is_prime(p):
+        raise ValueError(f"p={p} is not a prime")
     fbar_factors = factor_mod_p(fld.poly, p, seed=seed)
     if not fbar_factors:
         raise ValueError("degenerate polynomial mod p")
@@ -348,36 +351,15 @@ def units_mod(m: int) -> tuple:
 
 
 def unit_subgroups(m: int) -> tuple:
-    """All subgroups of the unit group mod m, as sorted residue tuples."""
+    """All subgroups of the unit group mod m, as sorted residue tuples: the
+    units ascending are the elements, so index order is residue order."""
     if m == 1:
         return ((0,),)
     units = units_mod(m)
-    trivial = (1,)
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        new = []
-        for h in frontier:
-            hset = set(h)
-            for x in units:
-                if x in hset:
-                    continue
-                closure = set(hset)
-                frontier2 = [x]
-                closure.add(x)
-                while frontier2:
-                    y = frontier2.pop()
-                    for z in list(closure):
-                        for w in ((y * z) % m, (z * y) % m):
-                            if w not in closure:
-                                closure.add(w)
-                                frontier2.append(w)
-                k = tuple(sorted(closure))
-                if k not in found:
-                    found.add(k)
-                    new.append(k)
-        frontier = new
-    return tuple(sorted(found, key=lambda h: (len(h), h)))
+    index = {u: i for i, u in enumerate(units)}
+    table = [[index[a * b % m] for b in units] for a in units]
+    g = FiniteGroup(table, validate=False)
+    return tuple(tuple(units[i] for i in h) for h in all_subgroups(g))
 
 
 @dataclass(frozen=True)
@@ -419,6 +401,8 @@ class AbelianFieldDatum:
 def abelian_split(fld: AbelianFieldDatum, p: int) -> SplittingType:
     """Frobenius-order splitting; unramified p only, except the tame
     totally ramified case of a prime conductor."""
+    if not _is_prime(p):
+        raise ValueError(f"p={p} is not a prime")
     m = fld.conductor
     if m == 1:
         return SplittingType(((1, 1),), 1)

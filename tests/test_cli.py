@@ -235,6 +235,46 @@ def test_nt_split_routes(fixtures, capsys):
     assert rep["evidence"]["norm_valuation_generator"] == 3
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--conductor", "5", "--subgroup", "1,4", "--p", "4"], "not a prime"),
+    (["--conductor", "5", "--subgroup", "1,4", "--p", "1"], "not a prime"),
+    (["--conductor", "5", "--subgroup", "1,4", "--p", "-7"], "not a prime"),
+    (["--conductor", "5", "--subgroup", "1,4", "--p", "0"], "not a prime"),
+    (["--poly", "x^2+1", "--p", "-7"], "not a prime"),
+    (["--poly", "x^2+1", "--p", "0"], "not a prime"),
+    (["--conductor", "5", "--p", "2"], "--subgroup"),
+    (["--p", "2"], "--poly"),
+], ids=["abelian-4", "abelian-1", "abelian-neg", "abelian-0", "poly-neg", "poly-0",
+        "no-subgroup", "no-field"])
+def test_nt_split_rejects_bad_arguments(argv, message, capsys):
+    # a splitting type needs a field and a prime: exit 3, no traceback
+    assert cli.main(["nt", "split", *argv]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+LEVEL = {"conductor": 1, "subgroup": [0]}
+
+
+@pytest.mark.parametrize("command,document", [
+    (("invsys", "classify", "--recipe"), {"kind": "explicit"}),
+    (("invsys", "classify", "--recipe"), {"kind": "subgroup-chain", "rank": 1, "step": [[2]]}),
+    (("invsys", "classify", "--recipe"), [1, 2]),
+    (("invsys", "classify", "--recipe"),
+     {"kind": "constant-endo", "relations": [0], "endo": [[True]]}),
+    (("serre", "tower", "--chain"), {"kind": "constant"}),
+    (("nt", "tower-cert", "--tower"), {"levels": [LEVEL], "law": {"kind": "cyclotomic-power"}}),
+], ids=["explicit-no-groups", "chain-no-base", "not-an-object", "endo-bool",
+        "constant-no-datum", "law-no-l"])
+def test_malformed_recipe_json_exits_3(command, document, tmp_path, capsys):
+    # a missing field, a document that is no object, a boolean matrix entry
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert cli.main([*command, str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parse error" in captured.err
+
+
 def test_nt_tower_cert(fixtures, capsys):
     code, rep = run_cli(capsys, ["nt", "tower-cert", "--tower", str(fixtures["tower"])])
     assert code == 0

