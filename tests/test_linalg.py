@@ -224,6 +224,17 @@ def test_column_space_and_index():
     assert la.lattice_index(((1,), (2,)), ((2,), (4,))) == 2
 
 
+def test_saturation():
+    # (Q-span of the columns) ∩ Z^m is the kernel of the annihilator's transpose
+    B = ((2,), (4,))
+    S, W = la.saturated_kernel(la.transpose(la.kernel_basis(la.transpose(B))))
+    assert la.lattice_contains(S, [[1], [2]])
+    assert la.lattice_eq(S, ((1,), (2,)))
+    assert la.matmul(W, S) == la.identity(1)
+    # index of a lattice in its saturation
+    assert la.lattice_index(S, B) == 2
+
+
 def test_random_kernel_solve_roundtrip():
     rng = random.Random(11)
     for _ in range(40):
