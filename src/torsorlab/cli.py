@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -127,8 +128,6 @@ def cmd_lattice(args):
         return _emit(_report("smith-normal-form", "ok", evidence, args), args)
     with open(args.infile) as fh:
         obj = json.load(fh)
-    import os
-
     basedir = os.path.dirname(args.infile)
     if args.op == "exact":
         rep = lt.exactness_report(jsonio.exact_sequence_from_json(obj, basedir))
@@ -159,8 +158,6 @@ def cmd_lattice(args):
 def cmd_cohomology_h1(args):
     with open(args.infile) as fh:
         obj = json.load(fh)
-    import os
-
     basedir = os.path.dirname(args.infile)
     if "rho" in obj:
         m = jsonio.lattice_from_json(obj, basedir)
@@ -205,12 +202,22 @@ def cmd_torsor_verify(args):
     )
 
 
+# both sides of the lim^1 dichotomy are verified outcomes; only "unknown" is not
+_LIM1_VERDICTS = {
+    "trivial": "verified", "uncountable": "verified", "unknown": "unknown-at-horizon",
+}
+
+
+def _emit_lim1(claim, v, args):
+    evidence = {"status": v.status, "reason": v.reason, "certificate": v.certificate}
+    return _emit(_report(claim, _LIM1_VERDICTS[v.status], evidence, args), args)
+
+
 def cmd_invsys_classify(args):
     recipe = jsonio.recipe_from_json(args.recipe)
-    v = iv.lim1_classify(recipe, horizon=args.horizon)
-    verdict = {"trivial": "verified", "uncountable": "verified", "unknown": "unknown-at-horizon"}[v.status]
-    evidence = {"status": v.status, "reason": v.reason, "certificate": v.certificate}
-    return _emit(_report("lim1-classification", verdict, evidence, args), args)
+    return _emit_lim1(
+        "lim1-classification", iv.lim1_classify(recipe, args.horizon), args
+    )
 
 
 def cmd_nt_split(args):
@@ -292,10 +299,9 @@ def cmd_serre_sequence(args):
 def cmd_serre_tower(args):
     chain = jsonio.chain_from_json(args.chain)
     recipe = sr.serre_tower_recipe(chain)
-    v = iv.lim1_classify(recipe, horizon=args.horizon)
-    verdict = {"trivial": "verified", "uncountable": "verified", "unknown": "unknown-at-horizon"}[v.status]
-    evidence = {"status": v.status, "reason": v.reason, "certificate": v.certificate}
-    return _emit(_report("serre-tower-classification", verdict, evidence, args), args)
+    return _emit_lim1(
+        "serre-tower-classification", iv.lim1_classify(recipe, args.horizon), args
+    )
 
 
 def cmd_suite(args):
@@ -325,8 +331,17 @@ def cmd_suite(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means "unknown"; a
+    malformed command line is an error (3). Subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="torsor-lab",
         description="finite-group torsor calculus: cohomology, lattices, "
         "inverse limits, splitting certificates",
@@ -412,22 +427,10 @@ def main(argv=None) -> int:
     args._t0 = time.time()
     try:
         return args.func(args)
-    except (jsonio.ParseError, json.JSONDecodeError, FileNotFoundError) as e:
+    except (jsonio.ParseError, json.JSONDecodeError, OSError) as e:
         print(f"[torsor-lab] parse error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except (
-        co.BudgetExceeded,
-        co.NotCocycle,
-        iv.NotMaterializable,
-        nt.NotIrreducible,
-        nt.IndexDivisor,
-        nt.Ramified,
-        nt.HypothesisFailed,
-        sr.InvalidDatum,
-        sr.NotATower,
-        to.NotExact,
-        ValueError,
-    ) as e:
+    except (co.BudgetExceeded, ValueError) as e:
         print(f"[torsor-lab] error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -769,21 +769,29 @@ def all_subgroups(g: FiniteGroup) -> tuple:
     return tuple(sorted(found, key=lambda h: (len(h), h)))
 
 
-def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
-    """Coset group and projection; cosets ordered by minimal element."""
-    nset = tuple(sorted(set(n)))
-    if not is_normal(g, nset):
-        raise NotNormal("subgroup is not normal")
+def left_cosets(g: FiniteGroup, elems) -> tuple[list, list]:
+    """The left cosets xH of the subgroup H = elems as sorted tuples, ordered
+    by minimal element, and the index of the coset of each element."""
+    h = set(elems)
     coset_of = [-1] * g.order
     cosets = []
     for x in g.elements():
         if coset_of[x] >= 0:
             continue
-        cs = tuple(sorted(g.mul(x, a) for a in nset))
+        cs = tuple(sorted(g.mul(x, a) for a in h))
         ci = len(cosets)
         cosets.append(cs)
         for y in cs:
             coset_of[y] = ci
+    return cosets, coset_of
+
+
+def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
+    """Coset group and projection; cosets ordered by minimal element."""
+    nset = tuple(sorted(set(n)))
+    if not is_normal(g, nset):
+        raise NotNormal("subgroup is not normal")
+    cosets, coset_of = left_cosets(g, nset)
     # identity coset contains 0 and is found first, so identity index is 0
     m = len(cosets)
     table = [[0] * m for _ in range(m)]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, NotSubgroup, generating_set, is_subgroup
+from .groups import FiniteGroup, NotSubgroup, generating_set, is_subgroup, left_cosets
 from .linalg import int_rows
 
 
@@ -113,16 +113,7 @@ def coset_gset(g: FiniteGroup, h) -> GSet:
     hset = tuple(sorted(set(h)))
     if not is_subgroup(g, hset):
         raise NotSubgroup("not a subgroup")
-    coset_of = [-1] * g.order
-    cosets = []
-    for x in g.elements():
-        if coset_of[x] >= 0:
-            continue
-        cs = tuple(sorted(g.mul(x, a) for a in hset))
-        ci = len(cosets)
-        cosets.append(cs)
-        for y in cs:
-            coset_of[y] = ci
+    cosets, coset_of = left_cosets(g, hset)
     firsts = [cs[0] for cs in cosets]
     action = [[coset_of[row[x]] for x in firsts] for row in g.rows]
     return GSet(g, action)

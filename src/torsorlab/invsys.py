@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from . import numtheory as nt
+from .groups import is_normal, left_cosets
 
 
 class NotMaterializable(ValueError):
@@ -443,8 +444,6 @@ def six_term_check(
         for x in A_groups[i + 1].elements():
             if inclusions[i](sub.maps[i](x)) != total.maps[i](inclusions[i + 1](x)):
                 raise ValueError("inclusions do not commute with transitions")
-    from .groups import is_normal
-
     images = [set(inc.map) for inc in inclusions]
     if normal:
         for i, img in enumerate(images):
@@ -453,22 +452,9 @@ def six_term_check(
 
     N = len(B_groups) - 1
     # coset spaces and induced transitions
-    cosets_per_level = []
-    coset_of = []
-    for i, g in enumerate(B_groups):
-        img = sorted(images[i])
-        cmap = [-1] * g.order
-        cosets = []
-        for x in g.elements():
-            if cmap[x] >= 0:
-                continue
-            cs = tuple(sorted(g.mul(x, a) for a in img))
-            ci = len(cosets)
-            cosets.append(cs)
-            for y in cs:
-                cmap[y] = ci
-        cosets_per_level.append(cosets)
-        coset_of.append(cmap)
+    cosets_per_level, coset_of = zip(
+        *(left_cosets(g, img) for g, img in zip(B_groups, images))
+    )
 
     lim_b = lim_truncated(total)
     # kernel of lim B -> lim(B/A): families with every entry in A's image

@@ -65,11 +65,7 @@ def padd(f, g, p=None):
 
 
 def psub(f, g, p=None):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    if p is not None:
-        out = [c % p for c in out]
-    return pnormalize(out)
+    return padd(f, [-c for c in g], p)
 
 
 def pmul(f, g, p=None):
@@ -86,23 +82,30 @@ def pmul(f, g, p=None):
     return pnormalize(out)
 
 
-def pdivmod(f, g, p):
-    f = list(pmod(f, p))
-    g = pmod(g, p)
+def pdivmod(f, g, p=None):
+    """Quotient and remainder of f by g, over F_p when p is given and over Z
+    otherwise, where every quotient coefficient must be an integer."""
+    f, g = (pnormalize(f), pnormalize(g)) if p is None else (pmod(f, p), pmod(g, p))
     if not g:
         raise ZeroDivisionError
-    inv = pow(g[-1], -1, p)
-    dg = len(g) - 1
+    f, lead, dg = list(f), g[-1], len(g) - 1
+    inv = None if p is None else pow(lead, -1, p)
     q = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = (f[-1] * inv) % p
-        k = len(f) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return pnormalize(q), pnormalize(f)
+    # each step pops the top coefficient, which cancels by construction; over
+    # F_p the others are reduced once, at the end
+    for k in range(len(f) - 1 - dg, -1, -1):
+        top = f.pop()
+        if p is None:
+            c, r = divmod(top, lead)
+            if r:
+                raise ValueError("polynomial division is not exact over Z")
+        else:
+            c = top * inv % p
+        if c:
+            q[k] = c
+            for i in range(dg):
+                f[k + i] -= c * g[i]
+    return pnormalize(q), (pnormalize(f) if p is None else pmod(f, p))
 
 
 def _monic(f, p):
@@ -319,15 +322,8 @@ def dedekind_split(fld: NumberFieldDatum, p: int, seed: int = 0) -> SplittingTyp
     g_bar = (1,)
     for irr, _ in fbar_factors:
         g_bar = pmul(g_bar, irr, p)
-    h_bar = pdivmod(pmod(fld.poly, p), g_bar, p)[0]
-    g_lift = tuple(int(c) for c in g_bar)
-    h_lift = tuple(int(c) for c in h_bar)
-    gh = pmul(g_lift, h_lift)
-    n = max(len(gh), len(fld.poly))
-    diff = [
-        (gh[i] if i < len(gh) else 0) - (fld.poly[i] if i < len(fld.poly) else 0)
-        for i in range(n)
-    ]
+    h_bar = pdivmod(fld.poly, g_bar, p)[0]
+    diff = psub(pmul(g_bar, h_bar), fld.poly)
     if any(c % p for c in diff):
         raise ValueError("the radical does not divide the polynomial mod p")
     t_poly = pmod([c // p for c in diff], p)
@@ -471,37 +467,10 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 
 def _zdiv_exact(f, g):
-    f = list(f)
-    dg = pdegree(g)
-    q = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and any(f):
-        c, r = divmod(f[-1], g[-1])
-        if r:
-            raise ValueError("polynomial division is not exact over Z")
-        k = len(f) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] -= c * b
-        while f and f[-1] == 0:
-            f.pop()
-    if pnormalize(f):
+    q, r = pdivmod(f, g)
+    if r:
         raise ValueError("polynomial division leaves a remainder")
-    return pnormalize(q)
-
-
-def _cyclo_mul(a, b, phi):
-    prod = pmul(a, b)
-    # reduce mod the (monic) cyclotomic polynomial over Z
-    prod = list(prod)
-    dg = pdegree(phi)
-    while len(prod) - 1 >= dg:
-        c = prod[-1]
-        k = len(prod) - 1 - dg
-        for i, co in enumerate(phi):
-            prod[k + i] -= c * co
-        while prod and prod[-1] == 0:
-            prod.pop()
-    return pnormalize(prod)
+    return q
 
 
 def reduce_to_conductor(fld: AbelianFieldDatum) -> AbelianFieldDatum:
@@ -537,7 +506,6 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
         return NumberFieldDatum((0, 1))
     phi = cyclotomic_polynomial(m)
     units = units_mod(m)
-    hs = set(fld.subgroup)
     cosets = []
     seen = set()
     for u in units:
@@ -546,29 +514,23 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
         coset = tuple(sorted((u * h) % m for h in fld.subgroup))
         seen.update(coset)
         cosets.append(coset)
-
-    def zeta_pow(k):
-        vec = [0] * (k + 1)
-        vec[k] = 1
-        return _cyclo_mul(tuple(vec), (1,), phi)
-
-    periods = []
+    # expand prod (T - eta_j) in Z[x]/(x^m - 1), which maps onto Z[zeta]; in
+    # it, c times the period of a coset is the sum of c shifted cyclically by
+    # each k in the coset, and each coefficient is reduced mod Phi_m once
+    zero = [0] * m
+    coeffs = [[1] + zero[1:]]  # polynomial "1" in T
     for coset in cosets:
-        acc = ()
-        for k in coset:
-            acc = padd(acc, zeta_pow(k % m))
-        periods.append(acc)
-    # expand prod (T - eta_j) with coefficients in Z[zeta]
-    coeffs = [(1,)]  # polynomial "1" in T
-    for eta in periods:
-        new = [()] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            new[k + 1] = padd(new[k + 1], c)
-            new[k] = psub(new[k], _cyclo_mul(c, eta, phi))
-        coeffs = new
+        times_eta = [
+            [sum(col) for col in zip(*(c[m - k:] + c[:m - k] for k in coset))]
+            for c in coeffs
+        ]
+        coeffs = [
+            [a - b for a, b in zip(hi, lo)]
+            for hi, lo in zip([zero] + coeffs, times_eta + [zero])
+        ]
     out = []
     for c in coeffs:
-        c = pnormalize(c)
+        c = pdivmod(c, phi)[1]
         if len(c) > 1:
             raise ValueError("period polynomial coefficient is not rational")
         out.append(c[0] if c else 0)

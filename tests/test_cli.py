@@ -253,6 +253,41 @@ def test_nt_split_rejects_bad_arguments(argv, message, capsys):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nt", "split", "--poly", "x^2+1"],
+    ["nt", "split", "--poly", "x^2+1", "--p", "five"],
+    ["nt"],
+    ["no-such-module"],
+    [],
+], ids=["no-p", "p-not-int", "no-op", "bad-module", "empty"])
+def test_usage_errors_exit_3(argv, capsys):
+    # exit 2 means "unknown at horizon"; a malformed command line is an error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nt", "split", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_a_directory_reference_exits_3(tmp_path, capsys):
+    # IsADirectoryError is an OSError like FileNotFoundError: exit 3, no traceback
+    (tmp_path / "factor").mkdir()
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"kind": "product", "factors": ["factor"]}))
+    for path in (recipe, tmp_path / "factor"):
+        assert cli.main(["invsys", "classify", "--recipe", str(path)]) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Is a directory" in captured.err
+
+
 LEVEL = {"conductor": 1, "subgroup": [0]}
 
 

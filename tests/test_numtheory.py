@@ -11,6 +11,8 @@ import types
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
 from test_acceptance import _env
@@ -40,6 +42,56 @@ def test_padd_psub_with_and_without_modulus():
     assert nt.psub((1, 2), (1, 2, 7)) == (0, 0, -7)
     assert nt.padd((1, 2, 3), (4, 3, 2), 5) == ()
     assert nt.psub((1, 2), (1, 2, 7), 5) == (0, 0, 3)
+
+
+_COEFFS = st.lists(st.integers(-60, 60), max_size=10)
+
+
+def _sympy_poly(coeffs, **domain):
+    return sympy.Poly(list(reversed(coeffs)) or [0], sympy.Symbol("x"), **domain)
+
+
+def _little_endian(poly):
+    return list(reversed(poly.all_coeffs()))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_COEFFS, _COEFFS, st.sampled_from((2, 3, 5, 7, 13, 9973)))
+def test_pdivmod_over_f_p_agrees_with_sympy(f, g, p):
+    if not nt.pmod(g, p):
+        with pytest.raises(ZeroDivisionError):
+            nt.pdivmod(f, g, p)
+        return
+    q, r = nt.pdivmod(f, g, p)
+    assert nt.padd(nt.pmul(q, g, p), r, p) == nt.pmod(f, p)
+    assert nt.pdegree(r) < nt.pdegree(nt.pmod(g, p))
+    sq, sr = sympy.div(_sympy_poly(f, modulus=p), _sympy_poly(g, modulus=p))
+    assert (q, r) == (nt.pmod(_little_endian(sq), p), nt.pmod(_little_endian(sr), p))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_COEFFS, st.lists(st.integers(-60, 60), max_size=6))
+def test_pdivmod_over_z_with_a_monic_divisor_agrees_with_sympy(f, g):
+    g = [*g, 1]
+    q, r = nt.pdivmod(f, g)
+    assert nt.padd(nt.pmul(q, g), r) == nt.pnormalize(f)
+    assert nt.pdegree(r) < nt.pdegree(g)
+    sq, sr = sympy.div(_sympy_poly(f), _sympy_poly(g))
+    assert (q, r) == (nt.pnormalize(_little_endian(sq)), nt.pnormalize(_little_endian(sr)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_COEFFS, st.lists(st.integers(-60, 60), max_size=5), st.integers(2, 6))
+def test_pdivmod_over_z_raises_exactly_when_the_quotient_is_not_integral(f, g, lead):
+    # the rational quotient is integral or the division must refuse
+    g = [*g, lead]
+    sq, sr = sympy.div(_sympy_poly(f, domain="QQ"), _sympy_poly(g, domain="QQ"))
+    if all(c.is_integer for c in sq.all_coeffs()):
+        q, r = nt.pdivmod(f, g)
+        assert (q, r) == (nt.pnormalize(_little_endian(sq)), nt.pnormalize(_little_endian(sr)))
+    else:
+        with pytest.raises(ValueError, match="not exact"):
+            nt.pdivmod(f, g)
 
 
 def _perfbench_workloads():
