@@ -303,7 +303,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         maps = []
         good = True
         for i in range(length):
-            homs = gr.all_homs(groups[i + 1], groups[i])
+            homs = co.all_homs(groups[i + 1], groups[i])
             maps.append(homs[rng.randrange(len(homs))])
         sys = iv.ExplicitFinite(tuple(groups), tuple(maps))
         rep = iv.lim1_truncated(sys, budget=50000)
@@ -325,10 +325,10 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         levels = [co.trivial_gamma_group(gamma, g) for g in groups]
         maps = []
         for i in range(length):
-            homs = gr.all_homs(groups[i + 1], groups[i])
+            homs = co.all_homs(groups[i + 1], groups[i])
             maps.append(homs[rng.randrange(len(homs))])
         system = co.TruncatedGammaSystem(tuple(levels), tuple(maps))
-        tops = gr.all_homs(gamma, groups[length])
+        tops = co.all_homs(gamma, groups[length])
         if not tops:
             continue
         top_hom = tops[rng.randrange(len(tops))]

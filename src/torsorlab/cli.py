@@ -52,8 +52,12 @@ def _report(claim, verdict, evidence, args, extra_config=None):
 def _emit(rep, args):
     text = json.dumps(rep, indent=2, sort_keys=True, default=_default)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"[torsor-lab] write error: {e}", file=sys.stderr)
+            return EXIT_ERROR
     else:
         print(text)
     verdict = rep.get("verdict", "ok")

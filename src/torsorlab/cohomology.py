@@ -1,23 +1,23 @@
 """H^0/H^1 of a finite group, twisting, and the lim^1 obstruction recipe.
 
 Coefficients come in three flavours: free integer lattices (ZGLattice),
-finite abelian modules, and arbitrary finite groups with action.  Abelian
-H^1 is solved exactly over the integers: a cocycle is determined by its
-values on the generators of a presentation (groups.presentation), and any
-values there extend to a cocycle exactly when the cocycle vanishes on every
-relator.  By the cocycle law that condition is linear in the unknowns, with
-the Fox derivatives of the relator as coefficients (Fox, "Free differential
-calculus I", Ann. Math. 1953): r constraint rows per relator.
+finite abelian modules, and arbitrary finite groups with action.  A cocycle
+is determined by its values on the generators of a presentation
+(groups.presentation), and any values there extend to a cocycle exactly
+when every relator evaluates to 1 in N x| Gamma (Serre, Galois Cohomology,
+I 5.1).  Abelian H^1 solves that condition exactly over the integers: it is
+linear, with the Fox derivatives of the relator as coefficients (Fox, "Free
+differential calculus I", Ann. Math. 1953).  Nonabelian cocycles,
+homomorphisms and lifts come from one backtracking search over those values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from operator import mul
 
 from . import linalg as la
-from .groups import FiniteGroup, generating_set, presentation
+from .groups import FiniteGroup, GroupHom, generating_set, presentation
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
 
@@ -362,41 +362,47 @@ class CohomologyGroup:
         return not self.invariants
 
 
+def _letters(gamma: FiniteGroup, gens, w) -> list:
+    """(i, h, inverted) per letter gens[i]^(+-1) of the relator w: by the
+    cocycle law f(w) is the product of the (h . f(gens[i]))^(+-1), h the
+    prefix of w before the letter, times gens[i]^-1 if the letter is one."""
+    grows, inverses = gamma.rows, gamma.inverses
+    out, x = [], 0
+    for letter in w:
+        i = letter >> 1
+        if letter & 1:
+            x = grows[x][inverses[gens[i]]]
+            out.append((i, x, True))
+        else:
+            out.append((i, x, False))
+            x = grows[x][gens[i]]
+    if x != 0:
+        raise ValueError("a relator does not evaluate to the identity")
+    return out
+
+
 def _relator_rows(gamma: FiniteGroup, mats, r: int, gens, relators) -> list:
     """Constraint rows on the cocycle values at the generators, r per relator.
 
-    The cocycle law f(u v) = f(u) + rho(u) f(v) gives, letter by letter,
-    f(w) = sum of +rho(prefix) f(s) over the letters s of w and
-    -rho(prefix s^-1) f(s) over the letters s^-1, prefix the part of w before
-    the letter; f(w) = 0 is r rows of Python ints over the len(gens) * r
+    Written additively (see _letters), f(w) = 0 is the sum of +-rho(h) f(s_i)
+    over the letters of w: r rows of Python ints over the len(gens) * r
     unknowns f(s).
     """
     width = len(gens) * r
-    grows, inverses = gamma.rows, gamma.inverses
     nonzeros = {}  # g -> rho(g) as sparse rows [(column, value), ...]
     constraints = []
     for w in relators:
         block = [[0] * width for _ in range(r)]
-        x = 0
-        for letter in w:
-            s = gens[letter >> 1]
-            if letter & 1:
-                x = grows[x][inverses[s]]
-                h, sign = x, -1
-            else:
-                h, sign = x, 1
-                x = grows[x][s]
+        for i, h, inverted in _letters(gamma, gens, w):
             nz = nonzeros.get(h)
             if nz is None:
                 nz = nonzeros[h] = [
                     [(c, v) for c, v in enumerate(row) if v] for row in mats[h]
                 ]
-            off = (letter >> 1) * r
+            off, sign = i * r, -1 if inverted else 1
             for row, rho_row in zip(block, nz):
                 for c, v in rho_row:
                     row[off + c] += sign * v
-        if x != 0:
-            raise ValueError("a relator does not evaluate to the identity")
         constraints.extend(block)
     return constraints
 
@@ -483,24 +489,61 @@ class NonabelianH1:
         return sum(self.sizes)
 
 
+def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> list:
+    """Every crossed homomorphism gamma -> coeff with a value from candidates[i]
+    at gens[i], in itertools.product order of the generator values: the
+    nonabelian twin of _relator_rows.  A backtrack over the generators checks
+    each relator once its highest generator has a value."""
+    op, inv, act, neutral = coeff.op, coeff.inv, coeff.act, coeff.neutral
+    due = [[] for _ in gens]  # relators by their highest generator
+    for w in relators:
+        letters = _letters(gamma, gens, w)
+        due[max(i for i, _, _ in letters)].append(letters)
+    vals = [None] * len(gens)
+    out = []
+
+    def neutral_at(letters) -> bool:
+        acc = neutral
+        for i, h, inverted in letters:
+            v = act(h, vals[i])
+            acc = op(acc, inv(v) if inverted else v)
+        return acc == neutral
+
+    def extend(i):
+        if i == len(gens):
+            try:
+                out.append(CrossedHom.from_generators(gamma, coeff, dict(zip(gens, vals))))
+            except NotCocycle as e:  # impossible for an action by automorphisms
+                raise NotAction("values that satisfy every relator do not extend: "
+                                "the action is not by automorphisms") from e
+            return
+        for v in candidates[i]:
+            vals[i] = v
+            if all(map(neutral_at, due[i])):
+                extend(i + 1)
+
+    extend(0)
+    return out
+
+
 def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
                        budget: int = DEFAULT_BUDGET) -> tuple:
     """All crossed homomorphisms gamma -> n, as value tuples."""
-    gens = generating_set(gamma)
+    gens, relators = presentation(gamma)
     total = n.underlying.order ** len(gens)
     if total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
-    und = n.underlying
-    out = []
-    for assignment in product(und.elements(), repeat=len(gens)):
-        try:
-            f = CrossedHom.from_generators(
-                gamma, n, {s: v for s, v in zip(gens, assignment)}
-            )
-        except NotCocycle:
-            continue
-        out.append(f.values)
-    return tuple(sorted(out))
+    every = [n.underlying.elements()] * len(gens)
+    return tuple(sorted(f.values for f in _relator_search(gamma, n, gens, relators, every)))
+
+
+def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
+    """Every homomorphism src -> tgt, ordered by the images it gives the
+    generating set of src: the cocycles src -> tgt for the trivial action."""
+    gens, relators = presentation(src)
+    every = [tgt.elements()] * len(gens)
+    found = _relator_search(src, trivial_gamma_group(src, tgt), gens, relators, every)
+    return tuple(GroupHom(src, tgt, f.values, validate=False) for f in found)
 
 
 def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,

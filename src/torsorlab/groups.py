@@ -717,38 +717,6 @@ def _short_presentation(g: FiniteGroup, gens) -> tuple:
     return gens, tuple(chosen)
 
 
-def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
-    """Every homomorphism src -> tgt, ordered by the images it gives the
-    generating set of src."""
-    gens = generating_set(src)
-    srows, trows = src.rows, tgt.rows
-    out = []
-    for images in product(tgt.elements(), repeat=len(gens)):
-        f = [-1] * src.order
-        f[0] = 0
-        frontier = [0]
-        good = True
-        while frontier and good:
-            new = []
-            for x in frontier:
-                sx, tx = srows[x], trows[f[x]]
-                for s, im in zip(gens, images):
-                    y, v = sx[s], tx[im]
-                    if f[y] < 0:
-                        f[y] = v
-                        new.append(y)
-                    elif f[y] != v:
-                        good = False
-                        break
-                if not good:
-                    break
-            frontier = new
-        # f(xs) = f(x) f(s) on every Cayley edge, so f is multiplicative
-        if good:
-            out.append(GroupHom(src, tgt, tuple(f), validate=False))
-    return tuple(out)
-
-
 def all_subgroups(g: FiniteGroup) -> tuple:
     """Every subgroup, found by closing each subgroup with one more element."""
     trivial = (0,)

@@ -7,8 +7,8 @@ right translation as the A-action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 from .cohomology import (
     BudgetExceeded,
@@ -16,12 +16,13 @@ from .cohomology import (
     DEFAULT_BUDGET,
     GammaGroup,
     NotCocycle,
+    _relator_search,
     h1_nonabelian,
     trivial_cocycle,
     twist_group,
     twist_values,
 )
-from .groups import FiniteGroup, GroupHom, generating_set
+from .groups import FiniteGroup, GroupHom, presentation
 from .gsets import GSet
 from .linalg import int_rows
 
@@ -207,48 +208,31 @@ def relative_h1(v: EquivariantHom, q: TorsorRep,
                 budget: int = DEFAULT_BUDGET) -> tuple:
     """Representatives of lifts of q along v, modulo kernel twists.
 
-    Lifts are enumerated on a generating set of Gamma: each generator value
-    ranges over the v-fiber of the base value.
+    Lifts are searched on the generators of a presentation of Gamma: each
+    generator value ranges over the v-fiber of the base value.
     """
     if q.structure != v.target:
         raise IncompatibleActions("base torsor over the wrong group")
     gamma = v.source.gamma
     B = v.source
-    gens = generating_set(gamma)
-    fibers = []
-    for s in gens:
-        target_val = q.cocycle(s)
-        fib = tuple(x for x in B.underlying.elements() if v(x) == target_val)
-        fibers.append(fib)
-    total = 1
-    for f in fibers:
-        total *= len(f)
+    gens, relators = presentation(gamma)
+    fibers = [tuple(x for x in B.underlying.elements() if v(x) == q.cocycle(s))
+              for s in gens]
+    total = math.prod(map(len, fibers))
     if total > budget:
         raise BudgetExceeded(f"{total} candidate lifts exceed budget {budget}")
     kernel = v.hom.kernel()
-    found = set()
-    reps = []
-    for assignment in product(*fibers):
-        try:
-            f = CrossedHom.from_generators(
-                gamma, B, {s: val for s, val in zip(gens, assignment)}
-            )
-        except NotCocycle:
-            continue
-        if tuple(v(x) for x in f.values) != q.cocycle.values:
-            continue
-        if f.values in found:
-            continue
-        orbit = _kernel_twists(f.values, B, kernel)
-        found.update(orbit)
-        rep_vals = orbit[0]
-        reps.append(
-            RelativeClass(
-                v, q, TorsorRep(B, CrossedHom(gamma, B, rep_vals, validate=False))
-            )
-        )
-    reps.sort(key=lambda rc: rc.p.cocycle.values)
-    return tuple(reps)
+    found, reps = set(), []
+    # v o f and q are cocycles that agree on the generators, so v o f = q
+    for f in _relator_search(gamma, B, gens, relators, fibers):
+        if f.values not in found:
+            orbit = _kernel_twists(f.values, B, kernel)
+            found.update(orbit)
+            reps.append(orbit[0])
+    return tuple(
+        RelativeClass(v, q, TorsorRep(B, CrossedHom(gamma, B, r, validate=False)))
+        for r in sorted(reps)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,16 @@ def test_a_directory_reference_exits_3(tmp_path, capsys):
     for path in (recipe, tmp_path / "factor"):
         assert cli.main(["invsys", "classify", "--recipe", str(path)]) == cli.EXIT_ERROR
         captured = capsys.readouterr()
-        assert captured.out == "" and "Is a directory" in captured.err
+        assert captured.out == "" and "parse error" in captured.err
+        assert "Is a directory" in captured.err
+
+
+def test_a_directory_as_out_is_a_write_error(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "nt", "split", "--poly", "x^2+1", "--p", "5"]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parse error" not in captured.err
+    assert "write error" in captured.err and "Is a directory" in captured.err
 
 
 LEVEL = {"conductor": 1, "subgroup": [0]}

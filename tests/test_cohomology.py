@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsorlab import catalog
 from torsorlab import cohomology as co
@@ -539,8 +541,8 @@ def action_through(gamma, und, hom, auto):
     return co.GammaGroup(gamma, und, np.array(rows))
 
 
-def test_enumerate_cocycles_is_complete():
-    # generator enumeration against whole-map filtering, |N|^|Gamma| <= 10^4
+def action_through_cases() -> list:
+    """Small nontrivial actions, with |N|^|Gamma| <= 10^4."""
     c2, c3, s3 = gr.cyclic_group(2), gr.cyclic_group(3), gr.symmetric_group(3)
     v4 = gr.direct_product(c2, c2)  # index a + 2b
     inversion = (0, 2, 1)
@@ -558,11 +560,7 @@ def test_enumerate_cocycles_is_complete():
     def sign(t):
         return 0 if s3.element_order(t) in (1, 3) else 1
 
-    trivial = [
-        (c2, s3), (c2, c2), (c3, c3), (c3, v4), (v4, c3), (v4, s3),
-        (s3, c2), (s3, c3), (s3, v4),
-    ]
-    cases = [co.trivial_gamma_group(g, u) for g, u in trivial] + [
+    return [
         action_through(c2, c3, ident, inversion),
         action_through(c2, v4, ident, swap),
         action_through(c2, s3, ident, inner),
@@ -572,9 +570,37 @@ def test_enumerate_cocycles_is_complete():
         action_through(s3, c3, sign, inversion),
         action_through(s3, v4, sign, swap),
     ]
+
+
+def test_enumerate_cocycles_is_complete():
+    # generator enumeration against whole-map filtering, |N|^|Gamma| <= 10^4
+    c2, c3, s3 = gr.cyclic_group(2), gr.cyclic_group(3), gr.symmetric_group(3)
+    v4 = gr.direct_product(c2, c2)
+    trivial = [
+        (c2, s3), (c2, c2), (c3, c3), (c3, v4), (v4, c3), (v4, s3),
+        (s3, c2), (s3, c3), (s3, v4),
+    ]
+    cases = [co.trivial_gamma_group(g, u) for g, u in trivial] + action_through_cases()
     for n in cases:
         assert n.underlying.order ** n.gamma.order <= 10**4
         assert list(co.enumerate_cocycles(n.gamma, n)) == brute_cocycles(n.gamma, n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_relators_accept_exactly_what_the_cayley_closure_accepts(data):
+    # the relator search against closing the whole Cayley graph, one
+    # assignment of generator values at a time
+    n = data.draw(st.sampled_from(action_through_cases()))
+    gens, relators = gr.presentation(n.gamma)
+    values = [data.draw(st.integers(0, n.underlying.order - 1)) for _ in gens]
+    found = co._relator_search(n.gamma, n, gens, relators, [(v,) for v in values])
+    try:
+        closed = co.CrossedHom.from_generators(n.gamma, n, dict(zip(gens, values)))
+    except co.NotCocycle:
+        assert found == []
+    else:
+        assert [f.values for f in found] == [closed.values]
 
 
 def test_h1_abelian_rejects_a_table_that_is_no_action():
@@ -598,3 +624,21 @@ def test_h1_nonabelian_rejects_an_action_not_by_automorphisms():
     # twisted conjugation leaves the edge-consistent value tables
     with pytest.raises(co.NotAction):
         co.h1_nonabelian(n.gamma, n)
+
+
+def test_relators_that_hold_but_do_not_close_mean_no_action():
+    # V4 permutes C6 by maps that are no automorphisms; the relators of V4
+    # admit (3, 4) at its generators, whose values the Cayley graph rejects
+    c2 = gr.cyclic_group(2)
+    v4 = gr.direct_product(c2, c2)
+    rows = [(0, 1, 2, 3, 4, 5), (0, 1, 4, 3, 2, 5), (0, 1, 4, 5, 2, 3), (0, 1, 2, 5, 4, 3)]
+    n = co.GammaGroup(v4, gr.cyclic_group(6), rows, validate=False)
+    with pytest.raises(co.NotAction):
+        co.GammaGroup(v4, n.underlying, rows)
+    gens, relators = gr.presentation(v4)
+    with pytest.raises(co.NotAction):
+        co._relator_search(v4, n, gens, relators, [(3,), (4,)])
+    with pytest.raises(co.NotAction):
+        co.enumerate_cocycles(v4, n)
+    with pytest.raises(co.NotAction):
+        co.h1_nonabelian(v4, n)

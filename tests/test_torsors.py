@@ -4,6 +4,7 @@ from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import torsors as to
+from test_cohomology import action_through, brute_cocycles
 
 
 def c2_on_c2_structure():
@@ -138,6 +139,47 @@ def test_relative_h1_s3_sequence_counts():
     reps = to.relative_h1(v, q_id)
     # three transposition lifts, fused by kernel conjugation
     assert len(reps) == 1
+
+
+def quotient_map(b: co.GammaGroup, n_elems) -> to.EquivariantHom:
+    """v: B -> B/N with the induced action, for a Gamma-stable normal N."""
+    q, proj = gr.quotient(b.underlying, n_elems)
+    lift = {proj(x): x for x in b.underlying.elements()}
+    action = [[proj(b.act(t, lift[c])) for c in q.elements()] for t in b.gamma.elements()]
+    return to.EquivariantHom(b, co.GammaGroup(b.gamma, q, action), proj)
+
+
+def test_relative_h1_matches_brute_force():
+    # lifts of every base cocycle q: all cocycles f of B with v o f = q,
+    # filtered from every map Gamma -> B, modulo twists by the kernel of v
+    c2, c3, c4 = gr.cyclic_group(2), gr.cyclic_group(3), gr.cyclic_group(4)
+    v4, s3, d4 = gr.direct_product(c2, c2), gr.symmetric_group(3), gr.dihedral_group(4)
+    a4 = gr.alternating_group_4()
+    inversion = tuple(c4.inv(x) for x in c4.elements())
+    s = next(x for x in s3.elements() if s3.element_order(x) == 2)
+    inner = tuple(s3.conj(s, x) for x in s3.elements())
+    rotations = next(h for h in gr.all_subgroups(d4) if len(h) == 4
+                     and any(d4.element_order(x) == 4 for x in h))
+    cases = [
+        (co.trivial_gamma_group(c2, s3), gr.generated_subgroup(s3, [2])),
+        (action_through(c2, s3, lambda t: t, inner), gr.generated_subgroup(s3, [2])),
+        (action_through(c2, c4, lambda t: t, inversion), (0, 2)),
+        (action_through(v4, c4, lambda t: t % 2, inversion), (0, 2)),
+        (co.trivial_gamma_group(c2, d4), gr.center(d4)),
+        (co.trivial_gamma_group(c2, d4), rotations),
+        (co.trivial_gamma_group(c3, a4), gr.generated_subgroup(a4, [
+            x for x in a4.elements() if a4.element_order(x) == 2])),
+    ]
+    for b, n_elems in cases:
+        v = quotient_map(b, n_elems)
+        kernel = v.hom.kernel()
+        cocycles = brute_cocycles(b.gamma, b)
+        for qvals in brute_cocycles(b.gamma, v.target):
+            q = to.TorsorRep(v.target, co.CrossedHom(b.gamma, v.target, qvals))
+            lifts = [f for f in cocycles if tuple(map(v, f)) == qvals]
+            want = sorted({min(co.twist_values(b, f, kernel)) for f in lifts})
+            got = [rc.p.cocycle.values for rc in to.relative_h1(v, q)]
+            assert got == want, (b, n_elems, qvals)
 
 
 def test_twist_bijection_s3():
