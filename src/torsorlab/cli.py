@@ -228,7 +228,7 @@ def cmd_nt_split(args):
     if args.poly:
         poly = jsonio.parse_poly(args.poly)
         fld = nt.NumberFieldDatum(poly)
-        st = nt.dedekind_split(fld, args.p, seed=args.seed)
+        st = nt.dedekind_split(fld, args.p)
         route = "dedekind"
     else:
         if args.conductor is None or args.subgroup is None:

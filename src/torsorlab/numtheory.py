@@ -3,7 +3,9 @@
 Polynomials are little-endian integer coefficient tuples.  Splitting in
 abelian fields is pure modular arithmetic on (conductor, unit subgroup)
 data; splitting via a defining polynomial goes through the Dedekind
-criterion, and the two routes cross-check each other.
+criterion, and the two routes cross-check each other.  The Dedekind route
+reads only the squarefree and distinct-degree stages of factoring mod p;
+only `factor_mod_p` splits equal-degree products.
 """
 
 from __future__ import annotations
@@ -214,29 +216,32 @@ def _equal_degree(f, d, p, rng):
             return left + right
 
 
-def factor_mod_p(poly, p, seed: int = 0) -> tuple:
-    """Full factorization over F_p: sorted ((coeffs), multiplicity) pairs.
-
-    The equal-degree stage is randomized; the seed makes runs reproducible.
-    """
+def _factor_stages(poly, p) -> list:
+    """[(h, d, mult)]: the monic reduction of poly mod p is the product of the
+    h^mult, each h a squarefree product of irreducibles of degree d."""
     f = pmod(poly, p)
     if pdegree(f) < 1:
-        return ()
-    rng = random.Random(seed)
+        return []
     out = []
-    for g, mult in _squarefree_decomposition(f, p):
-        for h, d in _distinct_degree(g, p):
-            for irr in _equal_degree(h, d, p, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (pdegree(t[0]), t[0]))
-    # exactness: the product must reproduce the monic part
     prod = (1,)
-    for irr, mult in out:
+    for g, mult in _squarefree_decomposition(f, p):
+        out += [(h, d, mult) for h, d in _distinct_degree(g, p)]
         for _ in range(mult):
-            prod = pmul(prod, irr, p)
-    if prod != _monic(poly, p):
+            prod = pmul(prod, g, p)
+    # exactness: the squarefree parts must reproduce the monic part
+    if prod != _monic(f, p):
         raise ValueError("the factors do not multiply back to the polynomial")
-    return tuple(out)
+    return out
+
+
+def factor_mod_p(poly, p) -> tuple:
+    """Full factorization over F_p: sorted ((coeffs), multiplicity) pairs,
+    from the two stages and then the package's only equal-degree split
+    (Cantor-Zassenhaus, randomized with a fixed seed)."""
+    rng = random.Random(0)
+    out = [(irr, mult) for h, d, mult in _factor_stages(poly, p)
+           for irr in _equal_degree(h, d, p, rng)]
+    return tuple(sorted(out, key=lambda t: (pdegree(t[0]), t[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +314,18 @@ class SplittingType:
         return tuple(f for _, f in self.pairs)
 
 
-def dedekind_split(fld: NumberFieldDatum, p: int, seed: int = 0) -> SplittingType:
-    """Splitting type from the factorization mod p, with the full Dedekind
-    index test; IndexDivisor when p may divide the index of the equation
-    order."""
+def dedekind_split(fld: NumberFieldDatum, p: int) -> SplittingType:
+    """Splitting type and the full Dedekind index test from the squarefree
+    and distinct-degree stages mod p alone; IndexDivisor when p may divide
+    the index of the equation order."""
     if not _is_prime(p):
         raise ValueError(f"p={p} is not a prime")
-    fbar_factors = factor_mod_p(fld.poly, p, seed=seed)
-    if not fbar_factors:
-        raise ValueError("degenerate polynomial mod p")
     # radical and cofactor, lifted to monic integer polynomials
     g_bar = (1,)
-    for irr, _ in fbar_factors:
-        g_bar = pmul(g_bar, irr, p)
+    pairs = []
+    for h, d, mult in _factor_stages(fld.poly, p):
+        g_bar = pmul(g_bar, h, p)
+        pairs += [(mult, d)] * (pdegree(h) // d)
     h_bar = pdivmod(fld.poly, g_bar, p)[0]
     diff = psub(pmul(g_bar, h_bar), fld.poly)
     if any(c % p for c in diff):
@@ -331,9 +335,7 @@ def dedekind_split(fld: NumberFieldDatum, p: int, seed: int = 0) -> SplittingTyp
     test = poly_gcd(t_poly, inner, p)
     if pdegree(test) > 0:
         raise IndexDivisor(f"Dedekind test fails at p={p}")
-    return SplittingType(
-        tuple((mult, pdegree(irr)) for irr, mult in fbar_factors), fld.degree
-    )
+    return SplittingType(tuple(pairs), fld.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +782,6 @@ def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
     for _ in range(law.levels):
         chosen = None
         for p in primes_up_to(law.prime_bound):
-            if p <= max(used) and p in used:
-                continue
             if p == l or p in used:
                 continue
             if (p - 1) % l != 0:

@@ -11,7 +11,7 @@ import types
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
@@ -142,7 +142,7 @@ def test_factor_against_sympy():
 
 def test_factor_determinism():
     poly = (3, 1, 4, 1, 5, 9, 2, 6, 1)
-    assert nt.factor_mod_p(poly, 101, seed=7) == nt.factor_mod_p(poly, 101, seed=7)
+    assert nt.factor_mod_p(poly, 101) == nt.factor_mod_p(poly, 101) == sympy_factor_mod(poly, 101)
 
 
 def test_number_field_datum_validation():
@@ -175,6 +175,87 @@ def test_dedekind_index_divisor_detected():
     fld2 = nt.NumberFieldDatum((-8, -2, -1, 1))
     with pytest.raises(nt.IndexDivisor):
         nt.dedekind_split(fld2, 2)
+
+
+def _reference_dedekind(fld, p):
+    # the route through the full factorization: the radical is the product
+    # of the irreducible factors, then the same index test
+    factors = nt.factor_mod_p(fld.poly, p)
+    g_bar = (1,)
+    for irr, _ in factors:
+        g_bar = nt.pmul(g_bar, irr, p)
+    h_bar = nt.pdivmod(fld.poly, g_bar, p)[0]
+    diff = nt.psub(nt.pmul(g_bar, h_bar), fld.poly)
+    if any(c % p for c in diff):
+        raise ValueError("the radical does not divide the polynomial mod p")
+    t_poly = nt.pmod([c // p for c in diff], p)
+    if nt.pdegree(nt.poly_gcd(t_poly, nt.poly_gcd(g_bar, h_bar, p), p)) > 0:
+        raise nt.IndexDivisor(f"Dedekind test fails at p={p}")
+    return nt.SplittingType(tuple((m, nt.pdegree(irr)) for irr, m in factors), fld.degree)
+
+
+_PRIMES = st.sampled_from((2, 3, 5, 7, 13))
+
+
+@st.composite
+def _monic_with_prime(draw):
+    kind = draw(st.sampled_from(("random", "planted", "eisenstein")))
+    p = draw(_PRIMES)
+    if kind == "random":
+        poly = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=6)) + [1]
+    elif kind == "planted":
+        # g^k + p r reduces to the k-th power of g mod p
+        g = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2)) + [1]
+        power = (1,)
+        for _ in range(draw(st.integers(2, 4))):
+            power = nt.pmul(power, g)
+        r = draw(st.lists(st.integers(-5, 5), max_size=len(power) - 1))
+        poly = list(nt.padd(power, [p * c for c in r]))
+    else:
+        # x^q - q u is Eisenstein at q and reduces to x^q there
+        q = draw(_PRIMES)
+        u = draw(st.integers(1, 30).filter(lambda u: u % q))
+        poly = [-q * u] + [0] * (q - 1) + [1]
+    return poly, p
+
+
+class _Forbidden:
+    def __getattr__(self, name):
+        raise RuntimeError(f"random.{name} reached on the verdict path")
+
+
+def _no_equal_degree(*args):
+    raise RuntimeError("_equal_degree reached on the verdict path")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_monic_with_prime())
+@example(((1, 0, 0, 0, 1), 2))  # x^4 + 1 is (x + 1)^4 mod 2
+@example(((-8, -2, -1, 1), 2))  # an index divisor
+@example(((-5 * 3, 0, 0, 0, 0, 1), 5))  # x^5 - 15 is x^5 mod 5
+def test_dedekind_split_agrees_with_the_full_factorization(case):
+    # the squarefree and distinct-degree stages against the radical of the
+    # complete factorization; the equal-degree split must not be reached
+    poly, p = case
+    try:
+        fld = nt.NumberFieldDatum(poly)
+    except nt.NotIrreducible:
+        return
+    try:
+        expected = _reference_dedekind(fld, p)
+    except ValueError as e:
+        expected = type(e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "_equal_degree", _no_equal_degree)
+        mp.setattr(nt, "random", _Forbidden())
+        try:
+            got = nt.dedekind_split(fld, p)
+        except ValueError as e:
+            got = type(e)
+    if isinstance(expected, nt.SplittingType):
+        assert isinstance(got, nt.SplittingType) and got.pairs == expected.pairs
+    else:
+        assert got is expected
 
 
 def test_abelian_datum_and_split():
