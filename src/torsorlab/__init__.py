@@ -13,8 +13,8 @@ SBAR_CONDITION = 0
 
 from .groups import (  # noqa: E402,F401
     FiniteGroup,
+    GammaGroup,
     GroupHom,
-    SemidirectDatum,
     center,
     centralizer,
     class_fiber,
@@ -49,7 +49,6 @@ from .lattices import (  # noqa: E402,F401
 from .cohomology import (  # noqa: E402,F401
     CrossedHom,
     FiniteModule,
-    GammaGroup,
     h0,
     h1_abelian,
     h1_nonabelian,

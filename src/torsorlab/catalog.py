@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .groups import (
     FiniteGroup,
-    SemidirectDatum,
+    GammaGroup,
     alternating_group_4,
     cyclic_group,
     dihedral_group,
@@ -24,7 +24,7 @@ def _frobenius_20() -> FiniteGroup:
     for i in range(4):
         mult = pow(2, i, 5)
         theta.append(tuple((mult * x) % 5 for x in range(5)))
-    return semidirect_product(SemidirectDatum(c5, c4, tuple(theta))).group
+    return semidirect_product(GammaGroup(c4, c5, theta)).group
 
 
 def _frobenius_21() -> FiniteGroup:
@@ -34,7 +34,7 @@ def _frobenius_21() -> FiniteGroup:
     for i in range(3):
         mult = pow(2, i, 7)
         theta.append(tuple((mult * x) % 7 for x in range(7)))
-    return semidirect_product(SemidirectDatum(c7, c3, tuple(theta))).group
+    return semidirect_product(GammaGroup(c3, c7, theta)).group
 
 
 def group_catalog(max_order: int = 24) -> tuple:

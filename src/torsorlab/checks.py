@@ -301,7 +301,6 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         length = rng.randint(1, 5)
         groups = [pool[rng.randrange(len(pool))] for _ in range(length + 1)]
         maps = []
-        good = True
         for i in range(length):
             homs = co.all_homs(groups[i + 1], groups[i])
             maps.append(homs[rng.randrange(len(homs))])
@@ -427,8 +426,7 @@ def check_lim1_dichotomy(horizon: int = 8) -> CheckResult:
 # 9. dual-oracle prime splitting
 
 
-def check_splitting_dual_oracle(seed: int = 0, target: int = 500) -> CheckResult:
-    rng = random.Random(seed)
+def check_splitting_dual_oracle(target: int = 500) -> CheckResult:
     conductors = [5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 24, 28,
                   32, 33, 35, 36, 40, 44, 45, 48, 60, 63, 65, 72, 84, 88, 100]
     prime_pool = [p for p in nt.primes_up_to(60) if p > 2]
@@ -529,7 +527,7 @@ def check_product_h1() -> CheckResult:
         canon = []
         for cls in h_prod.classes:
             parts = []
-            for (i, pmap), f in zip(proj_maps, factors):
+            for (_, pmap), f in zip(proj_maps, factors):
                 vals = tuple(pmap[v] for v in cls.values)
                 # canonicalize through twisted conjugation
                 parts.append(min(co.twist_values(f, vals, f.underlying.elements())))
@@ -570,7 +568,7 @@ def run_suite(seed: int = 0, horizon: int = 8) -> tuple:
     out = []
     for name, fn in ALL_CHECKS:
         try:
-            if fn in (check_truncated_orbit_transitivity, check_splitting_dual_oracle):
+            if fn is check_truncated_orbit_transitivity:
                 out.append(fn(seed=seed))
             elif fn is check_lim1_dichotomy:
                 out.append(fn(horizon=horizon))

@@ -17,16 +17,14 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import linalg as la
-from .groups import FiniteGroup, GroupHom, generating_set, presentation
+# GammaGroup and NotAction live in groups; they are re-exported from here
+from .groups import (FiniteGroup, GammaGroup, GroupHom, InvalidHom, NotAction, direct_product,
+                     generating_set, presentation)
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
 
 
 class NotCocycle(ValueError):
-    pass
-
-
-class NotAction(ValueError):
     pass
 
 
@@ -45,81 +43,6 @@ DEFAULT_BUDGET = 10**6
 # coefficient objects
 
 
-class GammaGroup:
-    """A finite group `underlying` with `gamma` acting by automorphisms.
-
-    `action[t][x]` is the image of x under t, stored as a tuple of int tuples.
-    """
-
-    def __init__(self, gamma: FiniteGroup, underlying: FiniteGroup, action,
-                 validate: bool = True):
-        self.gamma = gamma
-        self.underlying = underlying
-        try:
-            a = la.int_rows(action)
-        except (TypeError, ValueError) as e:
-            raise NotAction("action table must be an array of integers") from e
-        if len(a) != gamma.order or any(len(r) != underlying.order for r in a):
-            raise NotAction("action table shape mismatch")
-        self.action = a
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        g, n, a = self.gamma, self.underlying, self.action
-        if a[0] != tuple(n.elements()):
-            raise NotAction("identity must act trivially")
-        nrows = n.rows
-        for t, row in enumerate(a):
-            if sorted(row) != list(n.elements()):
-                raise NotAction("element %d does not act bijectively" % t)
-            for x, xrow in enumerate(nrows):
-                rx = nrows[row[x]]
-                for y, xy in enumerate(xrow):
-                    if row[xy] != rx[row[y]]:
-                        raise NotAction("element %d not an automorphism" % t)
-        for t1, grow in enumerate(g.rows):
-            for t2, t12 in enumerate(grow):
-                if tuple(map(a[t1].__getitem__, a[t2])) != a[t12]:
-                    raise NotAction("action is not a homomorphism")
-
-    # coefficient protocol: neutral/op/inv/act/canon on canonical values
-    neutral = 0
-
-    def op(self, x: int, y: int) -> int:
-        return self.underlying.rows[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.underlying.inverses[x]
-
-    def act(self, t: int, x: int) -> int:
-        return self.action[t][x]
-
-    def canon(self, x) -> int:
-        return int(x)
-
-    def fixed_points(self) -> tuple:
-        return tuple(
-            x
-            for x in self.underlying.elements()
-            if all(self.act(t, x) == x for t in self.gamma.elements())
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GammaGroup)
-            and self.gamma == other.gamma
-            and self.underlying == other.underlying
-            and self.action == other.action
-        )
-
-    def __repr__(self):
-        return (
-            f"GammaGroup(|gamma|={self.gamma.order}, "
-            f"|underlying|={self.underlying.order})"
-        )
-
-
 def trivial_gamma_group(gamma: FiniteGroup, underlying: FiniteGroup) -> GammaGroup:
     action = (tuple(underlying.elements()),) * gamma.order
     return GammaGroup(gamma, underlying, action, validate=False)
@@ -131,8 +54,6 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
     gamma = factors[0].gamma
     if any(f.gamma != gamma for f in factors):
         raise NotAction("factors over different groups")
-    from .groups import direct_product
-
     und = factors[0].underlying
     offsets = [und.order]
     for f in factors[1:]:
@@ -232,10 +153,11 @@ class CrossedHom:
         if self.validate:
             if vals[0] != c.neutral:
                 raise NotCocycle("value at the identity must be neutral")
-            g = self.group
-            for s in g.elements():
-                for t in g.elements():
-                    if c.op(vals[s], c.act(s, vals[t])) != vals[g.mul(s, t)]:
+            rows = self.group.rows
+            for s in generating_set(self.group):
+                fs, st = vals[s], rows[s]
+                for t, ft in enumerate(vals):
+                    if c.op(fs, c.act(s, ft)) != vals[st[t]]:
                         raise NotCocycle("cocycle law fails at (%d,%d)" % (s, t))
 
     def __call__(self, t: int):
@@ -244,32 +166,42 @@ class CrossedHom:
     @classmethod
     def from_generators(cls, group, coefficient, gen_values: dict) -> "CrossedHom":
         """Close generator values over a spanning tree; reject inconsistency."""
-        op, act = coefficient.op, coefficient.act
         gen_values = [(s, coefficient.canon(v)) for s, v in gen_values.items()]
-        rows = group.rows
-        vals = [None] * group.order
-        vals[0] = coefficient.neutral
-        reached = 1
-        frontier = [0]
-        while frontier:
-            new = []
-            for g in frontier:
-                row, fg = rows[g], vals[g]
-                for s, fs in gen_values:
-                    t = row[s]
-                    v = op(fg, act(g, fs))
-                    if vals[t] is None:
-                        vals[t] = v
-                        new.append(t)
-                    elif vals[t] != v:
-                        raise NotCocycle("generator values are inconsistent")
-            reached += len(new)
-            frontier = new
-        if reached != group.order:
-            raise NotCocycle("generators do not generate the group")
-        # every Cayley edge satisfies f(gs) = f(g) (g . f(s)); the action is by
-        # automorphisms, so induction on word length gives the law for all pairs
-        return cls(group, coefficient, tuple(vals), validate=False)
+        return cls(group, coefficient, _closed_values(group, coefficient, gen_values),
+                   validate=False)
+
+
+def _closed_values(group: FiniteGroup, coefficient, gen_values) -> tuple:
+    """The value table of the cocycle with f(s) = v for each (s, v) in
+    gen_values, v canonical, closed over the Cayley graph; NotCocycle if two
+    edges disagree or the s do not generate the group.
+
+    Every Cayley edge then satisfies f(gs) = f(g) (g . f(s)); the action is
+    by automorphisms, so induction on word length gives the cocycle law for
+    all pairs."""
+    op, act = coefficient.op, coefficient.act
+    rows = group.rows
+    vals = [None] * group.order
+    vals[0] = coefficient.neutral
+    reached = 1
+    frontier = [0]
+    while frontier:
+        new = []
+        for g in frontier:
+            row, fg = rows[g], vals[g]
+            for s, fs in gen_values:
+                t = row[s]
+                v = op(fg, act(g, fs))
+                if vals[t] is None:
+                    vals[t] = v
+                    new.append(t)
+                elif vals[t] != v:
+                    raise NotCocycle("generator values are inconsistent")
+        reached += len(new)
+        frontier = new
+    if reached != group.order:
+        raise NotCocycle("generators do not generate the group")
+    return tuple(vals)
 
 
 def trivial_cocycle(group: FiniteGroup, coefficient) -> CrossedHom:
@@ -490,10 +422,11 @@ class NonabelianH1:
 
 
 def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> list:
-    """Every crossed homomorphism gamma -> coeff with a value from candidates[i]
-    at gens[i], in itertools.product order of the generator values: the
-    nonabelian twin of _relator_rows.  A backtrack over the generators checks
-    each relator once its highest generator has a value."""
+    """The value table of every crossed homomorphism gamma -> coeff with a
+    canonical value from candidates[i] at gens[i], in itertools.product order
+    of the generator values: the nonabelian twin of _relator_rows.  A
+    backtrack over the generators checks each relator once its highest
+    generator has a value."""
     op, inv, act, neutral = coeff.op, coeff.inv, coeff.act, coeff.neutral
     due = [[] for _ in gens]  # relators by their highest generator
     for w in relators:
@@ -512,7 +445,7 @@ def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> li
     def extend(i):
         if i == len(gens):
             try:
-                out.append(CrossedHom.from_generators(gamma, coeff, dict(zip(gens, vals))))
+                out.append(_closed_values(gamma, coeff, tuple(zip(gens, vals))))
             except NotCocycle as e:  # impossible for an action by automorphisms
                 raise NotAction("values that satisfy every relator do not extend: "
                                 "the action is not by automorphisms") from e
@@ -534,7 +467,7 @@ def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
     if total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
     every = [n.underlying.elements()] * len(gens)
-    return tuple(sorted(f.values for f in _relator_search(gamma, n, gens, relators, every)))
+    return tuple(sorted(_relator_search(gamma, n, gens, relators, every)))
 
 
 def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
@@ -543,7 +476,7 @@ def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
     gens, relators = presentation(src)
     every = [tgt.elements()] * len(gens)
     found = _relator_search(src, trivial_gamma_group(src, tgt), gens, relators, every)
-    return tuple(GroupHom(src, tgt, f.values, validate=False) for f in found)
+    return tuple(GroupHom(src, tgt, vals, validate=False) for vals in found)
 
 
 def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
@@ -586,28 +519,27 @@ class AutValuedCocycle:
     def __post_init__(self):
         autos = tuple(tuple(int(x) for x in a) for a in self.autos)
         object.__setattr__(self, "autos", autos)
-        g, n = self.base.gamma, self.base.underlying
+        g, n, act = self.base.gamma, self.base.underlying, self.base.act
         if len(autos) != g.order:
             raise NotCocycle("one automorphism per group element required")
-        for a in autos:
-            if sorted(a) != list(range(n.order)):
-                raise NotCocycle("value is not a bijection")
-            for x in n.elements():
-                for y in n.elements():
-                    if a[n.mul(x, y)] != n.mul(a[x], a[y]):
-                        raise NotCocycle("value is not an automorphism")
+        if any(sorted(a) != list(range(n.order)) for a in autos):
+            raise NotCocycle("value is not a bijection")
+        gens = generating_set(g)
+        for s in gens:
+            try:
+                GroupHom(n, n, autos[s])
+            except InvalidHom as e:
+                raise NotCocycle("value is not an automorphism") from e
         if autos[0] != tuple(range(n.order)):
             raise NotCocycle("value at identity must be the identity")
-        # cocycle law in Aut(N): f(st) = f(s) o (s . f(t)),
-        # with (s . alpha)(x) = s . alpha(s^-1 . x)
-        for s in g.elements():
-            for t in g.elements():
-                lhs = autos[g.mul(s, t)]
-                rhs = tuple(
-                    autos[s][self.base.act(s, autos[t][self.base.act(g.inv(s), x)])]
-                    for x in n.elements()
-                )
-                if lhs != rhs:
+        # cocycle law in Aut(N): f(st) = f(s) o (s . f(t)), with
+        # (s . alpha)(x) = s . alpha(s^-1 . x); on generators (module docstring
+        # of groups), which also makes every value an automorphism
+        for s in gens:
+            fs, si = autos[s], g.inv(s)
+            for t, ft in enumerate(autos):
+                rhs = tuple(fs[act(s, ft[act(si, x)])] for x in n.elements())
+                if autos[g.mul(s, t)] != rhs:
                     raise NotCocycle("automorphism cocycle law fails")
 
 
@@ -685,7 +617,7 @@ class TruncatedGammaSystem:
         for i, u in enumerate(tr):
             if u.source != lv[i + 1].underlying or u.target != lv[i].underlying:
                 raise ValueError("transition %d connects the wrong groups" % i)
-            for t in gamma.elements():
+            for t in generating_set(gamma):
                 for x in lv[i + 1].underlying.elements():
                     if u(lv[i + 1].act(t, x)) != lv[i].act(t, u(x)):
                         raise ValueError("transition %d is not equivariant" % i)

@@ -1,9 +1,11 @@
-"""Finite groups by multiplication table, homomorphisms, structural maps,
-and presentations proved complete by coset enumeration.
+"""Finite groups by multiplication table, homomorphisms, actions, Gamma-groups,
+structural maps, and presentations proved complete by coset enumeration.
 
-Elements are indices 0..order-1 with the identity at 0.  Every constructor
-validates the full group axioms; orders in play stay small enough that the
-cubic associativity check is cheap.
+Elements are indices 0..order-1 with the identity at 0.  Every law is checked
+on a generating set: associativity by Light's test, and a homomorphism,
+action or cocycle law f(s h) = ... for s in generating_set only.  The s that
+satisfy such a law are closed under products, so by induction on word length
+it then holds for every pair.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class InvalidHom(ValueError):
     pass
 
 
-class InvalidTheta(ValueError):
+class NotAction(ValueError):
     pass
 
 
@@ -164,12 +166,12 @@ class GroupHom:
                 raise InvalidHom("map values must be elements of the target")
             if self.map[0] != 0:
                 raise InvalidHom("identity not preserved")
-            trows, f = self.target.rows, self.map
-            for a, row in enumerate(self.source.rows):
-                frow = trows[f[a]]
-                for b, ab in enumerate(row):
-                    if f[ab] != frow[f[b]]:
-                        raise InvalidHom("not multiplicative at (%d,%d)" % (a, b))
+            trows, srows, f = self.target.rows, self.source.rows, self.map
+            for s in generating_set(self.source):
+                frow = trows[f[s]]
+                for b, sb in enumerate(srows[s]):
+                    if f[sb] != frow[f[b]]:
+                        raise InvalidHom("not multiplicative at (%d,%d)" % (s, b))
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -353,34 +355,96 @@ def special_linear_2_3() -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# semidirect products
+# actions, Gamma-groups and semidirect products
 
 
-@dataclass(frozen=True)
-class SemidirectDatum:
-    n: FiniteGroup
-    q: FiniteGroup
-    theta: tuple  # per q-element permutation of n's elements
+def check_action(group: FiniteGroup, action, error=NotAction) -> None:
+    """Raise `error` unless the int-tuple rows `action`, with action[g][x] the
+    image of point x under g, are a left action of `group` on the points
+    0..len(action[0])-1: entries in range, the identity acting trivially, and
+    action[s*h] == action[s] o action[h] for s in generating_set(group) and
+    every h (see the module docstring)."""
+    m = len(action[0])
+    if m and (min(map(min, action)) < 0 or max(map(max, action)) >= m):
+        raise error("point indices out of range")
+    if action[0] != tuple(range(m)):
+        raise error("identity must act trivially")
+    for s in generating_set(group):
+        after = action[s].__getitem__
+        for h, sh in enumerate(group.rows[s]):
+            if tuple(map(after, action[h])) != action[sh]:
+                raise error("not an action at element %d" % s)
 
-    def __post_init__(self):
-        th = tuple(tuple(int(x) for x in row) for row in self.theta)
-        object.__setattr__(self, "theta", th)
-        if len(th) != self.q.order:
-            raise InvalidTheta("one automorphism per q element required")
-        for y, perm in enumerate(th):
-            if sorted(perm) != list(range(self.n.order)):
-                raise InvalidTheta("theta(%d) is not a bijection" % y)
-            for a in self.n.elements():
-                for b in self.n.elements():
-                    if perm[self.n.mul(a, b)] != self.n.mul(perm[a], perm[b]):
-                        raise InvalidTheta("theta(%d) is not multiplicative" % y)
-        if th[0] != tuple(range(self.n.order)):
-            raise InvalidTheta("theta(identity) must be the identity")
-        for y1 in self.q.elements():
-            for y2 in self.q.elements():
-                composed = tuple(th[y1][th[y2][a]] for a in self.n.elements())
-                if composed != th[self.q.mul(y1, y2)]:
-                    raise InvalidTheta("theta is not a homomorphism")
+
+class GammaGroup:
+    """A finite group `underlying` with `gamma` acting by automorphisms.
+
+    `action[t][x]` is the image of x under t, stored as a tuple of int tuples.
+    Validation checks the action law with check_action and that each
+    generator of gamma acts by an automorphism; every other element then
+    acts by a product of automorphisms.
+    """
+
+    def __init__(self, gamma: FiniteGroup, underlying: FiniteGroup, action,
+                 validate: bool = True):
+        self.gamma = gamma
+        self.underlying = underlying
+        try:
+            a = int_rows(action)
+        except (TypeError, ValueError) as e:
+            raise NotAction("action table must be an array of integers") from e
+        if len(a) != gamma.order or any(len(r) != underlying.order for r in a):
+            raise NotAction("action table shape mismatch")
+        self.action = a
+        if validate:
+            self._validate()
+
+    def _validate(self):
+        n, a = self.underlying, self.action
+        check_action(self.gamma, a)
+        for s in generating_set(self.gamma):
+            if len(set(a[s])) != n.order:
+                raise NotAction("element %d does not act bijectively" % s)
+            try:
+                GroupHom(n, n, a[s])
+            except InvalidHom as e:
+                raise NotAction("element %d not an automorphism" % s) from e
+
+    # coefficient protocol: neutral/op/inv/act/canon on canonical values
+    neutral = 0
+
+    def op(self, x: int, y: int) -> int:
+        return self.underlying.rows[x][y]
+
+    def inv(self, x: int) -> int:
+        return self.underlying.inverses[x]
+
+    def act(self, t: int, x: int) -> int:
+        return self.action[t][x]
+
+    def canon(self, x) -> int:
+        return int(x)
+
+    def fixed_points(self) -> tuple:
+        return tuple(
+            x
+            for x in self.underlying.elements()
+            if all(self.act(t, x) == x for t in self.gamma.elements())
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GammaGroup)
+            and self.gamma == other.gamma
+            and self.underlying == other.underlying
+            and self.action == other.action
+        )
+
+    def __repr__(self):
+        return (
+            f"GammaGroup(|gamma|={self.gamma.order}, "
+            f"|underlying|={self.underlying.order})"
+        )
 
 
 @dataclass(frozen=True)
@@ -391,9 +455,10 @@ class SemidirectProduct:
     project_q: GroupHom
 
 
-def semidirect_product(d: SemidirectDatum) -> SemidirectProduct:
-    """(n1, q1)(n2, q2) = (n1 * theta(q1)(n2), q1 q2); index = n + |N| * q."""
-    N, Q, th = d.n, d.q, d.theta
+def semidirect_product(d: GammaGroup) -> SemidirectProduct:
+    """N x| Q for Q = d.gamma acting on N = d.underlying by theta = d.action:
+    (n1, q1)(n2, q2) = (n1 * theta(q1)(n2), q1 q2); index = n + |N| * q."""
+    N, Q, th = d.underlying, d.gamma, d.action
     nn, nq = N.order, Q.order
     size = nn * nq
 
@@ -427,7 +492,7 @@ def heisenberg_group(l: int) -> tuple[SemidirectProduct, dict]:
         for x, y in product(range(l), range(l)):
             perm[x + l * y] = x + l * ((y + i * x) % l)
         theta.append(tuple(perm))
-    sp = semidirect_product(SemidirectDatum(N, Q, tuple(theta)))
+    sp = semidirect_product(GammaGroup(Q, N, theta))
     a = sp.embed_n(1)  # (1, 0)
     b = sp.embed_n(l)  # (0, 1)
     c = sp.embed_q(1)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, NotSubgroup, generating_set, is_subgroup, left_cosets
+from .groups import (FiniteGroup, NotSubgroup, check_action, generating_set, is_subgroup,
+                     left_cosets)
 from .linalg import int_rows
 
 
@@ -33,22 +34,7 @@ class GSet:
         self.size = len(a[0])
         self.action = a
         if validate:
-            self._validate()
-
-    def _validate(self):
-        g, m, a = self.group, self.size, self.action
-        if m and (min(map(min, a)) < 0 or max(map(max, a)) >= m):
-            raise InvalidAction("point indices out of range")
-        if a[0] != tuple(range(m)):
-            raise InvalidAction("identity must act trivially")
-        # action[s*h] == action[s] o action[h] on a generating set propagates
-        # to every pair, as for ZGLattice
-        rows = g.rows
-        for s in generating_set(g):
-            after = a[s].__getitem__
-            for h, sh in enumerate(rows[s]):
-                if tuple(map(after, a[h])) != a[sh]:
-                    raise InvalidAction("not an action at element %d" % s)
+            check_action(group, a, InvalidAction)
 
     def apply(self, g: int, x: int) -> int:
         return self.action[g][x]
@@ -214,8 +200,8 @@ def gset_iso(x: GSet, y: GSet):
             return None
     mapping = tuple(mapping)
     if sorted(mapping) != list(range(y.size)) or any(
-        mapping[x.apply(g_, p)] != y.apply(g_, mapping[p])
-        for g_ in g.elements()
+        mapping[x.apply(s, p)] != y.apply(s, mapping[p])
+        for s in generating_set(g)
         for p in x.points()
     ):
         raise InvalidAction("the matched map is not an equivariant bijection")

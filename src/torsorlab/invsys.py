@@ -173,11 +173,11 @@ class TruncatedLimit:
     bijection with the top level, plus the shadow subgroup at level 0."""
 
     size: int
-    tuples: tuple  # compatible families (x_0, ..., x_N), possibly sampled
+    tuples: tuple  # compatible families (x_0, ..., x_N)
     level0_image: tuple  # image of the limit in the bottom group
 
 
-def lim_truncated(sys: ExplicitFinite, enumerate_all: bool = True) -> TruncatedLimit:
+def lim_truncated(sys: ExplicitFinite) -> TruncatedLimit:
     """Compatible families of a finite truncation.
 
     A family is determined by its top coordinate, so lim is in bijection
@@ -197,7 +197,7 @@ def lim_truncated(sys: ExplicitFinite, enumerate_all: bool = True) -> TruncatedL
     size = len(fams)
     return TruncatedLimit(
         size=size,
-        tuples=tuple(fams) if enumerate_all else tuple(fams[:100]),
+        tuples=tuple(fams),
         level0_image=level0,
     )
 
@@ -472,7 +472,6 @@ def six_term_check(
     for top in range(len(cosets_per_level[N])):
         fam = [0] * (N + 1)
         fam[N] = top
-        ok = True
         for i in range(N - 1, -1, -1):
             rep = cosets_per_level[i + 1][fam[i + 1]][0]
             fam[i] = coset_of[i][total.maps[i](rep)]

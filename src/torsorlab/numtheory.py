@@ -591,7 +591,7 @@ def scholz_reichardt_skeleton(l: int) -> EmbeddingSkeletonReport:
     bgrp = gr.generated_subgroup(g, [b])
     if gr.center(g) != bgrp:
         raise HypothesisFailed("b does not generate the center")
-    quot, proj = gr.quotient(g, bgrp)
+    quot, _ = gr.quotient(g, bgrp)
     fiber = gr.class_fiber(sp.project_q, (1,))
     centralizers = tuple(len(gr.centralizer(g, cls[0])) for cls in fiber)
     idx = g.order // centralizers[0]

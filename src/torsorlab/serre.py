@@ -425,7 +425,6 @@ def scenario_report(kind: str, **params) -> dict:
         g1, g2 = params["g1"], params["g2"]
         G = direct_product(g1, g2)
         conj_big = conjugation_twist(G)
-        conj_small = conjugation_twist(g1)
         n1 = g1.order
         # section x -> (x, 1) and the projection, both equivariant over G
         proj_action = [

@@ -22,7 +22,7 @@ from .cohomology import (
     twist_group,
     twist_values,
 )
-from .groups import FiniteGroup, GroupHom, presentation
+from .groups import FiniteGroup, GroupHom, generating_set, presentation
 from .gsets import GSet
 from .linalg import int_rows
 
@@ -66,27 +66,24 @@ def trivial_torsor(structure: GammaGroup) -> TorsorRep:
 class EquivariantASet:
     """Finite left A-set carrying a compatible Gamma-action."""
 
-    def __init__(self, structure: GammaGroup, a_action, gamma_action,
-                 validate: bool = True):
+    def __init__(self, structure: GammaGroup, a_action, gamma_action):
         self.structure = structure
         self.a_action = int_rows(a_action)
         self.gamma_action = int_rows(gamma_action)
         self.size = len(self.a_action[0])
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        A, G = self.structure.underlying, self.structure.gamma
+        A, G = structure.underlying, structure.gamma
         if len(self.a_action) != A.order:
             raise IncompatibleActions("A-action shape mismatch")
         if len(self.gamma_action) != G.order or len(self.gamma_action[0]) != self.size:
             raise IncompatibleActions("Gamma-action shape mismatch")
         GSet(A, self.a_action)  # left action axioms
         GSet(G, self.gamma_action)
-        # compatibility: t . (a . x) = (t . a) . (t . x)
-        for t, gt in enumerate(self.gamma_action):
+        # compatibility t . (a . x) = (t . a) . (t . x), for t in a
+        # generating set (see the groups module docstring)
+        for t in generating_set(G):
+            gt = self.gamma_action[t]
             for a, ax in enumerate(self.a_action):
-                tax = self.a_action[self.structure.act(t, a)]
+                tax = self.a_action[structure.act(t, a)]
                 if any(gt[y] != tax[gx] for y, gx in zip(ax, gt)):
                     raise IncompatibleActions(
                         "Gamma does not act on the A-set equivariantly"
@@ -143,10 +140,11 @@ def torsor_automorphism_count(p: TorsorRep) -> int:
     pts = p.twisted_point_action()
     count = 0
     for m in und.elements():
-        # left translation by m commutes with right A-action automatically
+        # left translation by m commutes with right A-action automatically,
+        # and with the Galois action once it does with its generators
         if all(
             und.mul(m, pts.apply(t, a)) == pts.apply(t, und.mul(m, a))
-            for t in n.gamma.elements()
+            for t in generating_set(n.gamma)
             for a in und.elements()
         ):
             count += 1
@@ -172,7 +170,7 @@ class EquivariantHom:
             raise IncompatibleActions("hom target mismatch")
         if self.source.gamma != self.target.gamma:
             raise IncompatibleActions("different acting groups")
-        for t in self.source.gamma.elements():
+        for t in generating_set(self.source.gamma):
             for x in self.source.underlying.elements():
                 if self.hom(self.source.act(t, x)) != self.target.act(t, self.hom(x)):
                     raise IncompatibleActions("hom is not equivariant")
@@ -224,9 +222,9 @@ def relative_h1(v: EquivariantHom, q: TorsorRep,
     kernel = v.hom.kernel()
     found, reps = set(), []
     # v o f and q are cocycles that agree on the generators, so v o f = q
-    for f in _relator_search(gamma, B, gens, relators, fibers):
-        if f.values not in found:
-            orbit = _kernel_twists(f.values, B, kernel)
+    for vals in _relator_search(gamma, B, gens, relators, fibers):
+        if vals not in found:
+            orbit = _kernel_twists(vals, B, kernel)
             found.update(orbit)
             reps.append(orbit[0])
     return tuple(

@@ -137,7 +137,7 @@ def test_criterion_08_lim1_dichotomy():
 
 
 def test_criterion_09_splitting_dual_oracle():
-    r = run_check(pc.check_splitting_dual_oracle, 9, 60.0, seed=0)
+    r = run_check(pc.check_splitting_dual_oracle, 9, 60.0)
     assert r.evidence["comparisons"] >= 500
     assert not r.evidence["mismatches"]
     assert r.evidence["sum_rule"]

@@ -56,7 +56,7 @@ def test_centralizer_identity_is_whole_group():
 def test_semidirect_trivial_theta_is_direct_product():
     c2, c3 = gr.cyclic_group(2), gr.cyclic_group(3)
     theta = tuple(tuple(range(3)) for _ in range(2))
-    sp = gr.semidirect_product(gr.SemidirectDatum(c3, c2, theta))
+    sp = gr.semidirect_product(gr.GammaGroup(c2, c3, theta))
     dp = gr.direct_product(c3, c2)
     assert sp.group == dp
     assert gr.center(sp.group) == tuple(sp.group.elements())
@@ -65,13 +65,13 @@ def test_semidirect_trivial_theta_is_direct_product():
 def test_semidirect_invalid_theta():
     c2, c3 = gr.cyclic_group(2), gr.cyclic_group(3)
     bad = (tuple(range(3)), (0, 0, 1))  # not bijective
-    with pytest.raises(gr.InvalidTheta):
-        gr.SemidirectDatum(c3, c2, bad)
-    # bijective but not a homomorphism C2 -> Aut(C3): order-2 value ok,
+    with pytest.raises(gr.NotAction):
+        gr.GammaGroup(c2, c3, bad)
+    # bijective but not a homomorphism C3 -> Aut(C3): order-2 value ok,
     # so break the hom law with theta(1) = inversion composed wrong
     ok_inv = (0, 2, 1)
-    with pytest.raises(gr.InvalidTheta):
-        gr.SemidirectDatum(c3, gr.cyclic_group(3), (tuple(range(3)), ok_inv, ok_inv))
+    with pytest.raises(gr.NotAction):
+        gr.GammaGroup(gr.cyclic_group(3), c3, (tuple(range(3)), ok_inv, ok_inv))
 
 
 def heisenberg_facts(l):
