@@ -290,6 +290,21 @@ def check_twist_bijection() -> CheckResult:
 # 7. truncated systems: one orbit, witness-independent obstructions
 
 
+def _every_witness_choice_trivial(system, fam, famp, evidence) -> bool:
+    """Whether lim1_obstruction finds a trivial obstruction with verified
+    memberships for every choice of level witnesses twisting fam into famp,
+    and there is at least one choice; each choice counts in `scan_choices`."""
+    co.check_family(system, famp)
+    witness_lists = [co.level_witnesses(f, fp) for f, fp in zip(fam, famp)]
+    verdicts = set()
+    for choice in itertools.product(*witness_lists):
+        rep = co.lim1_obstruction(system, fam, famp, witnesses=choice)
+        verdicts.add(rep.trivial and rep.memberships_verified)
+        evidence["scan_choices"] += 1
+    # a level without witnesses leaves `verdicts` empty: refuted
+    return verdicts == {True}
+
+
 def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckResult:
     rng = random.Random(seed)
     pool = [
@@ -338,20 +353,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         for i in range(length - 1, -1, -1):
             avals[i] = maps[i](avals[i + 1])
         famp = tuple(co.twist_cocycle(f, a) for f, a in zip(fam, avals))
-        co.check_family(system, famp)
-        witness_lists = [
-            co.level_witnesses(fam[i], famp[i]) for i in range(length + 1)
-        ]
-        # a level without witnesses leaves `verdicts` empty: refuted below
-        verdicts = set()
-        members = set()
-        for choice in itertools.product(*witness_lists):
-            rep = co.lim1_obstruction(system, fam, famp, witnesses=choice)
-            verdicts.add(rep.trivial)
-            members.add(rep.memberships_verified)
-            evidence["scan_choices"] += 1
-        if verdicts != {True} or members != {True}:
-            ok = False
+        ok = _every_witness_choice_trivial(system, fam, famp, evidence) and ok
         scans += 1
         evidence["scan_systems"] += 1
     # systems with a nontrivial action at every level
@@ -372,15 +374,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
                 famp = tuple(
                     co.twist_cocycle(f, a) for f, a in zip(fam, avals)
                 )
-                co.check_family(system, famp)
-                witness_lists = [
-                    co.level_witnesses(fam[i], famp[i]) for i in range(3)
-                ]
-                for choice in itertools.product(*witness_lists):
-                    rep = co.lim1_obstruction(system, fam, famp, witnesses=choice)
-                    if not (rep.trivial and rep.memberships_verified):
-                        ok = False
-                    evidence["scan_choices"] += 1
+                ok = _every_witness_choice_trivial(system, fam, famp, evidence) and ok
         evidence["nontrivial_action_systems"] += 1
     return _result("truncated-orbit-transitivity", 7, ok, evidence)
 

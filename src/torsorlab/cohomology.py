@@ -8,7 +8,9 @@ when every relator evaluates to 1 in N x| Gamma (Serre, Galois Cohomology,
 I 5.1).  Abelian H^1 solves that condition exactly over the integers: it is
 linear, with the Fox derivatives of the relator as coefficients (Fox, "Free
 differential calculus I", Ann. Math. 1953).  Nonabelian cocycles,
-homomorphisms and lifts come from one backtracking search over those values.
+homomorphisms and lifts come from one backtracking search over those values,
+and their classes under twisted conjugation from one partition
+(twist_classes).
 """
 
 from __future__ import annotations
@@ -479,29 +481,37 @@ def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
     return tuple(GroupHom(src, tgt, vals, validate=False) for vals in found)
 
 
-def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
-                  budget: int = DEFAULT_BUDGET) -> NonabelianH1:
-    cocycles = enumerate_cocycles(gamma, n, budget)
-    cocycle_set = set(cocycles)
-    und = n.underlying
+def twist_classes(coefficient, tables, by) -> tuple:
+    """(least table, class size) per class of `tables` under twisting by the
+    subgroup `by` of the coefficient (see twist_values), in the order of the
+    least tables; NotAction if a class leaves `tables`.
+
+    The tables are walked once in sorted order: a smaller table of the class
+    of the first unseen one would have been reached first and would have
+    marked it seen, so the first unseen table is its class's least."""
+    tables = sorted(tables)
+    members = set(tables)
     seen = set()
-    classes = []
-    sizes = []
-    for vals in cocycles:
+    out = []
+    for vals in tables:
         if vals in seen:
             continue
-        orbit = set(twist_values(n, vals, und.elements()))
-        if not orbit <= cocycle_set:
-            # twisting maps cocycles to cocycles when n is a Gamma-group
-            raise NotAction("twisted conjugation leaves the cocycles: "
+        orbit = set(twist_values(coefficient, vals, by))
+        if not orbit <= members:
+            # twisting maps cocycles to cocycles when the action is by automorphisms
+            raise NotAction("twisted conjugation leaves the given tables: "
                             "the action is not by automorphisms")
         seen |= orbit
-        rep = min(orbit)
-        classes.append(CrossedHom(gamma, n, rep, validate=False))
-        sizes.append(len(orbit))
-    order = sorted(range(len(classes)), key=lambda i: classes[i].values)
+        out.append((vals, len(orbit)))
+    return tuple(out)
+
+
+def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
+                  budget: int = DEFAULT_BUDGET) -> NonabelianH1:
+    classes = twist_classes(n, enumerate_cocycles(gamma, n, budget), n.underlying.elements())
     return NonabelianH1(
-        tuple(classes[i] for i in order), tuple(sizes[i] for i in order)
+        tuple(CrossedHom(gamma, n, rep, validate=False) for rep, _ in classes),
+        tuple(size for _, size in classes),
     )
 
 

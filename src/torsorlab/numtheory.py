@@ -248,20 +248,6 @@ def factor_mod_p(poly, p) -> tuple:
 # number fields by defining polynomial
 
 
-def _rational_root_exists(poly) -> bool:
-    # monic case: any rational root is an integer dividing the constant term
-    const = poly[0]
-    if const == 0:
-        return True
-    for r in range(1, abs(const) + 1):
-        if abs(const) % r != 0:
-            continue
-        for root in (r, -r):
-            if sum(c * root**i for i, c in enumerate(poly)) == 0:
-                return True
-    return False
-
-
 def _sympy_irreducible(poly) -> bool:
     import sympy
 
@@ -284,8 +270,6 @@ class NumberFieldDatum:
             raise NotIrreducible("polynomial must be nonconstant")
         if poly[-1] != 1:
             raise NotIrreducible("polynomial must be monic")
-        if pdegree(poly) > 1 and _rational_root_exists(poly):
-            raise NotIrreducible("polynomial has a rational root")
         if not _sympy_irreducible(poly):
             raise NotIrreducible("polynomial factors over the rationals")
 
@@ -660,9 +644,8 @@ def verify_tower_containments(levels) -> None:
 def _lift_subgroup(fld: AbelianFieldDatum, m: int) -> set:
     if fld.conductor == 1:
         return set(units_mod(m)) if m > 1 else {0}
-    return {
-        x for x in units_mod(m) if (x % fld.conductor) in set(fld.subgroup)
-    }
+    sub = set(fld.subgroup)
+    return {x for x in units_mod(m) if x % fld.conductor in sub}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .cohomology import (
     _relator_search,
     h1_nonabelian,
     trivial_cocycle,
+    twist_classes,
     twist_group,
     twist_values,
 )
@@ -197,11 +198,6 @@ class RelativeClass:
                 raise NotCocycle("lift does not map onto the base cocycle")
 
 
-def _kernel_twists(vals, b: GammaGroup, kernel) -> tuple:
-    """Orbit of a cocycle value table under twisted conjugation by the kernel."""
-    return tuple(sorted(set(twist_values(b, vals, kernel))))
-
-
 def relative_h1(v: EquivariantHom, q: TorsorRep,
                 budget: int = DEFAULT_BUDGET) -> tuple:
     """Representatives of lifts of q along v, modulo kernel twists.
@@ -219,17 +215,11 @@ def relative_h1(v: EquivariantHom, q: TorsorRep,
     total = math.prod(map(len, fibers))
     if total > budget:
         raise BudgetExceeded(f"{total} candidate lifts exceed budget {budget}")
-    kernel = v.hom.kernel()
-    found, reps = set(), []
     # v o f and q are cocycles that agree on the generators, so v o f = q
-    for vals in _relator_search(gamma, B, gens, relators, fibers):
-        if vals not in found:
-            orbit = _kernel_twists(vals, B, kernel)
-            found.update(orbit)
-            reps.append(orbit[0])
+    lifts = _relator_search(gamma, B, gens, relators, fibers)
     return tuple(
         RelativeClass(v, q, TorsorRep(B, CrossedHom(gamma, B, r, validate=False)))
-        for r in sorted(reps)
+        for r, _ in twist_classes(B, lifts, v.hom.kernel())
     )
 
 
@@ -264,6 +254,11 @@ class ExactGammaSequence:
 
 @dataclass(frozen=True)
 class TwistBijectionReport:
+    """What verify_twist_bijection found.  Computed: `mapping`, `bijective`,
+    `neutral_to_base`, and the CrossedHom validation of every lifted class;
+    `abelian_kernel_action_factors` is not computed but holds by exactness
+    (see verify_twist_bijection)."""
+
     kernel_h1_classes: tuple  # canonical representatives in the inner form
     relative_classes: tuple  # canonical representatives of lifts
     mapping: tuple  # index of the relative class hit by each kernel class
@@ -274,17 +269,29 @@ class TwistBijectionReport:
 
 def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
                            budget: int = DEFAULT_BUDGET) -> TwistBijectionReport:
-    """Check that twisting by the base lift identifies H^1 of the twisted
-    kernel with the relative classes over the base, neutral class to base."""
+    """Check that twisting by the base lift p0 identifies H^1 of the twisted
+    kernel with the relative classes over the base, neutral class to base.
+
+    Each kernel class a is lifted to t -> a(t) p0(t), validated as a cocycle
+    of B and canonicalized by its least twist under the kernel of B -> C;
+    `mapping` and `bijective` compare those with relative_h1, and
+    `neutral_to_base` follows the first kernel class, which is the neutral
+    one because the all-neutral table is the least table.
+
+    `abelian_kernel_action_factors` is True for an abelian A and None
+    otherwise, by exactness rather than by a loop: two elements of B with
+    the same image in C differ by an element of A, so they conjugate an
+    abelian A alike, and as v o p0 = q (RelativeClass), every lift of q(t)
+    is p0(t) a with a in A, so conjugating through any lift of the base
+    cocycle of C gives the twisted kernel action."""
     if base.vmap.hom != seq.project.hom or base.vmap.source != seq.b:
         raise NotExact("base class does not live over the given sequence")
     gamma = seq.b.gamma
     B = seq.b
     A = seq.a
-    inc = seq.include
     p0 = base.p.cocycle
     # inner form of the kernel: the twist of B by the base cocycle, restricted
-    emb = inc.hom.map
+    emb = seq.include.hom.map
     back = {e: i for i, e in enumerate(emb)}
     twisted_b = twist_group(B, p0)
     action = []
@@ -300,71 +307,26 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     rel_index = {rc.p.cocycle.values: i for i, rc in enumerate(rel)}
     kernel_of_v = seq.project.hom.kernel()
 
+    def least_twist(vals):
+        return min(twist_values(B, vals, kernel_of_v))
+
     mapping = []
-    ok = True
     for cls in kernel_h1.classes:
         lifted = tuple(
             B.underlying.mul(emb[cls(t)], p0(t)) for t in gamma.elements()
         )
         # must be a genuine B-cocycle over q
         CrossedHom(gamma, B, lifted)
-        orbit = _kernel_twists(lifted, B, kernel_of_v)
-        hit = rel_index.get(orbit[0])
-        if hit is None:
-            ok = False
-            mapping.append(-1)
-        else:
-            mapping.append(hit)
-    bijective = (
-        ok
-        and len(set(mapping)) == len(mapping)
-        and len(mapping) == len(rel)
-    )
-    neutral_vals = trivial_cocycle(gamma, twisted_kernel).values
-    neutral_idx = next(
-        (i for i, cls in enumerate(kernel_h1.classes) if neutral_vals in
-         twist_values(twisted_kernel, cls.values, A.underlying.elements())),
-        None,
-    )
-    neutral_to_base = False
-    if neutral_idx is not None and mapping[neutral_idx] >= 0:
-        base_orbit = _kernel_twists(base.p.cocycle.values, B, kernel_of_v)
-        neutral_to_base = rel[mapping[neutral_idx]].p.cocycle.values == base_orbit[0]
-
-    factors = None
-    if A.underlying.is_abelian():
-        # the B-conjugation action on the kernel must factor through C, and
-        # the twisted kernel must equal the twist through the base of q
-        factors = True
-        for b1 in B.underlying.elements():
-            for b2 in B.underlying.elements():
-                if seq.project(b1) != seq.project(b2):
-                    continue
-                for x in A.underlying.elements():
-                    y1 = B.underlying.conj(b1, emb[x])
-                    y2 = B.underlying.conj(b2, emb[x])
-                    if y1 != y2:
-                        factors = False
-        if factors:
-            q0 = base.q.cocycle
-            lift_of = {}
-            for cval in seq.c.underlying.elements():
-                lift_of[cval] = next(
-                    b for b in B.underlying.elements() if seq.project(b) == cval
-                )
-            for t in gamma.elements():
-                lb = lift_of[q0(t)]
-                for x in A.underlying.elements():
-                    via_q = back[
-                        B.underlying.conj(lb, B.act(t, emb[x]))
-                    ]
-                    if via_q != twisted_kernel.act(t, x):
-                        factors = False
+        mapping.append(rel_index.get(least_twist(lifted), -1))
+    bijective = -1 not in mapping and len(set(mapping)) == len(mapping) == len(rel)
+    neutral = kernel_h1.classes[0].values == trivial_cocycle(gamma, twisted_kernel).values
+    neutral_to_base = (neutral and mapping[0] >= 0
+                       and rel[mapping[0]].p.cocycle.values == least_twist(p0.values))
     return TwistBijectionReport(
         kernel_h1.classes,
         rel,
         tuple(mapping),
         bijective,
         neutral_to_base,
-        factors,
+        True if A.underlying.is_abelian() else None,
     )

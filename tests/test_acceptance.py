@@ -14,6 +14,8 @@ import sys
 import time
 
 from torsorlab import checks as pc
+from torsorlab import cohomology as co
+from torsorlab import groups as gr
 
 # sha256 of the seed-0 suite's results as sorted-key JSON; a refactor that
 # changes any verdict or evidence byte changes it
@@ -84,6 +86,21 @@ def test_criterion_07_truncated_orbits():
     assert r.evidence["orbit_failures"] == 0
     assert r.evidence["scan_systems"] >= 5
     assert r.evidence["scan_choices"] >= 20
+
+
+def test_criterion_07_scan_refutes_a_level_without_witnesses():
+    # C2 acting trivially on C2: every a twists the trivial family into
+    # itself, and none twists it into the nontrivial one
+    c2 = gr.cyclic_group(2)
+    n = co.trivial_gamma_group(c2, c2)
+    system = co.TruncatedGammaSystem((n, n), (gr.identity_hom(c2),))
+    fam = co.compatible_family(system, co.trivial_cocycle(c2, n))
+    other = co.compatible_family(system, co.CrossedHom(c2, n, (0, 1)))
+    evidence = {"scan_choices": 0}
+    assert pc._every_witness_choice_trivial(system, fam, fam, evidence)
+    assert evidence["scan_choices"] == 4
+    assert not pc._every_witness_choice_trivial(system, fam, other, evidence)
+    assert evidence["scan_choices"] == 4
 
 
 # criterion 7 under `python -O`, which strips assert statements, and its

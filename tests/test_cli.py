@@ -399,6 +399,21 @@ def test_entry_point_subprocess(fixtures):
     assert rep["evidence"]["pairs"] == [[1, 1], [1, 1]]
 
 
+def test_nt_split_with_a_large_constant_term_finishes():
+    # irreducibility is decided by factoring, not by trying every divisor of
+    # the constant term
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsorlab.cli", "nt", "split", "--poly",
+         "x^2+1000000007", "--p", "3"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["evidence"]["pairs"] == [[1, 1], [1, 1]]  # x^2 - 1 mod 3
+
+
 def test_suite_command_with_fast_checks(fixtures, capsys, monkeypatch):
     from torsorlab import checks as pc
 

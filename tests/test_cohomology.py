@@ -626,6 +626,23 @@ def test_h1_nonabelian_rejects_an_action_not_by_automorphisms():
         co.h1_nonabelian(n.gamma, n)
 
 
+def test_twist_classes_reject_a_table_set_that_splits_a_class():
+    # dropping the least or the largest member of a class leaves a table whose
+    # twists are not all given: negative control for the containment check
+    split = 0
+    for n in action_through_cases():
+        tables = co.enumerate_cocycles(n.gamma, n)
+        by = n.underlying.elements()
+        for rep, size in co.twist_classes(n, tables, by):
+            if size == 1:
+                continue
+            for drop in (rep, max(co.twist_values(n, rep, by))):
+                with pytest.raises(co.NotAction):
+                    co.twist_classes(n, [t for t in tables if t != drop], by)
+                split += 1
+    assert split > 0
+
+
 def test_relators_that_hold_but_do_not_close_mean_no_action():
     # V4 permutes C6 by maps that are no automorphisms; the relators of V4
     # admit (3, 4) at its generators, whose values the Cayley graph rejects

@@ -1,10 +1,11 @@
 import pytest
 
+from torsorlab import catalog
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import torsors as to
-from test_cohomology import action_through, brute_cocycles
+from test_cohomology import action_through, action_through_cases, brute_cocycles
 
 
 def c2_on_c2_structure():
@@ -149,9 +150,8 @@ def quotient_map(b: co.GammaGroup, n_elems) -> to.EquivariantHom:
     return to.EquivariantHom(b, co.GammaGroup(b.gamma, q, action), proj)
 
 
-def test_relative_h1_matches_brute_force():
-    # lifts of every base cocycle q: all cocycles f of B with v o f = q,
-    # filtered from every map Gamma -> B, modulo twists by the kernel of v
+def relative_cases() -> list:
+    """(B, N): small Gamma-groups B with a Gamma-stable normal subgroup N."""
     c2, c3, c4 = gr.cyclic_group(2), gr.cyclic_group(3), gr.cyclic_group(4)
     v4, s3, d4 = gr.direct_product(c2, c2), gr.symmetric_group(3), gr.dihedral_group(4)
     a4 = gr.alternating_group_4()
@@ -160,7 +160,7 @@ def test_relative_h1_matches_brute_force():
     inner = tuple(s3.conj(s, x) for x in s3.elements())
     rotations = next(h for h in gr.all_subgroups(d4) if len(h) == 4
                      and any(d4.element_order(x) == 4 for x in h))
-    cases = [
+    return [
         (co.trivial_gamma_group(c2, s3), gr.generated_subgroup(s3, [2])),
         (action_through(c2, s3, lambda t: t, inner), gr.generated_subgroup(s3, [2])),
         (action_through(c2, c4, lambda t: t, inversion), (0, 2)),
@@ -170,7 +170,12 @@ def test_relative_h1_matches_brute_force():
         (co.trivial_gamma_group(c3, a4), gr.generated_subgroup(a4, [
             x for x in a4.elements() if a4.element_order(x) == 2])),
     ]
-    for b, n_elems in cases:
+
+
+def test_relative_h1_matches_brute_force():
+    # lifts of every base cocycle q: all cocycles f of B with v o f = q,
+    # filtered from every map Gamma -> B, modulo twists by the kernel of v
+    for b, n_elems in relative_cases():
         v = quotient_map(b, n_elems)
         kernel = v.hom.kernel()
         cocycles = brute_cocycles(b.gamma, b)
@@ -180,6 +185,35 @@ def test_relative_h1_matches_brute_force():
             want = sorted({min(co.twist_values(b, f, kernel)) for f in lifts})
             got = [rc.p.cocycle.values for rc in to.relative_h1(v, q)]
             assert got == want, (b, n_elems, qvals)
+
+
+def twist_components(b: co.GammaGroup, tables, by) -> list:
+    """The connected components of the graph joining each table to its
+    twists by the elements of `by`, each as a sorted list."""
+    parent = {t: t for t in tables}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for t in tables:
+        for u in co.twist_values(b, t, by):
+            parent[find(u)] = find(t)
+    components = {}
+    for t in tables:
+        components.setdefault(find(t), []).append(t)
+    return sorted(sorted(c) for c in components.values())
+
+
+def test_twist_classes_are_the_components_of_the_twist_graph():
+    for b, n_elems in relative_cases():
+        cocycles = brute_cocycles(b.gamma, b)
+        for by in (n_elems, b.underlying.elements()):
+            want = [(c[0], len(c)) for c in twist_components(b, cocycles, by)]
+            got = co.twist_classes(b, cocycles, by)
+            assert list(got) == want, (b, by)
+            assert sum(size for _, size in got) == len(cocycles)
 
 
 def test_twist_bijection_s3():
@@ -285,3 +319,76 @@ def test_exactness_guards():
             seq.include,
             to.EquivariantHom(seq.b, seq.b, gr.identity_hom(seq.b.underlying)),
         )
+
+
+def subgroup_sequence(b: co.GammaGroup, n_elems) -> to.ExactGammaSequence:
+    """1 -> N -> B -> B/N -> 1 for a Gamma-stable normal subgroup N of B,
+    given by its sorted elements."""
+    und = b.underlying
+    index = {e: i for i, e in enumerate(n_elems)}
+    n = gr.FiniteGroup(tuple(tuple(index[und.mul(x, y)] for y in n_elems) for x in n_elems))
+    a = co.GammaGroup(b.gamma, n, [[index[b.act(t, x)] for x in n_elems]
+                                   for t in b.gamma.elements()])
+    inc = to.EquivariantHom(a, b, gr.GroupHom(n, und, tuple(n_elems)))
+    v = quotient_map(b, n_elems)
+    return to.ExactGammaSequence(a, b, v.target, inc, v)
+
+
+def reference_factors(seq: to.ExactGammaSequence, base: to.RelativeClass):
+    """abelian_kernel_action_factors by the all-pairs loops that
+    verify_twist_bijection ran before it read the field off exactness."""
+    A, B = seq.a, seq.b
+    if not A.underlying.is_abelian():
+        return None
+    emb = seq.include.hom.map
+    back = {e: i for i, e in enumerate(emb)}
+    # the B-conjugation action on the kernel must factor through C
+    for b1 in B.underlying.elements():
+        for b2 in B.underlying.elements():
+            if seq.project(b1) != seq.project(b2):
+                continue
+            for x in A.underlying.elements():
+                if B.underlying.conj(b1, emb[x]) != B.underlying.conj(b2, emb[x]):
+                    return False
+    # the twisted kernel must equal the twist through the base of q
+    twisted_b = co.twist_group(B, base.p.cocycle)
+    q0 = base.q.cocycle
+    lift_of = {}
+    for b in B.underlying.elements():
+        lift_of.setdefault(seq.project(b), b)
+    for t in B.gamma.elements():
+        lb = lift_of[q0(t)]
+        for x in A.underlying.elements():
+            via_q = back[B.underlying.conj(lb, B.act(t, emb[x]))]
+            if via_q != back[twisted_b.act(t, emb[x])]:
+                return False
+    return True
+
+
+def test_abelian_kernel_action_factors_agrees_with_the_all_pairs_loops():
+    # every base lift of 1 -> N -> G -> G/N -> 1, for the catalog groups of
+    # order <= 8 acted on trivially by C2 and C3 and for the action_through
+    # cases, N running over the Gamma-stable normal subgroups
+    gammas = [gr.cyclic_group(2), gr.cyclic_group(3)]
+    bs = [co.trivial_gamma_group(gamma, g) for _, g in catalog.group_catalog(8)
+          for gamma in gammas] + action_through_cases()
+    lifts = 0
+    for b in bs:
+        und = b.underlying
+        for n_elems in gr.all_subgroups(und):
+            stable = all(b.act(t, x) in n_elems for t in b.gamma.elements() for x in n_elems)
+            if not (stable and gr.is_normal(und, n_elems)):
+                continue
+            seq = subgroup_sequence(b, n_elems)
+            for pvals in co.enumerate_cocycles(b.gamma, b):
+                qvals = tuple(map(seq.project, pvals))
+                base = to.RelativeClass(
+                    seq.project,
+                    to.TorsorRep(seq.c, co.CrossedHom(b.gamma, seq.c, qvals)),
+                    to.TorsorRep(b, co.CrossedHom(b.gamma, b, pvals)),
+                )
+                rep = to.verify_twist_bijection(seq, base)
+                assert rep.bijective and rep.neutral_to_base
+                assert rep.abelian_kernel_action_factors == reference_factors(seq, base)
+                lifts += 1
+    assert lifts == 429
