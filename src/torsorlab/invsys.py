@@ -8,7 +8,6 @@ for countable terms, never as a computed cardinality.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -204,6 +203,19 @@ def lim_truncated(sys: ExplicitFinite) -> TruncatedLimit:
 
 @dataclass(frozen=True)
 class Lim1Orbits:
+    """What lim1_truncated found on a finite truncation of lim^1.
+
+    One orbit there is a theorem for any maps: the transport equation
+    a_n x_n f_n(a_{n+1})^-1 = y_n is solved top down by a_n = y_n f_n(a_{n+1})
+    x_n^-1 whatever the f_n are, and for homomorphisms the stabilizer of the
+    basepoint, {a : a_n = f_n(a_{n+1})}, has |G_{N+1}| elements.  What the
+    check can refute is a transport: the replay re-checks the transport
+    equation level by level, in a computation apart from the step that
+    solved it.  In the exhaustive mode `checked_pairs` counts every tuple of
+    the product, their replays decided over shared suffixes; in the
+    constructive mode it counts the 200 sampled tuples, each replayed whole.
+    """
+
     orbit_count: int  # 1 when every transport was verified, else 0: not shown
     verified_mode: str  # "exhaustive" | "constructive"
     set_size: int
@@ -211,41 +223,74 @@ class Lim1Orbits:
     failed_transports: int = 0  # transports that missed the basepoint
 
 
-def _transport(groups, maps, x, y):
-    """Group tuple (a_0..a_{N+1}) carrying x to y under the lim^1 action.
+def _transport_step(g, push, x, y):
+    """Level n of a transport: the a_n with a_n x_n push^-1 = y_n, where
+    push = f_n(a_{n+1}), i.e. a_n = y_n push x_n^-1."""
+    rows = g.rows
+    return rows[rows[y][push]][g.inverses[x]]
 
-    Built top down: the completion coordinate a_{N+1} lives in the top group
-    with the identity as its transition map.
-    """
+
+def _action_step(g, push, a, x):
+    """Level n of the lim^1 action: a_n x_n f_n(a_{n+1})^-1, push = f_n(a_{n+1})."""
+    rows = g.rows
+    return rows[rows[a][x]][g.inverses[push]]
+
+
+def _transport(groups, maps, x, y):
+    """Group tuple (a_0..a_{N+1}) carrying x to y under the lim^1 action,
+    built top down by one transport step per level.  The completion
+    coordinate a_{N+1} is the identity of the top group, into which it maps
+    by the identity."""
     N = len(groups) - 1
     a = [0] * (N + 2)
-    # choose downward: constraint n fixes a_n from a_{n+1}
     for n in range(N, -1, -1):
-        g = groups[n]
-        rows = g.rows
         push = maps[n].map[a[n + 1]] if n < N else a[N + 1]
-        a[n] = rows[rows[y[n]][push]][g.inverses[x[n]]]
+        a[n] = _transport_step(groups[n], push, x[n], y[n])
     return tuple(a)
 
 
 def _apply_action(groups, maps, a, x):
     N = len(groups) - 1
-    out = []
-    for n in range(N + 1):
-        g = groups[n]
-        rows = g.rows
-        nxt = maps[n].map[a[n + 1]] if n < N else a[N + 1]
-        out.append(rows[rows[a[n]][x[n]]][g.inverses[nxt]])
-    return tuple(out)
+    return tuple(
+        _action_step(groups[n], maps[n].map[a[n + 1]] if n < N else a[N + 1], a[n], x[n])
+        for n in range(N + 1)
+    )
+
+
+def _replayed_tuples(groups, maps, y) -> int:
+    """How many tuples x of the product the transport carries to y, replayed.
+
+    Level n of a transport and of its replay reads only a_{n+1} and x_n, so
+    the levels are walked top down keeping {a_{n+1}: the number of suffixes
+    (x_{n+1}, ..., x_N) whose levels all replayed}: each state and each x_n
+    takes one transport step and one replay of that level, sum_n
+    |G_{n+1}| |G_n| steps in all instead of N + 1 per tuple.
+    """
+    N = len(groups) - 1
+    counts = {0: 1}  # a_{N+1}: the transport starts from the identity
+    for n in range(N, -1, -1):
+        g, yn = groups[n], y[n]
+        below = {}
+        for up, c in counts.items():
+            push = maps[n].map[up] if n < N else up
+            for x in g.elements():
+                a = _transport_step(g, push, x, yn)
+                if _action_step(g, push, a, x) == yn:
+                    below[a] = below.get(a, 0) + c
+        counts = below
+    return sum(counts.values())
 
 
 def lim1_truncated(sys: ExplicitFinite, budget: int = 200000) -> Lim1Orbits:
-    """Orbit count of the shift action on a finite truncation: one by theory.
+    """Orbit count of the lim^1 action on a finite truncation: one by theory,
+    for any maps (see Lim1Orbits), so what is checked is the transport.
 
-    Small products are verified exhaustively; otherwise every element of a
-    deterministic sample is transported to the basepoint constructively.
-    Each transport is replayed; one that misses the basepoint is counted in
-    `failed_transports`, and then no single orbit is shown (orbit_count 0).
+    When the product has at most `budget` elements, every tuple's transport
+    to the basepoint is replayed, level by level over shared suffixes (see
+    _replayed_tuples); otherwise each of 200 tuples drawn from a fixed seed is
+    transported and replayed whole.  A transport that misses the basepoint is
+    counted in `failed_transports`, and then no single orbit is shown
+    (orbit_count 0).
     """
     groups, maps = sys.groups, sys.maps
     total = 1
@@ -253,18 +298,16 @@ def lim1_truncated(sys: ExplicitFinite, budget: int = 200000) -> Lim1Orbits:
         total *= g.order
     base = tuple(0 for _ in groups)
     if total <= budget:
-        mode = "exhaustive"
-        sample = itertools.product(*(g.elements() for g in groups))
+        mode, checked = "exhaustive", total
+        failed = total - _replayed_tuples(groups, maps, base)
     else:
-        mode = "constructive"
+        mode, checked = "constructive", 200
         rng = random.Random(0)
-        sample = (tuple(rng.randrange(g.order) for g in groups) for _ in range(200))
-    checked = failed = 0
-    for x in sample:
-        a = _transport(groups, maps, x, base)
-        if _apply_action(groups, maps, a, x) != base:
-            failed += 1
-        checked += 1
+        failed = 0
+        for _ in range(checked):
+            x = tuple(rng.randrange(g.order) for g in groups)
+            if _apply_action(groups, maps, _transport(groups, maps, x, base), x) != base:
+                failed += 1
     return Lim1Orbits(0 if failed else 1, mode, total, checked, failed)
 
 

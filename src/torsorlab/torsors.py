@@ -257,7 +257,13 @@ class TwistBijectionReport:
     """What verify_twist_bijection found.  Computed: `mapping`, `bijective`,
     `neutral_to_base`, and the CrossedHom validation of every lifted class;
     `abelian_kernel_action_factors` is not computed but holds by exactness
-    (see verify_twist_bijection)."""
+    (see verify_twist_bijection).
+
+    `neutral_to_base` follows from `mapping[0] >= 0`: the first kernel class
+    is the neutral one, whose lift is p0 itself, and the relative class that
+    `mapping[0]` names is by construction the one whose representative is
+    p0's least kernel twist.  So it adds nothing to `bijective`; it stays a
+    field because reports and their digests carry it."""
 
     kernel_h1_classes: tuple  # canonical representatives in the inner form
     relative_classes: tuple  # canonical representatives of lifts

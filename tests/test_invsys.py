@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -7,6 +9,8 @@ import sys
 
 import pytest
 
+from torsorlab import catalog
+from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import invsys as iv
 from torsorlab import linalg as la
@@ -78,14 +82,14 @@ def test_lim1_truncated_single_orbit():
     assert rep.orbit_count == 1 and rep.verified_mode == "constructive"
 
 
-def _identity_transport(groups, maps, x, y):
-    # wrong on purpose: the all-identity tuple carries x to x, not to y
-    return (0,) * (len(groups) + 1)
+def _identity_step(g, push, x, y):
+    # wrong on purpose: a_n = 1 carries x_n to x_n push^-1, not to y_n
+    return 0
 
 
 def test_lim1_truncated_counts_failed_transports(monkeypatch):
     # negative control: transports that miss the basepoint show no single orbit
-    monkeypatch.setattr(iv, "_transport", _identity_transport)
+    monkeypatch.setattr(iv, "_transport_step", _identity_step)
     rep = iv.lim1_truncated(constant_system(gr.cyclic_group(2), 2))
     assert rep.verified_mode == "exhaustive" and rep.checked_pairs == 8
     assert rep.failed_transports == 7  # all but the basepoint itself
@@ -102,7 +106,7 @@ assert False, "assert statements must be stripped"
 c2 = gr.cyclic_group(2)
 sys = iv.ExplicitFinite((c2,) * 3, (gr.identity_hom(c2),) * 2)
 good = iv.lim1_truncated(sys)
-iv._transport = lambda groups, maps, x, y: (0,) * (len(groups) + 1)
+iv._transport_step = lambda g, push, x, y: 0
 bad = iv.lim1_truncated(sys)
 print(json.dumps([[r.orbit_count, r.checked_pairs, r.failed_transports]
                   for r in (good, bad)]))
@@ -124,10 +128,153 @@ def test_lim1_truncated_counts_failed_transports_without_asserts():
 def test_criterion_7_refutes_failed_transports(monkeypatch):
     from torsorlab import checks as pc
 
-    monkeypatch.setattr(iv, "_transport", _identity_transport)
+    monkeypatch.setattr(iv, "_transport_step", _identity_step)
     r = pc.check_truncated_orbit_transitivity(seed=0, count=3)
     assert r.verdict == "refuted"
     assert r.evidence["orbit_failures"] == 3
+
+
+def _reference_lim1(system, budget=200000):
+    # the per-tuple loop lim1_truncated replaced: one whole transport and one
+    # whole replay per tuple, the replay written out here as the action
+    # a_n x_n f_n(a_{n+1})^-1, with a_{N+1} mapping to the top by the identity
+    groups, maps = system.groups, system.maps
+    N = len(groups) - 1
+    total = math.prod(g.order for g in groups)
+    base = (0,) * len(groups)
+    if total <= budget:
+        mode = "exhaustive"
+        sample = itertools.product(*(g.elements() for g in groups))
+    else:
+        mode = "constructive"
+        rng = random.Random(0)
+        sample = (tuple(rng.randrange(g.order) for g in groups) for _ in range(200))
+    checked = failed = 0
+    for x in sample:
+        a = iv._transport(groups, maps, x, base)
+        pushes = [maps[n](a[n + 1]) for n in range(N)] + [a[N + 1]]
+        moved = tuple(g.mul(g.mul(a[n], x[n]), g.inv(pushes[n]))
+                      for n, g in enumerate(groups))
+        if moved != base:
+            failed += 1
+        checked += 1
+    return iv.Lim1Orbits(0 if failed else 1, mode, total, checked, failed)
+
+
+_SMALL = [g for _, g in catalog.group_catalog(12)]
+
+
+def _random_levels(rng, length):
+    # at most 20,000 tuples, so that the per-tuple reference stays quick
+    while True:
+        groups = [_SMALL[rng.randrange(len(_SMALL))] for _ in range(length + 1)]
+        if math.prod(g.order for g in groups) <= 20000:
+            return groups
+
+
+def _random_hom_system(rng, length):
+    groups = _random_levels(rng, length)
+    maps = []
+    for i in range(length):
+        homs = co.all_homs(groups[i + 1], groups[i])
+        maps.append(homs[rng.randrange(len(homs))])
+    return iv.ExplicitFinite(tuple(groups), tuple(maps))
+
+
+def _random_set_map_system(rng, length):
+    # arbitrary set maps: neither homomorphisms nor identity-preserving
+    groups = _random_levels(rng, length)
+    maps = tuple(
+        gr.GroupHom(groups[i + 1], groups[i],
+                    tuple(rng.randrange(groups[i].order) for _ in groups[i + 1].elements()),
+                    validate=False)
+        for i in range(length))
+    return iv.ExplicitFinite(tuple(groups), maps)
+
+
+def test_lim1_truncated_matches_per_tuple_reference_on_homomorphisms():
+    rng = random.Random(15)
+    modes = set()
+    for _ in range(40):
+        system = _random_hom_system(rng, rng.randint(1, 4))
+        for budget in (200000, 50):
+            rep = iv.lim1_truncated(system, budget)
+            assert rep == _reference_lim1(system, budget)
+            assert rep.orbit_count == 1
+            modes.add(rep.verified_mode)
+    assert modes == {"exhaustive", "constructive"}
+
+
+def test_lim1_truncated_matches_per_tuple_reference_on_set_maps():
+    rng = random.Random(8)
+    for _ in range(30):
+        system = _random_set_map_system(rng, rng.randint(1, 4))
+        for budget in (200000, 50):
+            rep = iv.lim1_truncated(system, budget)
+            assert rep == _reference_lim1(system, budget)
+            # the transport equation is solvable for any maps
+            assert rep.orbit_count == 1 and rep.failed_transports == 0
+
+
+def test_lim1_truncated_matches_reference_under_a_step_wrong_at_one_level(monkeypatch):
+    # the step is wrong at one level, for some x_n (and pushes) only: the
+    # level walk must count exactly the tuples the per-tuple loop fails
+    right = iv._transport_step
+    rng = random.Random(3)
+    seen = set()
+    for trial in range(30):
+        length = rng.randint(1, 4)
+        system = (_random_hom_system if trial % 2 else _random_set_map_system)(rng, length)
+        k = rng.randint(0, length)
+        # a copy of level k's group, equal but not identical, marks that level
+        marked = gr.FiniteGroup(system.groups[k].rows)
+        groups = system.groups[:k] + (marked,) + system.groups[k + 1:]
+        maps = tuple(
+            gr.GroupHom(groups[i + 1], groups[i], u.map, validate=False)
+            for i, u in enumerate(system.maps))
+        system = iv.ExplicitFinite(groups, maps)
+        bad = {x for x in marked.elements() if rng.random() < 0.4}
+
+        def wrong(g, push, x, y):
+            a = right(g, push, x, y)
+            if g is marked and x in bad and (push + x) % 3:
+                return (a + 1) % g.order
+            return a
+
+        monkeypatch.setattr(iv, "_transport_step", wrong)
+        for budget in (200000, 50):
+            rep = iv.lim1_truncated(system, budget)
+            assert rep == _reference_lim1(system, budget)
+            if rep.verified_mode == "exhaustive":
+                seen.add(0 < rep.failed_transports < rep.checked_pairs)
+        monkeypatch.setattr(iv, "_transport_step", right)
+    assert True in seen  # some trials fail a proper, nonempty share of tuples
+
+
+def test_lim1_truncated_takes_one_step_per_state_and_element(monkeypatch):
+    # the level walk: at most |G_{n+1}| states times |G_n| elements per level
+    # below the top, and |G_N| steps at the top; a per-tuple replay would
+    # take (N + 1) steps for each of the >= 10^4 tuples
+    rng = random.Random(1)
+    groups = (gr.cyclic_group(12), gr.symmetric_group(3), gr.cyclic_group(8),
+              gr.dihedral_group(4), gr.cyclic_group(4))
+    maps = tuple(co.all_homs(groups[i + 1], groups[i])[-1 - rng.randrange(2)]
+                 for i in range(len(groups) - 1))
+    system = iv.ExplicitFinite(groups, maps)
+    calls = [0]
+    right = iv._transport_step
+
+    def counted(g, push, x, y):
+        calls[0] += 1
+        return right(g, push, x, y)
+
+    monkeypatch.setattr(iv, "_transport_step", counted)
+    rep = iv.lim1_truncated(system)
+    assert rep.verified_mode == "exhaustive" and rep.set_size >= 10 ** 4
+    assert rep.checked_pairs == rep.set_size and rep.orbit_count == 1
+    bound = sum(groups[n + 1].order * groups[n].order
+                for n in range(len(groups) - 1)) + groups[-1].order
+    assert calls[0] <= bound < rep.set_size
 
 
 def test_lim1_truncated_brute_force_orbit_scan():
