@@ -1,4 +1,4 @@
-"""H^0/H^1 of a finite group, twisting, and the lim^1 obstruction recipe.
+"""H^1 of a finite group, twisting, and the lim^1 obstruction recipe.
 
 Coefficients come in three flavours: free integer lattices (ZGLattice),
 finite abelian modules, and arbitrary finite groups with action.  A cocycle
@@ -230,14 +230,7 @@ def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
 
 
 # ---------------------------------------------------------------------------
-# H^0
-
-
-@dataclass(frozen=True)
-class FixedSubmodule:
-    basis: tuple  # columns span the fixed sublattice / lattice lift
-    rank: int
-    invariants: tuple = ()  # finite part, for finite modules
+# abelian H^1
 
 
 def _minus_identity(matrix) -> tuple:
@@ -253,29 +246,6 @@ def _solution_lattice(C, relations) -> tuple[tuple, tuple]:
     K = la.kernel_basis(la.beside([C, slack]))
     lam = la.FgAbelian(relations * (u // r)).relation_matrix()
     return la.column_space_basis(la.beside([K[:u], lam])), lam
-
-
-def h0(gamma: FiniteGroup, coeff):
-    """Fixed points: sublattice, finite-subgroup data, or element tuple."""
-    if isinstance(coeff, GammaGroup):
-        return coeff.fixed_points()
-    gens = generating_set(gamma)
-    if isinstance(coeff, ZGLattice):
-        if coeff.rank == 0:
-            return FixedSubmodule((), 0)
-        K = la.kernel_basis(la.stack(_minus_identity(coeff.rho[s]) for s in gens))
-        return FixedSubmodule(K, la.width(K))
-    if isinstance(coeff, FiniteModule):
-        C = la.stack(_minus_identity(coeff.mats[s]) for s in gens)
-        L, rel = _solution_lattice(C, coeff.relations)
-        X = la.solve_int(L, rel)
-        inv = la.cokernel_invariants(X, ambient_rank=la.width(L))
-        return FixedSubmodule(L, la.width(L), invariants=inv)
-    raise TypeError("unsupported coefficient type")
-
-
-# ---------------------------------------------------------------------------
-# abelian H^1
 
 
 @dataclass(frozen=True)
@@ -684,10 +654,6 @@ class ObstructionReport:
     memberships_verified: bool  # each e_n lies in the twisted fixed group
     trivial: bool
     trivialization: tuple  # c_n with e_n = c_n * u(c_{n+1})^-1 when trivial
-
-    @property
-    def equivalent_on_truncation(self) -> bool:
-        return self.trivial
 
 
 def lim1_obstruction(

@@ -137,9 +137,6 @@ class FiniteGroup:
             e = math.lcm(e, self.element_order(a))
         return e
 
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 

@@ -86,14 +86,6 @@ def orbits(x: GSet) -> EtaleDecomposition:
     return EtaleDecomposition(x, tuple(out))
 
 
-def trivial_gset(g: FiniteGroup, size: int) -> GSet:
-    return GSet(g, (tuple(range(size)),) * g.order, validate=False)
-
-
-def regular_gset(g: FiniteGroup) -> GSet:
-    return GSet(g, g.rows)
-
-
 def coset_gset(g: FiniteGroup, h) -> GSet:
     """Left action on left cosets xH, cosets ordered by minimal element."""
     hset = tuple(sorted(set(h)))
@@ -123,15 +115,6 @@ def sub_gset(x: GSet, points) -> GSet:
         action = [[pos[row[p]] for p in pts] for row in x.action]
     except KeyError as e:
         raise InvalidAction("subset is not invariant") from e
-    return GSet(x.group, action, validate=False)
-
-
-def disjoint_union(x: GSet, y: GSet) -> GSet:
-    if x.group != y.group:
-        raise InvalidAction("actions of different groups")
-    action = [
-        rx + tuple(p + x.size for p in ry) for rx, ry in zip(x.action, y.action)
-    ]
     return GSet(x.group, action, validate=False)
 
 

@@ -1,4 +1,4 @@
-"""Inverse systems by finite recipe: lim, lim^1 orbits, Mittag-Leffler.
+"""Inverse systems by finite recipe: lim^1 orbits, Mittag-Leffler.
 
 Systems are indexed by the natural numbers with transition maps pointing
 down (level n+1 -> n).  Verdicts carry their justification: uncountability
@@ -13,19 +13,6 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from . import numtheory as nt
-from .groups import is_normal, left_cosets
-
-
-class NotMaterializable(ValueError):
-    pass
-
-
-class NotInjective(ValueError):
-    pass
-
-
-class NotNormalLevelwise(ValueError):
-    pass
 
 
 DEFAULT_HORIZON = 32
@@ -143,62 +130,7 @@ class Lim1Verdict:
 
 
 # ---------------------------------------------------------------------------
-# truncation and limits
-
-
-def truncate(recipe, n: int):
-    """Materialized levels 0..n: an ExplicitFinite, or per-level abelian data."""
-    if isinstance(recipe, ExplicitFinite):
-        if n >= len(recipe.groups):
-            raise NotMaterializable("truncation beyond the given data")
-        return ExplicitFinite(recipe.groups[: n + 1], recipe.maps[:n])
-    if isinstance(recipe, ConstantEndo):
-        return tuple((recipe.module, recipe.endo) for _ in range(n + 1))
-    if isinstance(recipe, SubgroupChain):
-        return tuple(recipe.level(k) for k in range(n + 1))
-    if isinstance(recipe, Product):
-        return tuple(truncate(f, n) for f in recipe.factors)
-    if isinstance(recipe, NormTower):
-        raise NotMaterializable(
-            "unit groups of number fields are infinite; use the valuation "
-            "certificates instead"
-        )
-    raise TypeError("unknown recipe kind")
-
-
-@dataclass(frozen=True)
-class TruncatedLimit:
-    """lim of a finite truncation: compatible tuples, recorded via the
-    bijection with the top level, plus the shadow subgroup at level 0."""
-
-    size: int
-    tuples: tuple  # compatible families (x_0, ..., x_N)
-    level0_image: tuple  # image of the limit in the bottom group
-
-
-def lim_truncated(sys: ExplicitFinite) -> TruncatedLimit:
-    """Compatible families of a finite truncation.
-
-    A family is determined by its top coordinate, so lim is in bijection
-    with the top group; the level-0 image records how much of the bottom
-    group survives to this depth.
-    """
-    groups, maps = sys.groups, sys.maps
-    N = len(groups) - 1
-    fams = []
-    for x in groups[N].elements():
-        fam = [0] * (N + 1)
-        fam[N] = x
-        for i in range(N - 1, -1, -1):
-            fam[i] = maps[i](fam[i + 1])
-        fams.append(tuple(fam))
-    level0 = tuple(sorted({f[0] for f in fams}))
-    size = len(fams)
-    return TruncatedLimit(
-        size=size,
-        tuples=tuple(fams),
-        level0_image=level0,
-    )
+# lim^1 on finite truncations
 
 
 @dataclass(frozen=True)
@@ -447,140 +379,3 @@ def lim1_classify(recipe, horizon: int = DEFAULT_HORIZON) -> Lim1Verdict:
             )
         return Lim1Verdict("unknown", reason="(ML) fails but terms not certified countable")
     return Lim1Verdict("unknown", reason="undecided at horizon %d" % horizon)
-
-
-# ---------------------------------------------------------------------------
-# six-term sequence on truncations
-
-
-@dataclass(frozen=True)
-class SixTermReport:
-    lim_exact_at_b: bool
-    quotient_fibres_are_limB_orbits: bool
-    lim1_a_single_orbit: bool
-    lim1_exact_at_a: bool | None  # normal case only
-    sizes: dict
-
-
-def six_term_check(
-    sub: ExplicitFinite, total: ExplicitFinite, inclusions, normal: bool = False,
-    budget: int = 200000,
-) -> SixTermReport:
-    """Exactness of the limit sequence of a levelwise inclusion, orbit sense.
-
-    Checks: lim A = ker(lim B -> lim(B/A)); the fibres of the connecting
-    map out of lim(B/A) are the orbits of lim B; lim^1 A is a single orbit;
-    and, in the normal case, the fibres of lim^1 A -> lim^1 B are orbits of
-    lim C (degenerate but computed honestly on the truncation).
-    """
-    A_groups, B_groups = sub.groups, total.groups
-    if len(A_groups) != len(B_groups):
-        raise ValueError("levelwise data of different lengths")
-    inclusions = tuple(inclusions)
-    for i, inc in enumerate(inclusions):
-        if not inc.is_injective():
-            raise NotInjective("inclusion at level %d is not injective" % i)
-        if inc.source != A_groups[i] or inc.target != B_groups[i]:
-            raise ValueError("inclusion %d connects the wrong groups" % i)
-    # squares commute
-    for i in range(len(A_groups) - 1):
-        for x in A_groups[i + 1].elements():
-            if inclusions[i](sub.maps[i](x)) != total.maps[i](inclusions[i + 1](x)):
-                raise ValueError("inclusions do not commute with transitions")
-    images = [set(inc.map) for inc in inclusions]
-    if normal:
-        for i, img in enumerate(images):
-            if not is_normal(B_groups[i], img):
-                raise NotNormalLevelwise("level %d subgroup is not normal" % i)
-
-    N = len(B_groups) - 1
-    # coset spaces and induced transitions
-    cosets_per_level, coset_of = zip(
-        *(left_cosets(g, img) for g, img in zip(B_groups, images))
-    )
-
-    lim_b = lim_truncated(total)
-    # kernel of lim B -> lim(B/A): families with every entry in A's image
-    kernel_fams = {
-        fam for fam in lim_b.tuples if all(x in images[i] for i, x in enumerate(fam))
-    }
-    lim_a = lim_truncated(sub)
-    embedded_a = {
-        tuple(inclusions[i](x) for i, x in enumerate(fam)) for fam in lim_a.tuples
-    }
-    exact_at_b = kernel_fams == embedded_a
-
-    # lim(B/A): compatible coset families, determined by the top coset
-    coset_fams = []
-    for top in range(len(cosets_per_level[N])):
-        fam = [0] * (N + 1)
-        fam[N] = top
-        for i in range(N - 1, -1, -1):
-            rep = cosets_per_level[i + 1][fam[i + 1]][0]
-            fam[i] = coset_of[i][total.maps[i](rep)]
-        coset_fams.append(tuple(fam))
-    coset_fams = sorted(set(coset_fams))
-
-    # connecting data: delta(fam) = orbit of (e_n) with e_n = b_n^-1 u(b_{n+1})
-    def delta(fam):
-        lifts = [cosets_per_level[i][fam[i]][0] for i in range(N + 1)]
-        es = []
-        for n in range(N):
-            g = B_groups[n]
-            e = g.mul(g.inv(lifts[n]), total.maps[n](lifts[n + 1]))
-            if e not in images[n]:
-                raise ValueError("connecting element outside the subgroup at "
-                                 "level %d" % n)
-            es.append(e)
-        return tuple(es)
-
-    # every connecting tuple lands in the kernel levels (checked inside)
-    for fam in coset_fams:
-        delta(fam)
-
-    # orbits of lim B acting on the coset families
-    fam_set = set(coset_fams)
-    seen = set()
-    orbits = []
-    for fam in coset_fams:
-        if fam in seen:
-            continue
-        orbit = set()
-        for b in lim_b.tuples:
-            moved = tuple(
-                coset_of[i][B_groups[i].mul(b[i], cosets_per_level[i][fam[i]][0])]
-                for i in range(N + 1)
-            )
-            orbit.add(moved)
-        if not orbit <= fam_set:
-            raise ValueError("lim B moves a coset family out of lim(B/A)")
-        seen |= orbit
-        orbits.append(orbit)
-    # the connecting map is constant on orbits iff fibres are unions of
-    # orbits; with lim^1 A a single orbit on the truncation the fibre is
-    # everything, so exactness says the action is transitive
-    fibres_ok = len(orbits) == 1
-
-    o1 = lim1_truncated(sub, budget)
-    lim1_a_single = o1.orbit_count == 1
-
-    lim1_exact_at_a = None
-    if normal:
-        # fibres of lim^1 A -> lim^1 B are lim C orbits; on a truncation both
-        # pointed sets are single points, so the check is that the (single)
-        # fibre equals the (single) orbit
-        lim1_exact_at_a = lim1_a_single and lim1_truncated(total, budget).orbit_count == 1
-
-    sizes = {
-        "lim_a": lim_a.size,
-        "lim_b": lim_b.size,
-        "lim_quotient": len(coset_fams),
-        "limB_orbit_count": len(orbits),
-    }
-    return SixTermReport(
-        lim_exact_at_b=exact_at_b,
-        quotient_fibres_are_limB_orbits=fibres_ok,
-        lim1_a_single_orbit=lim1_a_single,
-        lim1_exact_at_a=lim1_exact_at_a,
-        sizes=sizes,
-    )

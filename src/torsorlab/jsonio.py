@@ -80,13 +80,6 @@ def group_from_json(obj, basedir="."):
         raise ParseError(f"bad group object: {e}") from e
 
 
-def group_to_json(g: FiniteGroup) -> dict:
-    out = {"order": g.order, "table": [list(r) for r in g.rows]}
-    if g.labels:
-        out["labels"] = list(g.labels)
-    return out
-
-
 def gset_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:

@@ -6,29 +6,9 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from . import linalg as la
-from .groups import FiniteGroup, NotSubgroup, generating_set, is_subgroup
-from .gsets import GSet, coset_gset
-from .linalg import SNFResult, smith_normal_form  # re-exported
-
-__all__ = [
-    "ZGLattice",
-    "LatticeMap",
-    "SNFResult",
-    "smith_normal_form",
-    "NotEquivariant",
-    "NotStable",
-    "NotComposable",
-    "permutation_lattice",
-    "equivariant_sublattice",
-    "is_exact",
-    "exactness_report",
-    "is_equivariant_iso",
-    "induced_lattice",
-    "trivial_lattice",
-    "zero_lattice",
-    "direct_sum",
-    "zero_map",
-]
+from .groups import FiniteGroup, generating_set
+from .gsets import GSet
+from .linalg import smith_normal_form
 
 
 class NotEquivariant(ValueError):
@@ -178,12 +158,6 @@ def permutation_lattice(x: GSet) -> ZGLattice:
     return ZGLattice(x.group, mats, validate=False)
 
 
-def induced_lattice(g: FiniteGroup, h) -> ZGLattice:
-    if not is_subgroup(g, tuple(set(h))):
-        raise NotSubgroup("not a subgroup")
-    return permutation_lattice(coset_gset(g, h))
-
-
 def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeMap]:
     """Saturated solution lattice of `equations @ v = 0` with restricted action.
 
@@ -263,10 +237,6 @@ def exactness_report(seq) -> ExactnessReport:
     first_inj = la.rank(first.matrix) == first.source.rank
     last_surj = la.cokernel_invariants(last.matrix, ambient_rank=last.target.rank) == ()
     return ExactnessReport(tuple(joints), first_inj, last_surj)
-
-
-def is_exact(seq) -> bool:
-    return exactness_report(seq).exact
 
 
 def is_equivariant_iso(f: LatticeMap) -> bool:

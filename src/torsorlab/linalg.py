@@ -404,10 +404,6 @@ def lattice_contains(basis, vectors) -> bool:
     return _quotient(smith_normal_form(basis, transforms=("left",)), V) is not None
 
 
-def lattice_eq(b1, b2) -> bool:
-    return lattice_contains(b1, b2) and lattice_contains(b2, b1)
-
-
 def lattice_index(big, small):
     """Index [big : small] for sublattices of equal rank, else None."""
     X = solve_int(big, small)
@@ -420,37 +416,6 @@ def lattice_index(big, small):
     for d in s.diagonal:
         idx *= d
     return abs(idx) if idx else None
-
-
-def bareiss_det(matrix):
-    """Fraction-free determinant; independent of the SNF path."""
-    A = _rows(matrix, list)
-    n = len(A)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in A):
-        raise ValueError("the determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def is_unimodular(matrix) -> bool:
-    A = int_rows(matrix)
-    return len(A) == width(A) and abs(bareiss_det(A)) == 1
 
 
 @dataclass(frozen=True)

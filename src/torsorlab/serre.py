@@ -402,71 +402,6 @@ def block_h1_vanishing(f_group: FiniteGroup) -> VanishingReport:
 
 
 # ---------------------------------------------------------------------------
-# worked scenarios
-
-
-def scenario_report(kind: str, **params) -> dict:
-    """Reference scenarios: abelian base, split product, exponent-l layer."""
-    if kind == "abelian-galois":
-        f_group = params["f_group"]
-        if not f_group.is_abelian():
-            raise ValueError("scenario needs an abelian group")
-        dec = conjugation_block_decomposition(f_group)
-        degrees = [b.rank for b in dec.blocks]
-        return {
-            "kind": kind,
-            "block_count": len(dec.blocks),
-            "block_degrees": degrees,
-            "verified": dec.twisted_sub_iso
-            and dec.class_embedding_iso
-            and all(r == 1 for r in degrees),
-        }
-    if kind == "split-product":
-        g1, g2 = params["g1"], params["g2"]
-        G = direct_product(g1, g2)
-        conj_big = conjugation_twist(G)
-        n1 = g1.order
-        # section x -> (x, 1) and the projection, both equivariant over G
-        proj_action = [
-            [g1.conj(t % n1, x) for x in g1.elements()] for t in G.elements()
-        ]
-        small_as_G = GSet(G, proj_action)
-        section = tuple(x for x in g1.elements())  # point x -> point (x,1)
-        section_ok = all(
-            conj_big.apply(t, section[x]) == section[small_as_G.apply(t, x)]
-            for t in G.elements()
-            for x in g1.elements()
-        )
-        # lattice-level split: proj o section = identity
-        big_lat = permutation_lattice(conj_big)
-        small_lat = permutation_lattice(small_as_G)
-        sec = [[int(section[x] == y) for x in g1.elements()] for y in G.elements()]
-        prj = [[int(y % n1 == x) for y in G.elements()] for x in g1.elements()]
-        sec_map = LatticeMap(small_lat, big_lat, sec)
-        prj_map = LatticeMap(big_lat, small_lat, prj)
-        split = prj_map.compose(sec_map)
-        return {
-            "kind": kind,
-            "factor_classes": len(conjugacy_classes(g1)),
-            "direct_factor_verified": section_ok
-            and is_equivariant_iso(split)
-            and split.matrix == la.identity(n1),
-        }
-    if kind == "heisenberg":
-        l = params["l"]
-        sk = nt.scholz_reichardt_skeleton(l)
-        return {
-            "kind": kind,
-            "l": l,
-            "fiber_class_count": sk.fiber_class_count,
-            "centralizer_orders": list(sk.centralizer_orders),
-            "component_field_index": sk.component_field_index,
-            "component_count": sk.fiber_class_count,
-        }
-    raise ValueError("unknown scenario: %s" % kind)
-
-
-# ---------------------------------------------------------------------------
 # CM-type bases
 
 

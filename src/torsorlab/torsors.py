@@ -1,8 +1,6 @@
-"""Concrete finite torsors: contracted products, inner forms, relative classes.
+"""Concrete finite torsors: relative classes and the twist bijection.
 
-A torsor under a Gamma-group A is carried by its descent cocycle; the set
-model is A itself with the twisted Galois action t * a = c(t) . (t . a) and
-right translation as the A-action.
+A torsor under a Gamma-group A is carried by its descent cocycle.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from .cohomology import (
     twist_values,
 )
 from .groups import FiniteGroup, GroupHom, generating_set, presentation
-from .gsets import GSet
-from .linalg import int_rows
 
 
 class IncompatibleActions(ValueError):
@@ -49,107 +45,9 @@ class TorsorRep:
     def gamma(self) -> FiniteGroup:
         return self.structure.gamma
 
-    def twisted_point_action(self) -> GSet:
-        """Galois action on the set model (points = structure group elements)."""
-        n = self.structure
-        und = n.underlying
-        action = [
-            [und.mul(self.cocycle(t), n.act(t, a)) for a in und.elements()]
-            for t in n.gamma.elements()
-        ]
-        return GSet(n.gamma, action)
-
 
 def trivial_torsor(structure: GammaGroup) -> TorsorRep:
     return TorsorRep(structure, trivial_cocycle(structure.gamma, structure))
-
-
-class EquivariantASet:
-    """Finite left A-set carrying a compatible Gamma-action."""
-
-    def __init__(self, structure: GammaGroup, a_action, gamma_action):
-        self.structure = structure
-        self.a_action = int_rows(a_action)
-        self.gamma_action = int_rows(gamma_action)
-        self.size = len(self.a_action[0])
-        A, G = structure.underlying, structure.gamma
-        if len(self.a_action) != A.order:
-            raise IncompatibleActions("A-action shape mismatch")
-        if len(self.gamma_action) != G.order or len(self.gamma_action[0]) != self.size:
-            raise IncompatibleActions("Gamma-action shape mismatch")
-        GSet(A, self.a_action)  # left action axioms
-        GSet(G, self.gamma_action)
-        # compatibility t . (a . x) = (t . a) . (t . x), for t in a
-        # generating set (see the groups module docstring)
-        for t in generating_set(G):
-            gt = self.gamma_action[t]
-            for a, ax in enumerate(self.a_action):
-                tax = self.a_action[structure.act(t, a)]
-                if any(gt[y] != tax[gx] for y, gx in zip(ax, gt)):
-                    raise IncompatibleActions(
-                        "Gamma does not act on the A-set equivariantly"
-                    )
-
-
-def left_translation_aset(structure: GammaGroup) -> EquivariantASet:
-    """A acting on itself by left translation, Gamma by its given action."""
-    und = structure.underlying
-    return EquivariantASet(structure, und.rows, structure.action)
-
-
-def conjugation_aset(structure: GammaGroup) -> EquivariantASet:
-    """A acting on itself by inner automorphisms."""
-    und = structure.underlying
-    a_action = [[und.conj(a, x) for x in und.elements()] for a in und.elements()]
-    return EquivariantASet(structure, a_action, structure.action)
-
-
-def pushforward_aset(v: GroupHom, target: GammaGroup, source: GammaGroup) -> EquivariantASet:
-    """Target group as an A-set via a . b = v(a) b, for extension of structure."""
-    B = target.underlying
-    a_action = [B.rows[v(a)] for a in source.underlying.elements()]
-    return EquivariantASet(source, a_action, target.action)
-
-
-def contracted_product(p: TorsorRep, x: EquivariantASet) -> GSet:
-    """The Gamma-set P x^A X: every class has the unique form [1, point], and
-    the induced action is t * point = c(t) . (t . point)."""
-    if x.structure != p.structure:
-        raise IncompatibleActions("torsor and A-set have different structures")
-    n = p.structure
-    action = [
-        [x.a_action[p.cocycle(t)][y] for y in x.gamma_action[t]]
-        for t in n.gamma.elements()
-    ]
-    out = GSet(n.gamma, action)  # validation doubles as well-definedness
-    return out
-
-
-def inner_twist(p: TorsorRep) -> GammaGroup:
-    """The inner form: same group, Galois action conjugated through the cocycle."""
-    return twist_group(p.structure, p.cocycle)
-
-
-def torsor_automorphism_count(p: TorsorRep) -> int:
-    """|Aut_A(P)|: A-equivariant Galois-equivariant self-maps of the set model.
-
-    Equals the number of fixed points of the inner twist; both sides are
-    enumerated independently here.
-    """
-    n = p.structure
-    und = n.underlying
-    pts = p.twisted_point_action()
-    count = 0
-    for m in und.elements():
-        # left translation by m commutes with right A-action automatically,
-        # and with the Galois action once it does with its generators
-        if all(
-            und.mul(m, pts.apply(t, a)) == pts.apply(t, und.mul(m, a))
-            for t in generating_set(n.gamma)
-            for a in und.elements()
-        ):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,86 @@
+"""Fixtures and oracles that only the tests use: small G-sets, a group's JSON
+form, lattice equality, a determinant independent of the SNF, and the
+materialized truncation of an inverse-system recipe."""
+
+from torsorlab import groups as gr
+from torsorlab import gsets as gs
+from torsorlab import invsys as iv
+from torsorlab import linalg as la
+
+
+def trivial_gset(g: gr.FiniteGroup, size: int) -> gs.GSet:
+    return gs.GSet(g, (tuple(range(size)),) * g.order, validate=False)
+
+
+def regular_gset(g: gr.FiniteGroup) -> gs.GSet:
+    return gs.GSet(g, g.rows)
+
+
+def disjoint_union(x: gs.GSet, y: gs.GSet) -> gs.GSet:
+    if x.group != y.group:
+        raise gs.InvalidAction("actions of different groups")
+    action = [
+        rx + tuple(p + x.size for p in ry) for rx, ry in zip(x.action, y.action)
+    ]
+    return gs.GSet(x.group, action, validate=False)
+
+
+def group_to_json(g: gr.FiniteGroup) -> dict:
+    out = {"order": g.order, "table": [list(r) for r in g.rows]}
+    if g.labels:
+        out["labels"] = list(g.labels)
+    return out
+
+
+def lattice_eq(b1, b2) -> bool:
+    return la.lattice_contains(b1, b2) and la.lattice_contains(b2, b1)
+
+
+def bareiss_det(matrix):
+    """Fraction-free determinant; independent of the SNF path."""
+    A = [list(r) for r in la.int_rows(matrix)]
+    n = len(A)
+    if n == 0:
+        return 1
+    if any(len(r) != n for r in A):
+        raise ValueError("the determinant needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k] != 0:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+class NotMaterializable(ValueError):
+    pass
+
+
+def truncate(recipe, n: int):
+    """Materialized levels 0..n: an ExplicitFinite, or per-level abelian data."""
+    if isinstance(recipe, iv.ExplicitFinite):
+        if n >= len(recipe.groups):
+            raise NotMaterializable("truncation beyond the given data")
+        return iv.ExplicitFinite(recipe.groups[: n + 1], recipe.maps[:n])
+    if isinstance(recipe, iv.ConstantEndo):
+        return tuple((recipe.module, recipe.endo) for _ in range(n + 1))
+    if isinstance(recipe, iv.SubgroupChain):
+        return tuple(recipe.level(k) for k in range(n + 1))
+    if isinstance(recipe, iv.Product):
+        return tuple(truncate(f, n) for f in recipe.factors)
+    if isinstance(recipe, iv.NormTower):
+        raise NotMaterializable(
+            "unit groups of number fields are infinite; use the valuation "
+            "certificates instead"
+        )
+    raise TypeError("unknown recipe kind")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from torsorlab import cli, groups as gr, jsonio
+from helpers import group_to_json
 
 
 @pytest.fixture
@@ -12,21 +13,21 @@ def fixtures(tmp_path):
     files = {}
     sp, gens = gr.heisenberg_group(3)
     files["h3"] = tmp_path / "h3.json"
-    files["h3"].write_text(json.dumps(jsonio.group_to_json(sp.group)))
+    files["h3"].write_text(json.dumps(group_to_json(sp.group)))
     s3 = gr.symmetric_group(3)
     files["s3"] = tmp_path / "s3.json"
-    files["s3"].write_text(json.dumps(jsonio.group_to_json(s3)))
+    files["s3"].write_text(json.dumps(group_to_json(s3)))
     c2 = gr.cyclic_group(2)
     files["gset"] = tmp_path / "gset.json"
     files["gset"].write_text(
         json.dumps(
-            {"group": jsonio.group_to_json(c2), "size": 2, "action": [[0, 1], [1, 0]]}
+            {"group": group_to_json(c2), "size": 2, "action": [[0, 1], [1, 0]]}
         )
     )
     files["gset2"] = tmp_path / "gset2.json"
     files["gset2"].write_text(
         json.dumps(
-            {"group": jsonio.group_to_json(c2), "size": 2, "action": [[0, 1], [1, 0]]}
+            {"group": group_to_json(c2), "size": 2, "action": [[0, 1], [1, 0]]}
         )
     )
     files["matrix"] = tmp_path / "matrix.json"
@@ -36,14 +37,14 @@ def fixtures(tmp_path):
         json.dumps(
             {
                 "rank": 1,
-                "group": jsonio.group_to_json(c2),
+                "group": group_to_json(c2),
                 "rho": {"1": [[-1]]},
             }
         )
     )
     files["datum"] = tmp_path / "datum.json"
     files["datum"].write_text(
-        json.dumps({"group": jsonio.group_to_json(c2), "iota": 1})
+        json.dumps({"group": group_to_json(c2), "iota": 1})
     )
     files["recipe"] = tmp_path / "recipe.json"
     files["recipe"].write_text(
@@ -67,14 +68,14 @@ def fixtures(tmp_path):
     a_elems = gr.generated_subgroup(s3, [2])
     inc = tuple(s3.power(2, k) for k in range(3))
     cq, proj = gr.quotient(s3, a_elems)
-    gamma = jsonio.group_to_json(c2)
+    gamma = group_to_json(c2)
     files["seq"] = tmp_path / "seq.json"
     files["seq"].write_text(
         json.dumps(
             {
-                "a": {"gamma": gamma, "underlying": jsonio.group_to_json(c3)},
-                "b": {"gamma": gamma, "underlying": jsonio.group_to_json(s3)},
-                "c": {"gamma": gamma, "underlying": jsonio.group_to_json(cq)},
+                "a": {"gamma": gamma, "underlying": group_to_json(c3)},
+                "b": {"gamma": gamma, "underlying": group_to_json(s3)},
+                "c": {"gamma": gamma, "underlying": group_to_json(cq)},
                 "include": list(inc),
                 "project": list(proj.map),
             }
@@ -130,7 +131,7 @@ def test_lattice_snf_rejects_malformed_matrices(capsys, tmp_path):
 
 def test_lattice_exact_and_iso(fixtures, capsys, tmp_path):
     c1 = gr.trivial_group()
-    gj = jsonio.group_to_json(c1)
+    gj = group_to_json(c1)
     lat1 = {"rank": 1, "group": gj, "rho": {}}
     lat2 = {"rank": 2, "group": gj, "rho": {}}
     seq = tmp_path / "seq_lat.json"
@@ -180,7 +181,7 @@ SIGN = {"rank": 1, "group": "c2.json", "rho": {"1": [[-1]]}}
 def test_malformed_lattice_json_exits_3(command, document, tmp_path, capsys):
     # a matrix entry that is no integer, a missing field, a map too many, a
     # rho key that is no group element: exit 3 with a message, no traceback
-    (tmp_path / "c2.json").write_text(json.dumps(jsonio.group_to_json(gr.cyclic_group(2))))
+    (tmp_path / "c2.json").write_text(json.dumps(group_to_json(gr.cyclic_group(2))))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
     flag = "--module" if command[0] == "cohomology" else "--in"

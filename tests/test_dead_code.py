@@ -1,27 +1,76 @@
-"""Every module-level function and class of torsorlab has a user."""
+"""Every definition of torsorlab is reached by the library or the benchmark,
+and every import and local is read."""
 
 import ast
-import collections
 import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "torsorlab").glob("*.py"))
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _read(nodes):
+    """(bare names, attribute names) that the nodes mention."""
+    names, attrs = set(), set()
+    for top in nodes:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+    return names, attrs
+
+
+def _units():
+    """The top-level definitions and non-dunder methods of the library outside
+    __init__.py, each as (label, name, is_method, names read, attributes read),
+    and what the module-level code outside definitions reads.  A class reads
+    what its body reads outside those methods."""
+    units, roots = [], []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, _DEFS):
+                roots.append(node)
+                continue
+            own = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [s for s in node.body if isinstance(s, _DEFS[:2])
+                           and not s.name.startswith("__")]
+                own = [s for s in node.body if s not in methods] + node.decorator_list + node.bases
+                for m in methods:
+                    names, attrs = _read([m])
+                    units.append((f"{path.name}:{node.name}.{m.name}", m.name, True,
+                                  names, attrs - {m.name}))
+            names, attrs = _read(own)
+            units.append((f"{path.name}:{node.name}", node.name, False, names - {node.name}, attrs))
+    return units, _read(roots)
 
 
 def test_every_top_level_definition_is_named_elsewhere():
-    words = collections.Counter(
-        word
-        for d in ("src", "tests", "perfbench")
-        for p in sorted((ROOT / d).rglob("*.py"))
-        for word in re.findall(r"\w+", p.read_text())
-    )
-    unused = []
-    for path in sorted((ROOT / "src" / "torsorlab").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            # the definition itself is one occurrence
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and words[node.name] < 2:
-                unused.append(f"{path.name}:{node.name}")
-    assert not unused, unused
+    # A definition is reached when the benchmark names it (perfbench binds
+    # methods by string), or when module-level code or a reached definition
+    # of the library reads it: a method as `.name`, anything else as a name
+    # or `.name`.  Tests do not count, nor does the definition itself.  The
+    # sweep repeats until nothing more drops out, so what only unreached code
+    # reads is unreached too.
+    bench = {w for p in sorted((ROOT / "perfbench").rglob("*.py"))
+             for w in re.findall(r"\w+", p.read_text())}
+    units, (root_names, root_attrs) = _units()
+    live = units
+    while True:
+        names, attrs = root_names | bench, root_attrs | bench
+        for _, _, _, n, a in live:
+            names |= n
+            attrs |= a
+        reached = [u for u in live if u[1] in attrs or (not u[2] and u[1] in names)]
+        if len(reached) == len(live):
+            break
+        live = reached
+    unreached = sorted({u[0] for u in units} - {u[0] for u in live})
+    assert not unreached, unreached
 
 
 def _scope_of(fn):
@@ -39,7 +88,7 @@ def test_every_local_is_read():
     # a name a function assigns must be read in that function or in a scope
     # nested in it; names starting with _ are exempt
     unread = []
-    for path in sorted((ROOT / "src" / "torsorlab").glob("*.py")):
+    for path in MODULES:
         for fn in ast.walk(ast.parse(path.read_text())):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -53,3 +102,21 @@ def test_every_local_is_read():
                         and node.id not in read | shared):
                     unread.append(f"{path.name}:{node.lineno}:{fn.name}:{node.id}")
     assert not unread, sorted(set(unread))
+
+
+def test_every_import_is_read():
+    # each name a module-level import binds is read somewhere in that module
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}:{node.lineno}:{bound}")
+    assert not unread, unread

@@ -7,6 +7,7 @@ import pytest
 from torsorlab import catalog
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
+from helpers import disjoint_union, regular_gset, trivial_gset
 
 
 def brute_iso_scan(x, y):
@@ -55,11 +56,11 @@ def test_orbit_stabilizer_s3_conjugation():
 
 def test_trivial_and_regular():
     g = gr.cyclic_group(4)
-    t = gs.trivial_gset(g, 3)
+    t = trivial_gset(g, 3)
     dec = gs.orbits(t)
     assert all(len(o) == 1 for o in dec.orbit_sets)
     assert all(len(s) == 4 for s in dec.stabilizers)
-    r = gs.regular_gset(g)
+    r = regular_gset(g)
     dec = gs.orbits(r)
     assert len(dec.orbits) == 1
     assert dec.stabilizers[0] == (0,)
@@ -74,7 +75,7 @@ def test_coset_gset():
     assert len(dec.orbits) == 1
     assert set(dec.stabilizers[0]) == set(h)
     assert gs.coset_gset(s3, tuple(s3.elements())).size == 1
-    assert gs.coset_gset(s3, (0,)) == gs.regular_gset(s3)
+    assert gs.coset_gset(s3, (0,)) == regular_gset(s3)
     with pytest.raises(gr.NotSubgroup):
         gs.coset_gset(s3, (0, 2))
 
@@ -84,7 +85,7 @@ def test_conjugation_twist_matches_classes():
         x = gs.conjugation_twist(g)
         assert gs.orbits(x).orbit_sets == gr.conjugacy_classes(g)
     ab = gr.cyclic_group(6)
-    assert gs.conjugation_twist(ab) == gs.trivial_gset(ab, 6)
+    assert gs.conjugation_twist(ab) == trivial_gset(ab, 6)
 
 
 def test_gset_iso_identity_and_failure():
@@ -92,8 +93,8 @@ def test_gset_iso_identity_and_failure():
     x = gs.coset_gset(s3, gr.generated_subgroup(s3, [1]))
     m = gs.gset_iso(x, x)
     assert m is not None
-    reg = gs.regular_gset(s3)
-    two_orbits = gs.disjoint_union(
+    reg = regular_gset(s3)
+    two_orbits = disjoint_union(
         gs.coset_gset(s3, gr.generated_subgroup(s3, [1])),
         gs.coset_gset(s3, gr.generated_subgroup(s3, [3])),
     )
@@ -117,7 +118,7 @@ def test_gset_iso_agrees_with_brute_scan():
     for g in groups:
         subs = gr.all_subgroups(g)
         sets = [gs.coset_gset(g, h) for h in subs if g.order // len(h) <= 6]
-        sets.append(gs.trivial_gset(g, 2))
+        sets.append(trivial_gset(g, 2))
         for x in sets:
             for y in sets:
                 if x.size > 12 or y.size > 12:
@@ -163,7 +164,7 @@ def test_descent_orbit_decomposition():
     assert len(factors) == 1
     assert factors[0].degree == 3
     assert len(factors[0].stabilizer) == 2
-    t = gs.trivial_gset(s3, 4)
+    t = trivial_gset(s3, 4)
     factors = gs.descent_orbit_decomposition(t)
     assert len(factors) == 4
     assert all(f.degree == 1 for f in factors)

@@ -7,6 +7,7 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
+from helpers import bareiss_det, disjoint_union, lattice_eq, regular_gset, trivial_gset
 from test_cohomology import _np
 from test_linalg import _same
 
@@ -36,9 +37,9 @@ def test_permutation_lattice_and_fixed_rank():
     assert fixed_rank == len(gr.conjugacy_classes(s3)) == 3
     # regular C2 lattice is the swap
     c2 = gr.cyclic_group(2)
-    reg = lt.permutation_lattice(gs.regular_gset(c2))
+    reg = lt.permutation_lattice(regular_gset(c2))
     assert reg.rho[1] == ((0, 1), (1, 0))
-    one = lt.permutation_lattice(gs.trivial_gset(c2, 1))
+    one = lt.permutation_lattice(trivial_gset(c2, 1))
     assert one.rank == 1 and one.rho[1] == la.identity(1)
 
 
@@ -50,8 +51,8 @@ def test_fixed_rank_counts_orbits():
         gs.conjugation_twist(s3),
         gs.conjugation_twist(d4),
         gs.coset_gset(s3, gr.generated_subgroup(s3, [1])),
-        gs.trivial_gset(d4, 5),
-        gs.disjoint_union(gs.regular_gset(s3), gs.trivial_gset(s3, 2)),
+        trivial_gset(d4, 5),
+        disjoint_union(regular_gset(s3), trivial_gset(s3, 2)),
     ]
     for x in cases:
         m = lt.permutation_lattice(x)
@@ -66,12 +67,12 @@ def test_permutation_lattice_unimodular_rhos():
     d4 = gr.dihedral_group(4)
     m = lt.permutation_lattice(gs.coset_gset(d4, (0,)))
     for g in d4.elements():
-        assert abs(la.bareiss_det(m.rho[g])) == 1
+        assert abs(bareiss_det(m.rho[g])) == 1
 
 
 def test_equivariant_sublattice_antisymmetric_line():
     c2 = gr.cyclic_group(2)
-    reg = lt.permutation_lattice(gs.regular_gset(c2))
+    reg = lt.permutation_lattice(regular_gset(c2))
     # n + (swap n) = 0
     sub, incl = lt.equivariant_sublattice(reg, [[1, 1]])
     assert sub.rank == 1
@@ -89,7 +90,7 @@ def test_equivariant_sublattice_antisymmetric_line():
 
 def test_equivariant_sublattice_not_stable():
     c2 = gr.cyclic_group(2)
-    reg = lt.permutation_lattice(gs.regular_gset(c2))
+    reg = lt.permutation_lattice(regular_gset(c2))
     with pytest.raises(lt.NotStable):
         lt.equivariant_sublattice(reg, [[1, 0]])  # first coordinate not invariant
 
@@ -167,14 +168,14 @@ def _reference_exactness(maps):
         im, ker = la.column_space_basis(f.matrix), _kernel(g)
         joints.append(lt.JointReport(
             not any(map(any, la.matmul(g.matrix, f.matrix))),
-            la.lattice_eq(_saturation(im), ker),
-            la.lattice_eq(im, ker),
+            lattice_eq(_saturation(im), ker),
+            lattice_eq(im, ker),
         ))
     last = maps[-1]
     return lt.ExactnessReport(
         tuple(joints),
         la.width(_kernel(maps[0])) == 0,
-        la.lattice_eq(la.column_space_basis(last.matrix), la.identity(last.target.rank)),
+        lattice_eq(la.column_space_basis(last.matrix), la.identity(last.target.rank)),
     )
 
 
@@ -237,29 +238,18 @@ def test_is_equivariant_iso():
     assert lt.is_equivariant_iso(lt.LatticeMap(z, z, [[1]]))
     assert not lt.is_equivariant_iso(lt.LatticeMap(z, z, [[2]]))
     c2 = gr.cyclic_group(2)
-    reg = lt.permutation_lattice(gs.regular_gset(c2))
+    reg = lt.permutation_lattice(regular_gset(c2))
     swap = lt.LatticeMap(reg, reg, [[0, 1], [1, 0]])
     assert lt.is_equivariant_iso(swap)
 
 
 def test_equivariance_enforced():
     c2 = gr.cyclic_group(2)
-    reg = lt.permutation_lattice(gs.regular_gset(c2))
+    reg = lt.permutation_lattice(regular_gset(c2))
     sgn = sign_lattice(c2)
     with pytest.raises(lt.NotEquivariant):
         lt.LatticeMap(reg, sgn, [[1, 1]])
     lt.LatticeMap(reg, sgn, [[1, -1]])  # the norm-twisted projection is fine
-
-
-def test_induced_lattice():
-    s3 = gr.symmetric_group(3)
-    assert lt.induced_lattice(s3, tuple(s3.elements())).rank == 1
-    assert lt.induced_lattice(s3, (0,)).rank == 6
-    h = gr.generated_subgroup(s3, [1])
-    m = lt.induced_lattice(s3, h)
-    assert m.rank == 3
-    with pytest.raises(gr.NotSubgroup):
-        lt.induced_lattice(s3, (0, 1, 2))
 
 
 def test_direct_sum():

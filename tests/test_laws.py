@@ -19,9 +19,9 @@ import itertools
 from torsorlab import catalog
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
-from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import torsors as to
+from helpers import regular_gset
 
 GROUPS = [g for _, g in catalog.group_catalog(12)]
 
@@ -235,7 +235,7 @@ def test_crossed_hom_agrees_with_the_all_pairs_reference():
     # lattice coefficients: the coboundary t -> (rho(t) - 1) e_0 of Z[g],
     # with one coordinate of one value raised by 1
     for g in GROUPS:
-        m = lt.permutation_lattice(gs.regular_gset(g))
+        m = lt.permutation_lattice(regular_gset(g))
         e0 = (1,) + (0,) * (g.order - 1)
         vals = tuple(tuple(x - y for x, y in zip(m.act(t, e0), e0)) for t in g.elements())
 

@@ -2,9 +2,9 @@ import pytest
 
 from torsorlab import groups as gr
 from torsorlab import invsys as iv
-from torsorlab import linalg as la
 from torsorlab import numtheory as nt
 from torsorlab import serre as sr
+from helpers import bareiss_det
 
 
 def quad_datum():
@@ -75,7 +75,7 @@ def test_twist_serre_nonabelian():
     assert tw.exact
     assert not tw.action_trivial
     for t in G.elements():
-        assert abs(la.bareiss_det(tw.sub.rho[t])) == 1
+        assert abs(bareiss_det(tw.sub.rho[t])) == 1
 
 
 def test_block_decomposition_c2():
@@ -105,21 +105,6 @@ def test_block_h1_vanishing():
     for g in [gr.cyclic_group(2), gr.symmetric_group(3), gr.trivial_group()]:
         rep = sr.block_h1_vanishing(g)
         assert rep.all_vanish
-
-
-def test_scenarios():
-    rep = sr.scenario_report("abelian-galois", f_group=gr.cyclic_group(3))
-    assert rep["block_count"] == 3 and rep["verified"]
-    rep = sr.scenario_report(
-        "split-product", g1=gr.cyclic_group(2), g2=gr.cyclic_group(3)
-    )
-    assert rep["direct_factor_verified"]
-    rep = sr.scenario_report("heisenberg", l=3)
-    assert rep["fiber_class_count"] == 3
-    assert rep["centralizer_orders"] == [9, 9, 9]
-    assert rep["component_field_index"] == 3
-    with pytest.raises(ValueError):
-        sr.scenario_report("abelian-galois", f_group=gr.symmetric_group(3))
 
 
 def test_cm_type_basis_quadratic():
