@@ -1,16 +1,16 @@
 """H^1 of a finite group, twisting, and the lim^1 obstruction recipe.
 
-Coefficients come in three flavours: free integer lattices (ZGLattice),
-finite abelian modules, and arbitrary finite groups with action.  A cocycle
-is determined by its values on the generators of a presentation
-(groups.presentation), and any values there extend to a cocycle exactly
-when every relator evaluates to 1 in N x| Gamma (Serre, Galois Cohomology,
-I 5.1).  Abelian H^1 solves that condition exactly over the integers: it is
-linear, with the Fox derivatives of the relator as coefficients (Fox, "Free
-differential calculus I", Ann. Math. 1953).  Nonabelian cocycles,
-homomorphisms and lifts come from one backtracking search over those values,
-and their classes under twisted conjugation from one partition
-(twist_classes).
+Coefficients come in two flavours: free integer lattices (ZGLattice), for
+abelian H^1, and finite groups with action (GammaGroup), for nonabelian H^1
+and twisting.  A cocycle is determined by its values on the generators of a
+presentation (groups.presentation), and any values there extend to a cocycle
+exactly when every relator evaluates to 1 in N x| Gamma (Serre, Galois
+Cohomology, I 5.1).  Abelian H^1 solves that condition exactly over the
+integers: it is linear, with the Fox derivatives of the relator as
+coefficients (Fox, "Free differential calculus I", Ann. Math. 1953).
+Nonabelian cocycles, homomorphisms and lifts come from one backtracking
+search over those values, and their classes under twisted conjugation from
+one partition (twist_classes).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul
 
 from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
-from .groups import (FiniteGroup, GammaGroup, GroupHom, InvalidHom, NotAction, direct_product,
+from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
                      generating_set, presentation)
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
@@ -85,56 +85,6 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
     prod = GammaGroup(gamma, und, action)
     maps = tuple((i, tuple(xp[i] for xp in parts)) for i in range(len(factors)))
     return prod, maps
-
-
-class FiniteModule(la.FgAbelian):
-    """Finite abelian module Z^n / diag(relations) with integer action."""
-
-    # a module is more than its relations: compare by identity
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, gamma: FiniteGroup, relations, mats, validate: bool = True):
-        super().__init__(tuple(int(d) for d in relations))
-        if any(d <= 0 for d in self.relations):
-            raise ValueError("relations must be positive (finite module)")
-        self.gamma = gamma
-        self.mats = tuple(la.int_rows(m) for m in mats)
-        self.neutral = (0,) * self.ngens
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        if len(self.mats) != self.gamma.order:
-            raise NotAction("one matrix per group element required")
-        n = self.ngens
-        for m in self.mats:
-            if len(m) != n or la.width(m) != n:
-                raise NotAction("matrix shape mismatch")
-            # columns must respect the relation lattice
-            for j, dj in enumerate(self.relations):
-                for i, di in enumerate(self.relations):
-                    if (dj * m[i][j]) % di != 0:
-                        raise NotAction("action does not preserve relations")
-        for s in generating_set(self.gamma):
-            for h in self.gamma.elements():
-                prod_ = la.matmul(self.mats[s], self.mats[h])
-                tgt = self.mats[self.gamma.mul(s, h)]
-                for di, prow, trow in zip(self.relations, prod_, tgt):
-                    if any((v - w) % di for v, w in zip(prow, trow)):
-                        raise NotAction("action not multiplicative mod relations")
-
-    def op(self, a, b) -> tuple:
-        return self.reduce([x + y for x, y in zip(a, b)])
-
-    def inv(self, a) -> tuple:
-        return self.reduce([-x for x in a])
-
-    def act(self, t: int, vec) -> tuple:
-        return self.reduce([sum(map(mul, row, vec)) for row in self.mats[t]])
-
-    def canon(self, vec) -> tuple:
-        return self.reduce(vec)
 
 
 @dataclass(frozen=True)
@@ -237,17 +187,6 @@ def _minus_identity(matrix) -> tuple:
     return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(matrix))
 
 
-def _solution_lattice(C, relations) -> tuple[tuple, tuple]:
-    """(L, lam): L spans the x in Z^u with C x == 0, row j modulo
-    relations[j % r], through one slack unknown per row; lam = diag of the
-    relations repeated u / r times, which L contains."""
-    r, u = len(relations), la.width(C)
-    slack = la.FgAbelian(relations * (len(C) // r)).relation_matrix()
-    K = la.kernel_basis(la.beside([C, slack]))
-    lam = la.FgAbelian(relations * (u // r)).relation_matrix()
-    return la.column_space_basis(la.beside([K[:u], lam])), lam
-
-
 @dataclass(frozen=True)
 class CohomologyGroup:
     invariants: tuple  # elementary divisors, 1s dropped, 0 marks a free factor
@@ -311,38 +250,23 @@ def _relator_rows(gamma: FiniteGroup, mats, r: int, gens, relators) -> list:
     return constraints
 
 
-def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
-    """Z^1/B^1 over the integers, exact; finite for lattice coefficients."""
-    if isinstance(coeff, ZGLattice):
-        r = coeff.rank
-        mats = coeff.rho
-        relations = None
-    elif isinstance(coeff, FiniteModule):
-        r = coeff.ngens
-        mats = coeff.mats
-        relations = coeff.relations
-    else:
-        raise TypeError("abelian H^1 needs a lattice or finite module")
+def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
+    """Z^1/B^1 of a lattice over the integers, exact and finite: Z^1 is the
+    saturated kernel of the relator rows, and one SNF of the coboundaries'
+    coordinates in it gives the invariants and the generating cocycles."""
+    r = lattice.rank
     if r == 0:
         return CohomologyGroup((), ())
+    mats = lattice.rho
     gens, relators = presentation(gamma)
     k = len(gens)
-    C = _relator_rows(gamma, mats, r, gens, relators)
-
-    if relations is None:
-        # W Z = I: the coboundaries' coordinates below need no second SNF
-        Z, W = la.saturated_kernel(C)
-    else:
-        Z, lam = _solution_lattice(C, relations)
-
-    # coboundaries: values (rho(s) - 1) m on the generators
-    D = la.stack(_minus_identity(mats[s]) for s in gens)
-    if relations is not None:
-        D = la.beside([D, lam])
+    # W Z = I: the coboundaries' coordinates below need no second SNF
+    Z, W = la.saturated_kernel(_relator_rows(gamma, mats, r, gens, relators))
     z = la.width(Z)
     if z == 0:
         return CohomologyGroup((), ())
-    Y = la.coordinates(Z, W, D) if relations is None else la.solve_int(Z, D)
+    # coboundaries: values (rho(s) - 1) m on the generators
+    Y = la.coordinates(Z, W, la.stack(_minus_identity(mats[s]) for s in gens))
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise NotAction("coboundaries must lie in the cocycle lattice")
@@ -359,7 +283,7 @@ def h1_abelian(gamma: FiniteGroup, coeff) -> CohomologyGroup:
         gen_coords = [sum(map(mul, row, column)) for row in Z]
         gen_vals = [tuple(gen_coords[j * r : (j + 1) * r]) for j in range(k)]
         gens_out.append(
-            CrossedHom.from_generators(gamma, coeff, dict(zip(gens, gen_vals)))
+            CrossedHom.from_generators(gamma, lattice, dict(zip(gens, gen_vals)))
         )
     order = [(d if d else 0) for d in invs]
     # deterministic: nonzero divisors ascending, then free factors
@@ -489,59 +413,19 @@ def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
 # twisting
 
 
-@dataclass(frozen=True)
-class AutValuedCocycle:
-    """Cocycle valued in Aut(N): autos[t] is a permutation of N's elements."""
-
-    base: GammaGroup
-    autos: tuple
-
-    def __post_init__(self):
-        autos = tuple(tuple(int(x) for x in a) for a in self.autos)
-        object.__setattr__(self, "autos", autos)
-        g, n, act = self.base.gamma, self.base.underlying, self.base.act
-        if len(autos) != g.order:
-            raise NotCocycle("one automorphism per group element required")
-        if any(sorted(a) != list(range(n.order)) for a in autos):
-            raise NotCocycle("value is not a bijection")
-        gens = generating_set(g)
-        for s in gens:
-            try:
-                GroupHom(n, n, autos[s])
-            except InvalidHom as e:
-                raise NotCocycle("value is not an automorphism") from e
-        if autos[0] != tuple(range(n.order)):
-            raise NotCocycle("value at identity must be the identity")
-        # cocycle law in Aut(N): f(st) = f(s) o (s . f(t)), with
-        # (s . alpha)(x) = s . alpha(s^-1 . x); on generators (module docstring
-        # of groups), which also makes every value an automorphism
-        for s in gens:
-            fs, si = autos[s], g.inv(s)
-            for t, ft in enumerate(autos):
-                rhs = tuple(fs[act(s, ft[act(si, x)])] for x in n.elements())
-                if autos[g.mul(s, t)] != rhs:
-                    raise NotCocycle("automorphism cocycle law fails")
-
-
-def twist_group(n: GammaGroup, f) -> GammaGroup:
-    """Twist the action: inner by a cocycle into n, or by Aut-valued f."""
-    g, und = n.gamma, n.underlying
-    if isinstance(f, CrossedHom):
-        if f.coefficient is not n and f.coefficient != n:
-            raise NotCocycle("cocycle must take values in the twisted group")
-        rows = und.rows
-        action = []
-        for t, nrow in enumerate(n.action):
-            ft = rows[f(t)]
-            fti = und.inverses[f(t)]
-            action.append([rows[ft[y]][fti] for y in nrow])
-        return GammaGroup(g, und, action)
-    if isinstance(f, AutValuedCocycle):
-        if f.base is not n and f.base != n:
-            raise NotCocycle("cocycle base mismatch")
-        action = [[f.autos[t][y] for y in nrow] for t, nrow in enumerate(n.action)]
-        return GammaGroup(g, und, action)
-    raise TypeError("unsupported twisting datum")
+def twist_group(n: GammaGroup, f: CrossedHom) -> GammaGroup:
+    """Twist the action of n by the inner automorphisms of a cocycle f into n:
+    t acts as x -> f(t) (t . x) f(t)^-1."""
+    if f.coefficient is not n and f.coefficient != n:
+        raise NotCocycle("cocycle must take values in the twisted group")
+    und = n.underlying
+    rows = und.rows
+    action = []
+    for t, nrow in enumerate(n.action):
+        ft = rows[f(t)]
+        fti = und.inverses[f(t)]
+        action.append([rows[ft[y]][fti] for y in nrow])
+    return GammaGroup(n.gamma, und, action)
 
 
 def twist_lattice(m: ZGLattice, f: CrossedHom, value_matrices) -> ZGLattice:

@@ -48,7 +48,7 @@ class FiniteGroup:
     `rows[a][b]` the index of a*b, and `inverses[a]` the index of a^-1.
     """
 
-    def __init__(self, table, labels=None, validate: bool = True):
+    def __init__(self, table, validate: bool = True):
         try:
             rows = int_rows(table)
         except (TypeError, ValueError) as e:
@@ -57,9 +57,6 @@ class FiniteGroup:
         if any(len(r) != n for r in rows):
             raise InvalidGroup("table must be square")
         self.rows = rows
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.order:
-            raise InvalidGroup("labels length mismatch")
         if validate:
             self._validate()
         self.inverses = self._compute_inverses()
@@ -207,8 +204,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidGroup("order must be positive")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(table, labels=labels)
+    return FiniteGroup(table)
 
 
 def trivial_group() -> FiniteGroup:

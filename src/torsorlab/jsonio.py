@@ -67,15 +67,24 @@ def _field(obj, key, kind=object, default=None):
 
 
 def _int_row(value) -> tuple:
+    """A list of integers (JSON true and false are not integers)."""
     if not (isinstance(value, list) and all(type(v) is int for v in value)):
         raise ParseError("expected a list of integers")
     return tuple(value)
 
 
+def _int_table(value) -> tuple:
+    """A list of integer rows, such as a group table or an action table; the
+    constructors check the shape."""
+    if not isinstance(value, list):
+        raise ParseError("expected a list of lists of integers")
+    return tuple(map(_int_row, value))
+
+
 def group_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:
-        return FiniteGroup(obj["table"], labels=obj.get("labels"))
+        return FiniteGroup(_int_table(obj["table"]))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad group object: {e}") from e
 
@@ -84,7 +93,7 @@ def gset_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:
         g = group_from_json(obj["group"], basedir)
-        return GSet(g, obj["action"])
+        return GSet(g, _int_table(obj["action"]))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad G-set object: {e}") from e
 
@@ -163,7 +172,7 @@ def gamma_group_from_json(obj, basedir="."):
         raise ParseError(f"bad Gamma-group object: {e}") from e
     if action is None:
         return co.trivial_gamma_group(gamma, und)
-    return co.GammaGroup(gamma, und, action)
+    return co.GammaGroup(gamma, und, _int_table(action))
 
 
 def datum_from_json(obj, basedir="."):
@@ -236,8 +245,8 @@ def torsor_sequence_from_json(obj, basedir="."):
         A = gamma_group_from_json(obj["a"], basedir)
         B = gamma_group_from_json(obj["b"], basedir)
         C = gamma_group_from_json(obj["c"], basedir)
-        inc = GroupHom(A.underlying, B.underlying, tuple(obj["include"]))
-        prj = GroupHom(B.underlying, C.underlying, tuple(obj["project"]))
+        inc = GroupHom(A.underlying, B.underlying, _int_row(obj["include"]))
+        prj = GroupHom(B.underlying, C.underlying, _int_row(obj["project"]))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad sequence object: {e}") from e
     return to.ExactGammaSequence(
@@ -248,8 +257,8 @@ def torsor_sequence_from_json(obj, basedir="."):
 def base_class_from_json(obj, seq, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:
-        qv = tuple(obj["q_values"])
-        pv = tuple(obj["p_values"])
+        qv = _int_row(obj["q_values"])
+        pv = _int_row(obj["p_values"])
     except (KeyError, TypeError) as e:
         raise ParseError(f"bad base object: {e}") from e
     q = to.TorsorRep(seq.c, co.CrossedHom(seq.c.gamma, seq.c, qv))
@@ -276,7 +285,7 @@ def parse_poly(text: str) -> tuple:
     like 'x^2+1'."""
     text = text.strip()
     if text.startswith("["):
-        return tuple(int(c) for c in json.loads(text))
+        return _int_row(json.loads(text))
     import re
 
     coeffs = {}

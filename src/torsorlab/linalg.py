@@ -420,7 +420,8 @@ def lattice_index(big, small):
 
 @dataclass(frozen=True)
 class FgAbelian:
-    """Finitely generated abelian group ℤ^r / diag(relations)·ℤ^r.
+    """Finitely generated abelian group ℤ^r / diag(relations)·ℤ^r, the module
+    of a constant endomorphism system (invsys.ConstantEndo).
 
     relation d_i == 0 marks a free coordinate, d_i > 0 a ℤ/d_i factor.
     """
@@ -430,36 +431,6 @@ class FgAbelian:
     @property
     def ngens(self) -> int:
         return len(self.relations)
-
-    @property
-    def is_finite(self) -> bool:
-        return all(d != 0 for d in self.relations)
-
-    def order(self):
-        if not self.is_finite:
-            return None
-        n = 1
-        for d in self.relations:
-            n *= d
-        return n
-
-    def reduce(self, vec):
-        return tuple(
-            int(v) % d if d else int(v) for v, d in zip(vec, self.relations)
-        )
-
-    def elements(self):
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        out = [()]
-        for d in self.relations:
-            out = [t + (k,) for t in out for k in range(d)]
-        return out
-
-    def relation_matrix(self) -> tuple:
-        rel = self.relations
-        return tuple(tuple(d if i == j else 0 for j in range(len(rel)))
-                     for i, d in enumerate(rel))
 
 
 def cokernel_invariants(matrix, ambient_rank: int | None = None) -> tuple:

@@ -26,10 +26,7 @@ def disjoint_union(x: gs.GSet, y: gs.GSet) -> gs.GSet:
 
 
 def group_to_json(g: gr.FiniteGroup) -> dict:
-    out = {"order": g.order, "table": [list(r) for r in g.rows]}
-    if g.labels:
-        out["labels"] = list(g.labels)
-    return out
+    return {"order": g.order, "table": [list(r) for r in g.rows]}
 
 
 def lattice_eq(b1, b2) -> bool:

@@ -299,6 +299,14 @@ def test_a_directory_as_out_is_a_write_error(tmp_path, capsys):
 
 
 LEVEL = {"conductor": 1, "subgroup": [0]}
+C2 = {"table": [[0, 1], [1, 0]]}
+
+
+def _project_float(files):
+    """The torsor sequence fixture with its projection's values 1 as 1.9."""
+    seq = json.loads(files["seq"].read_text())
+    seq["project"] = [1.9 if v == 1 else v for v in seq["project"]]
+    return seq
 
 
 @pytest.mark.parametrize("command,document", [
@@ -309,13 +317,28 @@ LEVEL = {"conductor": 1, "subgroup": [0]}
      {"kind": "constant-endo", "relations": [0], "endo": [[True]]}),
     (("serre", "tower", "--chain"), {"kind": "constant"}),
     (("nt", "tower-cert", "--tower"), {"levels": [LEVEL], "law": {"kind": "cyclotomic-power"}}),
+    (("groups", "classes", "--in"), {"table": [[0, True], [True, 0]]}),
+    (("gset", "orbits", "--in"), {"group": C2, "action": [[0, 1], [True, 0]]}),
+    (("torsor", "verify-twist", "--base", "{base}", "--seq"), _project_float),
+    (("torsor", "verify-twist", "--seq", "{seq}", "--base"),
+     {"q_values": [0, 1.2], "p_values": [0, True]}),
+    (("nt", "split", "--p", "5", "--poly", "[1.5, 0, 1]"), None),
 ], ids=["explicit-no-groups", "chain-no-base", "not-an-object", "endo-bool",
-        "constant-no-datum", "law-no-l"])
-def test_malformed_recipe_json_exits_3(command, document, tmp_path, capsys):
-    # a missing field, a document that is no object, a boolean matrix entry
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document))
-    assert cli.main([*command, str(path)]) == cli.EXIT_ERROR
+        "constant-no-datum", "law-no-l", "table-bool", "action-bool", "project-float",
+        "values-float", "poly-float"])
+def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, capsys):
+    # a missing field, a document that is no object, a boolean or float
+    # where an integer belongs (JSON true would read as 1, 1.9 as 1); the
+    # command's other files are fixtures, a callable document is built from
+    # them, and a document None means the command line alone is malformed
+    if callable(document):
+        document = document(fixtures)
+    argv = [a.format_map(fixtures) for a in command]
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        argv.append(str(path))
+    assert cli.main(argv) == cli.EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and "parse error" in captured.err
 

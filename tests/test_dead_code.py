@@ -11,27 +11,33 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _read(nodes):
-    """(bare names, attribute names) that the nodes mention."""
+    """(bare names, attribute names) that the nodes mention, leaving out the
+    class argument of isinstance(x, classes): a test for a type that nothing
+    builds or calls does not make the type live."""
     names, attrs = set(), set()
-    for top in nodes:
-        for n in ast.walk(top):
-            if isinstance(n, ast.Name):
-                names.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                attrs.add(n.attr)
+    todo = list(nodes)
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "isinstance" and len(n.args) == 2):
+            todo += [n.func, n.args[0]]
+        else:
+            todo.extend(ast.iter_child_nodes(n))
     return names, attrs
 
 
-def _units():
-    """The top-level definitions and non-dunder methods of the library outside
-    __init__.py, each as (label, name, is_method, names read, attributes read),
-    and what the module-level code outside definitions reads.  A class reads
-    what its body reads outside those methods."""
+def _units(sources):
+    """The top-level definitions and non-dunder methods of the (file name,
+    source) pairs, each as (label, name, is_method, names read, attributes
+    read), and what the module-level code outside definitions reads.  A class
+    reads what its body reads outside those methods."""
     units, roots = [], []
-    for path in MODULES:
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
+    for fname, text in sources:
+        for node in ast.parse(text).body:
             if not isinstance(node, _DEFS):
                 roots.append(node)
                 continue
@@ -42,23 +48,23 @@ def _units():
                 own = [s for s in node.body if s not in methods] + node.decorator_list + node.bases
                 for m in methods:
                     names, attrs = _read([m])
-                    units.append((f"{path.name}:{node.name}.{m.name}", m.name, True,
+                    units.append((f"{fname}:{node.name}.{m.name}", m.name, True,
                                   names, attrs - {m.name}))
             names, attrs = _read(own)
-            units.append((f"{path.name}:{node.name}", node.name, False, names - {node.name}, attrs))
+            units.append((f"{fname}:{node.name}", node.name, False, names - {node.name}, attrs))
     return units, _read(roots)
 
 
-def test_every_top_level_definition_is_named_elsewhere():
-    # A definition is reached when the benchmark names it (perfbench binds
-    # methods by string), or when module-level code or a reached definition
-    # of the library reads it: a method as `.name`, anything else as a name
-    # or `.name`.  Tests do not count, nor does the definition itself.  The
-    # sweep repeats until nothing more drops out, so what only unreached code
-    # reads is unreached too.
-    bench = {w for p in sorted((ROOT / "perfbench").rglob("*.py"))
-             for w in re.findall(r"\w+", p.read_text())}
-    units, (root_names, root_attrs) = _units()
+def _unreached(sources, bench=frozenset()) -> list:
+    """Labels of the definitions in sources that nothing reaches.
+
+    A definition is reached when `bench` names it (perfbench binds methods by
+    string), or when module-level code or a reached definition reads it: a
+    method as `.name`, anything else as a name or `.name`, and never through
+    the class argument of isinstance.  The definition itself does not count.
+    The sweep repeats until nothing more drops out, so what only unreached
+    code reads is unreached too."""
+    units, (root_names, root_attrs) = _units(sources)
     live = units
     while True:
         names, attrs = root_names | bench, root_attrs | bench
@@ -69,8 +75,32 @@ def test_every_top_level_definition_is_named_elsewhere():
         if len(reached) == len(live):
             break
         live = reached
-    unreached = sorted({u[0] for u in units} - {u[0] for u in live})
+    return sorted({u[0] for u in units} - {u[0] for u in live})
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    # the library outside __init__.py, reached from itself or the benchmark;
+    # tests do not count
+    bench = {w for p in sorted((ROOT / "perfbench").rglob("*.py"))
+             for w in re.findall(r"\w+", p.read_text())}
+    sources = [(p.name, p.read_text()) for p in MODULES if p.name != "__init__.py"]
+    unreached = _unreached(sources, bench)
     assert not unreached, unreached
+
+
+def test_a_class_only_tested_for_is_unreached():
+    # A and B are both named in the isinstance call; only B is constructed
+    snippet = (
+        "class A:\n    pass\n"
+        "class B:\n    pass\n"
+        "def kind(x):\n    return isinstance(x, (A, B))\n"
+        "def make():\n    return B()\n"
+        "kind(make())\n"
+    )
+    assert _unreached([("m.py", snippet)]) == ["m.py:A"]
+    # without the isinstance exception both classes would count as read
+    tested_only = snippet.replace("isinstance(x, (A, B))", "(A, B)")
+    assert _unreached([("m.py", tested_only)]) == []
 
 
 def _scope_of(fn):

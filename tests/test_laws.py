@@ -61,20 +61,6 @@ def ref_cocycle(gamma, c, vals) -> bool:
     )
 
 
-def ref_aut_cocycle(base, autos) -> bool:
-    g, n = base.gamma, base.underlying
-    return (
-        ref_automorphisms(n, autos)
-        and autos[0] == tuple(n.elements())
-        and all(
-            autos[g.mul(s, t)] == tuple(
-                autos[s][base.act(s, autos[t][base.act(g.inv(s), x)])] for x in n.elements()
-            )
-            for s in g.elements() for t in g.elements()
-        )
-    )
-
-
 def ref_equivariant(src, tgt, f) -> bool:
     return all(
         f[src.act(t, x)] == tgt.act(t, f[x])
@@ -256,32 +242,6 @@ def test_crossed_hom_agrees_with_the_all_pairs_reference():
     assert rejected > 5000 and accepted > 0
 
 
-def test_aut_valued_cocycle_agrees_with_the_all_pairs_reference():
-    # t -> conjugation by f(t) for a cocycle f into n, and the inversion of
-    # an abelian group as a homomorphism C2 -> Aut(A) for the trivial action
-    bases = []
-    for n in gamma_groups():
-        und = n.underlying
-        f = co.enumerate_cocycles(n.gamma, n)[-1]
-        bases.append((n, tuple(tuple(und.conj(v, x) for x in und.elements()) for v in f)))
-    c2 = gr.cyclic_group(2)
-    for a in GROUPS:
-        if a.is_abelian() and a.order > 2:
-            bases.append((co.trivial_gamma_group(c2, a), (tuple(a.elements()), a.inverses)))
-    accepted = rejected = 0
-    for n, autos in bases:
-        a, r = agree(
-            [autos],
-            lambda rows: changed_tables(rows, n.underlying.elements()),
-            lambda rows: co.AutValuedCocycle(n, rows),
-            co.NotCocycle,
-            lambda rows: ref_aut_cocycle(n, rows),
-        )
-        accepted += a
-        rejected += r
-    assert rejected > 19000 and accepted > 0
-
-
 def test_equivariant_hom_agrees_with_the_all_pairs_reference():
     # the identity of every Gamma-group, and g -> g/N for each proper normal
     # subgroup N, g acting on both by conjugation; a changed map is passed
@@ -352,23 +312,6 @@ def test_crossed_hom_agrees_with_the_reference_on_every_table():
             lambda vals: co.CrossedHom(n.gamma, n, vals),
             co.NotCocycle,
             lambda vals: ref_cocycle(n.gamma, n, vals),
-        )
-        accepted += a
-        rejected += r
-    assert rejected > 7000 and accepted > 10
-
-
-def test_aut_valued_cocycle_agrees_with_the_reference_on_every_table():
-    accepted = rejected = 0
-    bases = [co.trivial_gamma_group(V4, V4), co.trivial_gamma_group(V4, C4),
-             co.trivial_gamma_group(S3, C4), through_sign(S3)]
-    for n in bases:
-        und = n.underlying
-        a, r = verdicts(
-            every_table(tuple(und.elements()), permutations_fixing_0(und), n.gamma.order - 1),
-            lambda rows: co.AutValuedCocycle(n, rows),
-            co.NotCocycle,
-            lambda rows: ref_aut_cocycle(n, rows),
         )
         accepted += a
         rejected += r
