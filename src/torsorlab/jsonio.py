@@ -82,11 +82,17 @@ def _int_table(value) -> tuple:
 
 
 def group_from_json(obj, basedir="."):
+    """A group by its table; an "order" field, when present, must be the
+    number of elements the table has."""
     obj, basedir = _resolve(obj, basedir)
     try:
-        return FiniteGroup(_int_table(obj["table"]))
+        g = FiniteGroup(_int_table(obj["table"]))
+        order = _field(obj, "order", int, g.order)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad group object: {e}") from e
+    if order != g.order:
+        raise ParseError(f"bad group object: order {order}, but the table has {g.order} elements")
+    return g
 
 
 def gset_from_json(obj, basedir="."):

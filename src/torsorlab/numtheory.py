@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .groups import FiniteGroup, all_subgroups
@@ -126,14 +126,45 @@ def poly_gcd(f, g, p):
 
 
 def ppow_mod(base, e, mod, p):
-    result = (1,)
-    base = pdivmod(base, mod, p)[1]
+    """base^e modulo mod over F_p.  Each product is one list, reduced in
+    place by the monic multiple of mod: the top coefficient c of degree
+    k >= n = deg mod folds down as c x^k = -c (mod - x^n) x^(k-n)."""
+    mod = _monic(mod, p)
+    if not mod:
+        raise ZeroDivisionError
+    n = len(mod) - 1
+    low = [-c for c in mod[:n]]
+
+    def reduce(out):
+        for k in range(len(out) - 1 - n, -1, -1):
+            c = out.pop() % p
+            if c:
+                for i in range(n):
+                    out[k + i] += c * low[i]
+        out = [c % p for c in out]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def mulmod(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return reduce(out)
+
+    result = [1]
+    base = reduce(list(base))
     while e > 0:
         if e & 1:
-            result = pdivmod(pmul(result, base, p), mod, p)[1]
-        base = pdivmod(pmul(base, base, p), mod, p)[1]
+            result = mulmod(result, base)
         e >>= 1
-    return result
+        if e:
+            base = mulmod(base, base)
+    return tuple(result)
 
 
 def pderiv(f, p):
@@ -257,21 +288,56 @@ def _sympy_irreducible(poly) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
+def _monic_nonconstant(poly) -> tuple:
+    poly = pnormalize(tuple(int(c) for c in poly))
+    if pdegree(poly) < 1:
+        raise NotIrreducible("polynomial must be nonconstant")
+    if poly[-1] != 1:
+        raise NotIrreducible("polynomial must be monic")
+    return poly
+
+
+def _squarefree_prime(poly) -> int:
+    """The least prime p with the monic poly squarefree mod p.
+
+    p exists iff disc(poly) = +-Res(poly, poly') is nonzero, and every prime
+    that fails divides it.  So once the product of the failed primes exceeds
+    the Hadamard bound |Res(f, f')| <= |f|_2^(n-1) |f'|_2^n, the
+    discriminant is 0 and NotIrreducible is raised."""
+    n = pdegree(poly)
+    norm2 = sum(c * c for c in poly)
+    deriv2 = sum((i * c) ** 2 for i, c in enumerate(poly))
+    bound2 = norm2 ** (n - 1) * deriv2**n  # the bound, squared
+    failed = 1
+    p = 2
+    while True:
+        if _is_prime(p):
+            if poly_gcd(poly, pderiv(poly, p), p) == (1,):
+                return p
+            failed *= p
+            if failed * failed > bound2:
+                raise NotIrreducible("polynomial is not squarefree")
+        p += 1
+
+
 @dataclass(frozen=True)
 class NumberFieldDatum:
-    """Field presented by a monic irreducible integer polynomial."""
+    """Field presented by a monic irreducible integer polynomial.
+
+    A datum built from a polynomial is proved irreducible by factoring it
+    over Q (sympy).  Period polynomials take another route, in
+    `abelian_defining_polynomial`; `irreducibility` records which proof
+    was given and is part of no report."""
 
     poly: tuple
+    irreducibility: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        poly = pnormalize(tuple(int(c) for c in self.poly))
+        poly = _monic_nonconstant(self.poly)
         object.__setattr__(self, "poly", poly)
-        if pdegree(poly) < 1:
-            raise NotIrreducible("polynomial must be nonconstant")
-        if poly[-1] != 1:
-            raise NotIrreducible("polynomial must be monic")
         if not _sympy_irreducible(poly):
             raise NotIrreducible("polynomial factors over the rationals")
+        object.__setattr__(self, "irreducibility", "factored over Q")
 
     @property
     def degree(self) -> int:
@@ -332,6 +398,18 @@ def units_mod(m: int) -> tuple:
     return tuple(x for x in range(1, m) if math.gcd(x, m) == 1)
 
 
+def _totient(m: int) -> int:
+    """The number of units mod m, from the factorization of m."""
+    phi, q = m, 2
+    while q * q <= m:
+        if m % q == 0:
+            phi -= phi // q
+            while m % q == 0:
+                m //= q
+        q += 1
+    return phi - phi // m if m > 1 else phi
+
+
 def unit_subgroups(m: int) -> tuple:
     """All subgroups of the unit group mod m, as sorted residue tuples: the
     units ascending are the elements, so index order is residue order."""
@@ -375,9 +453,7 @@ class AbelianFieldDatum:
 
     @property
     def degree(self) -> int:
-        if self.conductor == 1:
-            return 1
-        return len(units_mod(self.conductor)) // len(self.subgroup)
+        return _totient(self.conductor) // len(self.subgroup)
 
 
 def abelian_split(fld: AbelianFieldDatum, p: int) -> SplittingType:
@@ -466,12 +542,13 @@ def reduce_to_conductor(fld: AbelianFieldDatum) -> AbelianFieldDatum:
     if m == 1:
         return fld
     hs = set(fld.subgroup)
+    units = units_mod(m)
     for mp in sorted(d for d in range(1, m + 1) if m % d == 0):
         if mp == 1:
-            if hs == set(units_mod(m)):
+            if hs == set(units):
                 return AbelianFieldDatum(1, (0,))
             continue
-        kernel = {x for x in units_mod(m) if x % mp == 1}
+        kernel = {x for x in units if x % mp == 1}
         if kernel <= hs:
             reduced = tuple(sorted({x % mp for x in hs}))
             return AbelianFieldDatum(mp, reduced)
@@ -485,11 +562,19 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     route; representation of abelian fields stays (conductor, subgroup).
     The datum is first reduced to its true conductor, where the period is
     a primitive element.
+
+    The roots of f = prod (T - eta_j) are the periods over the cosets of H,
+    the conjugates of eta, so f is the characteristic polynomial of eta for
+    K/Q and a power of its minimal polynomial (Lang, Algebra, VI §5).  Hence
+    f is irreducible iff squarefree, and it is squarefree if f mod p is for
+    one prime p, as f is monic.  `_squarefree_prime` finds the least such p
+    and raises NotIrreducible when the primes it rules out multiply past
+    the Hadamard bound on |disc f|; no factorization over Q is made.
     """
     fld = reduce_to_conductor(fld)
     m = fld.conductor
     if m == 1 or fld.degree == 1:
-        return NumberFieldDatum((0, 1))
+        return _period_field((0, 1))
     phi = cyclotomic_polynomial(m)
     units = units_mod(m)
     cosets = []
@@ -520,7 +605,19 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
         if len(c) > 1:
             raise ValueError("period polynomial coefficient is not rational")
         out.append(c[0] if c else 0)
-    return NumberFieldDatum(tuple(out))
+    return _period_field(out)
+
+
+def _period_field(poly) -> NumberFieldDatum:
+    """The datum of a period polynomial, proved irreducible by one prime
+    (see `abelian_defining_polynomial`) instead of a factorization."""
+    poly = _monic_nonconstant(poly)
+    p = _squarefree_prime(poly)
+    fld = object.__new__(NumberFieldDatum)
+    object.__setattr__(fld, "poly", poly)
+    object.__setattr__(fld, "irreducibility",
+                       f"squarefree mod {p}; period polynomial, Lang VI §5")
+    return fld
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
-form, lattice equality, a determinant independent of the SNF, and the
-materialized truncation of an inverse-system recipe."""
+form, lattice equality, a determinant independent of the SNF, powers mod a
+polynomial by whole divisions, and the materialized truncation of an
+inverse-system recipe."""
 
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import invsys as iv
 from torsorlab import linalg as la
+from torsorlab import numtheory as nt
 
 
 def trivial_gset(g: gr.FiniteGroup, size: int) -> gs.GSet:
@@ -57,6 +59,19 @@ def bareiss_det(matrix):
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
+
+
+def ppow_mod_reference(base, e, mod, p):
+    """base^e mod (mod, p) by square and multiply, each product reduced by a
+    whole pmul and pdivmod; independent of ppow_mod's in-place reduction."""
+    result = (1,)
+    base = nt.pdivmod(base, mod, p)[1]
+    while e > 0:
+        if e & 1:
+            result = nt.pdivmod(nt.pmul(result, base, p), mod, p)[1]
+        base = nt.pdivmod(nt.pmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
 
 
 class NotMaterializable(ValueError):

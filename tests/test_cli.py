@@ -318,17 +318,20 @@ def _project_float(files):
     (("serre", "tower", "--chain"), {"kind": "constant"}),
     (("nt", "tower-cert", "--tower"), {"levels": [LEVEL], "law": {"kind": "cyclotomic-power"}}),
     (("groups", "classes", "--in"), {"table": [[0, True], [True, 0]]}),
+    (("groups", "classes", "--in"), {"order": 7, "table": [[0, 1], [1, 0]]}),
+    (("groups", "classes", "--in"), {"order": 2.0, "table": [[0, 1], [1, 0]]}),
     (("gset", "orbits", "--in"), {"group": C2, "action": [[0, 1], [True, 0]]}),
     (("torsor", "verify-twist", "--base", "{base}", "--seq"), _project_float),
     (("torsor", "verify-twist", "--seq", "{seq}", "--base"),
      {"q_values": [0, 1.2], "p_values": [0, True]}),
     (("nt", "split", "--p", "5", "--poly", "[1.5, 0, 1]"), None),
 ], ids=["explicit-no-groups", "chain-no-base", "not-an-object", "endo-bool",
-        "constant-no-datum", "law-no-l", "table-bool", "action-bool", "project-float",
-        "values-float", "poly-float"])
+        "constant-no-datum", "law-no-l", "table-bool", "order-mismatch", "order-float",
+        "action-bool", "project-float", "values-float", "poly-float"])
 def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, capsys):
     # a missing field, a document that is no object, a boolean or float
-    # where an integer belongs (JSON true would read as 1, 1.9 as 1); the
+    # where an integer belongs (JSON true would read as 1, 1.9 as 1), a group
+    # "order" that is not the size of its table; the
     # command's other files are fixtures, a callable document is built from
     # them, and a document None means the command line alone is malformed
     if callable(document):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
+from helpers import ppow_mod_reference
 from test_acceptance import _env
 
 
@@ -120,6 +121,91 @@ def test_abelian_defining_polynomial_on_benchmark_fields():
     assert len(rows) == 267
     blob = json.dumps(rows, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == PERIOD_POLYNOMIALS_SHA256
+
+
+def _certified(fld):
+    # the one-prime proof of the period route, checked again here and against
+    # the factorization over Q
+    datum = nt.abelian_defining_polynomial(fld)
+    proof = datum.irreducibility
+    assert proof.startswith("squarefree mod ")
+    assert proof.endswith("; period polynomial, Lang VI §5")
+    p = int(proof.removeprefix("squarefree mod ").partition(";")[0])
+    assert nt.poly_gcd(datum.poly, nt.pderiv(datum.poly, p), p) == (1,)
+    assert nt._sympy_irreducible(datum.poly)
+
+
+def test_period_polynomials_are_proved_irreducible_by_one_prime(monkeypatch):
+    # the benchmark's splitting fields, and every field criterion 9 builds
+    from torsorlab import checks
+
+    wl = _perfbench_workloads()
+    fields = [nt.AbelianFieldDatum(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)]
+    built = nt.abelian_defining_polynomial
+    monkeypatch.setattr(nt, "abelian_defining_polynomial",
+                        lambda fld: fields.append(fld) or built(fld))
+    assert checks.check_splitting_dual_oracle().verdict == "verified"
+    monkeypatch.undo()
+    assert len(fields) > 267
+    for fld in fields:
+        _certified(fld)
+
+
+def test_a_squared_period_polynomial_is_refuted_within_the_bound(monkeypatch):
+    # (x^2 + x - 1)^2 has discriminant 0, so it is squarefree mod no prime.
+    # |f|_2^2 = 11 and |f'|_2^2 = 60 give the Hadamard bound
+    # sqrt(11^3 60^4) ~ 131,340 on |disc f|; 2*3*...*13 = 30,030 is below it
+    # and 2*3*...*17 = 510,510 above, so the search stops after 17.
+    square = nt.pmul((-1, 1, 1), (-1, 1, 1))
+    tried = []
+    gcd = nt.poly_gcd
+    monkeypatch.setattr(nt, "poly_gcd", lambda f, g, p: tried.append(p) or gcd(f, g, p))
+    with pytest.raises(nt.NotIrreducible, match="not squarefree"):
+        nt._period_field(square)
+    assert tried == [2, 3, 5, 7, 11, 13, 17]
+    # the square root itself is proved at the first prime
+    assert nt._period_field((-1, 1, 1)).irreducibility.startswith("squarefree mod 2;")
+
+
+def test_the_one_prime_route_is_closed_to_outside_polynomials(monkeypatch):
+    # x^2 - 1 is squarefree mod 3 but reducible: one prime proves nothing for
+    # a polynomial that is not a period polynomial
+    assert nt._period_field((-1, 0, 1)).irreducibility.startswith("squarefree mod 3;")
+    with pytest.raises(nt.NotIrreducible, match="factors over the rationals"):
+        nt.NumberFieldDatum((-1, 0, 1))
+    # the datum takes the polynomial alone: no prime, no route, no record
+    assert [f.name for f in dataclasses.fields(nt.NumberFieldDatum) if f.init] == ["poly"]
+    with pytest.raises(TypeError):
+        nt.NumberFieldDatum((-1, 0, 1), "squarefree mod 3")
+    # a period polynomial passed in from outside is factored over Q as well
+    factored = []
+    monkeypatch.setattr(nt, "_sympy_irreducible", lambda poly: factored.append(poly) or True)
+    period = nt.abelian_defining_polynomial(nt.AbelianFieldDatum(7, (1, 6)))
+    assert factored == []
+    outside = nt.NumberFieldDatum(period.poly)
+    assert factored == [period.poly] and outside.irreducibility == "factored over Q"
+    assert outside == period  # the record is left out of equality
+
+
+@settings(derandomize=True, deadline=None)
+@given(_COEFFS, st.integers(0, 10**6), _COEFFS, st.sampled_from((2, 3, 5, 7, 13, 9973)))
+@example([0, 1], 5, [1, 0, 1], 5)
+@example([3], 0, [4], 2)  # a modulus that vanishes mod p
+def test_ppow_mod_agrees_with_whole_divisions(base, e, mod, p):
+    if not nt.pmod(mod, p):
+        for power in (nt.ppow_mod, ppow_mod_reference):
+            with pytest.raises(ZeroDivisionError):
+                power(base, e, mod, p)
+        return
+    assert nt.ppow_mod(base, e, mod, p) == ppow_mod_reference(base, e, mod, p)
+
+
+def test_degree_counts_the_units():
+    for m in range(1, 2000):
+        assert nt._totient(m) == len(nt.units_mod(m))
+    for m in range(1, 50):
+        for h in nt.unit_subgroups(m):
+            assert nt.AbelianFieldDatum(m, h).degree * len(h) == len(nt.units_mod(m))
 
 
 def test_factor_fixed_examples():

@@ -2,7 +2,6 @@ import pytest
 
 from torsorlab import groups as gr
 from torsorlab import invsys as iv
-from torsorlab import numtheory as nt
 from torsorlab import serre as sr
 from helpers import bareiss_det
 
