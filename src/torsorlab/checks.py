@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from . import cohomology as co
 from . import groups as gr
 from . import invsys as iv
-from . import linalg as la
 from . import numtheory as nt
 from . import serre as sr
 from . import torsors as to
@@ -391,7 +390,7 @@ def check_lim1_dichotomy(horizon: int = 8) -> CheckResult:
     evidence["halving-subgroup-chain"] = v1.status
     ok = ok and v1.status == "uncountable"
 
-    ident = iv.ConstantEndo(la.FgAbelian((0,)), ((1,),))
+    ident = iv.ConstantEndo((0,), ((1,),))
     v2 = iv.lim1_classify(ident, horizon)
     evidence["identity-endomorphism"] = v2.status
     ok = ok and v2.status == "trivial"

@@ -21,7 +21,7 @@ from operator import mul
 from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
 from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
-                     generating_set, presentation)
+                     generating_set, presentation, subgroup_generating_set)
 from .lattices import ZGLattice, permutation_lattice
 from .gsets import coset_gset
 
@@ -162,21 +162,19 @@ def trivial_cocycle(group: FiniteGroup, coefficient) -> CrossedHom:
     )
 
 
-def twist_values(coefficient, values, elements):
+def twist_values(coefficient: GammaGroup, values, elements):
     """Yield, for each a in `elements`, the value table t -> a^-1 * f(t) * (t . a)
     of the cocycle f whose value table is `values`."""
-    op, act = coefficient.op, coefficient.act
-    ts = range(len(values))
+    rows, action = coefficient.underlying.rows, coefficient.action
     for a in elements:
-        ai = coefficient.inv(a)
-        yield tuple(op(op(ai, values[t]), act(t, a)) for t in ts)
+        left = rows[coefficient.underlying.inverses[a]]
+        yield tuple(rows[left[v]][ta[a]] for v, ta in zip(values, action))
 
 
 def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
     """The cocycle f twisted by a (see twist_values)."""
     c = f.coefficient
-    vals = next(twist_values(c, f.values, [c.canon(a)]))
-    return CrossedHom(f.group, c, vals, validate=False)
+    return CrossedHom(f.group, c, next(twist_values(c, f.values, [c.canon(a)])), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +258,11 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     mats = lattice.rho
     gens, relators = presentation(gamma)
     k = len(gens)
-    # W Z = I: the coboundaries' coordinates below need no second SNF
-    Z, W = la.saturated_kernel(_relator_rows(gamma, mats, r, gens, relators))
+    # repeated and zero rows add no condition; W Z = I: the coboundaries'
+    # coordinates below need no second SNF
+    relator_rows = _relator_rows(gamma, mats, r, gens, relators)
+    rows = [row for row in dict.fromkeys(map(tuple, relator_rows)) if any(row)]
+    Z, W = la.saturated_kernel(rows or [(0,) * (k * r)])
     z = la.width(Z)
     if z == 0:
         return CohomologyGroup((), ())
@@ -323,7 +324,7 @@ def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> li
     of the generator values: the nonabelian twin of _relator_rows.  A
     backtrack over the generators checks each relator once its highest
     generator has a value."""
-    op, inv, act, neutral = coeff.op, coeff.inv, coeff.act, coeff.neutral
+    rows, inverses, action = coeff.underlying.rows, coeff.underlying.inverses, coeff.action
     due = [[] for _ in gens]  # relators by their highest generator
     for w in relators:
         letters = _letters(gamma, gens, w)
@@ -332,11 +333,11 @@ def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> li
     out = []
 
     def neutral_at(letters) -> bool:
-        acc = neutral
+        acc = 0
         for i, h, inverted in letters:
-            v = act(h, vals[i])
-            acc = op(acc, inv(v) if inverted else v)
-        return acc == neutral
+            v = action[h][vals[i]]
+            acc = rows[acc][inverses[v] if inverted else v]
+        return acc == 0
 
     def extend(i):
         if i == len(gens):
@@ -375,28 +376,39 @@ def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
     return tuple(GroupHom(src, tgt, vals, validate=False) for vals in found)
 
 
-def twist_classes(coefficient, tables, by) -> tuple:
+def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
     """(least table, class size) per class of `tables` under twisting by the
     subgroup `by` of the coefficient (see twist_values), in the order of the
-    least tables; NotAction if a class leaves `tables`.
+    least tables; NotAction if a class leaves `tables` or the action is not
+    by automorphisms.
 
-    The tables are walked once in sorted order: a smaller table of the class
-    of the first unseen one would have been reached first and would have
-    marked it seen, so the first unseen table is its class's least."""
+    For an action by automorphisms, (t . a)(t . b) = t . ab makes twisting a
+    right action, f.a.b = f.ab, so the class of f is its closure under the
+    generators of `by`: a walk twists each member once per generator.  The
+    walk would miss members of the orbit {f.a : a in by} for any other
+    action, so that is checked first.  In sorted order, the first unseen
+    table is its class's least: a smaller member would have marked it seen."""
+    coefficient.check_automorphisms()
+    n = coefficient.underlying
+    gens = generating_set(n) if len(by) == n.order else subgroup_generating_set(n, by)
     tables = sorted(tables)
-    members = set(tables)
     seen = set()
     out = []
-    for vals in tables:
-        if vals in seen:
+    for least in tables:
+        if least in seen:
             continue
-        orbit = set(twist_values(coefficient, vals, by))
-        if not orbit <= members:
-            # twisting maps cocycles to cocycles when the action is by automorphisms
-            raise NotAction("twisted conjugation leaves the given tables: "
-                            "the action is not by automorphisms")
-        seen |= orbit
-        out.append((vals, len(orbit)))
+        seen.add(least)
+        walk, size = [least], 0
+        while walk:
+            size += 1
+            for vals in twist_values(coefficient, walk.pop(), gens):
+                if vals not in seen:
+                    seen.add(vals)
+                    walk.append(vals)
+        out.append((least, size))
+    # each given table is seen, so more seen tables means a walk left them
+    if len(seen) != len(set(tables)):
+        raise NotAction("twisted conjugation leaves the given tables")
     return tuple(out)
 
 

@@ -76,7 +76,7 @@ class FiniteGroup:
         # Light's associativity test: the s with (x*s)*y == x*(s*y) for all
         # x, y are closed under products, so checking a generating set (one
         # that reaches every element from 0 by right multiplications) suffices
-        for s in _greedy_generating_set(self):
+        for s in subgroup_generating_set(self, self.elements()):
             rs = rows[s]
             for rx in rows:
                 # row x*s is row s read through row x
@@ -390,9 +390,10 @@ class GammaGroup:
             raise NotAction("action table shape mismatch")
         self.action = a
         if validate:
-            self._validate()
+            self.check_automorphisms()
 
-    def _validate(self):
+    def check_automorphisms(self):
+        """NotAction unless gamma acts on `underlying` by automorphisms."""
         n, a = self.underlying, self.action
         check_action(self.gamma, a)
         for s in generating_set(self.gamma):
@@ -566,18 +567,19 @@ def generating_set(g: FiniteGroup) -> tuple:
     counts of two runs of the same case.
     """
     if g._generating_set is None:
-        g._generating_set = _greedy_generating_set(g)
+        g._generating_set = subgroup_generating_set(g, g.elements())
     return g._generating_set
 
 
-def _greedy_generating_set(g: FiniteGroup) -> tuple:
+def subgroup_generating_set(g: FiniteGroup, elems) -> tuple:
+    """Greedy small generating set of the subgroup `elems` of g, in its order."""
     gens = []
     current = {0}
-    for x in g.elements():
+    for x in elems:
         if x not in current:
             gens.append(x)
             current = _closure(g, gens)
-            if len(current) == g.order:
+            if len(current) == len(elems):
                 break
     # drop redundant generators (keeps the set small for cohomology work)
     changed = True
@@ -585,7 +587,7 @@ def _greedy_generating_set(g: FiniteGroup) -> tuple:
         changed = False
         for i in range(len(gens)):
             trial = gens[:i] + gens[i + 1 :]
-            if trial and len(_closure(g, trial)) == g.order:
+            if trial and len(_closure(g, trial)) == len(elems):
                 gens = trial
                 changed = True
                 break

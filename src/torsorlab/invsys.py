@@ -39,20 +39,22 @@ class ExplicitFinite:
 
 @dataclass(frozen=True)
 class ConstantEndo:
-    """Constant system A <- A <- ... with one endomorphism as every map."""
+    """Constant system A <- A <- ... with one endomorphism as every map, A the
+    finitely generated abelian group Z^r / diag(relations) Z^r: relation
+    d_i == 0 marks a free coordinate, d_i > 0 a Z/d_i factor."""
 
-    module: la.FgAbelian
-    endo: tuple  # square integer matrix, ngens x ngens
+    relations: tuple
+    endo: tuple  # square integer matrix, r x r
 
     def __post_init__(self):
         m = la.int_rows(self.endo)
-        n = self.module.ngens
+        n = len(self.relations)
         if (len(m), la.width(m)) != (n, n):
             raise ValueError("endomorphism shape mismatch")
         object.__setattr__(self, "endo", m)
         # must respect the relation lattice
-        for j, dj in enumerate(self.module.relations):
-            for i, di in enumerate(self.module.relations):
+        for j, dj in enumerate(self.relations):
+            for i, di in enumerate(self.relations):
                 if di and (dj * m[i][j]) % di != 0:
                     raise ValueError("endomorphism does not preserve relations")
 
@@ -295,7 +297,7 @@ def ml_check(recipe, horizon: int = DEFAULT_HORIZON) -> MLVerdict:
     if isinstance(recipe, ConstantEndo):
         # reduce to the free quotient: the torsion part is finite and its
         # image chain always stabilizes
-        rel = recipe.module.relations
+        rel = recipe.relations
         U = recipe.endo
         free_idx = [i for i, d in enumerate(rel) if d == 0]
         if not free_idx:

@@ -227,7 +227,7 @@ def recipe_from_json(obj, basedir="."):
         return iv.ExplicitFinite(tuple(groups), tuple(homs))
     if kind == "constant-endo":
         return iv.ConstantEndo(
-            la.FgAbelian(_int_row(_field(obj, "relations"))),
+            _int_row(_field(obj, "relations")),
             matrix_from_json(_field(obj, "endo")),
         )
     if kind == "subgroup-chain":

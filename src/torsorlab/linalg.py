@@ -418,21 +418,6 @@ def lattice_index(big, small):
     return abs(idx) if idx else None
 
 
-@dataclass(frozen=True)
-class FgAbelian:
-    """Finitely generated abelian group ℤ^r / diag(relations)·ℤ^r, the module
-    of a constant endomorphism system (invsys.ConstantEndo).
-
-    relation d_i == 0 marks a free coordinate, d_i > 0 a ℤ/d_i factor.
-    """
-
-    relations: tuple
-
-    @property
-    def ngens(self) -> int:
-        return len(self.relations)
-
-
 def cokernel_invariants(matrix, ambient_rank: int | None = None) -> tuple:
     """Elementary divisors of ℤ^m / (column span of A), 1-entries dropped.
 

@@ -85,7 +85,7 @@ def truncate(recipe, n: int):
             raise NotMaterializable("truncation beyond the given data")
         return iv.ExplicitFinite(recipe.groups[: n + 1], recipe.maps[:n])
     if isinstance(recipe, iv.ConstantEndo):
-        return tuple((recipe.module, recipe.endo) for _ in range(n + 1))
+        return tuple((recipe.relations, recipe.endo) for _ in range(n + 1))
     if isinstance(recipe, iv.SubgroupChain):
         return tuple(recipe.level(k) for k in range(n + 1))
     if isinstance(recipe, iv.Product):
@@ -96,3 +96,23 @@ def truncate(recipe, n: int):
             "certificates instead"
         )
     raise TypeError("unknown recipe kind")
+
+
+def twist_classes_reference(coefficient, tables, by) -> tuple:
+    """cohomology.twist_classes by whole orbits: the class of each least
+    unseen table f is {f.a : a in by}, each twist computed through the
+    coefficient's op/inv/act; NotAction if an orbit leaves `tables`."""
+    op, inv, act = coefficient.op, coefficient.inv, coefficient.act
+    tables = sorted(tables)
+    members = set(tables)
+    seen = set()
+    out = []
+    for vals in tables:
+        if vals in seen:
+            continue
+        orbit = {tuple(op(op(inv(a), v), act(t, a)) for t, v in enumerate(vals)) for a in by}
+        if not orbit <= members:
+            raise gr.NotAction("twisted conjugation leaves the given tables")
+        seen |= orbit
+        out.append((vals, len(orbit)))
+    return tuple(out)

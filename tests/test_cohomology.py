@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -506,6 +508,57 @@ def not_by_automorphisms():
     # C2 swaps 2 and 3 in C4: a permutation action that is no automorphism
     c2, c4 = gr.cyclic_group(2), gr.cyclic_group(4)
     return co.GammaGroup(c2, c4, [(0, 1, 2, 3), (0, 1, 3, 2)], validate=False)
+
+
+def product_cases() -> list:
+    """Gamma-group products like the benchmark's: Gamma in C2, C3, C2^2, C2^3
+    and two or three factors, each abelian one inverted through a sign
+    character of Gamma half of the time, the others acting trivially."""
+    rng = random.Random(0)
+    c2, c3 = gr.cyclic_group(2), gr.cyclic_group(3)
+    v4 = gr.direct_product(c2, c2)
+    pool = (c2, c3, gr.cyclic_group(4), v4, gr.symmetric_group(3), gr.quaternion_group())
+    cases = []
+    for gamma in (c2, c3, v4, gr.direct_product(v4, c2)):
+        k = len(gr.generating_set(gamma))
+        signs = [chi.map for chi in co.all_homs(gamma, c2) if any(chi.map)]
+        for _ in range(3):
+            factors = ()
+            while not factors or math.prod(f.order for f in factors) ** k > 5000:
+                factors = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+            parts = []
+            for f in factors:
+                if signs and f.is_abelian() and rng.random() < 0.5:
+                    chi = rng.choice(signs)
+                    action = [f.inverses if chi[t] else f.elements() for t in gamma.elements()]
+                    parts.append(co.GammaGroup(gamma, f, action))
+                else:
+                    parts.append(co.trivial_gamma_group(gamma, f))
+            cases.append(co.gamma_group_product(parts)[0])
+    return cases
+
+
+def test_h1_nonabelian_twists_each_cocycle_once_per_generator(monkeypatch):
+    # C2 on C4 x S3, inverting C4: 16 cocycles in 4 classes.  A walk twists
+    # each cocycle by the 3 generators of N (48 tables); whole orbits would
+    # twist each class's least table by all 24 elements (96 tables)
+    built = 0
+    twist_values = co.twist_values
+
+    def counted(*args):
+        nonlocal built
+        for vals in twist_values(*args):
+            built += 1
+            yield vals
+
+    monkeypatch.setattr(co, "twist_values", counted)
+    c2 = gr.cyclic_group(2)
+    c4 = gr.cyclic_group(4)
+    inverted = co.GammaGroup(c2, c4, [c4.elements(), c4.inverses])
+    n, _ = co.gamma_group_product([inverted, co.trivial_gamma_group(c2, gr.symmetric_group(3))])
+    h = co.h1_nonabelian(c2, n)
+    gens = gr.generating_set(n.underlying)
+    assert 0 < built <= h.cocycle_count * len(gens) < h.count * n.underlying.order
 
 
 def test_h1_nonabelian_rejects_an_action_not_by_automorphisms():

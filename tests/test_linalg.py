@@ -249,11 +249,6 @@ def test_random_kernel_solve_roundtrip():
         assert la.matmul(A, Y) == B
 
 
-def test_fg_abelian():
-    M = la.FgAbelian((2, 4))
-    assert M.ngens == 2 and M.relations == (2, 4)
-
-
 def test_cokernel_invariants():
     assert la.cokernel_invariants([[2, 0], [0, 3]]) == (6,)
     assert la.cokernel_invariants([[1, 0], [0, 1]]) == ()

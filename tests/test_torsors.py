@@ -4,7 +4,8 @@ from torsorlab import catalog
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import torsors as to
-from test_cohomology import action_through, action_through_cases, brute_cocycles
+from helpers import twist_classes_reference
+from test_cohomology import action_through, action_through_cases, brute_cocycles, product_cases
 
 
 def c2_on_c2_structure():
@@ -137,6 +138,16 @@ def test_twist_classes_are_the_components_of_the_twist_graph():
             got = co.twist_classes(b, cocycles, by)
             assert list(got) == want, (b, by)
             assert sum(size for _, size in got) == len(cocycles)
+
+
+def test_twist_classes_equal_the_whole_orbit_reference():
+    cases = [(n, co.enumerate_cocycles(n.gamma, n), n.underlying.elements())
+             for n in action_through_cases() + product_cases()]
+    for b, n_elems in relative_cases():
+        cocycles = brute_cocycles(b.gamma, b)
+        cases += [(b, cocycles, n_elems), (b, cocycles, b.underlying.elements())]
+    for n, tables, by in cases:
+        assert co.twist_classes(n, tables, by) == twist_classes_reference(n, tables, by), (n, by)
 
 
 def test_twist_bijection_s3():
