@@ -1,13 +1,13 @@
 """H^1 of a finite group, twisting, and the lim^1 obstruction recipe.
 
-Coefficients come in two flavours: free integer lattices (ZGLattice), for
-abelian H^1, and finite groups with action (GammaGroup), for nonabelian H^1
-and twisting.  A cocycle is determined by its values on the generators of a
-presentation (groups.presentation), and any values there extend to a cocycle
-exactly when every relator evaluates to 1 in N x| Gamma (Serre, Galois
-Cohomology, I 5.1).  Abelian H^1 solves that condition exactly over the
-integers: it is linear, with the Fox derivatives of the relator as
-coefficients (Fox, "Free differential calculus I", Ann. Math. 1953).
+A cocycle (CrossedHom) takes values in a finite group with action
+(GammaGroup) and is read off its tables.  It is determined by its values on
+the generators of a presentation (groups.presentation), and any values there
+extend to a cocycle exactly when every relator evaluates to 1 in N x| Gamma
+(Serre, Galois Cohomology, I 5.1).  Abelian H^1 of a lattice (ZGLattice)
+solves that condition exactly over the integers: it is linear, with the Fox
+derivatives of the relator as coefficients (Fox, "Free differential
+calculus I", Ann. Math. 1953), and only its invariants are kept.
 Nonabelian cocycles, homomorphisms and lifts come from one backtracking
 search over those values, and their classes under twisted conjugation from
 one partition (twist_classes).
@@ -15,8 +15,8 @@ one partition (twist_classes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from operator import mul
 
 from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
@@ -89,27 +89,32 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
 
 @dataclass(frozen=True)
 class CrossedHom:
-    """1-cocycle: values per group element with f(st) = f(s) * (s . f(t))."""
+    """1-cocycle of `group` in the Gamma-group `coefficient`: one element of
+    the underlying group per group element, f(st) = f(s) * (s . f(t)).
+    Validation checks that the values are elements, f(1) = 1 and the law for
+    s in the generating set."""
 
     group: FiniteGroup
-    coefficient: object
+    coefficient: GammaGroup
     values: tuple
     validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        c = self.coefficient
-        vals = tuple(c.canon(v) for v in self.values)
+        vals = tuple(map(int, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) != self.group.order:
             raise NotCocycle("one value per group element required")
         if self.validate:
-            if vals[0] != c.neutral:
+            nrows, action = self.coefficient.underlying.rows, self.coefficient.action
+            if min(vals) < 0 or max(vals) >= len(nrows):
+                raise NotCocycle("values must be elements of the coefficient group")
+            if vals[0] != 0:
                 raise NotCocycle("value at the identity must be neutral")
             rows = self.group.rows
             for s in generating_set(self.group):
-                fs, st = vals[s], rows[s]
+                fs, st, act = nrows[vals[s]], rows[s], action[s]
                 for t, ft in enumerate(vals):
-                    if c.op(fs, c.act(s, ft)) != vals[st[t]]:
+                    if fs[act[ft]] != vals[st[t]]:
                         raise NotCocycle("cocycle law fails at (%d,%d)" % (s, t))
 
     def __call__(self, t: int):
@@ -118,32 +123,32 @@ class CrossedHom:
     @classmethod
     def from_generators(cls, group, coefficient, gen_values: dict) -> "CrossedHom":
         """Close generator values over a spanning tree; reject inconsistency."""
-        gen_values = [(s, coefficient.canon(v)) for s, v in gen_values.items()]
+        gen_values = [(s, int(v)) for s, v in gen_values.items()]
         return cls(group, coefficient, _closed_values(group, coefficient, gen_values),
                    validate=False)
 
 
-def _closed_values(group: FiniteGroup, coefficient, gen_values) -> tuple:
+def _closed_values(group: FiniteGroup, coefficient: GammaGroup, gen_values) -> tuple:
     """The value table of the cocycle with f(s) = v for each (s, v) in
-    gen_values, v canonical, closed over the Cayley graph; NotCocycle if two
-    edges disagree or the s do not generate the group.
+    gen_values, closed over the Cayley graph; NotCocycle if two edges
+    disagree or the s do not generate the group.
 
     Every Cayley edge then satisfies f(gs) = f(g) (g . f(s)); the action is
     by automorphisms, so induction on word length gives the cocycle law for
     all pairs."""
-    op, act = coefficient.op, coefficient.act
+    nrows, action = coefficient.underlying.rows, coefficient.action
     rows = group.rows
     vals = [None] * group.order
-    vals[0] = coefficient.neutral
+    vals[0] = 0
     reached = 1
     frontier = [0]
     while frontier:
         new = []
         for g in frontier:
-            row, fg = rows[g], vals[g]
+            row, fg, ag = rows[g], nrows[vals[g]], action[g]
             for s, fs in gen_values:
                 t = row[s]
-                v = op(fg, act(g, fs))
+                v = fg[ag[fs]]
                 if vals[t] is None:
                     vals[t] = v
                     new.append(t)
@@ -156,10 +161,8 @@ def _closed_values(group: FiniteGroup, coefficient, gen_values) -> tuple:
     return tuple(vals)
 
 
-def trivial_cocycle(group: FiniteGroup, coefficient) -> CrossedHom:
-    return CrossedHom(
-        group, coefficient, (coefficient.neutral,) * group.order, validate=False
-    )
+def trivial_cocycle(group: FiniteGroup, coefficient: GammaGroup) -> CrossedHom:
+    return CrossedHom(group, coefficient, (0,) * group.order, validate=False)
 
 
 def twist_values(coefficient: GammaGroup, values, elements):
@@ -174,7 +177,7 @@ def twist_values(coefficient: GammaGroup, values, elements):
 def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
     """The cocycle f twisted by a (see twist_values)."""
     c = f.coefficient
-    return CrossedHom(f.group, c, next(twist_values(c, f.values, [c.canon(a)])), validate=False)
+    return CrossedHom(f.group, c, next(twist_values(c, f.values, [int(a)])), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +190,10 @@ def _minus_identity(matrix) -> tuple:
 
 @dataclass(frozen=True)
 class CohomologyGroup:
-    invariants: tuple  # elementary divisors, 1s dropped, 0 marks a free factor
-    generators: tuple  # CrossedHom representatives, one per invariant
+    invariants: tuple  # elementary divisors > 1, ascending
 
-    def order(self):
-        if any(d == 0 for d in self.invariants):
-            return None
-        n = 1
-        for d in self.invariants:
-            n *= d
-        return n
+    def order(self) -> int:
+        return math.prod(self.invariants)
 
     @property
     def is_trivial(self) -> bool:
@@ -249,12 +246,13 @@ def _relator_rows(gamma: FiniteGroup, mats, r: int, gens, relators) -> list:
 
 
 def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
-    """Z^1/B^1 of a lattice over the integers, exact and finite: Z^1 is the
-    saturated kernel of the relator rows, and one SNF of the coboundaries'
-    coordinates in it gives the invariants and the generating cocycles."""
+    """The invariants of Z^1/B^1 of a lattice, exact over the integers: Z^1
+    is the saturated kernel of the relator rows, and one SNF of the
+    coboundaries' coordinates in it gives the invariants.  |gamma| kills
+    H^1, so a free factor means the matrices are no action (NotAction)."""
     r = lattice.rank
     if r == 0:
-        return CohomologyGroup((), ())
+        return CohomologyGroup(())
     mats = lattice.rho
     gens, relators = presentation(gamma)
     k = len(gens)
@@ -265,33 +263,16 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     Z, W = la.saturated_kernel(rows or [(0,) * (k * r)])
     z = la.width(Z)
     if z == 0:
-        return CohomologyGroup((), ())
+        return CohomologyGroup(())
     # coboundaries: values (rho(s) - 1) m on the generators
     Y = la.coordinates(Z, W, la.stack(_minus_identity(mats[s]) for s in gens))
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise NotAction("coboundaries must lie in the cocycle lattice")
-    s = la.smith_normal_form(Y, transforms=("left_inv",))
-    left_inv = s.left_inv.tolist()
-    invs = []
-    gens_out = []
-    for i in range(z):
-        d = s.diagonal[i] if i < len(s.diagonal) else 0
-        if d == 1:
-            continue
-        invs.append(int(d))
-        column = [row[i] for row in left_inv]
-        gen_coords = [sum(map(mul, row, column)) for row in Z]
-        gen_vals = [tuple(gen_coords[j * r : (j + 1) * r]) for j in range(k)]
-        gens_out.append(
-            CrossedHom.from_generators(gamma, lattice, dict(zip(gens, gen_vals)))
-        )
-    order = [(d if d else 0) for d in invs]
-    # deterministic: nonzero divisors ascending, then free factors
-    paired = sorted(zip(order, gens_out), key=lambda t: (t[0] == 0, t[0]))
-    return CohomologyGroup(
-        tuple(d for d, _ in paired), tuple(g for _, g in paired)
-    )
+    s = la.smith_normal_form(Y, transforms=())
+    if s.rank < z:
+        raise NotAction("H^1 has a free factor: the matrices are no action")
+    return CohomologyGroup(tuple(sorted(d for d in s.diagonal if d != 1)))
 
 
 def shapiro_check(g: FiniteGroup, h) -> bool:
@@ -320,7 +301,7 @@ class NonabelianH1:
 
 def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> list:
     """The value table of every crossed homomorphism gamma -> coeff with a
-    canonical value from candidates[i] at gens[i], in itertools.product order
+    value from candidates[i] at gens[i], in itertools.product order
     of the generator values: the nonabelian twin of _relator_rows.  A
     backtrack over the generators checks each relator once its highest
     generator has a value."""
@@ -446,8 +427,6 @@ def twist_lattice(m: ZGLattice, f: CrossedHom, value_matrices) -> ZGLattice:
 
     Compatibility nu(t . x) rho(t) == rho(t) nu(x) is checked on generators.
     """
-    if not isinstance(f.coefficient, GammaGroup):
-        raise NotCocycle("twisting needs a group-valued cocycle")
     n = f.coefficient
     nu = [la.int_rows(v) for v in value_matrices]
     if len(nu) != n.underlying.order:

@@ -404,20 +404,8 @@ class GammaGroup:
             except InvalidHom as e:
                 raise NotAction("element %d not an automorphism" % s) from e
 
-    # coefficient protocol: neutral/op/inv/act/canon on canonical values
-    neutral = 0
-
-    def op(self, x: int, y: int) -> int:
-        return self.underlying.rows[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.underlying.inverses[x]
-
     def act(self, t: int, x: int) -> int:
         return self.action[t][x]
-
-    def canon(self, x) -> int:
-        return int(x)
 
     def fixed_points(self) -> tuple:
         return tuple(

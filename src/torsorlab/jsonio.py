@@ -263,13 +263,11 @@ def torsor_sequence_from_json(obj, basedir="."):
 def base_class_from_json(obj, seq, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     try:
-        qv = _int_row(obj["q_values"])
-        pv = _int_row(obj["p_values"])
-    except (KeyError, TypeError) as e:
+        q = co.CrossedHom(seq.c.gamma, seq.c, _int_row(obj["q_values"]))
+        p = co.CrossedHom(seq.b.gamma, seq.b, _int_row(obj["p_values"]))
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad base object: {e}") from e
-    q = to.TorsorRep(seq.c, co.CrossedHom(seq.c.gamma, seq.c, qv))
-    p = to.TorsorRep(seq.b, co.CrossedHom(seq.b.gamma, seq.b, pv))
-    return to.RelativeClass(seq.project, q, p)
+    return to.RelativeClass(seq.project, to.TorsorRep(seq.c, q), to.TorsorRep(seq.b, p))
 
 
 def chain_from_json(obj, basedir="."):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 
 from . import linalg as la
 from .groups import FiniteGroup, generating_set
@@ -38,7 +37,6 @@ class ZGLattice:
             raise ValueError("one matrix per group element required")
         self.rank = len(mats[0])
         self.rho = mats
-        self.neutral = (0,) * self.rank
         if validate:
             self._validate()
 
@@ -53,19 +51,6 @@ class ZGLattice:
             for h in g.elements():
                 if self.rho[g.mul(s, h)] != la.matmul(self.rho[s], self.rho[h]):
                     raise ValueError("rho is not multiplicative")
-
-    # coefficient protocol: neutral/op/inv/act/canon on integer tuples
-    def op(self, a, b) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a) -> tuple:
-        return tuple(-x for x in a)
-
-    def act(self, g: int, vec) -> tuple:
-        return tuple(sum(map(mul, row, vec)) for row in self.rho[g])
-
-    def canon(self, vec) -> tuple:
-        return tuple(int(x) for x in vec)
 
     def __eq__(self, other):
         return (

@@ -101,8 +101,9 @@ def truncate(recipe, n: int):
 def twist_classes_reference(coefficient, tables, by) -> tuple:
     """cohomology.twist_classes by whole orbits: the class of each least
     unseen table f is {f.a : a in by}, each twist computed through the
-    coefficient's op/inv/act; NotAction if an orbit leaves `tables`."""
-    op, inv, act = coefficient.op, coefficient.inv, coefficient.act
+    underlying group's mul/inv and the action; NotAction if an orbit leaves
+    `tables`."""
+    n, act = coefficient.underlying, coefficient.act
     tables = sorted(tables)
     members = set(tables)
     seen = set()
@@ -110,7 +111,8 @@ def twist_classes_reference(coefficient, tables, by) -> tuple:
     for vals in tables:
         if vals in seen:
             continue
-        orbit = {tuple(op(op(inv(a), v), act(t, a)) for t, v in enumerate(vals)) for a in by}
+        orbit = {tuple(n.mul(n.mul(n.inv(a), v), act(t, a)) for t, v in enumerate(vals))
+                 for a in by}
         if not orbit <= members:
             raise gr.NotAction("twisted conjugation leaves the given tables")
         seen |= orbit

@@ -324,14 +324,17 @@ def _project_float(files):
     (("torsor", "verify-twist", "--base", "{base}", "--seq"), _project_float),
     (("torsor", "verify-twist", "--seq", "{seq}", "--base"),
      {"q_values": [0, 1.2], "p_values": [0, True]}),
+    (("torsor", "verify-twist", "--seq", "{seq}", "--base"),
+     {"q_values": [0, 0], "p_values": [0, 99]}),
     (("nt", "split", "--p", "5", "--poly", "[1.5, 0, 1]"), None),
 ], ids=["explicit-no-groups", "chain-no-base", "not-an-object", "endo-bool",
         "constant-no-datum", "law-no-l", "table-bool", "order-mismatch", "order-float",
-        "action-bool", "project-float", "values-float", "poly-float"])
+        "action-bool", "project-float", "values-float", "value-out-of-range", "poly-float"])
 def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, capsys):
     # a missing field, a document that is no object, a boolean or float
     # where an integer belongs (JSON true would read as 1, 1.9 as 1), a group
-    # "order" that is not the size of its table; the
+    # "order" that is not the size of its table, a cocycle value that is no
+    # element of its group; the
     # command's other files are fixtures, a callable document is built from
     # them, and a document None means the command line alone is malformed
     if callable(document):

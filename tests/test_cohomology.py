@@ -59,9 +59,18 @@ def test_h1_sign_action():
     H = co.h1_abelian(c2, sign_lattice(c2))
     assert H.invariants == (2,)
     assert H.order() == 2
-    f = H.generators[0]
-    # generator is an honest nontrivial cocycle
-    assert f.values[0] == (0,) and f.values[1] != (0,)
+
+
+def test_h1_invariants_ascend():
+    # H^1(C4, I) = Z/4 for the augmentation ideal I of Z[C4], and H^1 of
+    # the sign lattice is Z/2: the sum in either order reads (2, 4)
+    c4 = gr.cyclic_group(4)
+    ideal, _ = lt.equivariant_sublattice(lt.permutation_lattice(regular_gset(c4)), [[1] * 4])
+    sign = lt.ZGLattice(c4, [la.int_rows([[(-1) ** k]]) for k in c4.elements()])
+    assert co.h1_abelian(c4, ideal).invariants == (4,)
+    for m in (lt.direct_sum(ideal, sign), lt.direct_sum(sign, ideal)):
+        H = co.h1_abelian(c4, m)
+        assert H.invariants == (2, 4) and H.order() == 8
 
 
 def test_h1_regular_vanishes():
@@ -174,7 +183,7 @@ def _relator_disagreements(monkeypatch):
     """Labels of the constraint cases on which the relator rows of
     co.presentation cut out another cocycle lattice than the tree reference,
     or h1_abelian reads other invariants than through the tree reference (or
-    fails to close a generator to a cocycle)."""
+    finds a free factor, which no action has)."""
     bad = []
     for label, g, mats, r in constraint_cases():
         gens, relators = co.presentation(g)
@@ -185,7 +194,7 @@ def _relator_disagreements(monkeypatch):
         same_z1 = lattice_eq(la.kernel_basis(got), la.kernel_basis(ref))
         try:
             mine = co.h1_abelian(g, _lattice(g, mats)).invariants
-        except co.NotCocycle:  # a basis vector of the kernel is no cocycle
+        except co.NotAction:  # a free factor: the kernel is too large
             mine = None
         if not same_z1 or mine != _tree_h1(g, mats, monkeypatch).invariants:
             bad.append(label)
@@ -502,6 +511,16 @@ def test_h1_abelian_rejects_a_table_that_is_no_action():
     rho = [la.identity(2), la.int_rows([[1, -1], [-2, 1]]), la.int_rows([[-2, 1], [1, 2]])]
     with pytest.raises(co.NotAction):
         co.h1_abelian(c3, lt.ZGLattice(c3, rho, validate=False))
+
+
+def test_h1_abelian_refuses_a_free_factor():
+    # rho(a) = 1 but rho(a^2) = -1 on C4 = <a | a^4>: the relator row
+    # 1 + 1 - 1 - 1 vanishes, so every value at a closes to a cocycle and
+    # only 0 is a coboundary; |C4| kills H^1 of an action, so this is none
+    c4 = gr.cyclic_group(4)
+    rho = [la.int_rows([[v]]) for v in (1, 1, -1, -1)]
+    with pytest.raises(co.NotAction, match="free factor"):
+        co.h1_abelian(c4, lt.ZGLattice(c4, rho, validate=False))
 
 
 def not_by_automorphisms():
