@@ -122,8 +122,13 @@ class CrossedHom:
 
     @classmethod
     def from_generators(cls, group, coefficient, gen_values: dict) -> "CrossedHom":
-        """Close generator values over a spanning tree; reject inconsistency."""
-        gen_values = [(s, int(v)) for s, v in gen_values.items()]
+        """Close generator values over a spanning tree; reject inconsistency,
+        and generators or values outside their groups."""
+        gen_values = [(int(s), int(v)) for s, v in gen_values.items()]
+        n = coefficient.underlying.order
+        for s, v in gen_values:
+            if not (0 <= s < group.order and 0 <= v < n):
+                raise NotCocycle("generator %d or its value %d is out of range" % (s, v))
         return cls(group, coefficient, _closed_values(group, coefficient, gen_values),
                    validate=False)
 

@@ -114,7 +114,6 @@ def _coordinates(inclusion: LatticeMap, vectors):
 
 @dataclass(frozen=True)
 class SerreData:
-    datum: CMGaloisDatum
     regular: ZGLattice  # Z[G], left translation
     ambient: ZGLattice  # Z[G] + the constants axis
     xs: ZGLattice  # solutions of n + (iota)n = constant
@@ -141,7 +140,7 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     # the zero-condition lattice meets the weight axis trivially
     if _coordinates(xsbar_inc, [[1] * n]) is not None:
         raise InvalidDatum("X*(Sbar) meets the weight axis")  # cannot happen
-    return SerreData(d, regular, ambient, xs, xs_inc, xsbar, xsbar_inc, weight)
+    return SerreData(regular, ambient, xs, xs_inc, xsbar, xsbar_inc, weight)
 
 
 @dataclass(frozen=True)
@@ -422,8 +421,18 @@ def _cm_type(d: CMGaloisDatum, phi) -> tuple:
     return phi
 
 
-def _type_report(data: SerreData, phi: tuple) -> CMTypeBasisReport:
-    d = data.datum
+def _xs_kernel(d: CMGaloisDatum) -> tuple[tuple, tuple]:
+    """X*(S) inside Z[G] + Z as (K, W): the columns of K are its basis, the
+    inclusion build_serre's xs_inclusion carries, and W is its retraction."""
+    K, W = la.saturated_kernel(_pair_equations(d, True))
+    if la.width(K) != d.half_order + 1:
+        raise InvalidDatum("rank law violated")  # cannot happen for valid data
+    return K, W
+
+
+def _type_vectors(d: CMGaloisDatum, phi: tuple) -> list:
+    """The modified type sums, one per element of phi, then the conjugate
+    sum, each in Z[G] + Z coordinates with the constant last."""
     g = d.group
     n = g.order
     vectors = []
@@ -440,32 +449,47 @@ def _type_report(data: SerreData, phi: tuple) -> CMTypeBasisReport:
         conj_sum[g.mul(d.iota, tau)] += 1
     conj_sum[n] = 1
     vectors.append(tuple(conj_sum))
-    X = _coordinates(data.xs_inclusion, vectors)
-    in_lattice = X is not None
-    is_basis = False
-    if in_lattice:
-        s = la.smith_normal_form(X, transforms=())
-        is_basis = (
-            len(X) == la.width(X) == data.xs.rank
-            and s.rank == data.xs.rank
-            and all(dd == 1 for dd in s.diagonal)
-        )
+    return vectors
+
+
+def _basis_verdict(K, W, vectors) -> tuple[bool, bool]:
+    """(in_lattice, is_basis) for the vectors against the lattice spanned by
+    the columns of K, whose retraction is W."""
+    X = la.coordinates(K, W, la.transpose(vectors))
+    if X is None:
+        return False, False
+    r = la.width(K)
+    s = la.smith_normal_form(X, transforms=())
+    return True, (
+        len(X) == la.width(X) == r
+        and s.rank == r
+        and all(dd == 1 for dd in s.diagonal)
+    )
+
+
+def _type_report(d: CMGaloisDatum, kernel: tuple, phi: tuple) -> CMTypeBasisReport:
+    vectors = _type_vectors(d, phi)
+    in_lattice, is_basis = _basis_verdict(*kernel, vectors)
     return CMTypeBasisReport(phi, tuple(vectors), in_lattice, is_basis)
 
 
 def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     """The modified type sums and the conjugate sum form a basis of the
-    Serre character lattice."""
+    Serre character lattice X*(S).
+
+    Only X*(S)'s inclusion into Z[G] + Z and its retraction are read, from
+    one saturated kernel: no group action is restricted to it.
+    """
     phi = _cm_type(d, phi)
-    return _type_report(build_serre(d), phi)
+    return _type_report(d, _xs_kernel(d), phi)
 
 
 def cm_type_bases(d: CMGaloisDatum):
     """cm_type_basis for every CM type, in all_cm_types order, from one
-    build of the Serre data."""
-    data = build_serre(d)
+    inclusion of X*(S) and its retraction."""
+    kernel = _xs_kernel(d)
     for phi in all_cm_types(d):
-        yield _type_report(data, _cm_type(d, phi))
+        yield _type_report(d, kernel, _cm_type(d, phi))
 
 
 def all_cm_types(d: CMGaloisDatum):

@@ -54,6 +54,15 @@ def test_crossed_hom_validation_and_closure():
         co.CrossedHom(c2, n, (0, 2))
 
 
+def test_from_generators_rejects_out_of_range_input():
+    c2 = gr.cyclic_group(2)
+    n = co.trivial_gamma_group(c2, gr.symmetric_group(3))
+    # -5 would index S3's table as the element 1 if it were not checked
+    for gen_values in ({1: -5}, {1: 6}, {2: 1}, {-1: 1}):
+        with pytest.raises(co.NotCocycle):
+            co.CrossedHom.from_generators(c2, n, gen_values)
+
+
 def test_h1_sign_action():
     c2 = gr.cyclic_group(2)
     H = co.h1_abelian(c2, sign_lattice(c2))

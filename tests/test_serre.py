@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from torsorlab import groups as gr
 from torsorlab import invsys as iv
+from torsorlab import linalg as la
 from torsorlab import serre as sr
+from torsorlab.catalog import central_involutions, group_catalog
 from helpers import bareiss_det
 
 
@@ -136,8 +140,6 @@ def test_cm_type_basis_nonabelian():
 
 
 def test_cm_type_bases_match_one_call_per_type():
-    from torsorlab.catalog import central_involutions, group_catalog
-
     data = 0
     for _, g in group_catalog(8):
         for iota in central_involutions(g):
@@ -146,6 +148,79 @@ def test_cm_type_bases_match_one_call_per_type():
             assert list(sr.cm_type_bases(d)) == want
             data += 1
     assert data >= 8
+
+
+def test_basis_verdict_can_refute():
+    d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
+    K, W = sr._xs_kernel(d)
+    vectors = sr._type_vectors(d, (0, 1))
+    assert sr._basis_verdict(K, W, vectors) == (True, True)
+    # twice the conjugate sum lies in X*(S), but the vectors span index 2
+    doubled = vectors[:-1] + [tuple(2 * x for x in vectors[-1])]
+    assert sr._basis_verdict(K, W, doubled) == (True, False)
+    assert sr._basis_verdict(K, W, vectors[:-1]) == (True, False)
+    # e_0 breaks n_s + n_(iota s) = c
+    e0 = (1,) + (0,) * d.group.order
+    assert sr._basis_verdict(K, W, vectors[:-1] + [e0]) == (False, False)
+
+
+def _type_report_through_build_serre(d, data, phi) -> tuple:
+    """(vectors, in_lattice, is_basis) from X*(S) as build_serre builds it,
+    with the basis decided by a determinant instead of an SNF."""
+    g, n = d.group, d.group.order
+    conj = [0] * (n + 1)
+    for tau in phi:
+        conj[g.mul(d.iota, tau)] += 1
+    conj[n] = 1
+    vectors = []
+    for tau in phi:
+        vec = list(conj)
+        vec[g.mul(d.iota, tau)] -= 1
+        vec[tau] += 1
+        vectors.append(tuple(vec))
+    vectors.append(tuple(conj))
+    inc = data.xs_inclusion
+    X = la.coordinates(inc.matrix, inc.retraction, la.transpose(vectors))
+    if X is None:
+        return tuple(vectors), False, False
+    square = len(X) == la.width(X) == data.xs.rank
+    return tuple(vectors), True, square and abs(bareiss_det(X)) == 1
+
+
+def test_cm_type_bases_agree_with_the_serre_data_route():
+    types = 0
+    for _, g in group_catalog(12):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            data = sr.build_serre(d)
+            assert la.width(sr._xs_kernel(d)[0]) == data.xs.rank
+            for rep in sr.cm_type_bases(d):
+                want = _type_report_through_build_serre(d, data, rep.phi)
+                assert (rep.vectors, rep.in_lattice, rep.is_basis) == want
+                types += 1
+    assert types == 650
+
+
+def test_cm_type_path_restricts_no_action(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(la, "restricted_action",
+                        counted("restricted_action", la.restricted_action))
+    monkeypatch.setattr(sr, "build_serre", counted("build_serre", sr.build_serre))
+    s3 = gr.symmetric_group(3)
+    d = sr.CMGaloisDatum(gr.direct_product(s3, gr.cyclic_group(2)), s3.order)
+    sr.cm_type_basis(d, next(sr.all_cm_types(d)))
+    assert len(list(sr.cm_type_bases(d))) == 2 ** d.half_order
+    assert calls == Counter()
+    # the counters are live: the sequence path builds the Serre data
+    sr.verify_serre_sequence(d)
+    assert calls["build_serre"] == 1 and calls["restricted_action"] >= 2
 
 
 def test_coordinates_in_the_serre_lattice_can_fail():
