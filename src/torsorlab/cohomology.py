@@ -5,9 +5,8 @@ A cocycle (CrossedHom) takes values in a finite group with action
 the generators of a presentation (groups.presentation), and any values there
 extend to a cocycle exactly when every relator evaluates to 1 in N x| Gamma
 (Serre, Galois Cohomology, I 5.1).  Abelian H^1 of a lattice (ZGLattice)
-solves that condition exactly over the integers: it is linear, with the Fox
-derivatives of the relator as coefficients (Fox, "Free differential
-calculus I", Ann. Math. 1953), and only its invariants are kept.
+needs no relators: it is the torsion of the cokernel of the coboundary map
+on the generators, read off one SNF, and only its invariants are kept.
 Nonabelian cocycles, homomorphisms and lifts come from one backtracking
 search over those values, and their classes under twisted conjugation from
 one partition (twist_classes).
@@ -22,8 +21,7 @@ from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
 from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
                      generating_set, presentation, subgroup_generating_set)
-from .lattices import ZGLattice, permutation_lattice
-from .gsets import coset_gset
+from .lattices import ZGLattice, check_rho
 
 
 class NotCocycle(ValueError):
@@ -205,85 +203,25 @@ class CohomologyGroup:
         return not self.invariants
 
 
-def _letters(gamma: FiniteGroup, gens, w) -> list:
-    """(i, h, inverted) per letter gens[i]^(+-1) of the relator w: by the
-    cocycle law f(w) is the product of the (h . f(gens[i]))^(+-1), h the
-    prefix of w before the letter, times gens[i]^-1 if the letter is one."""
-    grows, inverses = gamma.rows, gamma.inverses
-    out, x = [], 0
-    for letter in w:
-        i = letter >> 1
-        if letter & 1:
-            x = grows[x][inverses[gens[i]]]
-            out.append((i, x, True))
-        else:
-            out.append((i, x, False))
-            x = grows[x][gens[i]]
-    if x != 0:
-        raise ValueError("a relator does not evaluate to the identity")
-    return out
-
-
-def _relator_rows(gamma: FiniteGroup, mats, r: int, gens, relators) -> list:
-    """Constraint rows on the cocycle values at the generators, r per relator.
-
-    Written additively (see _letters), f(w) = 0 is the sum of +-rho(h) f(s_i)
-    over the letters of w: r rows of Python ints over the len(gens) * r
-    unknowns f(s).
-    """
-    width = len(gens) * r
-    nonzeros = {}  # g -> rho(g) as sparse rows [(column, value), ...]
-    constraints = []
-    for w in relators:
-        block = [[0] * width for _ in range(r)]
-        for i, h, inverted in _letters(gamma, gens, w):
-            nz = nonzeros.get(h)
-            if nz is None:
-                nz = nonzeros[h] = [
-                    [(c, v) for c, v in enumerate(row) if v] for row in mats[h]
-                ]
-            off, sign = i * r, -1 if inverted else 1
-            for row, rho_row in zip(block, nz):
-                for c, v in rho_row:
-                    row[off + c] += sign * v
-        constraints.extend(block)
-    return constraints
-
-
 def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
-    """The invariants of Z^1/B^1 of a lattice, exact over the integers: Z^1
-    is the saturated kernel of the relator rows, and one SNF of the
-    coboundaries' coordinates in it gives the invariants.  |gamma| kills
-    H^1, so a free factor means the matrices are no action (NotAction)."""
-    r = lattice.rank
-    if r == 0:
+    """The invariants of H^1(gamma, M) = Z^1/B^1 of a lattice M, exact over
+    the integers, from one SNF of the coboundary map; NotAction if the
+    matrices are no action.
+
+    A cocycle is determined by its values at the generators s, so Z^1 and
+    B^1 sit in M^S, and B^1 is the image of d: m -> ((rho(s) - 1) m)_s, the
+    stacked rho(s) - I.  Z^1 is a kernel, hence saturated; |gamma| kills
+    H^1, so Z^1 has the rank of B^1.  Hence Z^1 = sat(B^1) and H^1 is the
+    torsion of coker d (Brown, Cohomology of Groups, GTM 87, ch. III): its
+    elementary divisors d > 1.  The zeros on the diagonal count the rank of
+    the invariants M^gamma, the kernel of d."""
+    if lattice.rank == 0:
         return CohomologyGroup(())
     mats = lattice.rho
-    gens, relators = presentation(gamma)
-    k = len(gens)
-    # repeated and zero rows add no condition; W Z = I: the coboundaries'
-    # coordinates below need no second SNF
-    relator_rows = _relator_rows(gamma, mats, r, gens, relators)
-    rows = [row for row in dict.fromkeys(map(tuple, relator_rows)) if any(row)]
-    Z, W = la.saturated_kernel(rows or [(0,) * (k * r)])
-    z = la.width(Z)
-    if z == 0:
-        return CohomologyGroup(())
-    # coboundaries: values (rho(s) - 1) m on the generators
-    Y = la.coordinates(Z, W, la.stack(_minus_identity(mats[s]) for s in gens))
-    if Y is None:
-        # every coboundary is a cocycle when the matrices form an action
-        raise NotAction("coboundaries must lie in the cocycle lattice")
-    s = la.smith_normal_form(Y, transforms=())
-    if s.rank < z:
-        raise NotAction("H^1 has a free factor: the matrices are no action")
-    return CohomologyGroup(tuple(sorted(d for d in s.diagonal if d != 1)))
-
-
-def shapiro_check(g: FiniteGroup, h) -> bool:
-    """H^1(G, Z[G/H]) must vanish: the lattice shadow of Hilbert 90."""
-    m = permutation_lattice(coset_gset(g, h))
-    return h1_abelian(g, m).is_trivial
+    gens = generating_set(gamma)
+    check_rho(gamma, mats, gens, NotAction)
+    s = la.smith_normal_form(la.stack(_minus_identity(mats[g]) for g in gens), transforms=())
+    return CohomologyGroup(tuple(d for d in s.diagonal if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +242,30 @@ class NonabelianH1:
         return sum(self.sizes)
 
 
+def _letters(gamma: FiniteGroup, gens, w) -> list:
+    """(i, h, inverted) per letter gens[i]^(+-1) of the relator w: by the
+    cocycle law f(w) is the product of the (h . f(gens[i]))^(+-1), h the
+    prefix of w before the letter, times gens[i]^-1 if the letter is one."""
+    grows, inverses = gamma.rows, gamma.inverses
+    out, x = [], 0
+    for letter in w:
+        i = letter >> 1
+        if letter & 1:
+            x = grows[x][inverses[gens[i]]]
+            out.append((i, x, True))
+        else:
+            out.append((i, x, False))
+            x = grows[x][gens[i]]
+    if x != 0:
+        raise ValueError("a relator does not evaluate to the identity")
+    return out
+
+
 def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> list:
     """The value table of every crossed homomorphism gamma -> coeff with a
-    value from candidates[i] at gens[i], in itertools.product order
-    of the generator values: the nonabelian twin of _relator_rows.  A
-    backtrack over the generators checks each relator once its highest
-    generator has a value."""
+    value from candidates[i] at gens[i], in itertools.product order of the
+    generator values.  A backtrack over the generators checks each relator
+    once its highest generator has a value."""
     rows, inverses, action = coeff.underlying.rows, coeff.underlying.inverses, coeff.action
     due = [[] for _ in gens]  # relators by their highest generator
     for w in relators:

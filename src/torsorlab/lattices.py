@@ -44,13 +44,7 @@ class ZGLattice:
         g, n = self.group, self.rank
         if any(len(m) != n or la.width(m) != n for m in self.rho):
             raise ValueError("matrices must be square of equal rank")
-        if self.rho[0] != la.identity(n):
-            raise ValueError("identity must act as the identity matrix")
-        # multiplicativity on a generating set propagates to all elements
-        for s in generating_set(g):
-            for h in g.elements():
-                if self.rho[g.mul(s, h)] != la.matmul(self.rho[s], self.rho[h]):
-                    raise ValueError("rho is not multiplicative")
+        check_rho(g, self.rho, generating_set(g), ValueError)
 
     def __eq__(self, other):
         return (
@@ -61,6 +55,24 @@ class ZGLattice:
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, group order {self.group.order})"
+
+
+def check_rho(group: FiniteGroup, mats, gens, error) -> None:
+    """Raise `error` unless rho(1) = I and rho(s h) = rho(s) rho(h) for each
+    s in gens and every h: when gens generate the group, induction on word
+    length makes rho a homomorphism.  Where every row of rho(s) is a unit
+    row e_j, rho(s) rho(h) is rho(h) with its rows permuted, read without
+    multiplying."""
+    r = len(mats[0])
+    if mats[0] != la.identity(r):
+        raise error("identity must act as the identity matrix")
+    for s in gens:
+        ms, srow = mats[s], group.rows[s]
+        unit = [row.index(1) for row in ms if row.count(0) == r - 1 and 1 in row]
+        for h, mh in enumerate(mats):
+            prod = tuple(map(mh.__getitem__, unit)) if len(unit) == r else la.matmul(ms, mh)
+            if prod != mats[srow[h]]:
+                raise error("rho is not multiplicative")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
 form, lattice equality, a determinant independent of the SNF, powers mod a
-polynomial by whole divisions, and the materialized truncation of an
-inverse-system recipe."""
+polynomial by whole divisions, the materialized truncation of an
+inverse-system recipe, and lattice H^1 by the relators of a presentation."""
 
+from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import invsys as iv
@@ -118,3 +119,65 @@ def twist_classes_reference(coefficient, tables, by) -> tuple:
         seen |= orbit
         out.append((vals, len(orbit)))
     return tuple(out)
+
+
+def relator_rows(gamma, mats, r: int, gens, relators) -> list:
+    """Constraint rows on the cocycle values at the generators, r per relator.
+
+    Written additively (see cohomology._letters), f(w) = 0 is the sum of
+    +-rho(h) f(s_i) over the letters of w, with the Fox derivatives of the
+    relator as coefficients (Fox, "Free differential calculus I", Ann. Math.
+    1953): r rows of Python ints over the len(gens) * r unknowns f(s).
+    """
+    width = len(gens) * r
+    nonzeros = {}  # g -> rho(g) as sparse rows [(column, value), ...]
+    constraints = []
+    for w in relators:
+        block = [[0] * width for _ in range(r)]
+        for i, h, inverted in co._letters(gamma, gens, w):
+            nz = nonzeros.get(h)
+            if nz is None:
+                nz = nonzeros[h] = [
+                    [(c, v) for c, v in enumerate(row) if v] for row in mats[h]
+                ]
+            off, sign = i * r, -1 if inverted else 1
+            for row, rho_row in zip(block, nz):
+                for c, v in rho_row:
+                    row[off + c] += sign * v
+        constraints.extend(block)
+    return constraints
+
+
+def h1_from_rows(mats, gens, rows) -> co.CohomologyGroup:
+    """H^1 by the cocycle lattice: Z^1 is the saturated kernel of the
+    constraint rows on the values at gens, and one SNF of the coboundaries'
+    coordinates in it gives the invariants.  |gamma| kills H^1, so a free
+    factor means the matrices are no action (NotAction)."""
+    r, k = len(mats[0]), len(gens)
+    # repeated and zero rows add no condition; W Z = I: the coboundaries'
+    # coordinates below need no second SNF
+    rows = [row for row in dict.fromkeys(map(tuple, rows)) if any(row)]
+    Z, W = la.saturated_kernel(rows or [(0,) * (k * r)])
+    z = la.width(Z)
+    if z == 0:
+        return co.CohomologyGroup(())
+    # coboundaries: values (rho(s) - 1) m on the generators
+    Y = la.coordinates(Z, W, la.stack(co._minus_identity(mats[s]) for s in gens))
+    if Y is None:
+        # every coboundary is a cocycle when the matrices form an action
+        raise gr.NotAction("coboundaries must lie in the cocycle lattice")
+    s = la.smith_normal_form(Y, transforms=())
+    if s.rank < z:
+        raise gr.NotAction("H^1 has a free factor: the matrices are no action")
+    return co.CohomologyGroup(tuple(sorted(d for d in s.diagonal if d != 1)))
+
+
+def h1_by_relators(gamma, lattice, presentation=gr.presentation) -> co.CohomologyGroup:
+    """Lattice H^1 by a second route, independent of the coboundary SNF of
+    cohomology.h1_abelian: the relator rows of presentation(gamma), their
+    saturated kernel, the coboundaries' coordinates in it and an SNF."""
+    if lattice.rank == 0:
+        return co.CohomologyGroup(())
+    gens, relators = presentation(gamma)
+    rows = relator_rows(gamma, lattice.rho, lattice.rank, gens, relators)
+    return h1_from_rows(lattice.rho, gens, rows)

@@ -16,6 +16,9 @@ import time
 from torsorlab import checks as pc
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
+from torsorlab import gsets as gs
+from torsorlab import lattices as lt
+from torsorlab import linalg as la
 
 # sha256 of the seed-0 suite's results as sorted-key JSON; a refactor that
 # changes any verdict or evidence byte changes it
@@ -57,6 +60,17 @@ def test_criterion_03_permutation_h1():
     r = run_check(pc.check_permutation_h1_vanishing, 3, 60.0)
     assert r.evidence["checked"] >= 500
     assert not r.evidence["failures"]
+
+
+def test_criterion_03_refutes_a_lattice_with_h1():
+    # the sign lattice of C2 has H^1 = Z/2, its permutation lattice Z[C2] none
+    c2 = gr.cyclic_group(2)
+    sign = lt.ZGLattice(c2, [la.identity(1), la.int_rows([[-1]])])
+    regular = lt.permutation_lattice(gs.coset_gset(c2, (0,)))
+    r = pc.check_permutation_h1_vanishing(lattices=[("C2", (0,), regular),
+                                                    ("C2 sign", (0, 1), sign)])
+    assert r.verdict == "refuted"
+    assert r.evidence == {"checked": 2, "failures": [{"group": "C2 sign", "subgroup": [0, 1]}]}
 
 
 def test_criterion_04_character_sequences():

@@ -13,7 +13,8 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
-from helpers import bareiss_det, lattice_eq, regular_gset
+from helpers import (bareiss_det, h1_by_relators, h1_from_rows, lattice_eq,
+                     regular_gset, relator_rows)
 
 
 def sign_lattice(c2):
@@ -117,7 +118,7 @@ def _reference_tree_constraints(gamma, mats, r, gens):
     one matmul `mats[g] @ blocks[s]` per Cayley edge, and one r-row block
     `f(g) + rho(g) f(s) - f(g s)` per non-tree edge.
 
-    Kept as the oracle of `co._relator_rows`: the relator rows must cut out
+    Kept as the oracle of `helpers.relator_rows`: the relator rows must cut out
     the same cocycle lattice.
     """
     width = len(gens) * r
@@ -143,7 +144,7 @@ def _reference_tree_constraints(gamma, mats, r, gens):
                     constraints.append(e - exprs[t])
         frontier = new
     assert len(exprs) == gamma.order
-    # as lists of int rows, the form h1_abelian builds
+    # as lists of int rows, the form helpers.relator_rows builds
     return np.concatenate(constraints, axis=0).tolist() if constraints else []
 
 
@@ -179,70 +180,92 @@ def _lattice(g, mats):
     return lt.ZGLattice(g, mats, validate=False)
 
 
-def _tree_h1(g, mats, monkeypatch):
-    """H^1 from h1_abelian with the reference tree constraints in place of
-    the relator rows."""
-    with monkeypatch.context() as m:
-        m.setattr(co, "_relator_rows", lambda gamma, mats, r, gens, relators:
-                  _reference_tree_constraints(gamma, mats, r, gens))
-        return co.h1_abelian(g, _lattice(g, mats))
+def _h1_or_none(route):
+    try:
+        return route().invariants
+    except co.NotAction:  # a free factor: the cocycle lattice is too large
+        return None
 
 
-def _relator_disagreements(monkeypatch):
+def _relator_disagreements(presentation=gr.presentation):
     """Labels of the constraint cases on which the relator rows of
-    co.presentation cut out another cocycle lattice than the tree reference,
-    or h1_abelian reads other invariants than through the tree reference (or
-    finds a free factor, which no action has)."""
+    `presentation` cut out another cocycle lattice than the tree reference,
+    or h1_abelian reads other invariants than the relator route or the tree
+    route of helpers.h1_from_rows (a free factor in either is none)."""
     bad = []
     for label, g, mats, r in constraint_cases():
-        gens, relators = co.presentation(g)
-        got = co._relator_rows(g, mats, r, gens, relators)
+        gens, relators = presentation(g)
+        got = relator_rows(g, mats, r, gens, relators)
         ref = _reference_tree_constraints(g, mats, r, gens)
         assert all(type(row) is list and len(row) == len(ref[0]) for row in got), label
         assert all(type(v) is int for row in got for v in row), label
         same_z1 = lattice_eq(la.kernel_basis(got), la.kernel_basis(ref))
-        try:
-            mine = co.h1_abelian(g, _lattice(g, mats)).invariants
-        except co.NotAction:  # a free factor: the kernel is too large
-            mine = None
-        if not same_z1 or mine != _tree_h1(g, mats, monkeypatch).invariants:
+        mine = co.h1_abelian(g, _lattice(g, mats)).invariants
+        by_relators = _h1_or_none(lambda: h1_from_rows(mats, gens, got))
+        by_tree = _h1_or_none(lambda: h1_from_rows(mats, gens, ref))
+        if not same_z1 or not mine == by_relators == by_tree:
             bad.append(label)
     return bad
 
 
-def test_relator_rows_match_tree_reference_kernel(monkeypatch):
-    assert _relator_disagreements(monkeypatch) == []
-    rows = sum(len(co.presentation(g)[1]) * r for _, g, _, r in constraint_cases())
+def test_relator_rows_match_tree_reference_kernel():
+    assert _relator_disagreements() == []
+    rows = sum(len(gr.presentation(g)[1]) * r for _, g, _, r in constraint_cases())
     tree = sum(len(_reference_tree_constraints(g, mats, r, gr.generating_set(g)))
                for _, g, mats, r in constraint_cases())
     assert rows < tree / 3
 
 
-def test_relator_oracle_refutes_a_missing_relator(monkeypatch):
+def test_relator_oracle_refutes_a_missing_relator():
     # the same comparison, with one relator dropped from each presentation
     # that has more than one, must see the difference
-    presentation = gr.presentation
-
     def short(g):
-        gens, relators = presentation(g)
+        gens, relators = gr.presentation(g)
         return gens, relators[:-1] if len(relators) > 1 else relators
 
-    monkeypatch.setattr(co, "presentation", short)
-    bad = _relator_disagreements(monkeypatch)
+    bad = _relator_disagreements(short)
     assert len(bad) > 20
 
 
-def test_relator_rows_reject_a_word_that_is_no_relator(monkeypatch):
+def sign_twist_cases():
+    """(group, chi kernel K, subgroup H, chi . Z[G/H]) for every subgroup H
+    of each catalog group of order <= 24 with a sign character chi, the one
+    whose kernel K is the first subgroup of index 2.  By Shapiro's lemma H^1
+    is H^1(H, Z_chi) = Z/2 when H leaves K, and 0 when H lies in K."""
+    cases = []
+    for _, g in catalog.group_catalog(24):
+        subgroups = gr.all_subgroups(g)
+        k = next((set(k) for k in subgroups if 2 * len(k) == g.order), None)
+        if k is None:
+            continue
+        for h in subgroups:
+            m = lt.permutation_lattice(gs.coset_gset(g, h))
+            rho = [m.rho[x] if x in k else tuple(tuple(-v for v in row) for row in m.rho[x])
+                   for x in g.elements()]
+            cases.append((g, k, h, lt.ZGLattice(g, rho, validate=False)))
+    return cases
+
+
+def test_h1_abelian_matches_the_relator_route_on_sign_twists():
+    nontrivial = 0
+    for g, k, h, m in sign_twist_cases():
+        want = () if set(h) <= k else (2,)
+        assert co.h1_abelian(g, m).invariants == h1_by_relators(g, m).invariants == want
+        nontrivial += want == (2,)
+    assert nontrivial > 400
+
+
+def test_relator_rows_reject_a_word_that_is_no_relator():
     s3 = gr.symmetric_group(3)
     gens, relators = gr.presentation(s3)
-    monkeypatch.setattr(co, "presentation", lambda g: (gens, relators + ((0,),)))
     m = lt.permutation_lattice(gs.coset_gset(s3, (0,)))
     with pytest.raises(ValueError, match="identity"):
-        co.h1_abelian(s3, m)
+        h1_by_relators(s3, m, lambda g: (gens, relators + ((0,),)))
 
 
 def test_h1_coboundary_coordinates_equal_solve_int(monkeypatch):
-    # h1_abelian's Y, read off the kernel's retraction, is solve_int(Z, D)
+    # the relator route's Y, read off the kernel's retraction, is
+    # solve_int(Z, D)
     calls = []
     coordinates = la.coordinates
 
@@ -254,7 +277,7 @@ def test_h1_coboundary_coordinates_equal_solve_int(monkeypatch):
     monkeypatch.setattr(la, "coordinates", spy)
     nontrivial = 0
     for _, g, mats, _ in constraint_cases():
-        nontrivial += not co.h1_abelian(g, _lattice(g, mats)).is_trivial
+        nontrivial += not h1_by_relators(g, _lattice(g, mats)).is_trivial
     for Z, D, Y in calls:
         want = la.solve_int(Z, D)
         assert Y == want
@@ -262,12 +285,34 @@ def test_h1_coboundary_coordinates_equal_solve_int(monkeypatch):
     assert len(calls) > 100 and nontrivial >= 3
 
 
+def test_h1_abelian_is_one_invariants_only_snf(monkeypatch):
+    # the coboundary route factors the stacked rho(s) - I once, tracking no
+    # transform, and builds no cocycle lattice
+    calls = []
+    snf = la.smith_normal_form
+
+    def counting(matrix, **kwargs):
+        calls.append(kwargs)
+        return snf(matrix, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("cocycle lattice")
+
+    monkeypatch.setattr(la, "smith_normal_form", counting)
+    monkeypatch.setattr(la, "saturated_kernel", refuse)
+    monkeypatch.setattr(la, "coordinates", refuse)
+    s4 = gr.symmetric_group(4)
+    for h in ((0,), gr.all_subgroups(s4)[-2]):
+        calls.clear()
+        assert co.h1_abelian(s4, lt.permutation_lattice(gs.coset_gset(s4, h))).is_trivial
+        assert calls == [{"transforms": ()}]
+
+
 def test_shapiro_various():
+    # H^1(G, Z[G/H]) = H^1(H, Z) = Hom(H, Z) = 0
     s3 = gr.symmetric_group(3)
-    for h in gr.all_subgroups(s3):
-        assert co.shapiro_check(s3, h)
-    assert co.shapiro_check(s3, tuple(s3.elements()))
-    assert co.shapiro_check(s3, (0,))
+    for h in gr.all_subgroups(s3) + (tuple(s3.elements()), (0,)):
+        assert co.h1_abelian(s3, lt.permutation_lattice(gs.coset_gset(s3, h))).is_trivial
 
 
 def test_nonabelian_h1_examples():
@@ -528,7 +573,7 @@ def test_h1_abelian_refuses_a_free_factor():
     # only 0 is a coboundary; |C4| kills H^1 of an action, so this is none
     c4 = gr.cyclic_group(4)
     rho = [la.int_rows([[v]]) for v in (1, 1, -1, -1)]
-    with pytest.raises(co.NotAction, match="free factor"):
+    with pytest.raises(co.NotAction, match="not multiplicative"):
         co.h1_abelian(c4, lt.ZGLattice(c4, rho, validate=False))
 
 

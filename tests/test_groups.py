@@ -265,6 +265,10 @@ def test_generators_alone_need_no_presentation(monkeypatch):
                                   dict.fromkeys(gr.generating_set(s3), 0))
     lt.permutation_lattice(gs.coset_gset(s3, (0,)))
     assert c2._presentation is None and s3._presentation is None
+    # lattice H^1 reads the coboundary map on the generators alone
+    s4 = gr.symmetric_group(4)
+    assert co.h1_abelian(s4, lt.permutation_lattice(gs.coset_gset(s4, (0, 1)))).is_trivial
+    assert s4._presentation is None
 
 
 def test_memoized_work_calls_no_public_function(monkeypatch):

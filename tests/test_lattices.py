@@ -25,6 +25,20 @@ def test_zglattice_validation():
         lt.ZGLattice(c2, [la.int_rows([[-1]]), la.int_rows([[-1]])])  # identity wrong
 
 
+def test_check_rho_refuses_permutation_matrices_that_are_no_action():
+    # rho(1) = rho(2) = the 3-cycle P on C3: all unit rows, so the law is read
+    # off row permutations, and rho(1) rho(1) = P^2 != rho(2) refutes it; the
+    # same matrices that do form the action are accepted
+    c3 = gr.cyclic_group(3)
+    rho = lt.permutation_lattice(regular_gset(c3)).rho
+    bad = (rho[0], rho[1], rho[1])
+    with pytest.raises(ValueError, match="not multiplicative"):
+        lt.ZGLattice(c3, bad)
+    with pytest.raises(gr.NotAction, match="not multiplicative"):
+        lt.check_rho(c3, bad, gr.generating_set(c3), gr.NotAction)
+    lt.check_rho(c3, rho, gr.generating_set(c3), gr.NotAction)
+
+
 def test_permutation_lattice_and_fixed_rank():
     s3 = gr.symmetric_group(3)
     m = lt.permutation_lattice(gs.conjugation_twist(s3))
