@@ -2,14 +2,14 @@
 
 A cocycle (CrossedHom) takes values in a finite group with action
 (GammaGroup) and is read off its tables.  It is determined by its values on
-the generators of a presentation (groups.presentation), and any values there
-extend to a cocycle exactly when every relator evaluates to 1 in N x| Gamma
-(Serre, Galois Cohomology, I 5.1).  Abelian H^1 of a lattice (ZGLattice)
-needs no relators: it is the torsion of the cokernel of the coboundary map
-on the generators, read off one SNF, and only its invariants are kept.
-Nonabelian cocycles, homomorphisms and lifts come from one backtracking
-search over those values, and their classes under twisted conjugation from
-one partition (twist_classes).
+a generating set: values there extend to a cocycle exactly when they close
+the Cayley graph, f(g s) = f(g) (g . f(s)) on every edge, for an action by
+automorphisms (Serre, Galois Cohomology, I 5.1).  Abelian H^1 of a lattice
+(ZGLattice) is the torsion of the cokernel of the coboundary map on the
+generators, read off one SNF, and only its invariants are kept.  Nonabelian
+cocycles, homomorphisms and lifts come from one backtracking search that
+closes the Cayley graph one generator at a time (_cayley_search), and their
+classes under twisted conjugation from one partition (twist_classes).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
 from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
-                     generating_set, presentation, subgroup_generating_set)
+                     generating_set, subgroup_generating_set)
 from .lattices import ZGLattice, check_rho
 
 
@@ -120,48 +120,19 @@ class CrossedHom:
 
     @classmethod
     def from_generators(cls, group, coefficient, gen_values: dict) -> "CrossedHom":
-        """Close generator values over a spanning tree; reject inconsistency,
-        and generators or values outside their groups."""
-        gen_values = [(int(s), int(v)) for s, v in gen_values.items()]
+        """The cocycle with the given values at the given generators, closed
+        over the Cayley graph (see _cayley_search); NotCocycle if two edges
+        disagree, the generators do not generate, or a generator or value
+        lies outside its group."""
+        gens, vals = tuple(map(int, gen_values)), tuple(map(int, gen_values.values()))
         n = coefficient.underlying.order
-        for s, v in gen_values:
+        for s, v in zip(gens, vals):
             if not (0 <= s < group.order and 0 <= v < n):
                 raise NotCocycle("generator %d or its value %d is out of range" % (s, v))
-        return cls(group, coefficient, _closed_values(group, coefficient, gen_values),
-                   validate=False)
-
-
-def _closed_values(group: FiniteGroup, coefficient: GammaGroup, gen_values) -> tuple:
-    """The value table of the cocycle with f(s) = v for each (s, v) in
-    gen_values, closed over the Cayley graph; NotCocycle if two edges
-    disagree or the s do not generate the group.
-
-    Every Cayley edge then satisfies f(gs) = f(g) (g . f(s)); the action is
-    by automorphisms, so induction on word length gives the cocycle law for
-    all pairs."""
-    nrows, action = coefficient.underlying.rows, coefficient.action
-    rows = group.rows
-    vals = [None] * group.order
-    vals[0] = 0
-    reached = 1
-    frontier = [0]
-    while frontier:
-        new = []
-        for g in frontier:
-            row, fg, ag = rows[g], nrows[vals[g]], action[g]
-            for s, fs in gen_values:
-                t = row[s]
-                v = fg[ag[fs]]
-                if vals[t] is None:
-                    vals[t] = v
-                    new.append(t)
-                elif vals[t] != v:
-                    raise NotCocycle("generator values are inconsistent")
-        reached += len(new)
-        frontier = new
-    if reached != group.order:
-        raise NotCocycle("generators do not generate the group")
-    return tuple(vals)
+        found = _cayley_search(group, coefficient, gens, [(v,) for v in vals])
+        if not found:
+            raise NotCocycle("generator values are inconsistent")
+        return cls(group, coefficient, found[0], validate=False)
 
 
 def trivial_cocycle(group: FiniteGroup, coefficient: GammaGroup) -> CrossedHom:
@@ -242,56 +213,73 @@ class NonabelianH1:
         return sum(self.sizes)
 
 
-def _letters(gamma: FiniteGroup, gens, w) -> list:
-    """(i, h, inverted) per letter gens[i]^(+-1) of the relator w: by the
-    cocycle law f(w) is the product of the (h . f(gens[i]))^(+-1), h the
-    prefix of w before the letter, times gens[i]^-1 if the letter is one."""
-    grows, inverses = gamma.rows, gamma.inverses
-    out, x = [], 0
-    for letter in w:
-        i = letter >> 1
-        if letter & 1:
-            x = grows[x][inverses[gens[i]]]
-            out.append((i, x, True))
-        else:
-            out.append((i, x, False))
-            x = grows[x][gens[i]]
-    if x != 0:
-        raise ValueError("a relator does not evaluate to the identity")
-    return out
+def _cayley_plan(gamma: FiniteGroup, gens) -> list:
+    """Per generator gens[i], the Cayley edges (g, j, g gens[j], defines)
+    that giving it a value closes: those of <gens[:i+1]> that <gens[:i]>
+    lacks.  Level i walks H gens[i] for the H already reached, then each
+    newly reached element by gens[:i+1], breadth first.  The first edge into
+    an element defines its value and every later edge checks it, so each
+    step reads only values written before it.  NotCocycle if the gens do not
+    generate gamma.
+
+    An element first reached at level L gets its edges by gens[:L+1] at
+    level L and its edge by gens[i] at each later level i, so every Cayley
+    edge is walked once."""
+    rows = gamma.rows
+    seen = [False] * gamma.order
+    seen[0] = True
+    reached = [0]
+    plan = []
+    for i in range(len(gens)):
+        steps = []
+        todo = [(g, (i,)) for g in reached]
+        for g, js in todo:  # grows while it is read
+            for j in js:
+                t = rows[g][gens[j]]
+                steps.append((g, j, t, not seen[t]))
+                if not seen[t]:
+                    seen[t] = True
+                    reached.append(t)
+                    todo.append((t, range(i + 1)))
+        plan.append(steps)
+    if len(reached) != gamma.order:
+        raise NotCocycle("generators do not generate the group")
+    return plan
 
 
-def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> list:
+def _cayley_search(gamma: FiniteGroup, coeff: GammaGroup, gens, candidates) -> list:
     """The value table of every crossed homomorphism gamma -> coeff with a
     value from candidates[i] at gens[i], in itertools.product order of the
-    generator values.  A backtrack over the generators checks each relator
-    once its highest generator has a value."""
-    rows, inverses, action = coeff.underlying.rows, coeff.underlying.inverses, coeff.action
-    due = [[] for _ in gens]  # relators by their highest generator
-    for w in relators:
-        letters = _letters(gamma, gens, w)
-        due[max(i for i, _, _ in letters)].append(letters)
-    vals = [None] * len(gens)
-    out = []
+    generator values.  A backtrack over the generators closes the Cayley
+    edges f(g s) = f(g) (g . f(s)) of each level of _cayley_plan once its
+    generator has a value, and a disagreeing edge prunes the branch.
 
-    def neutral_at(letters) -> bool:
-        acc = 0
-        for i, h, inverted in letters:
-            v = action[h][vals[i]]
-            acc = rows[acc][inverses[v] if inverted else v]
-        return acc == 0
+    A table that passes the last level satisfies every Cayley edge; for an
+    action by automorphisms induction on word length then gives the cocycle
+    law for all pairs (Serre, Galois Cohomology, I 5.1).  For any other
+    action it need not, so the callers check the action.  A branch needs no
+    undo: each level rewrites the values it defines before it reads them."""
+    nrows, action = coeff.underlying.rows, coeff.action
+    levels = [[(g, action[g], j, t, defines) for g, j, t, defines in steps]
+              for steps in _cayley_plan(gamma, gens)]
+    vals = [0] * gamma.order
+    at = [0] * len(gens)
+    out = []
 
     def extend(i):
         if i == len(gens):
-            try:
-                out.append(_closed_values(gamma, coeff, tuple(zip(gens, vals))))
-            except NotCocycle as e:  # impossible for an action by automorphisms
-                raise NotAction("values that satisfy every relator do not extend: "
-                                "the action is not by automorphisms") from e
+            out.append(tuple(vals))
             return
+        steps = levels[i]
         for v in candidates[i]:
-            vals[i] = v
-            if all(map(neutral_at, due[i])):
+            at[i] = v
+            for g, ag, j, t, defines in steps:
+                w = nrows[vals[g]][ag[at[j]]]
+                if defines:
+                    vals[t] = w
+                elif vals[t] != w:
+                    break
+            else:
                 extend(i + 1)
 
     extend(0)
@@ -300,21 +288,23 @@ def _relator_search(gamma: FiniteGroup, coeff, gens, relators, candidates) -> li
 
 def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
                        budget: int = DEFAULT_BUDGET) -> tuple:
-    """All crossed homomorphisms gamma -> n, as value tuples."""
-    gens, relators = presentation(gamma)
+    """All crossed homomorphisms gamma -> n, as sorted value tuples;
+    NotAction unless gamma acts on n by automorphisms."""
+    gens = generating_set(gamma)
     total = n.underlying.order ** len(gens)
     if total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
+    n.check_automorphisms()
     every = [n.underlying.elements()] * len(gens)
-    return tuple(sorted(_relator_search(gamma, n, gens, relators, every)))
+    return tuple(sorted(_cayley_search(gamma, n, gens, every)))
 
 
 def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
     """Every homomorphism src -> tgt, ordered by the images it gives the
     generating set of src: the cocycles src -> tgt for the trivial action."""
-    gens, relators = presentation(src)
+    gens = generating_set(src)
     every = [tgt.elements()] * len(gens)
-    found = _relator_search(src, trivial_gamma_group(src, tgt), gens, relators, every)
+    found = _cayley_search(src, trivial_gamma_group(src, tgt), gens, every)
     return tuple(GroupHom(src, tgt, vals, validate=False) for vals in found)
 
 

@@ -1,5 +1,5 @@
-"""Finite groups by multiplication table, homomorphisms, actions, Gamma-groups,
-structural maps, and presentations proved complete by coset enumeration.
+"""Finite groups by multiplication table, homomorphisms, actions, Gamma-groups
+and structural maps.
 
 Elements are indices 0..order-1 with the identity at 0.  Every law is checked
 on a generating set: associativity by Light's test, and a homomorphism,
@@ -60,9 +60,8 @@ class FiniteGroup:
         if validate:
             self._validate()
         self.inverses = self._compute_inverses()
-        # computed on first use by generating_set and presentation
+        # computed on first use by generating_set
         self._generating_set = None
-        self._presentation = None
 
     def _validate(self):
         n = self.order
@@ -582,187 +581,6 @@ def subgroup_generating_set(g: FiniteGroup, elems) -> tuple:
     if not gens:
         gens = [0]
     return tuple(gens)
-
-
-# ---------------------------------------------------------------------------
-# presentations
-#
-# A word is a tuple of letters: 2i stands for generator i and 2i + 1 for its
-# inverse, so letter ^ 1 is the inverse letter.
-
-
-class _CosetLimit(Exception):
-    pass
-
-
-def coset_count(ngens: int, relators, limit: int):
-    """Order of the group <x_0, ..., x_(ngens-1) | relators>, by HLT coset
-    enumeration over the trivial subgroup (Holt-Eick-O'Brien, Handbook of
-    Computational Group Theory, 5.1), or None once `limit` cosets have been
-    defined without the table closing."""
-    width = 2 * ngens
-    table = [[-1] * width]  # table[c][x]: the coset c x, -1 if undefined
-    parent = [0]  # coincidences: parent[c] == c for a live coset
-
-    def define(c, x):
-        n = len(table)
-        if n >= limit:
-            raise _CosetLimit
-        row = [-1] * width
-        row[x ^ 1] = c
-        table.append(row)
-        parent.append(n)
-        table[c][x] = n
-
-    def find(c):
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def merge(a, b, queue):
-        a, b = find(a), find(b)
-        if a != b:
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-            queue.append(b)
-
-    def coincidence(a, b):
-        queue = []
-        merge(a, b, queue)
-        for dead in queue:  # grows while it is read
-            for x, d in enumerate(table[dead]):
-                if d < 0:
-                    continue
-                y = x ^ 1
-                table[d][y] = -1
-                mu, nu = find(dead), find(d)
-                if table[mu][x] >= 0:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][y] >= 0:
-                    merge(mu, table[nu][y], queue)
-                else:
-                    table[mu][x] = nu
-                    table[nu][y] = mu
-
-    def scan_and_fill(c, w):
-        f, b, i, j = c, c, 0, len(w) - 1
-        while True:
-            while i <= j and table[f][w[i]] >= 0:
-                f = table[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][w[j] ^ 1] >= 0:
-                b = table[b][w[j] ^ 1]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if i == j:  # a deduction closes the scan
-                table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
-                return
-            define(f, w[i])
-
-    try:
-        c = 0
-        while c < len(table):
-            for w in relators:
-                if parent[c] != c:
-                    break
-                scan_and_fill(c, w)
-            if parent[c] == c:
-                for x in range(width):
-                    if table[c][x] < 0:
-                        define(c, x)
-            c += 1
-    except _CosetLimit:
-        return None
-    return sum(c == p for c, p in enumerate(parent))
-
-
-def _cyclically_reduced(word) -> tuple:
-    w = []
-    for x in word:
-        if w and w[-1] == x ^ 1:
-            w.pop()
-        else:
-            w.append(x)
-    i, j = 0, len(w)
-    while j - i > 1 and w[i] == w[j - 1] ^ 1:
-        i, j = i + 1, j - 1
-    return tuple(w[i:j])
-
-
-def _schreier_relators(g: FiniteGroup, gens) -> list:
-    """The Schreier relators w(x) s w(xs)^-1 of the non-tree edges of the
-    Cayley graph's BFS spanning tree, w(x) the tree word of x, freely and
-    cyclically reduced (a conjugate has the same normal closure) and sorted
-    by (length, word).  By Reidemeister-Schreier they present g."""
-    words = {0: ()}
-    found = set()
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            row, wx = g.rows[x], words[x]
-            for i, s in enumerate(gens):
-                t = row[s]
-                if t not in words:
-                    words[t] = wx + (2 * i,)
-                    new.append(t)
-                else:
-                    inv_t = tuple(y ^ 1 for y in reversed(words[t]))
-                    found.add(_cyclically_reduced(wx + (2 * i,) + inv_t))
-        frontier = new
-    if len(words) != g.order:
-        raise InvalidGroup("the generators do not reach every element")
-    return sorted(found, key=lambda w: (len(w), w))
-
-
-# cosets an enumeration may define per group element before it gives up; on
-# the catalog up to order 24 an enumeration that counts |g| defines < 2 |g|
-COSET_LIMIT_FACTOR = 4
-
-
-def presentation(g: FiniteGroup) -> tuple:
-    """(gens, relators) presenting g on generating_set(g); computed once per
-    group.
-
-    Schreier relators are added shortest first until coset enumeration over
-    the trivial subgroup counts exactly |g| cosets; that proves them
-    complete, since they hold in g and gens generate g.  Then every relator
-    whose removal keeps that count is dropped.  If not even all of them
-    close within COSET_LIMIT_FACTOR * |g| cosets, the relators are all the
-    Schreier relators, which are complete by Reidemeister-Schreier.
-    """
-    gens = generating_set(g)  # on every call, memoized or not (see generating_set)
-    if g._presentation is None:
-        g._presentation = _short_presentation(g, gens)
-    return g._presentation
-
-
-def _short_presentation(g: FiniteGroup, gens) -> tuple:
-    candidates = _schreier_relators(g, gens)
-    k, limit = len(gens), COSET_LIMIT_FACTOR * g.order
-    chosen = []
-    for w in candidates:
-        chosen.append(w)
-        if coset_count(k, chosen, limit) == g.order:
-            break
-    else:
-        return gens, tuple(candidates)
-    for w in chosen[::-1]:
-        trial = [v for v in chosen if v != w]
-        if coset_count(k, trial, limit) == g.order:
-            chosen = trial
-    return gens, tuple(chosen)
 
 
 def all_subgroups(g: FiniteGroup) -> tuple:

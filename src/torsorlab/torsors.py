@@ -14,14 +14,14 @@ from .cohomology import (
     DEFAULT_BUDGET,
     GammaGroup,
     NotCocycle,
-    _relator_search,
+    _cayley_search,
     h1_nonabelian,
     trivial_cocycle,
     twist_classes,
     twist_group,
     twist_values,
 )
-from .groups import FiniteGroup, GroupHom, generating_set, presentation
+from .groups import FiniteGroup, GroupHom, generating_set
 
 
 class IncompatibleActions(ValueError):
@@ -98,23 +98,26 @@ class RelativeClass:
 
 def relative_h1(v: EquivariantHom, q: TorsorRep,
                 budget: int = DEFAULT_BUDGET) -> tuple:
-    """Representatives of lifts of q along v, modulo kernel twists.
+    """Representatives of lifts of q along v, modulo kernel twists;
+    NotAction unless Gamma acts on the source by automorphisms (checked by
+    twist_classes).
 
-    Lifts are searched on the generators of a presentation of Gamma: each
-    generator value ranges over the v-fiber of the base value.
+    Lifts are searched on the generating set of Gamma by closing its Cayley
+    graph (cohomology._cayley_search): each generator value ranges over the
+    v-fiber of the base value.
     """
     if q.structure != v.target:
         raise IncompatibleActions("base torsor over the wrong group")
     gamma = v.source.gamma
     B = v.source
-    gens, relators = presentation(gamma)
+    gens = generating_set(gamma)
     fibers = [tuple(x for x in B.underlying.elements() if v(x) == q.cocycle(s))
               for s in gens]
     total = math.prod(map(len, fibers))
     if total > budget:
         raise BudgetExceeded(f"{total} candidate lifts exceed budget {budget}")
     # v o f and q are cocycles that agree on the generators, so v o f = q
-    lifts = _relator_search(gamma, B, gens, relators, fibers)
+    lifts = _cayley_search(gamma, B, gens, fibers)
     return tuple(
         RelativeClass(v, q, TorsorRep(B, CrossedHom(gamma, B, r, validate=False)))
         for r, _ in twist_classes(B, lifts, v.hom.kernel())

@@ -1,7 +1,8 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
 form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
-inverse-system recipe, and lattice H^1 by the relators of a presentation."""
+inverse-system recipe, and lattice H^1 by the Schreier relators of a
+generating set."""
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
@@ -121,10 +122,78 @@ def twist_classes_reference(coefficient, tables, by) -> tuple:
     return tuple(out)
 
 
+# A word is a tuple of letters: 2i stands for generator i and 2i + 1 for its
+# inverse, so letter ^ 1 is the inverse letter.
+
+
+def cyclically_reduced(word) -> tuple:
+    w = []
+    for x in word:
+        if w and w[-1] == x ^ 1:
+            w.pop()
+        else:
+            w.append(x)
+    i, j = 0, len(w)
+    while j - i > 1 and w[i] == w[j - 1] ^ 1:
+        i, j = i + 1, j - 1
+    return tuple(w[i:j])
+
+
+def schreier_relators(g: gr.FiniteGroup, gens) -> list:
+    """The Schreier relators w(x) s w(xs)^-1 of the non-tree edges of the
+    Cayley graph's BFS spanning tree, w(x) the tree word of x, freely and
+    cyclically reduced (a conjugate has the same normal closure) and sorted
+    by (length, word).  By Reidemeister-Schreier they present g."""
+    words = {0: ()}
+    found = set()
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            row, wx = g.rows[x], words[x]
+            for i, s in enumerate(gens):
+                t = row[s]
+                if t not in words:
+                    words[t] = wx + (2 * i,)
+                    new.append(t)
+                else:
+                    inv_t = tuple(y ^ 1 for y in reversed(words[t]))
+                    found.add(cyclically_reduced(wx + (2 * i,) + inv_t))
+        frontier = new
+    if len(words) != g.order:
+        raise gr.InvalidGroup("the generators do not reach every element")
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+def schreier_presentation(g: gr.FiniteGroup) -> tuple:
+    """(gens, relators): generating_set(g) and all its Schreier relators."""
+    gens = gr.generating_set(g)
+    return gens, tuple(schreier_relators(g, gens))
+
+
+def relator_letters(gamma: gr.FiniteGroup, gens, w) -> list:
+    """(i, h, inverted) per letter gens[i]^(+-1) of the relator w: by the
+    cocycle law f(w) is the product of the (h . f(gens[i]))^(+-1), h the
+    prefix of w before the letter, times gens[i]^-1 if the letter is one."""
+    grows, inverses = gamma.rows, gamma.inverses
+    out, x = [], 0
+    for letter in w:
+        i = letter >> 1
+        if letter & 1:
+            x = grows[x][inverses[gens[i]]]
+            out.append((i, x, True))
+        else:
+            out.append((i, x, False))
+            x = grows[x][gens[i]]
+    if x != 0:
+        raise ValueError("a relator does not evaluate to the identity")
+    return out
+
+
 def relator_rows(gamma, mats, r: int, gens, relators) -> list:
     """Constraint rows on the cocycle values at the generators, r per relator.
 
-    Written additively (see cohomology._letters), f(w) = 0 is the sum of
+    Written additively (see relator_letters), f(w) = 0 is the sum of
     +-rho(h) f(s_i) over the letters of w, with the Fox derivatives of the
     relator as coefficients (Fox, "Free differential calculus I", Ann. Math.
     1953): r rows of Python ints over the len(gens) * r unknowns f(s).
@@ -134,7 +203,7 @@ def relator_rows(gamma, mats, r: int, gens, relators) -> list:
     constraints = []
     for w in relators:
         block = [[0] * width for _ in range(r)]
-        for i, h, inverted in co._letters(gamma, gens, w):
+        for i, h, inverted in relator_letters(gamma, gens, w):
             nz = nonzeros.get(h)
             if nz is None:
                 nz = nonzeros[h] = [
@@ -172,10 +241,11 @@ def h1_from_rows(mats, gens, rows) -> co.CohomologyGroup:
     return co.CohomologyGroup(tuple(sorted(d for d in s.diagonal if d != 1)))
 
 
-def h1_by_relators(gamma, lattice, presentation=gr.presentation) -> co.CohomologyGroup:
+def h1_by_relators(gamma, lattice, presentation=schreier_presentation) -> co.CohomologyGroup:
     """Lattice H^1 by a second route, independent of the coboundary SNF of
-    cohomology.h1_abelian: the relator rows of presentation(gamma), their
-    saturated kernel, the coboundaries' coordinates in it and an SNF."""
+    cohomology.h1_abelian: the relator rows of presentation(gamma), by
+    default every Schreier relator, their saturated kernel, the
+    coboundaries' coordinates in it and an SNF."""
     if lattice.rank == 0:
         return co.CohomologyGroup(())
     gens, relators = presentation(gamma)

@@ -191,6 +191,24 @@ def test_criterion_11_product_h1():
         assert row["product_count"] == prod
 
 
+def test_criterion_11_refutes_a_product_paired_with_other_factors():
+    # C2 x V4 with C2 acting trivially has 2 * 4 classes; V4 with its two
+    # factors swapped is induced from the trivial group and has 1, so the
+    # same product paired with the swapping factor must refute
+    c2 = gr.cyclic_group(2)
+    v4 = gr.direct_product(c2, c2)  # index a + 2b
+    trivial = [co.trivial_gamma_group(c2, g) for g in (c2, v4)]
+    swapped = [trivial[0], co.GammaGroup(c2, v4, [v4.elements(), (0, 2, 1, 3)])]
+    product = co.gamma_group_product(trivial)
+    assert pc.check_product_h1([(product, trivial)]).verdict == "verified"
+    r = pc.check_product_h1([(product, trivial), (product, swapped)])
+    assert r.verdict == "refuted"
+    assert r.evidence == [
+        {"factor_counts": [2, 4], "product_count": 8, "bijective": True},
+        {"factor_counts": [2, 1], "product_count": 8, "bijective": False},
+    ]
+
+
 # sha256 of the stdout of `torsor-lab suite checks`, the whole report
 SUITE_CHECKS_STDOUT_SHA256 = "dee73a1079b9ac58a43d272065e04c4f956d7fb1bea3e0aaaa9919174e5f02b2"
 

@@ -463,6 +463,23 @@ def test_suite_command_with_fast_checks(fixtures, capsys, monkeypatch):
     ]
 
 
+def test_suite_command_reports_a_raising_check_as_error(capsys, monkeypatch):
+    from torsorlab import checks as pc
+
+    def raising():
+        raise RuntimeError("broken check")
+
+    fast = tuple((name, fn) for name, fn in pc.ALL_CHECKS if name == "tame-norm-unit-index")
+    monkeypatch.setattr(pc, "ALL_CHECKS", fast + (("raising", raising),))
+    results = pc.run_suite()
+    assert [r.verdict for r in results] == ["verified", "error"]
+    assert results[1].evidence == {"exception": "RuntimeError('broken check')"}
+    monkeypatch.setattr(cli, "run_suite", pc.run_suite)
+    code, rep = run_cli(capsys, ["suite", "checks"])
+    assert code == cli.EXIT_REFUTED and rep["verdict"] == "refuted"
+    assert [e["verdict"] for e in rep["evidence"]["entries"]] == ["verified", "error"]
+
+
 def test_dichotomy_horizon_zero_reports_unknown():
     from torsorlab import checks as pc
 

@@ -190,91 +190,23 @@ def test_generating_set():
     assert gr.generating_set(gr.trivial_group()) == (0,)
 
 
-def _evaluate(g, gens, word):
-    # through the table alone: the inverse of s is the column of 0 in row s
-    x = 0
-    for letter in word:
-        s = gens[letter // 2]
-        x = g.rows[x][g.rows[s].index(0) if letter % 2 else s]
-    return x
-
-
-def _reduced(word):
-    return (all(a != b ^ 1 for a, b in zip(word, word[1:]))
-            and (len(word) < 2 or word[0] != word[-1] ^ 1))
-
-
-def test_presentation_on_catalog():
-    for name, g in catalog.group_catalog(24):
-        gens, relators = gr.presentation(g)
-        assert gens == gr.generating_set(g) and gr.presentation(g)[1] is relators
-        assert relators and all(_reduced(w) for w in relators), name
-        assert all(0 <= x < 2 * len(gens) for w in relators for x in w), name
-        assert all(_evaluate(g, gens, w) == 0 for w in relators), name
-        limit = gr.COSET_LIMIT_FACTOR * g.order
-        assert gr.coset_count(len(gens), relators, limit) == g.order, name
-        # pruned: without any one relator the enumeration no longer counts |g|
-        for i in range(len(relators)):
-            rest = relators[:i] + relators[i + 1:]
-            assert gr.coset_count(len(gens), rest, limit) != g.order, name
-    assert len(gr.presentation(gr.symmetric_group(4))[1]) == 3
-
-
-def test_coset_count_on_known_presentations():
-    a, b, bi = 0, 2, 3
-    assert gr.coset_count(1, [(a,) * 7], 100) == 7
-    assert gr.coset_count(2, [(a,) * 3, (b, b), (a, b, a, b)], 100) == 6  # S3
-    assert gr.coset_count(2, [(a,) * 2, (b,) * 3, (a, b) * 5], 1000) == 60  # A5
-    assert gr.coset_count(2, [(a,) * 4, (a, a, bi, bi), (bi, a, b, a)], 100) == 8  # Q8
-    d4 = [(a,) * 4, (b, b), (a, b, a, b)]
-    assert gr.coset_count(2, d4, 100) == 8
-    # negative controls: D4 without any one of its relators does not count 8,
-    # the infinite dihedral group hits the cap, and the cap is a cap even
-    # where the group is finite
-    for i in range(len(d4)):
-        assert gr.coset_count(2, d4[:i] + d4[i + 1:], 100) != 8
-    assert gr.coset_count(2, [(a, a), (b, b)], 1000) is None
-    assert gr.coset_count(2, [(a,) * 2, (b,) * 3, (a, b) * 5], 30) is None
-
-
-def test_presentation_falls_back_to_every_schreier_relator(monkeypatch):
-    # no enumeration may define a coset: the relators are then all the
-    # Schreier relators, complete by Reidemeister-Schreier
-    monkeypatch.setattr(gr, "COSET_LIMIT_FACTOR", 0)
-    s4 = gr.symmetric_group(4)
-    gens, relators = gr.presentation(s4)
-    assert list(relators) == gr._schreier_relators(s4, gens)
-    assert len(relators) > 3
-    assert all(_evaluate(s4, gens, w) == 0 for w in relators)
-    assert gr.coset_count(len(gens), relators, 200) == 24
-    m = lt.permutation_lattice(gs.coset_gset(s4, (0,)))
-    h1 = co.h1_abelian(s4, lt.ZGLattice(s4, m.rho, validate=False))
-    assert h1.is_trivial
-
-
-def test_generators_alone_need_no_presentation(monkeypatch):
-    # generating_set is computed once per group, and the callers that need
-    # only generators never run a coset enumeration
-    def refuse(*args):
-        raise AssertionError("coset enumeration")
-
-    monkeypatch.setattr(gr, "coset_count", refuse)
+def test_generators_alone_need_no_presentation():
+    # generating_set is computed once per group, and is all that cocycles
+    # and lattice H^1 read of the acting group
     c2, s3 = gr.cyclic_group(2), gr.symmetric_group(3)
     assert gr.generating_set(s3) is gr.generating_set(s3)
-    co.CrossedHom.from_generators(s3, co.trivial_gamma_group(s3, c2),
-                                  dict.fromkeys(gr.generating_set(s3), 0))
-    lt.permutation_lattice(gs.coset_gset(s3, (0,)))
-    assert c2._presentation is None and s3._presentation is None
-    # lattice H^1 reads the coboundary map on the generators alone
+    f = co.CrossedHom.from_generators(s3, co.trivial_gamma_group(s3, c2),
+                                      dict.fromkeys(gr.generating_set(s3), 0))
+    assert f.values == (0,) * 6
     s4 = gr.symmetric_group(4)
     assert co.h1_abelian(s4, lt.permutation_lattice(gs.coset_gset(s4, (0, 1)))).is_trivial
-    assert s4._presentation is None
+    assert gr.generating_set(s4) is gr.generating_set(s4)
 
 
 def test_memoized_work_calls_no_public_function(monkeypatch):
-    # the first call on a group computes its generating set and its
-    # presentation, the second reads them; both must make the same calls to
-    # the public functions (perfbench's traced runs compare call counts)
+    # the first call on a group computes its generating set, the second
+    # reads it; both must make the same calls to the public functions
+    # (perfbench's traced runs compare call counts)
     originals = {n: getattr(gr, n) for n in ("generating_set", "generated_subgroup")}
     calls = []
 
@@ -293,13 +225,17 @@ def test_memoized_work_calls_no_public_function(monkeypatch):
     m = lt.ZGLattice(s4, rho, validate=False)
     s3 = gr.symmetric_group(3)
     n = co.trivial_gamma_group(s3, gr.cyclic_group(2))
-    for work in (lambda: co.h1_abelian(s4, m), lambda: co.enumerate_cocycles(s3, n)):
+    # enumerate_cocycles checks the action first, unmemoized: check_action
+    # and the automorphism loop read generating_set(s3), and the hom check of
+    # each of the two generators' actions reads generating_set(c2)
+    for work, count in ((lambda: co.h1_abelian(s4, m), 1),
+                        (lambda: co.enumerate_cocycles(s3, n), 1 + 2 + 2)):
         runs = []
         for _ in range(2):
             calls.clear()
             work()
             runs.append(list(calls))
-        assert runs[0] == runs[1] == ["generating_set"]
+        assert runs[0] == runs[1] == ["generating_set"] * count
 
 
 def test_hom_validation():
