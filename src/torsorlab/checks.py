@@ -432,40 +432,48 @@ def check_lim1_dichotomy(horizon: int = 8) -> CheckResult:
 # 9. dual-oracle prime splitting
 
 
-def check_splitting_dual_oracle(target: int = 500) -> CheckResult:
+def splitting_fields():
+    """(abelian field, its period polynomial datum) for the first three
+    fields of degree 2..6 of each conductor, in unit_subgroups order."""
     conductors = [5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 24, 28,
                   32, 33, 35, 36, 40, 44, 45, 48, 60, 63, 65, 72, 84, 88, 100]
+    for m in conductors:
+        fields = [fld for fld in (nt.AbelianFieldDatum(m, h) for h in nt.unit_subgroups(m))
+                  if 2 <= fld.degree <= 6]
+        for fld in fields[:3]:
+            yield fld, nt.abelian_defining_polynomial(fld)
+
+
+def check_splitting_dual_oracle(target: int = 500, fields=None) -> CheckResult:
+    """The Dedekind route on the polynomial and the Frobenius-order route on
+    the field agree on the splitting of each unramified prime, for each
+    (AbelianFieldDatum, NumberFieldDatum) pair of `fields`, by default
+    splitting_fields().  A polynomial that defines another field refutes."""
     prime_pool = [p for p in nt.primes_up_to(60) if p > 2]
     prime_pool += [101, 151, 199, 503, 997, 1009, 2003, 4999, 7919, 9973]
     agreements = 0
     skipped_index = 0
     sum_rule_ok = True
     mismatch = []
-    for m in conductors:
-        subs = [h for h in nt.unit_subgroups(m)]
-        fields = []
-        for h in subs:
-            fld = nt.AbelianFieldDatum(m, h)
-            if 2 <= fld.degree <= 6:
-                fields.append(fld)
-        for fld in fields[:3]:
-            poly = nt.abelian_defining_polynomial(fld)
-            for p in prime_pool:
-                if agreements >= target * 2:
-                    break
-                if m % p == 0:
-                    continue
-                try:
-                    ded = nt.dedekind_split(poly, p)
-                except nt.IndexDivisor:
-                    skipped_index += 1
-                    continue
-                ab = nt.abelian_split(fld, p)
-                if ded.pairs != ab.pairs:
-                    mismatch.append({"m": m, "H": list(fld.subgroup), "p": p})
-                deg_ok = sum(e * f for e, f in ded.pairs) == fld.degree
-                sum_rule_ok = sum_rule_ok and deg_ok
-                agreements += 1
+    for fld, poly in splitting_fields() if fields is None else fields:
+        m = fld.conductor
+        for p in prime_pool:
+            if agreements >= target * 2:
+                break
+            if m % p == 0:
+                continue
+            try:
+                ded = nt.dedekind_split(poly, p)
+            except nt.IndexDivisor:
+                skipped_index += 1
+                continue
+            ab = nt.abelian_split(fld, p)
+            if ded.pairs != ab.pairs:
+                mismatch.append({"m": m, "H": list(fld.subgroup),
+                                 "poly": list(poly.poly), "p": p})
+            deg_ok = sum(e * f for e, f in ded.pairs) == fld.degree
+            sum_rule_ok = sum_rule_ok and deg_ok
+            agreements += 1
     ok = not mismatch and sum_rule_ok and agreements >= target
     return _result(
         "splitting-dual-oracle",

@@ -286,14 +286,21 @@ def _cayley_search(gamma: FiniteGroup, coeff: GammaGroup, gens, candidates) -> l
     return out
 
 
-def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
-                       budget: int = DEFAULT_BUDGET) -> tuple:
-    """All crossed homomorphisms gamma -> n, as sorted value tuples;
-    NotAction unless gamma acts on n by automorphisms."""
+def _budgeted_gens(gamma: FiniteGroup, n: GammaGroup, budget: int) -> tuple:
+    """generating_set(gamma); BudgetExceeded when the candidate values at
+    those generators, |n|^(number of gens), exceed budget."""
     gens = generating_set(gamma)
     total = n.underlying.order ** len(gens)
     if total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
+    return gens
+
+
+def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
+                       budget: int = DEFAULT_BUDGET) -> tuple:
+    """All crossed homomorphisms gamma -> n, as sorted value tuples;
+    NotAction unless gamma acts on n by automorphisms."""
+    gens = _budgeted_gens(gamma, n, budget)
     n.check_automorphisms()
     every = [n.underlying.elements()] * len(gens)
     return tuple(sorted(_cayley_search(gamma, n, gens, every)))
@@ -346,7 +353,14 @@ def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
 
 def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
                   budget: int = DEFAULT_BUDGET) -> NonabelianH1:
-    classes = twist_classes(n, enumerate_cocycles(gamma, n, budget), n.underlying.elements())
+    """The twist classes of the crossed homomorphisms gamma -> n.
+    BudgetExceeded comes first; then NotAction from the one automorphism
+    check, which twist_classes makes before it reads the searched tables
+    (the search itself needs no action to be by automorphisms)."""
+    gens = _budgeted_gens(gamma, n, budget)
+    every = [n.underlying.elements()] * len(gens)
+    tables = _cayley_search(gamma, n, gens, every)
+    classes = twist_classes(n, tables, n.underlying.elements())
     return NonabelianH1(
         tuple(CrossedHom(gamma, n, rep, validate=False) for rep, _ in classes),
         tuple(size for _, size in classes),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import neg
 
 from . import linalg as la
 from .groups import FiniteGroup, generating_set
@@ -62,17 +63,40 @@ def check_rho(group: FiniteGroup, mats, gens, error) -> None:
     s in gens and every h: when gens generate the group, induction on word
     length makes rho a homomorphism.  Where every row of rho(s) is a unit
     row e_j, rho(s) rho(h) is rho(h) with its rows permuted, read without
-    multiplying."""
+    multiplying; where every row is +-e_j, the rows are read with the signs
+    (see _signed_units)."""
     r = len(mats[0])
     if mats[0] != la.identity(r):
         raise error("identity must act as the identity matrix")
     for s in gens:
         ms, srow = mats[s], group.rows[s]
         unit = [row.index(1) for row in ms if row.count(0) == r - 1 and 1 in row]
+        signed = None if len(unit) == r else _signed_units(ms, r)
         for h, mh in enumerate(mats):
-            prod = tuple(map(mh.__getitem__, unit)) if len(unit) == r else la.matmul(ms, mh)
+            if len(unit) == r:
+                prod = tuple(map(mh.__getitem__, unit))
+            elif signed is not None:
+                prod = tuple(mh[j] if plus else tuple(map(neg, mh[j])) for j, plus in signed)
+            else:
+                prod = la.matmul(ms, mh)
             if prod != mats[srow[h]]:
                 raise error("rho is not multiplicative")
+
+
+def _signed_units(ms, r):
+    """[(j, row is +e_j)] when every row of the r x r matrix ms is e_j or
+    -e_j, else None: row i of ms times m is then +-(row j of m)."""
+    out = []
+    for row in ms:
+        if row.count(0) != r - 1:
+            return None
+        if 1 in row:
+            out.append((row.index(1), True))
+        elif -1 in row:
+            out.append((row.index(-1), False))
+        else:
+            return None
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Prime splitting, norm-image valuations, and tower certificates.
 
-Polynomials are little-endian integer coefficient tuples.  Splitting in
+Polynomials are little-endian integer coefficient tuples at the public
+helpers.  Arithmetic over F_p runs on trimmed int lists, reduced in place
+and taken mod p once per division (`_fp_rem`, `_fp_quo`, `_fp_gcd`); the
+Dedekind route and the period polynomials stay on lists.  Splitting in
 abelian fields is pure modular arithmetic on (conductor, unit subgroup)
 data; splitting via a defining polynomial goes through the Dedekind
 criterion, and the two routes cross-check each other.  The Dedekind route
@@ -40,30 +43,115 @@ class NotATower(ValueError):
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic, little-endian
+#
+# The public helpers take and return tuples.  Over F_p they wrap one kernel
+# on int lists: `_fp_rem`, `_fp_quo` and `_fp_gcd` reduce the dividend in
+# place and take coefficients mod p once per call, at the end, not once per
+# step.  A list over F_p is trimmed (no zero at the top) with its entries in
+# [0, p); the dividend of `_fp_rem` and `_fp_quo` may be any int list.
+
+
+def _trim(f):
+    """f with its zero top coefficients popped, in place."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _fp(f, p):
+    """A new trimmed list of the coefficients of f reduced mod p."""
+    return _trim([c % p for c in f])
+
+
+def _fp_rem(f, g, p, q=None):
+    """f mod g over F_p, computed in the list f and returned trimmed.
+
+    g is a trimmed list over F_p; the empty list is zero and raises
+    ZeroDivisionError.  Each step pops the top coefficient of f, which the
+    multiple of g cancels; the quotient coefficients go into q when given."""
+    if not g:
+        raise ZeroDivisionError
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = f.pop() * inv % p
+        if c:
+            if q is not None:
+                q[k] = c
+            for i in range(dg):
+                f[k + i] -= c * g[i]
+    f[:] = [c % p for c in f]
+    return _trim(f)
+
+
+def _fp_quo(f, g, p):
+    """The quotient of f by g over F_p, as a trimmed list; f is left alone."""
+    q = [0] * max(0, len(f) - len(g) + 1)
+    _fp_rem(list(f), g, p, q)
+    return _trim(q)
+
+
+def _fp_gcd(f, g, p):
+    """The monic gcd of f and g over F_p, by Euclid on remainders; the
+    inputs are left alone."""
+    f, g = _fp(f, p), _fp(g, p)
+    while g:
+        f, g = g, _fp_rem(f, g, p)
+    return _fp_monic(f, p)
+
+
+def _fp_monic(f, p):
+    """The list f over F_p scaled to lead 1: f itself when it is monic or
+    zero, else a new list."""
+    if not f or f[-1] == 1:
+        return f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _mul(f, g):
+    """The product of f and g over Z, as a list."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _fp_powmod(base, e, mod, p):
+    """base^e modulo the trimmed list mod over F_p, as a trimmed list, by
+    square and multiply from the top bit: every product is by base itself,
+    which for base x is a shift and one reduction step."""
+    base = _fp_rem(list(base), mod, p)
+    if not e:
+        return [1]
+    result = base
+    for bit in bin(e)[3:]:
+        result = _fp_rem(_mul(result, result), mod, p)
+        if bit == "1":
+            result = _fp_rem(_mul(result, base), mod, p)
+    return result
 
 
 def pnormalize(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
+    return tuple(_trim(list(f)))
 
 
 def pdegree(f) -> int:
-    f = pnormalize(f)
-    return len(f) - 1 if f else -1
+    return len(pnormalize(f)) - 1
 
 
 def pmod(f, p):
-    return pnormalize([c % p for c in f])
+    return tuple(_fp(f, p))
 
 
 def padd(f, g, p=None):
     n = max(len(f), len(g))
     out = [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    if p is not None:
-        out = [c % p for c in out]
-    return pnormalize(out)
+    return tuple(_trim(out) if p is None else _fp(out, p))
 
 
 def psub(f, g, p=None):
@@ -71,152 +159,114 @@ def psub(f, g, p=None):
 
 
 def pmul(f, g, p=None):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    if p is not None:
-        out = [c % p for c in out]
-    return pnormalize(out)
+    out = _mul(f, g)
+    return tuple(_trim(out) if p is None else _fp(out, p))
 
 
 def pdivmod(f, g, p=None):
     """Quotient and remainder of f by g, over F_p when p is given and over Z
     otherwise, where every quotient coefficient must be an integer."""
-    f, g = (pnormalize(f), pnormalize(g)) if p is None else (pmod(f, p), pmod(g, p))
+    if p is not None:
+        f, g = _fp(f, p), _fp(g, p)
+        q = [0] * max(0, len(f) - len(g) + 1)
+        r = _fp_rem(f, g, p, q)
+        return tuple(_trim(q)), tuple(r)
+    f, g = _trim(list(f)), pnormalize(g)
     if not g:
         raise ZeroDivisionError
-    f, lead, dg = list(f), g[-1], len(g) - 1
-    inv = None if p is None else pow(lead, -1, p)
+    lead, dg = g[-1], len(g) - 1
     q = [0] * max(0, len(f) - dg)
-    # each step pops the top coefficient, which cancels by construction; over
-    # F_p the others are reduced once, at the end
+    # each step pops the top coefficient, which cancels by construction
     for k in range(len(f) - 1 - dg, -1, -1):
-        top = f.pop()
-        if p is None:
-            c, r = divmod(top, lead)
-            if r:
-                raise ValueError("polynomial division is not exact over Z")
-        else:
-            c = top * inv % p
+        c, r = divmod(f.pop(), lead)
+        if r:
+            raise ValueError("polynomial division is not exact over Z")
         if c:
             q[k] = c
             for i in range(dg):
                 f[k + i] -= c * g[i]
-    return pnormalize(q), (pnormalize(f) if p is None else pmod(f, p))
-
-
-def _monic(f, p):
-    f = pmod(f, p)
-    if not f:
-        return f
-    inv = pow(f[-1], -1, p)
-    return pnormalize([(c * inv) % p for c in f])
+    return tuple(_trim(q)), tuple(_trim(f))
 
 
 def poly_gcd(f, g, p):
-    f, g = pmod(f, p), pmod(g, p)
-    while g:
-        f, g = g, pdivmod(f, g, p)[1]
-    return _monic(f, p)
+    return tuple(_fp_gcd(f, g, p))
 
 
 def ppow_mod(base, e, mod, p):
     """base^e modulo mod over F_p.  Each product is one list, reduced in
-    place by the monic multiple of mod: the top coefficient c of degree
-    k >= n = deg mod folds down as c x^k = -c (mod - x^n) x^(k-n)."""
-    mod = _monic(mod, p)
-    if not mod:
-        raise ZeroDivisionError
-    n = len(mod) - 1
-    low = [-c for c in mod[:n]]
-
-    def reduce(out):
-        for k in range(len(out) - 1 - n, -1, -1):
-            c = out.pop() % p
-            if c:
-                for i in range(n):
-                    out[k + i] += c * low[i]
-        out = [c % p for c in out]
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    def mulmod(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return reduce(out)
-
-    result = [1]
-    base = reduce(list(base))
-    while e > 0:
-        if e & 1:
-            result = mulmod(result, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    return tuple(result)
+    place by `_fp_rem`."""
+    return tuple(_fp_powmod(base, e, _fp(mod, p), p))
 
 
 def pderiv(f, p):
-    return pnormalize([(i * f[i]) % p for i in range(1, len(f))])
+    return pmod([i * f[i] for i in range(1, len(f))], p)
 
 
 # ---------------------------------------------------------------------------
-# factorization over the p-element field
+# factorization over the p-element field, on lists over F_p
 
 
 def _squarefree_decomposition(f, p):
-    """[(g, multiplicity)] with f = prod g^m, each g squarefree, up to lc."""
-    f = _monic(f, p)
+    """[(g, multiplicity)] with f = prod g^m, each g squarefree; f is a
+    monic list over F_p and so is each g."""
     out = []
-    if pdegree(f) <= 0:
+    if len(f) <= 1:
         return out
-    c = poly_gcd(f, pderiv(f, p), p)
-    w = pdivmod(f, c, p)[0]
+    c = _fp_gcd(f, pderiv(f, p), p)
+    w = _fp_quo(f, c, p)
     i = 1
-    while pdegree(w) > 0:
-        y = poly_gcd(w, c, p)
-        fac = pdivmod(w, y, p)[0]
-        if pdegree(fac) > 0:
+    while len(w) > 1:
+        y = _fp_gcd(w, c, p)
+        fac = _fp_quo(w, y, p)
+        if len(fac) > 1:
             out.append((fac, i))
         w = y
-        c = pdivmod(c, y, p)[0]
+        c = _fp_quo(c, y, p)
         i += 1
-    if pdegree(c) > 0:
+    if len(c) > 1:
         # c is a p-th power; over the prime field the root keeps coefficients
-        root = pnormalize([c[j] for j in range(0, len(c), p)])
-        for g, m in _squarefree_decomposition(root, p):
+        for g, m in _squarefree_decomposition(c[::p], p):
             out.append((g, m * p))
     return out
 
 
 def _distinct_degree(f, p):
-    """[(product of irreducibles of degree d, d)] for squarefree monic f."""
+    """[(product of irreducibles of degree d, d)] for a squarefree monic list
+    f over F_p.
+
+    h runs through x^(p^d) mod g.  The first step is one power by square and
+    multiply.  The p-th power is additive and fixes F_p, so after it
+    h^p = sum h_i frob[i] mod g with frob[i] = x^(i p) mod g, and each later
+    step is one product of h with that table (the Berlekamp matrix)."""
     out = []
-    x = (0, 1)
-    h = x
+    h = [0, 1]
+    frob = None
     g = f
     d = 1
-    while pdegree(g) >= 2 * d:
-        h = ppow_mod(h, p, g, p)
-        gd = poly_gcd(psub(h, x, p), g, p)
-        if pdegree(gd) > 0:
+    while len(g) > 2 * d:
+        if frob is None:
+            h = _fp_powmod(h, p, g, p)
+            frob = [[1], h[:]]
+        else:
+            while len(frob) < len(g) - 1:
+                frob.append(_fp_rem(_mul(frob[-1], frob[1]), g, p))
+            hp = [0] * (len(g) - 1)
+            for a, col in zip(h, frob):
+                if a:
+                    for j, c in enumerate(col):
+                        hp[j] += a * c
+            h = _fp(hp, p)
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] -= 1
+        gd = _fp_gcd(h_minus_x, g, p)
+        if len(gd) > 1:
             out.append((gd, d))
-            g = pdivmod(g, gd, p)[0]
-            h = pdivmod(h, g, p)[1]
+            g = _fp_quo(g, gd, p)
+            h = _fp_rem(h, g, p)
+            frob = [_fp_rem(list(col), g, p) for col in frob[:len(g) - 1]]
         d += 1
-    if pdegree(g) > 0:
-        out.append((g, pdegree(g)))
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
     return out
 
 
@@ -250,8 +300,8 @@ def _equal_degree(f, d, p, rng):
 def _factor_stages(poly, p) -> list:
     """[(h, d, mult)]: the monic reduction of poly mod p is the product of the
     h^mult, each h a squarefree product of irreducibles of degree d."""
-    f = pmod(poly, p)
-    if pdegree(f) < 1:
+    f = _fp_monic(_fp(poly, p), p)
+    if len(f) < 2:
         return []
     out = []
     prod = (1,)
@@ -260,7 +310,7 @@ def _factor_stages(poly, p) -> list:
         for _ in range(mult):
             prod = pmul(prod, g, p)
     # exactness: the squarefree parts must reproduce the monic part
-    if prod != _monic(f, p):
+    if list(prod) != f:
         raise ValueError("the factors do not multiply back to the polynomial")
     return out
 
@@ -270,7 +320,7 @@ def factor_mod_p(poly, p) -> tuple:
     from the two stages and then the package's only equal-degree split
     (Cantor-Zassenhaus, randomized with a fixed seed)."""
     rng = random.Random(0)
-    out = [(irr, mult) for h, d, mult in _factor_stages(poly, p)
+    out = [(tuple(irr), mult) for h, d, mult in _factor_stages(poly, p)
            for irr in _equal_degree(h, d, p, rng)]
     return tuple(sorted(out, key=lambda t: (pdegree(t[0]), t[0])))
 
@@ -289,8 +339,8 @@ def _sympy_irreducible(poly) -> bool:
 
 
 def _monic_nonconstant(poly) -> tuple:
-    poly = pnormalize(tuple(int(c) for c in poly))
-    if pdegree(poly) < 1:
+    poly = tuple(_trim([int(c) for c in poly]))
+    if len(poly) < 2:
         raise NotIrreducible("polynomial must be nonconstant")
     if poly[-1] != 1:
         raise NotIrreducible("polynomial must be monic")
@@ -304,7 +354,7 @@ def _squarefree_prime(poly) -> int:
     that fails divides it.  So once the product of the failed primes exceeds
     the Hadamard bound |Res(f, f')| <= |f|_2^(n-1) |f'|_2^n, the
     discriminant is 0 and NotIrreducible is raised."""
-    n = pdegree(poly)
+    n = len(poly) - 1
     norm2 = sum(c * c for c in poly)
     deriv2 = sum((i * c) ** 2 for i, c in enumerate(poly))
     bound2 = norm2 ** (n - 1) * deriv2**n  # the bound, squared
@@ -341,7 +391,7 @@ class NumberFieldDatum:
 
     @property
     def degree(self) -> int:
-        return pdegree(self.poly)
+        return len(self.poly) - 1
 
 
 @dataclass(frozen=True)
@@ -370,22 +420,23 @@ def dedekind_split(fld: NumberFieldDatum, p: int) -> SplittingType:
     the index of the equation order."""
     if not _is_prime(p):
         raise ValueError(f"p={p} is not a prime")
-    # radical and cofactor, lifted to monic integer polynomials
-    g_bar = (1,)
+    poly = fld.poly
+    # radical and cofactor over F_p, read as monic integer polynomials
+    g_bar = [1]
     pairs = []
-    for h, d, mult in _factor_stages(fld.poly, p):
-        g_bar = pmul(g_bar, h, p)
-        pairs += [(mult, d)] * (pdegree(h) // d)
-    h_bar = pdivmod(fld.poly, g_bar, p)[0]
-    diff = psub(pmul(g_bar, h_bar), fld.poly)
+    for h, d, mult in _factor_stages(poly, p):
+        g_bar = _fp(_mul(g_bar, h), p)
+        pairs += [(mult, d)] * ((len(h) - 1) // d)
+    h_bar = _fp_quo(poly, g_bar, p)
+    diff = _mul(g_bar, h_bar)  # monic of degree deg poly, as g_bar divides it
+    for i, c in enumerate(poly):
+        diff[i] -= c
     if any(c % p for c in diff):
         raise ValueError("the radical does not divide the polynomial mod p")
-    t_poly = pmod([c // p for c in diff], p)
-    inner = poly_gcd(g_bar, h_bar, p)
-    test = poly_gcd(t_poly, inner, p)
-    if pdegree(test) > 0:
+    inner = _fp_gcd(g_bar, h_bar, p)
+    if len(_fp_gcd([c // p for c in diff], inner, p)) > 1:
         raise IndexDivisor(f"Dedekind test fails at p={p}")
-    return SplittingType(tuple(pairs), fld.degree)
+    return SplittingType(tuple(pairs), len(poly) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +588,14 @@ def _zdiv_exact(f, g):
 
 def reduce_to_conductor(fld: AbelianFieldDatum) -> AbelianFieldDatum:
     """Smallest modulus presenting the same field: divisors m' of m whose
-    reduction kernel lies inside the subgroup."""
+    reduction kernel lies inside the subgroup.  When that is m itself, fld
+    is returned as it is."""
     m = fld.conductor
     if m == 1:
         return fld
     hs = set(fld.subgroup)
     units = units_mod(m)
-    for mp in sorted(d for d in range(1, m + 1) if m % d == 0):
+    for mp in (d for d in range(1, m) if m % d == 0):
         if mp == 1:
             if hs == set(units):
                 return AbelianFieldDatum(1, (0,))
@@ -576,6 +628,8 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     if m == 1 or fld.degree == 1:
         return _period_field((0, 1))
     phi = cyclotomic_polynomial(m)
+    n = len(phi) - 1
+    phi_terms = [(i, a) for i, a in enumerate(phi[:n]) if a]
     units = units_mod(m)
     cosets = []
     seen = set()
@@ -601,7 +655,14 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
         ]
     out = []
     for c in coeffs:
-        c = pdivmod(c, phi)[1]
+        # fold c mod the monic Phi_m in place, top coefficient first:
+        # t x^(k + n) = -t (Phi_m - x^n) x^k, read on the nonzero terms
+        for k in range(m - 1 - n, -1, -1):
+            t = c.pop()
+            if t:
+                for i, a in phi_terms:
+                    c[k + i] -= t * a
+        _trim(c)
         if len(c) > 1:
             raise ValueError("period polynomial coefficient is not rational")
         out.append(c[0] if c else 0)

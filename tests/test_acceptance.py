@@ -19,6 +19,7 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
+from torsorlab import numtheory as nt
 
 # sha256 of the seed-0 suite's results as sorted-key JSON; a refactor that
 # changes any verdict or evidence byte changes it
@@ -172,6 +173,22 @@ def test_criterion_09_splitting_dual_oracle():
     assert r.evidence["comparisons"] >= 500
     assert not r.evidence["mismatches"]
     assert r.evidence["sum_rule"]
+
+
+def test_criterion_09_refutes_a_polynomial_of_another_field():
+    # Q(sqrt 5), conductor 5, paired with x^2 + 1, the period polynomial of
+    # Q(i): a prime that is 1 mod 5 and 3 mod 4 (11) splits in the field and
+    # stays inert for the polynomial, and 13 does the opposite
+    real = nt.AbelianFieldDatum(5, (1, 4))
+    gauss = nt.abelian_defining_polynomial(nt.AbelianFieldDatum(4, (1,)))
+    own = nt.abelian_defining_polynomial(real)
+    assert gauss.poly == (1, 0, 1) and gauss.degree == real.degree == 2
+    assert pc.check_splitting_dual_oracle(20, [(real, own)]).verdict == "verified"
+    r = pc.check_splitting_dual_oracle(20, [(real, own), (real, gauss)])
+    assert r.verdict == "refuted" and r.evidence["sum_rule"]
+    pairs = {(row["m"], tuple(row["H"]), tuple(row["poly"])) for row in r.evidence["mismatches"]}
+    assert pairs == {(5, (1, 4), (1, 0, 1))}
+    assert {11, 13} <= {row["p"] for row in r.evidence["mismatches"]}
 
 
 def test_criterion_10_tame_norm_index():

@@ -39,6 +39,47 @@ def test_check_rho_refuses_permutation_matrices_that_are_no_action():
     lt.check_rho(c3, rho, gr.generating_set(c3), gr.NotAction)
 
 
+def _matmul_check(g, mats):
+    # the law read by multiplying every product out: the reference
+    for s in gr.generating_set(g):
+        for h, mh in enumerate(mats):
+            if la.matmul(mats[s], mh) != mats[g.rows[s][h]]:
+                raise ValueError("rho is not multiplicative")
+
+
+def test_check_rho_reads_signed_unit_rows(monkeypatch):
+    # a sign character times a permutation lattice: each rho(s) has rows
+    # +-e_j, read as signed rows of rho(h) without multiplying.  Flipping the
+    # sign of one row of one rho(s) must be refused, as the multiplying
+    # reference refuses it: rho'(s) rho(h) = D rho(s h) != rho(s h) for any
+    # h other than 1 and s, and |G| > 2 leaves one (on C2 the flip can be
+    # another character)
+    from torsorlab import catalog
+
+    matmul = la.matmul
+    read = 0
+    for _, g in catalog.group_catalog(12):
+        k = next((set(k) for k in gr.all_subgroups(g) if 2 * len(k) == g.order), None)
+        if k is None or g.order == 2:
+            continue
+        for h in gr.all_subgroups(g):
+            rho = lt.permutation_lattice(gs.coset_gset(g, h)).rho
+            rho = [r if x in k else tuple(tuple(-v for v in row) for row in r)
+                   for x, r in enumerate(rho)]
+            monkeypatch.setattr(la, "matmul", None)  # not reached
+            lt.ZGLattice(g, rho)
+            monkeypatch.setattr(la, "matmul", matmul)
+            _matmul_check(g, rho)
+            s = next(s for s in gr.generating_set(g) if s not in k)
+            flipped = list(rho)
+            flipped[s] = (tuple(-v for v in rho[s][0]),) + rho[s][1:]
+            for check in (lambda: lt.ZGLattice(g, flipped), lambda: _matmul_check(g, flipped)):
+                with pytest.raises(ValueError, match="not multiplicative"):
+                    check()
+            read += 1
+    assert read > 50
+
+
 def test_permutation_lattice_and_fixed_rank():
     s3 = gr.symmetric_group(3)
     m = lt.permutation_lattice(gs.conjugation_twist(s3))

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import Counter
 
 import pytest
 import sympy
@@ -93,6 +94,76 @@ def test_pdivmod_over_z_raises_exactly_when_the_quotient_is_not_integral(f, g, l
     else:
         with pytest.raises(ValueError, match="not exact"):
             nt.pdivmod(f, g)
+
+
+_FP_PRIMES = st.sampled_from((2, 3, 5, 7, 13, 9973))
+
+
+@st.composite
+def _raw_dividend(draw):
+    # negative coefficients, zero top coefficients and top multiples of p
+    return draw(_COEFFS) + draw(st.lists(st.sampled_from((0, 1, -2)), max_size=3))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_raw_dividend(), _COEFFS, _FP_PRIMES)
+@example([0, 0, 0], [5], 5)
+@example([-1, 0, 0, 0], [2, 0, 4], 2)
+def test_fp_kernel_agrees_with_the_tuple_helpers_and_sympy(f, g, p):
+    # _fp_rem and _fp_quo divide by a trimmed divisor over F_p; the dividend
+    # may be any int list, with its top a multiple of p or zero
+    raw = [c * p for c in f[len(f) // 2:]]  # a top that vanishes mod p
+    f = f + raw
+    g_fp = nt._fp(g, p)
+    if not g_fp:
+        for divide in (nt._fp_rem, nt._fp_quo):
+            with pytest.raises(ZeroDivisionError):
+                divide(list(f), g_fp, p)
+        with pytest.raises(ZeroDivisionError):
+            nt.pdivmod(f, g, p)
+        return
+    left = list(f)
+    r = nt._fp_rem(left, g_fp, p)
+    assert r is left  # the remainder is computed in the list it was given
+    q = nt._fp_quo(f, g_fp, p)
+    for out in (q, r):
+        assert all(0 <= c < p for c in out) and (not out or out[-1])
+    assert (tuple(q), tuple(r)) == nt.pdivmod(f, g, p)
+    assert nt.padd(nt.pmul(q, g_fp, p), r, p) == nt.pmod(f, p)
+    sq, sr = sympy.div(_sympy_poly(f, modulus=p), _sympy_poly(g, modulus=p))
+    assert (tuple(q), tuple(r)) == (nt.pmod(_little_endian(sq), p), nt.pmod(_little_endian(sr), p))
+    gcd = nt._fp_gcd(f, g, p)
+    assert tuple(gcd) == nt.poly_gcd(f, g, p)
+    assert gcd and gcd[-1] == 1  # g is nonzero mod p, so the gcd is monic
+    sgcd = _sympy_poly(f, modulus=p).gcd(_sympy_poly(g, modulus=p))
+    assert tuple(gcd) == nt.pmod(_little_endian(sgcd), p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_raw_dividend(), _FP_PRIMES)
+def test_fp_gcd_with_zero_is_the_monic_other_input(f, p):
+    zero = [0, p, -p]  # vanishes mod p
+    monic = nt._fp_monic(nt._fp(f, p), p)
+    assert nt._fp_gcd(f, zero, p) == nt._fp_gcd(zero, f, p) == monic
+    assert nt._fp_gcd(zero, zero, p) == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(1, 3), _FP_PRIMES)
+@example([1, 0, 0, 0, 1, 0, 1], 1, 9973)
+def test_factor_stages_agree_with_sympy(coeffs, power, p):
+    # the squarefree and distinct-degree stages on lists, with the Frobenius
+    # table from d = 2 on, against the product of sympy's irreducible
+    # factors of each degree and multiplicity
+    poly = nt.pmul(coeffs + [1], coeffs[:2] + [1])
+    for _ in range(power - 1):
+        poly = nt.pmul(poly, coeffs + [1])
+    expected = {}
+    for irr, mult in sympy_factor_mod(poly, p):
+        key = (nt.pdegree(irr), mult)
+        expected[key] = nt.pmul(expected.get(key, (1,)), irr, p)
+    got = {(d, mult): tuple(h) for h, d, mult in nt._factor_stages(poly, p)}
+    assert got == expected
 
 
 def _perfbench_workloads():
@@ -344,6 +415,57 @@ def test_dedekind_split_agrees_with_the_full_factorization(case):
         assert got is expected
 
 
+def test_split_path_makes_no_tuple_division(monkeypatch):
+    # the seed-1 benchmark split cases of one conductor, after a first call
+    # that fills the cached cyclotomic polynomials (an exact division over Z,
+    # which is exempt): no division over F_p goes through the tuple helper
+    # and no tuple is re-normalized; pmod is read by the derivative alone
+    wl = _perfbench_workloads()
+    cases = [c.args for c in wl.build("tables-primes", 1)
+             if c.kind == "split" and c.args[0] == 40]
+    assert len(cases) > 10
+
+    def run():
+        for m, h, p in cases:
+            fld = nt.AbelianFieldDatum(m, h)
+            ded = nt.dedekind_split(nt.abelian_defining_polynomial(fld), p)
+            assert ded.pairs == nt.abelian_split(fld, p).pairs
+
+    run()
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            over_fp = name == "pdivmod" and len(args) > 2 and args[2] is not None
+            calls[name + " over F_p" if over_fp else name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("pdivmod", "pmod", "pnormalize", "pderiv"):
+        monkeypatch.setattr(nt, name, counted(name, getattr(nt, name)))
+    run()
+    assert calls["pdivmod over F_p"] == calls["pnormalize"] == 0
+    assert calls["pmod"] == calls["pderiv"] > 0
+    # the counters are live: the equal-degree split divides through pdivmod
+    nt.factor_mod_p((1, 0, 1), 5)
+    assert calls["pdivmod over F_p"] > 0
+
+
+def test_the_dedekind_checks_can_fire(monkeypatch):
+    # negative controls: stages that lose a factor fail the multiply-back
+    # check, and a radical that does not divide the polynomial is refused
+    fld = nt.NumberFieldDatum((1, 0, 1))
+    stages = nt._squarefree_decomposition
+    monkeypatch.setattr(nt, "_squarefree_decomposition", lambda f, p: stages(f, p)[:-1])
+    with pytest.raises(ValueError, match="do not multiply back"):
+        nt.dedekind_split(fld, 3)
+    monkeypatch.undo()
+    # x + 1 does not divide x^2 + 1 mod 3: (x + 1)(x + 2) - (x^2 + 1) = 3x + 1
+    monkeypatch.setattr(nt, "_factor_stages", lambda poly, p: [([1, 1], 1, 1)])
+    with pytest.raises(ValueError, match="radical does not divide"):
+        nt.dedekind_split(fld, 3)
+
+
 def test_abelian_datum_and_split():
     ab = nt.AbelianFieldDatum(7, (1, 6))
     assert ab.degree == 3
@@ -566,9 +688,12 @@ def test_reduce_to_conductor():
     # (8, {1,5}) presents Q(i), true conductor 4
     red = nt.reduce_to_conductor(nt.AbelianFieldDatum(8, (1, 5)))
     assert red.conductor == 4 and red.subgroup == (1,)
-    # primitive data are left alone
+    # primitive data are left alone: the datum itself comes back, built and
+    # validated once
     prim = nt.AbelianFieldDatum(8, (1, 3))
-    assert nt.reduce_to_conductor(prim) == prim
+    assert nt.reduce_to_conductor(prim) is prim
+    prime = nt.AbelianFieldDatum(7, (1, 6))
+    assert nt.reduce_to_conductor(prime) is prime
     # whole unit group reduces to the rational field
     assert nt.reduce_to_conductor(nt.AbelianFieldDatum(12, (1, 5, 7, 11))).conductor == 1
     # splitting is conductor-independent
