@@ -70,10 +70,10 @@ def check_rho(group: FiniteGroup, mats, gens, error) -> None:
         raise error("identity must act as the identity matrix")
     for s in gens:
         ms, srow = mats[s], group.rows[s]
-        unit = [row.index(1) for row in ms if row.count(0) == r - 1 and 1 in row]
-        signed = None if len(unit) == r else _signed_units(ms, r)
+        unit = _unit_rows(ms)
+        signed = None if unit is not None else _signed_units(ms, r)
         for h, mh in enumerate(mats):
-            if len(unit) == r:
+            if unit is not None:
                 prod = tuple(map(mh.__getitem__, unit))
             elif signed is not None:
                 prod = tuple(mh[j] if plus else tuple(map(neg, mh[j])) for j, plus in signed)
@@ -81,6 +81,14 @@ def check_rho(group: FiniteGroup, mats, gens, error) -> None:
                 prod = la.matmul(ms, mh)
             if prod != mats[srow[h]]:
                 raise error("rho is not multiplicative")
+
+
+def _unit_rows(ms):
+    """[j, ...] with row i of the square matrix ms the unit row e_j, when
+    every row is one, else None: ms m is then m with row i read from row j."""
+    r = len(ms)
+    unit = [row.index(1) for row in ms if row.count(0) == r - 1 and 1 in row]
+    return unit if len(unit) == r else None
 
 
 def _signed_units(ms, r):
@@ -106,7 +114,11 @@ class LatticeMap:
 
     `retraction`, when set, is an integral left inverse of `matrix` (see
     equivariant_sublattice).  With validate=False the caller vouches for
-    the matrix, in rows form, and for its equivariance.
+    the matrix, in rows form, and for its equivariance; otherwise m rho(s)
+    == rho(s) m is checked at each generator s, with the rows of m permuted
+    where the target's rho(s) is all unit rows and its columns permuted
+    where the source's rho(s) is a permutation matrix, instead of
+    multiplying.
     """
 
     source: ZGLattice
@@ -126,9 +138,7 @@ class LatticeMap:
         if self.source.group != self.target.group:
             raise NotEquivariant("source and target have different groups")
         for s in generating_set(self.source.group):
-            lhs = la.matmul(m, self.source.rho[s])
-            rhs = la.matmul(self.target.rho[s], m)
-            if lhs != rhs:
+            if _right_times(m, self.source.rho[s]) != _left_times(self.target.rho[s], m):
                 raise NotEquivariant("matrix does not commute with the action")
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
@@ -138,6 +148,24 @@ class LatticeMap:
             other.source, self.target, la.matmul(self.matrix, other.matrix),
             validate=False,
         )
+
+
+def _left_times(ms, m) -> tuple:
+    """ms m, read as rows of m where every row of ms is a unit row."""
+    unit = _unit_rows(ms)
+    return la.matmul(ms, m) if unit is None else tuple(map(m.__getitem__, unit))
+
+
+def _right_times(m, ms) -> tuple:
+    """m ms, read as m with its columns permuted where ms is a permutation
+    matrix: column j of m ms is column i of m when row i of ms is e_j."""
+    unit = _unit_rows(ms)
+    if unit is None or len(set(unit)) != len(unit):
+        return la.matmul(m, ms)
+    source = [0] * len(unit)
+    for i, j in enumerate(unit):
+        source[j] = i
+    return tuple(tuple(map(row.__getitem__, source)) for row in m)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> ZGLattice:
@@ -230,34 +258,82 @@ class ExactnessReport:
         )
 
 
-def exactness_report(seq) -> ExactnessReport:
-    """Exactness of a composable chain of maps, ends included.
+def joint_report(F, G, rank: int) -> JointReport:
+    """The joint of maps f, g with matrices F, G through a middle lattice of
+    the given rank: g f == 0, and im f against ker g.
 
-    At each joint f, g the coordinates X of im f in the saturated kernel K
-    of g exist exactly when g f == 0.  Then ker g / im f is the cokernel of
-    X: a free factor of it breaks equality after saturation, and any factor
-    breaks integral equality, which is what Hilbert-90 style arguments need.
+    The coordinates X of im f in the saturated kernel K of g exist exactly
+    when g f == 0.  Then ker g / im f is the cokernel of X: a free factor of
+    it breaks equality after saturation, and any factor breaks integral
+    equality, which is what Hilbert-90 style arguments need.  Where a
+    lattice is zero the joint is read off the shapes: with no columns in F,
+    im f = 0 and the joint is exact iff g is injective; with no rows in G,
+    ker g is everything and X = F.
     """
+    if not la.width(F):
+        injective = _injective(G, rank)
+        return JointReport(True, injective, injective)
+    if G:
+        K, W = la.saturated_kernel(G)
+        X = la.coordinates(K, W, F)
+        if X is None:
+            return JointReport(False, False, False)
+    else:
+        X = F
+    # no rows in X: ker g = 0 = im f
+    inv = la.cokernel_invariants(X, ambient_rank=len(X)) if X else ()
+    return JointReport(True, 0 not in inv, not inv)
+
+
+def _injective(M, rank: int) -> bool:
+    """Is the matrix of a map from a lattice of the given rank injective?"""
+    return rank == 0 or (bool(M) and la.rank(M) == rank)
+
+
+def _onto(M, rank: int) -> bool:
+    """Is the matrix of a map onto a lattice of the given rank onto?"""
+    return rank == 0 or (
+        la.width(M) > 0 and la.cokernel_invariants(M, ambient_rank=rank) == ()
+    )
+
+
+def kernel_sequence_exact(K, W, E) -> bool:
+    """Is 0 -> col K -> M -E-> F -> 0 exact, where M has rank len(K), F has
+    rank len(E) and W is the claimed retraction of K?
+
+    It is exactly when W K == I (K injective, from one sparse product), the
+    joint at M is exact (joint_report: col K = ker E) and E is onto.  No
+    action on col K is needed to decide it: once the sequence is exact,
+    col K = ker E, and the kernel of an equivariant map is G-stable, so
+    col K is a sublattice with group action whenever E is a validated
+    LatticeMap matrix.
+    """
+    return (
+        la.matmul(W, K) == la.identity(la.width(K))
+        and joint_report(K, E, len(K)).exact
+        and _onto(E, len(E))
+    )
+
+
+def exactness_report(seq) -> ExactnessReport:
+    """Exactness of a composable chain of maps, ends included: joint_report
+    at each joint, the first map injective and the last onto, each read off
+    the shapes where a lattice is zero."""
     maps = list(seq)
     if not maps:
         raise NotComposable("empty sequence")
     for f, g in zip(maps, maps[1:]):
         if f.target != g.source:
             raise NotComposable("maps do not compose")
-    joints = []
-    for f, g in zip(maps, maps[1:]):
-        # a map into the zero lattice has no rows; one zero row has its kernel
-        K, W = la.saturated_kernel(g.matrix or ((0,) * g.source.rank,))
-        X = la.coordinates(K, W, f.matrix)
-        if X is None:
-            joints.append(JointReport(False, False, False))
-            continue
-        inv = la.cokernel_invariants(X, ambient_rank=la.width(K))
-        joints.append(JointReport(True, 0 not in inv, not inv))
+    joints = tuple(
+        joint_report(f.matrix, g.matrix, g.source.rank) for f, g in zip(maps, maps[1:])
+    )
     first, last = maps[0], maps[-1]
-    first_inj = la.rank(first.matrix) == first.source.rank
-    last_surj = la.cokernel_invariants(last.matrix, ambient_rank=last.target.rank) == ()
-    return ExactnessReport(tuple(joints), first_inj, last_surj)
+    return ExactnessReport(
+        joints,
+        _injective(first.matrix, first.source.rank),
+        _onto(last.matrix, last.target.rank),
+    )
 
 
 def is_equivariant_iso(f: LatticeMap) -> bool:

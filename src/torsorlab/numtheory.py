@@ -475,10 +475,15 @@ def unit_subgroups(m: int) -> tuple:
 
 @dataclass(frozen=True)
 class AbelianFieldDatum:
-    """Subfield of the m-th cyclotomic field fixed by the unit subgroup."""
+    """Subfield of the m-th cyclotomic field fixed by the unit subgroup.
+
+    `units` is units_mod(conductor), computed once here for the readers of
+    the datum (reduce_to_conductor, abelian_defining_polynomial).
+    """
 
     conductor: int
     subgroup: tuple
+    units: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = int(self.conductor)
@@ -487,11 +492,12 @@ class AbelianFieldDatum:
         object.__setattr__(self, "subgroup", h)
         if m < 1:
             raise ValueError("conductor must be positive")
+        object.__setattr__(self, "units", units_mod(m))
         if m == 1:
             if h != (0,):
                 raise ValueError("trivial modulus needs the trivial subgroup")
             return
-        units = set(units_mod(m))
+        units = set(self.units)
         if not h or any(x not in units for x in h):
             raise ValueError("subgroup entries must be units")
         if 1 not in h:
@@ -594,7 +600,7 @@ def reduce_to_conductor(fld: AbelianFieldDatum) -> AbelianFieldDatum:
     if m == 1:
         return fld
     hs = set(fld.subgroup)
-    units = units_mod(m)
+    units = fld.units
     for mp in (d for d in range(1, m) if m % d == 0):
         if mp == 1:
             if hs == set(units):
@@ -630,10 +636,9 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     phi = cyclotomic_polynomial(m)
     n = len(phi) - 1
     phi_terms = [(i, a) for i, a in enumerate(phi[:n]) if a]
-    units = units_mod(m)
     cosets = []
     seen = set()
-    for u in units:
+    for u in fld.units:
         if u in seen:
             continue
         coset = tuple(sorted((u * h) % m for h in fld.subgroup))

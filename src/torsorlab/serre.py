@@ -35,6 +35,7 @@ from .lattices import (
     equivariant_sublattice,
     exactness_report,
     is_equivariant_iso,
+    kernel_sequence_exact,
     permutation_lattice,
     trivial_lattice,
     zero_lattice,
@@ -98,18 +99,23 @@ def _pair_equations(d: CMGaloisDatum, with_constant: bool) -> tuple:
     return la.int_rows(rows)
 
 
+def _xs_kernel(d: CMGaloisDatum, with_constant: bool) -> tuple[tuple, tuple]:
+    """X*(S) inside Z[G] + Z (with_constant) or X*(Sbar) inside Z[G] as
+    (K, W), from one saturated kernel of _pair_equations: the columns of K
+    are a basis of the lattice, and W is its retraction, W K = I.  Raises
+    InvalidDatum unless the rank is |G|/2 (+ 1 with the constant)."""
+    K, W = la.saturated_kernel(_pair_equations(d, with_constant))
+    if la.width(K) != d.half_order + (1 if with_constant else 0):
+        raise InvalidDatum("rank law violated")  # cannot happen for valid data
+    return K, W
+
+
 def _fibre_sums(coset_index, width: int, cosets: int) -> list:
     """The cosets x width matrix summing each coset's coordinates."""
     rows = [[0] * width for _ in range(cosets)]
     for s, c in enumerate(coset_index):
         rows[c][s] += 1
     return rows
-
-
-def _coordinates(inclusion: LatticeMap, vectors):
-    """Coordinates of the vectors (ambient rows) in the sublattice, or None."""
-    V = la.transpose(vectors)
-    return la.coordinates(inclusion.matrix, inclusion.retraction, V)
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,12 @@ class SerreData:
 
 
 def build_serre(d: CMGaloisDatum) -> SerreData:
-    """Character lattices of the Serre construction for one datum."""
+    """Character lattices of the Serre construction for one datum, with the
+    actions restricted to X*(S) and X*(Sbar) (equivariant_sublattice).
+
+    The sequence and CM-type checks read only the kernels (_xs_kernel); this
+    is the route by restriction that they are compared against.
+    """
     g = d.group
     n = g.order
     regular = _left_regular(g)
@@ -134,13 +145,22 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     xsbar, xsbar_inc = equivariant_sublattice(regular, _pair_equations(d, False))
     if xs.rank != d.half_order + 1 or xsbar.rank != d.half_order:
         raise InvalidDatum("rank law violated")  # cannot happen for valid data
-    weight = tuple([1] * n + [2])
-    if _coordinates(xs_inc, [weight]) is None:
-        raise InvalidDatum("the weight lies outside X*(S)")  # cannot happen
-    # the zero-condition lattice meets the weight axis trivially
-    if _coordinates(xsbar_inc, [[1] * n]) is not None:
-        raise InvalidDatum("X*(Sbar) meets the weight axis")  # cannot happen
+    weight = _check_weights(
+        n, (xs_inc.matrix, xs_inc.retraction), (xsbar_inc.matrix, xsbar_inc.retraction)
+    )
     return SerreData(regular, ambient, xs, xs_inc, xsbar, xsbar_inc, weight)
+
+
+def _check_weights(n: int, xs: tuple, xsbar: tuple) -> tuple:
+    """The weight (1, ..., 1, 2) in Z[G] + Z, after checking that it lies in
+    X*(S) and that X*(Sbar) meets the weight axis trivially; xs and xsbar
+    are (basis, retraction) pairs, as _xs_kernel gives them."""
+    weight = tuple([1] * n + [2])
+    if la.coordinates(*xs, la.transpose([weight])) is None:
+        raise InvalidDatum("the weight lies outside X*(S)")  # cannot happen
+    if la.coordinates(*xsbar, la.transpose([[1] * n])) is not None:
+        raise InvalidDatum("X*(Sbar) meets the weight axis")  # cannot happen
+    return weight
 
 
 @dataclass(frozen=True)
@@ -167,37 +187,39 @@ def _coset_restriction(d: CMGaloisDatum):
 
 
 def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
-    """Exactness of both character-lattice sequences attached to the datum."""
-    data = build_serre(d)
+    """Exactness of both character-lattice sequences attached to the datum:
+    0 -> X*(S) -> Z[G] + Z -> Z[Sigma_F] -> 0, with (m, c) sent to the fibre
+    sums of m minus c, and 0 -> X*(Sbar) -> Z[G] -> Z[Sigma_F] -> 0.
+
+    X*(S) and X*(Sbar) are read as saturated kernels with their retractions
+    (_xs_kernel), checked against the rank law and the weight, and each
+    sequence is decided by lattices.kernel_sequence_exact against the
+    validated, equivariant fibre-sum map.  No action is restricted to either
+    kernel and no Serre data is built: exactness makes each kernel G-stable
+    (see kernel_sequence_exact); build_serre is the route by restriction.
+    """
     g = d.group
     n = g.order
+    xs, xsbar = _xs_kernel(d, True), _xs_kernel(d, False)
+    _check_weights(n, xs, xsbar)
+    regular = _left_regular(g)
+    ambient = direct_sum(regular, trivial_lattice(g, 1))
     sigma_f, coset_index, _ = _coset_restriction(d)
     f_lat = permutation_lattice(sigma_f)
     # with the constants axis: (m, c) -> (sum over the fibre) - c
     eta = _fibre_sums(coset_index, n + 1, f_lat.rank)
     for row in eta:
         row[n] = -1
-    eta_map = LatticeMap(data.ambient, f_lat, eta)
-    seq1 = [
-        zero_map(zero_lattice(g), data.xs),
-        data.xs_inclusion,
-        eta_map,
-        zero_map(f_lat, zero_lattice(g)),
-    ]
-    rep1 = exactness_report(seq1)
+    eta_map = LatticeMap(ambient, f_lat, eta)
     # plain restriction
-    res_map = LatticeMap(data.regular, f_lat, _fibre_sums(coset_index, n, f_lat.rank))
-    seq2 = [
-        zero_map(zero_lattice(g), data.xsbar),
-        data.xsbar_inclusion,
-        res_map,
-        zero_map(f_lat, zero_lattice(g)),
-    ]
-    rep2 = exactness_report(seq2)
+    res_map = LatticeMap(regular, f_lat, _fibre_sums(coset_index, n, f_lat.rank))
     gg = d.half_order
-    ranks = (data.xs.rank, data.ambient.rank, f_lat.rank)
+    ranks = (la.width(xs[0]), ambient.rank, f_lat.rank)
     law = ranks == (gg + 1, 2 * gg + 1, gg)
-    return SequenceReport(ranks, law, rep1.exact, rep2.exact)
+    return SequenceReport(
+        ranks, law, kernel_sequence_exact(*xs, eta_map.matrix),
+        kernel_sequence_exact(*xsbar, res_map.matrix),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +443,6 @@ def _cm_type(d: CMGaloisDatum, phi) -> tuple:
     return phi
 
 
-def _xs_kernel(d: CMGaloisDatum) -> tuple[tuple, tuple]:
-    """X*(S) inside Z[G] + Z as (K, W): the columns of K are its basis, the
-    inclusion build_serre's xs_inclusion carries, and W is its retraction."""
-    K, W = la.saturated_kernel(_pair_equations(d, True))
-    if la.width(K) != d.half_order + 1:
-        raise InvalidDatum("rank law violated")  # cannot happen for valid data
-    return K, W
-
-
 def _type_vectors(d: CMGaloisDatum, phi: tuple) -> list:
     """The modified type sums, one per element of phi, then the conjugate
     sum, each in Z[G] + Z coordinates with the constant last."""
@@ -481,13 +494,13 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     one saturated kernel: no group action is restricted to it.
     """
     phi = _cm_type(d, phi)
-    return _type_report(d, _xs_kernel(d), phi)
+    return _type_report(d, _xs_kernel(d, True), phi)
 
 
 def cm_type_bases(d: CMGaloisDatum):
     """cm_type_basis for every CM type, in all_cm_types order, from one
     inclusion of X*(S) and its retraction."""
-    kernel = _xs_kernel(d)
+    kernel = _xs_kernel(d, True)
     for phi in all_cm_types(d):
         yield _type_report(d, kernel, _cm_type(d, phi))
 

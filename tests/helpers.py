@@ -1,15 +1,17 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
 form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
-inverse-system recipe, and lattice H^1 by the Schreier relators of a
-generating set."""
+inverse-system recipe, lattice H^1 by the Schreier relators of a
+generating set, and the Serre character sequences by restricted actions."""
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import invsys as iv
+from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
+from torsorlab import serre as sr
 
 
 def trivial_gset(g: gr.FiniteGroup, size: int) -> gs.GSet:
@@ -251,3 +253,36 @@ def h1_by_relators(gamma, lattice, presentation=schreier_presentation) -> co.Coh
     gens, relators = presentation(gamma)
     rows = relator_rows(gamma, lattice.rho, lattice.rank, gens, relators)
     return h1_from_rows(lattice.rho, gens, rows)
+
+
+def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
+    """serre.verify_serre_sequence by a second route: X*(S) and X*(Sbar) as
+    the equivariant sublattices of build_serre, with their restricted
+    actions, and each whole sequence, zero lattices at both ends, decided by
+    lattices.exactness_report."""
+    data = sr.build_serre(d)
+    g = d.group
+    n = g.order
+    sigma_f, coset_index, _ = sr._coset_restriction(d)
+    f_lat = lt.permutation_lattice(sigma_f)
+    zero = lt.zero_lattice(g)
+    # with the constants axis: (m, c) -> (sum over the fibre) - c
+    eta = sr._fibre_sums(coset_index, n + 1, f_lat.rank)
+    for row in eta:
+        row[n] = -1
+    exact = []
+    for sub, inclusion, middle, E in (
+        (data.xs, data.xs_inclusion, data.ambient, eta),
+        (data.xsbar, data.xsbar_inclusion, data.regular,
+         sr._fibre_sums(coset_index, n, f_lat.rank)),
+    ):
+        rep = lt.exactness_report([
+            lt.zero_map(zero, sub),
+            inclusion,
+            lt.LatticeMap(middle, f_lat, E),
+            lt.zero_map(f_lat, zero),
+        ])
+        exact.append(rep.exact)
+    ranks = (data.xs.rank, data.ambient.rank, f_lat.rank)
+    law = ranks == (d.half_order + 1, 2 * d.half_order + 1, d.half_order)
+    return sr.SequenceReport(ranks, law, *exact)

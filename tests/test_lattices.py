@@ -262,10 +262,15 @@ def _random_sequence(rng, c1):
 
 def test_exactness_report_matches_two_way_comparison():
     c1 = gr.trivial_group()
+    zero = lt.zero_lattice(c1)
     rng = random.Random(9)
     outcomes = set()
-    for _ in range(400):
+    for i in range(600):
         maps = _random_sequence(rng, c1)
+        if i % 3 == 0:
+            # zero-ended, as the short exact sequences are written
+            maps = ([lt.zero_map(zero, maps[0].source)] + maps
+                    + [lt.zero_map(maps[-1].target, zero)])
         rep = lt.exactness_report(maps)
         assert rep == _reference_exactness(maps)
         outcomes.update(
@@ -277,6 +282,27 @@ def test_exactness_report_matches_two_way_comparison():
     assert set(outcomes) == {
         (False, False, False), (True, False, False), (True, True, False), (True, True, True)
     }, outcomes
+
+
+def test_exactness_report_factors_no_empty_matrix(monkeypatch):
+    # the joints and ends at a zero lattice are read off the shapes: the
+    # blocks cases' twisted sequences, zero lattices at both ends, factor no
+    # matrix with no rows or no columns, and still reach the SNF
+    from torsorlab import serre as sr
+
+    snf = la.smith_normal_form
+    shapes = []
+
+    def counted(matrix, **kwargs):
+        shapes.append((len(matrix), la.width(matrix)))
+        return snf(matrix, **kwargs)
+
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    c2 = gr.cyclic_group(2)
+    for f in (gr.trivial_group(), c2, gr.cyclic_group(3), gr.direct_product(c2, c2),
+              gr.symmetric_group(3), gr.dihedral_group(4)):
+        assert sr.twist_serre(sr.CMGaloisDatum(gr.direct_product(f, c2), f.order)).exact
+    assert shapes and all(rows and cols for rows, cols in shapes), shapes
 
 
 def test_exactness_requires_composability():
@@ -305,6 +331,58 @@ def test_equivariance_enforced():
     with pytest.raises(lt.NotEquivariant):
         lt.LatticeMap(reg, sgn, [[1, 1]])
     lt.LatticeMap(reg, sgn, [[1, -1]])  # the norm-twisted projection is fine
+
+
+def test_equivariance_read_by_permuting_rows_and_columns(monkeypatch):
+    # between two permutation lattices both products are read without
+    # multiplying, and a matrix that fails to commute at a generator is
+    # refused all the same
+    s3 = gr.symmetric_group(3)
+    reg = lt.permutation_lattice(regular_gset(s3))
+    coset_set = gs.coset_gset(s3, gr.generated_subgroup(s3, [1]))
+    cosets = lt.permutation_lattice(coset_set)
+    # e_s -> the coset of s
+    to_cosets = [[0] * 6 for _ in range(cosets.rank)]
+    for s in s3.elements():
+        to_cosets[coset_set.apply(s, 0)][s] = 1
+    matmul = la.matmul
+    monkeypatch.setattr(la, "matmul", None)  # not reached
+    lt.LatticeMap(reg, cosets, to_cosets)
+    lt.LatticeMap(reg, reg, la.identity(6))
+    broken = [list(r) for r in to_cosets]
+    broken[0][0], broken[1][0] = broken[1][0], broken[0][0]
+    with pytest.raises(lt.NotEquivariant):
+        lt.LatticeMap(reg, cosets, broken)
+    with pytest.raises(lt.NotEquivariant):
+        lt.LatticeMap(reg, reg, [[1] + [0] * 5] + [[0] * 6] * 5)
+    monkeypatch.setattr(la, "matmul", matmul)
+    # the same verdicts by multiplying
+    for m, ok in ((to_cosets, True), (broken, False)):
+        m = la.int_rows(m)
+        assert ok == all(la.matmul(m, reg.rho[s]) == la.matmul(cosets.rho[s], m)
+                         for s in gr.generating_set(s3))
+
+
+def test_equivariance_of_unit_rows_with_a_repeated_column(monkeypatch):
+    # an unvalidated C2 "action" whose rho(1) has unit rows e_0, e_0: no
+    # permutation, so m rho(1) is multiplied out, and the verdict is
+    # matmul's, (a, b) rho(1) = (a + b, 0) against (a, b)
+    c2 = gr.cyclic_group(2)
+    src = lt.ZGLattice(c2, [la.identity(2), ((1, 0), (1, 0))], validate=False)
+    one = lt.trivial_lattice(c2, 1)
+    calls = []
+    matmul = la.matmul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(la, "matmul", counted)
+    lt.LatticeMap(src, one, [[1, 0]])
+    assert calls == [(((1, 0),), src.rho[1])]
+    with pytest.raises(lt.NotEquivariant):
+        lt.LatticeMap(src, one, [[0, 1]])
+    assert matmul(((0, 1),), src.rho[1]) != ((0, 1),)
 
 
 def test_direct_sum():

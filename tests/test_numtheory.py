@@ -432,6 +432,10 @@ def test_split_path_makes_no_tuple_division(monkeypatch):
             assert ded.pairs == nt.abelian_split(fld, p).pairs
 
     run()
+    # a datum computes its units once; one that is not at its conductor
+    # builds the reduced datum, which computes its own
+    reduced = sum(nt.reduce_to_conductor(nt.AbelianFieldDatum(m, h)).conductor != m
+                  for m, h, _ in cases)
     calls = Counter()
 
     def counted(name, f):
@@ -441,11 +445,12 @@ def test_split_path_makes_no_tuple_division(monkeypatch):
             return f(*args)
         return wrapper
 
-    for name in ("pdivmod", "pmod", "pnormalize", "pderiv"):
+    for name in ("pdivmod", "pmod", "pnormalize", "pderiv", "units_mod"):
         monkeypatch.setattr(nt, name, counted(name, getattr(nt, name)))
     run()
     assert calls["pdivmod over F_p"] == calls["pnormalize"] == 0
     assert calls["pmod"] == calls["pderiv"] > 0
+    assert calls["units_mod"] == len(cases) + reduced
     # the counters are live: the equal-degree split divides through pdivmod
     nt.factor_mod_p((1, 0, 1), 5)
     assert calls["pdivmod over F_p"] > 0
@@ -619,7 +624,8 @@ def test_inexact_division_raises():
 
 def test_period_polynomial_rejects_a_non_subgroup(monkeypatch):
     # {1, 2} is no subgroup of (Z/7)^*: its "periods" are not Galois-stable
-    fake = types.SimpleNamespace(conductor=7, subgroup=(1, 2), degree=3)
+    fake = types.SimpleNamespace(conductor=7, subgroup=(1, 2), degree=3,
+                                 units=nt.units_mod(7))
     monkeypatch.setattr(nt, "reduce_to_conductor", lambda fld: fake)
     with pytest.raises(ValueError, match="not rational"):
         nt.abelian_defining_polynomial(fake)

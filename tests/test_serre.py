@@ -4,10 +4,11 @@ import pytest
 
 from torsorlab import groups as gr
 from torsorlab import invsys as iv
+from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import serre as sr
 from torsorlab.catalog import central_involutions, group_catalog
-from helpers import bareiss_det
+from helpers import bareiss_det, serre_sequence_by_restriction
 
 
 def quad_datum():
@@ -152,7 +153,7 @@ def test_cm_type_bases_match_one_call_per_type():
 
 def test_basis_verdict_can_refute():
     d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
-    K, W = sr._xs_kernel(d)
+    K, W = sr._xs_kernel(d, True)
     vectors = sr._type_vectors(d, (0, 1))
     assert sr._basis_verdict(K, W, vectors) == (True, True)
     # twice the conjugate sum lies in X*(S), but the vectors span index 2
@@ -193,7 +194,7 @@ def test_cm_type_bases_agree_with_the_serre_data_route():
         for iota in central_involutions(g):
             d = sr.CMGaloisDatum(g, iota)
             data = sr.build_serre(d)
-            assert la.width(sr._xs_kernel(d)[0]) == data.xs.rank
+            assert la.width(sr._xs_kernel(d, True)[0]) == data.xs.rank
             for rep in sr.cm_type_bases(d):
                 want = _type_report_through_build_serre(d, data, rep.phi)
                 assert (rep.vectors, rep.in_lattice, rep.is_basis) == want
@@ -218,8 +219,8 @@ def test_cm_type_path_restricts_no_action(monkeypatch):
     sr.cm_type_basis(d, next(sr.all_cm_types(d)))
     assert len(list(sr.cm_type_bases(d))) == 2 ** d.half_order
     assert calls == Counter()
-    # the counters are live: the sequence path builds the Serre data
-    sr.verify_serre_sequence(d)
+    # the counters are live: the route by restriction restricts
+    sr.build_serre(d)
     assert calls["build_serre"] == 1 and calls["restricted_action"] >= 2
 
 
@@ -228,9 +229,109 @@ def test_coordinates_in_the_serre_lattice_can_fail():
     d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
     data = sr.build_serre(d)
     n = d.group.order
-    assert sr._coordinates(data.xs_inclusion, [[1] + [0] * n]) is None
-    X = sr._coordinates(data.xs_inclusion, [data.weight, [2] * n + [4]])
+    inc = data.xs_inclusion
+    assert la.coordinates(inc.matrix, inc.retraction, la.transpose([[1] + [0] * n])) is None
+    X = la.coordinates(inc.matrix, inc.retraction, la.transpose([data.weight, [2] * n + [4]]))
     assert X is not None and [r[1] for r in X] == [2 * r[0] for r in X]
+
+
+def test_serre_sequence_matches_the_route_by_restriction():
+    # the kernel route against exactness_report over build_serre's maps, on
+    # every CM datum of order <= 16
+    data = 0
+    for _, g in group_catalog(16):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            rep = sr.verify_serre_sequence(d)
+            assert rep == serre_sequence_by_restriction(d)
+            assert rep.rank_law_holds and rep.with_constant_exact and rep.quotient_exact
+            data += 1
+    assert data == 65
+
+
+def test_kernel_sequence_rule_can_refute():
+    s3 = gr.symmetric_group(3)
+    d = sr.CMGaloisDatum(gr.direct_product(s3, gr.cyclic_group(2)), s3.order)
+    n = d.group.order
+    _, coset_index, _ = sr._coset_restriction(d)
+    for with_constant in (True, False):
+        K, W = sr._xs_kernel(d, with_constant)
+        E = sr._fibre_sums(coset_index, len(K), n // 2)
+        if with_constant:
+            for row in E:
+                row[n] = -1
+        E = la.int_rows(E)
+        assert lt.kernel_sequence_exact(K, W, E)
+        # one row doubled: the same kernel, but E is not onto
+        doubled = (tuple(2 * x for x in E[0]),) + E[1:]
+        assert lt.joint_report(K, doubled, len(K)).exact
+        assert not lt.kernel_sequence_exact(K, W, doubled)
+        # 2K: ker E / im 2K is finite and nonzero
+        twice = tuple(tuple(2 * x for x in row) for row in K)
+        joint = lt.joint_report(twice, E, len(K))
+        assert joint.composite_zero and joint.image_equals_kernel_saturated
+        assert not joint.image_equals_kernel_integral and not joint.exact
+        assert not lt.kernel_sequence_exact(twice, W, E)
+        # a W that is no left inverse of K
+        assert not lt.kernel_sequence_exact(K, tuple(tuple(2 * x for x in r) for r in W), E)
+
+
+def test_the_serre_data_checks_can_fire(monkeypatch):
+    d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
+    n = d.group.order
+    xs, xsbar = sr._xs_kernel(d, True), sr._xs_kernel(d, False)
+    assert sr._check_weights(n, xs, xsbar) == (1,) * n + (2,)
+    # c = 0 added to the equations: the weight leaves X*(S)
+    no_weight = la.saturated_kernel(sr._pair_equations(d, True) + ((0,) * n + (1,),))
+    with pytest.raises(sr.InvalidDatum, match="weight lies outside"):
+        sr._check_weights(n, no_weight, xsbar)
+    # no equations: X*(Sbar) would be all of Z[G], which holds (1, ..., 1)
+    with pytest.raises(sr.InvalidDatum, match="weight axis"):
+        sr._check_weights(n, xs, la.saturated_kernel(((0,) * n,)))
+    # one pair's equation dropped (it comes twice, once per element): the
+    # kernels grow past the rank law
+    pair_equations = sr._pair_equations
+    monkeypatch.setattr(sr, "_pair_equations", lambda d, c: tuple(
+        row for s, row in enumerate(pair_equations(d, c)) if s not in (0, d.iota)))
+    with pytest.raises(sr.InvalidDatum, match="rank law"):
+        sr.verify_serre_sequence(d)
+    monkeypatch.setattr(sr, "_pair_equations", pair_equations)
+    # a fibre-sum map that is no longer equivariant, on each sequence
+    fibre_sums = sr._fibre_sums
+    for width in (n + 1, n):
+        def broken(coset_index, w, cosets, width=width):
+            rows = fibre_sums(coset_index, w, cosets)
+            if w == width:
+                rows[0] = [1] * w
+            return rows
+        monkeypatch.setattr(sr, "_fibre_sums", broken)
+        with pytest.raises(lt.NotEquivariant):
+            sr.verify_serre_sequence(d)
+    monkeypatch.setattr(sr, "_fibre_sums", fibre_sums)
+    sr.verify_serre_sequence(d)
+
+
+def test_sequence_path_restricts_no_action(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((la, "restricted_action"), (lt, "equivariant_sublattice"),
+                        (sr, "equivariant_sublattice"), (sr, "build_serre")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    s3 = gr.symmetric_group(3)
+    d = sr.CMGaloisDatum(gr.direct_product(s3, gr.cyclic_group(2)), s3.order)
+    rep = sr.verify_serre_sequence(d)
+    assert rep.with_constant_exact and rep.quotient_exact
+    assert calls == Counter()
+    # the counters are live
+    serre_sequence_by_restriction(d)
+    assert calls["build_serre"] == 1 and calls["equivariant_sublattice"] == 2
+    assert calls["restricted_action"] == 2
 
 
 def test_tower_recipe_validation():
