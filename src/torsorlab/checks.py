@@ -29,10 +29,6 @@ class CheckResult:
     verdict: str  # "verified" | "refuted" | "unknown-at-horizon" | "error"
     evidence: dict
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "verified"
-
 
 def _result(claim, criterion, ok, evidence) -> CheckResult:
     return CheckResult(claim, criterion, "verified" if ok else "refuted", evidence)

@@ -308,10 +308,13 @@ def cmd_serre_tower(args):
     )
 
 
+# the suite reads as its worst entry, in this order
+_SUITE_FOLD = ("refuted", "error", "unknown-at-horizon", "verified")
+
+
 def cmd_suite(args):
     results = run_suite(seed=args.seed, horizon=args.horizon)
     entries = []
-    all_ok = True
     for r in results:
         entries.append(
             {
@@ -322,13 +325,8 @@ def cmd_suite(args):
             }
         )
         print(f"[torsor-lab] {r.criterion:2d} {r.claim}: {r.verdict}", file=sys.stderr)
-        all_ok = all_ok and r.ok
-    rep = _report(
-        "verification-suite",
-        "verified" if all_ok else "refuted",
-        {"entries": entries},
-        args,
-    )
+    verdict = min((r.verdict for r in results), key=_SUITE_FOLD.index, default="verified")
+    rep = _report("verification-suite", verdict, {"entries": entries}, args)
     return _emit(rep, args)
 
 
@@ -344,6 +342,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative(text) -> int:
+    """--horizon and --budget: an integer >= 0, else a usage error (exit 3)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="torsor-lab",
@@ -352,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=32)
-    p.add_argument("--budget", type=int, default=co.DEFAULT_BUDGET)
+    p.add_argument("--horizon", type=_nonnegative, default=32)
+    p.add_argument("--budget", type=_nonnegative, default=co.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock milliseconds (breaks byte-for-byte "
                    "reproducibility of reports)")

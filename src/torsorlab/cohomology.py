@@ -21,7 +21,7 @@ from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
 from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
                      generating_set, subgroup_generating_set)
-from .lattices import ZGLattice, check_rho
+from .lattices import ZGLattice, _left_times, check_rho
 
 
 class NotCocycle(ValueError):
@@ -391,6 +391,8 @@ def twist_lattice(m: ZGLattice, f: CrossedHom, value_matrices) -> ZGLattice:
     the cocycle's value group on the lattice.
 
     Compatibility nu(t . x) rho(t) == rho(t) nu(x) is checked on generators.
+    Each product is read by lattices._left_times: as signed rows of the
+    right factor where the left one is monomial, else multiplied out.
     """
     n = f.coefficient
     nu = [la.int_rows(v) for v in value_matrices]
@@ -404,11 +406,9 @@ def twist_lattice(m: ZGLattice, f: CrossedHom, value_matrices) -> ZGLattice:
             raise NotAction("value matrices must match the lattice rank")
     for s in generating_set(gamma):
         for x in n.underlying.elements():
-            lhs = la.matmul(nu[n.act(s, x)], m.rho[s])
-            rhs = la.matmul(m.rho[s], nu[x])
-            if lhs != rhs:
+            if _left_times(nu[n.act(s, x)], m.rho[s]) != _left_times(m.rho[s], nu[x]):
                 raise NotAction("auxiliary action incompatible with the twist")
-    rho = [la.matmul(nu[f(t)], m.rho[t]) for t in gamma.elements()]
+    rho = [_left_times(nu[f(t)], m.rho[t]) for t in gamma.elements()]
     try:
         return ZGLattice(gamma, rho, validate=True)
     except ValueError as e:

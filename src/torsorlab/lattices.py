@@ -61,49 +61,45 @@ class ZGLattice:
 def check_rho(group: FiniteGroup, mats, gens, error) -> None:
     """Raise `error` unless rho(1) = I and rho(s h) = rho(s) rho(h) for each
     s in gens and every h: when gens generate the group, induction on word
-    length makes rho a homomorphism.  Where every row of rho(s) is a unit
-    row e_j, rho(s) rho(h) is rho(h) with its rows permuted, read without
-    multiplying; where every row is +-e_j, the rows are read with the signs
-    (see _signed_units)."""
-    r = len(mats[0])
-    if mats[0] != la.identity(r):
+    length makes rho a homomorphism.  The products rho(s) rho(h) over all h
+    come from one _left_products, which reads rho(s) once."""
+    if mats[0] != la.identity(len(mats[0])):
         raise error("identity must act as the identity matrix")
     for s in gens:
-        ms, srow = mats[s], group.rows[s]
-        unit = _unit_rows(ms)
-        signed = None if unit is not None else _signed_units(ms, r)
-        for h, mh in enumerate(mats):
-            if unit is not None:
-                prod = tuple(map(mh.__getitem__, unit))
-            elif signed is not None:
-                prod = tuple(mh[j] if plus else tuple(map(neg, mh[j])) for j, plus in signed)
-            else:
-                prod = la.matmul(ms, mh)
-            if prod != mats[srow[h]]:
-                raise error("rho is not multiplicative")
+        if _left_products(mats[s], mats) != [mats[t] for t in group.rows[s]]:
+            raise error("rho is not multiplicative")
 
 
-def _unit_rows(ms):
-    """[j, ...] with row i of the square matrix ms the unit row e_j, when
-    every row is one, else None: ms m is then m with row i read from row j."""
-    r = len(ms)
-    unit = [row.index(1) for row in ms if row.count(0) == r - 1 and 1 in row]
-    return unit if len(unit) == r else None
-
-
-def _signed_units(ms, r):
-    """[(j, row is +e_j)] when every row of the r x r matrix ms is e_j or
-    -e_j, else None: row i of ms times m is then +-(row j of m)."""
-    out = []
-    for row in ms:
-        if row.count(0) != r - 1:
+def _signed_rows(ms):
+    """(cols, minus) when every row i of the square matrix ms is e_j or
+    -e_j, with cols[i] = j and minus the set of rows i that are -e_j, else
+    None: row i of ms m is then +-(row cols[i] of m)."""
+    r = len(ms) - 1
+    cols, minus = [], set()
+    for i, row in enumerate(ms):
+        if row.count(0) != r:
             return None
         if 1 in row:
-            out.append((row.index(1), True))
+            cols.append(row.index(1))
         elif -1 in row:
-            out.append((row.index(-1), False))
+            cols.append(row.index(-1))
+            minus.add(i)
         else:
             return None
+    return cols, minus
+
+
+def _left_products(ms, mats) -> list:
+    """[ms m for m in mats]: where ms is monomial (_signed_rows), the rows
+    of m that ms picks out, negated where ms has -e_j; else multiplied out."""
+    signed = _signed_rows(ms)
+    if signed is None:
+        return [la.matmul(ms, m) for m in mats]
+    cols, minus = signed
+    out = [tuple(map(m.__getitem__, cols)) for m in mats]
+    if minus:
+        out = [tuple(tuple(map(neg, row)) if i in minus else row for i, row in enumerate(p))
+               for p in out]
     return out
 
 
@@ -115,10 +111,10 @@ class LatticeMap:
     `retraction`, when set, is an integral left inverse of `matrix` (see
     equivariant_sublattice).  With validate=False the caller vouches for
     the matrix, in rows form, and for its equivariance; otherwise m rho(s)
-    == rho(s) m is checked at each generator s, with the rows of m permuted
-    where the target's rho(s) is all unit rows and its columns permuted
-    where the source's rho(s) is a permutation matrix, instead of
-    multiplying.
+    == rho(s) m is checked at each generator s: rho(s) m is read as signed
+    rows of m where the target's rho(s) is monomial (_left_times), and
+    m rho(s) as m with its columns permuted where the source's rho(s) is a
+    permutation matrix (_right_times); other products are multiplied out.
     """
 
     source: ZGLattice
@@ -151,19 +147,19 @@ class LatticeMap:
 
 
 def _left_times(ms, m) -> tuple:
-    """ms m, read as rows of m where every row of ms is a unit row."""
-    unit = _unit_rows(ms)
-    return la.matmul(ms, m) if unit is None else tuple(map(m.__getitem__, unit))
+    """ms m for a square ms, read as signed rows of m where every row of ms
+    is +-e_j and multiplied out otherwise (_left_products)."""
+    return _left_products(ms, (m,))[0]
 
 
 def _right_times(m, ms) -> tuple:
     """m ms, read as m with its columns permuted where ms is a permutation
     matrix: column j of m ms is column i of m when row i of ms is e_j."""
-    unit = _unit_rows(ms)
-    if unit is None or len(set(unit)) != len(unit):
+    signed = _signed_rows(ms)
+    if signed is None or signed[1] or len(set(signed[0])) != len(ms):
         return la.matmul(m, ms)
-    source = [0] * len(unit)
-    for i, j in enumerate(unit):
+    source = [0] * len(ms)
+    for i, j in enumerate(signed[0]):
         source[j] = i
     return tuple(tuple(map(row.__getitem__, source)) for row in m)
 

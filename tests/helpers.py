@@ -2,7 +2,8 @@
 form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
-generating set, and the Serre character sequences by restricted actions."""
+generating set, the Serre character sequences by restricted actions, and
+lattice twists with every product multiplied out."""
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
@@ -286,3 +287,30 @@ def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
     ranks = (data.xs.rank, data.ambient.rank, f_lat.rank)
     law = ranks == (d.half_order + 1, 2 * d.half_order + 1, d.half_order)
     return sr.SequenceReport(ranks, law, *exact)
+
+
+def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, value_matrices) -> lt.ZGLattice:
+    """cohomology.twist_lattice with each of its products multiplied out by
+    la.matmul: the compatibility nu(s . x) rho(s) == rho(s) nu(x) at every
+    generator s and value x, then rho'(t) = nu(f(t)) rho(t)."""
+    n = f.coefficient
+    nu = [la.int_rows(v) for v in value_matrices]
+    if len(nu) != n.underlying.order:
+        raise co.NotAction("one matrix per value-group element required")
+    gamma = m.group
+    if n.gamma != gamma:
+        raise co.NotAction("cocycle and lattice have different acting groups")
+    for v in nu:
+        if len(v) != m.rank or la.width(v) != m.rank:
+            raise co.NotAction("value matrices must match the lattice rank")
+    for s in gr.generating_set(gamma):
+        for x in n.underlying.elements():
+            lhs = la.matmul(nu[n.act(s, x)], m.rho[s])
+            rhs = la.matmul(m.rho[s], nu[x])
+            if lhs != rhs:
+                raise co.NotAction("auxiliary action incompatible with the twist")
+    rho = [la.matmul(nu[f(t)], m.rho[t]) for t in gamma.elements()]
+    try:
+        return lt.ZGLattice(gamma, rho, validate=True)
+    except ValueError as e:
+        raise co.NotAction(str(e)) from e

@@ -476,8 +476,52 @@ def test_suite_command_reports_a_raising_check_as_error(capsys, monkeypatch):
     assert results[1].evidence == {"exception": "RuntimeError('broken check')"}
     monkeypatch.setattr(cli, "run_suite", pc.run_suite)
     code, rep = run_cli(capsys, ["suite", "checks"])
-    assert code == cli.EXIT_REFUTED and rep["verdict"] == "refuted"
+    assert code == cli.EXIT_ERROR and rep["verdict"] == "error"
     assert [e["verdict"] for e in rep["evidence"]["entries"]] == ["verified", "error"]
+
+
+def test_suite_at_horizon_zero_is_unknown_not_refuted(capsys, monkeypatch):
+    # criterion 8 cannot decide at horizon 0, and nothing is refuted
+    from torsorlab import checks as pc
+
+    keep = ("lim1-dichotomy", "tame-norm-unit-index")
+    monkeypatch.setattr(pc, "ALL_CHECKS", tuple(c for c in pc.ALL_CHECKS if c[0] in keep))
+    code, rep = run_cli(capsys, ["--horizon", "0", "suite", "checks"])
+    assert code == cli.EXIT_UNKNOWN and rep["verdict"] == "unknown-at-horizon"
+    verdicts = [e["verdict"] for e in rep["evidence"]["entries"]]
+    assert verdicts == ["unknown-at-horizon", "verified"]
+
+
+@pytest.mark.parametrize("verdicts, want", [
+    (("verified", "unknown-at-horizon"), "unknown-at-horizon"),
+    (("unknown-at-horizon", "error", "verified"), "error"),
+    (("error", "refuted", "unknown-at-horizon"), "refuted"),
+    (("verified",) * 3, "verified"),
+])
+def test_suite_reads_as_its_worst_entry(verdicts, want, capsys, monkeypatch):
+    # refuted before error before unknown-at-horizon before verified, in any
+    # entry order; the exit code is that verdict's
+    from torsorlab import checks as pc
+
+    def fixed(i, v):
+        return (f"check-{i}", lambda: pc.CheckResult(f"check-{i}", i + 1, v, {}))
+
+    monkeypatch.setattr(pc, "ALL_CHECKS", tuple(fixed(i, v) for i, v in enumerate(verdicts)))
+    code, rep = run_cli(capsys, ["suite", "checks"])
+    exits = {"verified": cli.EXIT_OK, "refuted": cli.EXIT_REFUTED,
+             "unknown-at-horizon": cli.EXIT_UNKNOWN, "error": cli.EXIT_ERROR}
+    assert rep["verdict"] == want and code == exits[want]
+
+
+@pytest.mark.parametrize("option", ["--horizon", "--budget"])
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_a_negative_horizon_or_budget_exits_3(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([option, value, "suite", "checks"])
+    assert exc.value.code == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+    assert "Traceback" not in captured.err and option in captured.err
 
 
 def test_dichotomy_horizon_zero_reports_unknown():

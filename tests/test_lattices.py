@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
@@ -383,6 +385,57 @@ def test_equivariance_of_unit_rows_with_a_repeated_column(monkeypatch):
     with pytest.raises(lt.NotEquivariant):
         lt.LatticeMap(src, one, [[0, 1]])
     assert matmul(((0, 1),), src.rho[1]) != ((0, 1),)
+
+
+@st.composite
+def _square_and_factors(draw):
+    # an n x n matrix of one of four kinds, an n x k and a k x n matrix
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("signed", "permutation", "repeated", "other")))
+    if kind == "other":
+        entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        ms = draw(st.lists(entries, min_size=n, max_size=n))
+    else:
+        cols = list(draw(st.permutations(range(n))))
+        if kind == "repeated":
+            cols[-1] = cols[0]
+        signs = [1] * n if kind == "permutation" else draw(
+            st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        ms = [[s * (j == c) for j in range(n)] for c, s in zip(cols, signs)]
+    entry = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+
+    def rows(r, c):
+        return la.int_rows(draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                         min_size=r, max_size=r)))
+
+    return la.int_rows(ms), rows(n, k), rows(k, n)
+
+
+def _without_matmul(f, *args):
+    matmul, la.matmul = la.matmul, None
+    try:
+        return f(*args)
+    finally:
+        la.matmul = matmul
+
+
+@settings(derandomize=True, deadline=None)
+@given(_square_and_factors())
+def test_signed_row_reader_equals_matmul(case):
+    # ms M and N ms as la.matmul gives them, for signed permutations,
+    # permutations, unit rows with a repeated column and other matrices; a
+    # monomial ms is read without multiplying on the left, a permutation
+    # matrix on the right too
+    ms, M, N = case
+    monomial = all(sum(map(bool, row)) == 1 and sum(row) in (1, -1) for row in ms)
+    assert (lt._signed_rows(ms) is not None) == monomial
+    left, right = la.matmul(ms, M), la.matmul(N, ms)
+    if monomial:
+        assert _without_matmul(lt._left_times, ms, M) == left
+    assert lt._left_times(ms, M) == left
+    if sorted(ms, reverse=True) == list(la.identity(len(ms))):  # a permutation matrix
+        assert _without_matmul(lt._right_times, N, ms) == right
+    assert lt._right_times(N, ms) == right
 
 
 def test_direct_sum():

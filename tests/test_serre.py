@@ -2,13 +2,14 @@ from collections import Counter
 
 import pytest
 
+from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import invsys as iv
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import serre as sr
 from torsorlab.catalog import central_involutions, group_catalog
-from helpers import bareiss_det, serre_sequence_by_restriction
+from helpers import bareiss_det, serre_sequence_by_restriction, twist_lattice_by_matmul
 
 
 def quad_datum():
@@ -103,6 +104,68 @@ def test_block_decomposition_trivial_group():
     dec = sr.conjugation_block_decomposition(gr.trivial_group())
     assert dec.block_ranks == (1,)
     assert dec.twisted_sub_iso
+
+
+def _criterion_2_twists(monkeypatch):
+    """(lattice, cocycle, value matrices, twisted lattice) of every
+    twist_lattice call that criterion 2's six block decompositions make."""
+    calls = []
+
+    def recorded(m, f, value_matrices):
+        out = co.twist_lattice(m, f, value_matrices)
+        calls.append((m, f, value_matrices, out))
+        return out
+
+    monkeypatch.setattr(sr, "twist_lattice", recorded)
+    c2 = gr.cyclic_group(2)
+    for g in (gr.trivial_group(), c2, gr.cyclic_group(3), gr.direct_product(c2, c2),
+              gr.symmetric_group(3), gr.dihedral_group(4)):
+        sr.conjugation_block_decomposition(g)
+    assert len(calls) == 18  # middle, quotient and X*(Sbar), per group
+    return calls
+
+
+def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
+    # every twist of criterion 2, then the same twists after the unimodular
+    # change of basis P = I + E_01, which makes some action and value
+    # matrices non-monomial, so that their products take the matmul fallback
+    # (criterion 2's X*(Sbar) value matrices come out as signed permutations)
+    for m, f, nu, out in _criterion_2_twists(monkeypatch):
+        assert twist_lattice_by_matmul(m, f, nu) == out
+        if m.rank < 2:
+            continue
+        e = la.identity(m.rank)
+        P = (tuple(a + b for a, b in zip(e[0], e[1])),) + e[1:]
+        P_inv = (tuple(a - b for a, b in zip(e[0], e[1])),) + e[1:]
+
+        def moved(a):
+            return la.matmul(la.matmul(P, a), P_inv)
+
+        m_p = lt.ZGLattice(m.group, [moved(a) for a in m.rho])
+        nu_p = [moved(v) for v in nu]
+        assert any(lt._signed_rows(v) is None for v in nu_p)
+        got = co.twist_lattice(m_p, f, nu_p)
+        assert got == twist_lattice_by_matmul(m_p, f, nu_p)
+        assert got.rho == tuple(moved(a) for a in out.rho)
+
+
+def test_twist_lattice_refuses_a_flipped_value_row_by_both_routes(monkeypatch):
+    # flipping the sign of one row of a value matrix breaks either the
+    # compatibility with rho or the action law; on a rank-1 lattice the flip
+    # of nu(1) can give another character, so there the routes need only agree
+    for m, f, nu, _ in _criterion_2_twists(monkeypatch):
+        for r in range(m.rank):
+            flipped = list(nu)
+            flipped[1] = tuple(tuple(-v for v in row) if i == r else row
+                               for i, row in enumerate(nu[1]))
+            verdicts = []
+            for route in (co.twist_lattice, twist_lattice_by_matmul):
+                try:
+                    verdicts.append(route(m, f, flipped))
+                except co.NotAction:
+                    verdicts.append(co.NotAction)
+            assert verdicts[0] == verdicts[1]
+            assert m.rank < 2 or verdicts[0] is co.NotAction
 
 
 def test_block_h1_vanishing():
