@@ -2,7 +2,9 @@
 
 Each check returns a CheckResult whose evidence dict replays the verdict
 through the public module APIs alone.  The suite is deterministic for a
-fixed seed.
+fixed seed.  A check records one finding per case, and its verdict is the
+fold of those findings (`verdict`); the CLI commands that judge a single
+case of criteria 2, 4 and 6 call the same judges.
 """
 
 from __future__ import annotations
@@ -30,8 +32,44 @@ class CheckResult:
     evidence: dict
 
 
-def _result(claim, criterion, ok, evidence) -> CheckResult:
-    return CheckResult(claim, criterion, "verified" if ok else "refuted", evidence)
+# the worst first: a suite, or a set of findings, reads as the first of these
+# that occurs
+VERDICTS = ("refuted", "error", "unknown-at-horizon", "verified")
+
+
+def worst(verdicts) -> str:
+    """The first of VERDICTS among `verdicts`; "verified" when there is none."""
+    return min(verdicts, key=VERDICTS.index, default="verified")
+
+
+def verdict(findings) -> str:
+    """The worst verdict of the findings: one that holds (True) verifies, one
+    that fails (False) refutes, and an undecided one (None) is unknown at the
+    horizon."""
+    return worst("unknown-at-horizon" if f is None else "verified" if f else "refuted"
+                 for f in findings)
+
+
+def _result(claim, criterion, findings, evidence) -> CheckResult:
+    return CheckResult(claim, criterion, verdict(findings), evidence)
+
+
+def blocks_hold(f_group, dec) -> bool:
+    """Criterion 2's judge of conjugation_block_decomposition(f_group)."""
+    return (dec.twisted_sub_iso and dec.first_map_iso and dec.class_embedding_iso
+            and dec.total_rank == f_group.order)
+
+
+def sequences_hold(rep) -> bool:
+    """Criterion 4's judge of a verify_serre_sequence report."""
+    return rep.rank_law_holds and rep.with_constant_exact and rep.quotient_exact
+
+
+def twist_holds(rep) -> bool:
+    """Criterion 6's judge of a verify_twist_bijection report; the kernel
+    action factor is read where the kernel is abelian (None otherwise)."""
+    return (rep.bijective and rep.neutral_to_base
+            and rep.abelian_kernel_action_factors in (None, True))
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +77,7 @@ def _result(claim, criterion, ok, evidence) -> CheckResult:
 
 
 def check_extraspecial_structure() -> CheckResult:
-    evidence = {}
-    ok = True
+    evidence, findings = {}, []
     for l in (3, 5):
         sp, gens = gr.heisenberg_group(l)
         g = sp.group
@@ -52,7 +89,7 @@ def check_extraspecial_structure() -> CheckResult:
         fiber_ok = len(fiber) == l and all(len(x) == l for x in fiber)
         cz = gr.centralizer(g, g.mul(a, c))
         cz_ok = len(cz) == l * l and b in cz
-        ok = ok and g.order == l**3 and orders_ok and center_ok and fiber_ok and cz_ok
+        findings.append(g.order == l**3 and orders_ok and center_ok and fiber_ok and cz_ok)
         evidence[f"l={l}"] = {
             "order": g.order,
             "all_orders_l": orders_ok,
@@ -60,7 +97,7 @@ def check_extraspecial_structure() -> CheckResult:
             "fiber_classes": [list(x) for x in fiber],
             "centralizer_order": len(cz),
         }
-    return _result("extraspecial-class-structure", 1, ok, evidence)
+    return _result("extraspecial-class-structure", 1, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -77,23 +114,16 @@ def check_block_decomposition() -> CheckResult:
         ("S3", gr.symmetric_group(3)),
         ("D4", gr.dihedral_group(4)),
     ]
-    evidence = {}
-    ok = True
+    evidence, findings = {}, []
     for name, f_group in cases:
         dec = sr.conjugation_block_decomposition(f_group)
-        good = (
-            dec.twisted_sub_iso
-            and dec.first_map_iso
-            and dec.class_embedding_iso
-            and dec.total_rank == f_group.order
-        )
-        ok = ok and good
+        findings.append(blocks_hold(f_group, dec))
         evidence[name] = {
             "block_ranks": list(dec.block_ranks),
             "first_map_iso": dec.first_map_iso,
             "second_map_iso": dec.twisted_sub_iso,
         }
-    return _result("twisted-quotient-block-decomposition", 2, ok, evidence)
+    return _result("twisted-quotient-block-decomposition", 2, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +143,13 @@ def check_permutation_h1_vanishing(max_order: int = 24, lattices=None) -> CheckR
     coset_lattices(max_order): H^1(G, Z[G/H]) = H^1(H, Z) = 0 by Shapiro's
     lemma, the lattice shadow of Hilbert 90.  A lattice with H^1 != 0
     refutes."""
-    evidence = {"checked": 0, "failures": []}
-    ok = True
+    evidence, findings = {"checked": 0, "failures": []}, []
     for name, h, m in coset_lattices(max_order) if lattices is None else lattices:
-        trivial = co.h1_abelian(m.group, m).is_trivial
+        findings.append(co.h1_abelian(m.group, m).is_trivial)
         evidence["checked"] += 1
-        if not trivial:
-            ok = False
+        if not findings[-1]:
             evidence["failures"].append({"group": name, "subgroup": list(h)})
-    return _result("permutation-lattice-h1-vanishes", 3, ok, evidence)
+    return _result("permutation-lattice-h1-vanishes", 3, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +157,14 @@ def check_permutation_h1_vanishing(max_order: int = 24, lattices=None) -> CheckR
 
 
 def check_character_sequences(max_order: int = 16) -> CheckResult:
-    evidence = {"data_checked": 0, "failures": []}
-    ok = True
+    evidence, findings = {"data_checked": 0, "failures": []}, []
     for name, g in group_catalog(max_order):
         for iota in central_involutions(g):
-            d = sr.CMGaloisDatum(g, iota)
-            rep = sr.verify_serre_sequence(d)
-            good = rep.rank_law_holds and rep.with_constant_exact and rep.quotient_exact
+            findings.append(sequences_hold(sr.verify_serre_sequence(sr.CMGaloisDatum(g, iota))))
             evidence["data_checked"] += 1
-            if not good:
-                ok = False
+            if not findings[-1]:
                 evidence["failures"].append({"group": name, "iota": iota})
-    return _result("character-sequences-exact", 4, ok, evidence)
+    return _result("character-sequences-exact", 4, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +172,19 @@ def check_character_sequences(max_order: int = 16) -> CheckResult:
 
 
 def check_cm_type_bases(max_order: int = 12) -> CheckResult:
-    evidence = {"data_checked": 0, "types_checked": 0, "failures": []}
-    ok = True
+    evidence, findings = {"data_checked": 0, "types_checked": 0, "failures": []}, []
     for name, g in group_catalog(max_order):
         for iota in central_involutions(g):
             d = sr.CMGaloisDatum(g, iota)
             evidence["data_checked"] += 1
             for phi, rep in zip(sr.all_cm_types(d), sr.cm_type_bases(d)):
                 evidence["types_checked"] += 1
-                if not (rep.in_lattice and rep.is_basis):
-                    ok = False
+                findings.append(rep.in_lattice and rep.is_basis)
+                if not findings[-1]:
                     evidence["failures"].append(
                         {"group": name, "iota": iota, "phi": list(phi)}
                     )
-    return _result("cm-type-basis", 5, ok, evidence)
+    return _result("cm-type-basis", 5, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +295,12 @@ def _twist_cases():
 
 
 def check_twist_bijection() -> CheckResult:
-    evidence = {}
-    ok = True
+    evidence, findings = {}, []
     for name, seq, bases in _twist_cases():
         rows = []
         for i, base in enumerate(bases):
             rep = to.verify_twist_bijection(seq, base)
-            good = rep.bijective and rep.neutral_to_base
-            if rep.abelian_kernel_action_factors is not None:
-                good = good and rep.abelian_kernel_action_factors
-            ok = ok and good
+            findings.append(twist_holds(rep))
             rows.append(
                 {
                     "base": i,
@@ -291,7 +310,7 @@ def check_twist_bijection() -> CheckResult:
                 }
             )
         evidence[name] = rows
-    return _result("torsor-lift-twist-bijection", 6, ok, evidence)
+    return _result("torsor-lift-twist-bijection", 6, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +338,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         gr.cyclic_group(n) for n in (2, 3, 4, 5, 6, 8, 12)
     ] + [gr.symmetric_group(3), gr.dihedral_group(4)]
     evidence = {"systems": 0, "orbit_failures": 0, "scan_systems": 0, "scan_choices": 0}
-    ok = True
+    findings = []
     for _ in range(count):
         length = rng.randint(1, 5)
         groups = [pool[rng.randrange(len(pool))] for _ in range(length + 1)]
@@ -330,8 +349,8 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         sys = iv.ExplicitFinite(tuple(groups), tuple(maps))
         rep = iv.lim1_truncated(sys, budget=50000)
         evidence["systems"] += 1
-        if rep.orbit_count != 1:
-            ok = False
+        findings.append(rep.orbit_count == 1)
+        if not findings[-1]:
             evidence["orbit_failures"] += 1
     # witness-choice independence on small Gamma-systems
     gamma_pool = [gr.cyclic_group(2), gr.cyclic_group(3)]
@@ -361,7 +380,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         for i in range(length - 1, -1, -1):
             avals[i] = maps[i](avals[i + 1])
         famp = tuple(co.twist_cocycle(f, a) for f, a in zip(fam, avals))
-        ok = _every_witness_choice_trivial(system, fam, famp, evidence) and ok
+        findings.append(_every_witness_choice_trivial(system, fam, famp, evidence))
         scans += 1
         evidence["scan_systems"] += 1
     # systems with a nontrivial action at every level
@@ -382,9 +401,9 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
                 famp = tuple(
                     co.twist_cocycle(f, a) for f, a in zip(fam, avals)
                 )
-                ok = _every_witness_choice_trivial(system, fam, famp, evidence) and ok
+                findings.append(_every_witness_choice_trivial(system, fam, famp, evidence))
         evidence["nontrivial_action_systems"] += 1
-    return _result("truncated-orbit-transitivity", 7, ok, evidence)
+    return _result("truncated-orbit-transitivity", 7, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -392,36 +411,28 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
 
 
 def check_lim1_dichotomy(horizon: int = 8) -> CheckResult:
-    evidence = {}
-    ok = True
-    chain = iv.SubgroupChain(1, ((2,),), ((1,),))
-    v1 = iv.lim1_classify(chain, horizon)
-    evidence["halving-subgroup-chain"] = v1.status
-    ok = ok and v1.status == "uncountable"
-
-    ident = iv.ConstantEndo((0,), ((1,),))
-    v2 = iv.lim1_classify(ident, horizon)
-    evidence["identity-endomorphism"] = v2.status
-    ok = ok and v2.status == "trivial"
-
-    tower = sr.layered_obstruction_tower(3, 7, levels=1)
-    rec = sr.serre_tower_recipe(tower)
-    v3 = iv.lim1_classify(rec, horizon)
-    evidence["layered-obstruction-tower"] = v3.status
-    ok = ok and v3.status == "uncountable"
-    if v3.certificate:
+    """Each recipe classifies as expected; an "unknown" status decides
+    nothing, and the tower's certificate must replay."""
+    evidence, findings = {}, []
+    cases = (
+        ("halving-subgroup-chain", iv.SubgroupChain(1, ((2,),), ((1,),)), "uncountable"),
+        ("identity-endomorphism", iv.ConstantEndo((0,), ((1,),)), "trivial"),
+        ("layered-obstruction-tower",
+         sr.serre_tower_recipe(sr.layered_obstruction_tower(3, 7, levels=1)), "uncountable"),
+    )
+    for name, recipe, expected in cases:
+        v = iv.lim1_classify(recipe, horizon)
+        evidence[name] = v.status
+        findings.append(None if v.status == "unknown" else v.status == expected)
+    if v.certificate:  # the tower's
         analysis = nt.split_obstruction_certificate(
             nt.SplitObstructionLaw(3, 7, levels=1, prime_bound=20000)
         )
-        replv = analysis.replay()
-        replay_ok = replv == analysis and analysis.certificate == v3.certificate
+        replay_ok = analysis.replay() == analysis and analysis.certificate == v.certificate
         evidence["certificate-replay-identical"] = replay_ok
-        evidence["certificate"] = v3.certificate
-        ok = ok and replay_ok
-    if not ok and {v1.status, v2.status, v3.status} <= {"unknown", "trivial"}:
-        # decided nothing wrong, just ran out of levels
-        return CheckResult("lim1-dichotomy", 8, "unknown-at-horizon", evidence)
-    return _result("lim1-dichotomy", 8, ok, evidence)
+        evidence["certificate"] = v.certificate
+        findings.append(replay_ok)
+    return _result("lim1-dichotomy", 8, findings, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +458,12 @@ def check_splitting_dual_oracle(target: int = 500, fields=None) -> CheckResult:
     splitting_fields().  A polynomial that defines another field refutes."""
     prime_pool = [p for p in nt.primes_up_to(60) if p > 2]
     prime_pool += [101, 151, 199, 503, 997, 1009, 2003, 4999, 7919, 9973]
-    agreements = 0
     skipped_index = 0
-    sum_rule_ok = True
-    mismatch = []
+    findings, sum_rule, mismatch = [], [], []
     for fld, poly in splitting_fields() if fields is None else fields:
         m = fld.conductor
         for p in prime_pool:
-            if agreements >= target * 2:
+            if len(sum_rule) >= target * 2:
                 break
             if m % p == 0:
                 continue
@@ -463,23 +472,20 @@ def check_splitting_dual_oracle(target: int = 500, fields=None) -> CheckResult:
             except nt.IndexDivisor:
                 skipped_index += 1
                 continue
-            ab = nt.abelian_split(fld, p)
-            if ded.pairs != ab.pairs:
+            findings.append(ded.pairs == nt.abelian_split(fld, p).pairs)
+            if not findings[-1]:
                 mismatch.append({"m": m, "H": list(fld.subgroup),
                                  "poly": list(poly.poly), "p": p})
-            deg_ok = sum(e * f for e, f in ded.pairs) == fld.degree
-            sum_rule_ok = sum_rule_ok and deg_ok
-            agreements += 1
-    ok = not mismatch and sum_rule_ok and agreements >= target
+            sum_rule.append(sum(e * f for e, f in ded.pairs) == fld.degree)
     return _result(
         "splitting-dual-oracle",
         9,
-        ok,
+        findings + sum_rule + [len(sum_rule) >= target],
         {
-            "comparisons": agreements,
+            "comparisons": len(sum_rule),
             "index_divisor_skips": skipped_index,
             "mismatches": mismatch,
-            "sum_rule": sum_rule_ok,
+            "sum_rule": all(sum_rule),
         },
     )
 
@@ -489,18 +495,11 @@ def check_splitting_dual_oracle(target: int = 500, fields=None) -> CheckResult:
 
 
 def check_tame_norm_index() -> CheckResult:
-    rows = []
-    ok = True
-    for l in (3, 5, 7):
-        for p in nt.primes_up_to(200):
-            if (p - 1) % l != 0:
-                continue
-            rep = nt.tame_local_norm_index(l, p)
-            if rep.index != l:
-                ok = False
-            rows.append((l, p, rep.index))
+    findings = [nt.tame_local_norm_index(l, p).index == l
+                for l in (3, 5, 7) for p in nt.primes_up_to(200) if (p - 1) % l == 0]
     return _result(
-        "tame-norm-unit-index", 10, ok, {"cases": len(rows), "all_equal_l": ok}
+        "tame-norm-unit-index", 10, findings,
+        {"cases": len(findings), "all_equal_l": all(findings)},
     )
 
 
@@ -535,8 +534,7 @@ def check_product_h1(products=None) -> CheckResult:
     class of the product to the factors is a bijection onto the tuples of
     their classes.  A Gamma-group paired with factors it is not the product
     of refutes."""
-    evidence = []
-    ok = True
+    evidence, findings = [], []
     for (prod, proj_maps), factors in gamma_group_products() if products is None else products:
         h_prod = co.h1_nonabelian(prod.gamma, prod)
         h_factors = [co.h1_nonabelian(prod.gamma, f) for f in factors]
@@ -554,7 +552,7 @@ def check_product_h1(products=None) -> CheckResult:
                 parts.append(min(co.twist_values(f, vals, f.underlying.elements())))
             canon.append(tuple(parts))
         bijective = len(set(canon)) == len(canon) == expect
-        ok = ok and count_ok and bijective
+        findings.append(count_ok and bijective)
         evidence.append(
             {
                 "factor_counts": [h.count for h in h_factors],
@@ -562,7 +560,7 @@ def check_product_h1(products=None) -> CheckResult:
                 "bijective": bijective,
             }
         )
-    return _result("product-h1-factorization", 11, ok, evidence)
+    return _result("product-h1-factorization", 11, findings, evidence)
 
 
 # ---------------------------------------------------------------------------

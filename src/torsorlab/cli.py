@@ -24,7 +24,7 @@ from . import numtheory as nt
 from . import serre as sr
 from . import torsors as to
 from . import jsonio
-from .checks import run_suite
+from .checks import blocks_hold, run_suite, sequences_hold, twist_holds, verdict, worst
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -135,7 +135,6 @@ def cmd_lattice(args):
     basedir = os.path.dirname(args.infile)
     if args.op == "exact":
         rep = lt.exactness_report(jsonio.exact_sequence_from_json(obj, basedir))
-        verdict = "verified" if rep.exact else "refuted"
         evidence = {
             "joints": [
                 {
@@ -148,14 +147,10 @@ def cmd_lattice(args):
             "first_injective": rep.first_injective,
             "last_surjective": rep.last_surjective,
         }
-        return _emit(_report("lattice-exactness", verdict, evidence, args), args)
+        return _emit(_report("lattice-exactness", verdict([rep.exact]), evidence, args), args)
     ok = lt.is_equivariant_iso(jsonio.lattice_map_from_json(obj, basedir))
     return _emit(
-        _report(
-            "lattice-isomorphism", "verified" if ok else "refuted",
-            {"is_isomorphism": ok}, args,
-        ),
-        args,
+        _report("lattice-isomorphism", verdict([ok]), {"is_isomorphism": ok}, args), args
     )
 
 
@@ -183,7 +178,6 @@ def cmd_torsor_verify(args):
     seq = jsonio.torsor_sequence_from_json(args.seq)
     base = jsonio.base_class_from_json(args.base, seq)
     rep = to.verify_twist_bijection(seq, base, budget=args.budget)
-    ok = rep.bijective and rep.neutral_to_base
     evidence = {
         "class_count": len(rep.kernel_h1_classes),
         "relative_count": len(rep.relative_classes),
@@ -200,21 +194,14 @@ def cmd_torsor_verify(args):
             if m >= 0
         ],
     }
-    return _emit(
-        _report("twist-bijection", "verified" if ok else "refuted", evidence, args),
-        args,
-    )
-
-
-# both sides of the lim^1 dichotomy are verified outcomes; only "unknown" is not
-_LIM1_VERDICTS = {
-    "trivial": "verified", "uncountable": "verified", "unknown": "unknown-at-horizon",
-}
+    return _emit(_report("twist-bijection", verdict([twist_holds(rep)]), evidence, args), args)
 
 
 def _emit_lim1(claim, v, args):
+    # both sides of the lim^1 dichotomy are verified outcomes; only "unknown" is not
+    decided = None if v.status == "unknown" else True
     evidence = {"status": v.status, "reason": v.reason, "certificate": v.certificate}
-    return _emit(_report(claim, _LIM1_VERDICTS[v.status], evidence, args), args)
+    return _emit(_report(claim, verdict([decided]), evidence, args), args)
 
 
 def cmd_invsys_classify(args):
@@ -250,42 +237,33 @@ def cmd_nt_split(args):
 def cmd_nt_tower(args):
     tower = jsonio.norm_tower_from_json(args.tower)
     analysis = iv._tower_analysis(tower, args.horizon)
-    verdict = {
-        "fails": "verified",
-        "holds": "verified",
-        "unknown-at-horizon": "unknown-at-horizon",
-    }[analysis.status]
+    # "fails" and "holds" are both verified outcomes
+    decided = None if analysis.status == "unknown-at-horizon" else True
     evidence = {
         "ml_status": analysis.status,
         "law": analysis.law,
         "certificate": analysis.certificate,
     }
-    return _emit(_report("norm-tower-certificate", verdict, evidence, args), args)
+    return _emit(_report("norm-tower-certificate", verdict([decided]), evidence, args), args)
 
 
 def cmd_serre_blocks(args):
     f_group = jsonio.group_from_json(args.gamma_f)
     dec = sr.conjugation_block_decomposition(f_group)
     van = sr.block_h1_vanishing(f_group)
-    ok = dec.twisted_sub_iso and dec.class_embedding_iso and van.all_vanish
     evidence = {
         "block_ranks": list(dec.block_ranks),
         "twisted_sub_is_block_lattice": dec.twisted_sub_iso,
         "class_embeddings_isomorphic": dec.class_embedding_iso,
         "h1_blocks_vanish": van.all_vanish,
     }
-    return _emit(
-        _report(
-            "twisted-quotient-blocks", "verified" if ok else "refuted", evidence, args
-        ),
-        args,
-    )
+    findings = [blocks_hold(f_group, dec), van.all_vanish]
+    return _emit(_report("twisted-quotient-blocks", verdict(findings), evidence, args), args)
 
 
 def cmd_serre_sequence(args):
     d = jsonio.datum_from_json(args.datum)
     rep = sr.verify_serre_sequence(d)
-    ok = rep.rank_law_holds and rep.with_constant_exact and rep.quotient_exact
     evidence = {
         "ranks": list(rep.ranks),
         "rank_law": rep.rank_law_holds,
@@ -293,10 +271,7 @@ def cmd_serre_sequence(args):
         "quotient_exact": rep.quotient_exact,
     }
     return _emit(
-        _report(
-            "character-sequences", "verified" if ok else "refuted", evidence, args
-        ),
-        args,
+        _report("character-sequences", verdict([sequences_hold(rep)]), evidence, args), args
     )
 
 
@@ -306,10 +281,6 @@ def cmd_serre_tower(args):
     return _emit_lim1(
         "serre-tower-classification", iv.lim1_classify(recipe, args.horizon), args
     )
-
-
-# the suite reads as its worst entry, in this order
-_SUITE_FOLD = ("refuted", "error", "unknown-at-horizon", "verified")
 
 
 def cmd_suite(args):
@@ -325,8 +296,8 @@ def cmd_suite(args):
             }
         )
         print(f"[torsor-lab] {r.criterion:2d} {r.claim}: {r.verdict}", file=sys.stderr)
-    verdict = min((r.verdict for r in results), key=_SUITE_FOLD.index, default="verified")
-    rep = _report("verification-suite", verdict, {"entries": entries}, args)
+    rep = _report("verification-suite", worst(r.verdict for r in results),
+                  {"entries": entries}, args)
     return _emit(rep, args)
 
 

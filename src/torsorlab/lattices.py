@@ -62,8 +62,11 @@ def check_rho(group: FiniteGroup, mats, gens, error) -> None:
     """Raise `error` unless rho(1) = I and rho(s h) = rho(s) rho(h) for each
     s in gens and every h: when gens generate the group, induction on word
     length makes rho a homomorphism.  The products rho(s) rho(h) over all h
-    come from one _left_products, which reads rho(s) once."""
-    if mats[0] != la.identity(len(mats[0])):
+    come from one _left_products, which reads rho(s) once.  rho(1) is read
+    row by row against the unit rows, without building I."""
+    r = len(mats[0])
+    if any(len(row) != r or row[i] != 1 or row.count(0) != r - 1
+           for i, row in enumerate(mats[0])):
         raise error("identity must act as the identity matrix")
     for s in gens:
         if _left_products(mats[s], mats) != [mats[t] for t in group.rows[s]]:

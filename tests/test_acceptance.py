@@ -13,13 +13,18 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from torsorlab import checks as pc
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
+from torsorlab import invsys as iv
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
+from torsorlab import serre as sr
+from torsorlab import torsors as to
 
 # sha256 of the seed-0 suite's results as sorted-key JSON; a refactor that
 # changes any verdict or evidence byte changes it
@@ -50,11 +55,51 @@ def test_criterion_01_extraspecial_structure():
         assert ev["centralizer_order"] == l * l
 
 
+def test_criterion_01_refutes_a_group_of_exponent_9(monkeypatch):
+    # C9 x| C3 with c a c^-1 = a^4 is extraspecial of order 27 like the
+    # Heisenberg group, with the same centre <a^3>, fibers and centralizers,
+    # but a has order 9
+    c3, c9 = gr.cyclic_group(3), gr.cyclic_group(9)
+    sp = gr.semidirect_product(
+        co.GammaGroup(c3, c9, [tuple(4**i * x % 9 for x in range(9)) for i in range(3)]))
+    exponent_9 = (sp, {"a": sp.embed_n(1), "b": sp.embed_n(3), "c": sp.embed_q(1)})
+    heisenberg = gr.heisenberg_group
+    monkeypatch.setattr(gr, "heisenberg_group", lambda l: exponent_9 if l == 3 else heisenberg(l))
+    r = pc.check_extraspecial_structure()
+    assert r.verdict == "refuted"
+    assert r.evidence["l=3"]["order"] == 27 and r.evidence["l=3"]["center_size"] == 3
+    assert not r.evidence["l=3"]["all_orders_l"] and r.evidence["l=5"]["all_orders_l"]
+
+
+def _reports_off(monkeypatch, module, name, changes, pick=lambda *args: True):
+    """Patch module.name so that each report it returns for arguments that
+    `pick` accepts has `changes` applied."""
+    compute = getattr(module, name)
+
+    def patched(*args):
+        rep = compute(*args)
+        return dataclasses.replace(rep, **changes) if pick(*args) else rep
+
+    monkeypatch.setattr(module, name, patched)
+
+
 def test_criterion_02_block_decomposition():
     r = run_check(pc.check_block_decomposition, 2, 5.0)
     assert sorted(r.evidence["S3"]["block_ranks"]) == [1, 2, 3]
     assert sorted(r.evidence["D4"]["block_ranks"]) == [1, 1, 2, 2, 2]
     assert r.evidence["C1"]["block_ranks"] == [1]
+
+
+@pytest.mark.parametrize("changes", [
+    {"twisted_sub_iso": False}, {"first_map_iso": False},
+    {"class_embedding_iso": False}, {"total_rank": 5},
+])
+def test_criterion_02_refutes_one_decomposition_that_fails(changes, monkeypatch):
+    # one of the six groups (S3) with one map no isomorphism, or blocks that
+    # miss a rank
+    _reports_off(monkeypatch, sr, "conjugation_block_decomposition", changes,
+                    lambda f_group: f_group.order == 6)
+    assert pc.check_block_decomposition().verdict == "refuted"
 
 
 def test_criterion_03_permutation_h1():
@@ -80,10 +125,38 @@ def test_criterion_04_character_sequences():
     assert not r.evidence["failures"]
 
 
+@pytest.mark.parametrize("field", ["rank_law_holds", "with_constant_exact", "quotient_exact"])
+def test_criterion_04_refutes_one_sequence_that_fails(field, monkeypatch):
+    # the data of D4 and Q8 alone fail one of the three conditions
+    _reports_off(monkeypatch, sr, "verify_serre_sequence", {field: False},
+                    lambda d: d.group.order == 8 and not d.group.is_abelian())
+    r = pc.check_character_sequences()
+    assert r.verdict == "refuted"
+    assert [f["group"] for f in r.evidence["failures"]] == ["D4", "Q8"]
+
+
 def test_criterion_05_cm_type_bases():
     r = run_check(pc.check_cm_type_bases, 5, 30.0)
     assert r.evidence["types_checked"] >= 200
     assert not r.evidence["failures"]
+
+
+@pytest.mark.parametrize("field", ["in_lattice", "is_basis"])
+def test_criterion_05_refutes_one_type_that_fails(field, monkeypatch):
+    # the first type of the first datum is no basis, or leaves the lattice
+    bases = sr.cm_type_bases
+    first = []
+
+    def patched(d):
+        reps = list(bases(d))
+        if not first:
+            first.append(d)
+            reps[0] = dataclasses.replace(reps[0], **{field: False})
+        return reps
+
+    monkeypatch.setattr(sr, "cm_type_bases", patched)
+    r = pc.check_cm_type_bases()
+    assert r.verdict == "refuted" and len(r.evidence["failures"]) == 1
 
 
 def test_criterion_06_twist_bijection():
@@ -93,6 +166,14 @@ def test_criterion_06_twist_bijection():
         assert len(rows) >= 2  # at least two base objects each
         for row in rows:
             assert row["bijective"] and row["neutral_to_base"]
+
+
+@pytest.mark.parametrize("field", ["bijective", "neutral_to_base", "abelian_kernel_action_factors"])
+def test_criterion_06_refutes_a_report_that_fails(field, monkeypatch):
+    # every report with one field false; the kernel action factor is read
+    # though the evidence rows do not carry it
+    _reports_off(monkeypatch, to, "verify_twist_bijection", {field: False})
+    assert pc.check_twist_bijection().verdict == "refuted"
 
 
 def test_criterion_07_truncated_orbits():
@@ -166,6 +247,44 @@ def test_criterion_08_lim1_dichotomy():
     assert r.evidence["certificate-replay-identical"]
     lv = r.evidence["certificate"]["levels"][0]
     assert lv["norm_unit_index"] == 3
+
+
+def _classified_as(monkeypatch, status_of):
+    """Patch lim1_classify so that it reports status_of(recipe, status)."""
+    classify = iv.lim1_classify
+
+    def patched(recipe, horizon):
+        v = classify(recipe, horizon)
+        return dataclasses.replace(v, status=status_of(recipe, v.status))
+
+    monkeypatch.setattr(iv, "lim1_classify", patched)
+
+
+def test_criterion_08_refutes_a_wrong_status(monkeypatch):
+    # "trivial" for every recipe is decided, and wrong for two of them
+    _classified_as(monkeypatch, lambda recipe, status: "trivial")
+    r = pc.check_lim1_dichotomy()
+    assert r.verdict == "refuted"
+    assert r.evidence["certificate-replay-identical"]
+
+
+def test_criterion_08_reads_an_undecided_recipe_as_unknown(monkeypatch):
+    # the halving chain left "unknown", the other two decided as expected:
+    # nothing decided is wrong
+    _classified_as(monkeypatch, lambda recipe, status:
+                   "unknown" if isinstance(recipe, iv.SubgroupChain) else status)
+    r = pc.check_lim1_dichotomy()
+    assert r.verdict == "unknown-at-horizon"
+    assert r.evidence["halving-subgroup-chain"] == "unknown"
+
+
+def test_criterion_08_refutes_a_certificate_that_replays_otherwise(monkeypatch):
+    monkeypatch.setattr(nt.TowerAnalysis, "replay",
+                        lambda self: dataclasses.replace(self, certificate=None))
+    r = pc.check_lim1_dichotomy()
+    assert r.verdict == "refuted"
+    assert r.evidence["layered-obstruction-tower"] == "uncountable"
+    assert not r.evidence["certificate-replay-identical"]
 
 
 def test_criterion_09_splitting_dual_oracle():

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -367,6 +369,30 @@ def test_serre_commands(fixtures, capsys):
     code, rep = run_cli(capsys, ["serre", "tower", "--chain", str(fixtures["chain"])])
     assert code == 0
     assert rep["evidence"]["status"] == "uncountable"
+
+
+@pytest.mark.parametrize("command, module, name, field", [
+    (["serre", "verify-blocks", "--gamma-f", "s3"], "serre",
+     "conjugation_block_decomposition", "first_map_iso"),
+    (["serre", "sequence", "--datum", "datum"], "serre", "verify_serre_sequence",
+     "quotient_exact"),
+    (["torsor", "verify-twist", "--seq", "seq", "--base", "base"], "torsors",
+     "verify_twist_bijection", "abelian_kernel_action_factors"),
+])
+def test_single_case_commands_judge_as_their_criterion(command, module, name, field, fixtures,
+                                                       capsys, monkeypatch):
+    # verify-blocks, sequence and verify-twist apply the judges of criteria
+    # 2, 4 and 6: a report with one field false refutes (exit 1), including
+    # the fields the evidence does not print
+    mod = importlib.import_module(f"torsorlab.{module}")
+    compute = getattr(mod, name)
+    argv = [str(fixtures[a]) if a in fixtures else a for a in command]
+    code, rep = run_cli(capsys, argv)
+    assert code == cli.EXIT_OK and rep["verdict"] == "verified"
+    monkeypatch.setattr(mod, name, lambda *a, **k: dataclasses.replace(compute(*a, **k),
+                                                                       **{field: False}))
+    code, rep = run_cli(capsys, argv)
+    assert code == cli.EXIT_REFUTED and rep["verdict"] == "refuted"
 
 
 def test_malformed_input_exit_code(fixtures, capsys):

@@ -254,6 +254,48 @@ def test_h1_abelian_matches_the_relator_route_on_sign_twists():
     assert nontrivial > 400
 
 
+@functools.cache
+def small_lattices() -> tuple:
+    """(group, rho) of rank <= 4 over the catalog groups of order <= 6: the
+    coset lattices Z[G/H] and the sign twists of sign_twist_cases."""
+    cosets = [(g, lt.permutation_lattice(gs.coset_gset(g, h)).rho)
+              for _, g in catalog.group_catalog(6) for h in gr.all_subgroups(g)]
+    twists = [(g, m.rho) for g, _, _, m in sign_twist_cases() if g.order <= 6]
+    return tuple((g, rho) for g, rho in cosets + twists if len(rho[0]) <= 4)
+
+
+def _fixed_points_mod(rho, gens, n) -> int:
+    """#{v in (Z/n)^r : rho(s) v = v mod n for every s in gens}."""
+    return sum(all(tuple(sum(a * b for a, b in zip(row, v)) % n for row in rho[s]) == v
+                   for s in gens)
+               for v in itertools.product(range(n), repeat=len(rho[0])))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_h1_abelian_order_matches_a_count_of_fixed_points(data):
+    # n = |G| kills H^1(G, M), so 0 -> M -n-> M -> M/nM -> 0 gives
+    # |(M/nM)^G| = n^rank(M^G) |H^1(G, M)|, and rank M^G is the mean trace of
+    # rho: an order with no SNF.  The lattices are small coset lattices and
+    # sign twists, and their conjugates P rho P^-1 by a unimodular P, which
+    # are not monomial
+    g, rho = data.draw(st.sampled_from(small_lattices()))
+    r, n = len(rho[0]), g.order
+    p, p_inv = [list(row) for row in la.identity(r)], [list(row) for row in la.identity(r)]
+    for _ in range(data.draw(st.integers(0, 3)) if r > 1 else 0):
+        i, j = data.draw(st.permutations(range(r)))[:2]
+        c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        # P <- (I + c e_ij) P and P^-1 <- P^-1 (I - c e_ij)
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    rho = [la.matmul(la.matmul(p, m), p_inv) for m in rho]
+    invariant_rank, rest = divmod(sum(m[k][k] for m in rho for k in range(r)), n)
+    fixed = _fixed_points_mod(rho, gr.generating_set(g), n)
+    assert rest == 0 and fixed % n**invariant_rank == 0
+    assert co.h1_abelian(g, lt.ZGLattice(g, rho)).order() == fixed // n**invariant_rank
+
+
 def test_relator_rows_reject_a_word_that_is_no_relator():
     s3 = gr.symmetric_group(3)
     gens, relators = schreier_presentation(s3)

@@ -41,6 +41,19 @@ def test_check_rho_refuses_permutation_matrices_that_are_no_action():
     lt.check_rho(c3, rho, gr.generating_set(c3), gr.NotAction)
 
 
+def test_check_rho_reads_the_identity_row_by_row():
+    # rho(1) must be I of its rank, row for row: a wrong sign, a swapped,
+    # repeated, long or short row and an extra entry are each refused
+    c1 = gr.trivial_group()
+    for r in range(4):
+        lt.check_rho(c1, [la.identity(r)], (), gr.NotAction)
+    bad = [((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 0), (1, 0)), ((1, 1), (0, 1)),
+           ((1, 0, 0), (0, 1, 0)), ((1,), (0, 1)), ((2,),), ((0,),)]
+    for m in bad:
+        with pytest.raises(gr.NotAction, match="identity"):
+            lt.check_rho(c1, [m], (), gr.NotAction)
+
+
 def _matmul_check(g, mats):
     # the law read by multiplying every product out: the reference
     for s in gr.generating_set(g):

@@ -6,21 +6,29 @@ from torsorlab import checks
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import linalg as la
+from torsorlab import numtheory as nt
 from torsorlab import serre as sr
 
 
-def _matmul_calls(monkeypatch, run) -> int:
-    calls = [0]
-    matmul = la.matmul
+def _calls(monkeypatch, run, *targets) -> list:
+    """How often each (owner, attribute name) of targets is called while
+    run() runs; a method is counted by patching its class."""
+    counts = [0] * len(targets)
+    originals = [getattr(owner, name) for owner, name in targets]
+    for i, ((owner, name), f) in enumerate(zip(targets, originals)):
+        def counted(*args, _i=i, _f=f, **kw):
+            counts[_i] += 1
+            return _f(*args, **kw)
 
-    def counted(a, b):
-        calls[0] += 1
-        return matmul(a, b)
-
-    monkeypatch.setattr(la, "matmul", counted)
+        monkeypatch.setattr(owner, name, counted)
     run()
-    monkeypatch.setattr(la, "matmul", matmul)
-    return calls[0]
+    for (owner, name), f in zip(targets, originals):
+        monkeypatch.setattr(owner, name, f)
+    return counts
+
+
+def _matmul_calls(monkeypatch, run) -> int:
+    return _calls(monkeypatch, run, (la, "matmul"))[0]
 
 
 def test_block_decompositions_read_monomial_products(monkeypatch):
@@ -42,3 +50,41 @@ def test_permutation_h1_multiplies_nothing(monkeypatch):
             co.h1_abelian(m.group, m)
 
     assert _matmul_calls(monkeypatch, run) == 0
+
+
+def test_permutation_h1_work(monkeypatch):
+    # criterion 3: one invariants-only SNF per coset lattice, and the
+    # subgroup closures of the catalog groups it draws the lattices from
+    snf, closures = _calls(monkeypatch, checks.check_permutation_h1_vanishing,
+                           (la, "smith_normal_form"), (gr, "_closure"))
+    assert snf <= 747
+    assert closures <= 9897
+
+
+def test_permutation_h1_builds_no_identity(monkeypatch):
+    # check_rho reads rho(1) against the unit rows in place (747 la.identity
+    # calls when it built I for each lattice)
+    lattices = [m for _, _, m in checks.coset_lattices()]
+
+    def run():
+        for m in lattices:
+            co.h1_abelian(m.group, m)
+
+    assert _calls(monkeypatch, run, (la, "identity")) == [0]
+
+
+def test_splitting_dual_oracle_work(monkeypatch):
+    # criterion 9: the closures of the unit subgroups, and the F_p remainders
+    # of the Dedekind route and the period polynomials
+    closures, remainders = _calls(monkeypatch, checks.check_splitting_dual_oracle,
+                                  (gr, "_closure"), (nt, "_fp_rem"))
+    assert closures <= 7045
+    assert remainders <= 29859
+
+
+def test_gamma_group_law_checks(monkeypatch):
+    # the automorphism law is checked at construction and before each class
+    # walk of criteria 7 and 11, and not again
+    automorphisms = (gr.GammaGroup, "check_automorphisms")
+    assert _calls(monkeypatch, checks.check_truncated_orbit_transitivity, automorphisms)[0] <= 613
+    assert _calls(monkeypatch, checks.check_product_h1, automorphisms)[0] <= 20
