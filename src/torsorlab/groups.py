@@ -2,10 +2,10 @@
 and structural maps.
 
 Elements are indices 0..order-1 with the identity at 0.  Every law is checked
-on a generating set: associativity by Light's test, and a homomorphism,
-action or cocycle law f(s h) = ... for s in generating_set only.  The s that
-satisfy such a law are closed under products, so by induction on word length
-it then holds for every pair.
+on a generating set: a homomorphism, action or cocycle law f(s h) = ... for s
+in generating_set only, and associativity as the law of the left-regular
+action.  The s that satisfy such a law are closed under products, so by
+induction on word length it then holds for every pair.
 """
 
 from __future__ import annotations
@@ -57,33 +57,20 @@ class FiniteGroup:
         if any(len(r) != n for r in rows):
             raise InvalidGroup("table must be square")
         self.rows = rows
+        # set by generating_set, which validation calls first
+        self._generating_set = None
         if validate:
             self._validate()
         self.inverses = self._compute_inverses()
-        # computed on first use by generating_set
-        self._generating_set = None
 
     def _validate(self):
-        n = self.order
-        rows = self.rows
-        if n == 0:
+        if self.order == 0:
             raise InvalidGroup("empty group")
-        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
-            raise InvalidGroup("table entries out of range")
-        if rows[0] != tuple(range(n)) or any(r[0] != a for a, r in enumerate(rows)):
-            raise InvalidGroup("element 0 is not a two-sided identity")
-        # Light's associativity test: the s with (x*s)*y == x*(s*y) for all
-        # x, y are closed under products, so checking a generating set (one
-        # that reaches every element from 0 by right multiplications) suffices
-        for s in subgroup_generating_set(self, self.elements()):
-            rs = rows[s]
-            for rx in rows:
-                # row x*s is row s read through row x
-                if rows[rx[s]] != tuple(map(rx.__getitem__, rs)):
-                    raise InvalidGroup("multiplication is not associative")
-        for a in range(n):
-            if len(set(rows[a])) != n:
-                raise InvalidGroup("row %d is not a bijection" % a)
+        if any(r[0] != a for a, r in enumerate(self.rows)):
+            raise InvalidGroup("element 0 is not a right identity")
+        # associative exactly when the rows are the left-regular action,
+        # (s*h)*y == s*(h*y); _compute_inverses then asks for right inverses
+        check_action(self, self.rows, InvalidGroup)
 
     def _compute_inverses(self) -> tuple:
         inv = []
@@ -529,18 +516,24 @@ def generated_subgroup(g: FiniteGroup, gens) -> tuple:
     return tuple(sorted(_closure(g, gens)))
 
 
-def _closure(g: FiniteGroup, gens) -> set:
-    elems = {0}
-    frontier = [0]
+def _closure(g: FiniteGroup, gens, start=(0,)) -> set:
+    """The subgroup generated by the subgroup H = start and gens.  It is a
+    union of left cosets yH, so each new y brings yH and only products by
+    gens are walked."""
+    rows = g.rows
+    elems = set(start)
+    frontier = list(start)
     gens = list(gens)
     while frontier:
         new = []
         for x in frontier:
+            rx = rows[x]
             for s in gens:
-                y = g.mul(x, s)
+                y = rx[s]
                 if y not in elems:
-                    elems.add(y)
-                    new.append(y)
+                    coset = list(map(rows[y].__getitem__, start))
+                    elems.update(coset)
+                    new += coset
         frontier = new
     return elems
 
@@ -565,7 +558,7 @@ def subgroup_generating_set(g: FiniteGroup, elems) -> tuple:
     for x in elems:
         if x not in current:
             gens.append(x)
-            current = _closure(g, gens)
+            current = _closure(g, (x,), current)
             if len(current) == len(elems):
                 break
     # drop redundant generators (keeps the set small for cohomology work)
@@ -584,18 +577,21 @@ def subgroup_generating_set(g: FiniteGroup, elems) -> tuple:
 
 
 def all_subgroups(g: FiniteGroup) -> tuple:
-    """Every subgroup, found by closing each subgroup with one more element."""
+    """Every subgroup, found by extending each subgroup H by one x of each
+    right coset Hx other than H, since <H, hx> = <H, x>."""
+    rows = g.rows
     trivial = (0,)
     found = {trivial}
     frontier = [trivial]
     while frontier:
         new = []
         for h in frontier:
-            hset = set(h)
+            seen = set(h)
             for x in g.elements():
-                if x in hset:
+                if x in seen:
                     continue
-                k = generated_subgroup(g, list(h) + [x])
+                seen.update(rows[a][x] for a in h)
+                k = tuple(sorted(_closure(g, (x,), h)))
                 if k not in found:
                     found.add(k)
                     new.append(k)

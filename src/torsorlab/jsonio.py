@@ -151,7 +151,7 @@ def lattice_from_json(obj, basedir="."):
 def exact_sequence_from_json(obj, basedir=".") -> list:
     """The maps of {"lattices": [...], "maps": [...]}, map i from lattice i
     to lattice i + 1."""
-    lattices = [lattice_from_json(x, basedir) for x in _field(obj, "lattices")]
+    lattices = [lattice_from_json(x, basedir) for x in _field(obj, "lattices", list)]
     maps = _field(obj, "maps")
     if not isinstance(maps, list) or len(maps) != len(lattices) - 1:
         raise ParseError("need one map between each pair of adjacent lattices")

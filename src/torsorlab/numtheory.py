@@ -765,6 +765,10 @@ class CyclotomicPowerLaw:
 
     l: int
 
+    def __post_init__(self):
+        if not _is_prime(self.l):
+            raise HypothesisFailed(f"the tower law needs a prime l, not {self.l}")
+
     def materialize(self, n: int) -> AbelianFieldDatum:
         if n == 0:
             return AbelianFieldDatum(1, (0,))
@@ -785,6 +789,10 @@ class SplitObstructionLaw:
     p0: int
     levels: int = 2
     prime_bound: int = 20000
+
+    def __post_init__(self):
+        if not _is_prime(self.l):
+            raise HypothesisFailed(f"the tower law needs a prime l, not {self.l}")
 
 
 def degree_l_datum(l: int, q: int) -> AbelianFieldDatum:

@@ -62,6 +62,8 @@ class CMGaloisDatum:
 
     def __post_init__(self):
         g, i = self.group, self.iota
+        if not 0 <= i < g.order:
+            raise InvalidDatum("the involution must be an element of the group")
         if i == g.identity:
             raise InvalidDatum("the involution must be nontrivial")
         if g.mul(i, i) != g.identity:

@@ -2,8 +2,9 @@
 form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
-generating set, the Serre character sequences by restricted actions, and
-lattice twists with every product multiplied out."""
+generating set, the Serre character sequences by restricted actions,
+lattice twists with every product multiplied out, and subgroups and their
+generating sets by closing from {0} each time."""
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
@@ -314,3 +315,60 @@ def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, value_matrices) -
         return lt.ZGLattice(gamma, rho, validate=True)
     except ValueError as e:
         raise co.NotAction(str(e)) from e
+
+
+def closure_from_identity(g: gr.FiniteGroup, gens) -> tuple:
+    """<gens>, closed from {0} under right multiplication by gens."""
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in gens:
+                y = g.mul(x, s)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    return tuple(sorted(elems))
+
+
+def all_subgroups_by_closure(g: gr.FiniteGroup) -> tuple:
+    """groups.all_subgroups, closing <H, x> from {0} for every subgroup H and
+    every x outside it."""
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        new = []
+        for h in frontier:
+            for x in g.elements():
+                if x in h:
+                    continue
+                k = closure_from_identity(g, list(h) + [x])
+                if k not in found:
+                    found.add(k)
+                    new.append(k)
+        frontier = new
+    return tuple(sorted(found, key=lambda h: (len(h), h)))
+
+
+def subgroup_generating_set_by_closure(g: gr.FiniteGroup, elems) -> tuple:
+    """groups.subgroup_generating_set, re-closing from {0} at each greedy step."""
+    gens = []
+    current = (0,)
+    for x in elems:
+        if x not in current:
+            gens.append(x)
+            current = closure_from_identity(g, gens)
+            if len(current) == len(elems):
+                break
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(gens)):
+            trial = gens[:i] + gens[i + 1 :]
+            if trial and len(closure_from_identity(g, trial)) == len(elems):
+                gens = trial
+                changed = True
+                break
+    return tuple(gens) or (0,)

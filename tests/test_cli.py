@@ -351,6 +351,40 @@ def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, ca
     assert captured.out == "" and "parse error" in captured.err
 
 
+C2_IOTA_5 = {"group": C2, "iota": 5}
+
+
+@pytest.mark.parametrize("command,document", [
+    (("serre", "sequence", "--datum"), C2_IOTA_5),
+    (("serre", "tower", "--chain"), {"kind": "constant", "datum": C2_IOTA_5}),
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 0, "p0": 7}}),
+    (("invsys", "classify", "--recipe"),
+     {"kind": "norm-tower", "levels": [LEVEL],
+      "law": {"kind": "split-obstruction", "l": 0, "p0": 7}}),
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [LEVEL], "law": {"kind": "cyclotomic-power", "l": 4}}),
+    (("lattice", "exact", "--in"), {"lattices": 5, "maps": []}),
+], ids=["iota-out-of-range", "constant-chain-iota", "split-l-0", "norm-tower-l-0",
+        "cyclotomic-l-4", "lattices-not-a-list"])
+def test_out_of_range_input_exits_3_in_a_subprocess(command, document, tmp_path):
+    # an involution that is no group element, a tower law whose l is not
+    # prime (l = 4 once looped for ever, l = 0 divided by zero), a lattice
+    # list that is no list: exit 3 with a message and no traceback, and no
+    # hang, which the timeout turns into a failure
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsorlab.cli", *command, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == cli.EXIT_ERROR, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
+
+
 def test_nt_tower_cert(fixtures, capsys):
     code, rep = run_cli(capsys, ["nt", "tower-cert", "--tower", str(fixtures["tower"])])
     assert code == 0

@@ -9,6 +9,8 @@ from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
+from torsorlab import numtheory as nt
+from helpers import all_subgroups_by_closure, subgroup_generating_set_by_closure
 
 
 def brute_classes(g):
@@ -178,6 +180,43 @@ def test_subgroup_enumeration_counts():
     assert len(gr.all_subgroups(gr.symmetric_group(4))) == 30
     assert len(gr.all_subgroups(gr.quaternion_group(8))) == 6
     assert len(gr.all_subgroups(gr.cyclic_group(12))) == 6
+    c2 = gr.cyclic_group(2)
+    assert len(gr.all_subgroups(gr.direct_product(gr.direct_product(c2, c2), c2))) == 16
+
+
+def _subgroup_oracle_groups():
+    yield from (g for _, g in catalog.group_catalog(24))
+    for m in range(2, 101):
+        units = nt.units_mod(m)
+        index = {u: i for i, u in enumerate(units)}
+        yield gr.FiniteGroup([[index[a * b % m] for b in units] for a in units])
+    c2, s3 = gr.cyclic_group(2), gr.symmetric_group(3)
+    yield gr.direct_product(gr.direct_product(c2, c2), gr.cyclic_group(4))
+    yield gr.direct_product(s3, gr.cyclic_group(4))
+    yield gr.direct_product(gr.quaternion_group(8), c2)
+    yield gr.direct_product(s3, s3)
+
+
+def test_subgroups_by_extension_match_closing_from_the_identity():
+    # all_subgroups and subgroup_generating_set extend a subgroup; the
+    # oracles close from {0} each time: same subgroups, same order, same
+    # generating sets
+    for g in _subgroup_oracle_groups():
+        subgroups = gr.all_subgroups(g)
+        assert subgroups == all_subgroups_by_closure(g), g
+        for h in subgroups:
+            assert gr.subgroup_generating_set(g, h) == subgroup_generating_set_by_closure(g, h)
+
+
+def test_a_validated_table_keeps_its_generating_set(monkeypatch):
+    # validation computes the generating set, and generating_set reuses it
+    table = [list(r) for r in gr.symmetric_group(4).rows]
+    calls = []
+    search = gr.subgroup_generating_set
+    monkeypatch.setattr(gr, "subgroup_generating_set", lambda *a: calls.append(a) or search(*a))
+    g = gr.FiniteGroup(table)
+    assert gr.generating_set(g) == search(g, g.elements())
+    assert len(calls) == 1
 
 
 def test_generating_set():
@@ -423,8 +462,9 @@ def _random_loop(n, rng):
 
 
 def test_associativity_check_agrees_with_brute_force_on_loops():
-    # FiniteGroup checks (x*s)*y == x*(s*y) for s in a generating set only
-    # (Light's test); on random loops it must accept exactly the groups
+    # FiniteGroup checks (s*h)*y == s*(h*y) for s in a generating set only
+    # (the left-regular action law); on random loops it must accept exactly
+    # the groups
     rng = random.Random(5)
     accepted = rejected = 0
     for n in (4, 5, 6, 7):
