@@ -62,15 +62,19 @@ def check_rho(group: FiniteGroup, mats, gens, error) -> None:
     """Raise `error` unless rho(1) = I and rho(s h) = rho(s) rho(h) for each
     s in gens and every h: when gens generate the group, induction on word
     length makes rho a homomorphism.  The products rho(s) rho(h) over all h
-    come from one _left_products, which reads rho(s) once.  rho(1) is read
-    row by row against the unit rows, without building I."""
-    r = len(mats[0])
-    if any(len(row) != r or row[i] != 1 or row.count(0) != r - 1
-           for i, row in enumerate(mats[0])):
+    come from one _left_products, which reads rho(s) once."""
+    if not _is_identity(mats[0], len(mats[0])):
         raise error("identity must act as the identity matrix")
     for s in gens:
         if _left_products(mats[s], mats) != [mats[t] for t in group.rows[s]]:
             raise error("rho is not multiplicative")
+
+
+def _is_identity(m, r: int) -> bool:
+    """Is m the r x r identity?  Read row by row against the unit rows,
+    without building I."""
+    return len(m) == r and all(len(row) == r and row[i] == 1 and row.count(0) == r - 1
+                               for i, row in enumerate(m))
 
 
 def _signed_rows(ms):
@@ -300,17 +304,23 @@ def kernel_sequence_exact(K, W, E) -> bool:
     """Is 0 -> col K -> M -E-> F -> 0 exact, where M has rank len(K), F has
     rank len(E) and W is the claimed retraction of K?
 
-    It is exactly when W K == I (K injective, from one sparse product), the
-    joint at M is exact (joint_report: col K = ker E) and E is onto.  No
-    action on col K is needed to decide it: once the sequence is exact,
-    col K = ker E, and the kernel of an equivariant map is G-stable, so
-    col K is a sublattice with group action whenever E is a validated
-    LatticeMap matrix.
+    It is exactly when W K == I, E K == 0 and E is onto with width K ==
+    len(K) - rank E; no second kernel is needed, by the rank lemma: a
+    saturated sublattice inside a saturated lattice of the same rank is
+    equal to it.  W K == I makes K injective and col K saturated (d v = K x
+    gives x = d W v, so v = K W v), and ker E is saturated as every kernel
+    is, so E K == 0 and equal ranks give col K = ker E.  One transform-free
+    SNF of E shows that E is onto (len(E) unit divisors), and then rank
+    ker E = len(K) - len(E).  W K is read against the unit rows in place.
+    No action on col K is needed either: the kernel of an equivariant map
+    is G-stable, so col K is a sublattice with group action whenever E is a
+    validated LatticeMap matrix.
     """
     return (
-        la.matmul(W, K) == la.identity(la.width(K))
-        and joint_report(K, E, len(K)).exact
-        and _onto(E, len(E))
+        _is_identity(la.matmul(W, K), la.width(K))
+        and not any(map(any, la.matmul(E, K)))
+        and la.width(K) == len(K) - len(E)
+        and smith_normal_form(E, transforms=()).diagonal.count(1) == len(E)
     )
 
 

@@ -443,6 +443,16 @@ def dedekind_split(fld: NumberFieldDatum, p: int) -> SplittingType:
 # abelian fields by (conductor, unit subgroup)
 
 
+# the largest conductor whose units are listed: units_mod scans every
+# residue, about 0.3 s at this bound, and the towers scan it again per level
+MAX_CONDUCTOR = 10**6
+
+
+def _check_conductor(m: int) -> None:
+    if m > MAX_CONDUCTOR:
+        raise HypothesisFailed(f"conductor {m} is above the bound {MAX_CONDUCTOR}")
+
+
 def units_mod(m: int) -> tuple:
     if m == 1:
         return (0,)
@@ -492,6 +502,7 @@ class AbelianFieldDatum:
         object.__setattr__(self, "subgroup", h)
         if m < 1:
             raise ValueError("conductor must be positive")
+        _check_conductor(m)
         object.__setattr__(self, "units", units_mod(m))
         if m == 1:
             if h != (0,):
@@ -773,6 +784,7 @@ class CyclotomicPowerLaw:
         if n == 0:
             return AbelianFieldDatum(1, (0,))
         m = self.l ** (n + 1)
+        _check_conductor(m)
         torsion = tuple(
             x for x in units_mod(m) if pow(x, self.l - 1, m) == 1
         )
@@ -806,6 +818,7 @@ def verify_tower_containments(levels) -> None:
     corresponding unit subgroups must be nested (kernels shrink)."""
     for a, b in zip(levels, levels[1:]):
         m = math.lcm(a.conductor, b.conductor)
+        _check_conductor(m)
         ha = _lift_subgroup(a, m)
         hb = _lift_subgroup(b, m)
         if not hb <= ha:

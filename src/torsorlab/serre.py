@@ -136,8 +136,13 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     """Character lattices of the Serre construction for one datum, with the
     actions restricted to X*(S) and X*(Sbar) (equivariant_sublattice).
 
-    The sequence and CM-type checks read only the kernels (_xs_kernel); this
-    is the route by restriction that they are compared against.
+    This is the route by restriction that the checks are compared against.
+    The sequence check reads X*(S) and X*(Sbar) as saturated kernels with
+    their retractions (_xs_kernel), and the CM-type check reads only the
+    equations of X*(S) and its rank (_xs_equations).  Neither restricts an
+    action: both decide equality of lattices by the rank lemma, that a
+    saturated sublattice inside a saturated lattice of the same rank is
+    equal to it.
     """
     g = d.group
     n = g.order
@@ -196,9 +201,13 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     X*(S) and X*(Sbar) are read as saturated kernels with their retractions
     (_xs_kernel), checked against the rank law and the weight, and each
     sequence is decided by lattices.kernel_sequence_exact against the
-    validated, equivariant fibre-sum map.  No action is restricted to either
-    kernel and no Serre data is built: exactness makes each kernel G-stable
-    (see kernel_sequence_exact); build_serre is the route by restriction.
+    validated, equivariant fibre-sum map E.  That needs no second kernel:
+    col K is saturated because W K = I, ker E is saturated as every kernel
+    is, and by the rank lemma col K = ker E once E K = 0 and one
+    transform-free SNF of E shows E onto with rank ker E = width K.  No
+    action is restricted to either kernel and no Serre data is built:
+    exactness makes each kernel G-stable (see kernel_sequence_exact);
+    build_serre is the route by restriction.
     """
     g = d.group
     n = g.order
@@ -467,24 +476,38 @@ def _type_vectors(d: CMGaloisDatum, phi: tuple) -> list:
     return vectors
 
 
-def _basis_verdict(K, W, vectors) -> tuple[bool, bool]:
-    """(in_lattice, is_basis) for the vectors against the lattice spanned by
-    the columns of K, whose retraction is W."""
-    X = la.coordinates(K, W, la.transpose(vectors))
-    if X is None:
+def _xs_equations(d: CMGaloisDatum) -> tuple[list, int]:
+    """X*(S) inside Z[G] + Z as (rows, rank): the distinct rows of
+    _pair_equations(d, True), each as its nonzeros [(column, value), ...],
+    and the rank of their kernel, |G| + 1 - rank A from one transform-free
+    SNF.  Raises InvalidDatum unless the rank is |G|/2 + 1."""
+    A = _pair_equations(d, True)
+    rank = la.width(A) - la.rank(A)
+    if rank != d.half_order + 1:
+        raise InvalidDatum("rank law violated")  # cannot happen for valid data
+    return [[(c, v) for c, v in enumerate(row) if v] for row in dict.fromkeys(A)], rank
+
+
+def _type_verdict(xs: tuple, vectors) -> tuple[bool, bool]:
+    """(in_lattice, is_basis) for the vectors against X*(S), given as
+    _xs_equations gives it.
+
+    in_lattice: every equation vanishes on every vector.  is_basis: the
+    vectors also have as many unit divisors in one transform-free SNF as
+    X*(S) has rank.  Then they are independent and span a saturated
+    lattice; inside X*(S), saturated as every kernel is and of the same
+    rank, it is all of X*(S).
+    """
+    rows, rank = xs
+    if any(sum(v[c] * a for c, a in row) for row in rows for v in vectors):
         return False, False
-    r = la.width(K)
-    s = la.smith_normal_form(X, transforms=())
-    return True, (
-        len(X) == la.width(X) == r
-        and s.rank == r
-        and all(dd == 1 for dd in s.diagonal)
-    )
+    s = la.smith_normal_form(vectors, transforms=())
+    return True, s.diagonal.count(1) == len(vectors) == rank
 
 
-def _type_report(d: CMGaloisDatum, kernel: tuple, phi: tuple) -> CMTypeBasisReport:
+def _type_report(d: CMGaloisDatum, xs: tuple, phi: tuple) -> CMTypeBasisReport:
     vectors = _type_vectors(d, phi)
-    in_lattice, is_basis = _basis_verdict(*kernel, vectors)
+    in_lattice, is_basis = _type_verdict(xs, vectors)
     return CMTypeBasisReport(phi, tuple(vectors), in_lattice, is_basis)
 
 
@@ -492,19 +515,23 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     """The modified type sums and the conjugate sum form a basis of the
     Serre character lattice X*(S).
 
-    Only X*(S)'s inclusion into Z[G] + Z and its retraction are read, from
-    one saturated kernel: no group action is restricted to it.
+    No basis of X*(S) is built, and no action restricted to it: the sums
+    lie in X*(S) when its equations vanish on them, and its rank comes from
+    one transform-free SNF of the equations (_xs_equations).  They are a
+    basis when one more such SNF finds as many unit divisors as that rank:
+    a saturated sublattice of X*(S), which is saturated as a kernel, of the
+    same rank is X*(S) itself (_type_verdict).
     """
     phi = _cm_type(d, phi)
-    return _type_report(d, _xs_kernel(d, True), phi)
+    return _type_report(d, _xs_equations(d), phi)
 
 
 def cm_type_bases(d: CMGaloisDatum):
     """cm_type_basis for every CM type, in all_cm_types order, from one
-    inclusion of X*(S) and its retraction."""
-    kernel = _xs_kernel(d, True)
+    reading of X*(S)'s equations and rank."""
+    xs = _xs_equations(d)
     for phi in all_cm_types(d):
-        yield _type_report(d, kernel, _cm_type(d, phi))
+        yield _type_report(d, xs, _cm_type(d, phi))
 
 
 def all_cm_types(d: CMGaloisDatum):

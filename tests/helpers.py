@@ -3,6 +3,7 @@ form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
 generating set, the Serre character sequences by restricted actions,
+kernel sequences by a second kernel and CM-type bases by coordinates,
 lattice twists with every product multiplied out, and subgroups and their
 generating sets by closing from {0} each time."""
 
@@ -288,6 +289,34 @@ def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
     ranks = (data.xs.rank, data.ambient.rank, f_lat.rank)
     law = ranks == (d.half_order + 1, 2 * d.half_order + 1, d.half_order)
     return sr.SequenceReport(ranks, law, *exact)
+
+
+def kernel_sequence_by_joint(K, W, E) -> bool:
+    """lattices.kernel_sequence_exact by a second kernel: W K == I against a
+    built identity, the joint at M by lattices.joint_report (the saturated
+    kernel of E, K's coordinates in it and the SNF of their cokernel), and
+    E onto by its cokernel invariants."""
+    return (
+        la.matmul(W, K) == la.identity(la.width(K))
+        and lt.joint_report(K, E, len(K)).exact
+        and lt._onto(E, len(E))
+    )
+
+
+def basis_verdict_by_coordinates(K, W, vectors) -> tuple:
+    """(in_lattice, is_basis) of serre._type_verdict by coordinates: the
+    vectors against the lattice spanned by the columns of K, whose
+    retraction is W, decided by their coordinates X and the SNF of X."""
+    X = la.coordinates(K, W, la.transpose(vectors))
+    if X is None:
+        return False, False
+    r = la.width(K)
+    s = la.smith_normal_form(X, transforms=())
+    return True, (
+        len(X) == la.width(X) == r
+        and s.rank == r
+        and all(dd == 1 for dd in s.diagonal)
+    )
 
 
 def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, value_matrices) -> lt.ZGLattice:

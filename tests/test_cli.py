@@ -364,14 +364,18 @@ C2_IOTA_5 = {"group": C2, "iota": 5}
       "law": {"kind": "split-obstruction", "l": 0, "p0": 7}}),
     (("nt", "tower-cert", "--tower"),
      {"levels": [LEVEL], "law": {"kind": "cyclotomic-power", "l": 4}}),
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [LEVEL], "law": {"kind": "cyclotomic-power", "l": 10007}}),
     (("lattice", "exact", "--in"), {"lattices": 5, "maps": []}),
 ], ids=["iota-out-of-range", "constant-chain-iota", "split-l-0", "norm-tower-l-0",
-        "cyclotomic-l-4", "lattices-not-a-list"])
+        "cyclotomic-l-4", "cyclotomic-l-10007", "lattices-not-a-list"])
 def test_out_of_range_input_exits_3_in_a_subprocess(command, document, tmp_path):
     # an involution that is no group element, a tower law whose l is not
-    # prime (l = 4 once looped for ever, l = 0 divided by zero), a lattice
-    # list that is no list: exit 3 with a message and no traceback, and no
-    # hang, which the timeout turns into a failure
+    # prime (l = 4 once looped for ever, l = 0 divided by zero) or whose
+    # conductors pass numtheory.MAX_CONDUCTOR (l = 10007 once scanned 10^8
+    # residues at level 1), a lattice list that is no list: exit 3 with a
+    # message and no traceback, and no hang, which the timeout turns into a
+    # failure
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
     proc = subprocess.run(

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +11,14 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
-from helpers import bareiss_det, disjoint_union, lattice_eq, regular_gset, trivial_gset
+from helpers import (
+    bareiss_det,
+    disjoint_union,
+    kernel_sequence_by_joint,
+    lattice_eq,
+    regular_gset,
+    trivial_gset,
+)
 from test_cohomology import _np
 from test_linalg import _same
 
@@ -297,6 +306,61 @@ def test_exactness_report_matches_two_way_comparison():
     assert set(outcomes) == {
         (False, False, False), (True, False, False), (True, True, False), (True, True, True)
     }, outcomes
+
+
+def _random_kernel_triple(rng):
+    """(K, W, E): E random, with at most 3 rows and 5 columns, either of
+    which may be none; (K, W) its saturated kernel and retraction, as they
+    are or made wrong in one of five ways, or E changed under them."""
+    n, m = rng.randint(0, 5), rng.randint(0, 3)
+    E = _random_matrix(rng, m, n)
+    K, W = la.saturated_kernel(E or ((0,) * n,)) if n else ((), ())
+    K, W = [list(map(list, K)), list(map(list, W))]
+    r = la.width(K)
+    way = rng.randrange(7)
+    if way == 1 and r > 1:
+        # a unimodular change of basis: column i of K += q column j, and
+        # row j of W -= q row i, keep W K = I and the lattice
+        for _ in range(3):
+            i, j, q = *rng.sample(range(r), 2), rng.choice((-2, -1, 1, 2))
+            for row in K:
+                row[i] += q * row[j]
+            W[j] = [a - q * b for a, b in zip(W[j], W[i])]
+    elif way == 2 and r:
+        # one basis vector dropped: W K = I, but a smaller rank
+        j = rng.randrange(r)
+        K, W = [row[:j] + row[j + 1:] for row in K], W[:j] + W[j + 1:]
+    elif way == 3 and r:
+        # one basis vector doubled: W K != I
+        j = rng.randrange(r)
+        for row in K:
+            row[j] *= 2
+    elif way == 4 and E:
+        # one row of E doubled, dropped, or a sum of two rows added
+        i = rng.randrange(m)
+        E = rng.choice([E[:i] + (tuple(2 * x for x in E[i]),) + E[i + 1:], E[:i] + E[i + 1:],
+                        E + (tuple(map(sum, zip(E[i], E[-1]))),)])
+    elif way == 5 and n:
+        # the kernel of another matrix of the same width
+        K, W = la.saturated_kernel(_random_matrix(rng, rng.randint(1, 3), n))
+    elif way == 6:
+        # no rows in E: exact iff K is unimodular
+        E = ()
+    return la.int_rows(K), la.int_rows(W), E
+
+
+def test_kernel_sequence_rule_agrees_with_the_joint_route():
+    # the rank lemma against a second kernel, the cokernel of K's
+    # coordinates in it, and E's cokernel, on random triples
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(2400):
+        K, W, E = _random_kernel_triple(rng)
+        exact = lt.kernel_sequence_exact(K, W, E)
+        assert exact == kernel_sequence_by_joint(K, W, E), (K, W, E)
+        zero_ended = not (len(K) and la.width(K) and len(E))
+        seen[exact, zero_ended] += 1
+    assert min(seen[key] for key in product((True, False), repeat=2)) >= 100, seen
 
 
 def test_exactness_report_factors_no_empty_matrix(monkeypatch):

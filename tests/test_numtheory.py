@@ -655,6 +655,20 @@ def test_cyclotomic_tower_certificate():
     assert ta.certificate["prime"] == 2
 
 
+def test_conductors_above_the_bound_are_refused():
+    # each refusal comes before units_mod scans the residues
+    bound = nt.MAX_CONDUCTOR
+    with pytest.raises(nt.HypothesisFailed, match="above the bound"):
+        nt.AbelianFieldDatum(bound + 1, (1,))
+    with pytest.raises(nt.HypothesisFailed, match="above the bound"):
+        nt.CyclotomicPowerLaw(10007).materialize(1)
+    with pytest.raises(nt.HypothesisFailed, match="above the bound"):
+        nt.verify_tower_containments([nt.AbelianFieldDatum(999983, (1,)),
+                                      nt.AbelianFieldDatum(999979, (1,))])
+    # the horizon-6 levels of l = 7 stay below it: 7^7 = 823,543
+    assert nt.CyclotomicPowerLaw(7).materialize(6).conductor == 7 ** 7 <= bound
+
+
 def test_norm_tower_certificate_dispatcher():
     ta = nt.norm_tower_certificate((), law=nt.CyclotomicPowerLaw(3), horizon=3)
     assert ta.status == "fails"

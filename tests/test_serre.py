@@ -9,7 +9,13 @@ from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import serre as sr
 from torsorlab.catalog import central_involutions, group_catalog
-from helpers import bareiss_det, serre_sequence_by_restriction, twist_lattice_by_matmul
+from helpers import (
+    bareiss_det,
+    basis_verdict_by_coordinates,
+    kernel_sequence_by_joint,
+    serre_sequence_by_restriction,
+    twist_lattice_by_matmul,
+)
 
 
 def quad_datum():
@@ -216,16 +222,44 @@ def test_cm_type_bases_match_one_call_per_type():
 
 def test_basis_verdict_can_refute():
     d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
-    K, W = sr._xs_kernel(d, True)
+    xs = sr._xs_equations(d)
     vectors = sr._type_vectors(d, (0, 1))
-    assert sr._basis_verdict(K, W, vectors) == (True, True)
+    assert sr._type_verdict(xs, vectors) == (True, True)
     # twice the conjugate sum lies in X*(S), but the vectors span index 2
     doubled = vectors[:-1] + [tuple(2 * x for x in vectors[-1])]
-    assert sr._basis_verdict(K, W, doubled) == (True, False)
-    assert sr._basis_verdict(K, W, vectors[:-1]) == (True, False)
+    assert sr._type_verdict(xs, doubled) == (True, False)
+    assert sr._type_verdict(xs, vectors[:-1]) == (True, False)
     # e_0 breaks n_s + n_(iota s) = c
     e0 = (1,) + (0,) * d.group.order
-    assert sr._basis_verdict(K, W, vectors[:-1] + [e0]) == (False, False)
+    assert sr._type_verdict(xs, vectors[:-1] + [e0]) == (False, False)
+
+
+def _type_variants(vectors):
+    """The type vectors, then with the first doubled, one entry shifted,
+    the first replaced by the sum of the others, and the last dropped."""
+    first = vectors[0]
+    yield vectors
+    yield [tuple(2 * x for x in first)] + vectors[1:]
+    yield [(first[0] + 1,) + first[1:]] + vectors[1:]
+    yield [tuple(map(sum, zip(*vectors[1:])))] + vectors[1:]
+    yield vectors[:-1]
+
+
+def test_type_verdicts_agree_with_the_coordinate_route():
+    # the rank-lemma verdict against coordinates in a saturated kernel, on
+    # every CM type of order <= 12 and four wrong variants of each
+    seen = Counter()
+    for _, g in group_catalog(12):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            xs, (K, W) = sr._xs_equations(d), sr._xs_kernel(d, True)
+            for phi in sr.all_cm_types(d):
+                for vectors in _type_variants(sr._type_vectors(d, sr._cm_type(d, phi))):
+                    verdict = sr._type_verdict(xs, vectors)
+                    assert verdict == basis_verdict_by_coordinates(K, W, vectors)
+                    seen[verdict] += 1
+    assert sum(seen.values()) == 5 * 650
+    assert set(seen) == {(True, True), (True, False), (False, False)}
 
 
 def _type_report_through_build_serre(d, data, phi) -> tuple:
@@ -326,17 +360,46 @@ def test_kernel_sequence_rule_can_refute():
         E = la.int_rows(E)
         assert lt.kernel_sequence_exact(K, W, E)
         # one row doubled: the same kernel, but E is not onto
-        doubled = (tuple(2 * x for x in E[0]),) + E[1:]
+        doubled = _twice(E[:1]) + E[1:]
         assert lt.joint_report(K, doubled, len(K)).exact
         assert not lt.kernel_sequence_exact(K, W, doubled)
         # 2K: ker E / im 2K is finite and nonzero
-        twice = tuple(tuple(2 * x for x in row) for row in K)
+        twice = _twice(K)
         joint = lt.joint_report(twice, E, len(K))
         assert joint.composite_zero and joint.image_equals_kernel_saturated
         assert not joint.image_equals_kernel_integral and not joint.exact
         assert not lt.kernel_sequence_exact(twice, W, E)
         # a W that is no left inverse of K
-        assert not lt.kernel_sequence_exact(K, tuple(tuple(2 * x for x in r) for r in W), E)
+        assert not lt.kernel_sequence_exact(K, _twice(W), E)
+
+
+def _twice(M) -> tuple:
+    return tuple(tuple(2 * x for x in row) for row in M)
+
+
+def test_serre_kernel_sequences_agree_with_the_joint_route():
+    # the rank lemma against a second kernel on both sequences of every CM
+    # datum of order <= 16, and on each with E given a doubled row, E
+    # missing a row, K doubled or W doubled
+    seen = Counter()
+    for _, g in group_catalog(16):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            n = g.order
+            _, coset_index, _ = sr._coset_restriction(d)
+            for with_constant in (True, False):
+                K, W = sr._xs_kernel(d, with_constant)
+                E = sr._fibre_sums(coset_index, len(K), n // 2)
+                if with_constant:
+                    for row in E:
+                        row[n] = -1
+                E = la.int_rows(E)
+                for k, w, e in ((K, W, E), (K, W, _twice(E[:1]) + E[1:]), (K, W, E[1:]),
+                                (_twice(K), W, E), (K, _twice(W), E)):
+                    exact = lt.kernel_sequence_exact(k, w, e)
+                    assert exact == kernel_sequence_by_joint(k, w, e)
+                    seen[exact] += 1
+    assert seen == {True: 2 * 65, False: 8 * 65}
 
 
 def test_the_serre_data_checks_can_fire(monkeypatch):
@@ -358,6 +421,8 @@ def test_the_serre_data_checks_can_fire(monkeypatch):
         row for s, row in enumerate(pair_equations(d, c)) if s not in (0, d.iota)))
     with pytest.raises(sr.InvalidDatum, match="rank law"):
         sr.verify_serre_sequence(d)
+    with pytest.raises(sr.InvalidDatum, match="rank law"):
+        sr.cm_type_basis(d, (0, 1))
     monkeypatch.setattr(sr, "_pair_equations", pair_equations)
     # a fibre-sum map that is no longer equivariant, on each sequence
     fibre_sums = sr._fibre_sums

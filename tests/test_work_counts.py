@@ -5,6 +5,7 @@ lowered when the work falls; it is not raised to make a run pass."""
 from torsorlab import checks
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
+from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
 from torsorlab import serre as sr
@@ -25,6 +26,24 @@ def _calls(monkeypatch, run, *targets) -> list:
     for (owner, name), f in zip(targets, originals):
         monkeypatch.setattr(owner, name, f)
     return counts
+
+
+def _snf_calls(monkeypatch, run) -> list:
+    """(rows, columns, transforms tracked) of each smith_normal_form call
+    while run() runs, through linalg and through lattices, which imports
+    the name."""
+    snf, calls = la.smith_normal_form, []
+
+    def recorded(matrix, *, transforms=la.SNF_TRANSFORMS):
+        calls.append((len(matrix), la.width(matrix), tuple(transforms)))
+        return snf(matrix, transforms=transforms)
+
+    for owner in (la, lt):
+        monkeypatch.setattr(owner, "smith_normal_form", recorded)
+    run()
+    for owner in (la, lt):
+        monkeypatch.setattr(owner, "smith_normal_form", snf)
+    return calls
 
 
 def _matmul_calls(monkeypatch, run) -> int:
@@ -53,13 +72,35 @@ def test_permutation_h1_multiplies_nothing(monkeypatch):
 
 
 def test_permutation_h1_work(monkeypatch):
-    # criterion 3: one invariants-only SNF per coset lattice, and the
-    # subgroup closures of the catalog groups it draws the lattices from
-    # (9,897 when each subgroup was closed from {0})
-    snf, closures = _calls(monkeypatch, checks.check_permutation_h1_vanishing,
-                           (la, "smith_normal_form"), (gr, "_closure"))
-    assert snf <= 747
+    # criterion 3: one invariants-only SNF per coset lattice, the largest
+    # 72x24 (the stacked rho(s) - I of the largest lattice over its
+    # generators), and the subgroup closures of the catalog groups it draws
+    # the lattices from (9,897 when each subgroup was closed from {0})
+    snf = []
+    closures, = _calls(monkeypatch, lambda: snf.extend(
+        _snf_calls(monkeypatch, checks.check_permutation_h1_vanishing)), (gr, "_closure"))
+    assert len(snf) <= 747
+    assert max(rows for rows, _, _ in snf) <= 72
+    assert max(cols for _, cols, _ in snf) <= 24
     assert closures <= 3913
+
+
+def test_character_sequences_snf_work(monkeypatch):
+    # criterion 4 over 65 data: per sequence one saturated kernel, which
+    # tracks right and right_inv, and one transform-free SNF of E (520
+    # calls, 260 tracking, with a second kernel and a cokernel per joint)
+    calls = _snf_calls(monkeypatch, checks.check_character_sequences)
+    assert len(calls) <= 260
+    assert sum(1 for *_, tracked in calls if tracked) <= 130
+
+
+def test_cm_type_bases_snf_work(monkeypatch):
+    # criterion 5 over 26 data and 650 types: one rank per datum and one
+    # SNF per type's vectors, none tracking a transform (26 tracked when
+    # each datum built a saturated kernel)
+    calls = _snf_calls(monkeypatch, checks.check_cm_type_bases)
+    assert len(calls) <= 676
+    assert not [c for c in calls if c[2]]
 
 
 def test_permutation_h1_builds_no_identity(monkeypatch):
