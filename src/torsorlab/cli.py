@@ -253,6 +253,8 @@ def cmd_serre_blocks(args):
     van = sr.block_h1_vanishing(f_group)
     evidence = {
         "block_ranks": list(dec.block_ranks),
+        "total_rank": dec.total_rank,
+        "first_map_iso": dec.first_map_iso,
         "twisted_sub_is_block_lattice": dec.twisted_sub_iso,
         "class_embeddings_isomorphic": dec.class_embedding_iso,
         "h1_blocks_vanish": van.all_vanish,

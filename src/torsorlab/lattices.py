@@ -175,14 +175,6 @@ def trivial_lattice(group: FiniteGroup, rank: int = 1) -> ZGLattice:
     return ZGLattice(group, [la.identity(rank)] * group.order, validate=False)
 
 
-def zero_lattice(group: FiniteGroup) -> ZGLattice:
-    return ZGLattice(group, [()] * group.order, validate=False)
-
-
-def zero_map(source: ZGLattice, target: ZGLattice) -> LatticeMap:
-    return LatticeMap(source, target, ((0,) * source.rank,) * target.rank)
-
-
 def direct_sum(a: ZGLattice, b: ZGLattice) -> ZGLattice:
     if a.group != b.group:
         raise ValueError("different groups")
@@ -314,7 +306,9 @@ def kernel_sequence_exact(K, W, E) -> bool:
     ker E = len(K) - len(E).  W K is read against the unit rows in place.
     No action on col K is needed either: the kernel of an equivariant map
     is G-stable, so col K is a sublattice with group action whenever E is a
-    validated LatticeMap matrix.
+    validated LatticeMap matrix.  serre decides its two character sequences
+    and the twisted quotient sequence with it; exactness_report, which
+    compares with a second kernel at each joint, serves `lattice exact`.
     """
     return (
         _is_identity(la.matmul(W, K), la.width(K))

@@ -33,13 +33,10 @@ from .lattices import (
     ZGLattice,
     direct_sum,
     equivariant_sublattice,
-    exactness_report,
     is_equivariant_iso,
     kernel_sequence_exact,
     permutation_lattice,
     trivial_lattice,
-    zero_lattice,
-    zero_map,
 )
 from .numtheory import NotATower
 
@@ -137,12 +134,12 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     actions restricted to X*(S) and X*(Sbar) (equivariant_sublattice).
 
     This is the route by restriction that the checks are compared against.
-    The sequence check reads X*(S) and X*(Sbar) as saturated kernels with
-    their retractions (_xs_kernel), and the CM-type check reads only the
-    equations of X*(S) and its rank (_xs_equations).  Neither restricts an
-    action: both decide equality of lattices by the rank lemma, that a
-    saturated sublattice inside a saturated lattice of the same rank is
-    equal to it.
+    The sequence check and twist_serre read X*(S) and X*(Sbar) as saturated
+    kernels with their retractions (_xs_kernel), and the CM-type check reads
+    only the equations of X*(S) and its rank (_xs_equations).  None of them
+    restricts an untwisted action: each decides equality of lattices by the
+    rank lemma, that a saturated sublattice inside a saturated lattice of
+    the same rank is equal to it.
     """
     g = d.group
     n = g.order
@@ -257,67 +254,40 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     The base carries the right-translation action (the action on points of
     the torus side); composing with left translations by the cocycle values
     turns it into conjugation, blockwise per conjugacy class.
+
+    X*(Sbar) is read once, with its retraction (_xs_kernel): a kernel does
+    not depend on the action.  It carries the twisted middle's action
+    restricted to it, which is the twist of the restricted translations, as
+    restricted matrices are unique.  Exactness is decided as in
+    verify_serre_sequence, by kernel_sequence_exact against the validated
+    restriction map; build_serre is the route by restriction.
     """
     g = d.group
     n = g.order
-    right = _right_regular(g)
-    xsbar_r, xsbar_r_inc = equivariant_sublattice(right, _pair_equations(d, False))
+    K, W = _xs_kernel(d, False)
     sigma_f, coset_index, reps = _coset_restriction(d)
-    m = sigma_f.size
-    # right translation descends to cosets because the subgroup is central
-    right_cosets = [
-        [coset_index[g.mul(reps[c], g.inv(t))] for c in range(m)] for t in g.elements()
-    ]
-    f_right = permutation_lattice(GSet(g, right_cosets))
-
-    selfn = trivial_gamma_group(g, g)
-    taut = CrossedHom(g, selfn, tuple(g.elements()))
-    left_mats = _left_regular(g).rho
-    # left translation of cosets: the action of sigma_f
-    left_coset_mats = permutation_lattice(sigma_f).rho
-    left_sub_mats = la.restricted_action(
-        xsbar_r_inc.matrix, xsbar_r_inc.retraction, left_mats
+    # right translation and conjugation descend to cosets because the
+    # subgroup is central
+    right_cosets = [[coset_index[g.mul(r, g.inv(t))] for r in reps] for t in g.elements()]
+    coset_conj = [[coset_index[g.conj(t, r)] for r in reps] for t in g.elements()]
+    taut = CrossedHom(g, trivial_gamma_group(g, g), tuple(g.elements()))
+    # left translations, of G and of the cosets (the action of sigma_f)
+    tw_middle = twist_lattice(_right_regular(g), taut, _left_regular(g).rho)
+    tw_quotient = twist_lattice(
+        permutation_lattice(GSet(g, right_cosets)), taut, permutation_lattice(sigma_f).rho
     )
-    if left_sub_mats is None:
-        raise InvalidDatum("left translation does not preserve X*(Sbar)")  # cannot happen
-
-    tw_middle = twist_lattice(right, taut, left_mats)
-    tw_quotient = twist_lattice(f_right, taut, left_coset_mats)
-    tw_sub = twist_lattice(xsbar_r, taut, left_sub_mats)
-
-    conj_lat = permutation_lattice(conjugation_twist(g))
-    middle_ok = tw_middle == conj_lat
-    # conjugation on cosets of the central subgroup generated by iota
-    coset_conj = []
-    for t in g.elements():
-        row = [coset_index[g.conj(t, reps[c])] for c in range(m)]
-        coset_conj.append(row)
-    quot_ok = tw_quotient == permutation_lattice(GSet(g, coset_conj))
-
-    sub_inc = LatticeMap(tw_sub, tw_middle, xsbar_r_inc.matrix)
-    res_map = LatticeMap(tw_middle, tw_quotient, _fibre_sums(coset_index, n, m))
-    rep = exactness_report(
-        [
-            zero_map(zero_lattice(g), tw_sub),
-            sub_inc,
-            res_map,
-            zero_map(tw_quotient, zero_lattice(g)),
-        ]
-    )
-    action_trivial = g.is_abelian() and all(
-        rho == la.identity(n) for rho in tw_middle.rho
-    )
+    sub_rho = la.restricted_action(K, W, tw_middle.rho)
+    if sub_rho is None:
+        raise InvalidDatum("the twisted action does not preserve X*(Sbar)")  # cannot happen
+    tw_sub = ZGLattice(g, sub_rho, validate=False)
+    sub_inc = LatticeMap(tw_sub, tw_middle, K)
+    res_map = LatticeMap(tw_middle, tw_quotient, _fibre_sums(coset_index, n, len(reps)))
+    action_trivial = g.is_abelian() and all(rho == la.identity(n) for rho in tw_middle.rho)
     return TwistedSequence(
-        d,
-        tw_middle,
-        tw_sub,
-        sub_inc,
-        tw_quotient,
-        res_map,
-        middle_ok,
-        quot_ok,
-        rep.exact,
-        action_trivial,
+        d, tw_middle, tw_sub, sub_inc, tw_quotient, res_map,
+        tw_middle == permutation_lattice(conjugation_twist(g)),
+        tw_quotient == permutation_lattice(GSet(g, coset_conj)),
+        kernel_sequence_exact(K, W, res_map.matrix), action_trivial,
     )
 
 

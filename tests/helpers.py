@@ -2,8 +2,9 @@
 form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
-generating set, the Serre character sequences by restricted actions,
-kernel sequences by a second kernel and CM-type bases by coordinates,
+generating set, zero lattices and maps, the Serre character sequences and
+the twisted quotient sequence by restricted actions, kernel sequences by a
+second kernel and CM-type bases by coordinates,
 lattice twists with every product multiplied out, and subgroups and their
 generating sets by closing from {0} each time."""
 
@@ -258,6 +259,14 @@ def h1_by_relators(gamma, lattice, presentation=schreier_presentation) -> co.Coh
     return h1_from_rows(lattice.rho, gens, rows)
 
 
+def zero_lattice(g: gr.FiniteGroup) -> lt.ZGLattice:
+    return lt.ZGLattice(g, [()] * g.order, validate=False)
+
+
+def zero_map(source: lt.ZGLattice, target: lt.ZGLattice) -> lt.LatticeMap:
+    return lt.LatticeMap(source, target, ((0,) * source.rank,) * target.rank)
+
+
 def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
     """serre.verify_serre_sequence by a second route: X*(S) and X*(Sbar) as
     the equivariant sublattices of build_serre, with their restricted
@@ -268,7 +277,7 @@ def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
     n = g.order
     sigma_f, coset_index, _ = sr._coset_restriction(d)
     f_lat = lt.permutation_lattice(sigma_f)
-    zero = lt.zero_lattice(g)
+    zero = zero_lattice(g)
     # with the constants axis: (m, c) -> (sum over the fibre) - c
     eta = sr._fibre_sums(coset_index, n + 1, f_lat.rank)
     for row in eta:
@@ -280,15 +289,63 @@ def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
          sr._fibre_sums(coset_index, n, f_lat.rank)),
     ):
         rep = lt.exactness_report([
-            lt.zero_map(zero, sub),
+            zero_map(zero, sub),
             inclusion,
             lt.LatticeMap(middle, f_lat, E),
-            lt.zero_map(f_lat, zero),
+            zero_map(f_lat, zero),
         ])
         exact.append(rep.exact)
     ranks = (data.xs.rank, data.ambient.rank, f_lat.rank)
     law = ranks == (d.half_order + 1, 2 * d.half_order + 1, d.half_order)
     return sr.SequenceReport(ranks, law, *exact)
+
+
+def xsbar_twist_by_restriction(d) -> tuple:
+    """(m, f, value matrices, K) for the twist of X*(Sbar) by restriction:
+    m is X*(Sbar) inside the right-regular lattice with the restricted action
+    (lattices.equivariant_sublattice), f the tautological cocycle, the value
+    matrices the left translations restricted to m, and K the inclusion."""
+    g = d.group
+    m, inc = lt.equivariant_sublattice(sr._right_regular(g), sr._pair_equations(d, False))
+    left = la.restricted_action(inc.matrix, inc.retraction, sr._left_regular(g).rho)
+    if left is None:
+        raise sr.InvalidDatum("left translation does not preserve X*(Sbar)")
+    taut = co.CrossedHom(g, co.trivial_gamma_group(g, g), tuple(g.elements()))
+    return m, taut, left, inc.matrix
+
+
+def twist_serre_by_restriction(d) -> "sr.TwistedSequence":
+    """serre.twist_serre by restriction: the three lattices of the quotient
+    sequence twisted apart, X*(Sbar) with the twist of its restricted right
+    and left translations (xsbar_twist_by_restriction), and the whole
+    sequence, zero lattices at both ends, decided by
+    lattices.exactness_report."""
+    g = d.group
+    n = g.order
+    sigma_f, coset_index, reps = sr._coset_restriction(d)
+    m = sigma_f.size
+    right_cosets = [
+        [coset_index[g.mul(reps[c], g.inv(t))] for c in range(m)] for t in g.elements()
+    ]
+    sub, taut, left_sub, K = xsbar_twist_by_restriction(d)
+    tw_middle = co.twist_lattice(sr._right_regular(g), taut, sr._left_regular(g).rho)
+    tw_quotient = co.twist_lattice(lt.permutation_lattice(gs.GSet(g, right_cosets)), taut,
+                                   lt.permutation_lattice(sigma_f).rho)
+    tw_sub = co.twist_lattice(sub, taut, left_sub)
+    coset_conj = [[coset_index[g.conj(t, reps[c])] for c in range(m)] for t in g.elements()]
+    sub_inc = lt.LatticeMap(tw_sub, tw_middle, K)
+    res_map = lt.LatticeMap(tw_middle, tw_quotient, sr._fibre_sums(coset_index, n, m))
+    zero = zero_lattice(g)
+    rep = lt.exactness_report(
+        [zero_map(zero, tw_sub), sub_inc, res_map, zero_map(tw_quotient, zero)]
+    )
+    return sr.TwistedSequence(
+        d, tw_middle, tw_sub, sub_inc, tw_quotient, res_map,
+        tw_middle == lt.permutation_lattice(gs.conjugation_twist(g)),
+        tw_quotient == lt.permutation_lattice(gs.GSet(g, coset_conj)),
+        rep.exact,
+        g.is_abelian() and all(rho == la.identity(n) for rho in tw_middle.rho),
+    )
 
 
 def kernel_sequence_by_joint(K, W, E) -> bool:

@@ -402,6 +402,7 @@ def test_serre_commands(fixtures, capsys):
     )
     assert code == 0
     assert sorted(rep["evidence"]["block_ranks"]) == [1, 2, 3]
+    assert rep["evidence"]["total_rank"] == 6
     code, rep = run_cli(capsys, ["serre", "sequence", "--datum", str(fixtures["datum"])])
     assert code == 0 and rep["evidence"]["ranks"] == [2, 3, 1]
     code, rep = run_cli(capsys, ["serre", "tower", "--chain", str(fixtures["chain"])])
@@ -420,17 +421,19 @@ def test_serre_commands(fixtures, capsys):
 def test_single_case_commands_judge_as_their_criterion(command, module, name, field, fixtures,
                                                        capsys, monkeypatch):
     # verify-blocks, sequence and verify-twist apply the judges of criteria
-    # 2, 4 and 6: a report with one field false refutes (exit 1), including
-    # the fields the evidence does not print
+    # 2, 4 and 6: a report with one field false refutes (exit 1), and the
+    # evidence prints that field as false
     mod = importlib.import_module(f"torsorlab.{module}")
     compute = getattr(mod, name)
     argv = [str(fixtures[a]) if a in fixtures else a for a in command]
     code, rep = run_cli(capsys, argv)
     assert code == cli.EXIT_OK and rep["verdict"] == "verified"
+    assert rep["evidence"][field] is True
     monkeypatch.setattr(mod, name, lambda *a, **k: dataclasses.replace(compute(*a, **k),
                                                                        **{field: False}))
     code, rep = run_cli(capsys, argv)
     assert code == cli.EXIT_REFUTED and rep["verdict"] == "refuted"
+    assert rep["evidence"][field] is False
 
 
 def test_malformed_input_exit_code(fixtures, capsys):

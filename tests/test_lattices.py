@@ -18,6 +18,9 @@ from helpers import (
     lattice_eq,
     regular_gset,
     trivial_gset,
+    twist_serre_by_restriction,
+    zero_lattice,
+    zero_map,
 )
 from test_cohomology import _np
 from test_linalg import _same
@@ -206,18 +209,18 @@ def test_exactness_split_sequence():
     c1 = gr.trivial_group()
     z = lt.trivial_lattice(c1, 1)
     z2 = lt.trivial_lattice(c1, 2)
-    zero = lt.zero_lattice(c1)
+    zero = zero_lattice(c1)
     seq = [
-        lt.zero_map(zero, z),
+        zero_map(zero, z),
         lt.LatticeMap(z, z2, [[1], [1]]),
         lt.LatticeMap(z2, z, [[1, -1]]),
-        lt.zero_map(z, zero),
+        zero_map(z, zero),
     ]
     rep = lt.exactness_report(seq)
     assert rep.exact
     # 0 -> Z -(2)-> Z -(0)-> Z -> 0 fails integrally at the middle
     seq2 = [
-        lt.zero_map(zero, z),
+        zero_map(zero, z),
         lt.LatticeMap(z, z, [[2]]),
         lt.LatticeMap(z, z, [[0]]),
     ]
@@ -286,15 +289,15 @@ def _random_sequence(rng, c1):
 
 def test_exactness_report_matches_two_way_comparison():
     c1 = gr.trivial_group()
-    zero = lt.zero_lattice(c1)
+    zero = zero_lattice(c1)
     rng = random.Random(9)
     outcomes = set()
     for i in range(600):
         maps = _random_sequence(rng, c1)
         if i % 3 == 0:
             # zero-ended, as the short exact sequences are written
-            maps = ([lt.zero_map(zero, maps[0].source)] + maps
-                    + [lt.zero_map(maps[-1].target, zero)])
+            maps = ([zero_map(zero, maps[0].source)] + maps
+                    + [zero_map(maps[-1].target, zero)])
         rep = lt.exactness_report(maps)
         assert rep == _reference_exactness(maps)
         outcomes.update(
@@ -365,8 +368,9 @@ def test_kernel_sequence_rule_agrees_with_the_joint_route():
 
 def test_exactness_report_factors_no_empty_matrix(monkeypatch):
     # the joints and ends at a zero lattice are read off the shapes: the
-    # blocks cases' twisted sequences, zero lattices at both ends, factor no
-    # matrix with no rows or no columns, and still reach the SNF
+    # blocks cases' twisted sequences by restriction, zero lattices at both
+    # ends, factor no matrix with no rows or no columns, and still reach the
+    # SNF
     from torsorlab import serre as sr
 
     snf = la.smith_normal_form
@@ -380,7 +384,8 @@ def test_exactness_report_factors_no_empty_matrix(monkeypatch):
     c2 = gr.cyclic_group(2)
     for f in (gr.trivial_group(), c2, gr.cyclic_group(3), gr.direct_product(c2, c2),
               gr.symmetric_group(3), gr.dihedral_group(4)):
-        assert sr.twist_serre(sr.CMGaloisDatum(gr.direct_product(f, c2), f.order)).exact
+        d = sr.CMGaloisDatum(gr.direct_product(f, c2), f.order)
+        assert twist_serre_by_restriction(d).exact
     assert shapes and all(rows and cols for rows, cols in shapes), shapes
 
 
@@ -559,8 +564,9 @@ def test_equivariant_sublattice_on_serre_lattices():
                     assert la.matmul(K, sub.rho[x]) == la.matmul(m.rho[x], K)
                 lt.ZGLattice(g, sub.rho)  # identity and multiplicativity
                 checked += 1
-            # twist_serre's left translations on the right lattice's sublattice
-            left = la.restricted_action(K, W, regular.rho)
-            ref = _reference_restriction(K, regular.rho)
-            assert all(_same(a, b) for a, b in zip(left, ref))
+            # twist_serre's twisted (conjugation) action on the same sublattice
+            conj = lt.permutation_lattice(gs.conjugation_twist(g)).rho
+            twisted = la.restricted_action(K, W, conj)
+            ref = _reference_restriction(K, conj)
+            assert all(_same(a, b) for a, b in zip(twisted, ref))
     assert checked == 3 * 65

@@ -15,6 +15,8 @@ from helpers import (
     kernel_sequence_by_joint,
     serre_sequence_by_restriction,
     twist_lattice_by_matmul,
+    twist_serre_by_restriction,
+    xsbar_twist_by_restriction,
 )
 
 
@@ -114,7 +116,8 @@ def test_block_decomposition_trivial_group():
 
 def _criterion_2_twists(monkeypatch):
     """(lattice, cocycle, value matrices, twisted lattice) of every
-    twist_lattice call that criterion 2's six block decompositions make."""
+    twist_lattice call that criterion 2's six block decompositions make,
+    then of the twist of X*(Sbar) by restriction on each of their data."""
     calls = []
 
     def recorded(m, f, value_matrices):
@@ -124,18 +127,24 @@ def _criterion_2_twists(monkeypatch):
 
     monkeypatch.setattr(sr, "twist_lattice", recorded)
     c2 = gr.cyclic_group(2)
-    for g in (gr.trivial_group(), c2, gr.cyclic_group(3), gr.direct_product(c2, c2),
-              gr.symmetric_group(3), gr.dihedral_group(4)):
+    groups = (gr.trivial_group(), c2, gr.cyclic_group(3), gr.direct_product(c2, c2),
+              gr.symmetric_group(3), gr.dihedral_group(4))
+    for g in groups:
         sr.conjugation_block_decomposition(g)
-    assert len(calls) == 18  # middle, quotient and X*(Sbar), per group
+    assert len(calls) == 12  # middle and quotient, per group
+    for g in groups:
+        m, f, nu, _ = xsbar_twist_by_restriction(sr.CMGaloisDatum(gr.direct_product(g, c2),
+                                                                  g.order))
+        recorded(m, f, nu)
     return calls
 
 
 def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
-    # every twist of criterion 2, then the same twists after the unimodular
+    # every twist of criterion 2 and the X*(Sbar) twists of the route by
+    # restriction on its data, then the same twists after the unimodular
     # change of basis P = I + E_01, which makes some action and value
     # matrices non-monomial, so that their products take the matmul fallback
-    # (criterion 2's X*(Sbar) value matrices come out as signed permutations)
+    # (the X*(Sbar) value matrices come out as signed permutations)
     for m, f, nu, out in _criterion_2_twists(monkeypatch):
         assert twist_lattice_by_matmul(m, f, nu) == out
         if m.rank < 2:
@@ -172,6 +181,54 @@ def test_twist_lattice_refuses_a_flipped_value_row_by_both_routes(monkeypatch):
                     verdicts.append(co.NotAction)
             assert verdicts[0] == verdicts[1]
             assert m.rank < 2 or verdicts[0] is co.NotAction
+
+
+def test_twist_serre_matches_the_route_by_restriction():
+    # X*(Sbar) read once and the twisted action restricted to it, against
+    # the twist of the restricted translations and exactness_report, on
+    # every CM datum of order <= 16
+    data = 0
+    for _, g in group_catalog(16):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            tw, want = sr.twist_serre(d), twist_serre_by_restriction(d)
+            assert tw.sub.rho == want.sub.rho
+            assert (tw.middle, tw.quotient) == (want.middle, want.quotient)
+            assert (tw.middle_is_conjugation_lattice, tw.quotient_is_conjugation_lattice,
+                    tw.exact, tw.action_trivial) == (
+                want.middle_is_conjugation_lattice, want.quotient_is_conjugation_lattice,
+                want.exact, want.action_trivial)
+            assert tw == want
+            assert tw.middle_is_conjugation_lattice and tw.exact
+            data += 1
+    assert data == 65
+
+
+def test_twist_serre_restricts_only_the_twisted_action(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((la, "restricted_action"), (lt, "equivariant_sublattice"),
+                        (sr, "equivariant_sublattice"), (lt, "exactness_report"),
+                        (sr, "twist_lattice")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    s3 = gr.symmetric_group(3)
+    d = sr.CMGaloisDatum(gr.direct_product(s3, gr.cyclic_group(2)), s3.order)
+    assert sr.twist_serre(d).exact
+    # the middle and the quotient are twisted, and only the twisted middle's
+    # action is restricted
+    assert calls == Counter({"restricted_action": 1, "twist_lattice": 2})
+    # the counters are live: the route by restriction restricts the right
+    # and the left translations
+    calls.clear()
+    assert twist_serre_by_restriction(d).exact
+    assert calls == Counter({"restricted_action": 2, "equivariant_sublattice": 1,
+                             "exactness_report": 1})
 
 
 def test_block_h1_vanishing():

@@ -50,12 +50,61 @@ def _matmul_calls(monkeypatch, run) -> int:
     return _calls(monkeypatch, run, (la, "matmul"))[0]
 
 
+def _matmul_calls_apart(monkeypatch, run) -> tuple:
+    """(la.matmul calls outside kernel_sequence_exact, kernel_sequence_exact
+    calls through serre) while run() runs: the products W K and E K that
+    decide a sequence are counted apart from the others."""
+    matmul, exact = la.matmul, sr.kernel_sequence_exact
+    counts, inside = [0, 0], [False]
+
+    def counted_matmul(*args):
+        counts[0] += not inside[0]
+        return matmul(*args)
+
+    def counted_exact(*args):
+        counts[1] += 1
+        inside[0] = True
+        try:
+            return exact(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(la, "matmul", counted_matmul)
+    monkeypatch.setattr(sr, "kernel_sequence_exact", counted_exact)
+    run()
+    monkeypatch.setattr(la, "matmul", matmul)
+    monkeypatch.setattr(sr, "kernel_sequence_exact", exact)
+    return tuple(counts)
+
+
 def test_block_decompositions_read_monomial_products(monkeypatch):
     # the twists and equivariance checks of criterion 2 read signed unit rows
-    # instead of multiplying (930 and 337 calls when they multiplied)
-    assert _matmul_calls(monkeypatch, checks.check_block_decomposition) <= 6
+    # instead of multiplying (930 and 337 calls when they multiplied); each
+    # twisted sequence is decided by one kernel_sequence_exact, whose two
+    # products are not counted here
+    products, sequences = _matmul_calls_apart(monkeypatch, checks.check_block_decomposition)
+    assert products <= 6 and sequences == 6
     d4 = gr.dihedral_group(4)
-    assert _matmul_calls(monkeypatch, lambda: sr.conjugation_block_decomposition(d4)) <= 1
+    products, sequences = _matmul_calls_apart(
+        monkeypatch, lambda: sr.conjugation_block_decomposition(d4))
+    assert products <= 1 and sequences == 1
+
+
+def test_block_decompositions_work(monkeypatch):
+    # criterion 2 over six groups: per group one saturated kernel of
+    # X*(Sbar), the only SNF tracking a transform, two twists (the middle and
+    # the quotient), and one restriction, of the twisted middle's action
+    # (54 SNF calls, 12 tracking, 18 twists, 12 restrictions and 18 check_rho
+    # when X*(Sbar) was twisted apart and the sequence had a second kernel)
+    snf = _snf_calls(monkeypatch, checks.check_block_decomposition)
+    assert len(snf) <= 36
+    assert sum(1 for *_, tracked in snf if tracked) <= 6
+    twists, restrictions, action_checks = _calls(
+        monkeypatch, checks.check_block_decomposition, (sr, "twist_lattice"),
+        (la, "restricted_action"), (lt, "check_rho"))
+    assert twists == 12
+    assert restrictions <= 6
+    assert action_checks <= 12
 
 
 def test_permutation_h1_multiplies_nothing(monkeypatch):
@@ -101,6 +150,14 @@ def test_cm_type_bases_snf_work(monkeypatch):
     calls = _snf_calls(monkeypatch, checks.check_cm_type_bases)
     assert len(calls) <= 676
     assert not [c for c in calls if c[2]]
+
+
+def test_permutation_h1_checks_each_action_once(monkeypatch):
+    # criterion 3: h1_abelian checks the action law of each of its 747 coset
+    # lattices once, and nothing else checks one
+    counts = _calls(monkeypatch, checks.check_permutation_h1_vanishing,
+                    (lt, "check_rho"), (co, "check_rho"))
+    assert sum(counts) == 747
 
 
 def test_permutation_h1_builds_no_identity(monkeypatch):
