@@ -21,7 +21,7 @@ from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
 from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
                      generating_set, subgroup_generating_set)
-from .lattices import ZGLattice, _left_times, check_rho
+from .lattices import ZGLattice, _left_times
 
 
 class NotCocycle(ValueError):
@@ -176,8 +176,9 @@ class CohomologyGroup:
 
 def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     """The invariants of H^1(gamma, M) = Z^1/B^1 of a lattice M, exact over
-    the integers, from one SNF of the coboundary map; NotAction if the
-    matrices are no action.
+    the integers, from one SNF of the coboundary map.  M is trusted to be
+    an action, as its constructor vouches (ZGLattice); NotAction only if
+    gamma is not the group of M.
 
     A cocycle is determined by its values at the generators s, so Z^1 and
     B^1 sit in M^S, and B^1 is the image of d: m -> ((rho(s) - 1) m)_s, the
@@ -186,11 +187,12 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     torsion of coker d (Brown, Cohomology of Groups, GTM 87, ch. III): its
     elementary divisors d > 1.  The zeros on the diagonal count the rank of
     the invariants M^gamma, the kernel of d."""
+    if gamma is not lattice.group and gamma != lattice.group:
+        raise NotAction("the lattice is a module over another group")
     if lattice.rank == 0:
         return CohomologyGroup(())
     mats = lattice.rho
     gens = generating_set(gamma)
-    check_rho(gamma, mats, gens, NotAction)
     s = la.smith_normal_form(la.stack(_minus_identity(mats[g]) for g in gens), transforms=())
     return CohomologyGroup(tuple(d for d in s.diagonal if d > 1))
 

@@ -500,7 +500,7 @@ def center(g: FiniteGroup) -> tuple:
 
 def is_subgroup(g: FiniteGroup, elems) -> bool:
     s = set(elems)
-    if 0 not in s:
+    if 0 not in s or not s.issubset(g.elements()):
         return False
     return all(g.mul(a, b) in s for a in s for b in s)
 

@@ -21,6 +21,9 @@ class GSet:
     """Left action: action[g][x] is the image of point x under g.
 
     The action is stored as a tuple of int tuples, one row per element.
+    With validate=False the caller vouches that the rows are an action, by
+    a theorem its docstring names; consumers do not check it again.
+    Otherwise check_action checks the law.
     """
 
     def __init__(self, group: FiniteGroup, action, validate: bool = True):
@@ -87,24 +90,27 @@ def orbits(x: GSet) -> EtaleDecomposition:
 
 
 def coset_gset(g: FiniteGroup, h) -> GSet:
-    """Left action on left cosets xH, cosets ordered by minimal element."""
+    """Left action on left cosets xH, cosets ordered by minimal element.
+    Left multiplication permutes the left cosets of a subgroup, so only H
+    is checked (is_subgroup)."""
     hset = tuple(sorted(set(h)))
     if not is_subgroup(g, hset):
         raise NotSubgroup("not a subgroup")
     cosets, coset_of = left_cosets(g, hset)
     firsts = [cs[0] for cs in cosets]
     action = [[coset_of[row[x]] for x in firsts] for row in g.rows]
-    return GSet(g, action)
+    return GSet(g, action, validate=False)
 
 
 def conjugation_twist(g: FiniteGroup) -> GSet:
     """g acting on its own elements by conjugation.
 
     This is the translation action twisted by the tautological cocycle; its
-    orbits are the conjugacy classes.
+    orbits are the conjugacy classes.  Conjugation is an action of g on
+    itself by automorphisms.
     """
     action = [[g.conj(t, x) for x in g.elements()] for t in g.elements()]
-    return GSet(g, action)
+    return GSet(g, action, validate=False)
 
 
 def sub_gset(x: GSet, points) -> GSet:

@@ -27,8 +27,9 @@ class ZGLattice:
     """Rank-r free module with the group acting by integer matrices.
 
     `rho[g]` is the matrix of g as int-tuple rows (linalg).  With
-    validate=False the caller vouches that rho already is an action in that
-    form; otherwise every matrix is read through la.int_rows and checked.
+    validate=False the caller vouches that rho is an action in that form, by
+    a theorem its docstring names, and consumers such as h1_abelian do not
+    check it again; otherwise each matrix is read by la.int_rows and checked.
     """
 
     def __init__(self, group: FiniteGroup, rho, validate: bool = True):
@@ -187,7 +188,7 @@ def direct_sum(a: ZGLattice, b: ZGLattice) -> ZGLattice:
 
 
 def permutation_lattice(x: GSet) -> ZGLattice:
-    """Free module on the points, rho(g) e_j = e_{g.j}.
+    """Free module on the points, rho(g) e_j = e_{g.j}: an action as x is.
 
     Row g.j of rho(g) is the unit row e_j, so every matrix is made of the
     same x.size unit rows.

@@ -266,27 +266,29 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     n = g.order
     K, W = _xs_kernel(d, False)
     sigma_f, coset_index, reps = _coset_restriction(d)
-    # right translation and conjugation descend to cosets because the
-    # subgroup is central
+    # right translation and conjugation descend to actions on the cosets
+    # because the subgroup is central
     right_cosets = [[coset_index[g.mul(r, g.inv(t))] for r in reps] for t in g.elements()]
     coset_conj = [[coset_index[g.conj(t, r)] for r in reps] for t in g.elements()]
     taut = CrossedHom(g, trivial_gamma_group(g, g), tuple(g.elements()))
     # left translations, of G and of the cosets (the action of sigma_f)
     tw_middle = twist_lattice(_right_regular(g), taut, _left_regular(g).rho)
     tw_quotient = twist_lattice(
-        permutation_lattice(GSet(g, right_cosets)), taut, permutation_lattice(sigma_f).rho
+        permutation_lattice(GSet(g, right_cosets, validate=False)), taut,
+        permutation_lattice(sigma_f).rho,
     )
     sub_rho = la.restricted_action(K, W, tw_middle.rho)
     if sub_rho is None:
         raise InvalidDatum("the twisted action does not preserve X*(Sbar)")  # cannot happen
+    # restricted_action has checked K X = M K for every element
     tw_sub = ZGLattice(g, sub_rho, validate=False)
-    sub_inc = LatticeMap(tw_sub, tw_middle, K)
+    sub_inc = LatticeMap(tw_sub, tw_middle, K, validate=False)
     res_map = LatticeMap(tw_middle, tw_quotient, _fibre_sums(coset_index, n, len(reps)))
     action_trivial = g.is_abelian() and all(rho == la.identity(n) for rho in tw_middle.rho)
     return TwistedSequence(
         d, tw_middle, tw_sub, sub_inc, tw_quotient, res_map,
         tw_middle == permutation_lattice(conjugation_twist(g)),
-        tw_quotient == permutation_lattice(GSet(g, coset_conj)),
+        tw_quotient == permutation_lattice(GSet(g, coset_conj, validate=False)),
         kernel_sequence_exact(K, W, res_map.matrix), action_trivial,
     )
 
@@ -327,32 +329,25 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
     tw = twist_serre(datum)
     conj_g = conjugation_twist(G)
 
-    classes = conjugacy_classes(f_group)
-    blocks = []
-    class_iso_ok = True
-    first_map_iso = True
-    for cls in classes:
-        # the class inside the factor, acted on through the projection
-        proj_action = [
-            [cls.index(f_group.conj(t % nF, x)) for x in cls] for t in G.elements()
-        ]
-        c_set = GSet(G, proj_action)
+    blocks, class_isos, block_maps = [], [], []
+    for cls in conjugacy_classes(f_group):
+        z = centralizer(f_group, cls[0])
+        blocks.append(BlockData(cls, cls[0], z, len(cls)))
+        # the class as an F-set by conjugation, and as a G-set through the
+        # projection G -> F: actions, as conjugation and its pullback are
+        f_action = [[cls.index(f_group.conj(t, x)) for x in cls] for t in f_group.elements()]
+        c_set = GSet(G, [f_action[t % nF] for t in G.elements()], validate=False)
         c1 = sub_gset(conj_g, cls)  # {(tau, 1)} has the factor's indices
         c_iota = sub_gset(conj_g, tuple(x + nF for x in cls))
         bij = gset_iso(c_set, c1)
-        if bij is None or gset_iso(c1, c_iota) is None:
-            class_iso_ok = False
-        else:
+        class_isos.append(bij is not None and gset_iso(c1, c_iota) is not None)
+        if class_isos[-1]:
             # first map of the decomposition at lattice level, per block
             mat = [[int(bij[j] == i) for j in range(len(cls))] for i in range(len(cls))]
-            block_map = LatticeMap(
-                permutation_lattice(c_set), permutation_lattice(c1), mat
-            )
-            first_map_iso = first_map_iso and is_equivariant_iso(block_map)
-        z = centralizer(f_group, cls[0])
-        blocks.append(
-            BlockData(cls, cls[0], z, len(cls))
-        )
+            block_maps.append(LatticeMap(permutation_lattice(c_set), permutation_lattice(c1), mat))
+        # cross-check: the class, as an F-set, is the centralizer coset space
+        as_f_set = GSet(f_group, f_action, validate=False)
+        class_isos.append(gset_iso(as_f_set, coset_gset(f_group, z)) is not None)
 
     # the projection of the twisted sub onto the {(tau, 1)} coordinates
     proj = la.beside([la.identity(nF), ((0,) * nF,) * nF])
@@ -362,20 +357,11 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
     composite = proj_map.compose(tw.sub_inclusion)
     sub_iso = is_equivariant_iso(composite)
 
-    # cross-check: each class, as an F-set, is the centralizer coset space
-    for cls, blk in zip(classes, blocks):
-        f_action = [
-            [cls.index(f_group.conj(t, x)) for x in cls] for t in f_group.elements()
-        ]
-        as_f_set = GSet(f_group, f_action)
-        if gset_iso(as_f_set, coset_gset(f_group, blk.centralizer)) is None:
-            class_iso_ok = False
-
     return BlockDecompositionReport(
         f_group_order=nF,
         blocks=tuple(blocks),
-        class_embedding_iso=class_iso_ok,
-        first_map_iso=first_map_iso,
+        class_embedding_iso=all(class_isos),
+        first_map_iso=all(map(is_equivariant_iso, block_maps)),
         twisted_sub_iso=sub_iso,
         block_ranks=tuple(b.rank for b in blocks),
         total_rank=sum(b.rank for b in blocks),
@@ -394,13 +380,11 @@ def block_h1_vanishing(f_group: FiniteGroup) -> VanishingReport:
     """H^1 of every conjugation block is trivial: permutation lattices have
     no first cohomology, so the twisted quotient torus has vanishing H^1."""
     rows = []
-    ok = True
     for cls in conjugacy_classes(f_group):
         z = centralizer(f_group, cls[0])
         trivial = h1_abelian(f_group, permutation_lattice(coset_gset(f_group, z))).is_trivial
-        ok = ok and trivial
         rows.append((cls[0], len(z), trivial))
-    return VanishingReport(f_group.order, len(rows), ok, tuple(rows))
+    return VanishingReport(f_group.order, len(rows), all(t for *_, t in rows), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +433,12 @@ def _type_vectors(d: CMGaloisDatum, phi: tuple) -> list:
 def _xs_equations(d: CMGaloisDatum) -> tuple[list, int]:
     """X*(S) inside Z[G] + Z as (rows, rank): the distinct rows of
     _pair_equations(d, True), each as its nonzeros [(column, value), ...],
-    and the rank of their kernel, |G| + 1 - rank A from one transform-free
-    SNF.  Raises InvalidDatum unless the rank is |G|/2 + 1."""
-    A = _pair_equations(d, True)
-    rank = la.width(A) - la.rank(A)
-    if rank != d.half_order + 1:
-        raise InvalidDatum("rank law violated")  # cannot happen for valid data
-    return [[(c, v) for c, v in enumerate(row) if v] for row in dict.fromkeys(A)], rank
+    and the rank of their kernel, |G| + 1 - |G|/2.  iota is a central
+    involution without fixed points, so the distinct rows e_s + e_(iota s)
+    - e_|G| number |G|/2, and their first |G| columns have disjoint supports:
+    they are independent."""
+    rows = dict.fromkeys(_pair_equations(d, True))
+    return [[(c, v) for c, v in enumerate(row) if v] for row in rows], d.half_order + 1
 
 
 def _type_verdict(xs: tuple, vectors) -> tuple[bool, bool]:
@@ -486,8 +469,8 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     Serre character lattice X*(S).
 
     No basis of X*(S) is built, and no action restricted to it: the sums
-    lie in X*(S) when its equations vanish on them, and its rank comes from
-    one transform-free SNF of the equations (_xs_equations).  They are a
+    lie in X*(S) when its equations vanish on them, and its rank is read
+    off the count of its distinct equations (_xs_equations).  They are a
     basis when one more such SNF finds as many unit divisors as that rank:
     a saturated sublattice of X*(S), which is saturated as a kernel, of the
     same rank is X*(S) itself (_type_verdict).

@@ -178,11 +178,14 @@ SIGN = {"rank": 1, "group": "c2.json", "rho": {"1": [[-1]]}}
     (("cohomology", "h1"), dict(SIGN, rho={"1": [["a"]]})),
     (("cohomology", "h1"), dict(SIGN, rho={"5": [[-1]]})),
     (("cohomology", "h1"), dict(SIGN, rho={"1": [[True]]})),
+    (("cohomology", "h1"), dict(SIGN, rho={"0": [[1]], "1": [[2]]})),
 ], ids=["map-entry", "extra-map", "no-maps", "no-matrix", "matrix-entry",
-        "rho-entry", "rho-key", "rho-bool"])
+        "rho-entry", "rho-key", "rho-bool", "rho-no-action"])
 def test_malformed_lattice_json_exits_3(command, document, tmp_path, capsys):
     # a matrix entry that is no integer, a missing field, a map too many, a
-    # rho key that is no group element: exit 3 with a message, no traceback
+    # rho key that is no group element, matrices that are no action (refused
+    # where the lattice is read, as h1_abelian trusts it): exit 3 with a
+    # message, no traceback
     (tmp_path / "c2.json").write_text(json.dumps(group_to_json(gr.cyclic_group(2))))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))

@@ -606,22 +606,16 @@ def test_cayley_search_accepts_exactly_what_the_all_pairs_reference_accepts(data
     assert found == want
 
 
-def test_h1_abelian_rejects_a_table_that_is_no_action():
-    # rho(1) rho(1) != rho(2): the coboundaries leave the cocycle lattice
-    c3 = gr.cyclic_group(3)
-    rho = [la.identity(2), la.int_rows([[1, -1], [-2, 1]]), la.int_rows([[-2, 1], [1, 2]])]
-    with pytest.raises(co.NotAction):
-        co.h1_abelian(c3, lt.ZGLattice(c3, rho, validate=False))
-
-
-def test_h1_abelian_refuses_a_free_factor():
-    # rho(a) = 1 but rho(a^2) = -1 on C4 = <a | a^4>: the relator row
-    # 1 + 1 - 1 - 1 vanishes, so every value at a closes to a cocycle and
-    # only 0 is a coboundary; |C4| kills H^1 of an action, so this is none
-    c4 = gr.cyclic_group(4)
-    rho = [la.int_rows([[v]]) for v in (1, 1, -1, -1)]
-    with pytest.raises(co.NotAction, match="not multiplicative"):
-        co.h1_abelian(c4, lt.ZGLattice(c4, rho, validate=False))
+def test_h1_abelian_refuses_a_lattice_over_another_group():
+    # the matrices are trusted to be an action of the lattice's group, so a
+    # gamma that is another group is refused, even where the law would hold
+    # for it (the trivial action); an equal group built apart is accepted
+    c2, c4 = gr.cyclic_group(2), gr.cyclic_group(4)
+    v4 = gr.direct_product(c2, c2)
+    for m in (lt.trivial_lattice(c4, 2), lt.permutation_lattice(regular_gset(c4))):
+        with pytest.raises(co.NotAction, match="another group"):
+            co.h1_abelian(v4, m)
+        assert co.h1_abelian(gr.cyclic_group(4), m).is_trivial
 
 
 def not_by_automorphisms():

@@ -80,6 +80,17 @@ def test_coset_gset():
         gs.coset_gset(s3, (0, 2))
 
 
+def test_an_index_outside_the_group_is_no_subgroup():
+    # a negative index would wrap around the table, and one past the order
+    # would raise IndexError: is_subgroup, coset_gset's only guard on its
+    # input, refuses both
+    c1, c2 = gr.trivial_group(), gr.cyclic_group(2)
+    for g, h in ((c1, (0, -1)), (c2, (0, 1, -1)), (c1, (0, 1)), (c2, (0, 1, 2))):
+        assert not gr.is_subgroup(g, h)
+        with pytest.raises(gr.NotSubgroup):
+            gs.coset_gset(g, h)
+
+
 def test_conjugation_twist_matches_classes():
     for g in [gr.heisenberg_group(3)[0].group, gr.dihedral_group(4)]:
         x = gs.conjugation_twist(g)

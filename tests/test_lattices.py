@@ -39,6 +39,21 @@ def test_zglattice_validation():
         lt.ZGLattice(c2, [la.int_rows([[-1]]), la.int_rows([[-1]])])  # identity wrong
 
 
+@pytest.mark.parametrize("group,rho", [
+    # rho(1) rho(1) != rho(2): the coboundaries would leave the cocycle lattice
+    (gr.cyclic_group(3), [la.identity(2), la.int_rows([[1, -1], [-2, 1]]),
+                          la.int_rows([[-2, 1], [1, 2]])]),
+    # rho(a) = 1 but rho(a^2) = -1 on C4 = <a | a^4>: the relator row
+    # 1 + 1 - 1 - 1 vanishes, so H^1 would read a free factor
+    (gr.cyclic_group(4), [la.int_rows([[v]]) for v in (1, 1, -1, -1)]),
+], ids=["no-action", "free-factor"])
+def test_zglattice_refuses_a_table_that_is_no_action(group, rho):
+    # the lattice's constructor is the one owner of its action law:
+    # h1_abelian trusts what it builds
+    with pytest.raises(ValueError, match="not multiplicative"):
+        lt.ZGLattice(group, rho)
+
+
 def test_check_rho_refuses_permutation_matrices_that_are_no_action():
     # rho(1) = rho(2) = the 3-cycle P on C3: all unit rows, so the law is read
     # off row permutations, and rho(1) rho(1) = P^2 != rho(2) refutes it; the
