@@ -49,40 +49,30 @@ def trivial_gamma_group(gamma: FiniteGroup, underlying: FiniteGroup) -> GammaGro
 
 
 def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
-    """Product Gamma-group plus (embedding, projection) index maps per factor."""
+    """Product Gamma-group plus (index, projection) maps per factor.
+
+    The element (x_1, ..., x_k) has index x_1 + |N_1| (x_2 + |N_2| (...)),
+    as nested direct_product gives it, and t acts on it componentwise; its
+    row is read off the factors' rows by the same index arithmetic.  A
+    componentwise action by automorphisms is an action by automorphisms, so
+    the product is built unchecked; the factors vouch for their own."""
     factors = list(factors)
     gamma = factors[0].gamma
     if any(f.gamma != gamma for f in factors):
         raise NotAction("factors over different groups")
-    und = factors[0].underlying
-    offsets = [und.order]
+    und, action = factors[0].underlying, factors[0].action
     for f in factors[1:]:
+        n = und.order
         und = direct_product(und, f.underlying)
-        offsets.append(und.order)
-
-    sizes = [f.underlying.order for f in factors]
-
-    def split(x):
-        out = []
-        for s in sizes:
-            out.append(x % s)
-            x //= s
-        return tuple(out)
-
-    def join(parts):
-        x = 0
-        for s, p in zip(reversed(sizes), reversed(parts)):
-            x = x * s + p
-        return x
-
-    parts = [split(x) for x in und.elements()]
-    action = [
-        [join([f.act(t, p) for f, p in zip(factors, xp)]) for xp in parts]
-        for t in gamma.elements()
-    ]
-    prod = GammaGroup(gamma, und, action)
-    maps = tuple((i, tuple(xp[i] for xp in parts)) for i in range(len(factors)))
-    return prod, maps
+        action = [tuple(x + s for s in [n * y for y in fa] for x in a)
+                  for a, fa in zip(action, f.action)]
+    prod = GammaGroup(gamma, und, action, validate=False)
+    maps, stride = [], 1
+    for i, f in enumerate(factors):
+        size = f.underlying.order
+        maps.append((i, tuple(x // stride % size for x in und.elements())))
+        stride *= size
+    return prod, tuple(maps)
 
 
 @dataclass(frozen=True)

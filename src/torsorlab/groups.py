@@ -198,13 +198,12 @@ def trivial_group() -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Index of (a, b) is a + g.order * b, so (0, 0) = 0."""
-    n, m = g.order, h.order
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for a, b in product(range(n), range(m)):
-        for c, d in product(range(n), range(m)):
-            table[a + n * b][c + n * d] = g.mul(a, c) + n * h.mul(b, d)
-    return FiniteGroup(table)
+    """Index of (a, b) is a + g.order * b, so (0, 0) = 0.  The row of (a, b)
+    is read off the rows of a and b, (a, b)(c, d) = (ac, bd); a product of
+    groups is a group, so the table is built unchecked."""
+    n = g.order
+    return FiniteGroup([tuple(x + s for s in [n * y for y in hb] for x in ga)
+                        for hb in h.rows for ga in g.rows], validate=False)
 
 
 def product_embeddings(g: FiniteGroup, h: FiniteGroup, p: FiniteGroup):
@@ -425,21 +424,23 @@ class SemidirectProduct:
 
 def semidirect_product(d: GammaGroup) -> SemidirectProduct:
     """N x| Q for Q = d.gamma acting on N = d.underlying by theta = d.action:
-    (n1, q1)(n2, q2) = (n1 * theta(q1)(n2), q1 q2); index = n + |N| * q."""
+    (n1, q1)(n2, q2) = (n1 * theta(q1)(n2), q1 q2); index = n + |N| * q.
+
+    The row of (a, y) is read off the row of a, theta(y) and the row of y.
+    For an action by automorphisms, which d vouches for, N x| Q is a group,
+    so the table is built unchecked."""
     N, Q, th = d.underlying, d.gamma, d.action
     nn, nq = N.order, Q.order
     size = nn * nq
-
-    def idx(a, y):
-        return a + nn * y
-
-    table = [[0] * size for _ in range(size)]
-    for a, y in product(range(nn), range(nq)):
-        for b, z in product(range(nn), range(nq)):
-            table[idx(a, y)][idx(b, z)] = idx(N.mul(a, th[y][b]), Q.mul(y, z))
-    g = FiniteGroup(table)
-    embed_n = GroupHom(N, g, tuple(idx(a, 0) for a in range(nn)), validate=False)
-    embed_q = GroupHom(Q, g, tuple(idx(0, y) for y in range(nq)), validate=False)
+    rows = []
+    for y, qy in enumerate(Q.rows):
+        shifted = [nn * z for z in qy]
+        for na in N.rows:
+            left = [na[b] for b in th[y]]
+            rows.append(tuple(x + s for s in shifted for x in left))
+    g = FiniteGroup(rows, validate=False)
+    embed_n = GroupHom(N, g, tuple(range(nn)), validate=False)
+    embed_q = GroupHom(Q, g, tuple(nn * y for y in range(nq)), validate=False)
     project_q = GroupHom(g, Q, tuple(x // nn for x in range(size)), validate=False)
     return SemidirectProduct(g, embed_n, embed_q, project_q)
 
@@ -499,8 +500,11 @@ def center(g: FiniteGroup) -> tuple:
 
 
 def is_subgroup(g: FiniteGroup, elems) -> bool:
+    """Whether elems are the indices of a subgroup of g; an element that is
+    not an int, or is a bool, is no index."""
     s = set(elems)
-    if 0 not in s or not s.issubset(g.elements()):
+    if (0 not in s or not all(type(x) is int for x in s)
+            or not s.issubset(g.elements())):
         return False
     return all(g.mul(a, b) in s for a in s for b in s)
 
@@ -617,18 +621,19 @@ def left_cosets(g: FiniteGroup, elems) -> tuple[list, list]:
 
 
 def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
-    """Coset group and projection; cosets ordered by minimal element."""
-    nset = tuple(sorted(set(n)))
+    """Coset group and projection; cosets ordered by minimal element.
+
+    Only normality is checked: the cosets of a normal subgroup form a group
+    under xN yN = xyN, so the table is built unchecked from one
+    representative of each coset."""
+    nset = set(n)
     if not is_normal(g, nset):
         raise NotNormal("subgroup is not normal")
     cosets, coset_of = left_cosets(g, nset)
     # identity coset contains 0 and is found first, so identity index is 0
-    m = len(cosets)
-    table = [[0] * m for _ in range(m)]
-    for i, ci in enumerate(cosets):
-        for j, cj in enumerate(cosets):
-            table[i][j] = coset_of[g.mul(ci[0], cj[0])]
-    q = FiniteGroup(table)
+    firsts = [cs[0] for cs in cosets]
+    rows = [tuple(coset_of[r[b]] for b in firsts) for r in (g.rows[a] for a in firsts)]
+    q = FiniteGroup(rows, validate=False)
     proj = GroupHom(g, q, tuple(coset_of), validate=False)
     return q, proj
 

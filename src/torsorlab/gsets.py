@@ -93,7 +93,7 @@ def coset_gset(g: FiniteGroup, h) -> GSet:
     """Left action on left cosets xH, cosets ordered by minimal element.
     Left multiplication permutes the left cosets of a subgroup, so only H
     is checked (is_subgroup)."""
-    hset = tuple(sorted(set(h)))
+    hset = set(h)
     if not is_subgroup(g, hset):
         raise NotSubgroup("not a subgroup")
     cosets, coset_of = left_cosets(g, hset)

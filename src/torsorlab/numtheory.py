@@ -3,7 +3,12 @@
 Polynomials are little-endian integer coefficient tuples at the public
 helpers.  Arithmetic over F_p runs on trimmed int lists, reduced in place
 and taken mod p once per division (`_fp_rem`, `_fp_quo`, `_fp_gcd`); the
-Dedekind route and the period polynomials stay on lists.  Splitting in
+Dedekind route stays on lists.  A Gaussian-period polynomial is expanded on
+packed integers: an element of Z[x]/(x^m - 1) with nonnegative coefficients
+is one int with a fixed number of bytes per coefficient, wide enough that
+no coefficient carries, so multiplying by a period is one int product and
+a cyclic wrap (Kronecker substitution; Harvey, J. Symbolic Comput. 2009).
+Only the fold mod Phi_m is made on lists.  Splitting in
 abelian fields is pure modular arithmetic on (conductor, unit subgroup)
 data; splitting via a defining polynomial goes through the Dedekind
 criterion, and the two routes cross-check each other.  The Dedekind route
@@ -624,6 +629,62 @@ def reduce_to_conductor(fld: AbelianFieldDatum) -> AbelianFieldDatum:
     return fld
 
 
+def _period_cosets(fld: AbelianFieldDatum) -> list:
+    """The cosets uH of the subgroup in the units, each sorted, in the order
+    of their first unit: the exponents of the Gaussian periods."""
+    m = fld.conductor
+    cosets = []
+    seen = set()
+    for u in fld.units:
+        if u in seen:
+            continue
+        coset = tuple(sorted((u * h) % m for h in fld.subgroup))
+        seen.update(coset)
+        cosets.append(coset)
+    return cosets
+
+
+def _slot_bytes(d: int, h: int) -> int:
+    """Bytes per slot that hold every e_k of d periods of h terms each.
+
+    A period is a sum of h powers of x, so its slots sum to h, and a slot sum
+    is multiplicative over Z[x]/(x^m - 1) with nonnegative entries.  Each
+    slot of e_k, a sum of C(d, k) products of k periods, is thus at most its
+    slot sum C(d, k) h^k; so is each slot of a partial e_k or a product by a
+    period on the way.  The slots get at least one bit above the largest of
+    these bounds, so no slot ever carries into the next."""
+    bound = max(math.comb(d, k) * h**k for k in range(d + 1))
+    return bound.bit_length() // 8 + 1
+
+
+def _period_symmetric(cosets, m: int) -> list:
+    """e_0, ..., e_d of the periods of the cosets, each as its m coefficients
+    in Z[x]/(x^m - 1), expanded on packed integers (Kronecker substitution).
+
+    An element with nonnegative coefficients is one int with nbytes bytes
+    per slot, coefficient i at byte nbytes * i.  Multiplying by a period is
+    one int product, whose slots m .. 2m - 2 wrap around to x^0 .. x^(m - 2)
+    by a mask and a shift; nbytes is `_slot_bytes`, at which no slot
+    carries.  Each e_k is unpacked once, at the end."""
+    nbytes = _slot_bytes(len(cosets), len(cosets[0]))
+    bits = 8 * nbytes
+    shift = m * bits
+    mask = (1 << shift) - 1
+    e = [1] + [0] * len(cosets)
+    for j, coset in enumerate(cosets, 1):
+        eta = sum(1 << (k * bits) for k in coset)
+        # e_k += eta e_(k-1), top k first so that e_(k-1) is the old one
+        for k in range(j, 0, -1):
+            p = e[k - 1] * eta
+            e[k] += (p & mask) + (p >> shift)
+    out = []
+    for packed in e:
+        raw = packed.to_bytes(m * nbytes, "little")
+        out.append([int.from_bytes(raw[i:i + nbytes], "little")
+                    for i in range(0, m * nbytes, nbytes)])
+    return out
+
+
 def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     """Minimal polynomial of the Gaussian period attached to the datum.
 
@@ -639,6 +700,11 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     one prime p, as f is monic.  `_squarefree_prime` finds the least such p
     and raises NotIrreducible when the primes it rules out multiply past
     the Hadamard bound on |disc f|; no factorization over Q is made.
+
+    f is expanded in Z[x]/(x^m - 1), which maps onto Z[zeta], as
+    sum (-1)^k e_k T^(d - k) with e_k the elementary symmetric functions of
+    the periods; their coefficients are nonnegative and at most
+    C(d, k) |H|^k, so `_period_symmetric` computes them on packed integers.
     """
     fld = reduce_to_conductor(fld)
     m = fld.conductor
@@ -647,30 +713,12 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     phi = cyclotomic_polynomial(m)
     n = len(phi) - 1
     phi_terms = [(i, a) for i, a in enumerate(phi[:n]) if a]
-    cosets = []
-    seen = set()
-    for u in fld.units:
-        if u in seen:
-            continue
-        coset = tuple(sorted((u * h) % m for h in fld.subgroup))
-        seen.update(coset)
-        cosets.append(coset)
-    # expand prod (T - eta_j) in Z[x]/(x^m - 1), which maps onto Z[zeta]; in
-    # it, c times the period of a coset is the sum of c shifted cyclically by
-    # each k in the coset, and each coefficient is reduced mod Phi_m once
-    zero = [0] * m
-    coeffs = [[1] + zero[1:]]  # polynomial "1" in T
-    for coset in cosets:
-        times_eta = [
-            [sum(col) for col in zip(*(c[m - k:] + c[:m - k] for k in coset))]
-            for c in coeffs
-        ]
-        coeffs = [
-            [a - b for a, b in zip(hi, lo)]
-            for hi, lo in zip([zero] + coeffs, times_eta + [zero])
-        ]
+    e = _period_symmetric(_period_cosets(fld), m)
     out = []
-    for c in coeffs:
+    # the T^(d - k) coefficient (-1)^k e_k, for T^0 first, is reduced mod
+    # Phi_m once
+    for k in range(len(e) - 1, -1, -1):
+        c = [-x for x in e[k]] if k % 2 else e[k]
         # fold c mod the monic Phi_m in place, top coefficient first:
         # t x^(k + n) = -t (Phi_m - x^n) x^k, read on the nonzero terms
         for k in range(m - 1 - n, -1, -1):

@@ -6,7 +6,8 @@ generating set, zero lattices and maps, the Serre character sequences and
 the twisted quotient sequence by restricted actions, kernel sequences by a
 second kernel and CM-type bases by coordinates,
 lattice twists with every product multiplied out, and subgroups and their
-generating sets by closing from {0} each time."""
+generating sets by closing from {0} each time, and Gaussian-period polynomials
+by summing rotations."""
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
@@ -458,3 +459,39 @@ def subgroup_generating_set_by_closure(g: gr.FiniteGroup, elems) -> tuple:
                 changed = True
                 break
     return tuple(gens) or (0,)
+
+
+def period_expansion_by_rotations(cosets, m: int) -> list:
+    """prod (T - eta_j) over the Gaussian periods of the cosets, expanded in
+    Z[x]/(x^m - 1): the T^i coefficient as its m coefficients, for
+    i = 0..d.  c times the period of a coset is the sum of c shifted
+    cyclically by each k in the coset."""
+    zero = [0] * m
+    coeffs = [[1] + zero[1:]]  # polynomial "1" in T
+    for coset in cosets:
+        times_eta = [
+            [sum(col) for col in zip(*(c[m - k:] + c[:m - k] for k in coset))]
+            for c in coeffs
+        ]
+        coeffs = [
+            [a - b for a, b in zip(hi, lo)]
+            for hi, lo in zip([zero] + coeffs, times_eta + [zero])
+        ]
+    return coeffs
+
+
+def period_polynomial_by_rotations(fld: nt.AbelianFieldDatum) -> tuple:
+    """numtheory.abelian_defining_polynomial(fld).poly, expanded by rotations
+    and each T coefficient reduced by a division by Phi_m over Z."""
+    fld = nt.reduce_to_conductor(fld)
+    m = fld.conductor
+    if m == 1 or fld.degree == 1:
+        return (0, 1)
+    phi = nt.cyclotomic_polynomial(m)
+    out = []
+    for c in period_expansion_by_rotations(nt._period_cosets(fld), m):
+        _, r = nt.pdivmod(c, phi)
+        if len(r) > 1:
+            raise ValueError("period polynomial coefficient is not rational")
+        out.append(r[0] if r else 0)
+    return tuple(out)

@@ -91,6 +91,17 @@ def test_an_index_outside_the_group_is_no_subgroup():
             gs.coset_gset(g, h)
 
 
+def test_an_element_that_is_no_int_is_no_subgroup_element():
+    # 1.0 would raise TypeError at the table, '1' at the sort of the cosets,
+    # and True equals 1, so (0, True) would pass as all of C2
+    c2 = gr.cyclic_group(2)
+    for h in ((0, 1.0), (0, "1"), (0, True), (False, 1)):
+        assert not gr.is_subgroup(c2, h)
+        with pytest.raises(gr.NotSubgroup):
+            gs.coset_gset(c2, h)
+    assert gr.is_subgroup(c2, (0, 1))
+
+
 def test_conjugation_twist_matches_classes():
     for g in [gr.heisenberg_group(3)[0].group, gr.dihedral_group(4)]:
         x = gs.conjugation_twist(g)

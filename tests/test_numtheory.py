@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
-from helpers import ppow_mod_reference
+from helpers import period_expansion_by_rotations, period_polynomial_by_rotations, ppow_mod_reference
 from test_acceptance import _env
 
 
@@ -520,6 +520,40 @@ def test_period_polynomials():
     # full cyclotomic field: the cyclotomic polynomial itself
     full = nt.AbelianFieldDatum(5, (1,))
     assert nt.abelian_defining_polynomial(full).poly == nt.cyclotomic_polynomial(5)
+
+
+def _period_oracle_fields() -> list:
+    # every unit subgroup of every conductor m <= 60, and every field the
+    # benchmark's splitting cases draw from
+    wl = _perfbench_workloads()
+    return ([nt.AbelianFieldDatum(m, h) for m in range(1, 61) for h in nt.unit_subgroups(m)]
+            + [nt.AbelianFieldDatum(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)])
+
+
+def test_packed_period_polynomials_match_the_rotation_oracle():
+    fields = _period_oracle_fields()
+    assert len(fields) == 522 + 267
+    for fld in fields:
+        assert nt.abelian_defining_polynomial(fld).poly == period_polynomial_by_rotations(fld)
+
+
+def test_no_packed_period_slot_carries():
+    # every slot of every e_k stays below 2^B, B the bits per slot, and the
+    # unpacked e_k are the rotation oracle's T coefficients up to sign
+    widest = 0
+    for fld in map(nt.reduce_to_conductor, _period_oracle_fields()):
+        m = fld.conductor
+        if m == 1 or fld.degree == 1:
+            continue
+        cosets = nt._period_cosets(fld)
+        d = len(cosets)
+        nbytes = nt._slot_bytes(d, len(fld.subgroup))
+        expected = period_expansion_by_rotations(cosets, m)[::-1]  # e_0 first
+        assert max(abs(x) for c in expected for x in c) < 2 ** (8 * nbytes)
+        assert nt._period_symmetric(cosets, m) == [
+            [(-1) ** k * x for x in c] for k, c in enumerate(expected)]
+        widest = max(widest, nbytes)
+    assert widest > 1  # some field needs more than one byte per slot
 
 
 def test_dual_oracle_small_batch():

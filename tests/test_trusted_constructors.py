@@ -1,27 +1,36 @@
 """What the library builds with validate=False, checked by the full validators.
 
-A constructor whose output is an action or an equivariant map by a theorem
-builds it unchecked, and consumers such as h1_abelian trust it.  This oracle
-records every GSet, ZGLattice and LatticeMap built that way and runs the
-validators on it: check_action for a G-set, ZGLattice validation (check_rho)
-for a lattice, LatticeMap validation for a map.  It covers the coset G-sets
-of every subgroup of every catalog group of order <= 24, the twisted
-sequences of the 65 CM data of order <= 16 and criterion 2's six block
-groups.
+A constructor whose output is a group, an action or an equivariant map by a
+theorem builds it unchecked, and consumers such as h1_abelian trust it.
+This oracle records every object built that way and runs the validators on
+it: check_action for a G-set, ZGLattice validation (check_rho) for a
+lattice, LatticeMap validation for a map, FiniteGroup validation for a
+group table and GammaGroup validation (check_automorphisms) for a
+Gamma-group.  It covers the coset G-sets of every subgroup of every catalog
+group of order <= 24, the twisted sequences of the 65 CM data of order
+<= 16, criterion 2's six block groups, the catalog's direct and semidirect
+products and every quotient of a catalog group, and the Gamma-group
+products of criterion 11 and of test_groups' oracle.
 """
 
 from collections import Counter
 
+import pytest
+
+from torsorlab import catalog
+from torsorlab import checks
+from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import serre as sr
 from torsorlab.catalog import central_involutions, group_catalog
+from test_groups import _oracle_gamma_groups
 
 
 def _unvalidated(monkeypatch, run) -> list:
-    """Every GSet, ZGLattice and LatticeMap built with validate=False while
-    run() runs."""
+    """Every GSet, ZGLattice, LatticeMap, FiniteGroup and GammaGroup built
+    with validate=False while run() runs."""
     built = []
 
     def recording(cls):
@@ -34,7 +43,7 @@ def _unvalidated(monkeypatch, run) -> list:
 
         monkeypatch.setattr(cls, "__init__", recorded)
 
-    for cls in (gs.GSet, lt.ZGLattice, lt.LatticeMap):
+    for cls in (gs.GSet, lt.ZGLattice, lt.LatticeMap, gr.FiniteGroup, gr.GammaGroup):
         recording(cls)
     run()
     monkeypatch.undo()
@@ -46,8 +55,12 @@ def _validate(obj) -> None:
         gr.check_action(obj.group, obj.action, gs.InvalidAction)
     elif isinstance(obj, lt.ZGLattice):
         lt.ZGLattice(obj.group, obj.rho)
-    else:
+    elif isinstance(obj, lt.LatticeMap):
         lt.LatticeMap(obj.source, obj.target, obj.matrix)
+    elif isinstance(obj, gr.FiniteGroup):
+        gr.FiniteGroup(obj.rows)
+    else:
+        gr.GammaGroup(obj.gamma, obj.underlying, obj.action)
 
 
 def _coset_gsets():
@@ -71,14 +84,78 @@ def _block_groups():
         sr.block_h1_vanishing(f_group)
 
 
+def _catalog_quotients():
+    for _, g in group_catalog(24):
+        for n in gr.all_subgroups(g):
+            if gr.is_normal(g, n):
+                gr.quotient(g, n)
+
+
+def _gamma_group_products():
+    checks.gamma_group_products()
+    _oracle_gamma_groups()
+
+
+# _coset_gsets builds the catalog, with its direct and semidirect products
+FAMILIES = (_coset_gsets, _twisted_sequences, _block_groups, _catalog_quotients,
+            _gamma_group_products)
+
+
 def test_unvalidated_objects_pass_the_validators(monkeypatch):
     # each family is checked before the next is built on it
     kinds = Counter()
-    for run in (_coset_gsets, _twisted_sequences, _block_groups):
+    for run in FAMILIES:
         for obj in _unvalidated(monkeypatch, run):
             _validate(obj)
             kinds[type(obj).__name__] += 1
     # 747 coset G-sets and their lattices at least, one twisted X*(Sbar)
-    # and its inclusion per CM datum and per block group
+    # and its inclusion per CM datum and per block group, the catalog's
+    # products and quotients, and the Gamma-group products
     assert kinds["GSet"] > 747 and kinds["ZGLattice"] > 747
     assert kinds["LatticeMap"] >= 65 + 6
+    assert kinds["FiniteGroup"] > 100 and kinds["GammaGroup"] > 100
+
+
+def _direct_products(monkeypatch, run) -> list:
+    """(g, h, direct_product(g, h)) for every direct product built while
+    run() runs, through each module that binds the name."""
+    made, product = [], gr.direct_product
+
+    def recorded(g, h):
+        p = product(g, h)
+        made.append((g, h, p))
+        return p
+
+    for owner in (gr, catalog, co, sr):
+        monkeypatch.setattr(owner, "direct_product", recorded)
+    run()
+    monkeypatch.undo()
+    return made
+
+
+def test_direct_products_multiply_componentwise(monkeypatch):
+    # the table of g x h is (a, b)(c, d) = (ac, bd), with (a, b) at a + |g| b
+    made = []
+    for run in FAMILIES:
+        made += _direct_products(monkeypatch, run)
+    assert len(made) > 100
+    for g, h, p in made:
+        n = g.order
+        assert p.order == n * h.order
+        assert all(p.rows[a + n * b][c + n * d] == g.rows[a][c] + n * h.rows[b][d]
+                   for a in g.elements() for b in h.elements()
+                   for c in g.elements() for d in h.elements())
+
+
+def test_a_product_with_an_unchecked_non_action_is_refused():
+    # a factor built unchecked whose generator permutes C4 but is no
+    # automorphism: the product trusts its factors, and h1_nonabelian, which
+    # checks what it is given, refuses the product and the factor
+    c2, c4 = gr.cyclic_group(2), gr.cyclic_group(4)
+    bad = co.GammaGroup(c2, c4, ((0, 1, 2, 3), (0, 2, 1, 3)), validate=False)
+    prod, _ = co.gamma_group_product([co.trivial_gamma_group(c2, c2), bad])
+    for n in (bad, prod):
+        with pytest.raises(co.NotAction):
+            co.h1_nonabelian(c2, n)
+        with pytest.raises(co.NotAction):
+            n.check_automorphisms()
