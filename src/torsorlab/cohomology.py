@@ -64,8 +64,8 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
     for f in factors[1:]:
         n = und.order
         und = direct_product(und, f.underlying)
-        action = [tuple(x + s for s in [n * y for y in fa] for x in a)
-                  for a, fa in zip(action, f.action)]
+        action = tuple(tuple(x + s for s in [n * y for y in fa] for x in a)
+                       for a, fa in zip(action, f.action))
     prod = GammaGroup(gamma, und, action, validate=False)
     maps, stride = [], 1
     for i, f in enumerate(factors):

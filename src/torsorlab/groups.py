@@ -46,11 +46,12 @@ class FiniteGroup:
 
     The table is stored once, as `rows`: a tuple of int tuples with
     `rows[a][b]` the index of a*b, and `inverses[a]` the index of a^-1.
+    With validate=False the caller vouches for the table, taken as given.
     """
 
     def __init__(self, table, validate: bool = True):
         try:
-            rows = int_rows(table)
+            rows = int_rows(table) if validate else table
         except (TypeError, ValueError) as e:
             raise InvalidGroup("table must be a square array of integers") from e
         self.order = n = len(rows)
@@ -202,8 +203,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     is read off the rows of a and b, (a, b)(c, d) = (ac, bd); a product of
     groups is a group, so the table is built unchecked."""
     n = g.order
-    return FiniteGroup([tuple(x + s for s in [n * y for y in hb] for x in ga)
-                        for hb in h.rows for ga in g.rows], validate=False)
+    return FiniteGroup(tuple(tuple(x + s for s in [n * y for y in hb] for x in ga)
+                             for hb in h.rows for ga in g.rows), validate=False)
 
 
 def product_embeddings(g: FiniteGroup, h: FiniteGroup, p: FiniteGroup):
@@ -357,10 +358,10 @@ def check_action(group: FiniteGroup, action, error=NotAction) -> None:
 class GammaGroup:
     """A finite group `underlying` with `gamma` acting by automorphisms.
 
-    `action[t][x]` is the image of x under t, stored as a tuple of int tuples.
-    Validation checks the action law with check_action and that each
-    generator of gamma acts by an automorphism; every other element then
-    acts by a product of automorphisms.
+    `action[t][x]` is the image of x under t, a tuple of int tuples taken as
+    given with validate=False.  Validation checks the action law with
+    check_action and that each generator of gamma acts by an automorphism;
+    every other element then acts by a product of automorphisms.
     """
 
     def __init__(self, gamma: FiniteGroup, underlying: FiniteGroup, action,
@@ -368,7 +369,7 @@ class GammaGroup:
         self.gamma = gamma
         self.underlying = underlying
         try:
-            a = int_rows(action)
+            a = int_rows(action) if validate else action
         except (TypeError, ValueError) as e:
             raise NotAction("action table must be an array of integers") from e
         if len(a) != gamma.order or any(len(r) != underlying.order for r in a):
@@ -438,7 +439,7 @@ def semidirect_product(d: GammaGroup) -> SemidirectProduct:
         for na in N.rows:
             left = [na[b] for b in th[y]]
             rows.append(tuple(x + s for s in shifted for x in left))
-    g = FiniteGroup(rows, validate=False)
+    g = FiniteGroup(tuple(rows), validate=False)
     embed_n = GroupHom(N, g, tuple(range(nn)), validate=False)
     embed_q = GroupHom(Q, g, tuple(nn * y for y in range(nq)), validate=False)
     project_q = GroupHom(g, Q, tuple(x // nn for x in range(size)), validate=False)
@@ -632,7 +633,7 @@ def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
     cosets, coset_of = left_cosets(g, nset)
     # identity coset contains 0 and is found first, so identity index is 0
     firsts = [cs[0] for cs in cosets]
-    rows = [tuple(coset_of[r[b]] for b in firsts) for r in (g.rows[a] for a in firsts)]
+    rows = tuple(tuple(coset_of[r[b]] for b in firsts) for r in (g.rows[a] for a in firsts))
     q = FiniteGroup(rows, validate=False)
     proj = GroupHom(g, q, tuple(coset_of), validate=False)
     return q, proj

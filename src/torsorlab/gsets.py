@@ -21,15 +21,15 @@ class GSet:
     """Left action: action[g][x] is the image of point x under g.
 
     The action is stored as a tuple of int tuples, one row per element.
-    With validate=False the caller vouches that the rows are an action, by
-    a theorem its docstring names; consumers do not check it again.
-    Otherwise check_action checks the law.
+    With validate=False the caller vouches that the rows are an action in
+    that form, by a theorem its docstring names; they are taken as given and
+    consumers do not check them again.  Otherwise check_action checks the law.
     """
 
     def __init__(self, group: FiniteGroup, action, validate: bool = True):
         self.group = group
         try:
-            a = int_rows(action)
+            a = int_rows(action) if validate else action
         except ValueError as e:
             raise InvalidAction("need one permutation per group element") from e
         if len(a) != group.order:
@@ -98,7 +98,7 @@ def coset_gset(g: FiniteGroup, h) -> GSet:
         raise NotSubgroup("not a subgroup")
     cosets, coset_of = left_cosets(g, hset)
     firsts = [cs[0] for cs in cosets]
-    action = [[coset_of[row[x]] for x in firsts] for row in g.rows]
+    action = tuple(tuple(coset_of[row[x]] for x in firsts) for row in g.rows)
     return GSet(g, action, validate=False)
 
 
@@ -109,7 +109,7 @@ def conjugation_twist(g: FiniteGroup) -> GSet:
     orbits are the conjugacy classes.  Conjugation is an action of g on
     itself by automorphisms.
     """
-    action = [[g.conj(t, x) for x in g.elements()] for t in g.elements()]
+    action = tuple(tuple(g.conj(t, x) for x in g.elements()) for t in g.elements())
     return GSet(g, action, validate=False)
 
 
@@ -118,7 +118,7 @@ def sub_gset(x: GSet, points) -> GSet:
     pts = tuple(sorted(set(points)))
     pos = {p: i for i, p in enumerate(pts)}
     try:
-        action = [[pos[row[p]] for p in pts] for row in x.action]
+        action = tuple(tuple(pos[row[p]] for p in pts) for row in x.action)
     except KeyError as e:
         raise InvalidAction("subset is not invariant") from e
     return GSet(x.group, action, validate=False)

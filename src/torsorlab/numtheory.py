@@ -483,7 +483,7 @@ def unit_subgroups(m: int) -> tuple:
         return ((0,),)
     units = units_mod(m)
     index = {u: i for i, u in enumerate(units)}
-    table = [[index[a * b % m] for b in units] for a in units]
+    table = tuple(tuple(index[a * b % m] for b in units) for a in units)
     g = FiniteGroup(table, validate=False)
     return tuple(tuple(units[i] for i in h) for h in all_subgroups(g))
 
@@ -563,18 +563,37 @@ def norm_image_valuation(split: SplittingType, p: int) -> int:
     return g
 
 
+# the first 13 primes, and the least composite that is a strong probable prime
+# to all of them (Sorenson and Webster, Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases as divisors, then as witnesses,
+    exact below _PRIME_BOUND; ValueError from there on."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"{n} is beyond the proven range of the primality test")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

@@ -80,8 +80,8 @@ def _left_regular(group: FiniteGroup) -> ZGLattice:
 
 def _right_regular(group: FiniteGroup) -> ZGLattice:
     # t e_s = e_(s t^-1)
-    rows, inverses = group.rows, group.inverses
-    action = [[rows[s][inverses[t]] for s in group.elements()] for t in group.elements()]
+    rows, inverses, els = group.rows, group.inverses, group.elements()
+    action = tuple(tuple(rows[s][inverses[t]] for s in els) for t in els)
     return permutation_lattice(GSet(group, action, validate=False))
 
 
@@ -268,8 +268,9 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     sigma_f, coset_index, reps = _coset_restriction(d)
     # right translation and conjugation descend to actions on the cosets
     # because the subgroup is central
-    right_cosets = [[coset_index[g.mul(r, g.inv(t))] for r in reps] for t in g.elements()]
-    coset_conj = [[coset_index[g.conj(t, r)] for r in reps] for t in g.elements()]
+    right_cosets = tuple(tuple(coset_index[g.mul(r, g.inv(t))] for r in reps)
+                         for t in g.elements())
+    coset_conj = tuple(tuple(coset_index[g.conj(t, r)] for r in reps) for t in g.elements())
     taut = CrossedHom(g, trivial_gamma_group(g, g), tuple(g.elements()))
     # left translations, of G and of the cosets (the action of sigma_f)
     tw_middle = twist_lattice(_right_regular(g), taut, _left_regular(g).rho)
@@ -335,8 +336,9 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
         blocks.append(BlockData(cls, cls[0], z, len(cls)))
         # the class as an F-set by conjugation, and as a G-set through the
         # projection G -> F: actions, as conjugation and its pullback are
-        f_action = [[cls.index(f_group.conj(t, x)) for x in cls] for t in f_group.elements()]
-        c_set = GSet(G, [f_action[t % nF] for t in G.elements()], validate=False)
+        f_action = tuple(tuple(cls.index(f_group.conj(t, x)) for x in cls)
+                         for t in f_group.elements())
+        c_set = GSet(G, tuple(f_action[t % nF] for t in G.elements()), validate=False)
         c1 = sub_gset(conj_g, cls)  # {(tau, 1)} has the factor's indices
         c_iota = sub_gset(conj_g, tuple(x + nF for x in cls))
         bij = gset_iso(c_set, c1)

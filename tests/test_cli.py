@@ -250,8 +250,10 @@ def test_nt_split_routes(fixtures, capsys):
     (["--poly", "x^2+1", "--p", "0"], "not a prime"),
     (["--conductor", "5", "--p", "2"], "--subgroup"),
     (["--p", "2"], "--poly"),
+    (["--poly", "x^2+1", "--p", "3825123056546413051"], "not a prime"),
+    (["--conductor", "5", "--subgroup", "1,4", "--p", str(2 ** 89 - 1)], "proven range"),
 ], ids=["abelian-4", "abelian-1", "abelian-neg", "abelian-0", "poly-neg", "poly-0",
-        "no-subgroup", "no-field"])
+        "no-subgroup", "no-field", "poly-pseudoprime", "abelian-beyond-bound"])
 def test_nt_split_rejects_bad_arguments(argv, message, capsys):
     # a splitting type needs a field and a prime: exit 3, no traceback
     assert cli.main(["nt", "split", *argv]) == cli.EXIT_ERROR
@@ -512,6 +514,24 @@ def test_nt_split_with_a_large_constant_term_finishes():
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["evidence"]["pairs"] == [[1, 1], [1, 1]]  # x^2 - 1 mod 3
+
+
+@pytest.mark.parametrize("field,pairs", [
+    (["--poly", "x^2+1"], [[1, 2]]),  # 2^61 - 1 = 3 mod 4: inert
+    (["--conductor", "5", "--subgroup", "1,4"], [[1, 1], [1, 1]]),  # = 1 mod 5
+], ids=["dedekind", "frobenius-order"])
+def test_nt_split_at_a_large_prime_finishes(field, pairs):
+    # p is proved prime by Miller-Rabin; trial division up to sqrt(p) did not
+    # finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsorlab.cli", "nt", "split", *field,
+         "--p", str(2 ** 61 - 1)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["evidence"]["pairs"] == pairs
 
 
 def test_suite_command_with_fast_checks(fixtures, capsys, monkeypatch):

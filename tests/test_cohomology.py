@@ -621,7 +621,7 @@ def test_h1_abelian_refuses_a_lattice_over_another_group():
 def not_by_automorphisms():
     # C2 swaps 2 and 3 in C4: a permutation action that is no automorphism
     c2, c4 = gr.cyclic_group(2), gr.cyclic_group(4)
-    return co.GammaGroup(c2, c4, [(0, 1, 2, 3), (0, 1, 3, 2)], validate=False)
+    return co.GammaGroup(c2, c4, ((0, 1, 2, 3), (0, 1, 3, 2)), validate=False)
 
 
 def product_cases() -> list:
@@ -708,7 +708,7 @@ def test_relators_that_hold_but_do_not_close_mean_no_action():
     # the callers check the action
     c2 = gr.cyclic_group(2)
     v4 = gr.direct_product(c2, c2)
-    rows = [(0, 1, 2, 3, 4, 5), (0, 1, 4, 3, 2, 5), (0, 1, 4, 5, 2, 3), (0, 1, 2, 5, 4, 3)]
+    rows = ((0, 1, 2, 3, 4, 5), (0, 1, 4, 3, 2, 5), (0, 1, 4, 5, 2, 3), (0, 1, 2, 5, 4, 3))
     n = co.GammaGroup(v4, gr.cyclic_group(6), rows, validate=False)
     with pytest.raises(co.NotAction):
         co.GammaGroup(v4, n.underlying, rows)

@@ -200,7 +200,7 @@ def test_orbits_reject_a_table_that_is_no_action():
     # g = 1 swaps 0 and 1 in C3, so the stabilizer {0, 2} of point 0 is no
     # subgroup; raised, not asserted, so python -O sees it too
     c3 = gr.cyclic_group(3)
-    x = gs.GSet(c3, np.array([[0, 1, 2], [1, 0, 2], [0, 1, 2]]), validate=False)
+    x = gs.GSet(c3, ((0, 1, 2), (1, 0, 2), (0, 1, 2)), validate=False)
     with pytest.raises(gs.InvalidAction):
         gs.orbits(x)
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -7,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from torsorlab import catalog
@@ -15,7 +15,7 @@ from torsorlab import groups as gr
 from torsorlab import invsys as iv
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
-from helpers import NotMaterializable, lattice_eq, truncate
+from helpers import NotMaterializable, lattice_eq, perfbench_workloads, truncate
 
 
 def constant_system(g, length):
@@ -44,10 +44,23 @@ def test_lim1_truncated_single_orbit():
     rep = iv.lim1_truncated(sys)
     assert rep.orbit_count == 1
     assert rep.verified_mode == "exhaustive"
-    assert rep.set_size == 8
-    big = constant_system(gr.symmetric_group(4), 4)
-    rep = iv.lim1_truncated(big, budget=1000)
-    assert rep.orbit_count == 1 and rep.verified_mode == "constructive"
+    assert rep.set_size == rep.checked_pairs == 8
+    # S4 over four levels: 331,776 tuples, each replayed, in 3 * 24^2 + 24 steps
+    big = constant_system(gr.symmetric_group(4), 3)
+    rep = iv.lim1_truncated(big, budget=3 * 24 ** 2 + 24)
+    assert rep == _reference_lim1(big)
+    assert rep.orbit_count == 1 and rep.checked_pairs == rep.set_size == 24 ** 4
+
+
+def test_lim1_truncated_refuses_a_walk_above_its_budget():
+    # the step count is read off the orders before any step is taken
+    system = constant_system(gr.symmetric_group(4), 3)
+    steps = 3 * 24 ** 2 + 24
+    with pytest.raises(co.BudgetExceeded):
+        iv.lim1_truncated(system, budget=steps - 1)
+    assert iv.lim1_truncated(system, budget=steps).orbit_count == 1
+    with pytest.raises(co.BudgetExceeded):
+        iv.lim1_truncated(constant_system(gr.cyclic_group(2), 2), budget=9)
 
 
 def _identity_step(g, push, x, y):
@@ -62,9 +75,10 @@ def test_lim1_truncated_counts_failed_transports(monkeypatch):
     assert rep.verified_mode == "exhaustive" and rep.checked_pairs == 8
     assert rep.failed_transports == 7  # all but the basepoint itself
     assert rep.orbit_count != 1
-    rep = iv.lim1_truncated(constant_system(gr.symmetric_group(4), 4), budget=1000)
-    assert rep.verified_mode == "constructive" and rep.failed_transports > 0
-    assert rep.orbit_count != 1
+    big = constant_system(gr.symmetric_group(4), 3)
+    rep = iv.lim1_truncated(big)
+    assert rep == _reference_lim1(big)
+    assert 0 < rep.failed_transports < rep.set_size and rep.orbit_count != 1
 
 
 _OPTIMIZED_LIM1 = """
@@ -102,38 +116,37 @@ def test_criterion_7_refutes_failed_transports(monkeypatch):
     assert r.evidence["orbit_failures"] == 3
 
 
-def _reference_lim1(system, budget=200000):
-    # the per-tuple loop lim1_truncated replaced: one whole transport and one
-    # whole replay per tuple, the replay written out here as the action
-    # a_n x_n f_n(a_{n+1})^-1, with a_{N+1} mapping to the top by the identity
+def _reference_lim1(system):
+    # the per-tuple check that the level walk replaced, as arrays over every
+    # tuple of the product: each tuple is transported whole, top down, and
+    # its whole image under the action a_n x_n f_n(a_{n+1})^-1 is compared
+    # with the basepoint, a_{N+1} mapping to the top by the identity.  The
+    # transport step is read as a table over (push, x_n), so a patched step
+    # is what the oracle transports by too
     groups, maps = system.groups, system.maps
     N = len(groups) - 1
-    total = math.prod(g.order for g in groups)
-    base = (0,) * len(groups)
-    if total <= budget:
-        mode = "exhaustive"
-        sample = itertools.product(*(g.elements() for g in groups))
-    else:
-        mode = "constructive"
-        rng = random.Random(0)
-        sample = (tuple(rng.randrange(g.order) for g in groups) for _ in range(200))
-    checked = failed = 0
-    for x in sample:
-        a = iv._transport(groups, maps, x, base)
-        pushes = [maps[n](a[n + 1]) for n in range(N)] + [a[N + 1]]
-        moved = tuple(g.mul(g.mul(a[n], x[n]), g.inv(pushes[n]))
-                      for n, g in enumerate(groups))
-        if moved != base:
-            failed += 1
-        checked += 1
-    return iv.Lim1Orbits(0 if failed else 1, mode, total, checked, failed)
+    xs = np.indices([g.order for g in groups]).reshape(N + 1, -1)
+    total = xs.shape[1]
+    up = np.zeros(total, dtype=np.int64)  # a_{N+1}
+    moved = []
+    for n in range(N, -1, -1):
+        g = groups[n]
+        step = np.array([[iv._transport_step(g, p, x, 0) for x in g.elements()]
+                         for p in g.elements()])
+        rows, inv = np.array(g.rows), np.array(g.inverses)
+        push = np.array(maps[n].map)[up] if n < N else up
+        a = step[push, xs[n]]
+        moved.append(rows[rows[a, xs[n]], inv[push]])
+        up = a
+    failed = int(np.count_nonzero(np.any(np.array(moved) != 0, axis=0)))
+    return iv.Lim1Orbits(0 if failed else 1, total, failed)
 
 
 _SMALL = [g for _, g in catalog.group_catalog(12)]
 
 
 def _random_levels(rng, length):
-    # at most 20,000 tuples, so that the per-tuple reference stays quick
+    # at most 20,000 tuples each
     while True:
         groups = [_SMALL[rng.randrange(len(_SMALL))] for _ in range(length + 1)]
         if math.prod(g.order for g in groups) <= 20000:
@@ -162,26 +175,21 @@ def _random_set_map_system(rng, length):
 
 def test_lim1_truncated_matches_per_tuple_reference_on_homomorphisms():
     rng = random.Random(15)
-    modes = set()
     for _ in range(40):
         system = _random_hom_system(rng, rng.randint(1, 4))
-        for budget in (200000, 50):
-            rep = iv.lim1_truncated(system, budget)
-            assert rep == _reference_lim1(system, budget)
-            assert rep.orbit_count == 1
-            modes.add(rep.verified_mode)
-    assert modes == {"exhaustive", "constructive"}
+        rep = iv.lim1_truncated(system)
+        assert rep == _reference_lim1(system)
+        assert rep.orbit_count == 1 and rep.checked_pairs == rep.set_size
 
 
 def test_lim1_truncated_matches_per_tuple_reference_on_set_maps():
     rng = random.Random(8)
     for _ in range(30):
         system = _random_set_map_system(rng, rng.randint(1, 4))
-        for budget in (200000, 50):
-            rep = iv.lim1_truncated(system, budget)
-            assert rep == _reference_lim1(system, budget)
-            # the transport equation is solvable for any maps
-            assert rep.orbit_count == 1 and rep.failed_transports == 0
+        rep = iv.lim1_truncated(system)
+        assert rep == _reference_lim1(system)
+        # the transport equation is solvable for any maps
+        assert rep.orbit_count == 1 and rep.failed_transports == 0
 
 
 def test_lim1_truncated_matches_reference_under_a_step_wrong_at_one_level(monkeypatch):
@@ -210,13 +218,37 @@ def test_lim1_truncated_matches_reference_under_a_step_wrong_at_one_level(monkey
             return a
 
         monkeypatch.setattr(iv, "_transport_step", wrong)
-        for budget in (200000, 50):
-            rep = iv.lim1_truncated(system, budget)
-            assert rep == _reference_lim1(system, budget)
-            if rep.verified_mode == "exhaustive":
-                seen.add(0 < rep.failed_transports < rep.checked_pairs)
+        rep = iv.lim1_truncated(system)
+        assert rep == _reference_lim1(system)
+        seen.add(0 < rep.failed_transports < rep.set_size)
         monkeypatch.setattr(iv, "_transport_step", right)
     assert True in seen  # some trials fail a proper, nonempty share of tuples
+
+
+def _benchmark_lim1_systems(seed):
+    """The lim1 systems of the benchmark's tables-primes workload at seed."""
+    with perfbench_workloads() as workloads:
+        cases = workloads.build("tables-primes", seed)
+    return [iv.ExplicitFinite(tuple(groups), tuple(
+        gr.GroupHom(groups[i + 1], groups[i], m) for i, m in enumerate(maps)))
+        for groups, maps in (c.args for c in cases if c.kind == "lim1")]
+
+
+def test_large_benchmark_systems_are_walked_whole(monkeypatch):
+    # the 13 seed-1 systems above the benchmark's 50,000, which a 200-tuple
+    # sample once stood for, each within the benchmark's budget in steps
+    large = [s for s in _benchmark_lim1_systems(1)
+             if math.prod(g.order for g in s.groups) > 50000]
+    assert len(large) == 13
+    for system in large:
+        rep = iv.lim1_truncated(system, budget=50000)
+        assert rep == _reference_lim1(system)
+        assert rep.orbit_count == 1 and rep.checked_pairs == rep.set_size
+    monkeypatch.setattr(iv, "_transport_step", _identity_step)
+    for system in large:
+        rep = iv.lim1_truncated(system, budget=50000)
+        assert rep == _reference_lim1(system)
+        assert rep.failed_transports > 0 and rep.orbit_count == 0
 
 
 def test_lim1_truncated_takes_one_step_per_state_and_element(monkeypatch):
@@ -238,11 +270,19 @@ def test_lim1_truncated_takes_one_step_per_state_and_element(monkeypatch):
 
     monkeypatch.setattr(iv, "_transport_step", counted)
     rep = iv.lim1_truncated(system)
-    assert rep.verified_mode == "exhaustive" and rep.set_size >= 10 ** 4
+    assert rep.set_size >= 10 ** 4
     assert rep.checked_pairs == rep.set_size and rep.orbit_count == 1
     bound = sum(groups[n + 1].order * groups[n].order
                 for n in range(len(groups) - 1)) + groups[-1].order
     assert calls[0] <= bound < rep.set_size
+
+
+def _act(groups, maps, a, x):
+    # the lim^1 action a_n x_n f_n(a_{n+1})^-1, a_{N+1} mapping to the top
+    # by the identity
+    N = len(groups) - 1
+    return tuple(g.mul(g.mul(a[n], x[n]), g.inv(maps[n](a[n + 1]) if n < N else a[N + 1]))
+                 for n, g in enumerate(groups))
 
 
 def test_lim1_truncated_brute_force_orbit_scan():
@@ -266,7 +306,7 @@ def test_lim1_truncated_brute_force_orbit_scan():
         new = []
         for x in frontier:
             for a in gens:
-                y = iv._apply_action(groups, maps, a, x)
+                y = _act(groups, maps, a, x)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)

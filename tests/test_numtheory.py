@@ -762,3 +762,33 @@ def test_unit_subgroups():
     subs = nt.unit_subgroups(7)
     assert (1,) in subs and tuple(sorted((1, 2, 4))) in subs
     assert len(subs) == 4  # cyclic of order 6: one subgroup per divisor
+
+
+def test_is_prime_agrees_with_sympy_below_10_5():
+    assert [n for n in range(10 ** 5) if nt._is_prime(n)] == list(sympy.primerange(10 ** 5))
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # to every base up to 31: base 37 refutes it
+    318665857834031151167461,  # to every base up to 37: base 41 refutes it
+])
+def test_is_prime_refutes_strong_pseudoprimes(n):
+    assert not sympy.isprime(n)
+    assert not nt._is_prime(n)
+
+
+def test_is_prime_on_large_primes():
+    below = sympy.prevprime(nt._PRIME_BOUND)
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, below):
+        assert nt._is_prime(p)
+        assert not nt._is_prime(3 * p) and not nt._is_prime(p + 1)
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    # the bound itself is a strong pseudoprime to all 13 bases, and 2^89 - 1
+    # is a prime past it; an even number is still answered by its divisor 2
+    for n in (nt._PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="proven range"):
+            nt._is_prime(n)
+    assert not nt._is_prime(2 ** 90)

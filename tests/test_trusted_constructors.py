@@ -6,11 +6,13 @@ This oracle records every object built that way and runs the validators on
 it: check_action for a G-set, ZGLattice validation (check_rho) for a
 lattice, LatticeMap validation for a map, FiniteGroup validation for a
 group table and GammaGroup validation (check_automorphisms) for a
-Gamma-group.  It covers the coset G-sets of every subgroup of every catalog
-group of order <= 24, the twisted sequences of the 65 CM data of order
-<= 16, criterion 2's six block groups, the catalog's direct and semidirect
-products and every quotient of a catalog group, and the Gamma-group
-products of criterion 11 and of test_groups' oracle.
+Gamma-group.  It also checks that each holds its tables as tuples of int
+tuples, the form an unchecked constructor takes as given.  It covers the
+coset G-sets of every subgroup of every catalog group of order <= 24, the
+twisted sequences of the 65 CM data of order <= 16, criterion 2's six
+block groups, the catalog's direct and semidirect products and every
+quotient of a catalog group, the Gamma-group products of criterion 11 and
+of test_groups' oracle, and the unit groups mod m for m <= 60.
 """
 
 from collections import Counter
@@ -23,6 +25,7 @@ from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
+from torsorlab import numtheory as nt
 from torsorlab import serre as sr
 from torsorlab.catalog import central_involutions, group_catalog
 from test_groups import _oracle_gamma_groups
@@ -63,6 +66,23 @@ def _validate(obj) -> None:
         gr.GammaGroup(obj.gamma, obj.underlying, obj.action)
 
 
+def _tables(obj) -> list:
+    """The int-tuple tables that obj holds."""
+    if isinstance(obj, lt.ZGLattice):
+        return list(obj.rho)
+    if isinstance(obj, lt.LatticeMap):
+        return [obj.matrix]
+    if isinstance(obj, gr.FiniteGroup):
+        return [obj.rows]
+    return [obj.action]  # GSet, GammaGroup
+
+
+def _int_tuple_rows(table) -> bool:
+    # bool and numpy integers are not int
+    return type(table) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in table)
+
+
 def _coset_gsets():
     for _, g in group_catalog(24):
         gs.conjugation_twist(g)
@@ -96,9 +116,14 @@ def _gamma_group_products():
     _oracle_gamma_groups()
 
 
+def _unit_groups():
+    for m in range(1, 61):
+        nt.unit_subgroups(m)
+
+
 # _coset_gsets builds the catalog, with its direct and semidirect products
 FAMILIES = (_coset_gsets, _twisted_sequences, _block_groups, _catalog_quotients,
-            _gamma_group_products)
+            _gamma_group_products, _unit_groups)
 
 
 def test_unvalidated_objects_pass_the_validators(monkeypatch):
@@ -106,6 +131,7 @@ def test_unvalidated_objects_pass_the_validators(monkeypatch):
     kinds = Counter()
     for run in FAMILIES:
         for obj in _unvalidated(monkeypatch, run):
+            assert all(_int_tuple_rows(t) for t in _tables(obj)), (run.__name__, obj)
             _validate(obj)
             kinds[type(obj).__name__] += 1
     # 747 coset G-sets and their lattices at least, one twisted X*(Sbar)

@@ -6,6 +6,7 @@ from torsorlab import checks
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
+from torsorlab import invsys as iv
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
@@ -205,3 +206,12 @@ def test_gamma_group_law_checks(monkeypatch):
                                        (gr, "check_action"))
     assert product_laws <= 16
     assert action_laws <= 19
+
+
+def test_truncated_orbit_transport_steps(monkeypatch):
+    # criterion 7 replays every tuple of each of its 50 truncations by the
+    # level walk (8,703 steps when truncations above 50,000 tuples were
+    # sampled, 200 tuples replayed whole)
+    steps, = _calls(monkeypatch, checks.check_truncated_orbit_transitivity,
+                    (iv, "_transport_step"))
+    assert steps <= 5092
