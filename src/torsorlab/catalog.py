@@ -17,24 +17,11 @@ from .groups import (
 )
 
 
-def _frobenius_20() -> FiniteGroup:
-    # C5 x| C4 with the generator acting by x -> 2x
-    c5, c4 = cyclic_group(5), cyclic_group(4)
-    theta = []
-    for i in range(4):
-        mult = pow(2, i, 5)
-        theta.append(tuple((mult * x) % 5 for x in range(5)))
-    return semidirect_product(GammaGroup(c4, c5, theta)).group
-
-
-def _frobenius_21() -> FiniteGroup:
-    # C7 x| C3 with the generator acting by x -> 2x (2^3 = 1 mod 7)
-    c7, c3 = cyclic_group(7), cyclic_group(3)
-    theta = []
-    for i in range(3):
-        mult = pow(2, i, 7)
-        theta.append(tuple((mult * x) % 7 for x in range(7)))
-    return semidirect_product(GammaGroup(c3, c7, theta)).group
+def _frobenius(n: int, k: int, r: int) -> FiniteGroup:
+    # Cn x| Ck with the generator acting by x -> r x (r of order k mod n)
+    cn, ck = cyclic_group(n), cyclic_group(k)
+    theta = [tuple(pow(r, i, n) * x % n for x in range(n)) for i in range(k)]
+    return semidirect_product(GammaGroup(ck, cn, theta)).group
 
 
 def group_catalog(max_order: int = 24) -> tuple:
@@ -77,8 +64,8 @@ def group_catalog(max_order: int = 24) -> tuple:
         ("C3xS3", direct_product(cyclic_group(3), symmetric_group(3))),
         ("D10", dihedral_group(10)),
         ("Dic5", quaternion_group(20)),
-        ("F20", _frobenius_20()),
-        ("F21", _frobenius_21()),
+        ("F20", _frobenius(5, 4, 2)),
+        ("F21", _frobenius(7, 3, 2)),
         ("D11", dihedral_group(11)),
         ("S4", symmetric_group(4)),
         ("SL(2,3)", special_linear_2_3()),

@@ -123,7 +123,7 @@ def cmd_lattice(args):
     if args.op == "snf":
         with open(args.infile) as fh:
             mat = jsonio.matrix_from_json(json.load(fh))
-        s = la.smith_normal_form(mat)
+        s = la.smith_normal_form(mat, transforms=("left", "right"))
         evidence = {
             "diagonal": [int(d) for d in s.diagonal],
             "left": s.left.tolist(),
@@ -158,6 +158,8 @@ def cmd_cohomology_h1(args):
     with open(args.infile) as fh:
         obj = json.load(fh)
     basedir = os.path.dirname(args.infile)
+    if not isinstance(obj, dict):
+        raise jsonio.ParseError("a module is a JSON object")
     if "rho" in obj:
         m = jsonio.lattice_from_json(obj, basedir)
         H = co.h1_abelian(m.group, m)
@@ -418,6 +420,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (co.BudgetExceeded, ValueError) as e:
         print(f"[torsor-lab] error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:
+        # a fault of the program, never a verdict: refuted's exit code is 1
+        print(f"[torsor-lab] internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR
 
 

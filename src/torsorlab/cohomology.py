@@ -183,8 +183,8 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
         return CohomologyGroup(())
     mats = lattice.rho
     gens = generating_set(gamma)
-    s = la.smith_normal_form(la.stack(_minus_identity(mats[g]) for g in gens), transforms=())
-    return CohomologyGroup(tuple(d for d in s.diagonal if d > 1))
+    divisors = la.elementary_divisors(la.stack(_minus_identity(mats[g]) for g in gens))
+    return CohomologyGroup(tuple(d for d in divisors if d > 1))
 
 
 # ---------------------------------------------------------------------------

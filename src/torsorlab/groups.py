@@ -175,9 +175,6 @@ class GroupHom:
     def kernel(self) -> tuple:
         return tuple(a for a in self.source.elements() if self.map[a] == 0)
 
-    def image(self) -> tuple:
-        return tuple(sorted(set(self.map)))
-
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, tuple(g.elements()), validate=False)

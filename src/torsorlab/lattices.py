@@ -8,7 +8,6 @@ from operator import neg
 from . import linalg as la
 from .groups import FiniteGroup, generating_set
 from .gsets import GSet
-from .linalg import smith_normal_form
 
 
 class NotEquivariant(ValueError):
@@ -256,41 +255,30 @@ class ExactnessReport:
 
 def joint_report(F, G, rank: int) -> JointReport:
     """The joint of maps f, g with matrices F, G through a middle lattice of
-    the given rank: g f == 0, and im f against ker g.
+    the given rank: g f == 0, and im f against ker g, by the rank lemma.
 
-    The coordinates X of im f in the saturated kernel K of g exist exactly
-    when g f == 0.  Then ker g / im f is the cokernel of X: a free factor of
-    it breaks equality after saturation, and any factor breaks integral
-    equality, which is what Hilbert-90 style arguments need.  Where a
-    lattice is zero the joint is read off the shapes: with no columns in F,
-    im f = 0 and the joint is exact iff g is injective; with no rows in G,
-    ker g is everything and X = F.
+    g f == 0 puts im f inside ker g, which is saturated, as every kernel is,
+    and of rank `rank` - rank G.  So the two are equal after saturation
+    exactly when rank F is that rank, and equal outright when, in addition,
+    im f is saturated: every elementary divisor of F is 1.  The integral
+    equality is what Hilbert-90 style arguments need.  Where a lattice is
+    zero, the ranks are read off the shapes (linalg.elementary_divisors).
     """
-    if not la.width(F):
-        injective = _injective(G, rank)
-        return JointReport(True, injective, injective)
-    if G:
-        K, W = la.saturated_kernel(G)
-        X = la.coordinates(K, W, F)
-        if X is None:
-            return JointReport(False, False, False)
-    else:
-        X = F
-    # no rows in X: ker g = 0 = im f
-    inv = la.cokernel_invariants(X, ambient_rank=len(X)) if X else ()
-    return JointReport(True, 0 not in inv, not inv)
+    if any(map(any, la.matmul(G, F))):
+        return JointReport(False, False, False)
+    divisors = la.elementary_divisors(F)
+    saturated = len(divisors) == rank - len(la.elementary_divisors(G))
+    return JointReport(True, saturated, saturated and divisors.count(1) == len(divisors))
 
 
 def _injective(M, rank: int) -> bool:
     """Is the matrix of a map from a lattice of the given rank injective?"""
-    return rank == 0 or (bool(M) and la.rank(M) == rank)
+    return len(la.elementary_divisors(M)) == rank
 
 
 def _onto(M, rank: int) -> bool:
     """Is the matrix of a map onto a lattice of the given rank onto?"""
-    return rank == 0 or (
-        la.width(M) > 0 and la.cokernel_invariants(M, ambient_rank=rank) == ()
-    )
+    return la.elementary_divisors(M).count(1) == rank
 
 
 def kernel_sequence_exact(K, W, E) -> bool:
@@ -309,13 +297,13 @@ def kernel_sequence_exact(K, W, E) -> bool:
     is G-stable, so col K is a sublattice with group action whenever E is a
     validated LatticeMap matrix.  serre decides its two character sequences
     and the twisted quotient sequence with it; exactness_report, which
-    compares with a second kernel at each joint, serves `lattice exact`.
+    serves `lattice exact`, decides each joint by the same lemma.
     """
     return (
         _is_identity(la.matmul(W, K), la.width(K))
         and not any(map(any, la.matmul(E, K)))
         and la.width(K) == len(K) - len(E)
-        and smith_normal_form(E, transforms=()).diagonal.count(1) == len(E)
+        and _onto(E, len(E))
     )
 
 
@@ -342,7 +330,4 @@ def exactness_report(seq) -> ExactnessReport:
 
 def is_equivariant_iso(f: LatticeMap) -> bool:
     """True iff the map is a square unimodular equivariant matrix."""
-    if f.source.rank != f.target.rank:
-        return False
-    s = smith_normal_form(f.matrix, transforms=())
-    return s.rank == f.source.rank and all(d == 1 for d in s.diagonal)
+    return f.source.rank == f.target.rank and _onto(f.matrix, f.target.rank)

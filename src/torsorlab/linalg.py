@@ -6,7 +6,7 @@ A matrix with no rows is 0 x 0: for no equations on n unknowns, callers
 pass one zero row of length n, which has the same kernel.  int_rows is the
 one conversion from nested sequences; the functions that factor read their
 input through it, while matmul, coordinates and restricted_action, which
-only multiply, take rows as given.  The one exception to rows: the four
+only multiply, take rows as given.  The one exception to rows: the three
 SNFResult transforms are numpy object arrays, which the `lattice snf`
 report and the benchmark's tracer read; readers here take `tolist()` once.
 
@@ -18,6 +18,7 @@ the only candidate and K X == V decides, so no further SNF is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import index
@@ -78,23 +79,21 @@ def matmul(a, b) -> tuple:
     return _dense(_times(_sparse(a), _sparse(b)), width(b))
 
 
-SNF_TRANSFORMS = ("left", "right", "left_inv", "right_inv")
+SNF_TRANSFORMS = ("left", "right", "right_inv")
 
 
 @dataclass(frozen=True)
 class SNFResult:
     """left @ matrix @ right == diag(diagonal); transforms unimodular.
 
-    left_inv and right_inv are the tracked inverses of the transforms;
-    they make column-space and solving computations cheap.  The transforms
-    are numpy object arrays; one the caller did not ask `smith_normal_form`
-    for is None.
+    right_inv is the tracked inverse of right, the retraction of a kernel
+    basis (saturated_kernel).  The transforms are numpy object arrays; one
+    the caller did not ask `smith_normal_form` for is None.
     """
 
     diagonal: tuple
     left: np.ndarray | None
     right: np.ndarray | None
-    left_inv: np.ndarray | None
     right_inv: np.ndarray | None
 
     @property
@@ -147,13 +146,12 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
     def track(name, size):
         return _identity_rows(size) if name in transforms else None
 
-    # R and left_inv are kept transposed, so every update is a row update:
-    # a row op on A is a row op on L and on the rows of Li^T, a column op
-    # a row op on the rows of R^T and on Ri
-    L, LiT = track("left", m), track("left_inv", m)
+    # R is kept transposed, so every update is a row update: a row op on A
+    # is a row op on L, a column op a row op on the rows of R^T and on Ri
+    L = track("left", m)
     RT, Ri = track("right", n), track("right_inv", n)
     # what a row swap or sign change of A moves along, and a column swap
-    with_rows = [M for M in (A, L, LiT) if M is not None]
+    with_rows = [M for M in (A, L) if M is not None]
     with_cols = [M for M in (RT, Ri) if M is not None]
 
     def row_op(i, j, q, cols):
@@ -164,8 +162,6 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
             Ai[c] -= q * Aj[c]
         if L is not None:
             _add_row(L, i, j, -q)
-        if LiT is not None:
-            _add_row(LiT, j, i, q)
 
     t = 0
     while t < min(m, n):
@@ -237,13 +233,18 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
         a = np.array(rows, dtype=object).reshape(size, size)
         return a.T.copy() if transposed else a
 
-    return SNFResult(
-        diag, out(L, m), out(RT, n, True), out(LiT, m, True), out(Ri, n)
-    )
+    return SNFResult(diag, out(L, m), out(RT, n, True), out(Ri, n))
 
 
-def rank(matrix) -> int:
-    return smith_normal_form(matrix, transforms=()).rank
+def elementary_divisors(matrix) -> tuple:
+    """The nonzero diagonal entries of the Smith normal form, each dividing
+    the next; there are as many as the rank.  The one read of an SNF that
+    needs no transform.  A matrix with no rows or no columns has none, read
+    off its shape without an SNF."""
+    if not width(matrix):
+        return ()
+    s = smith_normal_form(matrix, transforms=())
+    return s.diagonal[: s.rank]
 
 
 def kernel_basis(matrix) -> tuple:
@@ -385,12 +386,12 @@ def solve_int(matrix, rhs) -> tuple | None:
 
 
 def column_space_basis(matrix) -> tuple:
-    """Basis (as columns) of the lattice spanned by the columns of A."""
-    s = smith_normal_form(matrix, transforms=("left_inv",))
-    d = s.diagonal[: s.rank]
-    return tuple(
-        tuple(v * di for v, di in zip(row, d)) for row in s.left_inv.tolist()
-    )
+    """Basis (as columns) of the lattice spanned by the columns of A: the
+    first rank columns of A R.  From L A R = D they are those of L^-1 D, the
+    d_i times independent columns of a unimodular matrix."""
+    A = int_rows(matrix)
+    s = smith_normal_form(A, transforms=("right",))
+    return matmul(A, columns(s.right.tolist(), 0, s.rank))
 
 
 def lattice_contains(basis, vectors) -> bool:
@@ -409,22 +410,7 @@ def lattice_index(big, small):
     X = solve_int(big, small)
     if X is None:
         return None
-    s = smith_normal_form(X, transforms=())
-    if s.rank < width(big) or width(big) != width(small):
+    divs = elementary_divisors(X)
+    if len(divs) < width(big) or width(big) != width(small):
         return None
-    idx = 1
-    for d in s.diagonal:
-        idx *= d
-    return abs(idx) if idx else None
-
-
-def cokernel_invariants(matrix, ambient_rank: int | None = None) -> tuple:
-    """Elementary divisors of ℤ^m / (column span of A), 1-entries dropped.
-
-    Trailing zeros mark free factors.
-    """
-    s = smith_normal_form(matrix, transforms=())
-    m = len(int_rows(matrix)) if ambient_rank is None else ambient_rank
-    divs = [d for d in s.diagonal if d not in (0, 1)]
-    free = m - s.rank
-    return tuple(divs) + (0,) * free
+    return math.prod(divs)

@@ -451,6 +451,12 @@ def dedekind_split(fld: NumberFieldDatum, p: int) -> SplittingType:
 # the largest conductor whose units are listed: units_mod scans every
 # residue, about 0.3 s at this bound, and the towers scan it again per level
 MAX_CONDUCTOR = 10**6
+# the most levels a tower or chain may ask for: a constant chain this long
+# is built and classified in about 0.3 s
+MAX_TOWER_LEVELS = 10**5
+# the largest group order of a level of a layered-obstruction tower: its
+# table has order^2 entries, 4 * 10^6 at this bound
+MAX_LEVEL_ORDER = 2000
 
 
 def _check_conductor(m: int) -> None:
@@ -462,18 +468,6 @@ def units_mod(m: int) -> tuple:
     if m == 1:
         return (0,)
     return tuple(x for x in range(1, m) if math.gcd(x, m) == 1)
-
-
-def _totient(m: int) -> int:
-    """The number of units mod m, from the factorization of m."""
-    phi, q = m, 2
-    while q * q <= m:
-        if m % q == 0:
-            phi -= phi // q
-            while m % q == 0:
-                m //= q
-        q += 1
-    return phi - phi // m if m > 1 else phi
 
 
 def unit_subgroups(m: int) -> tuple:
@@ -526,7 +520,7 @@ class AbelianFieldDatum:
 
     @property
     def degree(self) -> int:
-        return _totient(self.conductor) // len(self.subgroup)
+        return len(self.units) // len(self.subgroup)
 
 
 def abelian_split(fld: AbelianFieldDatum, p: int) -> SplittingType:
@@ -872,10 +866,17 @@ class SplitObstructionLaw:
     def __post_init__(self):
         if not _is_prime(self.l):
             raise HypothesisFailed(f"the tower law needs a prime l, not {self.l}")
+        if not 0 <= self.levels <= MAX_TOWER_LEVELS:
+            raise HypothesisFailed(f"levels {self.levels} is outside 0..{MAX_TOWER_LEVELS}")
+        # each chosen prime becomes the conductor of a new layer
+        if not 0 <= self.prime_bound <= MAX_CONDUCTOR:
+            raise HypothesisFailed(
+                f"prime bound {self.prime_bound} is outside 0..{MAX_CONDUCTOR}")
 
 
 def degree_l_datum(l: int, q: int) -> AbelianFieldDatum:
     """Degree-l subfield of the q-th cyclotomic field (q prime, l | q-1)."""
+    _check_conductor(q)
     powers = tuple(sorted({pow(x, l, q) for x in range(1, q)}))
     return AbelianFieldDatum(q, powers)
 

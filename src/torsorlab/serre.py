@@ -456,8 +456,7 @@ def _type_verdict(xs: tuple, vectors) -> tuple[bool, bool]:
     rows, rank = xs
     if any(sum(v[c] * a for c, a in row) for row in rows for v in vectors):
         return False, False
-    s = la.smith_normal_form(vectors, transforms=())
-    return True, s.diagonal.count(1) == len(vectors) == rank
+    return True, la.elementary_divisors(vectors).count(1) == len(vectors) == rank
 
 
 def _type_report(d: CMGaloisDatum, xs: tuple, phi: tuple) -> CMTypeBasisReport:
@@ -550,7 +549,14 @@ def layered_obstruction_tower(l: int, p0: int, levels: int = 1,
                               prime_bound: int = 20000) -> TowerRecipe:
     """Tower whose layers are cyclic degree-l fields ramified at freshly
     chosen primes subject to the splitting conditions; the attached law
-    carries the replayable norm-obstruction certificate."""
+    carries the replayable norm-obstruction certificate.  The law checks
+    l, levels and prime_bound first; a tower whose top group would pass
+    numtheory.MAX_LEVEL_ORDER is refused before any group is built."""
+    law = nt.SplitObstructionLaw(l, p0, levels=levels, prime_bound=prime_bound)
+    # l >= 2, so l^k is above the bound once k reaches the bound's bit length
+    if 2 * l ** min(levels + 1, nt.MAX_LEVEL_ORDER.bit_length()) > nt.MAX_LEVEL_ORDER:
+        raise nt.HypothesisFailed(
+            f"the top group of order 2*{l}^{levels + 1} is above the bound {nt.MAX_LEVEL_ORDER}")
     c2 = cyclic_group(2)
     cl = cyclic_group(l)
     data = []
@@ -570,16 +576,15 @@ def layered_obstruction_tower(l: int, p0: int, levels: int = 1,
                 mapping.append(pf(f_part) + nsmall * eps)
             maps.append(GroupHom(G, data[k - 1].group, tuple(mapping)))
         prev_f = f_grp
-    arithmetic = NormTower(
-        (nt.degree_l_datum(l, p0),),
-        law=nt.SplitObstructionLaw(l, p0, levels=levels, prime_bound=prime_bound),
-    )
+    arithmetic = NormTower((nt.degree_l_datum(l, p0),), law=law)
     return TowerRecipe(tuple(data), tuple(maps), arithmetic)
 
 
 def constant_tower(d: CMGaloisDatum, length: int) -> TowerRecipe:
     from .groups import identity_hom
 
+    if not 0 <= length <= nt.MAX_TOWER_LEVELS:
+        raise nt.HypothesisFailed(f"length {length} is outside 0..{nt.MAX_TOWER_LEVELS}")
     return TowerRecipe(
         tuple([d] * (length + 1)),
         tuple([identity_hom(d.group)] * length),

@@ -3,8 +3,8 @@ form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
 generating set, zero lattices and maps, the Serre character sequences and
-the twisted quotient sequence by restricted actions, kernel sequences by a
-second kernel and CM-type bases by coordinates,
+the twisted quotient sequence by restricted actions, exactness joints and
+kernel sequences by a second kernel and CM-type bases by coordinates,
 lattice twists with every product multiplied out, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
 by summing rotations, and the benchmark's workloads read from their file."""
@@ -370,15 +370,37 @@ def twist_serre_by_restriction(d) -> "sr.TwistedSequence":
     )
 
 
+def joint_by_coordinates(F, G, rank: int) -> lt.JointReport:
+    """lattices.joint_report by a second kernel: the coordinates X of im f in
+    the saturated kernel K of g exist exactly when g f == 0, and then ker g
+    / im f is the cokernel of X.  A free factor of it breaks equality after
+    saturation, and any factor breaks integral equality.  Where a lattice is
+    zero the joint is read off the shapes: with no columns in F, im f = 0
+    and the joint is exact iff g is injective; with no rows in G, ker g is
+    everything and X = F."""
+    if not la.width(F):
+        injective = rank == 0 or (bool(G) and la.smith_normal_form(G, transforms=()).rank == rank)
+        return lt.JointReport(True, injective, injective)
+    if G:
+        K, W = la.saturated_kernel(G)
+        X = la.coordinates(K, W, F)
+        if X is None:
+            return lt.JointReport(False, False, False)
+    else:
+        X = F
+    s = la.smith_normal_form(X, transforms=())
+    free = s.rank < len(X)
+    return lt.JointReport(True, not free, not free and all(d in (0, 1) for d in s.diagonal))
+
+
 def kernel_sequence_by_joint(K, W, E) -> bool:
     """lattices.kernel_sequence_exact by a second kernel: W K == I against a
-    built identity, the joint at M by lattices.joint_report (the saturated
-    kernel of E, K's coordinates in it and the SNF of their cokernel), and
-    E onto by its cokernel invariants."""
+    built identity, the joint at M by joint_by_coordinates, and E onto when
+    its columns span every unit vector."""
     return (
         la.matmul(W, K) == la.identity(la.width(K))
-        and lt.joint_report(K, E, len(K)).exact
-        and lt._onto(E, len(E))
+        and joint_by_coordinates(K, E, len(K)).exact
+        and la.lattice_contains(E, la.identity(len(E)))
     )
 
 

@@ -356,7 +356,30 @@ def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, ca
     assert captured.out == "" and "parse error" in captured.err
 
 
+@pytest.mark.parametrize("document", [0, True, None, 1.5])
+def test_a_module_that_is_no_object_exits_3(document, tmp_path, capsys):
+    # "rho" in 0 once raised TypeError, which exited 1 as if refuted
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(["cohomology", "h1", "--module", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parse error" in captured.err
+
+
+def test_an_unexpected_exception_exits_3(fixtures, monkeypatch, capsys):
+    # a fault of the program is an error, never refuted's exit code
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(gr, "conjugacy_classes", broken)
+    assert cli.main(["groups", "classes", "--in", str(fixtures["h3"])]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[torsor-lab] internal error: RuntimeError: boom" in captured.err
+
+
 C2_IOTA_5 = {"group": C2, "iota": 5}
+C2_IOTA_1 = {"group": C2, "iota": 1}
 
 
 @pytest.mark.parametrize("command,document", [
@@ -372,15 +395,32 @@ C2_IOTA_5 = {"group": C2, "iota": 5}
     (("nt", "tower-cert", "--tower"),
      {"levels": [LEVEL], "law": {"kind": "cyclotomic-power", "l": 10007}}),
     (("lattice", "exact", "--in"), {"lattices": 5, "maps": []}),
+    (("serre", "tower", "--chain"), {"kind": "constant", "datum": C2_IOTA_1, "length": 10**30}),
+    (("serre", "tower", "--chain"), {"kind": "constant", "datum": C2_IOTA_1, "length": 10**8}),
+    (("serre", "tower", "--chain"), {"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 9}),
+    (("serre", "tower", "--chain"),
+     {"kind": "layered-obstruction", "l": 3, "p0": 10**12 + 39, "levels": 1}),
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7,
+                                 "prime_bound": 10**12}}),
+    (("invsys", "classify", "--recipe"),
+     {"kind": "norm-tower", "levels": [LEVEL],
+      "law": {"kind": "split-obstruction", "l": 3, "p0": 7, "prime_bound": 10**12}}),
 ], ids=["iota-out-of-range", "constant-chain-iota", "split-l-0", "norm-tower-l-0",
-        "cyclotomic-l-4", "cyclotomic-l-10007", "lattices-not-a-list"])
+        "cyclotomic-l-4", "cyclotomic-l-10007", "lattices-not-a-list", "constant-length-10^30",
+        "constant-length-10^8", "layered-levels-9", "layered-p0-10^12",
+        "split-prime-bound-10^12", "norm-tower-prime-bound-10^12"])
 def test_out_of_range_input_exits_3_in_a_subprocess(command, document, tmp_path):
     # an involution that is no group element, a tower law whose l is not
     # prime (l = 4 once looped for ever, l = 0 divided by zero) or whose
     # conductors pass numtheory.MAX_CONDUCTOR (l = 10007 once scanned 10^8
-    # residues at level 1), a lattice list that is no list: exit 3 with a
-    # message and no traceback, and no hang, which the timeout turns into a
-    # failure
+    # residues at level 1), a lattice list that is no list, a chain longer
+    # than numtheory.MAX_TOWER_LEVELS (10^30 overflowed, 10^8 ran without
+    # end), a layered tower whose top group passes numtheory.MAX_LEVEL_ORDER
+    # (levels 9: order 2 * 3^10, once a MemoryError) or whose base prime
+    # passes MAX_CONDUCTOR (once scanned 10^12 residues), a prime bound above
+    # MAX_CONDUCTOR (once a MemoryError in the sieve): exit 3 with a message
+    # and no traceback, and no hang, which the timeout turns into a failure
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
     proc = subprocess.run(

@@ -14,6 +14,7 @@ from torsorlab import linalg as la
 from helpers import (
     bareiss_det,
     disjoint_union,
+    joint_by_coordinates,
     kernel_sequence_by_joint,
     lattice_eq,
     regular_gset,
@@ -303,6 +304,7 @@ def _random_sequence(rng, c1):
 
 
 def test_exactness_report_matches_two_way_comparison():
+    # and each joint matches the route by coordinates in a second kernel
     c1 = gr.trivial_group()
     zero = zero_lattice(c1)
     rng = random.Random(9)
@@ -315,6 +317,8 @@ def test_exactness_report_matches_two_way_comparison():
                     + [zero_map(maps[-1].target, zero)])
         rep = lt.exactness_report(maps)
         assert rep == _reference_exactness(maps)
+        assert rep.joints == tuple(joint_by_coordinates(f.matrix, g.matrix, g.source.rank)
+                                   for f, g in zip(maps, maps[1:]))
         outcomes.update(
             (j.composite_zero, j.image_equals_kernel_saturated, j.image_equals_kernel_integral)
             for j in rep.joints

@@ -468,7 +468,7 @@ def test_xs_rank_is_half_the_order_by_count():
         for iota in central_involutions(g):
             d = sr.CMGaloisDatum(g, iota)
             rows, rank = sr._xs_equations(d)
-            assert la.rank(sr._pair_equations(d, True)) == len(rows) == d.half_order
+            assert len(la.elementary_divisors(sr._pair_equations(d, True))) == len(rows) == d.half_order
             assert rank == g.order + 1 - d.half_order
             data += 1
     assert data == 65
@@ -495,7 +495,7 @@ def test_the_serre_data_checks_can_fire(monkeypatch):
         sr.verify_serre_sequence(d)
     # the CM-type path counts the rank of X*(S) instead: the rank oracle of
     # test_xs_rank_is_half_the_order_by_count sees the dropped pair
-    assert la.rank(sr._pair_equations(d, True)) != d.half_order
+    assert len(la.elementary_divisors(sr._pair_equations(d, True))) != d.half_order
     monkeypatch.setattr(sr, "_pair_equations", pair_equations)
     # a fibre-sum map that is no longer equivariant, on each sequence
     fibre_sums = sr._fibre_sums

@@ -32,19 +32,16 @@ def _calls(monkeypatch, run, *targets) -> list:
 
 def _snf_calls(monkeypatch, run) -> list:
     """(rows, columns, transforms tracked) of each smith_normal_form call
-    while run() runs, through linalg and through lattices, which imports
-    the name."""
+    while run() runs; every caller reaches it through linalg."""
     snf, calls = la.smith_normal_form, []
 
     def recorded(matrix, *, transforms=la.SNF_TRANSFORMS):
         calls.append((len(matrix), la.width(matrix), tuple(transforms)))
         return snf(matrix, transforms=transforms)
 
-    for owner in (la, lt):
-        monkeypatch.setattr(owner, "smith_normal_form", recorded)
+    monkeypatch.setattr(la, "smith_normal_form", recorded)
     run()
-    for owner in (la, lt):
-        monkeypatch.setattr(owner, "smith_normal_form", snf)
+    monkeypatch.setattr(la, "smith_normal_form", snf)
     return calls
 
 
