@@ -6,7 +6,8 @@ a generating set: values there extend to a cocycle exactly when they close
 the Cayley graph, f(g s) = f(g) (g . f(s)) on every edge, for an action by
 automorphisms (Serre, Galois Cohomology, I 5.1).  Abelian H^1 of a lattice
 (ZGLattice) is the torsion of the cokernel of the coboundary map on the
-generators, read off one SNF, and only its invariants are kept.  Nonabelian
+generators, read off its elementary divisors, and only its invariants are
+kept.  Nonabelian
 cocycles, homomorphisms and lifts come from one backtracking search that
 closes the Cayley graph one generator at a time (_cayley_search), and their
 classes under twisted conjugation from one partition (twist_classes).
@@ -166,17 +167,19 @@ class CohomologyGroup:
 
 def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     """The invariants of H^1(gamma, M) = Z^1/B^1 of a lattice M, exact over
-    the integers, from one SNF of the coboundary map.  M is trusted to be
-    an action, as its constructor vouches (ZGLattice); NotAction only if
-    gamma is not the group of M.
+    the integers, from the elementary divisors of the coboundary map.  M is
+    trusted to be an action, as its constructor vouches (ZGLattice);
+    NotAction only if gamma is not the group of M.
 
     A cocycle is determined by its values at the generators s, so Z^1 and
     B^1 sit in M^S, and B^1 is the image of d: m -> ((rho(s) - 1) m)_s, the
     stacked rho(s) - I.  Z^1 is a kernel, hence saturated; |gamma| kills
     H^1, so Z^1 has the rank of B^1.  Hence Z^1 = sat(B^1) and H^1 is the
     torsion of coker d (Brown, Cohomology of Groups, GTM 87, ch. III): its
-    elementary divisors d > 1.  The zeros on the diagonal count the rank of
-    the invariants M^gamma, the kernel of d."""
+    elementary divisors d > 1.  The stacked rho(s) - I of a permutation
+    lattice is a signed incidence matrix, which eliminates on unit pivots
+    alone, so la.elementary_divisors reads them without an SNF.  The rank of the
+    invariants M^gamma, the kernel of d, is the width less their number."""
     if gamma is not lattice.group and gamma != lattice.group:
         raise NotAction("the lattice is a module over another group")
     if lattice.rank == 0:

@@ -504,7 +504,8 @@ def is_subgroup(g: FiniteGroup, elems) -> bool:
     if (0 not in s or not all(type(x) is int for x in s)
             or not s.issubset(g.elements())):
         return False
-    return all(g.mul(a, b) in s for a in s for b in s)
+    rows = g.rows
+    return all(rows[a][b] in s for a in s for b in s)
 
 
 def is_normal(g: FiniteGroup, elems) -> bool:

@@ -290,8 +290,8 @@ def kernel_sequence_exact(K, W, E) -> bool:
     saturated sublattice inside a saturated lattice of the same rank is
     equal to it.  W K == I makes K injective and col K saturated (d v = K x
     gives x = d W v, so v = K W v), and ker E is saturated as every kernel
-    is, so E K == 0 and equal ranks give col K = ker E.  One transform-free
-    SNF of E shows that E is onto (len(E) unit divisors), and then rank
+    is, so E K == 0 and equal ranks give col K = ker E.  The elementary
+    divisors of E show that E is onto (len(E) unit divisors), and then rank
     ker E = len(K) - len(E).  W K is read against the unit rows in place.
     No action on col K is needed either: the kernel of an equivariant map
     is G-stable, so col K is a sublattice with group action whenever E is a

@@ -200,8 +200,8 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     sequence is decided by lattices.kernel_sequence_exact against the
     validated, equivariant fibre-sum map E.  That needs no second kernel:
     col K is saturated because W K = I, ker E is saturated as every kernel
-    is, and by the rank lemma col K = ker E once E K = 0 and one
-    transform-free SNF of E shows E onto with rank ker E = width K.  No
+    is, and by the rank lemma col K = ker E once E K = 0 and the
+    elementary divisors of E show E onto with rank ker E = width K.  No
     action is restricted to either kernel and no Serre data is built:
     exactness makes each kernel G-stable (see kernel_sequence_exact);
     build_serre is the route by restriction.
@@ -448,8 +448,7 @@ def _type_verdict(xs: tuple, vectors) -> tuple[bool, bool]:
     _xs_equations gives it.
 
     in_lattice: every equation vanishes on every vector.  is_basis: the
-    vectors also have as many unit divisors in one transform-free SNF as
-    X*(S) has rank.  Then they are independent and span a saturated
+    vectors also have as many unit elementary divisors as X*(S) has rank.  Then they are independent and span a saturated
     lattice; inside X*(S), saturated as every kernel is and of the same
     rank, it is all of X*(S).
     """
@@ -472,7 +471,7 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     No basis of X*(S) is built, and no action restricted to it: the sums
     lie in X*(S) when its equations vanish on them, and its rank is read
     off the count of its distinct equations (_xs_equations).  They are a
-    basis when one more such SNF finds as many unit divisors as that rank:
+    basis when their elementary divisors hold as many units as that rank:
     a saturated sublattice of X*(S), which is saturated as a kernel, of the
     same rank is X*(S) itself (_type_verdict).
     """

@@ -326,14 +326,18 @@ def test_h1_coboundary_coordinates_equal_solve_int(monkeypatch):
     assert len(calls) > 100 and nontrivial >= 3
 
 
-def test_h1_abelian_is_one_invariants_only_snf(monkeypatch):
-    # the coboundary route factors the stacked rho(s) - I once, tracking no
-    # transform, and builds no cocycle lattice
+def test_h1_abelian_takes_an_snf_only_for_a_unit_free_remainder(monkeypatch):
+    # the coboundary route reads the elementary divisors of the stacked
+    # rho(s) - I and builds no cocycle lattice.  A coset lattice's matrix is
+    # a signed incidence matrix, which eliminates on unit pivots alone and
+    # takes no SNF (one transform-free SNF each when every read took one);
+    # the sign lattice of C2 leaves (-2), whose transform-free SNF gives the
+    # invariant 2 that the cyclic oracle finds
     calls = []
     snf = la.smith_normal_form
 
     def counting(matrix, **kwargs):
-        calls.append(kwargs)
+        calls.append((la.int_rows(matrix), kwargs))
         return snf(matrix, **kwargs)
 
     def refuse(*args):
@@ -346,7 +350,13 @@ def test_h1_abelian_is_one_invariants_only_snf(monkeypatch):
     for h in ((0,), gr.all_subgroups(s4)[-2]):
         calls.clear()
         assert co.h1_abelian(s4, lt.permutation_lattice(gs.coset_gset(s4, h))).is_trivial
-        assert calls == [{"transforms": ()}]
+        assert calls == []
+    c2 = gr.cyclic_group(2)
+    sign = sign_lattice(c2)
+    calls.clear()
+    assert co.h1_abelian(c2, sign).invariants == (2,)
+    assert calls == [(((-2,),), {"transforms": ()})]
+    assert cyclic_h1_oracle(2, sign.rho[1]) == (2,)
 
 
 def test_shapiro_various():

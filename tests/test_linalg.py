@@ -5,6 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torsorlab import groups as gr
@@ -253,6 +255,90 @@ def test_elementary_divisors():
     # no rows or no columns: none, read off the shape
     assert la.elementary_divisors(()) == ()
     assert la.elementary_divisors(((), ())) == ()
+
+
+def _incidence_rows(draw, m, n):
+    # signed incidence rows e_a - e_b, as in the stacked rho(s) - I of a
+    # permutation lattice; a == b gives a zero row
+    rows = []
+    for _ in range(m):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row = [0] * n
+        row[a] += draw(st.sampled_from((1, -1)))
+        row[b] -= row[a]
+        rows.append(row)
+    return rows
+
+
+def _unit_free_rows(draw, m, n):
+    # no entry is a unit, so nothing is eliminated before the SNF
+    entry = st.sampled_from((0, 2, -2, 3, -3, 6, -6))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@st.composite
+def _divisor_matrices(draw):
+    """Matrices that reach every branch of elementary_divisors: signed
+    incidence rows (units alone), unit-free rows (an SNF alone), a block sum
+    of the two with its rows and columns shuffled (a unit part and a
+    nonempty remainder), small entries (units that elimination creates and
+    destroys), each with zero and duplicated rows; and the shapes with no
+    rows or no columns."""
+    kind = draw(st.sampled_from(("incidence", "unit-free", "block", "small", "shapeless")))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    if kind == "shapeless":
+        return ((),) * draw(st.integers(0, 3))
+    if kind == "incidence":
+        rows = _incidence_rows(draw, m, n)
+    elif kind == "unit-free":
+        rows = _unit_free_rows(draw, m, n)
+    elif kind == "small":
+        entry = st.integers(-3, 3)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    else:
+        k = draw(st.integers(1, 3))
+        units = [r + [0] * k for r in _incidence_rows(draw, m, n)]
+        rest = [[0] * n + r for r in _unit_free_rows(draw, draw(st.integers(1, 3)), k)]
+        rest[0][n] = draw(st.sampled_from((2, -3, 6)))  # the remainder is not zero
+        order = draw(st.permutations(range(n + k)))
+        rows = [[r[j] for j in order] for r in draw(st.permutations(units + rest))]
+    for _ in range(draw(st.integers(0, 2))):
+        copy = draw(st.sampled_from([[0] * len(rows[0])] + rows))
+        rows.insert(draw(st.integers(0, len(rows))), list(copy))
+    return la.int_rows(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_divisor_matrices())
+def test_elementary_divisors_match_the_smith_form_and_sympy(A):
+    """Unit-pivot elimination gives the divisors that the SNF and sympy's
+    invariant_factors give: the nonzero diagonal, a divisibility chain."""
+    got = la.elementary_divisors(A)
+    s = la.smith_normal_form(A, transforms=())
+    assert got == s.diagonal[: s.rank]
+    m, n = len(A), la.width(A)
+    theirs = invariant_factors(sympy.Matrix(m, n, [v for row in A for v in row]), domain=ZZ)
+    assert got == tuple(abs(int(d)) for d in theirs if d)
+    assert all(type(d) is int and d > 0 for d in got)
+    assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
+def test_elementary_divisors_split_off_units_before_the_smith_form(monkeypatch):
+    # a signed incidence matrix eliminates on units alone and takes no SNF;
+    # a unit-free remainder, here diag(2, 6) beside a unit, takes one
+    # transform-free SNF of itself alone
+    calls = []
+    snf = la.smith_normal_form
+
+    def recorded(matrix, *, transforms=la.SNF_TRANSFORMS):
+        calls.append((la.int_rows(matrix), tuple(transforms)))
+        return snf(matrix, transforms=transforms)
+
+    monkeypatch.setattr(la, "smith_normal_form", recorded)
+    assert la.elementary_divisors(((1, -1, 0), (0, 1, -1), (1, 0, -1), (0, 0, 0))) == (1, 1)
+    assert calls == []
+    assert la.elementary_divisors(((0, 2, 0), (1, 3, 0), (0, 0, 6))) == (1, 2, 6)
+    assert calls == [(((0, 2, 0), (0, 0, 6)), ())]
 
 
 def _oracle_matrices():

@@ -91,13 +91,15 @@ def test_block_decompositions_read_monomial_products(monkeypatch):
 
 def test_block_decompositions_work(monkeypatch):
     # criterion 2 over six groups: per group one saturated kernel of
-    # X*(Sbar), the only SNF tracking a transform, two twists (the middle and
-    # the quotient), and one restriction, of the twisted middle's action
-    # (54 SNF calls, 12 tracking, 18 twists, 12 restrictions and 18 check_rho
-    # when X*(Sbar) was twisted apart and the sequence had a second kernel)
+    # X*(Sbar), the only SNF, two twists (the middle and the quotient), and
+    # one restriction, of the twisted middle's action; every other read is
+    # elementary divisors by unit pivots alone (36 SNF calls when those took
+    # one each; 54 calls, 12 tracking, 18 twists, 12 restrictions and 18
+    # check_rho when X*(Sbar) was twisted apart and the sequence had a second
+    # kernel)
     snf = _snf_calls(monkeypatch, checks.check_block_decomposition)
-    assert len(snf) <= 36
-    assert sum(1 for *_, tracked in snf if tracked) <= 6
+    assert len(snf) <= 6
+    assert all(tracked for *_, tracked in snf)
     twists, restrictions, action_checks = _calls(
         monkeypatch, checks.check_block_decomposition, (sr, "twist_lattice"),
         (la, "restricted_action"), (lt, "check_rho"))
@@ -120,36 +122,39 @@ def test_permutation_h1_multiplies_nothing(monkeypatch):
 
 
 def test_permutation_h1_work(monkeypatch):
-    # criterion 3: one invariants-only SNF per coset lattice, the largest
-    # 72x24 (the stacked rho(s) - I of the largest lattice over its
-    # generators), and the subgroup closures of the catalog groups it draws
-    # the lattices from (9,897 when each subgroup was closed from {0})
+    # criterion 3: no SNF, since the stacked rho(s) - I of a coset lattice is
+    # a signed incidence matrix, whose elementary divisors come by unit
+    # pivots alone (747 invariants-only SNFs, the largest 72x24, when each
+    # lattice took one), and the subgroup closures of the catalog groups it
+    # draws the lattices from (9,897 when each subgroup was closed from {0})
     snf = []
     closures, = _calls(monkeypatch, lambda: snf.extend(
         _snf_calls(monkeypatch, checks.check_permutation_h1_vanishing)), (gr, "_closure"))
-    assert len(snf) <= 747
-    assert max(rows for rows, _, _ in snf) <= 72
-    assert max(cols for _, cols, _ in snf) <= 24
+    assert len(snf) == 0
+    assert max((rows for rows, _, _ in snf), default=0) <= 72
+    assert max((cols for _, cols, _ in snf), default=0) <= 24
     assert closures <= 3913
 
 
 def test_character_sequences_snf_work(monkeypatch):
     # criterion 4 over 65 data: per sequence one saturated kernel, which
-    # tracks right and right_inv, and one transform-free SNF of E (520
-    # calls, 260 tracking, with a second kernel and a cokernel per joint)
+    # tracks right and right_inv, and the elementary divisors of E, which
+    # its unit pivots give without an SNF (260 calls, 130 tracking, when E
+    # took a transform-free SNF; 520 with a second kernel and a cokernel per
+    # joint)
     calls = _snf_calls(monkeypatch, checks.check_character_sequences)
-    assert len(calls) <= 260
-    assert sum(1 for *_, tracked in calls if tracked) <= 130
+    assert len(calls) <= 130
+    assert all(tracked for *_, tracked in calls)
 
 
 def test_cm_type_bases_snf_work(monkeypatch):
-    # criterion 5 over 26 data and 650 types: one SNF per type's vectors,
-    # none tracking a transform; the rank of X*(S) is a count (26 tracked
-    # when each datum built a saturated kernel, 676 calls when each datum
-    # took one more SNF for that rank)
+    # criterion 5 over 26 data and 650 types: no SNF; the 0/1 vectors of
+    # each type give their elementary divisors by unit pivots alone (650
+    # transform-free SNFs when each type took one), and the rank of X*(S) is
+    # a count (26 tracked when each datum built a saturated kernel, 676
+    # calls when each datum took one more SNF for that rank)
     calls = _snf_calls(monkeypatch, checks.check_cm_type_bases)
-    assert len(calls) <= 650
-    assert not [c for c in calls if c[2]]
+    assert len(calls) == 0
 
 
 def test_permutation_h1_checks_each_action_once(monkeypatch):
