@@ -3,17 +3,21 @@
 Polynomials are little-endian integer coefficient tuples at the public
 helpers.  Arithmetic over F_p runs on trimmed int lists, reduced in place
 and taken mod p once per division (`_fp_rem`, `_fp_quo`, `_fp_gcd`); the
-Dedekind route stays on lists.  A Gaussian-period polynomial is expanded on
-packed integers: an element of Z[x]/(x^m - 1) with nonnegative coefficients
-is one int with a fixed number of bytes per coefficient, wide enough that
-no coefficient carries, so multiplying by a period is one int product and
-a cyclic wrap (Kronecker substitution; Harvey, J. Symbolic Comput. 2009).
-Only the fold mod Phi_m is made on lists.  Splitting in
-abelian fields is pure modular arithmetic on (conductor, unit subgroup)
-data; splitting via a defining polynomial goes through the Dedekind
-criterion, and the two routes cross-check each other.  The Dedekind route
-reads only the squarefree and distinct-degree stages of factoring mod p;
-only `factor_mod_p` splits equal-degree products.
+Dedekind route stays on lists except for its first Frobenius power, x^p mod
+g, which `_fp_xpow` takes on packed integers.  A packed integer holds a
+polynomial's coefficients in slots of a fixed number of bits, wide enough
+that no slot carries, so a polynomial product is one int product (Kronecker
+substitution; Harvey, J. Symbolic Comput. 2009).  A Gaussian-period
+polynomial is expanded as one bivariate packed int in Z[x]/(x^m - 1)[T],
+and its coefficients are proved rational by one product with the cofactor
+Psi_m = (x^m - 1) / Phi_m instead of a reduction mod Phi_m; both slot
+bounds are stated where the widths are chosen (`_xpow_slot_bits`,
+`_period_slot_bits`).  Splitting in abelian fields is pure modular
+arithmetic on (conductor, unit subgroup) data; splitting via a defining
+polynomial goes through the Dedekind criterion, and the two routes
+cross-check each other.  The Dedekind route reads only the squarefree and
+distinct-degree stages of factoring mod p; only `factor_mod_p` splits
+equal-degree products.
 """
 
 from __future__ import annotations
@@ -141,6 +145,61 @@ def _fp_powmod(base, e, mod, p):
     return result
 
 
+def _xpow_slot_bits(n: int, p: int) -> int:
+    """Bits w per slot of `_fp_xpow` mod a degree-n g over F_p:
+    2^w > p n (p - 1)^2 (1 + (n - 1)(p - 1)).
+
+    A square of n slots in [0, p) has slots at most n (p - 1)^2.  Adding
+    its n - 1 top slots, each at most that, times rows in [0, p) gives
+    S = n (p - 1)^2 (1 + (n - 1)(p - 1)); a product by x adds at most S
+    (p - 1) more to a slot of at most S.  No slot of any step carries."""
+    return (p * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))).bit_length()
+
+
+def _fp_xpow(e, g, p):
+    """x^e modulo the monic trimmed list g over F_p, deg g >= 1, as a
+    trimmed list, by square and multiply on packed ints.
+
+    A residue is one int with its n = deg g coefficients in slots of w bits,
+    w from `_xpow_slot_bits`.  Each step is one int square; its slots
+    n .. 2n - 2 are folded back by the packed rows x^k mod g; a product by
+    x is a shift and one row, x^n mod g; and one pass takes the n slots
+    mod p."""
+    n = len(g) - 1
+    w = _xpow_slot_bits(n, p)
+    top = (1 << w) - 1
+    high = n * w
+    low = (1 << high) - 1
+    # x^k mod g for k = n .. max(n, 2n - 2), each from the last times x
+    row = [-c % p for c in g[:n]]
+    rows = [row]
+    for _ in range(n - 2):
+        row = [0] + row
+        c = row.pop()
+        row = [(a + c * b) % p for a, b in zip(row, rows[0])]
+        rows.append(row)
+    rows = [sum(c << (i * w) for i, c in enumerate(r)) for r in rows]
+    xn = rows[0]
+    fold = rows[:n - 1]
+    shifts = range(0, high, w)
+    a = 1
+    for bit in bin(e)[2:]:
+        t = a * a
+        a = t & low
+        t >>= high
+        for r in fold:
+            a += (t & top) * r
+            t >>= w
+        if bit == "1":
+            a <<= w
+            a = (a & low) + (a >> high) * xn
+        b = 0
+        for s in shifts:
+            b |= (a >> s & top) % p << s
+        a = b
+    return _trim([a >> s & top for s in shifts])
+
+
 def pnormalize(f):
     return tuple(_trim(list(f)))
 
@@ -240,9 +299,10 @@ def _distinct_degree(f, p):
     f over F_p.
 
     h runs through x^(p^d) mod g.  The first step is one power by square and
-    multiply.  The p-th power is additive and fixes F_p, so after it
-    h^p = sum h_i frob[i] mod g with frob[i] = x^(i p) mod g, and each later
-    step is one product of h with that table (the Berlekamp matrix)."""
+    multiply on packed ints (`_fp_xpow`).  The p-th power is additive and
+    fixes F_p, so after it h^p = sum h_i frob[i] mod g with
+    frob[i] = x^(i p) mod g, and each later step is one product of h with
+    that table (the Berlekamp matrix)."""
     out = []
     h = [0, 1]
     frob = None
@@ -250,7 +310,7 @@ def _distinct_degree(f, p):
     d = 1
     while len(g) > 2 * d:
         if frob is None:
-            h = _fp_powmod(h, p, g, p)
+            h = _fp_xpow(p, g, p)
             frob = [[1], h[:]]
         else:
             while len(frob) < len(g) - 1:
@@ -512,11 +572,22 @@ class AbelianFieldDatum:
             raise ValueError("subgroup entries must be units")
         if 1 not in h:
             raise ValueError("subgroup must contain 1")
+        # close {1} under the least entries not yet reached: each new
+        # generator s adds the cosets C s, C s^2, ... of the closure C so far
+        # until s^i falls in C, so every entry is reached once and H is a
+        # subgroup iff no product leaves it
         hs = set(h)
-        for a in h:
-            for b in h:
-                if (a * b) % m not in hs:
+        closure = {1}
+        for s in h:
+            if s in closure:
+                continue
+            layer, t = tuple(closure), s
+            while t not in closure:
+                coset = [x * t % m for x in layer]
+                if not hs.issuperset(coset):
                     raise ValueError("not closed under multiplication")
+                closure.update(coset)
+                t = t * s % m
 
     @property
     def degree(self) -> int:
@@ -657,45 +728,29 @@ def _period_cosets(fld: AbelianFieldDatum) -> list:
     return cosets
 
 
-def _slot_bytes(d: int, h: int) -> int:
-    """Bytes per slot that hold every e_k of d periods of h terms each.
+@lru_cache(maxsize=None)
+def _cyclotomic_cofactor(m: int) -> tuple:
+    """Psi_m = (x^m - 1) / Phi_m, the product of the Phi_d over the proper
+    divisors d of m, little-endian; Psi_m(0) = -1 for m > 1."""
+    return _zdiv_exact((-1,) + (0,) * (m - 1) + (1,), cyclotomic_polynomial(m))
 
-    A period is a sum of h powers of x, so its slots sum to h, and a slot sum
-    is multiplicative over Z[x]/(x^m - 1) with nonnegative entries.  Each
-    slot of e_k, a sum of C(d, k) products of k periods, is thus at most its
-    slot sum C(d, k) h^k; so is each slot of a partial e_k or a product by a
-    period on the way.  The slots get at least one bit above the largest of
-    these bounds, so no slot ever carries into the next."""
+
+def _period_slot_bits(d: int, h: int, psi) -> int:
+    """Bits w per slot of the packed period expansion, for d periods of at
+    most h terms each: 2^(w - 1) > M |psi|_1 |psi|_inf, M = max C(d, k) h^k.
+
+    A period is a sum of at most h powers of x, so its slots sum to at most
+    h, and a slot sum is multiplicative over Z[x]/(x^m - 1) with nonnegative
+    entries.  Each slot of e_k, a sum of C(d, k) products of k periods, is
+    thus at most its slot sum C(d, k) h^k <= M, and so is each slot of a
+    partial e_k or a product by a period on the way.  A slot of e_k Psi^+
+    or e_k Psi^- mod x^m - 1 is at most M |psi|_inf, and so is |r_k|, the
+    difference of two of them; a slot of r_k Psi is at most M |psi|_inf^2.  All of
+    them lie strictly within +-2^(w - 1), for any cosets, so no slot ever
+    carries and two packed ints are equal iff their slots are."""
     bound = max(math.comb(d, k) * h**k for k in range(d + 1))
-    return bound.bit_length() // 8 + 1
-
-
-def _period_symmetric(cosets, m: int) -> list:
-    """e_0, ..., e_d of the periods of the cosets, each as its m coefficients
-    in Z[x]/(x^m - 1), expanded on packed integers (Kronecker substitution).
-
-    An element with nonnegative coefficients is one int with nbytes bytes
-    per slot, coefficient i at byte nbytes * i.  Multiplying by a period is
-    one int product, whose slots m .. 2m - 2 wrap around to x^0 .. x^(m - 2)
-    by a mask and a shift; nbytes is `_slot_bytes`, at which no slot
-    carries.  Each e_k is unpacked once, at the end."""
-    nbytes = _slot_bytes(len(cosets), len(cosets[0]))
-    bits = 8 * nbytes
-    shift = m * bits
-    mask = (1 << shift) - 1
-    e = [1] + [0] * len(cosets)
-    for j, coset in enumerate(cosets, 1):
-        eta = sum(1 << (k * bits) for k in coset)
-        # e_k += eta e_(k-1), top k first so that e_(k-1) is the old one
-        for k in range(j, 0, -1):
-            p = e[k - 1] * eta
-            e[k] += (p & mask) + (p >> shift)
-    out = []
-    for packed in e:
-        raw = packed.to_bytes(m * nbytes, "little")
-        out.append([int.from_bytes(raw[i:i + nbytes], "little")
-                    for i in range(0, m * nbytes, nbytes)])
-    return out
+    bound *= sum(map(abs, psi)) * max(map(abs, psi))
+    return bound.bit_length() + 1
 
 
 def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
@@ -714,36 +769,53 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     and raises NotIrreducible when the primes it rules out multiply past
     the Hadamard bound on |disc f|; no factorization over Q is made.
 
-    f is expanded in Z[x]/(x^m - 1), which maps onto Z[zeta], as
-    sum (-1)^k e_k T^(d - k) with e_k the elementary symmetric functions of
-    the periods; their coefficients are nonnegative and at most
-    C(d, k) |H|^k, so `_period_symmetric` computes them on packed integers.
+    f = sum (-1)^k e_k T^(d - k), with e_k the elementary symmetric
+    functions of the periods, computed in Z[x]/(x^m - 1), which maps onto
+    Z[zeta_m].  E = prod (1 + eta_j T) is one bivariate packed int
+    (Kronecker substitution; Harvey, J. Symbolic Comput. 2009): slot (i, k),
+    the x^i coefficient of e_k, sits at bit (i (d + 1) + k) w, with w from
+    `_period_slot_bits`.  Each period costs one int product, one cyclic
+    wrap of the x rows m .. 2m - 2 and a shift by one slot for T.
+
+    e_k must be a rational r_k mod Phi_m.  As Q[x] is a domain and Phi_m is
+    monic, c = r mod Phi_m iff c Psi_m = r Psi_m mod x^m - 1, with the
+    cofactor Psi_m = (x^m - 1) / Phi_m; as Psi_m(0) = -1, r_k is minus slot
+    (0, k) of W = E Psi_m mod x^m - 1.  So one comparison of W with r Psi_m
+    decides every coefficient.  W is taken as E Psi^+ - E Psi^-, each
+    product wrapped on its own: a mask on a packed int with negative slots
+    would borrow across slots.  Every slot of E is at most
+    M = max C(d, k) h^k, h the largest coset, and every slot of the halves
+    of W and of r Psi_m at most M |Psi_m|_1 |Psi_m|_inf, for any cosets,
+    rational or not; w keeps both strictly within +-2^(w - 1), so reading
+    r_k and comparing W with r Psi_m are exact.
     """
     fld = reduce_to_conductor(fld)
     m = fld.conductor
     if m == 1 or fld.degree == 1:
         return _period_field((0, 1))
-    phi = cyclotomic_polynomial(m)
-    n = len(phi) - 1
-    phi_terms = [(i, a) for i, a in enumerate(phi[:n]) if a]
-    e = _period_symmetric(_period_cosets(fld), m)
-    out = []
-    # the T^(d - k) coefficient (-1)^k e_k, for T^0 first, is reduced mod
-    # Phi_m once
-    for k in range(len(e) - 1, -1, -1):
-        c = [-x for x in e[k]] if k % 2 else e[k]
-        # fold c mod the monic Phi_m in place, top coefficient first:
-        # t x^(k + n) = -t (Phi_m - x^n) x^k, read on the nonzero terms
-        for k in range(m - 1 - n, -1, -1):
-            t = c.pop()
-            if t:
-                for i, a in phi_terms:
-                    c[k + i] -= t * a
-        _trim(c)
-        if len(c) > 1:
-            raise ValueError("period polynomial coefficient is not rational")
-        out.append(c[0] if c else 0)
-    return _period_field(out)
+    cosets = _period_cosets(fld)
+    psi = _cyclotomic_cofactor(m)
+    d = len(cosets)
+    w = _period_slot_bits(d, max(map(len, cosets)), psi)
+    row = (d + 1) * w  # the bits of one power of x
+    shift = m * row
+    mask = (1 << shift) - 1
+    e = 1
+    for coset in cosets:
+        # E += T eta E: the product's top k is at most d - 1 before the shift
+        t = e * sum(1 << (c * row) for c in coset)
+        e += ((t & mask) + (t >> shift)) << w
+    plus = sum(a << (i * row) for i, a in enumerate(psi) if a > 0)
+    minus = sum(-a << (i * row) for i, a in enumerate(psi) if a < 0)
+    wp, wm = e * plus, e * minus
+    wp = (wp & mask) + (wp >> shift)
+    wm = (wm & mask) + (wm >> shift)
+    top = (1 << w) - 1
+    r = [((wm >> (k * w)) & top) - ((wp >> (k * w)) & top) for k in range(d + 1)]
+    # r Psi_m has x degree below m and one term per slot: no wrap
+    if wp - wm != sum(c << (k * w) for k, c in enumerate(r)) * (plus - minus):
+        raise ValueError("period polynomial coefficient is not rational")
+    return _period_field([-r[k] if k % 2 else r[k] for k in range(d, -1, -1)])
 
 
 def _period_field(poly) -> NumberFieldDatum:

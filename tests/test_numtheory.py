@@ -485,6 +485,44 @@ def test_abelian_datum_and_split():
         nt.AbelianFieldDatum(7, (1, 2))  # not closed: 2*2=4 missing
 
 
+def test_abelian_datum_closure_matches_all_pairs():
+    # the datum closes H from a few generators; every subset of the units of
+    # small conductors containing 1 is accepted iff all |H|^2 products stay
+    rng = random.Random(5)
+    for m in range(2, 40):
+        units = nt.units_mod(m)
+        subsets = [tuple(h) for h in nt.unit_subgroups(m)]
+        subsets += [(1, *rng.sample(units[1:], rng.randrange(len(units)))) for _ in range(20)]
+        for h in subsets:
+            closed = all(a * b % m in h for a in h for b in h)
+            try:
+                nt.AbelianFieldDatum(m, h)
+                assert closed, (m, h)
+            except ValueError as err:
+                assert not closed and "not closed" in str(err), (m, h)
+
+
+def test_tower_level_of_half_a_million_squares_in_a_subprocess(tmp_path):
+    # the squares mod 999,983 are a subgroup of order 499,991: checking all
+    # pairs of it once took hours; with one entry swapped for a non-square
+    # it must still be refused.  The timeout turns a hang into a failure.
+    m = 999983
+    squares = sorted({x * x % m for x in range(1, m)})
+    bad = [x for x in squares if x != 4] + [5]  # 5 is no square mod m
+    assert pow(5, (m - 1) // 2, m) == m - 1
+    for subgroup, code, status in ((squares, 0, "holds"), (bad, 3, None)):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({"levels": [{"conductor": m, "subgroup": subgroup}]}))
+        proc = subprocess.run([sys.executable, "-m", "torsorlab.cli", "nt", "tower-cert",
+                               "--tower", str(path)],
+                              capture_output=True, text=True, timeout=60, env=_env())
+        assert proc.returncode == code, proc.stderr
+        if status:
+            assert json.loads(proc.stdout)["evidence"]["ml_status"] == status
+        else:
+            assert "not closed" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_norm_image_valuation():
     assert nt.norm_image_valuation(nt.SplittingType(((1, 1), (1, 1)), 2), 5) == 1
     assert nt.norm_image_valuation(nt.SplittingType(((1, 2),), 2), 3) == 2
@@ -536,9 +574,20 @@ def test_packed_period_polynomials_match_the_rotation_oracle():
         assert nt.abelian_defining_polynomial(fld).poly == period_polynomial_by_rotations(fld)
 
 
+def _cyclic_product(f, g, m) -> list:
+    # f g in Z[x]/(x^m - 1), from a list product over Z
+    out = [0] * m
+    for i, c in enumerate(nt._mul(f, g)):
+        out[i % m] += c
+    return out
+
+
 def test_no_packed_period_slot_carries():
-    # every slot of every e_k stays below 2^B, B the bits per slot, and the
-    # unpacked e_k are the rotation oracle's T coefficients up to sign
+    # every slot of E = prod (1 + eta_j T), of W = E Psi_m mod x^m - 1 (as
+    # its halves E Psi^+ and E Psi^-) and of r Psi_m lies strictly within
+    # +-2^(w - 1), w the bits per slot; recomputed from the rotation oracle's
+    # e_k by list products.  The e_k bound the partial e_k and the products
+    # on the way, as every period has nonnegative slots.
     widest = 0
     for fld in map(nt.reduce_to_conductor, _period_oracle_fields()):
         m = fld.conductor
@@ -546,13 +595,109 @@ def test_no_packed_period_slot_carries():
             continue
         cosets = nt._period_cosets(fld)
         d = len(cosets)
-        nbytes = nt._slot_bytes(d, len(fld.subgroup))
+        psi = nt._cyclotomic_cofactor(m)
+        assert nt._mul(psi, nt.cyclotomic_polynomial(m)) == [-1] + [0] * (m - 1) + [1]
+        w = nt._period_slot_bits(d, max(map(len, cosets)), psi)
+        half = 2 ** (w - 1)
         expected = period_expansion_by_rotations(cosets, m)[::-1]  # e_0 first
-        assert max(abs(x) for c in expected for x in c) < 2 ** (8 * nbytes)
-        assert nt._period_symmetric(cosets, m) == [
-            [(-1) ** k * x for x in c] for k, c in enumerate(expected)]
-        widest = max(widest, nbytes)
-    assert widest > 1  # some field needs more than one byte per slot
+        e = [[(-1) ** k * x for x in c] for k, c in enumerate(expected)]
+        plus = [max(a, 0) for a in psi]
+        minus = [max(-a, 0) for a in psi]
+        poly = nt.abelian_defining_polynomial(fld).poly
+        for k, c in enumerate(e):
+            assert all(0 <= x < half for x in c)
+            wp, wm = _cyclic_product(c, plus, m), _cyclic_product(c, minus, m)
+            assert all(0 <= x < half for x in wp + wm)
+            r = wm[0] - wp[0]  # Psi_m(0) = -1
+            assert all(abs(r * a) < half for a in psi)
+            # the period polynomial is rational: W = r Psi_m, slot by slot
+            assert [a - b for a, b in zip(wp, wm)] == [r * a for a in psi] + [0] * (m - len(psi))
+            assert poly[d - k] == (-1) ** k * r
+        widest = max(widest, w)
+    assert widest > 16  # some field needs more than two bytes per slot
+
+
+def _period_polynomial_with_cosets(monkeypatch, fld, cosets):
+    monkeypatch.setattr(nt, "_period_cosets", lambda _: cosets)
+    return nt.abelian_defining_polynomial(fld).poly
+
+
+def test_period_polynomial_rejects_cosets_with_one_element_swapped(monkeypatch):
+    # at a prime conductor the powers of zeta in the units are a basis, so
+    # the periods are Galois-stable only over the cosets of one subgroup; a
+    # swap between two cosets leaves the block of 1 no subgroup
+    swapped, period_cosets = 0, nt._period_cosets
+    for m in (7, 11, 13, 31, 37):
+        for h in nt.unit_subgroups(m):
+            fld = nt.AbelianFieldDatum(m, h)
+            cosets = period_cosets(fld)
+            if len(cosets) < 2 or len(h) < 2:
+                continue
+            (a, *rest), (b, *more) = cosets[0], cosets[1]
+            bad = [(b, *rest), (a, *more), *cosets[2:]]
+            with pytest.raises(ValueError, match="not rational"):
+                period_polynomial_by_rotations_with(monkeypatch, fld, bad)
+            with pytest.raises(ValueError, match="not rational"):
+                _period_polynomial_with_cosets(monkeypatch, fld, bad)
+            swapped += 1
+    assert swapped == 21
+
+
+def period_polynomial_by_rotations_with(monkeypatch, fld, cosets):
+    monkeypatch.setattr(nt, "_period_cosets", lambda _: cosets)
+    return period_polynomial_by_rotations(fld)
+
+
+def test_period_slot_width_is_taken_from_the_largest_coset(monkeypatch):
+    # blocks of unequal sizes, the first the smallest: all units of 7 once
+    # (period -1) and a hundred times (period -100), so
+    # f = (T + 1)(T + 100).  e_2 has a slot of 600, which a width taken
+    # from the first block's size (8 bits) cannot hold
+    fld = nt.AbelianFieldDatum(7, (1, 2, 4))
+    units = nt.units_mod(7)
+    blocks = [units, units * 100]
+    assert period_polynomial_by_rotations_with(monkeypatch, fld, blocks) == (100, 101, 1)
+    assert _period_polynomial_with_cosets(monkeypatch, fld, blocks) == (100, 101, 1)
+    assert nt._period_slot_bits(2, len(units), nt._cyclotomic_cofactor(7)) == 8
+
+
+def _xpow_replay_max(e, g, p) -> int:
+    # the largest slot of every step of _fp_xpow, replayed on lists: square,
+    # fold slots n .. 2n - 2 by x^k mod g, times x, each before the mod p pass
+    n = len(g) - 1
+    rows = [nt._fp_rem([0] * k + [1], g, p) for k in range(n, max(n, 2 * n - 2) + 1)]
+    rows = [r + [0] * (n - len(r)) for r in rows]
+    a, widest = [1] + [0] * (n - 1), 0
+    for bit in bin(e)[2:]:
+        sq = nt._mul(a, a) + [0] * (2 * n)
+        a = sq[:n]
+        for c, r in zip(sq[n:2 * n - 1], rows):
+            a = [x + c * y for x, y in zip(a, r)]
+        widest = max(widest, *a)
+        if bit == "1":
+            a = [0] + a
+            c = a.pop()
+            a = [x + c * y for x, y in zip(a, rows[0])]
+            widest = max(widest, *a)
+        a = [x % p for x in a]
+    return widest
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, 2**61), min_size=2, max_size=8), st.integers(0, 10**6),
+       st.sampled_from((2, 3, 9973, 2**31 - 1, 2**61 - 1)))
+@example([0, 0], 10**6, 2)
+def test_packed_xpow_matches_square_and_multiply(coeffs, e, p):
+    # x^e mod a monic g of degree 2..8 on packed ints equals the list
+    # square and multiply, and no slot of any step reaches 2^w
+    g = [c % p for c in coeffs] + [1]
+    assert nt._fp_xpow(e, g, p) == nt._fp_powmod([0, 1], e, g, p)
+    n = len(g) - 1
+    w = nt._xpow_slot_bits(n, p)
+    assert _xpow_replay_max(e, g, p) < 2**w
+    # the worst case: every slot of the residue and of every row p - 1
+    s = n * (p - 1) ** 2 + (n - 1) * n * (p - 1) ** 3
+    assert s + s * (p - 1) < 2**w
 
 
 def test_dual_oracle_small_batch():

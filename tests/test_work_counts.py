@@ -187,12 +187,15 @@ def test_permutation_h1_builds_no_identity(monkeypatch):
 
 def test_splitting_dual_oracle_work(monkeypatch):
     # criterion 9: the closures of the unit subgroups (7,045 when each was
-    # closed from {0}), and the F_p remainders of the Dedekind route and the
-    # period polynomials
-    closures, remainders = _calls(monkeypatch, checks.check_splitting_dual_oracle,
-                                  (gr, "_closure"), (nt, "_fp_rem"))
+    # closed from {0}), the F_p remainders of the Dedekind route and the
+    # period polynomials (29,859 when x^p mod g was taken on lists, two
+    # remainders per bit), and one packed x^p per distinct-degree stage
+    closures, remainders, xpows = _calls(
+        monkeypatch, checks.check_splitting_dual_oracle,
+        (gr, "_closure"), (nt, "_fp_rem"), (nt, "_fp_xpow"))
     assert closures <= 2223
-    assert remainders <= 29859
+    assert remainders <= 18815
+    assert xpows <= 1004
 
 
 def test_gamma_group_law_checks(monkeypatch):
