@@ -622,6 +622,11 @@ def _period_polynomial_with_cosets(monkeypatch, fld, cosets):
     return nt.abelian_defining_polynomial(fld).poly
 
 
+def _rotation_polynomial_with_cosets(monkeypatch, fld, cosets):
+    monkeypatch.setattr(nt, "_period_cosets", lambda _: cosets)
+    return period_polynomial_by_rotations(fld)
+
+
 def test_period_polynomial_rejects_cosets_with_one_element_swapped(monkeypatch):
     # at a prime conductor the powers of zeta in the units are a basis, so
     # the periods are Galois-stable only over the cosets of one subgroup; a
@@ -636,16 +641,11 @@ def test_period_polynomial_rejects_cosets_with_one_element_swapped(monkeypatch):
             (a, *rest), (b, *more) = cosets[0], cosets[1]
             bad = [(b, *rest), (a, *more), *cosets[2:]]
             with pytest.raises(ValueError, match="not rational"):
-                period_polynomial_by_rotations_with(monkeypatch, fld, bad)
+                _rotation_polynomial_with_cosets(monkeypatch, fld, bad)
             with pytest.raises(ValueError, match="not rational"):
                 _period_polynomial_with_cosets(monkeypatch, fld, bad)
             swapped += 1
     assert swapped == 21
-
-
-def period_polynomial_by_rotations_with(monkeypatch, fld, cosets):
-    monkeypatch.setattr(nt, "_period_cosets", lambda _: cosets)
-    return period_polynomial_by_rotations(fld)
 
 
 def test_period_slot_width_is_taken_from_the_largest_coset(monkeypatch):
@@ -656,7 +656,7 @@ def test_period_slot_width_is_taken_from_the_largest_coset(monkeypatch):
     fld = nt.AbelianFieldDatum(7, (1, 2, 4))
     units = nt.units_mod(7)
     blocks = [units, units * 100]
-    assert period_polynomial_by_rotations_with(monkeypatch, fld, blocks) == (100, 101, 1)
+    assert _rotation_polynomial_with_cosets(monkeypatch, fld, blocks) == (100, 101, 1)
     assert _period_polynomial_with_cosets(monkeypatch, fld, blocks) == (100, 101, 1)
     assert nt._period_slot_bits(2, len(units), nt._cyclotomic_cofactor(7)) == 8
 
