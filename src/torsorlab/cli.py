@@ -51,15 +51,18 @@ def _report(claim, verdict, evidence, args, extra_config=None):
 
 def _emit(rep, args):
     text = json.dumps(rep, indent=2, sort_keys=True, default=_default)
-    if args.out:
-        try:
+    # a failed write, to --out or to stdout (a closed pipe), is the
+    # report's own error, not one of reading the input
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as e:
-            print(f"[torsor-lab] write error: {e}", file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        print(text)
+        else:
+            print(text)
+            sys.stdout.flush()
+    except OSError as e:
+        print(f"[torsor-lab] write error: {e}", file=sys.stderr)
+        return EXIT_ERROR
     verdict = rep.get("verdict", "ok")
     print(f"[torsor-lab] {rep['claim']}: {verdict}", file=sys.stderr)
     if verdict in ("ok", "verified"):

@@ -1,4 +1,5 @@
-"""Free integer modules with group action; exactness and iso checks via SNF."""
+"""Free integer modules with group action; exactness and iso checks through
+the unit-pivot reads of the Smith form (linalg)."""
 
 from __future__ import annotations
 
@@ -205,10 +206,11 @@ def permutation_lattice(x: GSet) -> ZGLattice:
 def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeMap]:
     """Saturated solution lattice of `equations @ v = 0` with restricted action.
 
-    One SNF of the equations gives the kernel basis K and its retraction W
-    (W K = I, linalg.saturated_kernel); the inclusion map carries W as its
-    `retraction`, so later solves against K multiply and check
-    (linalg.coordinates) instead of factoring K again.  The restricted
+    linalg.saturated_kernel gives the kernel basis K and its retraction W,
+    W K = I, by unit pivots, with an SNF of the unit-free remainder alone
+    if one is left; the inclusion map carries W as its `retraction`, so
+    later solves against K multiply and check (linalg.coordinates) instead
+    of factoring K again.  The restricted
     action is rho_sub(g) = W rho(g) K, checked by K rho_sub(g) == rho(g) K
     for every group element g: raises NotStable when some rho(g) does not
     preserve the solution space.

@@ -10,16 +10,22 @@ only multiply, take rows as given.  The one exception to rows: the three
 SNFResult transforms are numpy object arrays, which the `lattice snf`
 report and the benchmark's tracer read; readers here take `tolist()` once.
 
+Both reads of the Smith form that the verifier makes eliminate the unit
+pivots first (_unit_pivots) and hand the SNF only the unit-free remainder.
 Every rank, unit count, index and H^1 invariant is read off
-elementary_divisors, which needs no transform: it eliminates the unit
-pivots first, each splitting off a summand (1), and hands only what is left
-to a transform-free SNF.  The matrices the verifier reads (signed incidence
-rows, 0/1 type vectors) leave nothing to it on the suite's cases.
+elementary_divisors, which needs no transform: each unit pivot splits off a
+summand (1), and the remainder goes to a transform-free SNF.  A kernel that
+saturated_kernel computes comes with its retraction, an integral left
+inverse W of the basis K: the pivot rows give K by back-substitution, and
+only the remainder, on the columns without a pivot, goes to an SNF that
+tracks R and R^-1.  The matrices the verifier reads (signed incidence rows,
+0/1 type vectors, the pair equations of the Serre lattices) leave nothing
+to it on the suite's cases.
 
-A kernel that saturated_kernel computes comes with its retraction, an
-integral left inverse W of the basis K, from the same SNF.  Solving against
-K is then a multiply-and-check (coordinates, restricted_action): X = W V is
-the only candidate and K X == V decides, so no further SNF is needed.
+Solving against K is then a multiply-and-check (coordinates,
+restricted_action): X = W V is the only candidate and K X == V decides, so
+no further SNF is needed.  kernel_basis reads a kernel off one SNF of the
+whole matrix; it is the oracle of saturated_kernel.
 """
 
 from __future__ import annotations
@@ -242,22 +248,22 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
     return SNFResult(diag, out(L, m), out(RT, n, True), out(Ri, n))
 
 
-def elementary_divisors(matrix) -> tuple:
-    """The nonzero diagonal entries of the Smith normal form, each dividing
-    the next; there are as many as the rank.  The one read of the Smith
-    form that needs no transform.
+def _unit_pivots(rows, pivots=None) -> int:
+    """Eliminate the ±1 pivots of rows, a list of nonzero list rows, in
+    place, and return how many were taken; with a list `pivots`, append
+    each to it as (column, unit, nonzeros of the pivot row), in the order
+    taken.  elementary_divisors needs the count alone, saturated_kernel
+    the pivot rows.
 
-    Unit pivots go first (Dumas–Saunders–Villard, J. Symbolic Comput.
-    2001; Cohen, GTM 138, §2.4).  Take a pivot u = ±1 at (i, c): row
-    operations clear column c, and column operations then clear row i
-    without touching any other row, because column c is zero there.  So
-    A ~ (1) ⊕ A', and the divisors of A are one 1 followed by those of A'.
-    Zero rows change no divisor and are dropped.  Only the unit-free
-    remainder, if any row is left, goes to a transform-free SNF; a matrix
-    with no rows or no columns has no divisors.
+    Take a pivot u = ±1 at (i, c), the first row holding a unit, its first
+    1 or else its first -1: row i leaves `rows`, and row operations clear
+    column c in every row that stays.  So each pivot row is zero in the
+    columns of the pivots taken before it, and what stays in `rows` is
+    zero in every pivot column and holds no unit, though some rows may now
+    be zero (Dumas–Saunders–Villard, J. Symbolic Comput. 2001; Cohen,
+    GTM 138, §2.4).
     """
-    rows = [r for r in _rows(matrix, list) if any(r)]
-    units = 0
+    before = len(rows)
     while True:
         for i, r in enumerate(rows):
             if 1 in r:
@@ -267,18 +273,34 @@ def elementary_divisors(matrix) -> tuple:
                 c = r.index(-1)
                 break
         else:
-            break
+            return before - len(rows)
         p = rows.pop(i)
         u = p[c]
         nz = list(compress(enumerate(p), p))
-        # a row that becomes zero stays, holding no unit and nothing in
-        # any pivot column, until the remainder is read
         for r in rows:
             if r[c]:
                 q = r[c] * u
                 for j, v in nz:
                     r[j] -= q * v
-        units += 1
+        if pivots is not None:
+            pivots.append((c, u, nz))
+
+
+def elementary_divisors(matrix) -> tuple:
+    """The nonzero diagonal entries of the Smith normal form, each dividing
+    the next; there are as many as the rank.  The one read of the Smith
+    form that needs no transform.
+
+    Unit pivots go first (_unit_pivots).  A pivot u = ±1 at (i, c) clears
+    column c by row operations, and column operations then clear row i
+    without touching any other row, because column c is zero there.  So
+    A ~ (1) ⊕ A', and the divisors of A are one 1 followed by those of A'.
+    Zero rows change no divisor and are dropped.  Only the unit-free
+    remainder, if any row is left, goes to a transform-free SNF; a matrix
+    with no rows or no columns has no divisors.
+    """
+    rows = [r for r in _rows(matrix, list) if any(r)]
+    units = _unit_pivots(rows)
     rows = [r for r in rows if any(r)]
     if not rows:
         return (1,) * units
@@ -287,7 +309,8 @@ def elementary_divisors(matrix) -> tuple:
 
 
 def kernel_basis(matrix) -> tuple:
-    """Columns form a basis of {x : A x = 0}; the lattice is saturated."""
+    """Columns form a basis of {x : A x = 0}; the lattice is saturated.
+    The kernel as one SNF reads it, kept as the oracle of saturated_kernel."""
     s = smith_normal_form(matrix, transforms=("right",))
     return columns(s.right.tolist(), s.rank)
 
@@ -295,14 +318,57 @@ def kernel_basis(matrix) -> tuple:
 def saturated_kernel(matrix) -> tuple[tuple, tuple]:
     """(K, W): the columns of K are a basis of {x : A x = 0}, and W K = I.
 
-    One SNF L A R = D gives both (Cohen, GTM 138, §2.4): K is the last
-    columns of R, the kernel_basis of A, and W the matching rows of R^-1.
-    W is an integral left inverse of K, its retraction, so K is saturated
-    and `coordinates(K, W, V)` solves K X = V without a further SNF.
+    Unit pivots go first (_unit_pivots), and each pivot row p, with its
+    unit u at column c, solves for x_c = -u (p x - u x_c) in terms of the
+    columns right of the pivots taken before it.  What is left, zero in
+    every pivot column, constrains only the free columns F, the ones that
+    hold no pivot: restricted to them it goes to one SNF L A' R = D that
+    tracks R and R^-1 (Cohen, GTM 138, §2.4), whose last columns of R are
+    a basis K' of its kernel and the matching rows of R^-1 its retraction
+    W', W' K' = I; with nothing left, K' = W' = I.  K is K' on the rows
+    F, and back-substitution, in reverse pivot order, fills the pivot
+    rows, so the kernel vectors are exactly those K gives and K is a
+    basis.  W is W' on the columns F and 0 on the pivot columns, so
+    W K = W' K' = I: W is an integral left inverse of K, its retraction,
+    so K is saturated and `coordinates(K, W, V)` solves K X = V without a
+    further SNF.  A matrix that eliminates on its units alone, as every
+    matrix of pair equations in serre does, takes no SNF.
     """
-    s = smith_normal_form(matrix, transforms=("right", "right_inv"))
-    W = tuple(map(tuple, s.right_inv.tolist()[s.rank :]))
-    return columns(s.right.tolist(), s.rank), W
+    rows = _rows(matrix, list)
+    n = width(rows)
+    rows = [r for r in rows if any(r)]
+    pivots = []
+    _unit_pivots(rows, pivots)
+    bound = {c for c, _, _ in pivots}
+    free = [j for j in range(n) if j not in bound]
+    rest = [[r[j] for j in free] for r in rows if any(r)]
+    if rest:
+        s = smith_normal_form(rest, transforms=("right", "right_inv"))
+        k_free = [row[s.rank :] for row in s.right.tolist()]
+        w_free = s.right_inv.tolist()[s.rank :]
+    else:
+        k_free = _identity_rows(len(free))
+        w_free = k_free
+    k = len(w_free)
+    K = [None] * n
+    for j, row in zip(free, k_free):
+        K[j] = row
+    for c, u, nz in reversed(pivots):
+        acc = [0] * k
+        for j, v in nz:
+            if j != c:
+                q = -u * v
+                for t, a in enumerate(K[j]):
+                    if a:
+                        acc[t] += q * a
+        K[c] = acc
+    W = []
+    for w in w_free:
+        row = [0] * n
+        for j, v in zip(free, w):
+            row[j] = v
+        W.append(tuple(row))
+    return tuple(map(tuple, K)), tuple(W)
 
 
 def _sparse(matrix) -> list:

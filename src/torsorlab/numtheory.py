@@ -547,18 +547,23 @@ class AbelianFieldDatum:
     """Subfield of the m-th cyclotomic field fixed by the unit subgroup.
 
     `units` is units_mod(conductor), computed once here for the readers of
-    the datum (reduce_to_conductor, abelian_defining_polynomial).
+    the datum (reduce_to_conductor, abelian_defining_polynomial), and
+    `subgroup_set` is the subgroup as a set, built once for the closure
+    check and read by abelian_split.
     """
 
     conductor: int
     subgroup: tuple
     units: tuple = field(init=False, repr=False, compare=False)
+    subgroup_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = int(self.conductor)
         object.__setattr__(self, "conductor", m)
         h = tuple(sorted({int(x) % m if m > 1 else 0 for x in self.subgroup}))
         object.__setattr__(self, "subgroup", h)
+        hs = frozenset(h)
+        object.__setattr__(self, "subgroup_set", hs)
         if m < 1:
             raise ValueError("conductor must be positive")
         _check_conductor(m)
@@ -576,7 +581,6 @@ class AbelianFieldDatum:
         # generator s adds the cosets C s, C s^2, ... of the closure C so far
         # until s^i falls in C, so every entry is reached once and H is a
         # subgroup iff no product leaves it
-        hs = set(h)
         closure = {1}
         for s in h:
             if s in closure:
@@ -607,7 +611,7 @@ def abelian_split(fld: AbelianFieldDatum, p: int) -> SplittingType:
         if _is_prime(m) and (m - 1) % d == 0 and p == m:
             return SplittingType(((d, 1),), d)
         raise Ramified(f"p={p} ramifies in conductor {m}")
-    hs = set(fld.subgroup)
+    hs = fld.subgroup_set
     f = 1
     acc = p % m
     while acc not in hs:

@@ -18,7 +18,6 @@ from .cohomology import CrossedHom, h1_abelian, trivial_gamma_group, twist_latti
 from .groups import (
     FiniteGroup,
     GroupHom,
-    center,
     centralizer,
     conjugacy_classes,
     cyclic_group,
@@ -65,7 +64,9 @@ class CMGaloisDatum:
             raise InvalidDatum("the involution must be nontrivial")
         if g.mul(i, i) != g.identity:
             raise InvalidDatum("the distinguished element must square to 1")
-        if i not in center(g):
+        # central: i s == s i for every s, row i of the table against column i
+        rows = g.rows
+        if any(rows[s][i] != x for s, x in enumerate(rows[i])):
             raise InvalidDatum("the involution must be central")
 
     @property
@@ -101,8 +102,10 @@ def _pair_equations(d: CMGaloisDatum, with_constant: bool) -> tuple:
 def _xs_kernel(d: CMGaloisDatum, with_constant: bool) -> tuple[tuple, tuple]:
     """X*(S) inside Z[G] + Z (with_constant) or X*(Sbar) inside Z[G] as
     (K, W), from one saturated kernel of _pair_equations: the columns of K
-    are a basis of the lattice, and W is its retraction, W K = I.  Raises
-    InvalidDatum unless the rank is |G|/2 (+ 1 with the constant)."""
+    are a basis of the lattice, and W is its retraction, W K = I.  Each
+    equation e_s + e_(iota s) (- e_|G|) has unit entries, and the unit
+    pivots of la.saturated_kernel eliminate all of them, so no SNF runs.
+    Raises InvalidDatum unless the rank is |G|/2 (+ 1 with the constant)."""
     K, W = la.saturated_kernel(_pair_equations(d, with_constant))
     if la.width(K) != d.half_order + (1 if with_constant else 0):
         raise InvalidDatum("rank law violated")  # cannot happen for valid data
@@ -136,10 +139,10 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     This is the route by restriction that the checks are compared against.
     The sequence check and twist_serre read X*(S) and X*(Sbar) as saturated
     kernels with their retractions (_xs_kernel), and the CM-type check reads
-    only the equations of X*(S) and its rank (_xs_equations).  None of them
-    restricts an untwisted action: each decides equality of lattices by the
-    rank lemma, that a saturated sublattice inside a saturated lattice of
-    the same rank is equal to it.
+    only the equations of X*(S) (_xs_equations) and counts them for its
+    rank.  None of them restricts an untwisted action: each decides
+    equality of lattices by the rank lemma, that a saturated sublattice
+    inside a saturated lattice of the same rank is equal to it.
     """
     g = d.group
     n = g.order
@@ -432,35 +435,43 @@ def _type_vectors(d: CMGaloisDatum, phi: tuple) -> list:
     return vectors
 
 
-def _xs_equations(d: CMGaloisDatum) -> tuple[list, int]:
-    """X*(S) inside Z[G] + Z as (rows, rank): the distinct rows of
-    _pair_equations(d, True), each as its nonzeros [(column, value), ...],
-    and the rank of their kernel, |G| + 1 - |G|/2.  iota is a central
-    involution without fixed points, so the distinct rows e_s + e_(iota s)
-    - e_|G| number |G|/2, and their first |G| columns have disjoint supports:
-    they are independent."""
-    rows = dict.fromkeys(_pair_equations(d, True))
-    return [[(c, v) for c, v in enumerate(row) if v] for row in rows], d.half_order + 1
+def _xs_equations(d: CMGaloisDatum) -> list:
+    """The equations of X*(S) inside Z[G] + Z: the distinct rows of
+    _pair_equations(d, True), e_s + e_(iota s) - e_|G| for each s < iota s,
+    each as its nonzeros [(s, 1), (iota s, 1), (|G|, -1)], read off row
+    iota of the group table.  iota is a central involution without fixed
+    points, so they number |G|/2."""
+    n = d.group.order
+    return [[(s, 1), (t, 1), (n, -1)]
+            for s, t in enumerate(d.group.rows[d.iota]) if s < t]
 
 
-def _type_verdict(xs: tuple, vectors) -> tuple[bool, bool]:
-    """(in_lattice, is_basis) for the vectors against X*(S), given as
-    _xs_equations gives it.
+def _type_verdict(rows: list, vectors) -> tuple[bool, bool]:
+    """(in_lattice, is_basis) for the vectors against X*(S), whose
+    equations are rows, each as its nonzeros (_xs_equations).
 
-    in_lattice: every equation vanishes on every vector.  is_basis: the
-    vectors also have as many unit elementary divisors as X*(S) has rank.  Then they are independent and span a saturated
-    lattice; inside X*(S), saturated as every kernel is and of the same
-    rank, it is all of X*(S).
+    The rank of X*(S) is the width of the vectors less the number of rows:
+    the rows are independent, because their first |G| columns have
+    disjoint supports.  in_lattice: every equation vanishes on every
+    vector.  is_basis: the vectors also have as many unit elementary
+    divisors as X*(S) has rank.  Then they are independent and span a
+    saturated lattice; inside X*(S), saturated as every kernel is, and of
+    the same rank, it is all of X*(S).
     """
-    rows, rank = xs
-    if any(sum(v[c] * a for c, a in row) for row in rows for v in vectors):
-        return False, False
+    for row in rows:
+        for v in vectors:
+            t = 0
+            for c, a in row:
+                t += v[c] * a
+            if t:
+                return False, False
+    rank = la.width(vectors) - len(rows)
     return True, la.elementary_divisors(vectors).count(1) == len(vectors) == rank
 
 
-def _type_report(d: CMGaloisDatum, xs: tuple, phi: tuple) -> CMTypeBasisReport:
+def _type_report(d: CMGaloisDatum, rows: list, phi: tuple) -> CMTypeBasisReport:
     vectors = _type_vectors(d, phi)
-    in_lattice, is_basis = _type_verdict(xs, vectors)
+    in_lattice, is_basis = _type_verdict(rows, vectors)
     return CMTypeBasisReport(phi, tuple(vectors), in_lattice, is_basis)
 
 
@@ -470,10 +481,10 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
 
     No basis of X*(S) is built, and no action restricted to it: the sums
     lie in X*(S) when its equations vanish on them, and its rank is read
-    off the count of its distinct equations (_xs_equations).  They are a
-    basis when their elementary divisors hold as many units as that rank:
-    a saturated sublattice of X*(S), which is saturated as a kernel, of the
-    same rank is X*(S) itself (_type_verdict).
+    off the count of its distinct equations (_xs_equations), which are
+    independent.  They are a basis when their elementary divisors hold as
+    many units as that rank: a saturated sublattice of X*(S), which is
+    saturated as a kernel, of the same rank is X*(S) itself (_type_verdict).
     """
     phi = _cm_type(d, phi)
     return _type_report(d, _xs_equations(d), phi)
@@ -481,10 +492,10 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
 
 def cm_type_bases(d: CMGaloisDatum):
     """cm_type_basis for every CM type, in all_cm_types order, from one
-    reading of X*(S)'s equations and rank."""
-    xs = _xs_equations(d)
+    reading of X*(S)'s equations."""
+    rows = _xs_equations(d)
     for phi in all_cm_types(d):
-        yield _type_report(d, xs, _cm_type(d, phi))
+        yield _type_report(d, rows, _cm_type(d, phi))
 
 
 def all_cm_types(d: CMGaloisDatum):

@@ -305,6 +305,22 @@ def test_a_directory_as_out_is_a_write_error(tmp_path, capsys):
     assert "write error" in captured.err and "Is a directory" in captured.err
 
 
+def test_a_closed_stdout_is_a_write_error(monkeypatch, capsys):
+    # a reader that closed the pipe (`... | head -c 300`) fails the write to
+    # stdout; that is the report's write error, not a parse error
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["nt", "split", "--poly", "x^2+1", "--p", "5"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "write error" in err and "Broken pipe" in err and "parse error" not in err
+
+
 LEVEL = {"conductor": 1, "subgroup": [0]}
 C2 = {"table": [[0, 1], [1, 0]]}
 

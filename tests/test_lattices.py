@@ -388,24 +388,34 @@ def test_kernel_sequence_rule_agrees_with_the_joint_route():
 def test_exactness_report_factors_no_empty_matrix(monkeypatch):
     # the joints and ends at a zero lattice are read off the shapes: the
     # blocks cases' twisted sequences by restriction, zero lattices at both
-    # ends, factor no matrix with no rows or no columns, and still reach the
-    # SNF
+    # ends, reach both reads of the Smith form, elementary_divisors and
+    # saturated_kernel, with nonempty matrices, and every matrix with no
+    # rows or no columns that reaches them is answered from its shape, no
+    # divisors, and never factored by an SNF
     from torsorlab import serre as sr
 
-    snf = la.smith_normal_form
-    shapes = []
+    reads, factored = [], []
 
-    def counted(matrix, **kwargs):
-        shapes.append((len(matrix), la.width(matrix)))
-        return snf(matrix, **kwargs)
+    def recorded(f, log):
+        def counted(matrix, *args, **kwargs):
+            out = f(matrix, *args, **kwargs)
+            log.append((f.__name__, len(matrix), la.width(matrix), out))
+            return out
+        return counted
 
-    monkeypatch.setattr(la, "smith_normal_form", counted)
+    for name in ("elementary_divisors", "saturated_kernel"):
+        monkeypatch.setattr(la, name, recorded(getattr(la, name), reads))
+    monkeypatch.setattr(la, "smith_normal_form", recorded(la.smith_normal_form, factored))
     c2 = gr.cyclic_group(2)
     for f in (gr.trivial_group(), c2, gr.cyclic_group(3), gr.direct_product(c2, c2),
               gr.symmetric_group(3), gr.dihedral_group(4)):
         d = sr.CMGaloisDatum(gr.direct_product(f, c2), f.order)
         assert twist_serre_by_restriction(d).exact
-    assert shapes and all(rows and cols for rows, cols in shapes), shapes
+    full = {name for name, rows, cols, _ in reads if rows and cols}
+    assert full == {"elementary_divisors", "saturated_kernel"}
+    empty = [(name, out) for name, rows, cols, out in reads if not (rows and cols)]
+    assert empty and all(out == () for _, out in empty), empty
+    assert all(rows and cols for _, rows, cols, _ in factored), factored
 
 
 def test_exactness_requires_composability():

@@ -491,16 +491,58 @@ def _matrices(draw, max_rows=6, max_cols=7):
     return la.int_rows(rows)  # with no rows, 0 x 0
 
 
-@settings(derandomize=True, deadline=None)
-@given(_matrices())
-def test_saturated_kernel_is_a_kernel_with_a_left_inverse(E):
+def _check_saturated_kernel(E):
+    # E K = 0, W K = I, width K = n - rank E, and col K = col kernel_basis(E),
+    # the kernel as one SNF reads it, each lattice inside the other
     K, W = la.saturated_kernel(E)
     n, k = la.width(E), la.width(K)
     assert len(K) == n and k == n - len(la.elementary_divisors(E))
     assert len(W) == k and (la.width(W) == n or not W)
+    assert all(type(row) is tuple for row in K + W)
     assert not any(map(any, la.matmul(E, K)))
     assert la.matmul(W, K) == la.identity(k)
-    assert _same(K, la.kernel_basis(E))
+    oracle = la.kernel_basis(E)
+    assert la.lattice_contains(K, oracle) and la.lattice_contains(oracle, K)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_matrices())
+def test_saturated_kernel_is_a_kernel_with_a_left_inverse(E):
+    _check_saturated_kernel(E)
+
+
+def test_saturated_kernel_by_unit_pivots_matches_the_smith_form(monkeypatch):
+    """Unit pivots first, then one SNF of the unit-free remainder on the
+    free columns, gives the kernel that the SNF of the whole matrix gives,
+    on the matrices of elementary_divisors' test: units alone, unit-free,
+    and a unit part beside a nonempty remainder.  Some draws must reach
+    the remainder's SNF, and some none."""
+    snf, inside, reached = la.smith_normal_form, [False], []
+
+    def recorded(matrix, *, transforms=la.SNF_TRANSFORMS):
+        if inside[0]:
+            reached[-1] = True
+        return snf(matrix, transforms=transforms)
+
+    def kernel(matrix):
+        inside[0] = True
+        try:
+            return saturated_kernel(matrix)
+        finally:
+            inside[0] = False
+
+    saturated_kernel = la.saturated_kernel
+    monkeypatch.setattr(la, "smith_normal_form", recorded)
+    monkeypatch.setattr(la, "saturated_kernel", kernel)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_divisor_matrices())
+    def check(E):
+        reached.append(False)
+        _check_saturated_kernel(E)
+
+    check()
+    assert 0 < sum(reached) < len(reached)
 
 
 @settings(derandomize=True, deadline=None)

@@ -473,6 +473,11 @@ def test_the_dedekind_checks_can_fire(monkeypatch):
 def test_abelian_datum_and_split():
     ab = nt.AbelianFieldDatum(7, (1, 6))
     assert ab.degree == 3
+    # the subgroup's set, kept for abelian_split, is no part of the datum's
+    # equality, hash or repr
+    same = nt.AbelianFieldDatum(7, (13, 1, 6))
+    assert same == ab and hash(same) == hash(ab) and repr(same) == repr(ab)
+    assert ab.subgroup_set == frozenset(ab.subgroup) and "subgroup_set" not in repr(ab)
     assert nt.abelian_split(ab, 2).pairs == ((1, 3),)
     assert nt.abelian_split(ab, 13).pairs == ((1, 1), (1, 1), (1, 1))
     # p = 1 mod m splits completely

@@ -460,18 +460,38 @@ def test_serre_kernel_sequences_agree_with_the_joint_route():
 
 
 def test_xs_rank_is_half_the_order_by_count():
-    # _xs_equations reads the rank of X*(S) off the count of its distinct
-    # equations, |G|/2, independent on their first |G| columns; the SNF rank
-    # of the equations must agree on every CM datum of order <= 16
+    # _xs_equations reads the distinct equations of X*(S) off row iota of
+    # the group table: they are the distinct rows of _pair_equations, and
+    # their count, |G|/2, is the rank of those rows, on every CM datum of
+    # order <= 16
     data = 0
     for _, g in group_catalog(16):
         for iota in central_involutions(g):
             d = sr.CMGaloisDatum(g, iota)
-            rows, rank = sr._xs_equations(d)
-            assert len(la.elementary_divisors(sr._pair_equations(d, True))) == len(rows) == d.half_order
-            assert rank == g.order + 1 - d.half_order
+            rows = sr._xs_equations(d)
+            pairs = sr._pair_equations(d, True)
+            assert rows == [[(c, v) for c, v in enumerate(row) if v]
+                            for row in dict.fromkeys(pairs)]
+            assert len(la.elementary_divisors(pairs)) == len(rows) == d.half_order
             data += 1
     assert data == 65
+
+
+def test_type_verdict_counts_the_rank_of_xs():
+    # with one equation of X*(S) dropped, the kernel has rank |G|/2 + 2, so
+    # the |G|/2 + 1 vectors of every CM type of order <= 12 still lie in it
+    # but are no basis of it: the rank is counted from the rows given
+    types = 0
+    for _, g in group_catalog(12):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            rows = sr._xs_equations(d)
+            for phi in sr.all_cm_types(d):
+                vectors = sr._type_vectors(d, sr._cm_type(d, phi))
+                assert sr._type_verdict(rows, vectors) == (True, True)
+                assert sr._type_verdict(rows[1:], vectors) == (True, False)
+                types += 1
+    assert types == 650
 
 
 def test_the_serre_data_checks_can_fire(monkeypatch):

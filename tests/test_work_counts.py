@@ -91,15 +91,16 @@ def test_block_decompositions_read_monomial_products(monkeypatch):
 
 def test_block_decompositions_work(monkeypatch):
     # criterion 2 over six groups: per group one saturated kernel of
-    # X*(Sbar), the only SNF, two twists (the middle and the quotient), and
-    # one restriction, of the twisted middle's action; every other read is
-    # elementary divisors by unit pivots alone (36 SNF calls when those took
-    # one each; 54 calls, 12 tracking, 18 twists, 12 restrictions and 18
-    # check_rho when X*(Sbar) was twisted apart and the sequence had a second
-    # kernel)
+    # X*(Sbar), two twists (the middle and the quotient), and one
+    # restriction, of the twisted middle's action; no SNF, since the pair
+    # equations of X*(Sbar) eliminate on their unit pivots and every other
+    # read is elementary divisors by unit pivots alone (6 SNF calls, all
+    # tracking, when the saturated kernel took one; 36 when the divisors
+    # took one each too; 54 calls, 12 tracking, 18 twists, 12 restrictions
+    # and 18 check_rho when X*(Sbar) was twisted apart and the sequence had
+    # a second kernel)
     snf = _snf_calls(monkeypatch, checks.check_block_decomposition)
-    assert len(snf) <= 6
-    assert all(tracked for *_, tracked in snf)
+    assert len(snf) == 0
     twists, restrictions, action_checks = _calls(
         monkeypatch, checks.check_block_decomposition, (sr, "twist_lattice"),
         (la, "restricted_action"), (lt, "check_rho"))
@@ -137,14 +138,14 @@ def test_permutation_h1_work(monkeypatch):
 
 
 def test_character_sequences_snf_work(monkeypatch):
-    # criterion 4 over 65 data: per sequence one saturated kernel, which
-    # tracks right and right_inv, and the elementary divisors of E, which
-    # its unit pivots give without an SNF (260 calls, 130 tracking, when E
-    # took a transform-free SNF; 520 with a second kernel and a cokernel per
+    # criterion 4 over 65 data: per sequence one saturated kernel and the
+    # elementary divisors of E, and no SNF: the pair equations and E both
+    # eliminate on their unit pivots (130 calls, all tracking right and
+    # right_inv, when each saturated kernel took an SNF; 260 when E took a
+    # transform-free one too; 520 with a second kernel and a cokernel per
     # joint)
     calls = _snf_calls(monkeypatch, checks.check_character_sequences)
-    assert len(calls) <= 130
-    assert all(tracked for *_, tracked in calls)
+    assert len(calls) == 0
 
 
 def test_cm_type_bases_snf_work(monkeypatch):
@@ -155,6 +156,13 @@ def test_cm_type_bases_snf_work(monkeypatch):
     # calls when each datum took one more SNF for that rank)
     calls = _snf_calls(monkeypatch, checks.check_cm_type_bases)
     assert len(calls) == 0
+
+
+def test_cm_type_bases_read_the_involution_row(monkeypatch):
+    # criterion 5 reads the equations of X*(S) off row iota of the group
+    # table (26 _pair_equations calls when each datum built the dense
+    # |G| x (|G| + 1) equations to deduplicate them)
+    assert _calls(monkeypatch, checks.check_cm_type_bases, (sr, "_pair_equations")) == [0]
 
 
 def test_permutation_h1_checks_each_action_once(monkeypatch):
