@@ -149,10 +149,6 @@ def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
 # abelian H^1
 
 
-def _minus_identity(matrix) -> tuple:
-    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(matrix))
-
-
 @dataclass(frozen=True)
 class CohomologyGroup:
     invariants: tuple  # elementary divisors > 1, ascending
@@ -178,16 +174,28 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     torsion of coker d (Brown, Cohomology of Groups, GTM 87, ch. III): its
     elementary divisors d > 1.  The stacked rho(s) - I of a permutation
     lattice is a signed incidence matrix, which eliminates on unit pivots
-    alone, so la.elementary_divisors reads them without an SNF.  The rank of the
-    invariants M^gamma, the kernel of d, is the width less their number."""
+    alone, so it needs no SNF.  The rank of the invariants M^gamma, the
+    kernel of d, is the width less their number.
+
+    The rows of d are built here as fresh int lists, row i of rho(s) less
+    e_i, and zero rows (on a permutation lattice, the points that s fixes)
+    are left out.  They go to la._divisors, which eliminates in place and
+    does not read them again: rho holds int-tuple rows of equal length,
+    read by la.int_rows at construction or vouched for by a theorem
+    (ZGLattice)."""
     if gamma is not lattice.group and gamma != lattice.group:
         raise NotAction("the lattice is a module over another group")
     if lattice.rank == 0:
         return CohomologyGroup(())
     mats = lattice.rho
-    gens = generating_set(gamma)
-    divisors = la.elementary_divisors(la.stack(_minus_identity(mats[g]) for g in gens))
-    return CohomologyGroup(tuple(d for d in divisors if d > 1))
+    rows = []
+    for s in generating_set(gamma):
+        for i, row in enumerate(mats[s]):
+            r = list(row)
+            r[i] -= 1
+            if any(r):
+                rows.append(r)
+    return CohomologyGroup(tuple(d for d in la._divisors(rows) if d > 1))
 
 
 # ---------------------------------------------------------------------------

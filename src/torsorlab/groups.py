@@ -604,14 +604,15 @@ def all_subgroups(g: FiniteGroup) -> tuple:
 
 def left_cosets(g: FiniteGroup, elems) -> tuple[list, list]:
     """The left cosets xH of the subgroup H = elems as sorted tuples, ordered
-    by minimal element, and the index of the coset of each element."""
+    by minimal element, and the index of the coset of each element.  The
+    coset xH is read off row x of the table, as [x a for a in H]."""
     h = set(elems)
     coset_of = [-1] * g.order
     cosets = []
-    for x in g.elements():
+    for x, row in enumerate(g.rows):
         if coset_of[x] >= 0:
             continue
-        cs = tuple(sorted(g.mul(x, a) for a in h))
+        cs = tuple(sorted([row[a] for a in h]))
         ci = len(cosets)
         cosets.append(cs)
         for y in cs:

@@ -98,7 +98,7 @@ def coset_gset(g: FiniteGroup, h) -> GSet:
         raise NotSubgroup("not a subgroup")
     cosets, coset_of = left_cosets(g, hset)
     firsts = [cs[0] for cs in cosets]
-    action = tuple(tuple(coset_of[row[x]] for x in firsts) for row in g.rows)
+    action = tuple([tuple([coset_of[row[x]] for x in firsts]) for row in g.rows])
     return GSet(g, action, validate=False)
 
 

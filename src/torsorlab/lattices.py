@@ -190,16 +190,15 @@ def direct_sum(a: ZGLattice, b: ZGLattice) -> ZGLattice:
 def permutation_lattice(x: GSet) -> ZGLattice:
     """Free module on the points, rho(g) e_j = e_{g.j}: an action as x is.
 
-    Row g.j of rho(g) is the unit row e_j, so every matrix is made of the
-    same x.size unit rows.
+    Row g.j of rho(g) is the unit row e_j, so row i is e_{g^-1.i}: rho(g)
+    lists the unit rows in the order of the row of g^-1 in x's table.  That
+    reads x as an action, g^-1 acting as the inverse permutation of g, which
+    a GSet is, validated or vouched for by its constructor.  Every matrix is
+    made of the same x.size unit rows.
     """
     units = la.identity(x.size)
-    mats = []
-    for perm in x.action:
-        rows = [None] * x.size
-        for j, i in enumerate(perm):
-            rows[i] = units[j]
-        mats.append(tuple(rows))
+    act = x.action
+    mats = [tuple([units[j] for j in act[gi]]) for gi in x.group.inverses]
     return ZGLattice(x.group, mats, validate=False)
 
 

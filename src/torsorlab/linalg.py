@@ -6,7 +6,10 @@ A matrix with no rows is 0 x 0: for no equations on n unknowns, callers
 pass one zero row of length n, which has the same kernel.  int_rows is the
 one conversion from nested sequences; the functions that factor read their
 input through it, while matmul, coordinates and restricted_action, which
-only multiply, take rows as given.  The one exception to rows: the three
+only multiply, take rows as given.  One trusted hand-off skips that read:
+_divisors, the body of elementary_divisors, to which cohomology.h1_abelian
+passes the int lists of rho(s) - I that it builds from a lattice's rows,
+read when the lattice was made.  The one exception to rows: the three
 SNFResult transforms are numpy object arrays, which the `lattice snf`
 report and the benchmark's tracer read; readers here take `tolist()` once.
 
@@ -299,7 +302,14 @@ def elementary_divisors(matrix) -> tuple:
     remainder, if any row is left, goes to a transform-free SNF; a matrix
     with no rows or no columns has no divisors.
     """
-    rows = [r for r in _rows(matrix, list) if any(r)]
+    return _divisors([r for r in _rows(matrix, list) if any(r)])
+
+
+def _divisors(rows) -> tuple:
+    """elementary_divisors of the matrix whose nonzero rows are `rows`, int
+    lists of equal length that it eliminates in place.  The one hand-off
+    that skips the read through _rows: the caller builds the lists itself,
+    from rows already read (cohomology.h1_abelian from a lattice's rho)."""
     units = _unit_pivots(rows)
     rows = [r for r in rows if any(r)]
     if not rows:

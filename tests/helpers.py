@@ -2,7 +2,8 @@
 form, lattice equality, a determinant independent of the SNF, powers mod a
 polynomial by whole divisions, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
-generating set, zero lattices and maps, the Serre character sequences and
+generating set, permutation lattices placed one point at a time, zero
+lattices and maps, the Serre character sequences and
 the twisted quotient sequence by restricted actions, exactness joints and
 kernel sequences by a second kernel and CM-type bases by coordinates,
 lattice twists with every product multiplied out, and subgroups and their
@@ -245,6 +246,11 @@ def relator_rows(gamma, mats, r: int, gens, relators) -> list:
     return constraints
 
 
+def minus_identity(matrix) -> tuple:
+    """The matrix less the identity, as int-tuple rows."""
+    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(matrix))
+
+
 def h1_from_rows(mats, gens, rows) -> co.CohomologyGroup:
     """H^1 by the cocycle lattice: Z^1 is the saturated kernel of the
     constraint rows on the values at gens, and one SNF of the coboundaries'
@@ -259,7 +265,7 @@ def h1_from_rows(mats, gens, rows) -> co.CohomologyGroup:
     if z == 0:
         return co.CohomologyGroup(())
     # coboundaries: values (rho(s) - 1) m on the generators
-    Y = la.coordinates(Z, W, la.stack(co._minus_identity(mats[s]) for s in gens))
+    Y = la.coordinates(Z, W, la.stack(minus_identity(mats[s]) for s in gens))
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise gr.NotAction("coboundaries must lie in the cocycle lattice")
@@ -279,6 +285,19 @@ def h1_by_relators(gamma, lattice, presentation=schreier_presentation) -> co.Coh
     gens, relators = presentation(gamma)
     rows = relator_rows(gamma, lattice.rho, lattice.rank, gens, relators)
     return h1_from_rows(lattice.rho, gens, rows)
+
+
+def permutation_lattice_reference(x: gs.GSet) -> lt.ZGLattice:
+    """The permutation lattice of x by placing, for each g, the unit row e_j
+    at row g.j of rho(g), one point at a time."""
+    units = la.identity(x.size)
+    mats = []
+    for perm in x.action:
+        rows = [None] * x.size
+        for j, i in enumerate(perm):
+            rows[i] = units[j]
+        mats.append(tuple(rows))
+    return lt.ZGLattice(x.group, mats, validate=False)
 
 
 def zero_lattice(g: gr.FiniteGroup) -> lt.ZGLattice:

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -357,6 +358,23 @@ def test_h1_abelian_takes_an_snf_only_for_a_unit_free_remainder(monkeypatch):
     assert co.h1_abelian(c2, sign).invariants == (2,)
     assert calls == [(((-2,),), {"transforms": ()})]
     assert cyclic_h1_oracle(2, sign.rho[1]) == (2,)
+
+
+def test_h1_abelian_leaves_rho_unchanged():
+    # h1_abelian eliminates on row lists of its own, never on rho's rows:
+    # coset lattices, a sign twist with entries -1 and invariants (2,), and
+    # that twist beside a trivial lattice
+    s4 = gr.symmetric_group(4)
+    lattices = [(s4, lt.permutation_lattice(gs.coset_gset(s4, h)), ())
+                for h in gr.all_subgroups(s4)]
+    g, _, _, twist = next(c for c in sign_twist_cases()
+                          if c[0].order == 6 and not set(c[2]) <= c[1])
+    assert any(-1 in row for m in twist.rho for row in m)
+    lattices += [(g, twist, (2,)), (g, lt.direct_sum(twist, lt.trivial_lattice(g, 2)), (2,))]
+    for g, m, want in lattices:
+        before = copy.deepcopy(m.rho)
+        assert co.h1_abelian(g, m).invariants == want
+        assert m.rho == before
 
 
 def test_shapiro_various():

@@ -17,6 +17,7 @@ from helpers import (
     joint_by_coordinates,
     kernel_sequence_by_joint,
     lattice_eq,
+    permutation_lattice_reference,
     regular_gset,
     trivial_gset,
     twist_serre_by_restriction,
@@ -139,6 +140,21 @@ def test_permutation_lattice_and_fixed_rank():
     assert reg.rho[1] == ((0, 1), (1, 0))
     one = lt.permutation_lattice(trivial_gset(c2, 1))
     assert one.rank == 1 and one.rho[1] == la.identity(1)
+
+
+def test_permutation_lattice_reads_the_inverse_row():
+    # row i of rho(g) is e_{g^-1.i}, read off the G-set's row of g^-1; the
+    # reference places e_j at row g.j of rho(g) one point at a time
+    from torsorlab import catalog
+
+    xs = [gs.coset_gset(g, h) for _, g in catalog.group_catalog(24) for h in gr.all_subgroups(g)]
+    assert len(xs) == 747
+    d4 = gr.dihedral_group(4)
+    xs += [gs.conjugation_twist(d4), gs.conjugation_twist(gr.symmetric_group(4))]
+    # an intransitive action given as lists, read and checked by GSet
+    xs.append(gs.GSet(d4, [[d4.conj(g, x) for x in d4.elements()] + [8] for g in d4.elements()]))
+    for x in xs:
+        assert lt.permutation_lattice(x).rho == permutation_lattice_reference(x).rho
 
 
 def test_fixed_rank_counts_orbits():

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import numpy as np
@@ -321,6 +322,23 @@ def test_elementary_divisors_match_the_smith_form_and_sympy(A):
     assert got == tuple(abs(int(d)) for d in theirs if d)
     assert all(type(d) is int and d > 0 for d in got)
     assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_divisor_matrices())
+def test_divisors_of_the_nonzero_list_rows_match_elementary_divisors(A):
+    """The unread hand-off: _divisors on the nonzero rows as fresh int lists
+    gives what elementary_divisors gives after reading the matrix."""
+    assert la._divisors([list(r) for r in A if any(r)]) == la.elementary_divisors(A)
+
+
+def test_elementary_divisors_leaves_a_list_argument_unchanged():
+    # the elimination runs in place on rows of its own; here one unit pivot
+    # and a unit-free remainder (2, 6) that takes an SNF
+    A = [[0, 2, 0], [1, 3, 0], [0, 0, 0], [0, 0, 6], [1, 3, 0]]
+    before = copy.deepcopy(A)
+    assert la.elementary_divisors(A) == (1, 2, 6)
+    assert A == before
 
 
 def test_elementary_divisors_split_off_units_before_the_smith_form(monkeypatch):

@@ -11,6 +11,7 @@ from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
 from torsorlab import serre as sr
+from torsorlab import torsors as ts
 
 
 def _calls(monkeypatch, run, *targets) -> list:
@@ -191,6 +192,50 @@ def test_permutation_h1_builds_no_identity(monkeypatch):
             co.h1_abelian(m.group, m)
 
     assert _calls(monkeypatch, run, (la, "identity")) == [0]
+
+
+def test_permutation_h1_reads_no_row_twice(monkeypatch):
+    # h1_abelian builds the rows of the stacked rho(s) - I itself from rows
+    # its lattice already holds and hands them to la._divisors unread (one
+    # _rows read per lattice, 747, when it went through elementary_divisors;
+    # 819 over criterion 3, whose other reads are the catalog's 72 group
+    # tables)
+    lattices = [m for _, _, m in checks.coset_lattices()]
+
+    def run():
+        for m in lattices:
+            co.h1_abelian(m.group, m)
+
+    assert _calls(monkeypatch, run, (la, "_rows")) == [0]
+    assert _calls(monkeypatch, checks.check_permutation_h1_vanishing, (la, "_rows"))[0] <= 72
+
+
+def _cayley_work(monkeypatch, run) -> tuple:
+    """(_cayley_search calls, value tables they return) while run() runs;
+    torsors calls it by the name it imports, so both names are wrapped."""
+    search, counts = co._cayley_search, [0, 0]
+
+    def counted(*args):
+        tables = search(*args)
+        counts[0] += 1
+        counts[1] += len(tables)
+        return tables
+
+    monkeypatch.setattr(co, "_cayley_search", counted)
+    monkeypatch.setattr(ts, "_cayley_search", counted)
+    run()
+    monkeypatch.setattr(co, "_cayley_search", search)
+    monkeypatch.setattr(ts, "_cayley_search", search)
+    return tuple(counts)
+
+
+def test_cayley_search_work(monkeypatch):
+    # the criteria that search for cocycles, homomorphisms or lifts: the
+    # twist bijections (6), the truncated orbits at seed 0 (7) and the H^1
+    # of products (11)
+    assert _cayley_work(monkeypatch, checks.check_twist_bijection) == (16, 66)
+    assert _cayley_work(monkeypatch, checks.check_truncated_orbit_transitivity) == (159, 545)
+    assert _cayley_work(monkeypatch, checks.check_product_h1) == (15, 65)
 
 
 def test_splitting_dual_oracle_work(monkeypatch):
