@@ -178,23 +178,36 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
     kernel of d, is the width less their number.
 
     The rows of d are built here as fresh int lists, row i of rho(s) less
-    e_i, and zero rows (on a permutation lattice, the points that s fixes)
-    are left out.  They go to la._divisors, which eliminates in place and
-    does not read them again: rho holds int-tuple rows of equal length,
-    read by la.int_rows at construction or vouched for by a theorem
+    e_i, and zero rows are left out.  On a lattice given by points no
+    matrix is read: row i of rho(s) is e_(s^-1.i), so the row is
+    e_(s^-1.i) - e_i, read off the points of s^-1, for each point i that
+    s^-1 moves.  The rows go to la._divisors, which eliminates in place and
+    does not read them again: rho and points hold int-tuple rows of equal
+    length, read by la.int_rows at construction or vouched for by a theorem
     (ZGLattice)."""
     if gamma is not lattice.group and gamma != lattice.group:
         raise NotAction("the lattice is a module over another group")
-    if lattice.rank == 0:
+    n = lattice.rank
+    if n == 0:
         return CohomologyGroup(())
-    mats = lattice.rho
     rows = []
-    for s in generating_set(gamma):
-        for i, row in enumerate(mats[s]):
-            r = list(row)
-            r[i] -= 1
-            if any(r):
-                rows.append(r)
+    points = lattice.points
+    if points is not None:
+        inverses = gamma.inverses
+        for s in generating_set(gamma):
+            for i, j in enumerate(points[inverses[s]]):
+                if i != j:
+                    r = [0] * n
+                    r[j] = 1
+                    r[i] = -1
+                    rows.append(r)
+    else:
+        for s in generating_set(gamma):
+            for i, row in enumerate(lattice.rho[s]):
+                r = list(row)
+                r[i] -= 1
+                if any(r):
+                    rows.append(r)
     return CohomologyGroup(tuple(d for d in la._divisors(rows) if d > 1))
 
 
@@ -389,31 +402,46 @@ def twist_group(n: GammaGroup, f: CrossedHom) -> GammaGroup:
     return GammaGroup(n.gamma, und, action)
 
 
-def twist_lattice(m: ZGLattice, f: CrossedHom, value_matrices) -> ZGLattice:
-    """New action rho'(t) = nu(f(t)) . rho(t) for an auxiliary action nu of
-    the cocycle's value group on the lattice.
+def twist_lattice(m: ZGLattice, f: CrossedHom, nu: ZGLattice) -> ZGLattice:
+    """New action rho'(t) = nu(f(t)) . rho(t), for an auxiliary action nu,
+    a lattice over the cocycle's value group, of the same rank as m.
 
-    Compatibility nu(t . x) rho(t) == rho(t) nu(x) is checked on generators.
-    Each product is read by lattices._left_times: as signed rows of the
-    right factor where the left one is monomial, else multiplied out.
+    Compatibility nu(t . x) rho(t) == rho(t) nu(x) is checked on
+    generators, and the action law of rho' by check_rho (ZGLattice
+    validation).  Where m and nu both carry points, p and q, no matrix is
+    built: compatibility is the permutation identity q_(t.x) o p_t ==
+    p_t o q_x, and rho'(t) is the permutation lattice of the points
+    q_(f(t)) o p_t, whose law check_rho reads on the points.  Otherwise each
+    product is read by lattices._left_times: as signed rows of the right
+    factor where the left one is monomial, else multiplied out.
     """
     n = f.coefficient
-    nu = [la.int_rows(v) for v in value_matrices]
-    if len(nu) != n.underlying.order:
-        raise NotAction("one matrix per value-group element required")
     gamma = m.group
+    if nu.group is not n.underlying and nu.group != n.underlying:
+        raise NotAction("the auxiliary action is not over the value group")
     if n.gamma != gamma:
         raise NotAction("cocycle and lattice have different acting groups")
-    for v in nu:
-        if len(v) != m.rank or la.width(v) != m.rank:
-            raise NotAction("value matrices must match the lattice rank")
-    for s in generating_set(gamma):
-        for x in n.underlying.elements():
-            if _left_times(nu[n.act(s, x)], m.rho[s]) != _left_times(m.rho[s], nu[x]):
-                raise NotAction("auxiliary action incompatible with the twist")
-    rho = [_left_times(nu[f(t)], m.rho[t]) for t in gamma.elements()]
+    if nu.rank != m.rank:
+        raise NotAction("the auxiliary action must match the lattice rank")
+    gens, values = generating_set(gamma), n.underlying.elements()
+    rho = points = None
+    if m.points is not None and nu.points is not None:
+        p, q = m.points, nu.points
+        for s in gens:
+            ps = p[s].__getitem__
+            for x in values:
+                if tuple(map(q[n.act(s, x)].__getitem__, p[s])) != tuple(map(ps, q[x])):
+                    raise NotAction("auxiliary action incompatible with the twist")
+        points = [tuple(map(q[f(t)].__getitem__, p[t])) for t in gamma.elements()]
+    else:
+        mats, mu = m.rho, nu.rho
+        for s in gens:
+            for x in values:
+                if _left_times(mu[n.act(s, x)], mats[s]) != _left_times(mats[s], mu[x]):
+                    raise NotAction("auxiliary action incompatible with the twist")
+        rho = [_left_times(mu[f(t)], mats[t]) for t in gamma.elements()]
     try:
-        return ZGLattice(gamma, rho, validate=True)
+        return ZGLattice(gamma, rho, points=points)
     except ValueError as e:
         raise NotAction(str(e)) from e
 

@@ -4,10 +4,11 @@ the unit-pivot reads of the Smith form (linalg)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import neg
 
 from . import linalg as la
-from .groups import FiniteGroup, generating_set
+from .groups import FiniteGroup, check_action, generating_set
 from .gsets import GSet
 
 
@@ -26,47 +27,85 @@ class NotComposable(ValueError):
 class ZGLattice:
     """Rank-r free module with the group acting by integer matrices.
 
-    `rho[g]` is the matrix of g as int-tuple rows (linalg).  With
-    validate=False the caller vouches that rho is an action in that form, by
-    a theorem its docstring names, and consumers such as h1_abelian do not
-    check it again; otherwise each matrix is read by la.int_rows and checked.
+    `rho[g]` is the matrix of g as int-tuple rows (linalg).  A permutation
+    lattice is given by `points` instead, the point action as GSet.action
+    holds it (row g lists the images g.j), and builds rho from it on first
+    read, row i of rho(g) the unit row e_{g^-1.i} (_permutation_matrices),
+    then keeps it; a lattice given by matrices has points None.  With
+    validate=False the caller vouches that rho, or points, is an action in
+    that form, by a theorem its docstring names, and consumers such as
+    h1_abelian do not check it again; otherwise each matrix, or the points,
+    is read by la.int_rows and checked (check_rho).  Two lattices are equal
+    when their groups and actions are: on points where both carry them,
+    which determine rho, else on rho.
     """
 
-    def __init__(self, group: FiniteGroup, rho, validate: bool = True):
+    def __init__(self, group: FiniteGroup, rho=None, validate: bool = True, *, points=None):
         self.group = group
-        mats = tuple(la.int_rows(m) for m in rho) if validate else tuple(rho)
-        if len(mats) != group.order:
+        if (rho is None) == (points is None):
+            raise ValueError("give the action as matrices or as points")
+        if points is None:
+            table = tuple(map(la.int_rows, rho)) if validate else tuple(rho)
+        else:
+            table = la.int_rows(points) if validate else tuple(points)
+        if len(table) != group.order:
             raise ValueError("one matrix per group element required")
-        self.rank = len(mats[0])
-        self.rho = mats
+        self.rank = len(table[0])
+        self.points = None if points is None else table
+        self._rho = table if points is None else None
         if validate:
             self._validate()
 
+    @property
+    def rho(self) -> tuple:
+        if self._rho is None:
+            self._rho = _permutation_matrices(self.group, self.points)
+        return self._rho
+
     def _validate(self):
-        g, n = self.group, self.rank
-        if any(len(m) != n or la.width(m) != n for m in self.rho):
+        n = self.rank
+        if self.points is None and any(len(m) != n or la.width(m) != n for m in self.rho):
             raise ValueError("matrices must be square of equal rank")
-        check_rho(g, self.rho, generating_set(g), ValueError)
+        check_rho(self, ValueError)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ZGLattice)
-            and self.group == other.group
-            and self.rho == other.rho
-        )
+        if not isinstance(other, ZGLattice) or self.group != other.group:
+            return False
+        if self.points is not None and other.points is not None:
+            return self.points == other.points
+        return self.rho == other.rho
 
     def __repr__(self):
         return f"ZGLattice(rank={self.rank}, group order {self.group.order})"
 
 
-def check_rho(group: FiniteGroup, mats, gens, error) -> None:
-    """Raise `error` unless rho(1) = I and rho(s h) = rho(s) rho(h) for each
-    s in gens and every h: when gens generate the group, induction on word
-    length makes rho a homomorphism.  The products rho(s) rho(h) over all h
-    come from one _left_products, which reads rho(s) once."""
+def _permutation_matrices(group: FiniteGroup, points) -> tuple:
+    """rho of the permutation lattice on the point action `points`,
+    rho(g) e_j = e_{g.j}.  Row g.j of rho(g) is the unit row e_j, so row i
+    is e_{g^-1.i}: rho(g) lists the unit rows in the order of the row of
+    g^-1 in `points`, an action, g^-1 acting as the inverse permutation of
+    g.  Every matrix is made of the same unit rows."""
+    units = la.identity(len(points[0]))
+    return tuple([tuple([units[j] for j in points[gi]]) for gi in group.inverses])
+
+
+def check_rho(m: ZGLattice, error) -> None:
+    """Raise `error` unless m's action is one: rho(1) = I and rho(s h) =
+    rho(s) rho(h) for each s in generating_set and every h, so that
+    induction on word length makes rho a homomorphism.  The products
+    rho(s) rho(h) over all h come from one _left_products, which reads
+    rho(s) once.  A lattice given by points is checked on them, with no
+    matrix, by groups.check_action, the one action-law check of a point
+    table: points in range, p_1 = id and p_(s h) = p_s o p_h, which makes
+    each p_g a permutation (p_s o p_(s^-1) = p_1), as rho(g) must be."""
+    group = m.group
+    if m.points is not None:
+        check_action(group, m.points, error)
+        return
+    mats = m.rho
     if not _is_identity(mats[0], len(mats[0])):
         raise error("identity must act as the identity matrix")
-    for s in gens:
+    for s in generating_set(group):
         if _left_products(mats[s], mats) != [mats[t] for t in group.rows[s]]:
             raise error("rho is not multiplicative")
 
@@ -119,10 +158,18 @@ class LatticeMap:
     `retraction`, when set, is an integral left inverse of `matrix` (see
     equivariant_sublattice).  With validate=False the caller vouches for
     the matrix, in rows form, and for its equivariance; otherwise m rho(s)
-    == rho(s) m is checked at each generator s: rho(s) m is read as signed
-    rows of m where the target's rho(s) is monomial (_left_times), and
-    m rho(s) as m with its columns permuted where the source's rho(s) is a
-    permutation matrix (_right_times); other products are multiplied out.
+    == rho(s) m is checked at each generator s.
+
+    Where both ends carry points, p on the source and q on the target, no
+    matrix is built: applied to e_j, the equation says that m[q_s(i)][p_s(j)]
+    == m[i][j] for all i, j, and it is checked over the nonzeros (i, j) of
+    m alone.  That suffices: (i, j) -> (q_s(i), p_s(j)) is a bijection of
+    the positions, so when it carries every nonzero to an equal entry it
+    carries the nonzeros onto themselves and the zeros onto zeros.
+    Otherwise rho(s) m is read as signed rows of m where the target's
+    rho(s) is monomial (_left_times), and m rho(s) as m with its columns
+    permuted where the source's rho(s) is a permutation matrix
+    (_right_times); other products are multiplied out.
     """
 
     source: ZGLattice
@@ -141,7 +188,17 @@ class LatticeMap:
         object.__setattr__(self, "matrix", m)
         if self.source.group != self.target.group:
             raise NotEquivariant("source and target have different groups")
-        for s in generating_set(self.source.group):
+        gens = generating_set(self.source.group)
+        p, q = self.source.points, self.target.points
+        if p is not None and q is not None:
+            nonzeros = [(i, j, v) for i, row in enumerate(m)
+                        for j, v in compress(enumerate(row), row)]
+            for s in gens:
+                ps, qs = p[s], q[s]
+                if any(m[qs[i]][ps[j]] != v for i, j, v in nonzeros):
+                    raise NotEquivariant("matrix does not commute with the action")
+            return
+        for s in gens:
             if _right_times(m, self.source.rho[s]) != _left_times(self.target.rho[s], m):
                 raise NotEquivariant("matrix does not commute with the action")
 
@@ -173,12 +230,21 @@ def _right_times(m, ms) -> tuple:
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> ZGLattice:
-    return ZGLattice(group, [la.identity(rank)] * group.order, validate=False)
+    """Z^rank with the trivial action: the permutation lattice on rank fixed
+    points."""
+    return ZGLattice(group, points=(tuple(range(rank)),) * group.order, validate=False)
 
 
 def direct_sum(a: ZGLattice, b: ZGLattice) -> ZGLattice:
+    """a + b, with b's coordinates after a's: on points, the disjoint union
+    of the two point actions, b's points shifted by a.rank, where both
+    lattices carry points; else block-diagonal matrices."""
     if a.group != b.group:
         raise ValueError("different groups")
+    if a.points is not None and b.points is not None:
+        k = a.rank
+        points = [pa + tuple(j + k for j in pb) for pa, pb in zip(a.points, b.points)]
+        return ZGLattice(a.group, points=points, validate=False)
     right, left = (0,) * b.rank, (0,) * a.rank
     mats = [
         tuple(row + right for row in ma) + tuple(left + row for row in mb)
@@ -190,16 +256,11 @@ def direct_sum(a: ZGLattice, b: ZGLattice) -> ZGLattice:
 def permutation_lattice(x: GSet) -> ZGLattice:
     """Free module on the points, rho(g) e_j = e_{g.j}: an action as x is.
 
-    Row g.j of rho(g) is the unit row e_j, so row i is e_{g^-1.i}: rho(g)
-    lists the unit rows in the order of the row of g^-1 in x's table.  That
-    reads x as an action, g^-1 acting as the inverse permutation of g, which
-    a GSet is, validated or vouched for by its constructor.  Every matrix is
-    made of the same x.size unit rows.
+    The lattice keeps x's table as its points, as a GSet holds it, validated
+    or vouched for by its constructor; rho is built from it only when read
+    (ZGLattice).
     """
-    units = la.identity(x.size)
-    act = x.action
-    mats = [tuple([units[j] for j in act[gi]]) for gi in x.group.inverses]
-    return ZGLattice(x.group, mats, validate=False)
+    return ZGLattice(x.group, points=x.action, validate=False)
 
 
 def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeMap]:

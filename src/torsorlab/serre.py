@@ -101,12 +101,23 @@ def _pair_equations(d: CMGaloisDatum, with_constant: bool) -> tuple:
 
 def _xs_kernel(d: CMGaloisDatum, with_constant: bool) -> tuple[tuple, tuple]:
     """X*(S) inside Z[G] + Z (with_constant) or X*(Sbar) inside Z[G] as
-    (K, W), from one saturated kernel of _pair_equations: the columns of K
-    are a basis of the lattice, and W is its retraction, W K = I.  Each
-    equation e_s + e_(iota s) (- e_|G|) has unit entries, and the unit
-    pivots of la.saturated_kernel eliminate all of them, so no SNF runs.
-    Raises InvalidDatum unless the rank is |G|/2 (+ 1 with the constant)."""
-    K, W = la.saturated_kernel(_pair_equations(d, with_constant))
+    (K, W), from one saturated kernel of the |G|/2 distinct equations
+    e_s + e_(iota s) (- e_|G|) of _xs_equations: the columns of K are a
+    basis of the lattice, and W is its retraction, W K = I.  They are the
+    rows of _pair_equations less its duplicates, in the order of their
+    first copies; each pivot of la.saturated_kernel clears its column from
+    that row's duplicate alone, so K and W are those of _pair_equations.
+    Every entry is a unit, and the unit pivots eliminate all of them, so no
+    SNF runs.  Raises InvalidDatum unless the rank is |G|/2 (+ 1 with the
+    constant)."""
+    width = d.group.order + 1 if with_constant else d.group.order
+    rows = []
+    for eq in _xs_equations(d):
+        row = [0] * width
+        for c, v in (eq if with_constant else eq[:2]):
+            row[c] = v
+        rows.append(row)
+    K, W = la.saturated_kernel(rows)
     if la.width(K) != d.half_order + (1 if with_constant else 0):
         raise InvalidDatum("rank law violated")  # cannot happen for valid data
     return K, W
@@ -207,7 +218,9 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     elementary divisors of E show E onto with rank ker E = width K.  No
     action is restricted to either kernel and no Serre data is built:
     exactness makes each kernel G-stable (see kernel_sequence_exact);
-    build_serre is the route by restriction.
+    build_serre is the route by restriction.  Z[G], Z[G] + Z and
+    Z[Sigma_F] are permutation lattices, so each E is validated on their
+    points (LatticeMap) and no matrix of an action is built.
     """
     g = d.group
     n = g.order
@@ -276,10 +289,10 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     coset_conj = tuple(tuple(coset_index[g.conj(t, r)] for r in reps) for t in g.elements())
     taut = CrossedHom(g, trivial_gamma_group(g, g), tuple(g.elements()))
     # left translations, of G and of the cosets (the action of sigma_f)
-    tw_middle = twist_lattice(_right_regular(g), taut, _left_regular(g).rho)
+    tw_middle = twist_lattice(_right_regular(g), taut, _left_regular(g))
     tw_quotient = twist_lattice(
         permutation_lattice(GSet(g, right_cosets, validate=False)), taut,
-        permutation_lattice(sigma_f).rho,
+        permutation_lattice(sigma_f),
     )
     sub_rho = la.restricted_action(K, W, tw_middle.rho)
     if sub_rho is None:
@@ -288,7 +301,9 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     tw_sub = ZGLattice(g, sub_rho, validate=False)
     sub_inc = LatticeMap(tw_sub, tw_middle, K, validate=False)
     res_map = LatticeMap(tw_middle, tw_quotient, _fibre_sums(coset_index, n, len(reps)))
-    action_trivial = g.is_abelian() and all(rho == la.identity(n) for rho in tw_middle.rho)
+    # the twist of two permutation lattices carries points (twist_lattice)
+    fixed = tuple(range(n))
+    action_trivial = g.is_abelian() and all(p == fixed for p in tw_middle.points)
     return TwistedSequence(
         d, tw_middle, tw_sub, sub_inc, tw_quotient, res_map,
         tw_middle == permutation_lattice(conjugation_twist(g)),

@@ -300,6 +300,12 @@ def permutation_lattice_reference(x: gs.GSet) -> lt.ZGLattice:
     return lt.ZGLattice(x.group, mats, validate=False)
 
 
+def matrix_twin(m: lt.ZGLattice) -> lt.ZGLattice:
+    """m's action given by its matrices and validated: the input of the
+    matrix routes, for a lattice given by points."""
+    return lt.ZGLattice(m.group, m.rho)
+
+
 def zero_lattice(g: gr.FiniteGroup) -> lt.ZGLattice:
     return lt.ZGLattice(g, [()] * g.order, validate=False)
 
@@ -342,17 +348,18 @@ def serre_sequence_by_restriction(d) -> "sr.SequenceReport":
 
 
 def xsbar_twist_by_restriction(d) -> tuple:
-    """(m, f, value matrices, K) for the twist of X*(Sbar) by restriction:
-    m is X*(Sbar) inside the right-regular lattice with the restricted action
-    (lattices.equivariant_sublattice), f the tautological cocycle, the value
-    matrices the left translations restricted to m, and K the inclusion."""
+    """(m, f, nu, K) for the twist of X*(Sbar) by restriction: m is X*(Sbar)
+    inside the right-regular lattice with the restricted action
+    (lattices.equivariant_sublattice), f the tautological cocycle, nu the
+    left translations restricted to m, as a validated lattice, and K the
+    inclusion."""
     g = d.group
     m, inc = lt.equivariant_sublattice(sr._right_regular(g), sr._pair_equations(d, False))
     left = la.restricted_action(inc.matrix, inc.retraction, sr._left_regular(g).rho)
     if left is None:
         raise sr.InvalidDatum("left translation does not preserve X*(Sbar)")
     taut = co.CrossedHom(g, co.trivial_gamma_group(g, g), tuple(g.elements()))
-    return m, taut, left, inc.matrix
+    return m, taut, lt.ZGLattice(g, left), inc.matrix
 
 
 def twist_serre_by_restriction(d) -> "sr.TwistedSequence":
@@ -369,9 +376,9 @@ def twist_serre_by_restriction(d) -> "sr.TwistedSequence":
         [coset_index[g.mul(reps[c], g.inv(t))] for c in range(m)] for t in g.elements()
     ]
     sub, taut, left_sub, K = xsbar_twist_by_restriction(d)
-    tw_middle = co.twist_lattice(sr._right_regular(g), taut, sr._left_regular(g).rho)
+    tw_middle = co.twist_lattice(sr._right_regular(g), taut, sr._left_regular(g))
     tw_quotient = co.twist_lattice(lt.permutation_lattice(gs.GSet(g, right_cosets)), taut,
-                                   lt.permutation_lattice(sigma_f).rho)
+                                   lt.permutation_lattice(sigma_f))
     tw_sub = co.twist_lattice(sub, taut, left_sub)
     coset_conj = [[coset_index[g.conj(t, reps[c])] for c in range(m)] for t in g.elements()]
     sub_inc = lt.LatticeMap(tw_sub, tw_middle, K)
@@ -439,27 +446,27 @@ def basis_verdict_by_coordinates(K, W, vectors) -> tuple:
     )
 
 
-def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, value_matrices) -> lt.ZGLattice:
-    """cohomology.twist_lattice with each of its products multiplied out by
-    la.matmul: the compatibility nu(s . x) rho(s) == rho(s) nu(x) at every
-    generator s and value x, then rho'(t) = nu(f(t)) rho(t)."""
+def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, nu: lt.ZGLattice) -> lt.ZGLattice:
+    """cohomology.twist_lattice on the matrices of m and of the auxiliary
+    action nu, each product multiplied out by la.matmul: the compatibility
+    nu(s . x) rho(s) == rho(s) nu(x) at every generator s and value x, then
+    rho'(t) = nu(f(t)) rho(t), validated as matrices."""
     n = f.coefficient
-    nu = [la.int_rows(v) for v in value_matrices]
-    if len(nu) != n.underlying.order:
-        raise co.NotAction("one matrix per value-group element required")
     gamma = m.group
+    if nu.group != n.underlying:
+        raise co.NotAction("the auxiliary action is not over the value group")
     if n.gamma != gamma:
         raise co.NotAction("cocycle and lattice have different acting groups")
-    for v in nu:
-        if len(v) != m.rank or la.width(v) != m.rank:
-            raise co.NotAction("value matrices must match the lattice rank")
+    if nu.rank != m.rank:
+        raise co.NotAction("the auxiliary action must match the lattice rank")
+    mu = nu.rho
     for s in gr.generating_set(gamma):
         for x in n.underlying.elements():
-            lhs = la.matmul(nu[n.act(s, x)], m.rho[s])
-            rhs = la.matmul(m.rho[s], nu[x])
+            lhs = la.matmul(mu[n.act(s, x)], m.rho[s])
+            rhs = la.matmul(m.rho[s], mu[x])
             if lhs != rhs:
                 raise co.NotAction("auxiliary action incompatible with the twist")
-    rho = [la.matmul(nu[f(t)], m.rho[t]) for t in gamma.elements()]
+    rho = [la.matmul(mu[f(t)], m.rho[t]) for t in gamma.elements()]
     try:
         return lt.ZGLattice(gamma, rho, validate=True)
     except ValueError as e:

@@ -15,7 +15,7 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
-from helpers import (bareiss_det, h1_by_relators, h1_from_rows, lattice_eq,
+from helpers import (bareiss_det, h1_by_relators, h1_from_rows, lattice_eq, matrix_twin,
                      regular_gset, relator_rows, schreier_presentation)
 from test_laws import ref_cocycle
 
@@ -434,6 +434,12 @@ def test_twist_group_double_twist_recovers():
     assert back.action == n.action
 
 
+def _lattice_of_action(g, act):
+    """The permutation lattice of the action t.x = act(t, x) on g's elements."""
+    return lt.permutation_lattice(gs.GSet(g, [[act(t, x) for x in g.elements()]
+                                              for t in g.elements()]))
+
+
 def test_twist_lattice_conjugation():
     s3 = gr.symmetric_group(3)
     # right-translation action: rho(t) e_s = e_{s t^-1}
@@ -452,15 +458,20 @@ def test_twist_lattice_conjugation():
         for y in s3.elements():
             m[s3.mul(x, y), y] = 1
         left.append(m)
+    left = lt.ZGLattice(s3, left)
     tw = co.twist_lattice(right, taut, left)
     conj = lt.permutation_lattice(gs.conjugation_twist(s3))
-    assert tw == conj
+    assert tw == conj and tw.points is None
     # trivial cocycle leaves the lattice unchanged
     tw0 = co.twist_lattice(right, co.trivial_cocycle(s3, selfn), left)
     assert tw0 == right
     # rank and unimodularity preserved
     for g in s3.elements():
         assert abs(bareiss_det(tw.rho[g])) == 1
+    # the same twist of the two regular permutation lattices, read on points
+    on_points = co.twist_lattice(_lattice_of_action(s3, lambda t, x: s3.mul(x, s3.inv(t))), taut,
+                                 _lattice_of_action(s3, s3.mul))
+    assert on_points.points == conj.points and on_points == tw
 
 
 def test_twist_lattice_rejects_left_action_base():
@@ -468,9 +479,10 @@ def test_twist_lattice_rejects_left_action_base():
     left_lattice = lt.permutation_lattice(regular_gset(s3))
     selfn = co.trivial_gamma_group(s3, s3)
     taut = co.CrossedHom(s3, selfn, tuple(s3.elements()))
-    left = [left_lattice.rho[x] for x in s3.elements()]
-    with pytest.raises(co.NotAction):
-        co.twist_lattice(left_lattice, taut, left)
+    # on points, and on the matrices of the same lattice
+    for nu in (left_lattice, matrix_twin(left_lattice)):
+        with pytest.raises(co.NotAction, match="incompatible"):
+            co.twist_lattice(left_lattice, taut, nu)
 
 
 def make_system(gamma, levels, transitions):
@@ -745,3 +757,24 @@ def test_relators_that_hold_but_do_not_close_mean_no_action():
         co.enumerate_cocycles(v4, n)
     with pytest.raises(co.NotAction):
         co.h1_nonabelian(v4, n)
+
+
+def test_h1_abelian_reads_points_as_their_matrix_twin():
+    # criterion 3's 747 lattices are given by points, and h1_abelian builds
+    # the rows of rho(s) - I off them; the same action given by matrices,
+    # validated, reads the same invariants.  A sign twist of one of them,
+    # which has no points, reads Z/2 on both routes where the twist leaves
+    # the kernel of the sign, so the comparison can tell actions apart
+    from torsorlab import checks
+
+    lattices = [m for _, _, m in checks.coset_lattices()]
+    assert len(lattices) == 747
+    for m in lattices:
+        twin = matrix_twin(m)
+        assert m.points is not None and twin.points is None
+        assert co.h1_abelian(m.group, m) == co.h1_abelian(m.group, twin) == co.CohomologyGroup(())
+    g, k, h, twisted = next(c for c in sign_twist_cases() if not set(c[2]) <= c[1])
+    untwisted = lt.permutation_lattice(gs.coset_gset(g, h))
+    for m in (twisted, matrix_twin(twisted)):
+        assert co.h1_abelian(g, m).invariants == (2,)
+    assert co.h1_abelian(g, untwisted).invariants == ()

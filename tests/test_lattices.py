@@ -17,6 +17,7 @@ from helpers import (
     joint_by_coordinates,
     kernel_sequence_by_joint,
     lattice_eq,
+    matrix_twin,
     permutation_lattice_reference,
     regular_gset,
     trivial_gset,
@@ -61,13 +62,40 @@ def test_check_rho_refuses_permutation_matrices_that_are_no_action():
     # off row permutations, and rho(1) rho(1) = P^2 != rho(2) refutes it; the
     # same matrices that do form the action are accepted
     c3 = gr.cyclic_group(3)
-    rho = lt.permutation_lattice(regular_gset(c3)).rho
+    regular = lt.permutation_lattice(regular_gset(c3))
+    rho = regular.rho
     bad = (rho[0], rho[1], rho[1])
     with pytest.raises(ValueError, match="not multiplicative"):
         lt.ZGLattice(c3, bad)
     with pytest.raises(gr.NotAction, match="not multiplicative"):
-        lt.check_rho(c3, bad, gr.generating_set(c3), gr.NotAction)
-    lt.check_rho(c3, rho, gr.generating_set(c3), gr.NotAction)
+        lt.check_rho(lt.ZGLattice(c3, bad, validate=False), gr.NotAction)
+    lt.check_rho(lt.ZGLattice(c3, rho, validate=False), gr.NotAction)
+    # the same on points: the 3-cycle at both nontrivial elements
+    p = regular.points
+    with pytest.raises(ValueError, match="not an action"):
+        lt.ZGLattice(c3, points=(p[0], p[1], p[1]))
+    lt.check_rho(regular, gr.NotAction)
+    lt.ZGLattice(c3, points=p)
+
+
+def test_check_rho_reads_points():
+    # points must be in range, the identity must fix every point, and the
+    # law must hold (groups.check_action), as for matrices; a table whose
+    # rows are no permutations fails the law
+    c2 = gr.cyclic_group(2)
+    for points, message in ((((0, 1), (1, 2)), "range"), (((0, 1), (-1, 0)), "range"),
+                            (((1, 0), (1, 0)), "identity"),
+                            (((0, 1), (0, 0)), "not an action"),
+                            (((0, 1, 2), (1, 0, 0)), "not an action")):
+        with pytest.raises(ValueError, match=message):
+            lt.ZGLattice(c2, points=points)
+    for points in (((),) * 2, ((0,), (0,)), ((0, 1), (1, 0)), ((0, 1), (0, 1))):
+        m = lt.ZGLattice(c2, points=points)
+        assert m.rank == len(points[0]) and m == lt.ZGLattice(c2, m.rho)
+    with pytest.raises(ValueError, match="matrices or as points"):
+        lt.ZGLattice(c2)
+    with pytest.raises(ValueError, match="matrices or as points"):
+        lt.ZGLattice(c2, [la.identity(1)] * 2, points=((0,), (0,)))
 
 
 def test_check_rho_reads_the_identity_row_by_row():
@@ -75,12 +103,12 @@ def test_check_rho_reads_the_identity_row_by_row():
     # repeated, long or short row and an extra entry are each refused
     c1 = gr.trivial_group()
     for r in range(4):
-        lt.check_rho(c1, [la.identity(r)], (), gr.NotAction)
+        lt.check_rho(lt.ZGLattice(c1, [la.identity(r)], validate=False), gr.NotAction)
     bad = [((1, 0), (0, -1)), ((0, 1), (1, 0)), ((1, 0), (1, 0)), ((1, 1), (0, 1)),
            ((1, 0, 0), (0, 1, 0)), ((1,), (0, 1)), ((2,),), ((0,),)]
     for m in bad:
         with pytest.raises(gr.NotAction, match="identity"):
-            lt.check_rho(c1, [m], (), gr.NotAction)
+            lt.check_rho(lt.ZGLattice(c1, [m], validate=False), gr.NotAction)
 
 
 def _matmul_check(g, mats):
@@ -155,6 +183,50 @@ def test_permutation_lattice_reads_the_inverse_row():
     xs.append(gs.GSet(d4, [[d4.conj(g, x) for x in d4.elements()] + [8] for g in d4.elements()]))
     for x in xs:
         assert lt.permutation_lattice(x).rho == permutation_lattice_reference(x).rho
+
+
+def _points_lattices():
+    """(lattice given by points, the G-set it acts on): every coset G-set
+    and conjugation action of the catalog groups of order <= 24, and over
+    four groups both regular lattices, the trivial lattices of rank 0-2 and
+    the direct sums of any two of those."""
+    from torsorlab import catalog
+    from torsorlab import serre as sr
+
+    cases = []
+    for _, g in catalog.group_catalog(24):
+        for x in [gs.coset_gset(g, h) for h in gr.all_subgroups(g)] + [gs.conjugation_twist(g)]:
+            cases.append((lt.permutation_lattice(x), x))
+    for g in (gr.trivial_group(), gr.cyclic_group(2), gr.symmetric_group(3),
+              gr.dihedral_group(4)):
+        right = gs.GSet(g, [[g.mul(s, g.inv(t)) for s in g.elements()] for t in g.elements()])
+        pieces = [(sr._left_regular(g), regular_gset(g)), (sr._right_regular(g), right)]
+        pieces += [(lt.trivial_lattice(g, r), trivial_gset(g, r)) for r in range(3)]
+        cases += pieces
+        cases += [(lt.direct_sum(a, b), disjoint_union(x, y))
+                  for a, x in pieces for b, y in pieces]
+    return cases
+
+
+def test_points_lattices_build_the_reference_rho():
+    # rho of a lattice given by points, built on first read and then kept,
+    # is the reference's, which places e_j at row g.j of rho(g) one point at
+    # a time; the lattice equals its matrix twin, validated, both ways, and
+    # two lattices whose actions differ are unequal both ways in either form
+    from torsorlab import serre as sr
+
+    cases = _points_lattices()
+    assert len(cases) > 747 + 4 * 25
+    for m, x in cases:
+        assert m.points is not None and m.rank == x.size
+        rho = m.rho
+        assert rho == permutation_lattice_reference(x).rho and m.rho is rho
+        twin = matrix_twin(m)
+        assert twin.points is None and m == twin and twin == m
+    s3 = gr.symmetric_group(3)
+    left, right = sr._left_regular(s3), sr._right_regular(s3)
+    for a, b in ((left, right), (left, matrix_twin(right)), (matrix_twin(left), right)):
+        assert a != b and b != a
 
 
 def test_fixed_rank_counts_orbits():
@@ -462,10 +534,40 @@ def test_equivariance_enforced():
     lt.LatticeMap(reg, sgn, [[1, -1]])  # the norm-twisted projection is fine
 
 
+def _criteria_2_and_4_maps(monkeypatch) -> list:
+    """(source, target, matrix) of every map that criteria 2 and 4 validate:
+    the fibre sums of both character sequences and of the twisted quotient
+    sequence, the block maps and the projections."""
+    from torsorlab import checks
+    from torsorlab import serre as sr
+
+    made, make = [], lt.LatticeMap
+
+    def recorded(source, target, matrix, validate=True, **kwargs):
+        out = make(source, target, matrix, validate=validate, **kwargs)
+        if validate:
+            made.append((source, target, out.matrix))
+        return out
+
+    monkeypatch.setattr(sr, "LatticeMap", recorded)
+    checks.check_block_decomposition()
+    checks.check_character_sequences()
+    monkeypatch.undo()
+    return made
+
+
+def _verdict(source, target, m) -> bool:
+    try:
+        lt.LatticeMap(source, target, m)
+    except lt.NotEquivariant:
+        return False
+    return True
+
+
 def test_equivariance_read_by_permuting_rows_and_columns(monkeypatch):
-    # between two permutation lattices both products are read without
-    # multiplying, and a matrix that fails to commute at a generator is
-    # refused all the same
+    # between two permutation lattices the law is read on their points,
+    # without multiplying, and a matrix that fails to commute at a generator
+    # is refused all the same
     s3 = gr.symmetric_group(3)
     reg = lt.permutation_lattice(regular_gset(s3))
     coset_set = gs.coset_gset(s3, gr.generated_subgroup(s3, [1]))
@@ -490,6 +592,36 @@ def test_equivariance_read_by_permuting_rows_and_columns(monkeypatch):
         m = la.int_rows(m)
         assert ok == all(la.matmul(m, reg.rho[s]) == la.matmul(cosets.rho[s], m)
                          for s in gr.generating_set(s3))
+    # every map of criteria 2 and 4 is read on the points of its ends, and
+    # each single entry raised by 1 and each swap of two columns of it too;
+    # the matrices of the same ends, validated, accept and refuse exactly
+    # the same inputs (the matrix route is the one
+    # test_signed_row_reader_equals_matmul checks against la.matmul)
+    maps = _criteria_2_and_4_maps(monkeypatch)
+    # one block map per conjugacy class of C1, C2, C3, C2xC2, S3 and D4
+    assert len(maps) == 2 * 65 + 6 + 6 + sum((1, 2, 3, 4, 3, 5))
+    seen = Counter()
+    for source, target, m in maps:
+        assert source.points is not None and target.points is not None
+        mutants = [m]
+        for i, row in enumerate(m):
+            for j in range(len(row)):
+                mutants.append(m[:i] + (row[:j] + (row[j] + 1,) + row[j + 1:],) + m[i + 1:])
+        for j in range(la.width(m)):
+            for k in range(j + 1, la.width(m)):
+                order = list(range(la.width(m)))
+                order[j], order[k] = k, j
+                mutants.append(tuple(tuple(map(row.__getitem__, order)) for row in m))
+        ends = (matrix_twin(source), matrix_twin(target))
+        for mutant in mutants:
+            verdict = _verdict(source, target, mutant)
+            assert verdict == _verdict(*ends, mutant)
+            seen[verdict] += 1
+        assert _verdict(source, target, m)
+    # all 2 x 65 + 12 + 18 maps are accepted, and so is every mutant that is
+    # the same matrix (a swap of two columns summed into the same row) or
+    # another equivariant map; the rest are refused
+    assert seen == {True: 1329, False: 23932}
 
 
 def test_equivariance_of_unit_rows_with_a_repeated_column(monkeypatch):

@@ -13,6 +13,7 @@ from helpers import (
     bareiss_det,
     basis_verdict_by_coordinates,
     kernel_sequence_by_joint,
+    matrix_twin,
     serre_sequence_by_restriction,
     twist_lattice_by_matmul,
     twist_serre_by_restriction,
@@ -115,14 +116,15 @@ def test_block_decomposition_trivial_group():
 
 
 def _criterion_2_twists(monkeypatch):
-    """(lattice, cocycle, value matrices, twisted lattice) of every
+    """(lattice, cocycle, auxiliary action, twisted lattice) of every
     twist_lattice call that criterion 2's six block decompositions make,
-    then of the twist of X*(Sbar) by restriction on each of their data."""
+    on permutation lattices, then of the twist of X*(Sbar) by restriction
+    on each of their data, on matrices."""
     calls = []
 
-    def recorded(m, f, value_matrices):
-        out = co.twist_lattice(m, f, value_matrices)
-        calls.append((m, f, value_matrices, out))
+    def recorded(m, f, nu):
+        out = co.twist_lattice(m, f, nu)
+        calls.append((m, f, nu, out))
         return out
 
     monkeypatch.setattr(sr, "twist_lattice", recorded)
@@ -144,9 +146,27 @@ def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
     # restriction on its data, then the same twists after the unimodular
     # change of basis P = I + E_01, which makes some action and value
     # matrices non-monomial, so that their products take the matmul fallback
-    # (the X*(Sbar) value matrices come out as signed permutations)
+    # (the X*(Sbar) value matrices come out as signed permutations).  The
+    # twists of criterion 2 are read on points, and their matrix twins give
+    # the same lattice; with the auxiliary action replaced by the trivial
+    # one or by the base's own action, both routes, on points and on
+    # matrices, give the same lattice or refuse alike
+    on_points = 0
     for m, f, nu, out in _criterion_2_twists(monkeypatch):
         assert twist_lattice_by_matmul(m, f, nu) == out
+        if m.points is not None:
+            on_points += 1
+            assert nu.points is not None and out.points is not None
+            assert co.twist_lattice(matrix_twin(m), f, matrix_twin(nu)) == out
+            for other in (lt.trivial_lattice(nu.group, nu.rank), m):
+                verdicts = []
+                for route in (co.twist_lattice, twist_lattice_by_matmul):
+                    for a, b in ((m, other), (matrix_twin(m), matrix_twin(other))):
+                        try:
+                            verdicts.append(route(a, f, b))
+                        except co.NotAction:
+                            verdicts.append(co.NotAction)
+                assert all(v == verdicts[0] for v in verdicts), verdicts
         if m.rank < 2:
             continue
         e = la.identity(m.rank)
@@ -157,29 +177,34 @@ def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
             return la.matmul(la.matmul(P, a), P_inv)
 
         m_p = lt.ZGLattice(m.group, [moved(a) for a in m.rho])
-        nu_p = [moved(v) for v in nu]
-        assert any(lt._signed_rows(v) is None for v in nu_p)
+        nu_p = lt.ZGLattice(nu.group, [moved(v) for v in nu.rho])
+        assert any(lt._signed_rows(v) is None for v in nu_p.rho)
         got = co.twist_lattice(m_p, f, nu_p)
         assert got == twist_lattice_by_matmul(m_p, f, nu_p)
         assert got.rho == tuple(moved(a) for a in out.rho)
+    assert on_points == 12
 
 
 def test_twist_lattice_refuses_a_flipped_value_row_by_both_routes(monkeypatch):
     # flipping the sign of one row of a value matrix breaks either the
     # compatibility with rho or the action law; on a rank-1 lattice the flip
-    # of nu(1) can give another character, so there the routes need only agree
+    # of nu(1) can give another character, so there the routes need only
+    # agree.  A flipped row is no permutation: the auxiliary action goes in
+    # as matrices, unchecked, and the base as points or as matrices
     for m, f, nu, _ in _criterion_2_twists(monkeypatch):
         for r in range(m.rank):
-            flipped = list(nu)
+            flipped = list(nu.rho)
             flipped[1] = tuple(tuple(-v for v in row) if i == r else row
-                               for i, row in enumerate(nu[1]))
+                               for i, row in enumerate(nu.rho[1]))
+            flipped = lt.ZGLattice(nu.group, flipped, validate=False)
             verdicts = []
             for route in (co.twist_lattice, twist_lattice_by_matmul):
-                try:
-                    verdicts.append(route(m, f, flipped))
-                except co.NotAction:
-                    verdicts.append(co.NotAction)
-            assert verdicts[0] == verdicts[1]
+                for base in (m, matrix_twin(m)):
+                    try:
+                        verdicts.append(route(base, f, flipped))
+                    except co.NotAction:
+                        verdicts.append(co.NotAction)
+            assert all(v == verdicts[0] for v in verdicts)
             assert m.rank < 2 or verdicts[0] is co.NotAction
 
 
@@ -506,17 +531,18 @@ def test_the_serre_data_checks_can_fire(monkeypatch):
     # no equations: X*(Sbar) would be all of Z[G], which holds (1, ..., 1)
     with pytest.raises(sr.InvalidDatum, match="weight axis"):
         sr._check_weights(n, xs, la.saturated_kernel(((0,) * n,)))
-    # one pair's equation dropped (it comes twice, once per element): the
-    # kernels grow past the rank law
-    pair_equations = sr._pair_equations
-    monkeypatch.setattr(sr, "_pair_equations", lambda d, c: tuple(
-        row for s, row in enumerate(pair_equations(d, c)) if s not in (0, d.iota)))
+    # one pair's equation dropped from the distinct equations that both
+    # kernels read: they grow past the rank law
+    xs_equations = sr._xs_equations
+    monkeypatch.setattr(sr, "_xs_equations", lambda d: xs_equations(d)[1:])
     with pytest.raises(sr.InvalidDatum, match="rank law"):
         sr.verify_serre_sequence(d)
-    # the CM-type path counts the rank of X*(S) instead: the rank oracle of
-    # test_xs_rank_is_half_the_order_by_count sees the dropped pair
-    assert len(la.elementary_divisors(sr._pair_equations(d, True))) != d.half_order
-    monkeypatch.setattr(sr, "_pair_equations", pair_equations)
+    # the CM-type path counts the rank of X*(S) from the same equations
+    # instead: a type's vectors still lie in the larger kernel but are no
+    # basis of it
+    rep = sr.cm_type_basis(d, next(sr.all_cm_types(d)))
+    assert rep.in_lattice and not rep.is_basis
+    monkeypatch.setattr(sr, "_xs_equations", xs_equations)
     # a fibre-sum map that is no longer equivariant, on each sequence
     fibre_sums = sr._fibre_sums
     for width in (n + 1, n):

@@ -58,6 +58,8 @@ def _validate(obj) -> None:
         gr.check_action(obj.group, obj.action, gs.InvalidAction)
     elif isinstance(obj, lt.ZGLattice):
         lt.ZGLattice(obj.group, obj.rho)
+        if obj.points is not None:
+            lt.ZGLattice(obj.group, points=obj.points)
     elif isinstance(obj, lt.LatticeMap):
         lt.LatticeMap(obj.source, obj.target, obj.matrix)
     elif isinstance(obj, gr.FiniteGroup):
@@ -69,7 +71,8 @@ def _validate(obj) -> None:
 def _tables(obj) -> list:
     """The int-tuple tables that obj holds."""
     if isinstance(obj, lt.ZGLattice):
-        return list(obj.rho)
+        # a permutation lattice holds its points too, and builds rho from them
+        return list(obj.rho) + ([obj.points] if obj.points is not None else [])
     if isinstance(obj, lt.LatticeMap):
         return [obj.matrix]
     if isinstance(obj, gr.FiniteGroup):

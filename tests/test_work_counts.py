@@ -166,6 +166,30 @@ def test_cm_type_bases_read_the_involution_row(monkeypatch):
     assert _calls(monkeypatch, checks.check_cm_type_bases, (sr, "_pair_equations")) == [0]
 
 
+def test_permutation_lattices_build_no_matrices(monkeypatch):
+    # a permutation lattice keeps its points and builds its matrices only
+    # when they are read (lattices._permutation_matrices): the H^1 of
+    # criterion 3 and the maps of criterion 4 read the points, and
+    # criterion 2 builds the matrices of its six twisted middles alone,
+    # which restricted_action reads (747, 260 and 90 dense actions when
+    # every permutation, trivial, summed and twisted lattice was built as
+    # matrices)
+    for run, dense in ((checks.check_permutation_h1_vanishing, 0),
+                       (checks.check_character_sequences, 0),
+                       (checks.check_block_decomposition, 6)):
+        assert _calls(monkeypatch, run, (lt, "_permutation_matrices")) == [dense]
+
+
+def test_character_sequences_read_points_and_distinct_equations(monkeypatch):
+    # criterion 4 validates its 130 fibre-sum maps on the points of their
+    # ends, with no product of matrices (344 _right_times and 344
+    # _left_products when it read the matrices at the generators), and
+    # takes X*(S) and X*(Sbar) from the |G|/2 distinct equations (130
+    # _pair_equations calls when each kernel eliminated all |G| rows)
+    assert _calls(monkeypatch, checks.check_character_sequences, (sr, "_pair_equations"),
+                  (lt, "_right_times"), (lt, "_left_products")) == [0, 0, 0]
+
+
 def test_permutation_h1_checks_each_action_once(monkeypatch):
     # criterion 3: left multiplication permutes the cosets of a subgroup, so
     # coset_gset builds its 747 G-sets unchecked, and h1_abelian trusts
