@@ -130,13 +130,24 @@ def trivial_cocycle(group: FiniteGroup, coefficient: GammaGroup) -> CrossedHom:
     return CrossedHom(group, coefficient, (0,) * group.order, validate=False)
 
 
+def _twist_steps(coefficient: GammaGroup, elements) -> list:
+    """Per a in `elements`, the step (left, right) that twists by a: left is
+    the row of a^-1 in the group table and right[t] = t . a, column a of the
+    action table, so the table f twisted by a is
+    t -> rows[left[f(t)]][right[t]] = a^-1 * f(t) * (t . a)."""
+    n = coefficient.underlying
+    rows, inverses = n.rows, n.inverses
+    columns = list(zip(*coefficient.action))
+    return [(rows[inverses[a]], columns[a]) for a in elements]
+
+
 def twist_values(coefficient: GammaGroup, values, elements):
     """Yield, for each a in `elements`, the value table t -> a^-1 * f(t) * (t . a)
-    of the cocycle f whose value table is `values`."""
-    rows, action = coefficient.underlying.rows, coefficient.action
-    for a in elements:
-        left = rows[coefficient.underlying.inverses[a]]
-        yield tuple(rows[left[v]][ta[a]] for v, ta in zip(values, action))
+    of the cocycle f whose value table is `values`, by the steps of
+    _twist_steps."""
+    rows = coefficient.underlying.rows
+    for left, right in _twist_steps(coefficient, elements):
+        yield tuple([rows[left[v]][r] for v, r in zip(values, right)])
 
 
 def twist_cocycle(f: CrossedHom, a) -> CrossedHom:
@@ -342,10 +353,14 @@ def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
     generators of `by`: a walk twists each member once per generator.  The
     walk would miss members of the orbit {f.a : a in by} for any other
     action, so that is checked first.  In sorted order, the first unseen
-    table is its class's least: a smaller member would have marked it seen."""
+    table is its class's least: a smaller member would have marked it seen.
+    The steps of the generators (_twist_steps) are built once, and each
+    member is twisted by all of them in one comprehension."""
     coefficient.check_automorphisms()
     n = coefficient.underlying
     gens = generating_set(n) if len(by) == n.order else subgroup_generating_set(n, by)
+    rows = n.rows
+    steps = _twist_steps(coefficient, gens)
     tables = sorted(tables)
     seen = set()
     out = []
@@ -356,7 +371,9 @@ def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
         walk, size = [least], 0
         while walk:
             size += 1
-            for vals in twist_values(coefficient, walk.pop(), gens):
+            f = walk.pop()
+            for vals in [tuple([rows[left[v]][r] for v, r in zip(f, right)])
+                         for left, right in steps]:
                 if vals not in seen:
                     seen.add(vals)
                     walk.append(vals)

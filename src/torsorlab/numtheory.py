@@ -272,11 +272,18 @@ def pderiv(f, p):
 
 def _squarefree_decomposition(f, p):
     """[(g, multiplicity)] with f = prod g^m, each g squarefree; f is a
-    monic list over F_p and so is each g."""
+    monic list over F_p and so is each g.
+
+    Yun's algorithm (SYMSAC 1976), with the p-th power left over when f' has
+    lost the multiplicities divisible by p.  When c = gcd(f, f') is 1, f is
+    squarefree over the perfect field F_p and [(f, 1)] is returned at once:
+    the loop would find w = f and y = 1 and return the same list."""
     out = []
     if len(f) <= 1:
         return out
     c = _fp_gcd(f, pderiv(f, p), p)
+    if len(c) == 1:
+        return [(f, 1)]
     w = _fp_quo(f, c, p)
     i = 1
     while len(w) > 1:
@@ -482,25 +489,36 @@ class SplittingType:
 def dedekind_split(fld: NumberFieldDatum, p: int) -> SplittingType:
     """Splitting type and the full Dedekind index test from the squarefree
     and distinct-degree stages mod p alone; IndexDivisor when p may divide
-    the index of the equation order."""
+    the index of the equation order (Cohen, GTM 138, 6.1.4).
+
+    The stages (h, d, mult) give the radical g = prod h and the cofactor
+    h~ = prod h^(mult - 1), lifted with coefficients in [0, p), with no
+    division: their product is the reduction of f, as _factor_stages checks
+    that the stages multiply back, and g h~ - f = 0 mod p is checked here
+    again.  p divides the index iff gcd(F, g, h~) != 1 mod p for
+    F = (g h~ - f) / p; when h~ = 1 that gcd is 1, so F and the gcd are
+    formed only when h~ != 1."""
     if not _is_prime(p):
         raise ValueError(f"p={p} is not a prime")
     poly = fld.poly
     # radical and cofactor over F_p, read as monic integer polynomials
-    g_bar = [1]
+    g_bar = h_bar = [1]
     pairs = []
     for h, d, mult in _factor_stages(poly, p):
-        g_bar = _fp(_mul(g_bar, h), p)
+        g_bar = _fp(_mul(g_bar, h), p) if len(g_bar) > 1 else h
+        for _ in range(mult - 1):
+            h_bar = _fp(_mul(h_bar, h), p)
         pairs += [(mult, d)] * ((len(h) - 1) // d)
-    h_bar = _fp_quo(poly, g_bar, p)
-    diff = _mul(g_bar, h_bar)  # monic of degree deg poly, as g_bar divides it
+    diff = _mul(g_bar, h_bar) if len(h_bar) > 1 else list(g_bar)
+    diff += [0] * (len(poly) - len(diff))
     for i, c in enumerate(poly):
         diff[i] -= c
     if any(c % p for c in diff):
         raise ValueError("the radical does not divide the polynomial mod p")
-    inner = _fp_gcd(g_bar, h_bar, p)
-    if len(_fp_gcd([c // p for c in diff], inner, p)) > 1:
-        raise IndexDivisor(f"Dedekind test fails at p={p}")
+    if len(h_bar) > 1:
+        inner = _fp_gcd(g_bar, h_bar, p)
+        if len(_fp_gcd([c // p for c in diff], inner, p)) > 1:
+            raise IndexDivisor(f"Dedekind test fails at p={p}")
     return SplittingType(tuple(pairs), len(poly) - 1)
 
 

@@ -22,7 +22,6 @@ from .groups import (
     conjugacy_classes,
     cyclic_group,
     direct_product,
-    generated_subgroup,
     product_embeddings,
 )
 from .gsets import GSet, coset_gset, conjugation_twist, gset_iso, sub_gset
@@ -192,16 +191,22 @@ class SequenceReport:
 
 def _coset_restriction(d: CMGaloisDatum):
     """Sigma_F with the left action, each element's coset index, and each
-    coset's smallest element."""
-    g = d.group
-    sigma_f = coset_gset(g, generated_subgroup(g, [d.iota]))
-    # coset_gset orders cosets by minimal element, so the identity's is point 0
-    coset_index = [sigma_f.apply(s, 0) for s in g.elements()]
-    smallest = {}
-    for s in g.elements():
-        smallest.setdefault(coset_index[s], s)
-    reps = tuple(smallest[c] for c in range(sigma_f.size))
-    return sigma_f, coset_index, reps
+    coset's smallest element.
+
+    The cosets of the central subgroup {1, iota} are the pairs
+    {s, iota s}, read off row iota of the group table, and are ordered by
+    their least elements, as coset_gset orders them.  t sends the coset of
+    r to the coset of t r, so row t of the action is coset_of[rows[t][r]]
+    over the least elements r.  CMGaloisDatum has checked that iota is a
+    central involution, so the pairs are cosets and the rows an action."""
+    rows = d.group.rows
+    partner = rows[d.iota]
+    reps = tuple(s for s, t in enumerate(partner) if s < t)
+    coset_of = [0] * len(partner)
+    for c, s in enumerate(reps):
+        coset_of[s] = coset_of[partner[s]] = c
+    action = tuple(tuple([coset_of[row[r]] for r in reps]) for row in rows)
+    return GSet(d.group, action, validate=False), coset_of, reps
 
 
 def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:

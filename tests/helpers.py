@@ -1,6 +1,7 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
 form, lattice equality, a determinant independent of the SNF, powers mod a
-polynomial by whole divisions, the materialized truncation of an
+polynomial by whole divisions, Yun's squarefree loop run to its end, the
+materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
 generating set, permutation lattices placed one point at a time, zero
 lattices and maps, the Serre character sequences and
@@ -103,6 +104,31 @@ def ppow_mod_reference(base, e, mod, p):
         base = nt.pdivmod(nt.pmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
+
+
+def squarefree_decomposition_reference(f, p):
+    """numtheory._squarefree_decomposition by Yun's loop run to its end,
+    with no stop at gcd(f, f') = 1: [(g, multiplicity)] with f = prod g^m,
+    each g squarefree, for a monic list f over F_p."""
+    out = []
+    if len(f) <= 1:
+        return out
+    c = nt._fp_gcd(f, nt.pderiv(f, p), p)
+    w = nt._fp_quo(f, c, p)
+    i = 1
+    while len(w) > 1:
+        y = nt._fp_gcd(w, c, p)
+        fac = nt._fp_quo(w, y, p)
+        if len(fac) > 1:
+            out.append((fac, i))
+        w = y
+        c = nt._fp_quo(c, y, p)
+        i += 1
+    if len(c) > 1:
+        # c is a p-th power; over the prime field the root keeps coefficients
+        for g, m in squarefree_decomposition_reference(c[::p], p):
+            out.append((g, m * p))
+    return out
 
 
 class NotMaterializable(ValueError):

@@ -695,17 +695,20 @@ def product_cases() -> list:
 def test_h1_nonabelian_twists_each_cocycle_once_per_generator(monkeypatch):
     # C2 on C4 x S3, inverting C4: 16 cocycles in 4 classes.  A walk twists
     # each cocycle by the 3 generators of N (48 tables); whole orbits would
-    # twist each class's least table by all 24 elements (96 tables)
+    # twist each class's least table by all 24 elements (96 tables).  The
+    # walk twists a table once per step it reads off _twist_steps, so the
+    # steps' reads count the tables built
     built = 0
-    twist_values = co.twist_values
+    twist_steps = co._twist_steps
 
-    def counted(*args):
-        nonlocal built
-        for vals in twist_values(*args):
-            built += 1
-            yield vals
+    class CountedSteps(list):
+        def __iter__(self):
+            nonlocal built
+            for step in super().__iter__():
+                built += 1
+                yield step
 
-    monkeypatch.setattr(co, "twist_values", counted)
+    monkeypatch.setattr(co, "_twist_steps", lambda *args: CountedSteps(twist_steps(*args)))
     c2 = gr.cyclic_group(2)
     c4 = gr.cyclic_group(4)
     inverted = co.GammaGroup(c2, c4, [c4.elements(), c4.inverses])

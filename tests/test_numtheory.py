@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
-from helpers import period_expansion_by_rotations, period_polynomial_by_rotations, ppow_mod_reference
+from helpers import (period_expansion_by_rotations, period_polynomial_by_rotations, ppow_mod_reference,
+                     squarefree_decomposition_reference)
 from test_acceptance import _env
 
 
@@ -97,6 +98,7 @@ def test_pdivmod_over_z_raises_exactly_when_the_quotient_is_not_integral(f, g, l
 
 
 _FP_PRIMES = st.sampled_from((2, 3, 5, 7, 13, 9973))
+_PRIMES = st.sampled_from((2, 3, 5, 7, 13))
 
 
 @st.composite
@@ -164,6 +166,52 @@ def test_factor_stages_agree_with_sympy(coeffs, power, p):
         expected[key] = nt.pmul(expected.get(key, (1,)), irr, p)
     got = {(d, mult): tuple(h) for h, d, mult in nt._factor_stages(poly, p)}
     assert got == expected
+
+
+@st.composite
+def _monic_mod_p_with_planted_powers(draw):
+    # a random monic part times planted factors mod p, each raised to a drawn
+    # multiplicity or to the p-th power, g(x)^p = g(x^p) over F_p
+    p = draw(_PRIMES)
+    monic = st.lists(st.integers(0, p - 1), min_size=1, max_size=3).map(lambda c: c + [1])
+    f = draw(st.lists(st.integers(0, p - 1), max_size=4)) + [1]
+    for g in draw(st.lists(monic, max_size=3)):
+        if draw(st.booleans()):
+            g = [c for x in g[:-1] for c in [x] + [0] * (p - 1)] + [1]
+        for _ in range(draw(st.integers(1, 3))):
+            f = list(nt.pmul(f, g, p))
+    return f, p
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_monic_mod_p_with_planted_powers())
+@example(([1, 0, 1], 2))  # (x + 1)^2
+@example(([1, 0, 0, 0, 0, 1], 5))  # (x + 1)^5, lost by the derivative
+@example(([0, 0, 0, 1, 0, 1], 3))  # x^3 (x^2 + 1)
+def test_squarefree_decomposition_matches_yuns_full_loop(case):
+    # the stop at gcd(f, f') = 1 against Yun's loop run to its end: the same
+    # list, in the same order; both routes are taken among the draws
+    f, p = case
+    got = nt._squarefree_decomposition(f, p)
+    assert got == squarefree_decomposition_reference(f, p)
+    product = (1,)
+    for g, mult in got:
+        assert nt.poly_gcd(g, nt.pderiv(g, p), p) == (1,)
+        for _ in range(mult):
+            product = nt.pmul(product, g, p)
+    assert list(product) == f
+
+
+def test_squarefree_decomposition_stops_at_a_unit_gcd(monkeypatch):
+    # a squarefree f takes one gcd and no quotient; a square does not stop
+    calls = Counter()
+    for name in ("_fp_gcd", "_fp_quo"):
+        f = getattr(nt, name)
+        monkeypatch.setattr(nt, name, lambda *a, _f=f, _n=name: calls.update([_n]) or _f(*a))
+    assert nt._squarefree_decomposition([1, 1, 1], 5) == [([1, 1, 1], 1)]
+    assert calls == {"_fp_gcd": 1}
+    assert nt._squarefree_decomposition([1, 2, 1], 5) == [([1, 1], 2)]
+    assert calls["_fp_quo"] > 0
 
 
 def _perfbench_workloads():
@@ -350,8 +398,6 @@ def _reference_dedekind(fld, p):
     return nt.SplittingType(tuple((m, nt.pdegree(irr)) for irr, m in factors), fld.degree)
 
 
-_PRIMES = st.sampled_from((2, 3, 5, 7, 13))
-
 
 @st.composite
 def _monic_with_prime(draw):
@@ -384,34 +430,44 @@ def _no_equal_degree(*args):
     raise RuntimeError("_equal_degree reached on the verdict path")
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(_monic_with_prime())
-@example(((1, 0, 0, 0, 1), 2))  # x^4 + 1 is (x + 1)^4 mod 2
-@example(((-8, -2, -1, 1), 2))  # an index divisor
-@example(((-5 * 3, 0, 0, 0, 0, 1), 5))  # x^5 - 15 is x^5 mod 5
-def test_dedekind_split_agrees_with_the_full_factorization(case):
+def test_dedekind_split_agrees_with_the_full_factorization():
     # the squarefree and distinct-degree stages against the radical of the
-    # complete factorization; the equal-degree split must not be reached
-    poly, p = case
-    try:
-        fld = nt.NumberFieldDatum(poly)
-    except nt.NotIrreducible:
-        return
-    try:
-        expected = _reference_dedekind(fld, p)
-    except ValueError as e:
-        expected = type(e)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nt, "_equal_degree", _no_equal_degree)
-        mp.setattr(nt, "random", _Forbidden())
+    # complete factorization; the equal-degree split must not be reached.
+    # The index test runs only when the cofactor h~ = prod h^(mult - 1) is
+    # not 1, so some draws must repeat a factor mod p
+    cofactor_draws = 0
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_monic_with_prime())
+    @example(((1, 0, 0, 0, 1), 2))  # x^4 + 1 is (x + 1)^4 mod 2
+    @example(((-8, -2, -1, 1), 2))  # an index divisor
+    @example(((-5 * 3, 0, 0, 0, 0, 1), 5))  # x^5 - 15 is x^5 mod 5
+    def agrees(case):
+        nonlocal cofactor_draws
+        poly, p = case
         try:
-            got = nt.dedekind_split(fld, p)
+            fld = nt.NumberFieldDatum(poly)
+        except nt.NotIrreducible:
+            return
+        try:
+            expected = _reference_dedekind(fld, p)
         except ValueError as e:
-            got = type(e)
-    if isinstance(expected, nt.SplittingType):
-        assert isinstance(got, nt.SplittingType) and got.pairs == expected.pairs
-    else:
-        assert got is expected
+            expected = type(e)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nt, "_equal_degree", _no_equal_degree)
+            mp.setattr(nt, "random", _Forbidden())
+            try:
+                got = nt.dedekind_split(fld, p)
+            except ValueError as e:
+                got = type(e)
+        if isinstance(expected, nt.SplittingType):
+            assert isinstance(got, nt.SplittingType) and got.pairs == expected.pairs
+        else:
+            assert got is expected
+        cofactor_draws += any(mult > 1 for _, mult in nt.factor_mod_p(fld.poly, p))
+
+    agrees()
+    assert cofactor_draws > 0
 
 
 def test_split_path_makes_no_tuple_division(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
+from torsorlab import gsets as gs
 from torsorlab import invsys as iv
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
@@ -206,6 +207,23 @@ def test_twist_lattice_refuses_a_flipped_value_row_by_both_routes(monkeypatch):
                         verdicts.append(co.NotAction)
             assert all(v == verdicts[0] for v in verdicts)
             assert m.rank < 2 or verdicts[0] is co.NotAction
+
+
+def test_coset_restriction_reads_the_involution_row():
+    # Sigma_F, the coset index and the least element of each coset, read off
+    # row iota, against the coset G-set of {1, iota} that coset_gset builds,
+    # on every CM datum of order <= 16
+    data = 0
+    for _, g in group_catalog(16):
+        for iota in central_involutions(g):
+            sigma_f, coset_index, reps = sr._coset_restriction(sr.CMGaloisDatum(g, iota))
+            want = gs.coset_gset(g, gr.generated_subgroup(g, [iota]))
+            assert sigma_f == want and sigma_f.action == want.action
+            assert list(coset_index) == [want.apply(s, 0) for s in g.elements()]
+            assert reps == tuple(min(s for s in g.elements() if want.apply(s, 0) == c)
+                                 for c in want.points())
+            data += 1
+    assert data == 65
 
 
 def test_twist_serre_matches_the_route_by_restriction():

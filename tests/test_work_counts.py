@@ -266,13 +266,17 @@ def test_splitting_dual_oracle_work(monkeypatch):
     # criterion 9: the closures of the unit subgroups (7,045 when each was
     # closed from {0}), the F_p remainders of the Dedekind route and the
     # period polynomials (29,859 when x^p mod g was taken on lists, two
-    # remainders per bit), and one packed x^p per distinct-degree stage
-    closures, remainders, xpows = _calls(
+    # remainders per bit; 18,815 when Yun's loop ran on after gcd(f, f') = 1
+    # and the cofactor was divided out), one packed x^p per distinct-degree
+    # stage, and the gcds and quotients (5,854 and 4,597 then)
+    closures, remainders, xpows, gcds, quotients = _calls(
         monkeypatch, checks.check_splitting_dual_oracle,
-        (gr, "_closure"), (nt, "_fp_rem"), (nt, "_fp_xpow"))
+        (gr, "_closure"), (nt, "_fp_rem"), (nt, "_fp_xpow"), (nt, "_fp_gcd"), (nt, "_fp_quo"))
     assert closures <= 2223
-    assert remainders <= 18815
+    assert remainders <= 11811
     assert xpows <= 1004
+    assert gcds <= 2854
+    assert quotients <= 593
 
 
 def test_gamma_group_law_checks(monkeypatch):
