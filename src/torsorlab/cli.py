@@ -128,9 +128,9 @@ def cmd_lattice(args):
             mat = jsonio.matrix_from_json(json.load(fh))
         s = la.smith_normal_form(mat, transforms=("left", "right"))
         evidence = {
-            "diagonal": [int(d) for d in s.diagonal],
-            "left": s.left.tolist(),
-            "right": s.right.tolist(),
+            "diagonal": s.diagonal,
+            "left": s.left,
+            "right": s.right,
         }
         return _emit(_report("smith-normal-form", "ok", evidence, args), args)
     with open(args.infile) as fh:

@@ -157,15 +157,6 @@ class GroupHom:
     def __call__(self, a: int) -> int:
         return self.map[a]
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self o other."""
-        if other.target is not self.source and other.target != self.source:
-            raise InvalidHom("composition mismatch")
-        return GroupHom(
-            other.source, self.target, tuple(self.map[x] for x in other.map),
-            validate=False,
-        )
-
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.order
 

@@ -81,12 +81,6 @@ class SubgroupChain:
         if not la.lattice_contains(L0, L1):
             raise ValueError("step does not descend the chain")
 
-    def level(self, n: int) -> tuple:
-        M = self.base
-        for _ in range(n):
-            M = la.matmul(self.step, M)
-        return la.column_space_basis(M)
-
 
 @dataclass(frozen=True)
 class NormTower:

@@ -9,9 +9,8 @@ input through it, while matmul, coordinates and restricted_action, which
 only multiply, take rows as given.  One trusted hand-off skips that read:
 _divisors, the body of elementary_divisors, to which cohomology.h1_abelian
 passes the int lists of rho(s) - I that it builds from a lattice's rows,
-read when the lattice was made.  The one exception to rows: the three
-SNFResult transforms are numpy object arrays, which the `lattice snf`
-report and the benchmark's tracer read; readers here take `tolist()` once.
+read when the lattice was made.  The SNFResult transforms are int-tuple
+rows as well.
 
 Both reads of the Smith form that the verifier makes eliminate the unit
 pivots first (_unit_pivots) and hand the SNF only the unit-free remainder.
@@ -37,8 +36,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import index
-
-import numpy as np
 
 
 def int_rows(matrix) -> tuple:
@@ -102,14 +99,14 @@ class SNFResult:
     """left @ matrix @ right == diag(diagonal); transforms unimodular.
 
     right_inv is the tracked inverse of right, the retraction of a kernel
-    basis (saturated_kernel).  The transforms are numpy object arrays; one
-    the caller did not ask `smith_normal_form` for is None.
+    basis (saturated_kernel).  The transforms are int-tuple rows; one the
+    caller did not ask `smith_normal_form` for is None.
     """
 
     diagonal: tuple
-    left: np.ndarray | None
-    right: np.ndarray | None
-    right_inv: np.ndarray | None
+    left: tuple | None
+    right: tuple | None
+    right_inv: tuple | None
 
     @property
     def rank(self) -> int:
@@ -242,13 +239,10 @@ def smith_normal_form(matrix, *, transforms=SNF_TRANSFORMS) -> SNFResult:
 
     diag = tuple(A[i][i] for i in range(min(m, n)))
 
-    def out(rows, size, transposed=False):
-        if rows is None:
-            return None
-        a = np.array(rows, dtype=object).reshape(size, size)
-        return a.T.copy() if transposed else a
+    def out(rows):
+        return None if rows is None else tuple(map(tuple, rows))
 
-    return SNFResult(diag, out(L, m), out(RT, n, True), out(Ri, n))
+    return SNFResult(diag, out(L), None if RT is None else transpose(RT), out(Ri))
 
 
 def _unit_pivots(rows, pivots=None) -> int:
@@ -322,7 +316,7 @@ def kernel_basis(matrix) -> tuple:
     """Columns form a basis of {x : A x = 0}; the lattice is saturated.
     The kernel as one SNF reads it, kept as the oracle of saturated_kernel."""
     s = smith_normal_form(matrix, transforms=("right",))
-    return columns(s.right.tolist(), s.rank)
+    return columns(s.right, s.rank)
 
 
 def saturated_kernel(matrix) -> tuple[tuple, tuple]:
@@ -354,8 +348,8 @@ def saturated_kernel(matrix) -> tuple[tuple, tuple]:
     rest = [[r[j] for j in free] for r in rows if any(r)]
     if rest:
         s = smith_normal_form(rest, transforms=("right", "right_inv"))
-        k_free = [row[s.rank :] for row in s.right.tolist()]
-        w_free = s.right_inv.tolist()[s.rank :]
+        k_free = [row[s.rank :] for row in s.right]
+        w_free = s.right_inv[s.rank :]
     else:
         k_free = _identity_rows(len(free))
         w_free = k_free
@@ -477,7 +471,7 @@ def _quotient(s: SNFResult, B) -> list | None:
     if len(B) != len(s.left):
         raise ValueError("rhs must have as many rows as the matrix")
     Y = []
-    for i, nz in enumerate(_times(_sparse(s.left.tolist()), _sparse(B))):
+    for i, nz in enumerate(_times(_sparse(s.left), _sparse(B))):
         d = s.diagonal[i] if i < len(s.diagonal) else 0
         if d == 0:
             if nz:
@@ -497,7 +491,7 @@ def solve_int(matrix, rhs) -> tuple | None:
     if Y is None:
         return None
     Y += [[]] * (len(s.right) - len(Y))
-    return _dense(_times(_sparse(s.right.tolist()), Y), width(B))
+    return _dense(_times(_sparse(s.right), Y), width(B))
 
 
 def column_space_basis(matrix) -> tuple:
@@ -506,7 +500,7 @@ def column_space_basis(matrix) -> tuple:
     d_i times independent columns of a unimodular matrix."""
     A = int_rows(matrix)
     s = smith_normal_form(A, transforms=("right",))
-    return matmul(A, columns(s.right.tolist(), 0, s.rank))
+    return matmul(A, columns(s.right, 0, s.rank))
 
 
 def lattice_contains(basis, vectors) -> bool:

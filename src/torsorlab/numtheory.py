@@ -1,13 +1,15 @@
 """Prime splitting, norm-image valuations, and tower certificates.
 
-Polynomials are little-endian integer coefficient tuples at the public
-helpers.  Arithmetic over F_p runs on trimmed int lists, reduced in place
-and taken mod p once per division (`_fp_rem`, `_fp_quo`, `_fp_gcd`); the
-Dedekind route stays on lists except for its first Frobenius power, x^p mod
-g, which `_fp_xpow` takes on packed integers.  A packed integer holds a
-polynomial's coefficients in slots of a fixed number of bits, wide enough
-that no slot carries, so a polynomial product is one int product (Kronecker
-substitution; Harvey, J. Symbolic Comput. 2009).  A Gaussian-period
+Polynomials are little-endian integer coefficients: tuples in the data
+(`NumberFieldDatum.poly`, the cyclotomic polynomials, `factor_mod_p`'s
+factors), lists in the arithmetic.  Arithmetic over F_p runs on one kernel
+of trimmed int lists, reduced in place and taken mod p once per division
+(`_fp_rem`, `_fp_quo`, `_fp_gcd`); the exact division over Z is
+`_zdiv_exact`.  The Dedekind route stays on lists except for its first
+Frobenius power, x^p mod g, which `_fp_xpow` takes on packed integers.  A
+packed integer holds a polynomial's coefficients in slots of a fixed number
+of bits, wide enough that no slot carries, so a polynomial product is one
+int product (Kronecker substitution; Harvey, J. Symbolic Comput. 2009).  A Gaussian-period
 polynomial is expanded as one bivariate packed int in Z[x]/(x^m - 1)[T],
 and its coefficients are proved rational by one product with the cofactor
 Psi_m = (x^m - 1) / Phi_m instead of a reduction mod Phi_m; both slot
@@ -53,11 +55,11 @@ class NotATower(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial arithmetic, little-endian
 #
-# The public helpers take and return tuples.  Over F_p they wrap one kernel
-# on int lists: `_fp_rem`, `_fp_quo` and `_fp_gcd` reduce the dividend in
-# place and take coefficients mod p once per call, at the end, not once per
-# step.  A list over F_p is trimmed (no zero at the top) with its entries in
-# [0, p); the dividend of `_fp_rem` and `_fp_quo` may be any int list.
+# One kernel on int lists: `_fp_rem`, `_fp_quo` and `_fp_gcd` reduce the
+# dividend in place and take coefficients mod p once per call, at the end,
+# not once per step.  A list over F_p is trimmed (no zero at the top) with
+# its entries in [0, p); the dividend of `_fp_rem` and `_fp_quo` may be any
+# int list.
 
 
 def _trim(f):
@@ -200,70 +202,9 @@ def _fp_xpow(e, g, p):
     return _trim([a >> s & top for s in shifts])
 
 
-def pnormalize(f):
-    return tuple(_trim(list(f)))
-
-
-def pdegree(f) -> int:
-    return len(pnormalize(f)) - 1
-
-
-def pmod(f, p):
-    return tuple(_fp(f, p))
-
-
-def padd(f, g, p=None):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    return tuple(_trim(out) if p is None else _fp(out, p))
-
-
-def psub(f, g, p=None):
-    return padd(f, [-c for c in g], p)
-
-
-def pmul(f, g, p=None):
-    out = _mul(f, g)
-    return tuple(_trim(out) if p is None else _fp(out, p))
-
-
-def pdivmod(f, g, p=None):
-    """Quotient and remainder of f by g, over F_p when p is given and over Z
-    otherwise, where every quotient coefficient must be an integer."""
-    if p is not None:
-        f, g = _fp(f, p), _fp(g, p)
-        q = [0] * max(0, len(f) - len(g) + 1)
-        r = _fp_rem(f, g, p, q)
-        return tuple(_trim(q)), tuple(r)
-    f, g = _trim(list(f)), pnormalize(g)
-    if not g:
-        raise ZeroDivisionError
-    lead, dg = g[-1], len(g) - 1
-    q = [0] * max(0, len(f) - dg)
-    # each step pops the top coefficient, which cancels by construction
-    for k in range(len(f) - 1 - dg, -1, -1):
-        c, r = divmod(f.pop(), lead)
-        if r:
-            raise ValueError("polynomial division is not exact over Z")
-        if c:
-            q[k] = c
-            for i in range(dg):
-                f[k + i] -= c * g[i]
-    return tuple(_trim(q)), tuple(_trim(f))
-
-
-def poly_gcd(f, g, p):
-    return tuple(_fp_gcd(f, g, p))
-
-
-def ppow_mod(base, e, mod, p):
-    """base^e modulo mod over F_p.  Each product is one list, reduced in
-    place by `_fp_rem`."""
-    return tuple(_fp_powmod(base, e, _fp(mod, p), p))
-
-
-def pderiv(f, p):
-    return pmod([i * f[i] for i in range(1, len(f))], p)
+def _fp_deriv(f, p):
+    """The derivative of the int list f over F_p, as a trimmed list."""
+    return _fp([i * f[i] for i in range(1, len(f))], p)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +222,7 @@ def _squarefree_decomposition(f, p):
     out = []
     if len(f) <= 1:
         return out
-    c = _fp_gcd(f, pderiv(f, p), p)
+    c = _fp_gcd(f, _fp_deriv(f, p), p)
     if len(c) == 1:
         return [(f, 1)]
     w = _fp_quo(f, c, p)
@@ -343,30 +284,30 @@ def _distinct_degree(f, p):
 
 
 def _equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    irreducibles."""
-    n = pdegree(f)
+    """Cantor-Zassenhaus split of f, a monic squarefree list over F_p that
+    is a product of degree-d irreducibles.  The splitting polynomial b is
+    left unreduced, as `_fp_gcd` reads it mod p."""
+    n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = tuple(rng.randrange(p) for _ in range(n))
-        a = pnormalize(a)
-        if pdegree(a) < 1:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
             continue
         if p == 2:
-            b = a
+            # the trace a + a^2 + ... + a^(2^(d - 1))
+            b = a + [0] * (n - len(a))
             t = a
             for _ in range(d - 1):
-                t = ppow_mod(t, 2, f, p)
-                b = padd(b, t, p)
+                t = _fp_powmod(t, 2, f, p)
+                for i, c in enumerate(t):
+                    b[i] += c
         else:
-            e = (p**d - 1) // 2
-            b = psub(ppow_mod(a, e, f, p), (1,), p)
-        g = poly_gcd(b, f, p)
-        if 0 < pdegree(g) < n:
-            left = _equal_degree(g, d, p, rng)
-            right = _equal_degree(pdivmod(f, g, p)[0], d, p, rng)
-            return left + right
+            b = _fp_powmod(a, (p**d - 1) // 2, f, p) or [0]
+            b[0] -= 1
+        g = _fp_gcd(b, f, p)
+        if 1 < len(g) <= n:
+            return _equal_degree(g, d, p, rng) + _equal_degree(_fp_quo(f, g, p), d, p, rng)
 
 
 def _factor_stages(poly, p) -> list:
@@ -376,13 +317,13 @@ def _factor_stages(poly, p) -> list:
     if len(f) < 2:
         return []
     out = []
-    prod = (1,)
+    prod = [1]
     for g, mult in _squarefree_decomposition(f, p):
         out += [(h, d, mult) for h, d in _distinct_degree(g, p)]
         for _ in range(mult):
-            prod = pmul(prod, g, p)
+            prod = _fp(_mul(prod, g), p)
     # exactness: the squarefree parts must reproduce the monic part
-    if list(prod) != f:
+    if prod != f:
         raise ValueError("the factors do not multiply back to the polynomial")
     return out
 
@@ -394,7 +335,7 @@ def factor_mod_p(poly, p) -> tuple:
     rng = random.Random(0)
     out = [(tuple(irr), mult) for h, d, mult in _factor_stages(poly, p)
            for irr in _equal_degree(h, d, p, rng)]
-    return tuple(sorted(out, key=lambda t: (pdegree(t[0]), t[0])))
+    return tuple(sorted(out, key=lambda t: (len(t[0]), t[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +375,7 @@ def _squarefree_prime(poly) -> int:
     p = 2
     while True:
         if _is_prime(p):
-            if poly_gcd(poly, pderiv(poly, p), p) == (1,):
+            if _fp_gcd(poly, _fp_deriv(poly, p), p) == [1]:
                 return p
             failed *= p
             if failed * failed > bound2:
@@ -708,10 +649,24 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 
 def _zdiv_exact(f, g):
-    q, r = pdivmod(f, g)
-    if r:
+    """The quotient f / g over Z, as a tuple, for g with a nonzero top;
+    ValueError unless every quotient coefficient is an integer and the
+    remainder is zero."""
+    f = _trim(list(f))
+    lead, dg = g[-1], len(g) - 1
+    q = [0] * max(0, len(f) - dg)
+    # each step pops the top coefficient, which cancels by construction
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c, r = divmod(f.pop(), lead)
+        if r:
+            raise ValueError("polynomial division is not exact over Z")
+        if c:
+            q[k] = c
+            for i in range(dg):
+                f[k + i] -= c * g[i]
+    if any(f):
         raise ValueError("polynomial division leaves a remainder")
-    return q
+    return tuple(q)
 
 
 def reduce_to_conductor(fld: AbelianFieldDatum) -> AbelianFieldDatum:

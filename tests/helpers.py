@@ -1,6 +1,7 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
 form, lattice equality, a determinant independent of the SNF, powers mod a
-polynomial by whole divisions, Yun's squarefree loop run to its end, the
+polynomial by whole divisions, schoolbook polynomial products and
+divisions on tuples, Yun's squarefree loop run to its end, the
 materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
 generating set, permutation lattices placed one point at a time, zero
@@ -93,15 +94,53 @@ def bareiss_det(matrix):
     return sign * A[n - 1][n - 1]
 
 
-def ppow_mod_reference(base, e, mod, p):
+def poly_trim(f, p=None) -> tuple:
+    """The coefficients of f, taken mod p when p is given, as a tuple with no
+    zero at the top."""
+    f = [c % p for c in f] if p is not None else list(f)
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
+def poly_mul(f, g, p=None) -> tuple:
+    """The product of f and g over Z, or over F_p when p is given."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim(out, p)
+
+
+def poly_divmod(f, g, p=None) -> tuple:
+    """(quotient, remainder) of f by g by schoolbook division on whole
+    tuples: over F_p when p is given, else over Z by a monic g.  Independent
+    of numtheory's in-place list kernel."""
+    g = poly_trim(g, p)
+    if not g:
+        raise ZeroDivisionError
+    if p is None and g[-1] != 1:
+        raise ValueError("over Z the divisor must be monic")
+    inv = 1 if p is None else pow(g[-1], -1, p)
+    r = poly_trim(f, p)
+    q = [0] * max(0, len(r) - len(g) + 1)
+    while len(r) >= len(g):
+        k = len(r) - len(g)
+        q[k] = c = r[-1] * inv if p is None else r[-1] * inv % p
+        r = poly_trim([a - c * g[i - k] if i >= k else a for i, a in enumerate(r)], p)
+    return poly_trim(q), r
+
+
+def powmod_reference(base, e, mod, p):
     """base^e mod (mod, p) by square and multiply, each product reduced by a
-    whole pmul and pdivmod; independent of ppow_mod's in-place reduction."""
+    whole poly_mul and poly_divmod; independent of numtheory._fp_powmod's
+    in-place reduction."""
     result = (1,)
-    base = nt.pdivmod(base, mod, p)[1]
+    base = poly_divmod(base, mod, p)[1]
     while e > 0:
         if e & 1:
-            result = nt.pdivmod(nt.pmul(result, base, p), mod, p)[1]
-        base = nt.pdivmod(nt.pmul(base, base, p), mod, p)[1]
+            result = poly_divmod(poly_mul(result, base, p), mod, p)[1]
+        base = poly_divmod(poly_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -113,7 +152,7 @@ def squarefree_decomposition_reference(f, p):
     out = []
     if len(f) <= 1:
         return out
-    c = nt._fp_gcd(f, nt.pderiv(f, p), p)
+    c = nt._fp_gcd(f, nt._fp_deriv(f, p), p)
     w = nt._fp_quo(f, c, p)
     i = 1
     while len(w) > 1:
@@ -135,6 +174,14 @@ class NotMaterializable(ValueError):
     pass
 
 
+def chain_level(chain: iv.SubgroupChain, n: int) -> tuple:
+    """A basis of level n of the chain, the column lattice of T^n B."""
+    M = chain.base
+    for _ in range(n):
+        M = la.matmul(chain.step, M)
+    return la.column_space_basis(M)
+
+
 def truncate(recipe, n: int):
     """Materialized levels 0..n: an ExplicitFinite, or per-level abelian data."""
     if isinstance(recipe, iv.ExplicitFinite):
@@ -144,7 +191,7 @@ def truncate(recipe, n: int):
     if isinstance(recipe, iv.ConstantEndo):
         return tuple((recipe.relations, recipe.endo) for _ in range(n + 1))
     if isinstance(recipe, iv.SubgroupChain):
-        return tuple(recipe.level(k) for k in range(n + 1))
+        return tuple(chain_level(recipe, k) for k in range(n + 1))
     if isinstance(recipe, iv.Product):
         return tuple(truncate(f, n) for f in recipe.factors)
     if isinstance(recipe, iv.NormTower):
@@ -585,7 +632,7 @@ def period_polynomial_by_rotations(fld: nt.AbelianFieldDatum) -> tuple:
     phi = nt.cyclotomic_polynomial(m)
     out = []
     for c in period_expansion_by_rotations(nt._period_cosets(fld), m):
-        _, r = nt.pdivmod(c, phi)
+        _, r = poly_divmod(c, phi)
         if len(r) > 1:
             raise ValueError("period polynomial coefficient is not rational")
         out.append(r[0] if r else 0)

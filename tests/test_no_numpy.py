@@ -1,8 +1,13 @@
-"""Matrices are int-tuple rows everywhere in torsorlab; numpy is imported by
-linalg alone, for the transforms smith_normal_form returns."""
+"""Matrices are int-tuple rows everywhere in torsorlab, the Smith-form
+transforms included, so no module imports numpy; numpy is a test
+dependency only.  The command line starts without numpy or sympy."""
 
 import ast
 import pathlib
+import subprocess
+import sys
+
+from test_acceptance import _env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -15,14 +20,27 @@ def _imports(tree):
             yield node.module
 
 
-def test_only_linalg_imports_numpy():
+def test_no_module_imports_numpy():
     found = [
         f"{path.name}:{name}"
         for path in sorted((ROOT / "src" / "torsorlab").rglob("*.py"))
-        if path.name != "linalg.py"
         for name in _imports(ast.parse(path.read_text()))
         if name.split(".")[0] == "numpy"
     ]
     assert not found, found
-    linalg = ast.parse((ROOT / "src" / "torsorlab" / "linalg.py").read_text())
-    assert "numpy" in set(_imports(linalg))
+    # the scan sees a nested import
+    assert "numpy.linalg" in set(_imports(ast.parse("def f():\n    import numpy.linalg\n")))
+
+
+_IMPORT_CLI = """
+import sys
+import torsorlab.cli
+print("numpy" in sys.modules, "sympy" in sys.modules)
+"""
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_sympy():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CLI],
+                          capture_output=True, text=True, timeout=120, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
-from helpers import (period_expansion_by_rotations, period_polynomial_by_rotations, ppow_mod_reference,
-                     squarefree_decomposition_reference)
+from helpers import (period_expansion_by_rotations, period_polynomial_by_rotations, poly_divmod, poly_mul,
+                     poly_trim, powmod_reference, squarefree_decomposition_reference)
 from test_acceptance import _env
 
 
@@ -28,26 +28,38 @@ def sympy_factor_mod(poly, p):
     out = []
     for fac, mult in factors:
         coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]
-        out.append((nt.pnormalize(coeffs), int(mult)))
-    return tuple(sorted(out, key=lambda t: (nt.pdegree(t[0]), t[0])))
+        out.append((poly_trim(coeffs), int(mult)))
+    return tuple(sorted(out, key=lambda t: (len(t[0]), t[0])))
 
 
 def test_poly_arithmetic():
-    assert nt.pmul((1, 1), (1, 1), 5) == (1, 2, 1)
-    q, r = nt.pdivmod((1, 2, 1), (1, 1), 5)
-    assert q == (1, 1) and r == ()
-    assert nt.poly_gcd((1, 2, 1), (1, 1), 5) == (1, 1)
-    assert nt.ppow_mod((0, 1), 5, (1, 0, 1), 5) == nt.pdivmod((0, 0, 0, 0, 0, 1), (1, 0, 1), 5)[1]
+    # the list kernel over F_5, and the exact division over Z
+    assert nt._fp(nt._mul([1, 1], [1, 1]), 5) == [1, 2, 1]
+    assert nt._fp_quo([1, 2, 1], [1, 1], 5) == [1, 1]
+    assert nt._fp_rem([1, 2, 1], [1, 1], 5) == []
+    assert nt._fp_gcd([1, 2, 1], [1, 1], 5) == [1, 1]
+    assert nt._fp_powmod([0, 1], 5, [1, 0, 1], 5) == nt._fp_rem([0, 0, 0, 0, 0, 1], [1, 0, 1], 5)
+    assert nt._fp_deriv([1, 2, 3, 4, 5, 6], 5) == [2, 1, 2]
+    assert nt._zdiv_exact((1, 2, 1), (1, 1)) == (1, 1)
 
 
-def test_padd_psub_with_and_without_modulus():
-    assert nt.padd((1, 2, 3), (4, -2, -3)) == (5,)
-    assert nt.psub((1, 2), (1, 2, 7)) == (0, 0, -7)
-    assert nt.padd((1, 2, 3), (4, 3, 2), 5) == ()
-    assert nt.psub((1, 2), (1, 2, 7), 5) == (0, 0, 3)
+def test_trim_and_reduction_with_and_without_modulus():
+    # a sum or difference is trimmed over Z by _trim and reduced by _fp
+    assert nt._trim([1 + 4, 2 - 2, 3 - 3]) == [5]
+    assert nt._trim([1 - 1, 2 - 2, -7]) == [0, 0, -7]
+    assert nt._fp([1 + 4, 2 + 3, 3 + 2], 5) == []
+    assert nt._fp([1 - 1, 2 - 2, -7], 5) == [0, 0, 3]
+    f = [0, 3, 0, 0]
+    assert nt._trim(f) is f and f == [0, 3]  # in place
 
 
 _COEFFS = st.lists(st.integers(-60, 60), max_size=10)
+
+
+def _squarefree_mod(f, p) -> bool:
+    """Is f, nonzero mod p, coprime to its derivative over F_p?  By sympy."""
+    poly = _sympy_poly(list(f), modulus=p)
+    return poly.gcd(poly.diff()).degree() == 0
 
 
 def _sympy_poly(coeffs, **domain):
@@ -60,41 +72,46 @@ def _little_endian(poly):
 
 @settings(derandomize=True, deadline=None)
 @given(_COEFFS, _COEFFS, st.sampled_from((2, 3, 5, 7, 13, 9973)))
-def test_pdivmod_over_f_p_agrees_with_sympy(f, g, p):
-    if not nt.pmod(g, p):
+def test_fp_quo_and_rem_agree_with_sympy(f, g, p):
+    g_fp = nt._fp(g, p)
+    if not g_fp:
         with pytest.raises(ZeroDivisionError):
-            nt.pdivmod(f, g, p)
+            nt._fp_quo(f, g_fp, p)
         return
-    q, r = nt.pdivmod(f, g, p)
-    assert nt.padd(nt.pmul(q, g, p), r, p) == nt.pmod(f, p)
-    assert nt.pdegree(r) < nt.pdegree(nt.pmod(g, p))
+    q, r = nt._fp_quo(f, g_fp, p), nt._fp_rem(list(f), g_fp, p)
+    assert len(r) < len(g_fp)
     sq, sr = sympy.div(_sympy_poly(f, modulus=p), _sympy_poly(g, modulus=p))
-    assert (q, r) == (nt.pmod(_little_endian(sq), p), nt.pmod(_little_endian(sr), p))
+    assert (q, r) == (nt._fp(_little_endian(sq), p), nt._fp(_little_endian(sr), p))
 
 
 @settings(derandomize=True, deadline=None)
 @given(_COEFFS, st.lists(st.integers(-60, 60), max_size=6))
-def test_pdivmod_over_z_with_a_monic_divisor_agrees_with_sympy(f, g):
+def test_zdiv_exact_with_a_monic_divisor_agrees_with_sympy(f, g):
+    # the quotient of an exact division, and a remainder refused
     g = [*g, 1]
-    q, r = nt.pdivmod(f, g)
-    assert nt.padd(nt.pmul(q, g), r) == nt.pnormalize(f)
-    assert nt.pdegree(r) < nt.pdegree(g)
     sq, sr = sympy.div(_sympy_poly(f), _sympy_poly(g))
-    assert (q, r) == (nt.pnormalize(_little_endian(sq)), nt.pnormalize(_little_endian(sr)))
+    q = poly_trim(_little_endian(sq))
+    if poly_trim(_little_endian(sr)):
+        with pytest.raises(ValueError, match="remainder"):
+            nt._zdiv_exact(f, g)
+    assert nt._zdiv_exact(poly_mul(q, g), g) == q
 
 
 @settings(derandomize=True, deadline=None)
 @given(_COEFFS, st.lists(st.integers(-60, 60), max_size=5), st.integers(2, 6))
-def test_pdivmod_over_z_raises_exactly_when_the_quotient_is_not_integral(f, g, lead):
-    # the rational quotient is integral or the division must refuse
+def test_zdiv_exact_raises_exactly_when_the_quotient_is_not_integral(f, g, lead):
+    # the rational quotient is integral or the division must refuse; an
+    # integral one with a remainder is refused as such
     g = [*g, lead]
     sq, sr = sympy.div(_sympy_poly(f, domain="QQ"), _sympy_poly(g, domain="QQ"))
-    if all(c.is_integer for c in sq.all_coeffs()):
-        q, r = nt.pdivmod(f, g)
-        assert (q, r) == (nt.pnormalize(_little_endian(sq)), nt.pnormalize(_little_endian(sr)))
-    else:
+    if not all(c.is_integer for c in sq.all_coeffs()):
         with pytest.raises(ValueError, match="not exact"):
-            nt.pdivmod(f, g)
+            nt._zdiv_exact(f, g)
+    elif poly_trim(_little_endian(sr)):
+        with pytest.raises(ValueError, match="remainder"):
+            nt._zdiv_exact(f, g)
+    else:
+        assert nt._zdiv_exact(f, g) == poly_trim(_little_endian(sq))
 
 
 _FP_PRIMES = st.sampled_from((2, 3, 5, 7, 13, 9973))
@@ -122,7 +139,7 @@ def test_fp_kernel_agrees_with_the_tuple_helpers_and_sympy(f, g, p):
             with pytest.raises(ZeroDivisionError):
                 divide(list(f), g_fp, p)
         with pytest.raises(ZeroDivisionError):
-            nt.pdivmod(f, g, p)
+            poly_divmod(f, g, p)
         return
     left = list(f)
     r = nt._fp_rem(left, g_fp, p)
@@ -130,15 +147,13 @@ def test_fp_kernel_agrees_with_the_tuple_helpers_and_sympy(f, g, p):
     q = nt._fp_quo(f, g_fp, p)
     for out in (q, r):
         assert all(0 <= c < p for c in out) and (not out or out[-1])
-    assert (tuple(q), tuple(r)) == nt.pdivmod(f, g, p)
-    assert nt.padd(nt.pmul(q, g_fp, p), r, p) == nt.pmod(f, p)
+    assert (tuple(q), tuple(r)) == poly_divmod(f, g, p)
     sq, sr = sympy.div(_sympy_poly(f, modulus=p), _sympy_poly(g, modulus=p))
-    assert (tuple(q), tuple(r)) == (nt.pmod(_little_endian(sq), p), nt.pmod(_little_endian(sr), p))
+    assert (tuple(q), tuple(r)) == (poly_trim(_little_endian(sq), p), poly_trim(_little_endian(sr), p))
     gcd = nt._fp_gcd(f, g, p)
-    assert tuple(gcd) == nt.poly_gcd(f, g, p)
     assert gcd and gcd[-1] == 1  # g is nonzero mod p, so the gcd is monic
     sgcd = _sympy_poly(f, modulus=p).gcd(_sympy_poly(g, modulus=p))
-    assert tuple(gcd) == nt.pmod(_little_endian(sgcd), p)
+    assert tuple(gcd) == poly_trim(_little_endian(sgcd), p)
 
 
 @settings(derandomize=True, deadline=None)
@@ -157,13 +172,13 @@ def test_factor_stages_agree_with_sympy(coeffs, power, p):
     # the squarefree and distinct-degree stages on lists, with the Frobenius
     # table from d = 2 on, against the product of sympy's irreducible
     # factors of each degree and multiplicity
-    poly = nt.pmul(coeffs + [1], coeffs[:2] + [1])
+    poly = poly_mul(coeffs + [1], coeffs[:2] + [1])
     for _ in range(power - 1):
-        poly = nt.pmul(poly, coeffs + [1])
+        poly = poly_mul(poly, coeffs + [1])
     expected = {}
     for irr, mult in sympy_factor_mod(poly, p):
-        key = (nt.pdegree(irr), mult)
-        expected[key] = nt.pmul(expected.get(key, (1,)), irr, p)
+        key = (len(irr) - 1, mult)
+        expected[key] = poly_mul(expected.get(key, (1,)), irr, p)
     got = {(d, mult): tuple(h) for h, d, mult in nt._factor_stages(poly, p)}
     assert got == expected
 
@@ -179,7 +194,7 @@ def _monic_mod_p_with_planted_powers(draw):
         if draw(st.booleans()):
             g = [c for x in g[:-1] for c in [x] + [0] * (p - 1)] + [1]
         for _ in range(draw(st.integers(1, 3))):
-            f = list(nt.pmul(f, g, p))
+            f = list(poly_mul(f, g, p))
     return f, p
 
 
@@ -196,9 +211,9 @@ def test_squarefree_decomposition_matches_yuns_full_loop(case):
     assert got == squarefree_decomposition_reference(f, p)
     product = (1,)
     for g, mult in got:
-        assert nt.poly_gcd(g, nt.pderiv(g, p), p) == (1,)
+        assert _squarefree_mod(g, p)
         for _ in range(mult):
-            product = nt.pmul(product, g, p)
+            product = poly_mul(product, g, p)
     assert list(product) == f
 
 
@@ -250,7 +265,7 @@ def _certified(fld):
     assert proof.startswith("squarefree mod ")
     assert proof.endswith("; period polynomial, Lang VI §5")
     p = int(proof.removeprefix("squarefree mod ").partition(";")[0])
-    assert nt.poly_gcd(datum.poly, nt.pderiv(datum.poly, p), p) == (1,)
+    assert _squarefree_mod(datum.poly, p)
     assert nt._sympy_irreducible(datum.poly)
 
 
@@ -275,10 +290,10 @@ def test_a_squared_period_polynomial_is_refuted_within_the_bound(monkeypatch):
     # |f|_2^2 = 11 and |f'|_2^2 = 60 give the Hadamard bound
     # sqrt(11^3 60^4) ~ 131,340 on |disc f|; 2*3*...*13 = 30,030 is below it
     # and 2*3*...*17 = 510,510 above, so the search stops after 17.
-    square = nt.pmul((-1, 1, 1), (-1, 1, 1))
+    square = poly_mul((-1, 1, 1), (-1, 1, 1))
     tried = []
-    gcd = nt.poly_gcd
-    monkeypatch.setattr(nt, "poly_gcd", lambda f, g, p: tried.append(p) or gcd(f, g, p))
+    deriv = nt._fp_deriv
+    monkeypatch.setattr(nt, "_fp_deriv", lambda f, p: tried.append(p) or deriv(f, p))
     with pytest.raises(nt.NotIrreducible, match="not squarefree"):
         nt._period_field(square)
     assert tried == [2, 3, 5, 7, 11, 13, 17]
@@ -310,13 +325,15 @@ def test_the_one_prime_route_is_closed_to_outside_polynomials(monkeypatch):
 @given(_COEFFS, st.integers(0, 10**6), _COEFFS, st.sampled_from((2, 3, 5, 7, 13, 9973)))
 @example([0, 1], 5, [1, 0, 1], 5)
 @example([3], 0, [4], 2)  # a modulus that vanishes mod p
-def test_ppow_mod_agrees_with_whole_divisions(base, e, mod, p):
-    if not nt.pmod(mod, p):
-        for power in (nt.ppow_mod, ppow_mod_reference):
-            with pytest.raises(ZeroDivisionError):
-                power(base, e, mod, p)
+def test_fp_powmod_agrees_with_whole_divisions(base, e, mod, p):
+    mod_fp = nt._fp(mod, p)
+    if not mod_fp:
+        with pytest.raises(ZeroDivisionError):
+            nt._fp_powmod(base, e, mod_fp, p)
+        with pytest.raises(ZeroDivisionError):
+            powmod_reference(base, e, mod, p)
         return
-    assert nt.ppow_mod(base, e, mod, p) == ppow_mod_reference(base, e, mod, p)
+    assert tuple(nt._fp_powmod(base, e, mod_fp, p)) == powmod_reference(base, e, mod, p)
 
 
 def test_degree_counts_the_units():
@@ -387,15 +404,22 @@ def _reference_dedekind(fld, p):
     factors = nt.factor_mod_p(fld.poly, p)
     g_bar = (1,)
     for irr, _ in factors:
-        g_bar = nt.pmul(g_bar, irr, p)
-    h_bar = nt.pdivmod(fld.poly, g_bar, p)[0]
-    diff = nt.psub(nt.pmul(g_bar, h_bar), fld.poly)
+        g_bar = poly_mul(g_bar, irr, p)
+    h_bar = poly_divmod(fld.poly, g_bar, p)[0]
+    diff = list(poly_mul(g_bar, h_bar))
+    diff += [0] * (len(fld.poly) - len(diff))
+    for i, c in enumerate(fld.poly):
+        diff[i] -= c
     if any(c % p for c in diff):
         raise ValueError("the radical does not divide the polynomial mod p")
-    t_poly = nt.pmod([c // p for c in diff], p)
-    if nt.pdegree(nt.poly_gcd(t_poly, nt.poly_gcd(g_bar, h_bar, p), p)) > 0:
+
+    def mod_p(f):
+        return _sympy_poly(list(f), modulus=p)
+
+    inner = mod_p(g_bar).gcd(mod_p(h_bar))
+    if mod_p([c // p for c in diff]).gcd(inner).degree() > 0:
         raise nt.IndexDivisor(f"Dedekind test fails at p={p}")
-    return nt.SplittingType(tuple((m, nt.pdegree(irr)) for irr, m in factors), fld.degree)
+    return nt.SplittingType(tuple((m, len(irr) - 1) for irr, m in factors), fld.degree)
 
 
 
@@ -410,9 +434,9 @@ def _monic_with_prime(draw):
         g = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2)) + [1]
         power = (1,)
         for _ in range(draw(st.integers(2, 4))):
-            power = nt.pmul(power, g)
+            power = poly_mul(power, g)
         r = draw(st.lists(st.integers(-5, 5), max_size=len(power) - 1))
-        poly = list(nt.padd(power, [p * c for c in r]))
+        poly = [c + p * (r[i] if i < len(r) else 0) for i, c in enumerate(power)]
     else:
         # x^q - q u is Eisenstein at q and reduces to x^q there
         q = draw(_PRIMES)
@@ -472,9 +496,10 @@ def test_dedekind_split_agrees_with_the_full_factorization():
 
 def test_split_path_makes_no_tuple_division(monkeypatch):
     # the seed-1 benchmark split cases of one conductor, after a first call
-    # that fills the cached cyclotomic polynomials (an exact division over Z,
-    # which is exempt): no division over F_p goes through the tuple helper
-    # and no tuple is re-normalized; pmod is read by the derivative alone
+    # that fills the cached cyclotomic polynomials: the one division on
+    # tuples, the exact one over Z, is not taken again, and neither is the
+    # equal-degree split; F_p[x] runs on the list kernel, whose derivative
+    # the squarefree stage reads
     wl = _perfbench_workloads()
     cases = [c.args for c in wl.build("tables-primes", 1)
              if c.kind == "split" and c.args[0] == 40]
@@ -495,20 +520,21 @@ def test_split_path_makes_no_tuple_division(monkeypatch):
 
     def counted(name, f):
         def wrapper(*args):
-            over_fp = name == "pdivmod" and len(args) > 2 and args[2] is not None
-            calls[name + " over F_p" if over_fp else name] += 1
+            calls[name] += 1
             return f(*args)
         return wrapper
 
-    for name in ("pdivmod", "pmod", "pnormalize", "pderiv", "units_mod"):
+    for name in ("_zdiv_exact", "_equal_degree", "_fp_deriv", "units_mod"):
         monkeypatch.setattr(nt, name, counted(name, getattr(nt, name)))
     run()
-    assert calls["pdivmod over F_p"] == calls["pnormalize"] == 0
-    assert calls["pmod"] == calls["pderiv"] > 0
+    assert calls["_zdiv_exact"] == calls["_equal_degree"] == 0
+    assert calls["_fp_deriv"] > 0
     assert calls["units_mod"] == len(cases) + reduced
-    # the counters are live: the equal-degree split divides through pdivmod
+    # the counters are live: an uncached cofactor divides over Z, and
+    # factor_mod_p splits equal-degree products
+    nt._cyclotomic_cofactor.__wrapped__(40)
     nt.factor_mod_p((1, 0, 1), 5)
-    assert calls["pdivmod over F_p"] > 0
+    assert calls["_zdiv_exact"] > 0 and calls["_equal_degree"] > 0
 
 
 def test_the_dedekind_checks_can_fire(monkeypatch):
