@@ -22,7 +22,7 @@ from . import linalg as la
 # GammaGroup and NotAction live in groups; they are re-exported from here
 from .groups import (FiniteGroup, GammaGroup, GroupHom, NotAction, direct_product,
                      generating_set, subgroup_generating_set)
-from .lattices import ZGLattice, _left_times
+from .lattices import ZGLattice
 
 
 class NotCocycle(ValueError):
@@ -429,8 +429,7 @@ def twist_lattice(m: ZGLattice, f: CrossedHom, nu: ZGLattice) -> ZGLattice:
     built: compatibility is the permutation identity q_(t.x) o p_t ==
     p_t o q_x, and rho'(t) is the permutation lattice of the points
     q_(f(t)) o p_t, whose law check_rho reads on the points.  Otherwise each
-    product is read by lattices._left_times: as signed rows of the right
-    factor where the left one is monomial, else multiplied out.
+    product is la.matmul's.
     """
     n = f.coefficient
     gamma = m.group
@@ -454,9 +453,9 @@ def twist_lattice(m: ZGLattice, f: CrossedHom, nu: ZGLattice) -> ZGLattice:
         mats, mu = m.rho, nu.rho
         for s in gens:
             for x in values:
-                if _left_times(mu[n.act(s, x)], mats[s]) != _left_times(mats[s], mu[x]):
+                if la.matmul(mu[n.act(s, x)], mats[s]) != la.matmul(mats[s], mu[x]):
                     raise NotAction("auxiliary action incompatible with the twist")
-        rho = [_left_times(mu[f(t)], mats[t]) for t in gamma.elements()]
+        rho = [la.matmul(mu[f(t)], mats[t]) for t in gamma.elements()]
     try:
         return ZGLattice(gamma, rho, points=points)
     except ValueError as e:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import neg
 
 from . import linalg as la
 from .groups import FiniteGroup, check_action, generating_set
@@ -93,11 +92,11 @@ def check_rho(m: ZGLattice, error) -> None:
     """Raise `error` unless m's action is one: rho(1) = I and rho(s h) =
     rho(s) rho(h) for each s in generating_set and every h, so that
     induction on word length makes rho a homomorphism.  The products
-    rho(s) rho(h) over all h come from one _left_products, which reads
-    rho(s) once.  A lattice given by points is checked on them, with no
-    matrix, by groups.check_action, the one action-law check of a point
-    table: points in range, p_1 = id and p_(s h) = p_s o p_h, which makes
-    each p_g a permutation (p_s o p_(s^-1) = p_1), as rho(g) must be."""
+    rho(s) rho(h) are la.matmul's.  A lattice given by points is checked on
+    them, with no matrix, by groups.check_action, the one action-law check
+    of a point table: points in range, p_1 = id and p_(s h) = p_s o p_h,
+    which makes each p_g a permutation (p_s o p_(s^-1) = p_1), as rho(g)
+    must be."""
     group = m.group
     if m.points is not None:
         check_action(group, m.points, error)
@@ -106,7 +105,7 @@ def check_rho(m: ZGLattice, error) -> None:
     if not _is_identity(mats[0], len(mats[0])):
         raise error("identity must act as the identity matrix")
     for s in generating_set(group):
-        if _left_products(mats[s], mats) != [mats[t] for t in group.rows[s]]:
+        if any(la.matmul(mats[s], mh) != mats[t] for mh, t in zip(mats, group.rows[s])):
             raise error("rho is not multiplicative")
 
 
@@ -115,39 +114,6 @@ def _is_identity(m, r: int) -> bool:
     without building I."""
     return len(m) == r and all(len(row) == r and row[i] == 1 and row.count(0) == r - 1
                                for i, row in enumerate(m))
-
-
-def _signed_rows(ms):
-    """(cols, minus) when every row i of the square matrix ms is e_j or
-    -e_j, with cols[i] = j and minus the set of rows i that are -e_j, else
-    None: row i of ms m is then +-(row cols[i] of m)."""
-    r = len(ms) - 1
-    cols, minus = [], set()
-    for i, row in enumerate(ms):
-        if row.count(0) != r:
-            return None
-        if 1 in row:
-            cols.append(row.index(1))
-        elif -1 in row:
-            cols.append(row.index(-1))
-            minus.add(i)
-        else:
-            return None
-    return cols, minus
-
-
-def _left_products(ms, mats) -> list:
-    """[ms m for m in mats]: where ms is monomial (_signed_rows), the rows
-    of m that ms picks out, negated where ms has -e_j; else multiplied out."""
-    signed = _signed_rows(ms)
-    if signed is None:
-        return [la.matmul(ms, m) for m in mats]
-    cols, minus = signed
-    out = [tuple(map(m.__getitem__, cols)) for m in mats]
-    if minus:
-        out = [tuple(tuple(map(neg, row)) if i in minus else row for i, row in enumerate(p))
-               for p in out]
-    return out
 
 
 @dataclass(frozen=True)
@@ -166,10 +132,7 @@ class LatticeMap:
     m alone.  That suffices: (i, j) -> (q_s(i), p_s(j)) is a bijection of
     the positions, so when it carries every nonzero to an equal entry it
     carries the nonzeros onto themselves and the zeros onto zeros.
-    Otherwise rho(s) m is read as signed rows of m where the target's
-    rho(s) is monomial (_left_times), and m rho(s) as m with its columns
-    permuted where the source's rho(s) is a permutation matrix
-    (_right_times); other products are multiplied out.
+    Otherwise both products are la.matmul's.
     """
 
     source: ZGLattice
@@ -199,7 +162,7 @@ class LatticeMap:
                     raise NotEquivariant("matrix does not commute with the action")
             return
         for s in gens:
-            if _right_times(m, self.source.rho[s]) != _left_times(self.target.rho[s], m):
+            if la.matmul(m, self.source.rho[s]) != la.matmul(self.target.rho[s], m):
                 raise NotEquivariant("matrix does not commute with the action")
 
     def compose(self, other: "LatticeMap") -> "LatticeMap":
@@ -209,24 +172,6 @@ class LatticeMap:
             other.source, self.target, la.matmul(self.matrix, other.matrix),
             validate=False,
         )
-
-
-def _left_times(ms, m) -> tuple:
-    """ms m for a square ms, read as signed rows of m where every row of ms
-    is +-e_j and multiplied out otherwise (_left_products)."""
-    return _left_products(ms, (m,))[0]
-
-
-def _right_times(m, ms) -> tuple:
-    """m ms, read as m with its columns permuted where ms is a permutation
-    matrix: column j of m ms is column i of m when row i of ms is e_j."""
-    signed = _signed_rows(ms)
-    if signed is None or signed[1] or len(set(signed[0])) != len(ms):
-        return la.matmul(m, ms)
-    source = [0] * len(ms)
-    for i, j in enumerate(signed[0]):
-        source[j] = i
-    return tuple(tuple(map(row.__getitem__, source)) for row in m)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> ZGLattice:

@@ -74,11 +74,6 @@ def columns(matrix, start: int, stop: int | None = None) -> tuple:
     return tuple(tuple(row[start:stop]) for row in matrix)
 
 
-def stack(mats) -> tuple:
-    """The matrices one below the other."""
-    return tuple(chain.from_iterable(mats))
-
-
 def beside(mats) -> tuple:
     """The matrices side by side; they have equally many rows."""
     return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*mats))

@@ -21,7 +21,7 @@ from .cohomology import (
     twist_group,
     twist_values,
 )
-from .groups import FiniteGroup, GroupHom, generating_set
+from .groups import GroupHom, generating_set
 
 
 class IncompatibleActions(ValueError):
@@ -40,10 +40,6 @@ class TorsorRep:
     def __post_init__(self):
         if self.cocycle.coefficient != self.structure:
             raise NotCocycle("cocycle must take values in the structure group")
-
-    @property
-    def gamma(self) -> FiniteGroup:
-        return self.structure.gamma
 
 
 def trivial_torsor(structure: GammaGroup) -> TorsorRep:

@@ -8,7 +8,8 @@ generating set, permutation lattices placed one point at a time, zero
 lattices and maps, the Serre character sequences and
 the twisted quotient sequence by restricted actions, exactness joints and
 kernel sequences by a second kernel and CM-type bases by coordinates,
-lattice twists with every product multiplied out, and subgroups and their
+lattice twists with every product multiplied out, matrices stacked one
+below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
 by summing rotations, and the benchmark's workloads read from their file."""
 
@@ -319,6 +320,11 @@ def relator_rows(gamma, mats, r: int, gens, relators) -> list:
     return constraints
 
 
+def stack(mats) -> tuple:
+    """The matrices one below the other."""
+    return tuple(row for m in mats for row in m)
+
+
 def minus_identity(matrix) -> tuple:
     """The matrix less the identity, as int-tuple rows."""
     return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(matrix))
@@ -338,7 +344,7 @@ def h1_from_rows(mats, gens, rows) -> co.CohomologyGroup:
     if z == 0:
         return co.CohomologyGroup(())
     # coboundaries: values (rho(s) - 1) m on the generators
-    Y = la.coordinates(Z, W, la.stack(minus_identity(mats[s]) for s in gens))
+    Y = la.coordinates(Z, W, stack(minus_identity(mats[s]) for s in gens))
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise gr.NotAction("coboundaries must lie in the cocycle lattice")

@@ -1,5 +1,7 @@
 """Every definition of torsorlab is reached by the library or the benchmark,
-and every import and local is read; the import rule covers the tests too."""
+and every import and local is read; the import rule covers the tests too.
+The benchmark reaches a top-level definition only through a torsorlab module
+or a tracer string, and a method through any `.name`."""
 
 import ast
 import pathlib
@@ -55,15 +57,16 @@ def _units(sources):
     return units, _read(roots)
 
 
-def _unreached(sources, bench=frozenset()) -> list:
+def _unreached(sources, bench=frozenset(), bench_methods=frozenset()) -> list:
     """Labels of the definitions in sources that nothing reaches.
 
-    A definition is reached when `bench` names it (perfbench binds methods by
-    string), or when module-level code or a reached definition reads it: a
-    method as `.name`, anything else as a name or `.name`, and never through
-    the class argument of isinstance.  The definition itself does not count.
-    The sweep repeats until nothing more drops out, so what only unreached
-    code reads is unreached too."""
+    A definition is reached when `bench` names it, a method also when
+    `bench_methods` does (perfbench binds methods by string), or when
+    module-level code or a reached definition reads it: a method as `.name`,
+    anything else as a name or `.name`, and never through the class argument
+    of isinstance.  The definition itself does not count.  The sweep repeats
+    until nothing more drops out, so what only unreached code reads is
+    unreached too."""
     units, (root_names, root_attrs) = _units(sources)
     live = units
     while True:
@@ -71,7 +74,8 @@ def _unreached(sources, bench=frozenset()) -> list:
         for _, _, _, n, a in live:
             names |= n
             attrs |= a
-        reached = [u for u in live if u[1] in attrs or (not u[2] and u[1] in names)]
+        methods = attrs | bench_methods
+        reached = [u for u in live if u[1] in (methods if u[2] else names | attrs)]
         if len(reached) == len(live):
             break
         live = reached
@@ -97,13 +101,33 @@ def _syntax_names(text) -> set:
     return names
 
 
+def _library_names(text) -> set:
+    """The top-level names of torsorlab that a benchmark source reads: each
+    attribute of a name bound to a torsorlab module (co.h1_abelian, with
+    `from torsorlab import cohomology as co`), and the parts of each string
+    constant shaped like a dotted identifier, the tracer's names.  The
+    benchmark's own names and attributes (self.stack) do not count."""
+    tree = ast.parse(text)
+    modules, names = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "torsorlab":
+            modules.update(a.asname or a.name for a in n.names)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _DOTTED.fullmatch(n.value):
+            names.update(n.value.split("."))
+    return names
+
+
 def test_every_top_level_definition_is_named_elsewhere():
     # the library outside __init__.py, reached from itself or the benchmark;
     # tests do not count
-    bench = set().union(*(_syntax_names(p.read_text())
-                          for p in sorted((ROOT / "perfbench").rglob("*.py"))))
+    texts = [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    bench = set().union(*map(_library_names, texts))
+    bench_methods = set().union(*map(_syntax_names, texts))
     sources = [(p.name, p.read_text()) for p in MODULES if p.name != "__init__.py"]
-    unreached = _unreached(sources, bench)
+    unreached = _unreached(sources, bench, bench_methods)
     assert not unreached, unreached
 
 
@@ -119,6 +143,35 @@ def test_the_benchmark_names_by_syntax_not_by_words():
         "TIMED", "groups", "FiniteGroup", "mul", "linalg", "solve_int", "x",
         "generating_set", "g", "label",
     }
+
+
+def test_the_benchmark_reaches_definitions_through_library_modules():
+    # perfbench reaches a top-level definition as an attribute of a
+    # torsorlab module (la.matmul) or by a tracer string (solve_int); its own
+    # attributes (self.stack) and bare names (transpose) reach only methods
+    bench = (
+        "from torsorlab import linalg as la\n"
+        'TIMED = (("linalg", "solve_int"),)\n'
+        "class Tracer:\n"
+        "    def push(self, a, b):\n"
+        "        self.stack.append(la.matmul(a, b))\n"
+        "        return transpose(self.stack)\n"
+    )
+    assert _library_names(bench) == {"matmul", "linalg", "solve_int"}
+    library = (
+        "def matmul(a, b):\n    pass\n"
+        "def solve_int(a, b):\n    pass\n"
+        "def stack(ms):\n    pass\n"
+        "def transpose(m):\n    pass\n"
+        "class Rows:\n    def append(self, row):\n        pass\n"
+        "    def stack(self):\n        pass\n"
+        "Rows()\n"
+    )
+    assert _unreached([("m.py", library)], _library_names(bench), _syntax_names(bench)) == [
+        "m.py:stack", "m.py:transpose"]
+    # counting every name and attribute of the benchmark for top-level
+    # definitions too would keep stack alive through self.stack
+    assert "m.py:stack" not in _unreached([("m.py", library)], _syntax_names(bench))
 
 
 def test_a_class_only_tested_for_is_unreached():

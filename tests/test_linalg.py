@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torsorlab import groups as gr
 from torsorlab import linalg as la
-from helpers import bareiss_det, lattice_eq
+from helpers import bareiss_det, lattice_eq, stack
 from test_cohomology import _np, _reference_tree_constraints, constraint_cases
 
 
@@ -475,7 +475,7 @@ def test_coordinates_equal_solve_int():
     matrices = [rand(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(30)]
     for _ in range(10):
         top = rand(2, 5)
-        matrices.append(la.stack([top, la.matmul(rand(2, 2), top)]))  # rank <= 2
+        matrices.append(stack([top, la.matmul(rand(2, 2), top)]))  # rank <= 2
     matrices += [((0,) * 4,), ((),) * 3, (), ((0,) * 3,) * 2]
     solved = unsolvable = 0
     for E in matrices:
@@ -603,8 +603,9 @@ def _listed(matrix) -> list:
 @settings(derandomize=True, deadline=None)
 @given(_product_pair(), st.data())
 def test_row_operations_agree_with_numpy(pair, data):
-    """matmul, transpose, stack, beside and columns on int-tuple rows give
-    numpy's object @, .T, concatenate and column slices, entry for entry."""
+    """matmul, transpose, beside and columns on int-tuple rows, and the
+    tests' stack, give numpy's object @, .T, concatenate and column slices,
+    entry for entry."""
     (m, k, n), a, b = pair
     A, B = la.int_rows(a), la.int_rows(b)
     NA = np.array(a, dtype=object).reshape(m, k)
@@ -613,7 +614,7 @@ def test_row_operations_agree_with_numpy(pair, data):
     assert _listed(la.transpose(B)) == NB.T.tolist()
     if m:
         assert _listed(la.transpose(A)) == NA.T.tolist()
-    assert _listed(la.stack([B, B])) == np.concatenate([NB, NB], axis=0).tolist()
+    assert _listed(stack([B, B])) == np.concatenate([NB, NB], axis=0).tolist()
     side = la.beside([A, la.matmul(A, B)])
     assert _listed(side) == np.concatenate([NA, NA @ NB], axis=1).tolist()
     i = data.draw(st.integers(0, k))

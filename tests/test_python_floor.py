@@ -13,7 +13,8 @@ def test_every_file_parses_at_the_requires_python_floor():
     text = (ROOT / "pyproject.toml").read_text()
     major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text).groups()
     floor = int(major), int(minor)
-    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    paths = [p for d in ("src", "tests", "perfbench", "tools")
+             for p in sorted((ROOT / d).rglob("*.py"))]
     assert paths
     bad = []
     for path in paths:

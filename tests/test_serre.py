@@ -142,12 +142,17 @@ def _criterion_2_twists(monkeypatch):
     return calls
 
 
+def _monomial(matrix) -> bool:
+    """Is every row of the matrix e_j or -e_j?"""
+    return all(sum(map(bool, row)) == 1 and sum(row) in (1, -1) for row in matrix)
+
+
 def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
     # every twist of criterion 2 and the X*(Sbar) twists of the route by
     # restriction on its data, then the same twists after the unimodular
     # change of basis P = I + E_01, which makes some action and value
-    # matrices non-monomial, so that their products take the matmul fallback
-    # (the X*(Sbar) value matrices come out as signed permutations).  The
+    # matrices non-monomial (the X*(Sbar) value matrices come out as signed
+    # permutations), so that not every product is a reordering of rows.  The
     # twists of criterion 2 are read on points, and their matrix twins give
     # the same lattice; with the auxiliary action replaced by the trivial
     # one or by the base's own action, both routes, on points and on
@@ -179,7 +184,7 @@ def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
 
         m_p = lt.ZGLattice(m.group, [moved(a) for a in m.rho])
         nu_p = lt.ZGLattice(nu.group, [moved(v) for v in nu.rho])
-        assert any(lt._signed_rows(v) is None for v in nu_p.rho)
+        assert not all(map(_monomial, nu_p.rho))
         got = co.twist_lattice(m_p, f, nu_p)
         assert got == twist_lattice_by_matmul(m_p, f, nu_p)
         assert got.rho == tuple(moved(a) for a in out.rho)

@@ -77,11 +77,12 @@ def _matmul_calls_apart(monkeypatch, run) -> tuple:
     return tuple(counts)
 
 
-def test_block_decompositions_read_monomial_products(monkeypatch):
-    # the twists and equivariance checks of criterion 2 read signed unit rows
-    # instead of multiplying (930 and 337 calls when they multiplied); each
-    # twisted sequence is decided by one kernel_sequence_exact, whose two
-    # products are not counted here
+def test_block_decompositions_multiply_only_to_compose(monkeypatch):
+    # the twists and equivariance checks of criterion 2 read the points of
+    # their lattices, so the one product per group outside the sequence
+    # check is its compose (930 and 337 calls when the twists and checks
+    # multiplied matrices); each twisted sequence is decided by one
+    # kernel_sequence_exact, whose two products are not counted here
     products, sequences = _matmul_calls_apart(monkeypatch, checks.check_block_decomposition)
     assert products <= 6 and sequences == 6
     d4 = gr.dihedral_group(4)
@@ -182,12 +183,14 @@ def test_permutation_lattices_build_no_matrices(monkeypatch):
 
 def test_character_sequences_read_points_and_distinct_equations(monkeypatch):
     # criterion 4 validates its 130 fibre-sum maps on the points of their
-    # ends, with no product of matrices (344 _right_times and 344
-    # _left_products when it read the matrices at the generators), and
-    # takes X*(S) and X*(Sbar) from the |G|/2 distinct equations (130
-    # _pair_equations calls when each kernel eliminated all |G| rows)
-    assert _calls(monkeypatch, checks.check_character_sequences, (sr, "_pair_equations"),
-                  (lt, "_right_times"), (lt, "_left_products")) == [0, 0, 0]
+    # ends, with no product of matrices outside kernel_sequence_exact (344
+    # column permutations and 344 signed-row reads of a monomial product
+    # when it read the matrices at the generators), and takes X*(S) and
+    # X*(Sbar) from the |G|/2 distinct equations (130 _pair_equations calls
+    # when each kernel eliminated all |G| rows)
+    assert _calls(monkeypatch, checks.check_character_sequences, (sr, "_pair_equations")) == [0]
+    products, _ = _matmul_calls_apart(monkeypatch, checks.check_character_sequences)
+    assert products == 0
 
 
 def test_permutation_h1_checks_each_action_once(monkeypatch):

@@ -1,0 +1,104 @@
+"""List the functions of src/torsorlab that the product paths never enter.
+
+The product paths read here are `torsorlab.checks.run_suite()` and one
+seed-1 pass of each perfbench workload: its case set built, then every case
+run, made canonical and checked, as perfbench/run.py does once per case.
+perfbench/workloads.py is loaded from its file and not changed.  The CLI
+is not run, so its commands and the JSON readers behind them are listed.
+
+A function is every `def` of src/torsorlab/*.py, nested ones and methods
+included; lambdas, comprehensions and class bodies are not.  One counts as
+entered when the interpreter calls its code under sys.setprofile, which is
+on from before torsorlab is imported, so calls made at import count too.
+Code that dataclasses generate is not in the sources and is not listed.
+
+Run from anywhere, standard library only (the traced run takes about 4 s
+on two cores):
+
+    python3 tools/reach.py
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def defined_functions() -> dict:
+    """{(file, first line, name): label} of every def in src/torsorlab, read
+    from the code objects that compiling each module gives."""
+    found = {}
+    for path in sorted((SRC / "torsorlab").glob("*.py")):
+        todo = [compile(path.read_text(), str(path), "exec")]
+        while todo:
+            code = todo.pop()
+            todo += [c for c in code.co_consts if hasattr(c, "co_code")]
+            # a function has fresh locals; a module or class body does not
+            if code.co_name.startswith("<") or not code.co_flags & 0x2:
+                continue
+            name = getattr(code, "co_qualname", code.co_name)
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            found[key] = f"{path.name}:{code.co_firstlineno} {name}"
+    return found
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def product_paths() -> list:
+    """Run run_suite and one seed-1 pass per workload; one summary line for
+    each."""
+    from torsorlab import checks
+
+    out = [f"run_suite: {len(checks.run_suite())} checks"]
+    workloads = load_workloads()
+    for name in workloads.WORKLOADS:
+        failed = 0
+        cases = workloads.build(name, 1)
+        for case in cases:
+            run, canon, check = workloads.KINDS[case.kind]
+            try:
+                failed += not check(case.args, canon(case.args, run(case.args)))
+            except Exception:
+                failed += 1
+        out.append(f"{name}: {len(cases)} cases, {failed} failed")
+    return out
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    functions = defined_functions()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        runs = product_paths()
+    finally:
+        sys.setprofile(None)
+    for line in runs:
+        print(f"# {line}")
+    never = [functions[key] for key in sorted(functions) if key not in entered]
+    print(f"# {len(never)} of {len(functions)} functions in src/ never entered")
+    for label in never:
+        print(label)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
