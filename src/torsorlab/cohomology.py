@@ -80,8 +80,11 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
 class CrossedHom:
     """1-cocycle of `group` in the Gamma-group `coefficient`: one element of
     the underlying group per group element, f(st) = f(s) * (s . f(t)).
-    Validation checks that the values are elements, f(1) = 1 and the law for
-    s in the generating set."""
+    Validation reads the values as a tuple of ints and checks that they are
+    elements, f(1) = 1 and the law for s in the generating set.  With
+    validate=False the values are taken as given, as GSet, FiniteGroup and
+    GammaGroup take their tables: the caller passes a tuple of ints, and
+    only its length is checked."""
 
     group: FiniteGroup
     coefficient: GammaGroup
@@ -89,7 +92,7 @@ class CrossedHom:
     validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        vals = tuple(map(int, self.values))
+        vals = tuple(map(int, self.values)) if self.validate else self.values
         object.__setattr__(self, "values", vals)
         if len(vals) != self.group.order:
             raise NotCocycle("one value per group element required")
@@ -355,12 +358,23 @@ def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
     action, so that is checked first.  In sorted order, the first unseen
     table is its class's least: a smaller member would have marked it seen.
     The steps of the generators (_twist_steps) are built once, and each
-    member is twisted by all of them in one comprehension."""
+    member is twisted by all of them in one comprehension.
+
+    A generator a that is central in the underlying group N and fixed by
+    Gamma twists nothing: (f.a)(t) = a^-1 f(t) (t . a) = a^-1 f(t) a = f(t)
+    for every table f, cocycle or not.  Such letters commute out of any
+    word in the generators, so the orbit of f under `by` is its orbit under
+    the other generators, and the walk drops a's step when t . a = a for
+    every t and y a = a y for every y.  When every generator drops, each
+    table is a class of its own."""
     coefficient.check_automorphisms()
     n = coefficient.underlying
     gens = generating_set(n) if len(by) == n.order else subgroup_generating_set(n, by)
     rows = n.rows
-    steps = _twist_steps(coefficient, gens)
+    # a central, Gamma-fixed a twists every table to itself: its step is dropped
+    steps = _twist_steps(coefficient, [
+        a for a in gens if {t[a] for t in coefficient.action} != {a}
+        or [r[a] for r in rows] != list(rows[a])])
     tables = sorted(tables)
     seen = set()
     out = []
@@ -501,17 +515,8 @@ def compatible_family(system: TruncatedGammaSystem, top: CrossedHom) -> tuple:
     """Push a top-level cocycle down through the transitions."""
     fams = [top]
     for i in range(len(system) - 2, -1, -1):
-        u = system.transitions[i]
-        upper = fams[0]
-        fams.insert(
-            0,
-            CrossedHom(
-                system.gamma,
-                system.levels[i],
-                tuple(u(v) for v in upper.values),
-                validate=False,
-            ),
-        )
+        vals = tuple(map(system.transitions[i], fams[0].values))
+        fams.insert(0, CrossedHom(system.gamma, system.levels[i], vals, validate=False))
     return tuple(fams)
 
 
@@ -522,8 +527,7 @@ def check_family(system: TruncatedGammaSystem, family) -> None:
         if f.coefficient != system.levels[i]:
             raise ValueError("level %d cocycle has wrong coefficient" % i)
     for i, u in enumerate(system.transitions):
-        upper, lower = family[i + 1], family[i]
-        if tuple(u(v) for v in upper.values) != lower.values:
+        if tuple(map(u, family[i + 1].values)) != family[i].values:
             raise ValueError("family is not compatible at level %d" % i)
 
 

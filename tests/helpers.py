@@ -8,8 +8,8 @@ generating set, permutation lattices placed one point at a time, zero
 lattices and maps, the Serre character sequences and
 the twisted quotient sequence by restricted actions, exactness joints and
 kernel sequences by a second kernel and CM-type bases by coordinates,
-lattice twists with every product multiplied out, matrices stacked one
-below the other, and subgroups and their
+the action law and lattice twists read on basis vectors with no matrix
+product, matrices stacked one below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
 by summing rotations, and the benchmark's workloads read from their file."""
 
@@ -525,11 +525,47 @@ def basis_verdict_by_coordinates(K, W, vectors) -> tuple:
     )
 
 
-def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, nu: lt.ZGLattice) -> lt.ZGLattice:
+def basis_images(mat) -> list:
+    """The images mat e_j of the basis vectors: the columns of mat, read
+    entry by entry."""
+    return [tuple(row[j] for row in mat) for j in range(len(mat))]
+
+
+def apply_to(mat, v) -> tuple:
+    """mat v for a column vector v, by explicit loops over the entries."""
+    out = []
+    for row in mat:
+        total = 0
+        for a, b in zip(row, v):
+            total += a * b
+        out.append(total)
+    return tuple(out)
+
+
+def rho_law_by_basis_images(g: gr.FiniteGroup, mats) -> None:
+    """ValueError unless the matrices are an action of g, read on the basis
+    vectors with no matrix product: rho(1) e_j = e_j, and rho(s) (rho(h) e_j)
+    = rho(s h) e_j for each s in generating_set(g), every h and every j
+    (lattices.check_rho multiplies rho(s) rho(h) out by la.matmul)."""
+    rank = len(mats[0])
+    if basis_images(mats[0]) != [tuple(int(i == j) for i in range(rank)) for j in range(rank)]:
+        raise ValueError("identity must act as the identity matrix")
+    images = [basis_images(m) for m in mats]
+    for s in gr.generating_set(g):
+        for h, sh in enumerate(g.rows[s]):
+            if [apply_to(mats[s], v) for v in images[h]] != images[sh]:
+                raise ValueError("rho is not multiplicative")
+
+
+def twist_lattice_by_basis_images(m: lt.ZGLattice, f: co.CrossedHom,
+                                  nu: lt.ZGLattice) -> lt.ZGLattice:
     """cohomology.twist_lattice on the matrices of m and of the auxiliary
-    action nu, each product multiplied out by la.matmul: the compatibility
-    nu(s . x) rho(s) == rho(s) nu(x) at every generator s and value x, then
-    rho'(t) = nu(f(t)) rho(t), validated as matrices."""
+    action nu, read on the basis vectors with no matrix product: the
+    compatibility nu(s . x) (rho(s) e_j) == rho(s) (nu(x) e_j) at every
+    generator s, value x and basis vector e_j; then rho'(t) e_j =
+    nu(f(t)) (rho(t) e_j), and the action law of rho' by
+    rho_law_by_basis_images.  The result is built unchecked, so neither
+    la.matmul nor check_rho decides anything here."""
     n = f.coefficient
     gamma = m.group
     if nu.group != n.underlying:
@@ -538,18 +574,22 @@ def twist_lattice_by_matmul(m: lt.ZGLattice, f: co.CrossedHom, nu: lt.ZGLattice)
         raise co.NotAction("cocycle and lattice have different acting groups")
     if nu.rank != m.rank:
         raise co.NotAction("the auxiliary action must match the lattice rank")
-    mu = nu.rho
+    mu, rho = nu.rho, m.rho
     for s in gr.generating_set(gamma):
         for x in n.underlying.elements():
-            lhs = la.matmul(mu[n.act(s, x)], m.rho[s])
-            rhs = la.matmul(m.rho[s], mu[x])
+            lhs = [apply_to(mu[n.act(s, x)], v) for v in basis_images(rho[s])]
+            rhs = [apply_to(rho[s], v) for v in basis_images(mu[x])]
             if lhs != rhs:
                 raise co.NotAction("auxiliary action incompatible with the twist")
-    rho = [la.matmul(mu[f(t)], m.rho[t]) for t in gamma.elements()]
+    twisted = []
+    for t in gamma.elements():
+        cols = [apply_to(mu[f(t)], v) for v in basis_images(rho[t])]
+        twisted.append(tuple(zip(*cols)))
     try:
-        return lt.ZGLattice(gamma, rho, validate=True)
+        rho_law_by_basis_images(gamma, twisted)
     except ValueError as e:
         raise co.NotAction(str(e)) from e
+    return lt.ZGLattice(gamma, twisted, validate=False)
 
 
 def closure_from_identity(g: gr.FiniteGroup, gens) -> tuple:

@@ -18,6 +18,7 @@ from torsorlab import linalg as la
 from helpers import (bareiss_det, h1_by_relators, h1_from_rows, lattice_eq, matrix_twin,
                      regular_gset, relator_rows, schreier_presentation)
 from test_laws import ref_cocycle
+from test_work_counts import _twist_steps_read
 
 
 def sign_lattice(c2):
@@ -695,27 +696,32 @@ def product_cases() -> list:
 def test_h1_nonabelian_twists_each_cocycle_once_per_generator(monkeypatch):
     # C2 on C4 x S3, inverting C4: 16 cocycles in 4 classes.  A walk twists
     # each cocycle by the 3 generators of N (48 tables); whole orbits would
-    # twist each class's least table by all 24 elements (96 tables).  The
-    # walk twists a table once per step it reads off _twist_steps, so the
-    # steps' reads count the tables built
-    built = 0
-    twist_steps = co._twist_steps
-
-    class CountedSteps(list):
-        def __iter__(self):
-            nonlocal built
-            for step in super().__iter__():
-                built += 1
-                yield step
-
-    monkeypatch.setattr(co, "_twist_steps", lambda *args: CountedSteps(twist_steps(*args)))
+    # twist each class's least table by all 24 elements (96 tables).  No
+    # generator is dropped: the one in C4 is inverted, and the two in S3
+    # are not central
     c2 = gr.cyclic_group(2)
     c4 = gr.cyclic_group(4)
     inverted = co.GammaGroup(c2, c4, [c4.elements(), c4.inverses])
     n, _ = co.gamma_group_product([inverted, co.trivial_gamma_group(c2, gr.symmetric_group(3))])
+    built = _twist_steps_read(monkeypatch, lambda: co.h1_nonabelian(c2, n))
     h = co.h1_nonabelian(c2, n)
     gens = gr.generating_set(n.underlying)
-    assert 0 < built <= h.cocycle_count * len(gens) < h.count * n.underlying.order
+    assert (h.count, h.cocycle_count, len(gens)) == (4, 16, 3)
+    assert built == h.cocycle_count * len(gens) == 48 < h.count * n.underlying.order
+
+
+def test_h1_nonabelian_twists_by_no_central_fixed_generator(monkeypatch):
+    # C2 acting trivially on the abelian C4 x C2: every generator is central
+    # and fixed, so none twists anything, and the 4 homomorphisms C2 -> N are
+    # 4 classes found with no twist at all (8 tables when each was twisted by
+    # both generators)
+    c2 = gr.cyclic_group(2)
+    n, _ = co.gamma_group_product([co.trivial_gamma_group(c2, gr.cyclic_group(4)),
+                                   co.trivial_gamma_group(c2, c2)])
+    built = _twist_steps_read(monkeypatch, lambda: co.h1_nonabelian(c2, n))
+    h = co.h1_nonabelian(c2, n)
+    assert built == 0
+    assert h.count == h.cocycle_count == 4 and h.sizes == (1, 1, 1, 1)
 
 
 def test_h1_nonabelian_rejects_an_action_not_by_automorphisms():

@@ -18,6 +18,7 @@ from helpers import (
     matrix_twin,
     permutation_lattice_reference,
     regular_gset,
+    rho_law_by_basis_images,
     trivial_gset,
     twist_serre_by_restriction,
     zero_lattice,
@@ -109,21 +110,13 @@ def test_check_rho_reads_the_identity_row_by_row():
             lt.check_rho(lt.ZGLattice(c1, [m], validate=False), gr.NotAction)
 
 
-def _matmul_check(g, mats):
-    # the law read by multiplying every product out: the reference
-    for s in gr.generating_set(g):
-        for h, mh in enumerate(mats):
-            if la.matmul(mats[s], mh) != mats[g.rows[s][h]]:
-                raise ValueError("rho is not multiplicative")
-
-
 def test_check_rho_reads_signed_unit_rows():
     # a sign character times a permutation lattice: each rho(s) has rows
-    # +-e_j, and the lattice is accepted, as the multiplying reference
-    # accepts it.  Flipping the sign of one row of one rho(s) must be
-    # refused by both: rho'(s) rho(h) = D rho(s h) != rho(s h) for any h
-    # other than 1 and s, and |G| > 2 leaves one (on C2 the flip can be
-    # another character)
+    # +-e_j, and the lattice is accepted, as the reference that reads the
+    # law on basis vectors accepts it.  Flipping the sign of one row of one
+    # rho(s) must be refused by both: rho'(s) rho(h) = D rho(s h) !=
+    # rho(s h) for any h other than 1 and s, and |G| > 2 leaves one (on C2
+    # the flip can be another character)
     from torsorlab import catalog
 
     read = 0
@@ -136,11 +129,12 @@ def test_check_rho_reads_signed_unit_rows():
             rho = [r if x in k else tuple(tuple(-v for v in row) for row in r)
                    for x, r in enumerate(rho)]
             lt.ZGLattice(g, rho)
-            _matmul_check(g, rho)
+            rho_law_by_basis_images(g, rho)
             s = next(s for s in gr.generating_set(g) if s not in k)
             flipped = list(rho)
             flipped[s] = (tuple(-v for v in rho[s][0]),) + rho[s][1:]
-            for check in (lambda: lt.ZGLattice(g, flipped), lambda: _matmul_check(g, flipped)):
+            for check in (lambda: lt.ZGLattice(g, flipped),
+                          lambda: rho_law_by_basis_images(g, flipped)):
                 with pytest.raises(ValueError, match="not multiplicative"):
                     check()
             read += 1

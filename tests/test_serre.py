@@ -16,7 +16,7 @@ from helpers import (
     kernel_sequence_by_joint,
     matrix_twin,
     serre_sequence_by_restriction,
-    twist_lattice_by_matmul,
+    twist_lattice_by_basis_images,
     twist_serre_by_restriction,
     xsbar_twist_by_restriction,
 )
@@ -147,7 +147,7 @@ def _monomial(matrix) -> bool:
     return all(sum(map(bool, row)) == 1 and sum(row) in (1, -1) for row in matrix)
 
 
-def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
+def test_twist_lattice_matches_the_route_on_basis_vectors(monkeypatch):
     # every twist of criterion 2 and the X*(Sbar) twists of the route by
     # restriction on its data, then the same twists after the unimodular
     # change of basis P = I + E_01, which makes some action and value
@@ -159,14 +159,14 @@ def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
     # matrices, give the same lattice or refuse alike
     on_points = 0
     for m, f, nu, out in _criterion_2_twists(monkeypatch):
-        assert twist_lattice_by_matmul(m, f, nu) == out
+        assert twist_lattice_by_basis_images(m, f, nu) == out
         if m.points is not None:
             on_points += 1
             assert nu.points is not None and out.points is not None
             assert co.twist_lattice(matrix_twin(m), f, matrix_twin(nu)) == out
             for other in (lt.trivial_lattice(nu.group, nu.rank), m):
                 verdicts = []
-                for route in (co.twist_lattice, twist_lattice_by_matmul):
+                for route in (co.twist_lattice, twist_lattice_by_basis_images):
                     for a, b in ((m, other), (matrix_twin(m), matrix_twin(other))):
                         try:
                             verdicts.append(route(a, f, b))
@@ -186,7 +186,7 @@ def test_twist_lattice_matches_the_route_by_matmul(monkeypatch):
         nu_p = lt.ZGLattice(nu.group, [moved(v) for v in nu.rho])
         assert not all(map(_monomial, nu_p.rho))
         got = co.twist_lattice(m_p, f, nu_p)
-        assert got == twist_lattice_by_matmul(m_p, f, nu_p)
+        assert got == twist_lattice_by_basis_images(m_p, f, nu_p)
         assert got.rho == tuple(moved(a) for a in out.rho)
     assert on_points == 12
 
@@ -204,7 +204,7 @@ def test_twist_lattice_refuses_a_flipped_value_row_by_both_routes(monkeypatch):
                                for i, row in enumerate(nu.rho[1]))
             flipped = lt.ZGLattice(nu.group, flipped, validate=False)
             verdicts = []
-            for route in (co.twist_lattice, twist_lattice_by_matmul):
+            for route in (co.twist_lattice, twist_lattice_by_basis_images):
                 for base in (m, matrix_twin(m)):
                     try:
                         verdicts.append(route(base, f, flipped))

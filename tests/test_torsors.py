@@ -140,14 +140,32 @@ def test_twist_classes_are_the_components_of_the_twist_graph():
             assert sum(size for _, size in got) == len(cocycles)
 
 
+def walk_generator_kinds(n: co.GammaGroup, by) -> set:
+    """(central in N, fixed by Gamma) of each generator of `by` that
+    twist_classes picks before it drops the central, fixed ones."""
+    und = n.underlying
+    gens = (gr.generating_set(und) if len(by) == und.order
+            else gr.subgroup_generating_set(und, by))
+    return {(all(r[a] == x for r, x in zip(und.rows, und.rows[a])),
+             all(t[a] == a for t in n.action)) for a in gens}
+
+
 def test_twist_classes_equal_the_whole_orbit_reference():
     cases = [(n, co.enumerate_cocycles(n.gamma, n), n.underlying.elements())
              for n in action_through_cases() + product_cases()]
     for b, n_elems in relative_cases():
         cocycles = brute_cocycles(b.gamma, b)
         cases += [(b, cocycles, n_elems), (b, cocycles, b.underlying.elements())]
+    kinds = set()
     for n, tables, by in cases:
         assert co.twist_classes(n, tables, by) == twist_classes_reference(n, tables, by), (n, by)
+        kinds |= walk_generator_kinds(n, by)
+    # negative control for dropping a generator: the cases walk by
+    # generators that are central and fixed (dropped), central but moved
+    # (an inverted abelian factor) and fixed but not central (S3 under the
+    # trivial action), so a walk that also dropped either of the latter
+    # two would merge too few tables here
+    assert {(True, True), (True, False), (False, True)} <= kinds
 
 
 def test_twist_bijection_s3():

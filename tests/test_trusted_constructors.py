@@ -5,14 +5,19 @@ theorem builds it unchecked, and consumers such as h1_abelian trust it.
 This oracle records every object built that way and runs the validators on
 it: check_action for a G-set, ZGLattice validation (check_rho) for a
 lattice, LatticeMap validation for a map, FiniteGroup validation for a
-group table and GammaGroup validation (check_automorphisms) for a
-Gamma-group.  It also checks that each holds its tables as tuples of int
-tuples, the form an unchecked constructor takes as given.  It covers the
-coset G-sets of every subgroup of every catalog group of order <= 24, the
-twisted sequences of the 65 CM data of order <= 16, criterion 2's six
+group table, GammaGroup validation (check_automorphisms) for a
+Gamma-group and CrossedHom validation (the cocycle law) for a cocycle.  It
+also checks that each holds its tables as tuples of int tuples, and a
+cocycle its values as an int tuple: the form an unchecked constructor takes
+as given.  It covers the coset G-sets of every subgroup of every catalog
+group of order <= 24, the twisted sequences of the 65 CM data of order <= 16, criterion 2's six
 block groups, the catalog's direct and semidirect products and every
 quotient of a catalog group, the Gamma-group products of criterion 11 and
-of test_groups' oracle, and the unit groups mod m for m <= 60.
+of test_groups' oracle, the unit groups mod m for m <= 60, and the
+cocycles of criteria 6, 7 and 11: the H^1 representatives of the products
+and their factors, the relative classes and twisted kernels of the twist
+bijections, and the compatible families and their twists of the truncated
+orbits.
 """
 
 from collections import Counter
@@ -32,8 +37,8 @@ from test_groups import _oracle_gamma_groups
 
 
 def _unvalidated(monkeypatch, run) -> list:
-    """Every GSet, ZGLattice, LatticeMap, FiniteGroup and GammaGroup built
-    with validate=False while run() runs."""
+    """Every GSet, ZGLattice, LatticeMap, FiniteGroup, GammaGroup and
+    CrossedHom built with validate=False while run() runs."""
     built = []
 
     def recording(cls):
@@ -46,7 +51,8 @@ def _unvalidated(monkeypatch, run) -> list:
 
         monkeypatch.setattr(cls, "__init__", recorded)
 
-    for cls in (gs.GSet, lt.ZGLattice, lt.LatticeMap, gr.FiniteGroup, gr.GammaGroup):
+    for cls in (gs.GSet, lt.ZGLattice, lt.LatticeMap, gr.FiniteGroup, gr.GammaGroup,
+                co.CrossedHom):
         recording(cls)
     run()
     monkeypatch.undo()
@@ -64,6 +70,8 @@ def _validate(obj) -> None:
         lt.LatticeMap(obj.source, obj.target, obj.matrix)
     elif isinstance(obj, gr.FiniteGroup):
         gr.FiniteGroup(obj.rows)
+    elif isinstance(obj, co.CrossedHom):
+        co.CrossedHom(obj.group, obj.coefficient, obj.values)
     else:
         gr.GammaGroup(obj.gamma, obj.underlying, obj.action)
 
@@ -77,6 +85,8 @@ def _tables(obj) -> list:
         return [obj.matrix]
     if isinstance(obj, gr.FiniteGroup):
         return [obj.rows]
+    if isinstance(obj, co.CrossedHom):
+        return [(obj.values,)]
     return [obj.action]  # GSet, GammaGroup
 
 
@@ -124,9 +134,15 @@ def _unit_groups():
         nt.unit_subgroups(m)
 
 
+def _cocycles():
+    checks.check_product_h1()
+    checks.check_twist_bijection()
+    checks.check_truncated_orbit_transitivity()
+
+
 # _coset_gsets builds the catalog, with its direct and semidirect products
 FAMILIES = (_coset_gsets, _twisted_sequences, _block_groups, _catalog_quotients,
-            _gamma_group_products, _unit_groups)
+            _gamma_group_products, _unit_groups, _cocycles)
 
 
 def test_unvalidated_objects_pass_the_validators(monkeypatch):
@@ -143,6 +159,8 @@ def test_unvalidated_objects_pass_the_validators(monkeypatch):
     assert kinds["GSet"] > 747 and kinds["ZGLattice"] > 747
     assert kinds["LatticeMap"] >= 65 + 6
     assert kinds["FiniteGroup"] > 100 and kinds["GammaGroup"] > 100
+    # criteria 11, 6 and 7 build 39, 45 and 98 cocycles unchecked
+    assert kinds["CrossedHom"] > 150
 
 
 def _direct_products(monkeypatch, run) -> list:

@@ -256,6 +256,32 @@ def _cayley_work(monkeypatch, run) -> tuple:
     return tuple(counts)
 
 
+def _twist_steps_read(monkeypatch, run) -> int:
+    """How many steps run() reads off cohomology._twist_steps: a class walk
+    twists a table once per step it reads, and so does twist_values, so
+    this counts the twisted tables built."""
+    twist_steps, built = co._twist_steps, [0]
+
+    class CountedSteps(list):
+        def __iter__(self):
+            for step in super().__iter__():
+                built[0] += 1
+                yield step
+
+    monkeypatch.setattr(co, "_twist_steps", lambda *args: CountedSteps(twist_steps(*args)))
+    run()
+    monkeypatch.setattr(co, "_twist_steps", twist_steps)
+    return built[0]
+
+
+def test_twist_work(monkeypatch):
+    # the tables twisted by the class walks and twist_values of the H^1 of
+    # products (397 when the walks also twisted by the central, Gamma-fixed
+    # generators, which twist nothing) and of the twist bijections (204)
+    assert _twist_steps_read(monkeypatch, checks.check_product_h1) == 293
+    assert _twist_steps_read(monkeypatch, checks.check_twist_bijection) == 193
+
+
 def test_cayley_search_work(monkeypatch):
     # the criteria that search for cocycles, homomorphisms or lifts: the
     # twist bijections (6), the truncated orbits at seed 0 (7) and the H^1
