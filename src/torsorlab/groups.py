@@ -275,24 +275,6 @@ def quaternion_group(n: int = 8) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def semidihedral_group_16() -> FiniteGroup:
-    """Order 16: r^8 = s^2 = 1, s r s = r^3."""
-    n = 16
-
-    def idx(i, j):
-        return i + 8 * j
-
-    table = [[0] * n for _ in range(n)]
-    for i, j in product(range(8), range(2)):
-        for k, l in product(range(8), range(2)):
-            if j == 0:
-                ii, jj = (i + k) % 8, l
-            else:
-                ii, jj = (i + 3 * k) % 8, 1 - l
-            table[idx(i, j)][idx(k, l)] = idx(ii, jj)
-    return FiniteGroup(table)
-
-
 def alternating_group_4() -> FiniteGroup:
     return group_from_permutations([(1, 2, 0, 3), (1, 0, 3, 2)])
 

@@ -75,11 +75,7 @@ class SubgroupChain:
             raise ValueError("shape mismatch")
         object.__setattr__(self, "step", T)
         object.__setattr__(self, "base", B)
-        # descending chain required
-        L0 = la.column_space_basis(B)
-        L1 = la.column_space_basis(la.matmul(T, B))
-        if not la.lattice_contains(L0, L1):
-            raise ValueError("step does not descend the chain")
+        _check_descends(T, B)
 
 
 @dataclass(frozen=True)
@@ -214,18 +210,41 @@ def lim1_truncated(sys: ExplicitFinite, budget: int = 200000) -> Lim1Orbits:
 # Mittag-Leffler analysis
 
 
-def _lattice_chain_verdict(step, L0, horizon: int) -> MLVerdict:
-    """Stabilization of L_{k+1} = step L_k (column lattices): equality
-    detection, or a strict drop at stable rank, which repeats forever under an
-    invertible step.  Each level's width is its rank, and the index
-    [L_k : L_{k+1}] is 1 exactly when the levels are equal."""
-    prev = L0
+def _rank_and_product(M) -> tuple:
+    """(rank, product of the elementary divisors) of M's column lattice L;
+    the product is the index of L in its saturation."""
+    d = la.elementary_divisors(M)
+    return len(d), math.prod(d)
+
+
+def _check_descends(step, B) -> tuple:
+    """_rank_and_product(B), after checking that step L lies in the column
+    lattice L of B, else ValueError.  L lies in L + step L, so step L ⊆ L
+    exactly when the two have the same rank, hence the same saturation, and
+    the same index in it: [L + step L : L] is the quotient of the products."""
+    rank_product = _rank_and_product(B)
+    if _rank_and_product(la.beside((B, la.matmul(step, B)))) != rank_product:
+        raise ValueError("step does not descend the chain")
+    return rank_product
+
+
+def _lattice_chain_verdict(step, B, horizon: int) -> MLVerdict:
+    """Stabilization of L_{k+1} = step L_k from the column lattice L_0 of B:
+    equality detection, or a strict drop at stable rank, which repeats
+    forever under an invertible step.  L_k is the column lattice of
+    M_k = step^k B, read off its elementary divisors alone: once step L_0 ⊆
+    L_0 is checked, L_{k+1} ⊆ L_k, and at equal rank the two share their
+    saturation, so [L_k : L_{k+1}] is the quotient of their divisor
+    products, 1 exactly when the levels are equal."""
+    rank, product = _check_descends(step, B)
+    M = B
     for k in range(horizon):
-        nxt = la.column_space_basis(la.matmul(step, prev))
-        idx = la.lattice_index(prev, nxt)
-        if idx == 1:
-            return MLVerdict("holds", level=k, proof="image chain stabilizes")
-        if la.width(nxt) == la.width(prev):
+        M = la.matmul(step, M)
+        nxt_rank, nxt_product = _rank_and_product(M)
+        if nxt_rank == rank:
+            idx = nxt_product // product
+            if idx == 1:
+                return MLVerdict("holds", level=k, proof="image chain stabilizes")
             # strict inclusion at stable rank: the step is invertible on the
             # common rational span, so strictness repeats at every level
             cert = {
@@ -235,7 +254,7 @@ def _lattice_chain_verdict(step, L0, horizon: int) -> MLVerdict:
                 "invertible step",
             }
             return MLVerdict("fails", level=k, proof="strict chain", certificate=cert)
-        prev = nxt
+        rank, product = nxt_rank, nxt_product
     return MLVerdict("unknown-at-horizon", level=horizon)
 
 
@@ -270,8 +289,7 @@ def ml_check(recipe, horizon: int = DEFAULT_HORIZON) -> MLVerdict:
         Ufree = tuple(tuple(U[i][j] for j in free_idx) for i in free_idx)
         return _lattice_chain_verdict(Ufree, la.identity(len(free_idx)), horizon)
     if isinstance(recipe, SubgroupChain):
-        L0 = la.column_space_basis(recipe.base)
-        return _lattice_chain_verdict(recipe.step, L0, horizon)
+        return _lattice_chain_verdict(recipe.step, recipe.base, horizon)
     if isinstance(recipe, NormTower):
         analysis = _tower_analysis(recipe, horizon)
         if analysis.status == "fails":
@@ -283,15 +301,6 @@ def ml_check(recipe, horizon: int = DEFAULT_HORIZON) -> MLVerdict:
         if analysis.status == "holds":
             return MLVerdict("holds", level=0, proof="constant tower")
         return MLVerdict("unknown-at-horizon", level=horizon)
-    if isinstance(recipe, Product):
-        verdicts = [ml_check(f, horizon) for f in recipe.factors]
-        if all(v.holds for v in verdicts):
-            return MLVerdict("holds", level=max(v.level or 0 for v in verdicts),
-                             proof="all factors stabilize")
-        if any(v.fails for v in verdicts):
-            bad = next(v for v in verdicts if v.fails)
-            return MLVerdict("fails", proof="a factor fails", certificate=bad.certificate)
-        return MLVerdict("unknown-at-horizon", level=horizon)
     raise TypeError("unknown recipe kind")
 
 
@@ -301,22 +310,13 @@ def _tower_analysis(recipe: NormTower, horizon: int) -> nt.TowerAnalysis:
     )
 
 
-def _terms_countable(recipe) -> str | None:
-    """A reason string when the recipe certifies countable terms."""
-    if isinstance(recipe, ExplicitFinite):
-        return "finite groups"
-    if isinstance(recipe, ConstantEndo):
-        return "finitely generated abelian group"
-    if isinstance(recipe, SubgroupChain):
-        return "subgroups of a finitely generated free abelian group"
-    if isinstance(recipe, NormTower):
-        return "unit groups of number fields"
-    if isinstance(recipe, Product):
-        reasons = [_terms_countable(f) for f in recipe.factors]
-        if all(reasons):
-            return "countable product factors"
-        return None
-    return None
+# why the terms of each leaf recipe are countable
+_COUNTABLE_TERMS = {
+    ExplicitFinite: "finite groups",
+    ConstantEndo: "finitely generated abelian group",
+    SubgroupChain: "subgroups of a finitely generated free abelian group",
+    NormTower: "unit groups of number fields",
+}
 
 
 def lim1_classify(recipe, horizon: int = DEFAULT_HORIZON) -> Lim1Verdict:
@@ -336,13 +336,10 @@ def lim1_classify(recipe, horizon: int = DEFAULT_HORIZON) -> Lim1Verdict:
     if verdict.holds:
         return Lim1Verdict("trivial", reason="Mittag-Leffler holds: " + verdict.proof)
     if verdict.fails:
-        countable = _terms_countable(recipe)
-        if countable:
-            return Lim1Verdict(
-                "uncountable",
-                reason="countable terms (%s) and a replayable (ML) failure"
-                % countable,
-                certificate=verdict.certificate,
-            )
-        return Lim1Verdict("unknown", reason="(ML) fails but terms not certified countable")
+        return Lim1Verdict(
+            "uncountable",
+            reason="countable terms (%s) and a replayable (ML) failure"
+            % _COUNTABLE_TERMS[type(recipe)],
+            certificate=verdict.certificate,
+        )
     return Lim1Verdict("unknown", reason="undecided at horizon %d" % horizon)

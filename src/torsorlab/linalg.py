@@ -16,7 +16,10 @@ Both reads of the Smith form that the verifier makes eliminate the unit
 pivots first (_unit_pivots) and hand the SNF only the unit-free remainder.
 Every rank, unit count, index and H^1 invariant is read off
 elementary_divisors, which needs no transform: each unit pivot splits off a
-summand (1), and the remainder goes to a transform-free SNF.  A kernel that
+summand (1), and the remainder goes to a transform-free SNF.  The product
+of the divisors of a generating matrix is the index of its column lattice
+in its saturation, so for L' ⊆ L of equal rank, [L : L'] is the quotient of
+the products of L' and of L (invsys reads its chains so).  A kernel that
 saturated_kernel computes comes with its retraction, an integral left
 inverse W of the basis K: the pivot rows give K by back-substitution, and
 only the remainder, on the columns without a pivot, goes to an SNF that
@@ -27,12 +30,13 @@ to it on the suite's cases.
 Solving against K is then a multiply-and-check (coordinates,
 restricted_action): X = W V is the only candidate and K X == V decides, so
 no further SNF is needed.  kernel_basis reads a kernel off one SNF of the
-whole matrix; it is the oracle of saturated_kernel.
+whole matrix; it is the oracle of saturated_kernel.  solve_int,
+column_space_basis and lattice_contains track transforms and have no caller
+in the verifier: the tests keep them as the reference route.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import index
@@ -508,13 +512,3 @@ def lattice_contains(basis, vectors) -> bool:
     # solvable is all solve_int would say: no need to track R
     return _quotient(smith_normal_form(basis, transforms=("left",)), V) is not None
 
-
-def lattice_index(big, small):
-    """Index [big : small] for sublattices of equal rank, else None."""
-    X = solve_int(big, small)
-    if X is None:
-        return None
-    divs = elementary_divisors(X)
-    if len(divs) < width(big) or width(big) != width(small):
-        return None
-    return math.prod(divs)

@@ -1,8 +1,8 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
-form, lattice equality, a determinant independent of the SNF, powers mod a
-polynomial by whole divisions, schoolbook polynomial products and
-divisions on tuples, Yun's squarefree loop run to its end, the
-materialized truncation of an
+form, lattice equality and the index of a sublattice by its coordinates, a
+determinant independent of the SNF, powers mod a polynomial by whole
+divisions, schoolbook polynomial products and divisions on tuples, Yun's
+squarefree loop run to its end, the materialized truncation of an
 inverse-system recipe, lattice H^1 by the Schreier relators of a
 generating set, permutation lattices placed one point at a time, zero
 lattices and maps, the Serre character sequences and
@@ -15,6 +15,7 @@ by summing rotations, and the benchmark's workloads read from their file."""
 
 import contextlib
 import importlib.util
+import math
 import pathlib
 import sys
 
@@ -67,6 +68,19 @@ def group_to_json(g: gr.FiniteGroup) -> dict:
 
 def lattice_eq(b1, b2) -> bool:
     return la.lattice_contains(b1, b2) and la.lattice_contains(b2, b1)
+
+
+def lattice_index(big, small):
+    """Index [big : small] for sublattices of equal rank, else None: the
+    coordinates X of small in the basis big, big X = small, and the product
+    of X's elementary divisors."""
+    X = la.solve_int(big, small)
+    if X is None:
+        return None
+    divs = la.elementary_divisors(X)
+    if len(divs) < la.width(big) or la.width(big) != la.width(small):
+        return None
+    return math.prod(divs)
 
 
 def bareiss_det(matrix):

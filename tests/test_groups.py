@@ -168,7 +168,7 @@ def test_quaternion_and_semidihedral():
     assert sorted(q8.element_order(x) for x in q8.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
     q16 = gr.quaternion_group(16)
     assert q16.order == 16 and len(gr.center(q16)) == 2
-    sd = gr.semidihedral_group_16()
+    sd = dict(catalog.group_catalog())["SD16"]
     assert sd.order == 16 and len(gr.center(sd)) == 2
     d4 = gr.dihedral_group(4)
     assert not (sd == d4)

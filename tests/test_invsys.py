@@ -15,7 +15,8 @@ from torsorlab import groups as gr
 from torsorlab import invsys as iv
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
-from helpers import NotMaterializable, lattice_eq, perfbench_workloads, truncate
+from helpers import (NotMaterializable, lattice_eq, lattice_index, perfbench_workloads,
+                     truncate)
 
 
 def constant_system(g, length):
@@ -351,10 +352,14 @@ def test_ml_subgroup_chain():
     assert iv.ml_check(const).holds
 
 
-def _reference_chain_verdict(step, L0, horizon):
-    # the loop _lattice_chain_verdict replaced: two-way lattice_eq per level
-    # and both ranks by SNF
-    prev, prev_rank = L0, len(la.elementary_divisors(L0))
+def _reference_chain_verdict(step, base, horizon):
+    # the route _lattice_chain_verdict replaced: a column-space basis per
+    # level, two-way lattice_eq, both ranks by SNF and the index by
+    # coordinates; a step that does not descend is refused by containment
+    prev = la.column_space_basis(base)
+    if not la.lattice_contains(prev, la.matmul(step, prev)):
+        raise ValueError("step does not descend the chain")
+    prev_rank = len(la.elementary_divisors(prev))
     for k in range(horizon):
         nxt = la.column_space_basis(la.matmul(step, prev))
         if lattice_eq(prev, nxt):
@@ -363,7 +368,7 @@ def _reference_chain_verdict(step, L0, horizon):
         if r == prev_rank:
             cert = {
                 "witness_level": k,
-                "index": la.lattice_index(prev, nxt),
+                "index": lattice_index(prev, nxt),
                 "law": "strict drop at stable rank repeats under an "
                 "invertible step",
             }
@@ -372,18 +377,71 @@ def _reference_chain_verdict(step, L0, horizon):
     return iv.MLVerdict("unknown-at-horizon", level=horizon)
 
 
+def _random_chain(rng, n, c, entries):
+    """(step, base): a random n x n step and n x c generating matrix, whose
+    columns are repeated, scaled or zeroed at random so that dependent and
+    zero columns occur, and now and then the zero matrix."""
+    step = tuple(tuple(rng.randint(-entries, entries) for _ in range(n)) for _ in range(n))
+    cols = [[rng.randint(-entries, entries) for _ in range(n)] for _ in range(c)]
+    for j in range(1, c):
+        pick = rng.random()
+        if pick < 0.2:
+            cols[j] = [rng.choice((-2, 1, 3)) * x for x in cols[rng.randrange(j)]]
+        elif pick < 0.3:
+            cols[j] = [0] * n
+    if rng.random() < 0.05:
+        cols = [[0] * n for _ in range(c)]
+    return step, la.transpose(cols)
+
+
+def _verdict_or_refusal(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return "refused"
+
+
 def test_lattice_chain_verdict_matches_reference():
+    # raw generating matrices go in as they are; a step that does not
+    # descend is refused (such draws were read as failures with no index)
     rng = random.Random(5)
-    statuses = set()
+    outcomes = []
     for _ in range(300):
-        n, c = rng.randint(1, 3), rng.randint(1, 3)
-        step = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
-        base = tuple(tuple(rng.randint(-2, 2) for _ in range(c)) for _ in range(n))
-        L0 = la.column_space_basis(base)
-        v = iv._lattice_chain_verdict(step, L0, 4)
-        assert v == _reference_chain_verdict(step, L0, 4), (step, base)
-        statuses.add(v.status)
-    assert statuses == {"holds", "fails"}
+        n, c = rng.randint(1, 3), rng.randint(1, 4)
+        step, base = _random_chain(rng, n, c, 2)
+        for horizon in (1, 4):
+            v = _verdict_or_refusal(iv._lattice_chain_verdict, step, base, horizon)
+            assert v == _verdict_or_refusal(_reference_chain_verdict, step, base, horizon), (
+                step, base)
+            if v != "refused" and v.fails:
+                assert v.certificate["index"] > 1
+            outcomes.append(v if v == "refused" else v.status)
+    assert set(outcomes) == {"holds", "fails", "unknown-at-horizon", "refused"}
+    zero = ((0, 0), (0, 0))
+    assert iv._lattice_chain_verdict(((2, 1), (0, 3)), zero, 4) == iv.MLVerdict(
+        "holds", level=0, proof="image chain stabilizes")
+
+
+def test_descent_rule_matches_containment():
+    # step L ⊆ L, L the column lattice of B, exactly when [B | step B] has
+    # B's rank and divisor product
+    rng = random.Random(17)
+    refused = 0
+    for _ in range(400):
+        n, c = rng.randint(1, 4), rng.randint(1, 5)
+        step, base = _random_chain(rng, n, c, 4)
+        descends = la.lattice_contains(base, la.matmul(step, base))
+        if descends:
+            assert iv._check_descends(step, base) == (
+                len(la.elementary_divisors(base)),
+                math.prod(la.elementary_divisors(base)))
+        else:
+            refused += 1
+            with pytest.raises(ValueError):
+                iv._check_descends(step, base)
+            with pytest.raises(ValueError):
+                iv.SubgroupChain(n, step, base)
+    assert 0 < refused < 400
 
 
 def test_lim1_classify():

@@ -197,16 +197,17 @@ def test_permutation_h1_checks_each_action_once(monkeypatch):
     # criterion 3: left multiplication permutes the cosets of a subgroup, so
     # coset_gset builds its 747 G-sets unchecked, and h1_abelian trusts
     # their permutation lattices (747 check_rho and 747 more check_action
-    # calls when both re-proved the law); the 72 check_action calls are the
-    # catalog's group tables that no theorem vouches for (98 when its direct
-    # and semidirect products were checked too).
+    # calls when both re-proved the law); the 51 check_action calls are the
+    # catalog's group tables that no theorem vouches for, each cyclic group
+    # checked once (72 when each product built and checked its own cyclic
+    # factors, 98 when the direct and semidirect products were checked too).
     # test_trusted_constructors.py runs the validators on what these
     # constructors build
     tables, gsets, lattice_laws = _calls(
         monkeypatch, checks.check_permutation_h1_vanishing,
         (gr, "check_action"), (gs, "check_action"), (lt, "check_rho"))
     assert lattice_laws == 0
-    assert tables + gsets == 72
+    assert tables + gsets == 51
 
 
 def test_permutation_h1_builds_no_identity(monkeypatch):
@@ -225,8 +226,8 @@ def test_permutation_h1_reads_no_row_twice(monkeypatch):
     # h1_abelian builds the rows of the stacked rho(s) - I itself from rows
     # its lattice already holds and hands them to la._divisors unread (one
     # _rows read per lattice, 747, when it went through elementary_divisors;
-    # 819 over criterion 3, whose other reads are the catalog's 72 group
-    # tables)
+    # 819 over criterion 3, whose other reads are the catalog's group tables,
+    # 51 since each cyclic group is built once, 72 before)
     lattices = [m for _, _, m in checks.coset_lattices()]
 
     def run():
@@ -234,7 +235,7 @@ def test_permutation_h1_reads_no_row_twice(monkeypatch):
             co.h1_abelian(m.group, m)
 
     assert _calls(monkeypatch, run, (la, "_rows")) == [0]
-    assert _calls(monkeypatch, checks.check_permutation_h1_vanishing, (la, "_rows"))[0] <= 72
+    assert _calls(monkeypatch, checks.check_permutation_h1_vanishing, (la, "_rows"))[0] <= 51
 
 
 def _cayley_work(monkeypatch, run) -> tuple:
@@ -272,6 +273,20 @@ def _twist_steps_read(monkeypatch, run) -> int:
     run()
     monkeypatch.setattr(co, "_twist_steps", twist_steps)
     return built[0]
+
+
+def test_lim1_dichotomy_snf_work(monkeypatch):
+    # criterion 8 reads its two lattice chains off elementary divisors alone:
+    # per chain the divisors of B and of [B | T B] for descent (twice for
+    # the subgroup chain, once when it is built), then of T B; only the
+    # halving chain's (2) leaves a remainder for a transform-free SNF (8
+    # SNF calls tracking transforms, 5 right, 2 left and right, 1 left, when
+    # the chains were read through column-space bases, containment and
+    # indices by solving)
+    calls = _snf_calls(monkeypatch, checks.check_lim1_dichotomy)
+    assert calls == [(1, 1, ())]
+    divisors, = _calls(monkeypatch, checks.check_lim1_dichotomy, (la, "elementary_divisors"))
+    assert divisors == 8
 
 
 def test_twist_work(monkeypatch):

@@ -11,6 +11,9 @@ included; lambdas, comprehensions and class bodies are not.  One counts as
 entered when the interpreter calls its code under sys.setprofile, which is
 on from before torsorlab is imported, so calls made at import count too.
 Code that dataclasses generate is not in the sources and is not listed.
+A never-entered function that perfbench/tracing.py names in TIMED or
+COUNTED is tagged `(tracer)`: only the benchmark's tracer keeps its name,
+read from the file's syntax tree without importing it.
 
 Run from anywhere, standard library only (the traced run takes about 4 s
 on two cores):
@@ -20,6 +23,7 @@ on two cores):
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -27,11 +31,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def tracer_names() -> set:
+    """The (module, attribute) pairs of TIMED and COUNTED in tracing.py."""
+    pairs = set()
+    for node in ast.parse(TRACING.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED")
+                        for t in node.targets)):
+            pairs.update(ast.literal_eval(node.value))
+    return pairs
 
 
 def defined_functions() -> dict:
     """{(file, first line, name): label} of every def in src/torsorlab, read
-    from the code objects that compiling each module gives."""
+    from the code objects that compiling each module gives; the label ends
+    in `(tracer)` when tracing.py names the function."""
+    traced = tracer_names()
     found = {}
     for path in sorted((SRC / "torsorlab").glob("*.py")):
         todo = [compile(path.read_text(), str(path), "exec")]
@@ -43,7 +61,8 @@ def defined_functions() -> dict:
                 continue
             name = getattr(code, "co_qualname", code.co_name)
             key = (code.co_filename, code.co_firstlineno, code.co_name)
-            found[key] = f"{path.name}:{code.co_firstlineno} {name}"
+            tag = " (tracer)" if (path.stem, name) in traced else ""
+            found[key] = f"{path.name}:{code.co_firstlineno} {name}{tag}"
     return found
 
 
@@ -94,7 +113,8 @@ def main() -> int:
     for line in runs:
         print(f"# {line}")
     never = [functions[key] for key in sorted(functions) if key not in entered]
-    print(f"# {len(never)} of {len(functions)} functions in src/ never entered")
+    print(f"# {len(never)} of {len(functions)} functions in src/ never entered, "
+          f"{sum(label.endswith(' (tracer)') for label in never)} of them named by the tracer")
     for label in never:
         print(label)
     return 0
