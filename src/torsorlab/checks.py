@@ -532,8 +532,9 @@ def check_product_h1(products=None) -> CheckResult:
     ((product, projections), factors) pair of `products`, by default
     gamma_group_products(): the class counts multiply, and projecting each
     class of the product to the factors is a bijection onto the tuples of
-    their classes.  A Gamma-group paired with factors it is not the product
-    of refutes."""
+    their classes, each read off the factor's partition (NonabelianH1).  A
+    Gamma-group paired with factors it is not the product of refutes, and
+    so does a projection that sends a class outside a factor's cocycles."""
     evidence, findings = [], []
     for (prod, proj_maps), factors in gamma_group_products() if products is None else products:
         h_prod = co.h1_nonabelian(prod.gamma, prod)
@@ -542,16 +543,14 @@ def check_product_h1(products=None) -> CheckResult:
         for h in h_factors:
             expect *= h.count
         count_ok = h_prod.count == expect
-        # the classwise projection map is a bijection onto the product set
-        canon = []
-        for cls in h_prod.classes:
-            parts = []
-            for (_, pmap), f in zip(proj_maps, factors):
-                vals = tuple(pmap[v] for v in cls.values)
-                # canonicalize through twisted conjugation
-                parts.append(min(co.twist_values(f, vals, f.underlying.elements())))
-            canon.append(tuple(parts))
-        bijective = len(set(canon)) == len(canon) == expect
+        # the classwise projection map is a bijection onto the product set:
+        # each projected table is read off its factor's partition, and one
+        # that is no cocycle of the factor has no label (None) and refutes
+        canon = [tuple(h.partition.get(tuple(pmap[v] for v in cls.values))
+                       for (_, pmap), h in zip(proj_maps, h_factors))
+                 for cls in h_prod.classes]
+        bijective = (all(None not in c for c in canon)
+                     and len(set(canon)) == len(canon) == expect)
         findings.append(count_ok and bijective)
         evidence.append(
             {

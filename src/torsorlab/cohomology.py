@@ -16,6 +16,7 @@ classes under twisted conjugation from one partition (twist_classes).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg as la
@@ -232,15 +233,20 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
 @dataclass(frozen=True)
 class NonabelianH1:
     classes: tuple  # CrossedHom representatives, lex-least value tables
-    sizes: tuple  # orbit sizes under twisted conjugation
+    partition: dict = field(compare=False)  # twist_classes of the cocycle tables
 
     @property
     def count(self) -> int:
         return len(self.classes)
 
     @property
+    def sizes(self) -> tuple:
+        """Orbit sizes under twisted conjugation, in the order of classes."""
+        return tuple(Counter(self.partition.values()).values())
+
+    @property
     def cocycle_count(self) -> int:
-        return sum(self.sizes)
+        return len(self.partition)
 
 
 def _cayley_plan(gamma: FiniteGroup, gens) -> list:
@@ -345,18 +351,19 @@ def all_homs(src: FiniteGroup, tgt: FiniteGroup) -> tuple:
     return tuple(GroupHom(src, tgt, vals, validate=False) for vals in found)
 
 
-def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
-    """(least table, class size) per class of `tables` under twisting by the
-    subgroup `by` of the coefficient (see twist_values), in the order of the
-    least tables; NotAction if a class leaves `tables` or the action is not
-    by automorphisms.
+def twist_classes(coefficient: GammaGroup, tables, by) -> dict:
+    """The partition of `tables` into classes under twisting by the subgroup
+    `by` of the coefficient (see twist_values): a dict from each table to
+    the least table of its class, its keys inserted class by class in the
+    order of the least tables; NotAction if a class leaves `tables` or the
+    action is not by automorphisms.
 
     For an action by automorphisms, (t . a)(t . b) = t . ab makes twisting a
     right action, f.a.b = f.ab, so the class of f is its closure under the
     generators of `by`: a walk twists each member once per generator.  The
     walk would miss members of the orbit {f.a : a in by} for any other
-    action, so that is checked first.  In sorted order, the first unseen
-    table is its class's least: a smaller member would have marked it seen.
+    action, so that is checked first.  In sorted order, the first unlabelled
+    table is its class's least: a smaller member would have labelled it.
     The steps of the generators (_twist_steps) are built once, and each
     member is twisted by all of them in one comprehension.
 
@@ -376,26 +383,23 @@ def twist_classes(coefficient: GammaGroup, tables, by) -> tuple:
         a for a in gens if {t[a] for t in coefficient.action} != {a}
         or [r[a] for r in rows] != list(rows[a])])
     tables = sorted(tables)
-    seen = set()
-    out = []
+    label = {}
     for least in tables:
-        if least in seen:
+        if least in label:
             continue
-        seen.add(least)
-        walk, size = [least], 0
+        label[least] = least
+        walk = [least]
         while walk:
-            size += 1
             f = walk.pop()
             for vals in [tuple([rows[left[v]][r] for v, r in zip(f, right)])
                          for left, right in steps]:
-                if vals not in seen:
-                    seen.add(vals)
+                if vals not in label:
+                    label[vals] = least
                     walk.append(vals)
-        out.append((least, size))
-    # each given table is seen, so more seen tables means a walk left them
-    if len(seen) != len(set(tables)):
+    # each given table is labelled, so more labels mean a walk left them
+    if len(label) != len(set(tables)):
         raise NotAction("twisted conjugation leaves the given tables")
-    return tuple(out)
+    return label
 
 
 def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
@@ -407,10 +411,10 @@ def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
     gens = _budgeted_gens(gamma, n, budget)
     every = [n.underlying.elements()] * len(gens)
     tables = _cayley_search(gamma, n, gens, every)
-    classes = twist_classes(n, tables, n.underlying.elements())
+    label = twist_classes(n, tables, n.underlying.elements())
     return NonabelianH1(
-        tuple(CrossedHom(gamma, n, rep, validate=False) for rep, _ in classes),
-        tuple(size for _, size in classes),
+        tuple(CrossedHom(gamma, n, rep, validate=False) for rep in dict.fromkeys(label.values())),
+        label,
     )
 
 

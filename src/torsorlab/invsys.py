@@ -75,7 +75,11 @@ class SubgroupChain:
             raise ValueError("shape mismatch")
         object.__setattr__(self, "step", T)
         object.__setattr__(self, "base", B)
-        _check_descends(T, B)
+        # L lies in L + T L, so T L ⊆ L, L the column lattice of B, exactly
+        # when the two have the same rank, hence the same saturation, and the
+        # same index in it: [L + T L : L] is the quotient of the products
+        if _rank_and_product(la.beside((B, la.matmul(T, B)))) != _rank_and_product(B):
+            raise ValueError("step does not descend the chain")
 
 
 @dataclass(frozen=True)
@@ -217,26 +221,17 @@ def _rank_and_product(M) -> tuple:
     return len(d), math.prod(d)
 
 
-def _check_descends(step, B) -> tuple:
-    """_rank_and_product(B), after checking that step L lies in the column
-    lattice L of B, else ValueError.  L lies in L + step L, so step L ⊆ L
-    exactly when the two have the same rank, hence the same saturation, and
-    the same index in it: [L + step L : L] is the quotient of the products."""
-    rank_product = _rank_and_product(B)
-    if _rank_and_product(la.beside((B, la.matmul(step, B)))) != rank_product:
-        raise ValueError("step does not descend the chain")
-    return rank_product
-
-
 def _lattice_chain_verdict(step, B, horizon: int) -> MLVerdict:
     """Stabilization of L_{k+1} = step L_k from the column lattice L_0 of B:
     equality detection, or a strict drop at stable rank, which repeats
     forever under an invertible step.  L_k is the column lattice of
-    M_k = step^k B, read off its elementary divisors alone: once step L_0 ⊆
-    L_0 is checked, L_{k+1} ⊆ L_k, and at equal rank the two share their
-    saturation, so [L_k : L_{k+1}] is the quotient of their divisor
-    products, 1 exactly when the levels are equal."""
-    rank, product = _check_descends(step, B)
+    M_k = step^k B, read off its elementary divisors alone.  The step
+    descends, step L_0 ⊆ L_0: SubgroupChain checks that when it is built,
+    and the step of a ConstantEndo comes with B = I.  So L_{k+1} ⊆ L_k, and
+    at equal rank the two share their saturation, so [L_k : L_{k+1}] is
+    the quotient of their divisor products, 1 exactly when the levels are
+    equal."""
+    rank, product = _rank_and_product(B)
     M = B
     for k in range(horizon):
         M = la.matmul(step, M)

@@ -19,7 +19,6 @@ from .cohomology import (
     trivial_cocycle,
     twist_classes,
     twist_group,
-    twist_values,
 )
 from .groups import GroupHom, generating_set
 
@@ -94,7 +93,9 @@ class RelativeClass:
 
 def relative_h1(v: EquivariantHom, q: TorsorRep,
                 budget: int = DEFAULT_BUDGET) -> tuple:
-    """Representatives of lifts of q along v, modulo kernel twists;
+    """(representatives, partition) of the lifts of q along v modulo kernel
+    twists: the relative classes in the order of their least tables, and
+    twist_classes of the lift tables, each to its class's least table;
     NotAction unless Gamma acts on the source by automorphisms (checked by
     twist_classes).
 
@@ -114,10 +115,11 @@ def relative_h1(v: EquivariantHom, q: TorsorRep,
         raise BudgetExceeded(f"{total} candidate lifts exceed budget {budget}")
     # v o f and q are cocycles that agree on the generators, so v o f = q
     lifts = _cayley_search(gamma, B, gens, fibers)
+    label = twist_classes(B, lifts, v.hom.kernel())
     return tuple(
         RelativeClass(v, q, TorsorRep(B, CrossedHom(gamma, B, r, validate=False)))
-        for r, _ in twist_classes(B, lifts, v.hom.kernel())
-    )
+        for r in dict.fromkeys(label.values())
+    ), label
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,9 @@ class TwistBijectionReport:
     `neutral_to_base` follows from `mapping[0] >= 0`: the first kernel class
     is the neutral one, whose lift is p0 itself, and the relative class that
     `mapping[0]` names is by construction the one whose representative is
-    p0's least kernel twist.  So it adds nothing to `bijective`; it stays a
-    field because reports and their digests carry it."""
+    p0's label in the partition of relative_h1.  So it adds nothing to
+    `bijective`; it stays a field because reports and their digests carry
+    it."""
 
     kernel_h1_classes: tuple  # canonical representatives in the inner form
     relative_classes: tuple  # canonical representatives of lifts
@@ -176,10 +179,12 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     kernel with the relative classes over the base, neutral class to base.
 
     Each kernel class a is lifted to t -> a(t) p0(t), validated as a cocycle
-    of B and canonicalized by its least twist under the kernel of B -> C;
-    `mapping` and `bijective` compare those with relative_h1, and
-    `neutral_to_base` follows the first kernel class, which is the neutral
-    one because the all-neutral table is the least table.
+    of B and looked up in the partition of relative_h1, which labels every
+    lift of q with the least table of its class under the kernel of B -> C;
+    a lift with no label maps to -1.  `mapping` and `bijective` compare the
+    labels with the relative classes, and `neutral_to_base` follows the
+    first kernel class, which is the neutral one because the all-neutral
+    table is the least table, to p0's label.
 
     `abelian_kernel_action_factors` is True for an abelian A and None
     otherwise, by exactness rather than by a loop: two elements of B with
@@ -206,13 +211,8 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     twisted_kernel = GammaGroup(gamma, A.underlying, action)
 
     kernel_h1 = h1_nonabelian(gamma, twisted_kernel, budget)
-    rel = relative_h1(base.vmap, base.q, budget)
+    rel, label = relative_h1(base.vmap, base.q, budget)
     rel_index = {rc.p.cocycle.values: i for i, rc in enumerate(rel)}
-    kernel_of_v = seq.project.hom.kernel()
-
-    def least_twist(vals):
-        return min(twist_values(B, vals, kernel_of_v))
-
     mapping = []
     for cls in kernel_h1.classes:
         lifted = tuple(
@@ -220,11 +220,11 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
         )
         # must be a genuine B-cocycle over q
         CrossedHom(gamma, B, lifted)
-        mapping.append(rel_index.get(least_twist(lifted), -1))
+        mapping.append(rel_index.get(label.get(lifted), -1))
     bijective = -1 not in mapping and len(set(mapping)) == len(mapping) == len(rel)
     neutral = kernel_h1.classes[0].values == trivial_cocycle(gamma, twisted_kernel).values
     neutral_to_base = (neutral and mapping[0] >= 0
-                       and rel[mapping[0]].p.cocycle.values == least_twist(p0.values))
+                       and rel[mapping[0]].p.cocycle.values == label.get(p0.values))
     return TwistBijectionReport(
         kernel_h1.classes,
         rel,

@@ -217,26 +217,24 @@ def truncate(recipe, n: int):
     raise TypeError("unknown recipe kind")
 
 
-def twist_classes_reference(coefficient, tables, by) -> tuple:
+def twist_classes_reference(coefficient, tables, by) -> dict:
     """cohomology.twist_classes by whole orbits: the class of each least
-    unseen table f is {f.a : a in by}, each twist computed through the
-    underlying group's mul/inv and the action; NotAction if an orbit leaves
-    `tables`."""
+    unlabelled table f is {f.a : a in by}, each twist computed through the
+    underlying group's mul/inv and the action, and each member is labelled
+    f, class by class; NotAction if an orbit leaves `tables`."""
     n, act = coefficient.underlying, coefficient.act
     tables = sorted(tables)
     members = set(tables)
-    seen = set()
-    out = []
+    label = {}
     for vals in tables:
-        if vals in seen:
+        if vals in label:
             continue
         orbit = {tuple(n.mul(n.mul(n.inv(a), v), act(t, a)) for t, v in enumerate(vals))
                  for a in by}
         if not orbit <= members:
             raise gr.NotAction("twisted conjugation leaves the given tables")
-        seen |= orbit
-        out.append((vals, len(orbit)))
-    return tuple(out)
+        label.update(dict.fromkeys(orbit, vals))
+    return label
 
 
 # A word is a tuple of letters: 2i stands for generator i and 2i + 1 for its

@@ -345,6 +345,25 @@ def test_criterion_11_refutes_a_product_paired_with_other_factors():
     ]
 
 
+def test_criterion_11_refutes_a_projection_outside_the_factor_cocycles():
+    # C2 acting trivially on C2 x C3 (index a + 2b) has 2 classes, one per
+    # homomorphism C2 -> C2.  A projection to C3 that sends (1, 0) to 1
+    # sends the second class to the table (0, 1), which is no cocycle of C3
+    # and has no label in its partition.  The projected tuples stay distinct
+    # and the counts still multiply, so the missing label alone refutes
+    c2, c3 = gr.cyclic_group(2), gr.cyclic_group(3)
+    factors = [co.trivial_gamma_group(c2, g) for g in (c2, c3)]
+    product = co.gamma_group_product(factors)
+    prod, (to_c2, (i, to_c3)) = product
+    assert to_c3 == (0, 0, 1, 1, 2, 2)
+    off = (prod, (to_c2, (i, (0, 1, 1, 1, 2, 2))))
+    assert (0, 1) not in co.h1_nonabelian(c2, factors[1]).partition
+    assert pc.check_product_h1([(product, factors)]).verdict == "verified"
+    r = pc.check_product_h1([(off, factors)])
+    assert r.verdict == "refuted"
+    assert r.evidence == [{"factor_counts": [2, 1], "product_count": 2, "bijective": False}]
+
+
 # sha256 of the stdout of `torsor-lab suite checks`, the whole report
 SUITE_CHECKS_STDOUT_SHA256 = "dee73a1079b9ac58a43d272065e04c4f956d7fb1bea3e0aaaa9919174e5f02b2"
 

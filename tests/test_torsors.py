@@ -39,16 +39,17 @@ def test_relative_h1_plain_h1_when_base_trivial_group():
     C = co.trivial_gamma_group(gamma, gr.trivial_group())
     v = to.EquivariantHom(B, C, gr.GroupHom(s3, gr.trivial_group(), (0,) * 6))
     q = to.trivial_torsor(C)
-    reps = to.relative_h1(v, q)
+    reps, label = to.relative_h1(v, q)
     plain = co.h1_nonabelian(gamma, B)
     assert len(reps) == plain.count == 2
+    assert label == plain.partition
 
 
 def test_relative_h1_identity_map_single_class():
     n = c2_on_c2_structure()
     v = to.EquivariantHom(n, n, gr.identity_hom(n.underlying))
     q = to.TorsorRep(n, co.CrossedHom(n.gamma, n, (0, 1)))
-    reps = to.relative_h1(v, q)
+    reps, _ = to.relative_h1(v, q)
     assert len(reps) == 1
     assert reps[0].p.cocycle.values == q.cocycle.values
 
@@ -57,13 +58,13 @@ def test_relative_h1_s3_sequence_counts():
     seq = s3_sequence()
     v = seq.project
     q_triv = to.trivial_torsor(seq.c)
-    reps = to.relative_h1(v, q_triv)
+    reps, _ = to.relative_h1(v, q_triv)
     # lifts valued in the kernel: only the trivial hom C2 -> C3
     assert len(reps) == 1
     q_id = to.TorsorRep(seq.c, co.CrossedHom(seq.c.gamma, seq.c, (0, 1)))
-    reps = to.relative_h1(v, q_id)
+    reps, label = to.relative_h1(v, q_id)
     # three transposition lifts, fused by kernel conjugation
-    assert len(reps) == 1
+    assert len(reps) == 1 and len(label) == 3
 
 
 def quotient_map(b: co.GammaGroup, n_elems) -> to.EquivariantHom:
@@ -98,7 +99,8 @@ def relative_cases() -> list:
 
 def test_relative_h1_matches_brute_force():
     # lifts of every base cocycle q: all cocycles f of B with v o f = q,
-    # filtered from every map Gamma -> B, modulo twists by the kernel of v
+    # filtered from every map Gamma -> B, modulo twists by the kernel of v;
+    # the partition labels each lift with the least twist of its table
     for b, n_elems in relative_cases():
         v = quotient_map(b, n_elems)
         kernel = v.hom.kernel()
@@ -106,9 +108,10 @@ def test_relative_h1_matches_brute_force():
         for qvals in brute_cocycles(b.gamma, v.target):
             q = to.TorsorRep(v.target, co.CrossedHom(b.gamma, v.target, qvals))
             lifts = [f for f in cocycles if tuple(map(v, f)) == qvals]
-            want = sorted({min(co.twist_values(b, f, kernel)) for f in lifts})
-            got = [rc.p.cocycle.values for rc in to.relative_h1(v, q)]
-            assert got == want, (b, n_elems, qvals)
+            least = {f: min(co.twist_values(b, f, kernel)) for f in lifts}
+            reps, label = to.relative_h1(v, q)
+            assert [rc.p.cocycle.values for rc in reps] == sorted(set(least.values()))
+            assert label == least, (b, n_elems, qvals)
 
 
 def twist_components(b: co.GammaGroup, tables, by) -> list:
@@ -134,10 +137,11 @@ def test_twist_classes_are_the_components_of_the_twist_graph():
     for b, n_elems in relative_cases():
         cocycles = brute_cocycles(b.gamma, b)
         for by in (n_elems, b.underlying.elements()):
-            want = [(c[0], len(c)) for c in twist_components(b, cocycles, by)]
+            want = {t: c[0] for c in twist_components(b, cocycles, by) for t in c}
             got = co.twist_classes(b, cocycles, by)
-            assert list(got) == want, (b, by)
-            assert sum(size for _, size in got) == len(cocycles)
+            assert got == want, (b, by)
+            # keys go in class by class, in the order of the least tables
+            assert list(got.values()) == sorted(got.values())
 
 
 def walk_generator_kinds(n: co.GammaGroup, by) -> set:
@@ -158,7 +162,8 @@ def test_twist_classes_equal_the_whole_orbit_reference():
         cases += [(b, cocycles, n_elems), (b, cocycles, b.underlying.elements())]
     kinds = set()
     for n, tables, by in cases:
-        assert co.twist_classes(n, tables, by) == twist_classes_reference(n, tables, by), (n, by)
+        got, want = co.twist_classes(n, tables, by), twist_classes_reference(n, tables, by)
+        assert got == want and list(got.values()) == list(want.values()), (n, by)
         kinds |= walk_generator_kinds(n, by)
     # negative control for dropping a generator: the cases walk by
     # generators that are central and fixed (dropped), central but moved
@@ -186,7 +191,9 @@ def test_twist_bijection_s3():
         assert len(rep.kernel_h1_classes) == len(rep.relative_classes)
 
 
-def test_twist_bijection_degenerate_c_trivial():
+def c_trivial_sequence() -> tuple:
+    """(1 -> C2 -> C2 -> 1 -> 1 over Gamma = C2 acting trivially, its
+    trivial base class)."""
     gamma = gr.cyclic_group(2)
     c2 = gr.cyclic_group(2)
     A = co.trivial_gamma_group(gamma, c2)
@@ -197,11 +204,26 @@ def test_twist_bijection_degenerate_c_trivial():
         to.EquivariantHom(A, B, gr.identity_hom(c2)),
         to.EquivariantHom(B, C, gr.GroupHom(c2, gr.trivial_group(), (0, 0))),
     )
-    base = to.RelativeClass(seq.project, to.trivial_torsor(C), to.trivial_torsor(B))
-    rep = to.verify_twist_bijection(seq, base)
+    return seq, to.RelativeClass(seq.project, to.trivial_torsor(C), to.trivial_torsor(B))
+
+
+def test_twist_bijection_degenerate_c_trivial():
+    rep = to.verify_twist_bijection(*c_trivial_sequence())
     assert rep.bijective and rep.neutral_to_base
     # A = B: classes are plain H^1(Gamma, C2): two of them
     assert len(rep.kernel_h1_classes) == 2
+
+
+def test_twist_bijection_maps_a_lift_with_no_label_to_minus_one(monkeypatch):
+    # negative control for the lookup: when the search of relative_h1 misses
+    # the lift (0, 1), the kernel class (0, 1) lifts to a table with no label
+    # in the partition, so it maps to -1 and the bijection refutes
+    search = to._cayley_search
+    monkeypatch.setattr(to, "_cayley_search", lambda *args: [
+        t for t in search(*args) if t != (0, 1)])
+    rep = to.verify_twist_bijection(*c_trivial_sequence())
+    assert rep.mapping == (0, -1)
+    assert not rep.bijective and rep.neutral_to_base
 
 
 def test_twist_bijection_nonabelian_kernel():

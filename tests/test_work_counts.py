@@ -12,6 +12,7 @@ from torsorlab import linalg as la
 from torsorlab import numtheory as nt
 from torsorlab import serre as sr
 from torsorlab import torsors as ts
+from helpers import perfbench_workloads
 
 
 def _calls(monkeypatch, run, *targets) -> list:
@@ -277,24 +278,43 @@ def _twist_steps_read(monkeypatch, run) -> int:
 
 def test_lim1_dichotomy_snf_work(monkeypatch):
     # criterion 8 reads its two lattice chains off elementary divisors alone:
-    # per chain the divisors of B and of [B | T B] for descent (twice for
-    # the subgroup chain, once when it is built), then of T B; only the
-    # halving chain's (2) leaves a remainder for a transform-free SNF (8
-    # SNF calls tracking transforms, 5 right, 2 left and right, 1 left, when
-    # the chains were read through column-space bases, containment and
-    # indices by solving)
+    # the divisors of B and of [B | T B] for the subgroup chain's descent,
+    # once when it is built (8 calls when each verdict checked descent
+    # again), then per chain those of B and of T B; only the halving chain's
+    # (2) leaves a remainder for a transform-free SNF (8 SNF calls tracking
+    # transforms, 5 right, 2 left and right, 1 left, when the chains were
+    # read through column-space bases, containment and indices by solving)
     calls = _snf_calls(monkeypatch, checks.check_lim1_dichotomy)
     assert calls == [(1, 1, ())]
     divisors, = _calls(monkeypatch, checks.check_lim1_dichotomy, (la, "elementary_divisors"))
-    assert divisors == 8
+    assert divisors == 6
 
 
 def test_twist_work(monkeypatch):
-    # the tables twisted by the class walks and twist_values of the H^1 of
-    # products (397 when the walks also twisted by the central, Gamma-fixed
-    # generators, which twist nothing) and of the twist bijections (204)
-    assert _twist_steps_read(monkeypatch, checks.check_product_h1) == 293
-    assert _twist_steps_read(monkeypatch, checks.check_twist_bijection) == 193
+    # the tables twisted by the class walks of the H^1 of products and of
+    # the twist bijections; every other class is read off a walk's partition
+    # (293 and 193 when criterion 11 and verify_twist_bijection took each
+    # table's least twist by twist_values, 397 and 204 before that, when the
+    # walks also twisted by the central, Gamma-fixed generators, which twist
+    # nothing)
+    assert _twist_steps_read(monkeypatch, checks.check_product_h1) == 89
+    assert _twist_steps_read(monkeypatch, checks.check_twist_bijection) == 105
+
+
+def test_benchmark_twist_work(monkeypatch):
+    # the tables twisted on the seed-1 tables-primes cases of the two kinds
+    # that walk twist classes: each twist bijection reads its lifts off the
+    # partition of relative_h1 (740 steps when it also took each lift's
+    # least twist by the kernel), and the products walk as before
+    with perfbench_workloads() as workloads:
+        cases = workloads.build("tables-primes", 1)
+        for kind, steps in (("twist", 64), ("product", 12223)):
+            run, canon, check = workloads.KINDS[kind]
+            held = []
+            assert _twist_steps_read(monkeypatch, lambda: held.extend(
+                check(c.args, canon(c.args, run(c.args))) for c in cases if c.kind == kind)
+            ) == steps, kind
+            assert held and all(held)
 
 
 def test_cayley_search_work(monkeypatch):

@@ -19,6 +19,10 @@ Run from anywhere, standard library only (the traced run takes about 4 s
 on two cores):
 
     python3 tools/reach.py
+
+It exits 1 when a check of run_suite reads other than `verified` or a
+workload case fails, so that a listing taken from broken code does not pass
+for one; else 0.
 """
 
 from __future__ import annotations
@@ -75,12 +79,16 @@ def load_workloads():
     return module
 
 
-def product_paths() -> list:
-    """Run run_suite and one seed-1 pass per workload; one summary line for
-    each."""
+def product_paths() -> tuple:
+    """Run run_suite and one seed-1 pass per workload: (one summary line for
+    each, whether every check read verified and no case failed)."""
     from torsorlab import checks
 
-    out = [f"run_suite: {len(checks.run_suite())} checks"]
+    suite = checks.run_suite()
+    unverified = [r.claim for r in suite if r.verdict != "verified"]
+    out = [f"run_suite: {len(suite)} checks, {len(unverified)} not verified"
+           + "".join(f" ({claim})" for claim in unverified)]
+    ok = not unverified
     workloads = load_workloads()
     for name in workloads.WORKLOADS:
         failed = 0
@@ -92,7 +100,8 @@ def product_paths() -> list:
             except Exception:
                 failed += 1
         out.append(f"{name}: {len(cases)} cases, {failed} failed")
-    return out
+        ok = ok and not failed
+    return out, ok
 
 
 def main() -> int:
@@ -107,7 +116,7 @@ def main() -> int:
 
     sys.setprofile(profile)
     try:
-        runs = product_paths()
+        runs, ok = product_paths()
     finally:
         sys.setprofile(None)
     for line in runs:
@@ -117,7 +126,7 @@ def main() -> int:
           f"{sum(label.endswith(' (tracer)') for label in never)} of them named by the tracer")
     for label in never:
         print(label)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
