@@ -194,28 +194,34 @@ def h1_abelian(gamma: FiniteGroup, lattice: ZGLattice) -> CohomologyGroup:
 
     The rows of d are built here as fresh int lists, row i of rho(s) less
     e_i, and zero rows are left out.  On a lattice given by points no
-    matrix is read: row i of rho(s) is e_(s^-1.i), so the row is
-    e_(s^-1.i) - e_i, read off the points of s^-1, for each point i that
-    s^-1 moves.  The rows go to la._divisors, which eliminates in place and
-    does not read them again: rho and points hold int-tuple rows of equal
-    length, read by la.int_rows at construction or vouched for by a theorem
-    (ZGLattice)."""
+    matrix is read: row i of rho(s) is e_(s^-1.i), so row i of d is
+    e_(s^-1.i) - e_i, one row for each point i that s^-1 moves.  Over a
+    cycle of s^-1 these rows sum to zero, so any one of them is minus the
+    sum of the others: dropping it is a unimodular change of rows followed
+    by removing a zero row, which leaves every elementary divisor as it
+    is.  The k - 1 rows that stay of a cycle of length k span the lattice
+    of the rows e_j - e_i, with i the cycle's first point and j each other
+    point, and these are the rows built.  The cycles of s^-1 are those of
+    s, so they are walked off the points of s.  The rows go to
+    la._divisors, which eliminates in place and does not read them again:
+    rho and points hold int-tuple rows of equal length, read by
+    la.int_rows at construction or vouched for by a theorem (ZGLattice)."""
     if gamma is not lattice.group and gamma != lattice.group:
         raise NotAction("the lattice is a module over another group")
     n = lattice.rank
-    if n == 0:
-        return CohomologyGroup(())
     rows = []
     points = lattice.points
     if points is not None:
-        inverses = gamma.inverses
         for s in generating_set(gamma):
-            for i, j in enumerate(points[inverses[s]]):
-                if i != j:
+            p = list(points[s])
+            # a walked point is made fixed in p, so each cycle is walked
+            # once, from its first point i
+            for i, j in enumerate(p):
+                while j != i:
                     r = [0] * n
-                    r[j] = 1
-                    r[i] = -1
+                    r[i], r[j] = -1, 1
                     rows.append(r)
+                    p[j], j = j, p[j]
     else:
         for s in generating_set(gamma):
             for i, row in enumerate(lattice.rho[s]):

@@ -1,5 +1,6 @@
 """Fixtures and oracles that only the tests use: small G-sets, a group's JSON
-form, lattice equality and the index of a sublattice by its coordinates, a
+form, lattice equality and the index of a sublattice by its coordinates, the
+orbits of a permutation lattice's points by their images, a
 determinant independent of the SNF, powers mod a polynomial by whole
 divisions, schoolbook polynomial products and divisions on tuples, Yun's
 squarefree loop run to its end, the materialized truncation of an
@@ -60,6 +61,14 @@ def disjoint_union(x: gs.GSet, y: gs.GSet) -> gs.GSet:
         rx + tuple(p + x.size for p in ry) for rx, ry in zip(x.action, y.action)
     )
     return gs.GSet(x.group, action, validate=False)
+
+
+def point_orbit_count(m: lt.ZGLattice) -> int:
+    """The number of orbits of m's group on the points of m, each orbit read
+    as the set of images of one point under every group element: no cycle,
+    generator or elimination is read.  The invariants of a permutation
+    lattice are spanned by the orbit sums, so this is their rank."""
+    return len({frozenset(p[x] for p in m.points) for x in range(m.rank)})
 
 
 def group_to_json(g: gr.FiniteGroup) -> dict:

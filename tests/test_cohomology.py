@@ -16,8 +16,9 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
-from helpers import (bareiss_det, h1_by_relators, h1_from_rows, lattice_eq, matrix_twin,
-                     regular_gset, relator_rows, schreier_presentation)
+from helpers import (bareiss_det, disjoint_union, h1_by_relators, h1_from_rows, lattice_eq,
+                     matrix_twin, point_orbit_count, regular_gset, relator_rows,
+                     schreier_presentation)
 from test_laws import ref_cocycle
 from test_work_counts import _twist_steps_read
 
@@ -769,22 +770,68 @@ def test_relators_that_hold_but_do_not_close_mean_no_action():
         co.h1_nonabelian(v4, n)
 
 
-def test_h1_abelian_reads_points_as_their_matrix_twin():
-    # criterion 3's 747 lattices are given by points, and h1_abelian builds
-    # the rows of rho(s) - I off them; the same action given by matrices,
-    # validated, reads the same invariants.  A sign twist of one of them,
-    # which has no points, reads Z/2 on both routes where the twist leaves
-    # the kernel of the sign, so the comparison can tell actions apart
+def _points_lattices() -> list:
+    """Lattices given by points: criterion 3's 747 coset lattices, then a
+    coset lattice plus a trivial one, a trivial lattice, a rank-0 lattice
+    and the permutation lattice of a union of two coset actions."""
     from torsorlab import checks
 
     lattices = [m for _, _, m in checks.coset_lattices()]
-    assert len(lattices) == 747
-    for m in lattices:
-        twin = matrix_twin(m)
-        assert m.points is not None and twin.points is None
-        assert co.h1_abelian(m.group, m) == co.h1_abelian(m.group, twin) == co.CohomologyGroup(())
+    s4 = gr.symmetric_group(4)
+    x, y = (gs.coset_gset(s4, h) for h in gr.all_subgroups(s4)[1:3])
+    return lattices + [lt.direct_sum(lt.permutation_lattice(x), lt.trivial_lattice(s4, 2)),
+                       lt.trivial_lattice(s4, 3), lt.trivial_lattice(s4, 0),
+                       lt.permutation_lattice(disjoint_union(x, y))]
+
+
+def _h1_reads(monkeypatch, lattices) -> list:
+    """(H^1 invariants, number of elementary divisors of d) of h1_abelian on
+    each lattice, the number read by wrapping la._divisors, to which both
+    of its branches hand their rows once per call."""
+    divisors, ranks = la._divisors, []
+
+    def counted(rows):
+        d = divisors(rows)
+        ranks.append(len(d))
+        return d
+
+    monkeypatch.setattr(la, "_divisors", counted)
+    reads = [(co.h1_abelian(m.group, m).invariants, ranks.pop()) for m in lattices]
+    monkeypatch.setattr(la, "_divisors", divisors)
+    return reads
+
+
+def test_h1_abelian_reads_points_as_their_matrix_twin(monkeypatch):
+    # criterion 3's 747 lattices, and the four of _points_lattices beside
+    # them, are given by points, and h1_abelian walks the cycles of each
+    # generator, leaving out each cycle's closing row; the same action given
+    # by matrices, validated, builds every nonzero row of rho(s) - I and
+    # reads the same invariants and the same number of elementary divisors.
+    # A sign twist of one of them, which has no points, reads Z/2 on both
+    # routes where the twist leaves the kernel of the sign, so the
+    # comparison can tell actions apart
+    lattices = _points_lattices()
+    twins = [matrix_twin(m) for m in lattices]
+    assert all(m.points is not None for m in lattices) and all(m.points is None for m in twins)
+    reads = _h1_reads(monkeypatch, lattices)
+    assert reads == _h1_reads(monkeypatch, twins)
+    assert {invariants for invariants, _ in reads} == {()}
     g, k, h, twisted = next(c for c in sign_twist_cases() if not set(c[2]) <= c[1])
     untwisted = lt.permutation_lattice(gs.coset_gset(g, h))
     for m in (twisted, matrix_twin(twisted)):
         assert co.h1_abelian(g, m).invariants == (2,)
     assert co.h1_abelian(g, untwisted).invariants == ()
+
+
+def test_h1_abelian_on_points_has_the_rank_of_the_points_less_their_orbits(monkeypatch):
+    # d: m -> ((rho(s) - 1) m)_s has rank n less that of its kernel M^gamma,
+    # which the orbit sums span, so it has n - (number of orbits) elementary
+    # divisors.  The rows of a permutation lattice have unit divisors only,
+    # so H^1 = () cannot see a row that the cycle walk should have kept; the
+    # number of divisors can.  The orbits are counted by images alone
+    # (helpers.point_orbit_count)
+    lattices = _points_lattices()
+    orbits = [point_orbit_count(m) for m in lattices]
+    assert len(lattices) == 751 and orbits[-4:] == [3, 3, 0, 2]
+    for m, k, (invariants, rank) in zip(lattices, orbits, _h1_reads(monkeypatch, lattices)):
+        assert (invariants, rank) == ((), m.rank - k)

@@ -239,6 +239,27 @@ def test_permutation_h1_reads_no_row_twice(monkeypatch):
     assert _calls(monkeypatch, checks.check_permutation_h1_vanishing, (la, "_rows"))[0] <= 51
 
 
+def test_permutation_h1_divisor_rows(monkeypatch):
+    # criterion 3 hands la._divisors k - 1 rows per cycle of length k of each
+    # generator, which eliminate to its 3,643 unit divisors (8,799 rows when
+    # each cycle kept its closing row, one row per moved point, 5,156 of them
+    # ending zero; 5,590 rows and 1,947 ending zero without it)
+    divisors, work = la._divisors, [0, 0]
+
+    def counted(rows):
+        work[0] += len(rows)
+        d = divisors(rows)
+        work[1] += len(d)
+        return d
+
+    monkeypatch.setattr(la, "_divisors", counted)
+    checks.check_permutation_h1_vanishing()
+    monkeypatch.setattr(la, "_divisors", divisors)
+    rows, rank = work
+    assert rows <= 5590
+    assert rank == 3643
+
+
 def _cayley_work(monkeypatch, run) -> tuple:
     """(_cayley_search calls, value tables they return) while run() runs;
     torsors calls it by the name it imports, so both names are wrapped."""
