@@ -318,18 +318,21 @@ def check_twist_bijection() -> CheckResult:
 
 
 def _every_witness_choice_trivial(system, fam, famp, evidence) -> bool:
-    """Whether lim1_obstruction finds a trivial obstruction with verified
-    memberships for every choice of level witnesses twisting fam into famp,
-    and there is at least one choice; each choice counts in `scan_choices`."""
-    co.check_family(system, famp)
-    witness_lists = [co.level_witnesses(f, fp) for f, fp in zip(fam, famp)]
-    verdicts = set()
-    for choice in itertools.product(*witness_lists):
-        rep = co.lim1_obstruction(system, fam, famp, witnesses=choice)
-        verdicts.add(rep.trivial and rep.memberships_verified)
-        evidence["scan_choices"] += 1
-    # a level without witnesses leaves `verdicts` empty: refuted
-    return verdicts == {True}
+    """Whether lim1_obstructions finds a trivial obstruction for every choice
+    of level witnesses twisting fam into famp, and there is at least one
+    choice; each choice counts in `scan_choices`."""
+    reps = co.lim1_obstructions(system, fam, famp)
+    evidence["scan_choices"] += len(reps)
+    return bool(reps) and all(r.trivial for r in reps)
+
+
+def _twisted_family(system, fam, a_top):
+    """fam twisted at each level by a_top pushed down the transitions: a
+    coherent choice of witnesses, so every choice must be trivial."""
+    avals = [a_top]
+    for u in reversed(system.transitions):
+        avals.insert(0, u(avals[0]))
+    return tuple(co.twist_cocycle(f, a) for f, a in zip(fam, avals))
 
 
 def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckResult:
@@ -375,11 +378,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
         top_hom = tops[rng.randrange(len(tops))]
         top = co.CrossedHom(gamma, levels[length], top_hom.map)
         fam = co.compatible_family(system, top)
-        a_top = rng.randrange(groups[length].order)
-        avals = [a_top] * (length + 1)
-        for i in range(length - 1, -1, -1):
-            avals[i] = maps[i](avals[i + 1])
-        famp = tuple(co.twist_cocycle(f, a) for f, a in zip(fam, avals))
+        famp = _twisted_family(system, fam, rng.randrange(groups[length].order))
         findings.append(_every_witness_choice_trivial(system, fam, famp, evidence))
         scans += 1
         evidence["scan_systems"] += 1
@@ -395,12 +394,7 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
             top = co.CrossedHom(c2, inv, (0, top_val))
             fam = co.compatible_family(system, top)
             for a_top in range(3):
-                avals = [0, 0, a_top]
-                for i in (1, 0):
-                    avals[i] = transition(avals[i + 1])
-                famp = tuple(
-                    co.twist_cocycle(f, a) for f, a in zip(fam, avals)
-                )
+                famp = _twisted_family(system, fam, a_top)
                 findings.append(_every_witness_choice_trivial(system, fam, famp, evidence))
         evidence["nontrivial_action_systems"] += 1
     return _result("truncated-orbit-transitivity", 7, findings, evidence)

@@ -106,14 +106,10 @@ def cmd_gset(args):
         }
         return _emit(_report("gset-orbits", "ok", evidence, args), args)
     if args.op == "descent":
-        factors = gs.descent_orbit_decomposition(x)
+        # one restriction-of-scalars factor per orbit, of degree the orbit size
         evidence = [
-            {
-                "representative": f.representative,
-                "degree": f.degree,
-                "stabilizer_order": len(f.stabilizer),
-            }
-            for f in factors
+            {"representative": orb[0], "degree": len(orb), "stabilizer_order": len(stab)}
+            for orb, stab in gs.orbits(x).orbits
         ]
         return _emit(_report("descent-factors", "ok", evidence, args), args)
     y = jsonio.gset_from_json(args.other)

@@ -15,6 +15,7 @@ classes under twisted conjugation from one partition (twist_classes).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,10 +32,6 @@ class NotCocycle(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    pass
-
-
-class NotLevelEquivalent(ValueError):
     pass
 
 
@@ -557,69 +554,43 @@ class ObstructionReport:
     trivialization: tuple  # c_n with e_n = c_n * u(c_{n+1})^-1 when trivial
 
 
-def lim1_obstruction(
-    system: TruncatedGammaSystem,
-    family,
-    family_prime,
-    witnesses=None,
-) -> ObstructionReport:
-    """Obstruction sequence for two levelwise-equivalent cocycle families.
+def lim1_obstructions(system: TruncatedGammaSystem, family, family_prime) -> list:
+    """Obstruction sequences of two cocycle families, one ObstructionReport
+    per choice of level witnesses a_n twisting family into family_prime, in
+    itertools.product order; [] when some level has no witness.
 
     e_n = a_n * u(a_{n+1})^-1 lands in the f-twisted fixed group at each
-    level; the verdict says whether (e_n) is the trivial class of the
+    level; each verdict says whether (e_n) is the trivial class of the
     truncated lim^1 orbit set, i.e. whether the witnesses can be corrected
-    to a single coherent equivalence on the truncation.
+    to a single coherent equivalence on the truncation.  The families, the
+    fixed groups and the witness lists are read once for all choices.
     """
     check_family(system, family)
     check_family(system, family_prime)
-    N = len(system) - 1
-    if witnesses is None:
-        chosen = []
-        for i in range(len(system)):
-            opts = level_witnesses(family[i], family_prime[i])
-            if not opts:
-                raise NotLevelEquivalent("no witness at level %d" % i)
-            chosen.append(opts[0])
-        witnesses = tuple(chosen)
-    else:
-        witnesses = tuple(witnesses)
-        for i, a in enumerate(witnesses):
-            if a not in level_witnesses(family[i], family_prime[i]):
-                raise NotLevelEquivalent("supplied witness fails at level %d" % i)
+    fixed = [set(twist_group(n, f).fixed_points()) for n, f in zip(system.levels, family)]
+    witness_lists = [level_witnesses(f, fp) for f, fp in zip(family, family_prime)]
+    return [_obstruction(system, fixed, w) for w in itertools.product(*witness_lists)]
 
-    twisted = [twist_group(system.levels[i], family[i]) for i in range(len(system))]
-    fixed = [set(t.fixed_points()) for t in twisted]
 
-    obstruction = []
-    member_ok = True
-    for i in range(N):
-        u = system.transitions[i]
-        und = system.levels[i].underlying
-        e = und.mul(witnesses[i], und.inv(u(witnesses[i + 1])))
-        obstruction.append(e)
-        member_ok = member_ok and (e in fixed[i])
-    obstruction = tuple(obstruction)
-
+def _obstruction(system: TruncatedGammaSystem, fixed, witnesses) -> ObstructionReport:
+    """One witness choice's obstruction, and its trivialization solved top
+    down inside the fixed groups and replayed."""
+    lv, tr = system.levels, system.transitions
+    obstruction = tuple(lv[i].underlying.mul(a, lv[i].underlying.inv(u(witnesses[i + 1])))
+                        for i, (a, u) in enumerate(zip(witnesses, tr)))
+    member_ok = all(e in fixed[i] for i, e in enumerate(obstruction))
     # solve e_n = c_n * u(c_{n+1})^-1 inside the fixed groups, top down
     cs = [None] * len(system)
     cs[-1] = 0
     ok = True
-    for i in range(N - 1, -1, -1):
-        und = system.levels[i].underlying
-        u = system.transitions[i]
-        c = und.mul(obstruction[i], u(cs[i + 1]))
+    for i in range(len(tr) - 1, -1, -1):
+        c = lv[i].underlying.mul(obstruction[i], tr[i](cs[i + 1]))
         if c not in fixed[i]:
             ok = False
             break
         cs[i] = c
-    if ok:
-        # replay: the trivialization reproduces the obstruction
-        for i in range(N):
-            und = system.levels[i].underlying
-            u = system.transitions[i]
-            ok = ok and obstruction[i] == und.mul(cs[i], und.inv(u(cs[i + 1])))
-    trivial = ok and member_ok
-    trivialization = tuple(cs) if ok else ()
-    return ObstructionReport(
-        witnesses, obstruction, member_ok, trivial, trivialization
-    )
+    # replay: the trivialization reproduces the obstruction
+    ok = ok and all(e == lv[i].underlying.mul(cs[i], lv[i].underlying.inv(tr[i](cs[i + 1])))
+                    for i, e in enumerate(obstruction))
+    return ObstructionReport(witnesses, obstruction, member_ok, ok and member_ok,
+                             tuple(cs) if ok else ())

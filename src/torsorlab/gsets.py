@@ -195,31 +195,3 @@ def gset_iso(x: GSet, y: GSet):
     ):
         raise InvalidAction("the matched map is not an equivariant bijection")
     return mapping
-
-
-@dataclass(frozen=True)
-class DescentFactor:
-    orbit: tuple
-    representative: int
-    stabilizer: tuple
-    degree: int  # index of the stabilizer = size of the orbit
-
-
-def descent_orbit_decomposition(x: GSet) -> tuple:
-    """Orbit/stabilizer bookkeeping of a descent datum on a product.
-
-    Each orbit of the index set contributes one restriction-of-scalars
-    factor whose field degree is the orbit size.
-    """
-    dec = orbits(x)
-    out = []
-    for orb, stab in dec.orbits:
-        out.append(
-            DescentFactor(
-                orbit=orb,
-                representative=orb[0],
-                stabilizer=stab,
-                degree=x.group.order // len(stab),
-            )
-        )
-    return tuple(out)

@@ -12,7 +12,8 @@ kernel sequences by a second kernel and CM-type bases by coordinates,
 the action law and lattice twists read on basis vectors with no matrix
 product, matrices stacked one below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
-by summing rotations, and the benchmark's workloads read from their file."""
+by summing rotations, the truncated lim^1 obstruction one witness choice at
+a time, and the benchmark's workloads read from their file."""
 
 import contextlib
 import importlib.util
@@ -704,3 +705,75 @@ def period_polynomial_by_rotations(fld: nt.AbelianFieldDatum) -> tuple:
             raise ValueError("period polynomial coefficient is not rational")
         out.append(r[0] if r else 0)
     return tuple(out)
+
+
+def witness_lists_by_definition(system, family, family_prime) -> list:
+    """Each level's witnesses: the a with a^-1 f(t) (t . a) = f'(t) for
+    every t, tested one by one."""
+    lists = []
+    for n, f, fp in zip(system.levels, family, family_prime):
+        und = n.underlying
+        lists.append([a for a in und.elements() if all(
+            und.mul(und.mul(und.inv(a), f.values[t]), n.act(t, a)) == fp.values[t]
+            for t in system.gamma.elements())])
+    return lists
+
+
+def least_non_witness(f, found) -> tuple:
+    """The least element of f's coefficient group outside `found`, as a
+    1-tuple, or () when there is none."""
+    return tuple(a for a in f.coefficient.underlying.elements() if a not in found)[:1]
+
+
+def padded_with_a_non_witness(level_witnesses):
+    """level_witnesses with each level's list followed by its least
+    non-witness, where the level has one: a negative control, since a
+    non-witness a_n below the top puts e_n outside the fixed group."""
+    def padded(f, fp):
+        found = level_witnesses(f, fp)
+        return found + least_non_witness(f, found)
+
+    return padded
+
+
+def lim1_obstruction_per_choice(system, family, family_prime, witnesses) -> co.ObstructionReport:
+    """The truncated lim^1 obstruction of one choice of level witnesses, by
+    the route that took each choice apart: both families checked and each
+    level's twisted fixed group found again for every choice, the fixed
+    group read off its definition f(t) (t . x) f(t)^-1 = x.  The witnesses
+    are taken as given, so a non-witness yields its (nontrivial) report."""
+    co.check_family(system, family)
+    co.check_family(system, family_prime)
+    fixed = []
+    for n, f in zip(system.levels, family):
+        und = n.underlying
+        fixed.append({x for x in und.elements() if all(
+            und.mul(und.mul(f.values[t], n.act(t, x)), und.inv(f.values[t])) == x
+            for t in system.gamma.elements())})
+    N = len(system) - 1
+    obstruction = []
+    member_ok = True
+    for i in range(N):
+        u = system.transitions[i]
+        und = system.levels[i].underlying
+        e = und.mul(witnesses[i], und.inv(u(witnesses[i + 1])))
+        obstruction.append(e)
+        member_ok = member_ok and (e in fixed[i])
+    # solve e_n = c_n * u(c_{n+1})^-1 inside the fixed groups, top down
+    cs = [None] * len(system)
+    cs[-1] = 0
+    ok = True
+    for i in range(N - 1, -1, -1):
+        und = system.levels[i].underlying
+        c = und.mul(obstruction[i], system.transitions[i](cs[i + 1]))
+        if c not in fixed[i]:
+            ok = False
+            break
+        cs[i] = c
+    if ok:
+        for i in range(N):
+            und = system.levels[i].underlying
+            u = system.transitions[i]
+            ok = ok and obstruction[i] == und.mul(cs[i], und.inv(u(cs[i + 1])))
+    return co.ObstructionReport(tuple(witnesses), tuple(obstruction), member_ok,
+                                ok and member_ok, tuple(cs) if ok else ())

@@ -200,13 +200,19 @@ def test_criterion_07_scan_refutes_a_level_without_witnesses():
 
 
 # criterion 7 under `python -O`, which strips assert statements, and its
-# negative controls: a transport that misses the basepoint must still refute,
-# and h1_nonabelian must still reject an action that is not by automorphisms
+# negative controls: a non-witness among a level's witnesses and a transport
+# that misses the basepoint must still refute, and h1_nonabelian must still
+# reject an action that is not by automorphisms
 _OPTIMIZED_CRITERION_07 = """
 import dataclasses, json
 from torsorlab import checks, cohomology, groups, invsys
+from helpers import padded_with_a_non_witness
 assert False, "assert statements must be stripped"
 result = checks.check_truncated_orbit_transitivity(seed=0)
+witnesses = cohomology.level_witnesses
+cohomology.level_witnesses = padded_with_a_non_witness(witnesses)
+padded = checks.check_truncated_orbit_transitivity(seed=0, count=3)
+cohomology.level_witnesses = witnesses
 invsys._transport_step = lambda g, push, x, y: 0
 control = checks.check_truncated_orbit_transitivity(seed=0, count=3)
 bad = cohomology.GammaGroup(groups.cyclic_group(2), groups.cyclic_group(4),
@@ -215,7 +221,7 @@ try:
     h1 = cohomology.h1_nonabelian(bad.gamma, bad).count
 except cohomology.NotAction:
     h1 = "NotAction"
-print(json.dumps([dataclasses.asdict(result), control.verdict, h1]))
+print(json.dumps([dataclasses.asdict(result), padded.verdict, control.verdict, h1]))
 """
 
 
@@ -227,14 +233,16 @@ def _env(**extra):
 
 
 def test_criterion_07_without_asserts():
+    # run from tests/, so that the script imports helpers
     proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CRITERION_07],
-                          capture_output=True, text=True, timeout=600, env=_env())
+                          capture_output=True, text=True, timeout=600, env=_env(),
+                          cwd=pathlib.Path(__file__).resolve().parent)
     assert proc.returncode == 0, proc.stderr
-    optimized, control, h1 = json.loads(proc.stdout)
+    optimized, padded, control, h1 = json.loads(proc.stdout)
     here = pc.check_truncated_orbit_transitivity(seed=0)
     assert optimized["verdict"] == here.verdict == "verified"
     assert optimized["evidence"] == json.loads(json.dumps(here.evidence))
-    assert control == "refuted"
+    assert padded == control == "refuted"
     # an action that is not by automorphisms raises, and yields no H^1 count
     assert h1 == "NotAction"
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from torsorlab import cli, groups as gr, jsonio
+from torsorlab import cli, groups as gr, gsets as gs, jsonio
 from helpers import group_to_json
 
 
@@ -114,7 +114,22 @@ def test_gset_ops(fixtures, capsys):
     )
     assert code == 0 and rep["evidence"]["isomorphic"]
     code, rep = run_cli(capsys, ["gset", "descent", "--in", str(fixtures["gset"])])
-    assert code == 0 and rep["evidence"][0]["degree"] == 2
+    assert code == 0 and rep["evidence"] == [
+        {"representative": 0, "degree": 2, "stabilizer_order": 1}]
+
+
+def test_gset_descent_reads_one_factor_per_orbit(capsys, tmp_path):
+    # S3 on its three cosets of <(1 2)> beside its two cosets of A3
+    s3 = gr.symmetric_group(3)
+    x = gs.coset_gset(s3, gr.generated_subgroup(s3, [1]))
+    y = gs.coset_gset(s3, gr.generated_subgroup(s3, [2]))
+    path = tmp_path / "two_orbits.json"
+    path.write_text(json.dumps({"group": group_to_json(s3), "size": 5, "action": [
+        list(a) + [3 + b for b in bs] for a, bs in zip(x.action, y.action)]}))
+    code, rep = run_cli(capsys, ["gset", "descent", "--in", str(path)])
+    assert code == 0 and rep["evidence"] == [
+        {"representative": 0, "degree": 3, "stabilizer_order": 2},
+        {"representative": 3, "degree": 2, "stabilizer_order": 3}]
 
 
 def test_lattice_snf(fixtures, capsys):

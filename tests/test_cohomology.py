@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsorlab import catalog
+from torsorlab import checks
 from torsorlab import cohomology as co
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from helpers import (bareiss_det, disjoint_union, h1_by_relators, h1_from_rows, lattice_eq,
-                     matrix_twin, point_orbit_count, regular_gset, relator_rows,
-                     schreier_presentation)
+                     least_non_witness, lim1_obstruction_per_choice, matrix_twin,
+                     padded_with_a_non_witness, point_orbit_count, regular_gset,
+                     relator_rows, schreier_presentation, witness_lists_by_definition)
 from test_laws import ref_cocycle
 from test_work_counts import _twist_steps_read
 
@@ -500,7 +502,8 @@ def test_lim1_obstruction_trivial_pair():
     system = make_system(c2, lv, tr)
     top = co.CrossedHom.from_generators(c2, lv[2], {1: 1})
     fam = co.compatible_family(system, top)
-    rep = co.lim1_obstruction(system, fam, fam)
+    rep = co.lim1_obstructions(system, fam, fam)[0]
+    assert rep.witnesses == (0, 0, 0)
     assert rep.trivial and rep.memberships_verified
     assert all(e == 0 for e in rep.obstruction)
 
@@ -519,40 +522,54 @@ def test_lim1_obstruction_membership_and_choice_independence():
     famp = tuple(
         co.twist_cocycle(f, a) for f, a in zip(fam, avals)
     )
-    co.check_family(system, famp)
-    verdicts = set()
     all_wit = [co.level_witnesses(fam[i], famp[i]) for i in range(3)]
     assert all(all_wit)
-    for choice in itertools.product(*all_wit):
-        rep = co.lim1_obstruction(system, fam, famp, witnesses=choice)
-        assert rep.memberships_verified
-        verdicts.add(rep.trivial)
-    assert verdicts == {True}
+    reps = co.lim1_obstructions(system, fam, famp)
+    # one report per choice, in product order, each trivial with its
+    # memberships verified
+    assert [r.witnesses for r in reps] == list(itertools.product(*all_wit))
+    assert all(r.memberships_verified and r.trivial for r in reps)
 
 
 def test_lim1_obstruction_not_equivalent():
+    # C2 acting trivially on S3: the trivial cocycle and the one sending the
+    # generator to a transposition are not equivalent at any level, so no
+    # level has a witness and there is no choice to report
     c2 = gr.cyclic_group(2)
-    c3 = gr.cyclic_group(3)
-    n = co.GammaGroup(c2, c3, np.array([[0, 1, 2], [0, 2, 1]]))
-    lv = [n, n]
-    tr = [gr.identity_hom(c3)]
-    system = make_system(c2, lv, tr)
-    f = co.trivial_cocycle(c2, n)
-    g = co.CrossedHom(c2, n, (0, 1))
-    # both exist levelwise (inversion cobounds everything), so build a real
-    # failure with a map that is not even levelwise equivalent: trivial action
-    n2 = co.trivial_gamma_group(c2, c3)
-    system2 = make_system(c2, [n2, n2], [gr.identity_hom(c3)])
-    f2 = co.trivial_cocycle(c2, n2)
-    # no hom C2 -> C3 is nontrivial, so cocycles into trivial-action C3 are
-    # only the trivial one; manufacture inequivalence at the level of S3
     s3 = gr.symmetric_group(3)
     n3 = co.trivial_gamma_group(c2, s3)
     system3 = make_system(c2, [n3, n3], [gr.identity_hom(s3)])
     triv = co.trivial_cocycle(c2, n3)
     transp = co.CrossedHom.from_generators(c2, n3, {1: 1})
-    with pytest.raises(co.NotLevelEquivalent):
-        co.lim1_obstruction(system3, (triv, triv), (transp, transp))
+    assert co.lim1_obstructions(system3, (triv, triv), (transp, transp)) == []
+
+
+@pytest.mark.parametrize("seed, padded", [(0, False), (1, False), (2, False), (0, True)])
+def test_lim1_obstructions_match_the_per_choice_route(seed, padded, monkeypatch):
+    # every family pair that criterion 7 scans, report by report against
+    # the route that checked the families and found the fixed groups again
+    # for each witness choice; padded, each level's list gains a non-witness
+    # a_n, which puts e_n outside the fixed group
+    scanned, route = [], co.lim1_obstructions
+
+    def recorded(system, family, family_prime):
+        reps = route(system, family, family_prime)
+        scanned.append((system, family, family_prime, reps))
+        return reps
+
+    monkeypatch.setattr(co, "lim1_obstructions", recorded)
+    if padded:
+        monkeypatch.setattr(co, "level_witnesses", padded_with_a_non_witness(co.level_witnesses))
+    verdict = checks.check_truncated_orbit_transitivity(seed=seed).verdict
+    assert verdict == ("refuted" if padded else "verified")
+    assert len(scanned) == 26
+    for system, fam, famp, reps in scanned:
+        lists = witness_lists_by_definition(system, fam, famp)
+        if padded:
+            lists = [ws + list(least_non_witness(f, ws)) for f, ws in zip(fam, lists)]
+        assert reps and reps == [lim1_obstruction_per_choice(system, fam, famp, w)
+                                 for w in itertools.product(*lists)]
+    assert padded == any(not r.memberships_verified for *_, reps in scanned for r in reps)
 
 
 def brute_cocycles(gamma, n):

@@ -180,20 +180,15 @@ def test_class_vs_embedded_class_as_gsets():
 
 
 def test_descent_orbit_decomposition():
+    # `gset descent` reads one factor per orbit off `orbits`: its degree is
+    # the orbit size, |G| over the stabilizer order
+    def factors(x):
+        return [(len(orb), len(stab)) for orb, stab in gs.orbits(x).orbits]
+
     s3 = gr.symmetric_group(3)
-    x = gs.coset_gset(s3, gr.generated_subgroup(s3, [1]))
-    factors = gs.descent_orbit_decomposition(x)
-    assert len(factors) == 1
-    assert factors[0].degree == 3
-    assert len(factors[0].stabilizer) == 2
-    t = trivial_gset(s3, 4)
-    factors = gs.descent_orbit_decomposition(t)
-    assert len(factors) == 4
-    assert all(f.degree == 1 for f in factors)
-    c2 = gr.cyclic_group(2)
-    swap = gs.GSet(c2, [[0, 1], [1, 0]])
-    factors = gs.descent_orbit_decomposition(swap)
-    assert len(factors) == 1 and factors[0].degree == 2
+    assert factors(gs.coset_gset(s3, gr.generated_subgroup(s3, [1]))) == [(3, 2)]
+    assert factors(trivial_gset(s3, 4)) == [(1, 6)] * 4
+    assert factors(gs.GSet(gr.cyclic_group(2), [[0, 1], [1, 0]])) == [(2, 1)]
 
 
 def test_orbits_reject_a_table_that_is_no_action():

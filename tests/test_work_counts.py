@@ -366,17 +366,32 @@ def test_splitting_dual_oracle_work(monkeypatch):
 
 def test_gamma_group_law_checks(monkeypatch):
     # the automorphism law is checked at construction and before each class
-    # walk of criteria 7 and 11, and not again; criterion 11 builds its four
+    # walk of criteria 7 and 11, and not again; criterion 7 twists each level
+    # once per family pair it scans (613 calls when each of its witness
+    # choices twisted every level again); criterion 11 builds its four
     # products and their underlying groups unchecked (20 check_automorphisms
     # and 30 check_action calls when construction checked them), so its
     # check_action calls are those of check_automorphisms and of the factors'
     # group tables
     automorphisms = (gr.GammaGroup, "check_automorphisms")
-    assert _calls(monkeypatch, checks.check_truncated_orbit_transitivity, automorphisms)[0] <= 613
+    assert _calls(monkeypatch, checks.check_truncated_orbit_transitivity, automorphisms)[0] <= 75
     product_laws, action_laws = _calls(monkeypatch, checks.check_product_h1, automorphisms,
                                        (gr, "check_action"))
     assert product_laws <= 16
     assert action_laws <= 19
+
+
+def test_truncated_orbit_obstruction_work(monkeypatch):
+    # criterion 7 at seed 0 scans 26 family pairs and 213 witness choices:
+    # each pair's two families are checked, and each level twisted and its
+    # witnesses listed, once per pair (452 check_family, 612 twist_group and
+    # 686 level_witnesses calls when each choice repeated them)
+    families, twists, witnesses = _calls(
+        monkeypatch, checks.check_truncated_orbit_transitivity,
+        (co, "check_family"), (co, "twist_group"), (co, "level_witnesses"))
+    assert families <= 52
+    assert twists <= 74
+    assert witnesses <= 74
 
 
 def test_truncated_orbit_transport_steps(monkeypatch):
