@@ -401,30 +401,30 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
 
 
 # ---------------------------------------------------------------------------
-# 8. the trivial/uncountable dichotomy with replayable certificates
+# 8. the trivial/uncountable dichotomy with recomputed certificates
 
 
 def check_lim1_dichotomy(horizon: int = 8) -> CheckResult:
     """Each recipe classifies as expected; an "unknown" status decides
-    nothing, and the tower's certificate must replay."""
-    evidence, findings = {}, []
+    nothing, and the tower's certificate must come out the same when it is
+    recomputed from the tower's recipe."""
+    evidence, findings, verdicts = {}, [], {}
+    tower = sr.serre_tower_recipe(sr.layered_obstruction_tower(3, 7, levels=1))
     cases = (
         ("halving-subgroup-chain", iv.SubgroupChain(1, ((2,),), ((1,),)), "uncountable"),
         ("identity-endomorphism", iv.ConstantEndo((0,), ((1,),)), "trivial"),
-        ("layered-obstruction-tower",
-         sr.serre_tower_recipe(sr.layered_obstruction_tower(3, 7, levels=1)), "uncountable"),
+        ("layered-obstruction-tower", tower, "uncountable"),
     )
     for name, recipe, expected in cases:
-        v = iv.lim1_classify(recipe, horizon)
+        v = verdicts[name] = iv.lim1_classify(recipe, horizon)
         evidence[name] = v.status
         findings.append(None if v.status == "unknown" else v.status == expected)
-    if v.certificate:  # the tower's
-        analysis = nt.split_obstruction_certificate(
-            nt.SplitObstructionLaw(3, 7, levels=1, prime_bound=20000)
-        )
-        replay_ok = analysis.replay() == analysis and analysis.certificate == v.certificate
+    certificate = verdicts["layered-obstruction-tower"].certificate
+    if certificate:
+        again = nt.norm_tower_certificate(tower.levels, law=tower.law, horizon=horizon)
+        replay_ok = again.status == "fails" and again.certificate == certificate
         evidence["certificate-replay-identical"] = replay_ok
-        evidence["certificate"] = v.certificate
+        evidence["certificate"] = certificate
         findings.append(replay_ok)
     return _result("lim1-dichotomy", 8, findings, evidence)
 

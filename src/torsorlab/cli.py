@@ -237,7 +237,7 @@ def cmd_nt_split(args):
 
 def cmd_nt_tower(args):
     tower = jsonio.norm_tower_from_json(args.tower)
-    analysis = iv._tower_analysis(tower, args.horizon)
+    analysis = nt.norm_tower_certificate(tower.levels, law=tower.law, horizon=args.horizon)
     # "fails" and "holds" are both verified outcomes
     decided = None if analysis.status == "unknown-at-horizon" else True
     evidence = {

@@ -271,7 +271,7 @@ def ml_check(recipe, horizon: int = DEFAULT_HORIZON) -> MLVerdict:
     if isinstance(recipe, SubgroupChain):
         return _lattice_chain_verdict(recipe.step, recipe.base, horizon)
     if isinstance(recipe, NormTower):
-        analysis = _tower_analysis(recipe, horizon)
+        analysis = nt.norm_tower_certificate(recipe.levels, law=recipe.law, horizon=horizon)
         if analysis.status == "fails":
             return MLVerdict(
                 "fails",
@@ -282,12 +282,6 @@ def ml_check(recipe, horizon: int = DEFAULT_HORIZON) -> MLVerdict:
             return MLVerdict("holds", level=0, proof="constant tower")
         return MLVerdict("unknown-at-horizon", level=horizon)
     raise TypeError("unknown recipe kind")
-
-
-def _tower_analysis(recipe: NormTower, horizon: int) -> nt.TowerAnalysis:
-    return nt.norm_tower_certificate(
-        recipe.levels, law=recipe.law, horizon=min(horizon, 6)
-    )
 
 
 # why the terms of each leaf recipe are countable

@@ -200,12 +200,9 @@ def tower_law_from_json(obj):
     if kind == "cyclotomic-power":
         return nt.CyclotomicPowerLaw(_field(obj, "l", int))
     if kind == "split-obstruction":
-        return nt.SplitObstructionLaw(
-            _field(obj, "l", int),
-            _field(obj, "p0", int),
-            _field(obj, "levels", int, 2),
-            _field(obj, "prime_bound", int, 20000),
-        )
+        # only the sizes given: SplitObstructionLaw holds the defaults
+        sizes = {key: _field(obj, key, int) for key in ("levels", "prime_bound") if key in obj}
+        return nt.SplitObstructionLaw(_field(obj, "l", int), _field(obj, "p0", int), **sizes)
     raise ParseError(f"unknown tower law kind: {kind}")
 
 
@@ -274,10 +271,10 @@ def chain_from_json(obj, basedir="."):
     obj, basedir = _resolve(obj, basedir)
     kind = _field(obj, "kind")
     if kind == "layered-obstruction":
-        return sr.layered_obstruction_tower(
-            _field(obj, "l", int), _field(obj, "p0", int),
-            _field(obj, "levels", int, 1), _field(obj, "prime_bound", int, 20000),
-        )
+        # only the sizes given: layered_obstruction_tower holds the defaults
+        sizes = {key: _field(obj, key, int) for key in ("levels", "prime_bound") if key in obj}
+        return sr.layered_obstruction_tower(_field(obj, "l", int), _field(obj, "p0", int),
+                                            **sizes)
     if kind == "constant":
         datum = datum_from_json(_field(obj, "datum"), basedir)
         return sr.constant_tower(datum, _field(obj, "length", int, 2))

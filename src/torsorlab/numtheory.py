@@ -28,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 from .groups import FiniteGroup, all_subgroups
 
@@ -884,6 +885,7 @@ def scholz_reichardt_skeleton(l: int) -> EmbeddingSkeletonReport:
 class CyclotomicPowerLaw:
     """Level n is the degree-l^n subfield of the l^(n+1)-th cyclotomic field."""
 
+    kind: ClassVar[str] = "cyclotomic-power"
     l: int
 
     def __post_init__(self):
@@ -907,6 +909,7 @@ class SplitObstructionLaw:
     cyclic degree-l layer ramified at a fresh prime chosen by splitting
     conditions, and the added layer shrinks the norm image at that prime."""
 
+    kind: ClassVar[str] = "split-obstruction"
     l: int
     p0: int
     levels: int = 2
@@ -952,57 +955,18 @@ def _lift_subgroup(fld: AbelianFieldDatum, m: int) -> set:
 @dataclass(frozen=True)
 class TowerAnalysis:
     status: str  # "holds" | "fails" | "unknown-at-horizon"
-    law: str
+    law: str  # "cyclotomic-power" | "split-obstruction" | "explicit"
     certificate: dict | None
-    details: dict
-
-    def replay(self) -> "TowerAnalysis":
-        """Recompute the verdict from the recorded recipe data."""
-        kind = self.details.get("kind")
-        if kind == "horizon-zero":
-            return self
-        if kind == "cyclotomic-power":
-            return cyclotomic_tower_certificate(
-                CyclotomicPowerLaw(self.details["l"]),
-                horizon=self.details["horizon"],
-                prime_bound=self.details["prime_bound"],
-            )
-        if kind == "split-obstruction":
-            return split_obstruction_certificate(
-                SplitObstructionLaw(
-                    self.details["l"],
-                    self.details["p0"],
-                    self.details["levels"],
-                    self.details["prime_bound"],
-                )
-            )
-        if kind == "explicit":
-            return explicit_tower_certificate(
-                tuple(
-                    AbelianFieldDatum(c, tuple(h))
-                    for c, h in self.details["level_data"]
-                ),
-                prime_bound=self.details["prime_bound"],
-            )
-        raise ValueError("unknown tower kind")
 
 
-def cyclotomic_tower_certificate(
-    law: CyclotomicPowerLaw, horizon: int = 5, prime_bound: int = 100
-) -> TowerAnalysis:
-    """Find a prime whose residue degree provably grows without bound up the
-    cyclotomic power tower (multiplicative-order lifting), and record the
-    per-level valuations."""
+def cyclotomic_tower_certificate(law: CyclotomicPowerLaw, horizon: int = 5) -> TowerAnalysis:
+    """Find a prime below 100 whose residue degree provably grows without
+    bound up the cyclotomic power tower (multiplicative-order lifting), and
+    record the per-level valuations."""
     l = law.l
     levels = [law.materialize(n) for n in range(horizon + 1)]
     verify_tower_containments(levels)
-    details = {
-        "kind": "cyclotomic-power",
-        "l": l,
-        "horizon": horizon,
-        "prime_bound": prime_bound,
-    }
-    for p in primes_up_to(prime_bound):
+    for p in primes_up_to(100):
         if p == l:
             continue
         t = 1
@@ -1036,8 +1000,8 @@ def cyclotomic_tower_certificate(
             "growth_law": "order-lifting: beyond level v the l-part of the "
             "multiplicative order gains one factor of l per level",
         }
-        return TowerAnalysis("fails", "cyclotomic-power", cert, details)
-    return TowerAnalysis("unknown-at-horizon", "cyclotomic-power", None, details)
+        return TowerAnalysis("fails", law.kind, cert)
+    return TowerAnalysis("unknown-at-horizon", law.kind, None)
 
 
 def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
@@ -1052,13 +1016,6 @@ def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
     l, p0 = law.l, law.p0
     if not _is_prime(p0) or (p0 - 1) % l != 0:
         raise HypothesisFailed("the base prime must split in the l-th roots of unity")
-    details = {
-        "kind": "split-obstruction",
-        "l": l,
-        "p0": p0,
-        "levels": law.levels,
-        "prime_bound": law.prime_bound,
-    }
     skeleton = scholz_reichardt_skeleton(l)
     fields = [degree_l_datum(l, p0)]
     used = [p0]
@@ -1082,7 +1039,7 @@ def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
             chosen = p
             break
         if chosen is None:
-            return TowerAnalysis("unknown-at-horizon", "split-obstruction", None, details)
+            return TowerAnalysis("unknown-at-horizon", law.kind, None)
         new_layer = degree_l_datum(l, chosen)
         # lower levels are locally full at the new prime (split completely);
         # the new layer is totally ramified there with norm-unit index l
@@ -1120,46 +1077,30 @@ def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
         "growth_law": "each level's fresh prime is a norm locally everywhere "
         "below but meets an index-l unit obstruction in the lifted layer",
     }
-    return TowerAnalysis("fails", "split-obstruction", cert, details)
+    return TowerAnalysis("fails", law.kind, cert)
 
 
-def norm_tower_certificate(levels, law=None, horizon: int = 6,
-                           prime_bound: int = 200) -> TowerAnalysis:
+def norm_tower_certificate(levels, law=None, horizon: int = 6) -> TowerAnalysis:
     """Mittag-Leffler analysis of a norm tower: a failure certificate with a
-    symbolic continuation law, constancy, or an honest unknown."""
+    symbolic continuation law, constancy, or an honest unknown.  A
+    cyclotomic-power level n has conductor l^(n+1), so its horizon is capped
+    at 6, where l <= 7 stays within MAX_CONDUCTOR."""
+    if law is not None and not isinstance(law, (CyclotomicPowerLaw, SplitObstructionLaw)):
+        raise NotATower(f"unknown tower law {law!r}")
     if horizon <= 0:
-        kind = type(law).__name__ if law is not None else "explicit"
-        return TowerAnalysis(
-            "unknown-at-horizon", kind, None, {"kind": "horizon-zero"}
-        )
+        return TowerAnalysis("unknown-at-horizon", "explicit" if law is None else law.kind, None)
     if isinstance(law, CyclotomicPowerLaw):
-        return cyclotomic_tower_certificate(law, horizon=horizon)
+        return cyclotomic_tower_certificate(law, horizon=min(horizon, 6))
     if isinstance(law, SplitObstructionLaw):
         return split_obstruction_certificate(law)
-    if law is not None:
-        raise NotATower(f"unknown tower law {law!r}")
-    return explicit_tower_certificate(levels, prime_bound=prime_bound)
+    return explicit_tower_certificate(levels)
 
 
-def explicit_tower_certificate(levels, prime_bound: int = 200) -> TowerAnalysis:
-    """Scan primes for strictly growing valuations in an explicit tower; a
-    finite list can certify constancy but never unbounded growth."""
+def explicit_tower_certificate(levels) -> TowerAnalysis:
+    """A finite list of levels can certify constancy but never unbounded
+    growth."""
     levels = tuple(levels)
     verify_tower_containments(levels)
-    details = {
-        "kind": "explicit",
-        "level_data": [(f.conductor, tuple(f.subgroup)) for f in levels],
-        "prime_bound": prime_bound,
-    }
     if all(f == levels[0] for f in levels):
-        return TowerAnalysis("holds", "explicit", {"reason": "constant tower"}, details)
-    observed = []
-    for p in primes_up_to(prime_bound):
-        try:
-            vals = [norm_image_valuation(abelian_split(f, p), p) for f in levels]
-        except Ramified:
-            continue
-        observed.append({"prime": p, "valuations": vals})
-    return TowerAnalysis(
-        "unknown-at-horizon", "explicit", None, {**details, "observed": observed[:10]}
-    )
+        return TowerAnalysis("holds", "explicit", {"reason": "constant tower"})
+    return TowerAnalysis("unknown-at-horizon", "explicit", None)

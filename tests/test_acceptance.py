@@ -287,9 +287,18 @@ def test_criterion_08_reads_an_undecided_recipe_as_unknown(monkeypatch):
 
 
 def test_criterion_08_refutes_a_certificate_that_replays_otherwise(monkeypatch):
-    monkeypatch.setattr(nt.TowerAnalysis, "replay",
-                        lambda self: dataclasses.replace(self, certificate=None))
+    # the first analysis, inside lim1_classify, is measured; the second, by
+    # which criterion 8 recomputes the tower's certificate, returns another
+    analyse, laws = nt.norm_tower_certificate, []
+
+    def second_differs(levels, law=None, horizon=6):
+        laws.append(law)
+        ta = analyse(levels, law, horizon)
+        return ta if len(laws) == 1 else dataclasses.replace(ta, certificate=None)
+
+    monkeypatch.setattr(nt, "norm_tower_certificate", second_differs)
     r = pc.check_lim1_dichotomy()
+    assert len(laws) == 2 and laws[0] == laws[1] == nt.SplitObstructionLaw(3, 7, levels=1)
     assert r.verdict == "refuted"
     assert r.evidence["layered-obstruction-tower"] == "uncountable"
     assert not r.evidence["certificate-replay-identical"]

@@ -472,6 +472,54 @@ def test_nt_tower_cert(fixtures, capsys):
     assert rep["evidence"]["certificate"]["prime"] == 2
 
 
+@pytest.mark.parametrize("tower, law", [
+    ({"levels": [LEVEL], "law": {"kind": "cyclotomic-power", "l": 3}}, "cyclotomic-power"),
+    ({"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7, "levels": 1}},
+     "split-obstruction"),
+    ({"levels": [LEVEL, LEVEL]}, "explicit"),
+], ids=["cyclotomic-power", "split-obstruction", "explicit"])
+def test_nt_tower_cert_names_the_law_at_horizon_0(tower, law, tmp_path, capsys):
+    # horizon 0 decides nothing, and the law reads by the name it has at
+    # every other horizon (once the class name, CyclotomicPowerLaw)
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(tower))
+    code, rep = run_cli(capsys, ["--horizon", "0", "nt", "tower-cert", "--tower", str(path)])
+    assert code == cli.EXIT_UNKNOWN
+    assert rep["evidence"] == {"ml_status": "unknown-at-horizon", "law": law, "certificate": None}
+    code, rep = run_cli(capsys, ["--horizon", "1", "nt", "tower-cert", "--tower", str(path)])
+    assert code == cli.EXIT_OK and rep["evidence"]["law"] == law
+
+
+@pytest.mark.parametrize("command, left_out, spelled_out", [
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7}},
+     {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7, "levels": 2,
+                                 "prime_bound": 20000}}),
+    (("serre", "tower", "--chain"),
+     {"kind": "layered-obstruction", "l": 3, "p0": 7},
+     {"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 1, "prime_bound": 20000}),
+], ids=["split-obstruction-law", "layered-obstruction-chain"])
+def test_tower_fields_left_out_take_the_defaults(command, left_out, spelled_out, tmp_path, capsys):
+    # the JSON reader passes only the fields it is given, so the defaults
+    # are those of SplitObstructionLaw and layered_obstruction_tower
+    reports = []
+    for doc in (left_out, spelled_out):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        reports.append(run_cli(capsys, [*command, str(path)]))
+    assert reports[0] == reports[1] and reports[0][0] == cli.EXIT_OK
+
+
+def test_tower_fields_keep_their_type_checks():
+    law = {"kind": "split-obstruction", "l": 3, "p0": 7}
+    chain = {"kind": "layered-obstruction", "l": 3, "p0": 7}
+    for key, value in (("levels", True), ("levels", "2"), ("prime_bound", 2.0)):
+        with pytest.raises(jsonio.ParseError, match=key):
+            jsonio.tower_law_from_json({**law, key: value})
+        with pytest.raises(jsonio.ParseError, match=key):
+            jsonio.chain_from_json({**chain, key: value})
+
+
 def test_serre_commands(fixtures, capsys):
     code, rep = run_cli(
         capsys, ["serre", "verify-blocks", "--gamma-f", str(fixtures["s3"])]

@@ -570,6 +570,8 @@ def test_lim1_obstructions_match_the_per_choice_route(seed, padded, monkeypatch)
         assert reps and reps == [lim1_obstruction_per_choice(system, fam, famp, w)
                                  for w in itertools.product(*lists)]
     assert padded == any(not r.memberships_verified for *_, reps in scanned for r in reps)
+    # a trivialization is solved exactly when every e_n lies in its fixed group
+    assert all(r.trivial == r.memberships_verified for *_, reps in scanned for r in reps)
 
 
 def brute_cocycles(gamma, n):

@@ -311,6 +311,20 @@ def test_lim1_dichotomy_snf_work(monkeypatch):
     assert divisors == 6
 
 
+def test_norm_tower_work(monkeypatch):
+    # the explicit tower Q in Q(zeta_7)^+ is decided by its containments
+    # alone (92 abelian_split calls when it also scanned the primes below
+    # 200 for valuations that no verdict read); criterion 8 analyses its
+    # tower in lim1_classify and once more to recompute the certificate (3
+    # calls when a replay of the analysis ran a third)
+    tower = [nt.AbelianFieldDatum(1, (0,)), nt.AbelianFieldDatum(7, (1, 6))]
+    splits, = _calls(monkeypatch, lambda: nt.norm_tower_certificate(tower), (nt, "abelian_split"))
+    assert splits == 0
+    analyses, = _calls(monkeypatch, checks.check_lim1_dichotomy,
+                       (nt, "split_obstruction_certificate"))
+    assert analyses == 2
+
+
 def test_twist_work(monkeypatch):
     # the tables twisted by the class walks of the H^1 of products and of
     # the twist bijections; every other class is read off a walk's partition
