@@ -8,8 +8,8 @@ is emitted only with --timing and is excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -30,26 +30,22 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
+# the exit code of each verdict but "error"
+_EXITS = {"ok": EXIT_OK, "verified": EXIT_OK, "refuted": EXIT_REFUTED,
+          "unknown-at-horizon": EXIT_UNKNOWN}
 
 
-def _report(claim, verdict, evidence, args, extra_config=None):
-    config = {"seed": args.seed, "horizon": args.horizon, "budget": args.budget}
-    if extra_config:
-        config.update(extra_config)
+def _emit(claim, verdict, evidence, args):
     rep = {
         "claim": claim,
         "verdict": verdict,
         "evidence": evidence,
         "tool_version": __version__,
         "conventions": {"sbar-condition": SBAR_CONDITION},
-        "config": config,
+        "config": {"seed": args.seed, "horizon": args.horizon, "budget": args.budget},
     }
     if args.timing:
         rep["timing_ms"] = int((time.time() - args._t0) * 1000)
-    return rep
-
-
-def _emit(rep, args):
     text = json.dumps(rep, indent=2, sort_keys=True, default=_default)
     # a failed write, to --out or to stdout (a closed pipe), is the
     # report's own error, not one of reading the input
@@ -63,15 +59,8 @@ def _emit(rep, args):
     except OSError as e:
         print(f"[torsor-lab] write error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    verdict = rep.get("verdict", "ok")
-    print(f"[torsor-lab] {rep['claim']}: {verdict}", file=sys.stderr)
-    if verdict in ("ok", "verified"):
-        return EXIT_OK
-    if verdict == "refuted":
-        return EXIT_REFUTED
-    if verdict in ("unknown", "unknown-at-horizon"):
-        return EXIT_UNKNOWN
-    return EXIT_ERROR
+    print(f"[torsor-lab] {claim}: {verdict}", file=sys.stderr)
+    return _EXITS.get(verdict, EXIT_ERROR)
 
 
 def _default(obj):
@@ -80,12 +69,19 @@ def _default(obj):
     return str(obj)
 
 
+def _decided(status) -> str:
+    """The verdict of a dichotomy: both of its outcomes are verified, and
+    only a status left unknown is not."""
+    return verdict([None if status in ("unknown", "unknown-at-horizon") else True])
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed arguments and the <ref> of each
+# file its COMMANDS row names, in that order
 
 
-def cmd_groups_classes(args):
-    g = jsonio.group_from_json(args.infile)
+def cmd_groups_classes(args, group):
+    g = jsonio.group_from_json(group)
     classes = gr.conjugacy_classes(g)
     evidence = {
         "order": g.order,
@@ -93,92 +89,81 @@ def cmd_groups_classes(args):
         "classes": [list(c) for c in classes],
         "centralizer_orders": [len(gr.centralizer(g, c[0])) for c in classes],
     }
-    return _emit(_report("conjugacy-classes", "ok", evidence, args), args)
+    return _emit("conjugacy-classes", "ok", evidence, args)
 
 
-def cmd_gset(args):
-    x = jsonio.gset_from_json(args.infile)
-    if args.op == "orbits":
-        dec = gs.orbits(x)
-        evidence = {
-            "orbits": [list(o) for o in dec.orbit_sets],
-            "stabilizer_orders": [len(s) for s in dec.stabilizers],
-        }
-        return _emit(_report("gset-orbits", "ok", evidence, args), args)
-    if args.op == "descent":
-        # one restriction-of-scalars factor per orbit, of degree the orbit size
-        evidence = [
-            {"representative": orb[0], "degree": len(orb), "stabilizer_order": len(stab)}
-            for orb, stab in gs.orbits(x).orbits
-        ]
-        return _emit(_report("descent-factors", "ok", evidence, args), args)
-    y = jsonio.gset_from_json(args.other)
-    m = gs.gset_iso(x, y)
+def cmd_gset_orbits(args, gset):
+    dec = gs.orbits(jsonio.gset_from_json(gset))
+    evidence = {
+        "orbits": [list(o) for o in dec.orbit_sets],
+        "stabilizer_orders": [len(s) for s in dec.stabilizers],
+    }
+    return _emit("gset-orbits", "ok", evidence, args)
+
+
+def cmd_gset_descent(args, gset):
+    # one restriction-of-scalars factor per orbit, of degree the orbit size
+    evidence = [
+        {"representative": orb[0], "degree": len(orb), "stabilizer_order": len(stab)}
+        for orb, stab in gs.orbits(jsonio.gset_from_json(gset)).orbits
+    ]
+    return _emit("descent-factors", "ok", evidence, args)
+
+
+def cmd_gset_iso(args, gset, other):
+    m = gs.gset_iso(jsonio.gset_from_json(gset), jsonio.gset_from_json(other))
     evidence = {"isomorphic": m is not None, "bijection": list(m) if m else None}
-    return _emit(_report("gset-isomorphism", "ok", evidence, args), args)
+    return _emit("gset-isomorphism", "ok", evidence, args)
 
 
-def cmd_lattice(args):
-    if args.op == "snf":
-        with open(args.infile) as fh:
-            mat = jsonio.matrix_from_json(json.load(fh))
-        s = la.smith_normal_form(mat, transforms=("left", "right"))
-        evidence = {
-            "diagonal": s.diagonal,
-            "left": s.left,
-            "right": s.right,
-        }
-        return _emit(_report("smith-normal-form", "ok", evidence, args), args)
-    with open(args.infile) as fh:
-        obj = json.load(fh)
-    basedir = os.path.dirname(args.infile)
-    if args.op == "exact":
-        rep = lt.exactness_report(jsonio.exact_sequence_from_json(obj, basedir))
-        evidence = {
-            "joints": [
-                {
-                    "composite_zero": j.composite_zero,
-                    "saturated": j.image_equals_kernel_saturated,
-                    "integral": j.image_equals_kernel_integral,
-                }
-                for j in rep.joints
-            ],
-            "first_injective": rep.first_injective,
-            "last_surjective": rep.last_surjective,
-        }
-        return _emit(_report("lattice-exactness", verdict([rep.exact]), evidence, args), args)
-    ok = lt.is_equivariant_iso(jsonio.lattice_map_from_json(obj, basedir))
-    return _emit(
-        _report("lattice-isomorphism", verdict([ok]), {"is_isomorphism": ok}, args), args
-    )
+def cmd_lattice_snf(args, matrix):
+    s = la.smith_normal_form(jsonio.matrix_from_json(matrix), transforms=("left", "right"))
+    evidence = {"diagonal": s.diagonal, "left": s.left, "right": s.right}
+    return _emit("smith-normal-form", "ok", evidence, args)
 
 
-def cmd_cohomology_h1(args):
-    with open(args.infile) as fh:
-        obj = json.load(fh)
-    basedir = os.path.dirname(args.infile)
-    if not isinstance(obj, dict):
-        raise jsonio.ParseError("a module is a JSON object")
-    if "rho" in obj:
-        m = jsonio.lattice_from_json(obj, basedir)
+def cmd_lattice_exact(args, sequence):
+    rep = lt.exactness_report(jsonio.exact_sequence_from_json(sequence))
+    evidence = {
+        "joints": [
+            {
+                "composite_zero": j.composite_zero,
+                "saturated": j.image_equals_kernel_saturated,
+                "integral": j.image_equals_kernel_integral,
+            }
+            for j in rep.joints
+        ],
+        "first_injective": rep.first_injective,
+        "last_surjective": rep.last_surjective,
+    }
+    return _emit("lattice-exactness", verdict([rep.exact]), evidence, args)
+
+
+def cmd_lattice_iso(args, lattice_map):
+    ok = lt.is_equivariant_iso(jsonio.lattice_map_from_json(lattice_map))
+    return _emit("lattice-isomorphism", verdict([ok]), {"is_isomorphism": ok}, args)
+
+
+def cmd_cohomology_h1(args, module):
+    m = jsonio.module_from_json(module)
+    if isinstance(m, lt.ZGLattice):
         H = co.h1_abelian(m.group, m)
         evidence = {"invariants": [int(d) for d in H.invariants], "order": H.order()}
-        return _emit(_report("lattice-h1", "ok", evidence, args), args)
-    n = jsonio.gamma_group_from_json(obj, basedir)
-    H = co.h1_nonabelian(n.gamma, n, budget=args.budget)
+        return _emit("lattice-h1", "ok", evidence, args)
+    H = co.h1_nonabelian(m.gamma, m, budget=args.budget)
     evidence = {
         "class_count": H.count,
         "orbit_sizes": list(H.sizes),
         "cocycle_count": H.cocycle_count,
         "representatives": [list(cls.values) for cls in H.classes],
     }
-    return _emit(_report("nonabelian-h1", "ok", evidence, args), args)
+    return _emit("nonabelian-h1", "ok", evidence, args)
 
 
-def cmd_torsor_verify(args):
-    seq = jsonio.torsor_sequence_from_json(args.seq)
-    base = jsonio.base_class_from_json(args.base, seq)
-    rep = to.verify_twist_bijection(seq, base, budget=args.budget)
+def cmd_torsor_verify(args, seq, base):
+    seq = jsonio.torsor_sequence_from_json(seq)
+    rep = to.verify_twist_bijection(seq, jsonio.base_class_from_json(base, seq),
+                                    budget=args.budget)
     evidence = {
         "class_count": len(rep.kernel_h1_classes),
         "relative_count": len(rep.relative_classes),
@@ -195,21 +180,17 @@ def cmd_torsor_verify(args):
             if m >= 0
         ],
     }
-    return _emit(_report("twist-bijection", verdict([twist_holds(rep)]), evidence, args), args)
+    return _emit("twist-bijection", verdict([twist_holds(rep)]), evidence, args)
 
 
 def _emit_lim1(claim, v, args):
-    # both sides of the lim^1 dichotomy are verified outcomes; only "unknown" is not
-    decided = None if v.status == "unknown" else True
     evidence = {"status": v.status, "reason": v.reason, "certificate": v.certificate}
-    return _emit(_report(claim, verdict([decided]), evidence, args), args)
+    return _emit(claim, _decided(v.status), evidence, args)
 
 
-def cmd_invsys_classify(args):
-    recipe = jsonio.recipe_from_json(args.recipe)
-    return _emit_lim1(
-        "lim1-classification", iv.lim1_classify(recipe, args.horizon), args
-    )
+def cmd_invsys_classify(args, recipe):
+    recipe = jsonio.recipe_from_json(recipe)
+    return _emit_lim1("lim1-classification", iv.lim1_classify(recipe, args.horizon), args)
 
 
 def cmd_nt_split(args):
@@ -232,24 +213,22 @@ def cmd_nt_split(args):
         "degree": st.degree,
         "norm_valuation_generator": nt.norm_image_valuation(st, args.p),
     }
-    return _emit(_report("prime-splitting", "ok", evidence, args), args)
+    return _emit("prime-splitting", "ok", evidence, args)
 
 
-def cmd_nt_tower(args):
-    tower = jsonio.norm_tower_from_json(args.tower)
+def cmd_nt_tower(args, tower):
+    tower = jsonio.norm_tower_from_json(tower)
     analysis = nt.norm_tower_certificate(tower.levels, law=tower.law, horizon=args.horizon)
-    # "fails" and "holds" are both verified outcomes
-    decided = None if analysis.status == "unknown-at-horizon" else True
     evidence = {
         "ml_status": analysis.status,
         "law": analysis.law,
         "certificate": analysis.certificate,
     }
-    return _emit(_report("norm-tower-certificate", verdict([decided]), evidence, args), args)
+    return _emit("norm-tower-certificate", _decided(analysis.status), evidence, args)
 
 
-def cmd_serre_blocks(args):
-    f_group = jsonio.group_from_json(args.gamma_f)
+def cmd_serre_blocks(args, gamma_f):
+    f_group = jsonio.group_from_json(gamma_f)
     dec = sr.conjugation_block_decomposition(f_group)
     van = sr.block_h1_vanishing(f_group)
     evidence = {
@@ -261,26 +240,22 @@ def cmd_serre_blocks(args):
         "h1_blocks_vanish": van.all_vanish,
     }
     findings = [blocks_hold(f_group, dec), van.all_vanish]
-    return _emit(_report("twisted-quotient-blocks", verdict(findings), evidence, args), args)
+    return _emit("twisted-quotient-blocks", verdict(findings), evidence, args)
 
 
-def cmd_serre_sequence(args):
-    d = jsonio.datum_from_json(args.datum)
-    rep = sr.verify_serre_sequence(d)
+def cmd_serre_sequence(args, datum):
+    rep = sr.verify_serre_sequence(jsonio.datum_from_json(datum))
     evidence = {
         "ranks": list(rep.ranks),
         "rank_law": rep.rank_law_holds,
         "with_constant_exact": rep.with_constant_exact,
         "quotient_exact": rep.quotient_exact,
     }
-    return _emit(
-        _report("character-sequences", verdict([sequences_hold(rep)]), evidence, args), args
-    )
+    return _emit("character-sequences", verdict([sequences_hold(rep)]), evidence, args)
 
 
-def cmd_serre_tower(args):
-    chain = jsonio.chain_from_json(args.chain)
-    recipe = sr.serre_tower_recipe(chain)
+def cmd_serre_tower(args, chain):
+    recipe = sr.serre_tower_recipe(jsonio.chain_from_json(chain))
     return _emit_lim1(
         "serre-tower-classification", iv.lim1_classify(recipe, args.horizon), args
     )
@@ -288,20 +263,34 @@ def cmd_serre_tower(args):
 
 def cmd_suite(args):
     results = run_suite(seed=args.seed, horizon=args.horizon)
-    entries = []
     for r in results:
-        entries.append(
-            {
-                "claim": r.claim,
-                "criterion": r.criterion,
-                "verdict": r.verdict,
-                "evidence": r.evidence,
-            }
-        )
         print(f"[torsor-lab] {r.criterion:2d} {r.claim}: {r.verdict}", file=sys.stderr)
-    rep = _report("verification-suite", worst(r.verdict for r in results),
-                  {"entries": entries}, args)
-    return _emit(rep, args)
+    return _emit("verification-suite", worst(r.verdict for r in results),
+                 {"entries": [dataclasses.asdict(r) for r in results]}, args)
+
+
+# (module, op, handler, options): an option that is a string is a required
+# file, whose <ref> goes to the handler; any other is (flag, argparse keywords)
+COMMANDS = (
+    ("groups", "classes", cmd_groups_classes, ("--in",)),
+    ("gset", "orbits", cmd_gset_orbits, ("--in",)),
+    ("gset", "iso", cmd_gset_iso, ("--in", "--other")),
+    ("gset", "descent", cmd_gset_descent, ("--in",)),
+    ("lattice", "snf", cmd_lattice_snf, ("--in",)),
+    ("lattice", "exact", cmd_lattice_exact, ("--in",)),
+    ("lattice", "iso", cmd_lattice_iso, ("--in",)),
+    ("cohomology", "h1", cmd_cohomology_h1, ("--module",)),
+    ("torsor", "verify-twist", cmd_torsor_verify, ("--seq", "--base")),
+    ("invsys", "classify", cmd_invsys_classify, ("--recipe",)),
+    ("nt", "split", cmd_nt_split, (("--poly", {}), ("--conductor", {"type": int}),
+                                   ("--subgroup", {"help": "comma-separated residues"}),
+                                   ("--p", {"type": int, "required": True}))),
+    ("nt", "tower-cert", cmd_nt_tower, ("--tower",)),
+    ("serre", "verify-blocks", cmd_serre_blocks, ("--gamma-f",)),
+    ("serre", "sequence", cmd_serre_sequence, ("--datum",)),
+    ("serre", "tower", cmd_serre_tower, ("--chain",)),
+    ("suite", "checks", cmd_suite, ()),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -341,70 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include wall-clock milliseconds (breaks byte-for-byte "
                    "reproducibility of reports)")
     sub = p.add_subparsers(dest="module", required=True)
-
-    g = sub.add_parser("groups").add_subparsers(dest="op", required=True)
-    gc = g.add_parser("classes")
-    gc.add_argument("--in", dest="infile", required=True)
-    gc.set_defaults(func=cmd_groups_classes)
-
-    gs_ = sub.add_parser("gset")
-    gs_sub = gs_.add_subparsers(dest="op", required=True)
-    for opname in ("orbits", "iso", "descent"):
-        sp = gs_sub.add_parser(opname)
-        sp.add_argument("--in", dest="infile", required=True)
-        if opname == "iso":
-            sp.add_argument("--other", required=True)
-        sp.set_defaults(func=cmd_gset)
-
-    lat = sub.add_parser("lattice")
-    lat_sub = lat.add_subparsers(dest="op", required=True)
-    for opname in ("snf", "exact", "iso"):
-        sp = lat_sub.add_parser(opname)
-        sp.add_argument("--in", dest="infile", required=True)
-        sp.set_defaults(func=cmd_lattice)
-
-    coh = sub.add_parser("cohomology").add_subparsers(dest="op", required=True)
-    ch = coh.add_parser("h1")
-    ch.add_argument("--module", dest="infile", required=True)
-    ch.set_defaults(func=cmd_cohomology_h1)
-
-    tor = sub.add_parser("torsor").add_subparsers(dest="op", required=True)
-    tv = tor.add_parser("verify-twist")
-    tv.add_argument("--seq", required=True)
-    tv.add_argument("--base", required=True)
-    tv.set_defaults(func=cmd_torsor_verify)
-
-    inv = sub.add_parser("invsys").add_subparsers(dest="op", required=True)
-    ic = inv.add_parser("classify")
-    ic.add_argument("--recipe", required=True)
-    ic.set_defaults(func=cmd_invsys_classify)
-
-    ntp = sub.add_parser("nt").add_subparsers(dest="op", required=True)
-    ns = ntp.add_parser("split")
-    ns.add_argument("--poly")
-    ns.add_argument("--conductor", type=int)
-    ns.add_argument("--subgroup", help="comma-separated residues")
-    ns.add_argument("--p", type=int, required=True)
-    ns.set_defaults(func=cmd_nt_split)
-    ntc = ntp.add_parser("tower-cert")
-    ntc.add_argument("--tower", required=True)
-    ntc.set_defaults(func=cmd_nt_tower)
-
-    ser = sub.add_parser("serre").add_subparsers(dest="op", required=True)
-    sb = ser.add_parser("verify-blocks")
-    sb.add_argument("--gamma-f", dest="gamma_f", required=True)
-    sb.set_defaults(func=cmd_serre_blocks)
-    ss = ser.add_parser("sequence")
-    ss.add_argument("--datum", required=True)
-    ss.set_defaults(func=cmd_serre_sequence)
-    st = ser.add_parser("tower")
-    st.add_argument("--chain", required=True)
-    st.set_defaults(func=cmd_serre_tower)
-
-    su = sub.add_parser("suite").add_subparsers(dest="op", required=True)
-    sp = su.add_parser("checks")
-    sp.set_defaults(func=cmd_suite)
-
+    ops = {}
+    for module, op, handler, options in COMMANDS:
+        if module not in ops:
+            ops[module] = sub.add_parser(module).add_subparsers(dest="op", required=True)
+        sp = ops[module].add_parser(op)
+        files = [o for o in options if isinstance(o, str)]
+        for flag in files:
+            sp.add_argument(flag, dest=flag, metavar="FILE", required=True)
+        for flag, keywords in (o for o in options if not isinstance(o, str)):
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=handler, files=files)
     return p
 
 
@@ -413,7 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.time()
     try:
-        return args.func(args)
+        return args.func(args, *(getattr(args, flag) for flag in args.files))
     except (jsonio.ParseError, json.JSONDecodeError, OSError) as e:
         print(f"[torsor-lab] parse error: {e}", file=sys.stderr)
         return EXIT_ERROR

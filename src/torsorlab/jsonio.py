@@ -1,11 +1,15 @@
 """JSON formats for groups, actions, lattices, cocycles, data, and recipes.
 
-A <ref> field accepts either an inline object or a string path, resolved
-relative to the file that contains the reference.
+Every reader takes a <ref>: an inline value, or a string path resolved
+relative to the file that contains the reference (or, for the document a
+command names, to the working directory).  An object with a key that its
+reader does not name is a ParseError, and so is a document that a
+constructor refuses.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -24,46 +28,77 @@ class ParseError(ValueError):
     pass
 
 
-def _load(path):
+def _reader(read):
+    """`read` with the one rule for a document a constructor refuses: its
+    ValueError becomes a ParseError that names the object read."""
+    what = read.__name__.removesuffix("_from_json").replace("_", " ")
+
+    @functools.wraps(read)
+    def reader(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except ParseError:
+            raise
+        except ValueError as e:
+            raise ParseError(f"bad {what}: {e}") from e
+
+    return reader
+
+
+def _resolve(ref, basedir):
+    """The JSON value of a <ref>, the value itself or the file at a path
+    relative to basedir, and the directory its own <ref>s resolve against."""
+    if not isinstance(ref, str):
+        return ref, basedir
+    path = os.path.join(basedir, ref)
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh), os.path.dirname(path)
 
 
-def _resolve(obj, basedir):
-    if isinstance(obj, str):
-        path = obj if os.path.isabs(obj) else os.path.join(basedir, obj)
-        return _load(path), os.path.dirname(path)
+def _object(ref, basedir, fields):
+    """The JSON object of a <ref> and the directory its own <ref>s resolve
+    against; ParseError when it is no object or has a key other than
+    `fields`."""
+    obj, basedir = _resolve(ref, basedir)
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object")
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ParseError(f"a JSON object with unknown keys: {', '.join(map(repr, unknown))}")
     return obj, basedir
 
 
-def matrix_from_json(obj) -> tuple:
-    """An integer matrix as int-tuple rows: a list of equal-length rows of
-    integers; a flat list of integers is one row and an integer a 1 x 1
-    matrix.  JSON true and false are not integers."""
-    if type(obj) is int:
-        obj = [[obj]]
-    elif isinstance(obj, list) and obj and not isinstance(obj[0], list):
-        obj = [obj]
-    if not (
-        isinstance(obj, list)
-        and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
-        and all(type(v) is int for row in obj for v in row)
-    ):
-        raise ParseError("a matrix is a list of equal-length rows of integers")
-    return tuple(map(tuple, obj))
+def _kind(ref, basedir, kinds):
+    """(kind, object, basedir) of a <ref> whose "kind" field picks, from the
+    dict `kinds`, the fields the object may have beside it."""
+    obj, basedir = _object(ref, basedir, {"kind"}.union(*kinds.values()))
+    kind = _field(obj, "kind", str)
+    if kind not in kinds:
+        raise ParseError(f"unknown kind {kind!r}")
+    _object(obj, basedir, ("kind", *kinds[kind]))
+    return kind, obj, basedir
 
 
-def _field(obj, key, kind=object, default=None):
+_REQUIRED = object()
+
+
+def _field(obj, key, kind=object, default=_REQUIRED):
     """obj[key] of a JSON object, or `default`, if given, when the field is
-    absent; ParseError when obj is no object or the field is missing or not
-    of type `kind` (JSON true and false are no int)."""
-    if isinstance(obj, dict) and key not in obj and default is not None:
+    absent; ParseError when the field is missing or not of type `kind`
+    (JSON true and false are no int)."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ParseError(f"missing field {key!r} of a JSON object")
         return default
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"missing field {key!r} of a JSON object")
     if kind is not object and type(obj[key]) is not kind:
         raise ParseError(f"field {key!r} must be of type {kind.__name__}")
     return obj[key]
+
+
+def _sizes(obj) -> dict:
+    """The "levels" and "prime_bound" fields that are given, as keywords:
+    the constructor they go to holds the defaults."""
+    return {key: _field(obj, key, int) for key in ("levels", "prime_bound") if key in obj}
 
 
 def _int_row(value) -> tuple:
@@ -81,49 +116,66 @@ def _int_table(value) -> tuple:
     return tuple(map(_int_row, value))
 
 
-def group_from_json(obj, basedir="."):
+@_reader
+def matrix_from_json(ref, basedir=".") -> tuple:
+    """An integer matrix as int-tuple rows: a list of equal-length rows of
+    integers; a flat list of integers is one row and an integer a 1 x 1
+    matrix.  JSON true and false are not integers."""
+    obj, _ = _resolve(ref, basedir)
+    if type(obj) is int:
+        obj = [[obj]]
+    elif isinstance(obj, list) and obj and not isinstance(obj[0], list):
+        obj = [obj]
+    if not (
+        isinstance(obj, list)
+        and all(isinstance(row, list) and len(row) == len(obj[0]) for row in obj)
+        and all(type(v) is int for row in obj for v in row)
+    ):
+        raise ParseError("a matrix is a list of equal-length rows of integers")
+    return tuple(map(tuple, obj))
+
+
+@_reader
+def group_from_json(ref, basedir="."):
     """A group by its table; an "order" field, when present, must be the
     number of elements the table has."""
-    obj, basedir = _resolve(obj, basedir)
-    try:
-        g = FiniteGroup(_int_table(obj["table"]))
-        order = _field(obj, "order", int, g.order)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad group object: {e}") from e
+    obj, _ = _object(ref, basedir, ("table", "order"))
+    g = FiniteGroup(_int_table(_field(obj, "table")))
+    order = _field(obj, "order", int, g.order)
     if order != g.order:
-        raise ParseError(f"bad group object: order {order}, but the table has {g.order} elements")
+        raise ParseError(f"order {order}, but the table has {g.order} elements")
     return g
 
 
-def gset_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    try:
-        g = group_from_json(obj["group"], basedir)
-        return GSet(g, _int_table(obj["action"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad G-set object: {e}") from e
+@_reader
+def gset_from_json(ref, basedir="."):
+    """A G-set by its action table; a "size" field, when present, must be
+    the number of points the action moves."""
+    obj, basedir = _object(ref, basedir, ("group", "size", "action"))
+    x = GSet(group_from_json(_field(obj, "group"), basedir), _int_table(_field(obj, "action")))
+    size = _field(obj, "size", int, x.size)
+    if size != x.size:
+        raise ParseError(f"size {size}, but the action has {x.size} points")
+    return x
 
 
-def lattice_from_json(obj, basedir="."):
+@_reader
+def lattice_from_json(ref, basedir="."):
     """Full table, or generators-only with the closure computed here."""
-    obj, basedir = _resolve(obj, basedir)
+    obj, basedir = _object(ref, basedir, ("rank", "group", "rho"))
     g = group_from_json(_field(obj, "group"), basedir)
-    rho = _field(obj, "rho")
-    if not isinstance(rho, dict):
-        raise ParseError("rho maps group elements to matrices")
     rho_in = {}
-    for k, v in rho.items():
+    for k, v in _field(obj, "rho", dict).items():
         if not (k.isdigit() and int(k) < g.order):
             raise ParseError(f"rho key {k!r} is not an element of the group")
-        rho_in[int(k)] = matrix_from_json(v)
-    if "rank" in obj:
-        rank = obj["rank"]
-        if type(rank) is not int or rank < 0:
-            raise ParseError("the rank is a nonnegative integer")
-    elif rho_in:
+        rho_in[int(k)] = matrix_from_json(v, basedir)
+    rank = _field(obj, "rank", int, None)
+    if rank is None:
+        if not rho_in:
+            raise ParseError("lattice needs a rank or at least one matrix")
         rank = len(next(iter(rho_in.values())))
-    else:
-        raise ParseError("lattice needs a rank or at least one matrix")
+    elif rank < 0:
+        raise ParseError("the rank is a nonnegative integer")
     if any(len(m) != rank or la.width(m) != rank for m in rho_in.values()):
         raise ParseError("each matrix must be rank x rank")
     if rho_in and set(rho_in) == set(g.elements()):
@@ -148,73 +200,104 @@ def lattice_from_json(obj, basedir="."):
     return ZGLattice(g, [mats[t] for t in g.elements()])
 
 
-def exact_sequence_from_json(obj, basedir=".") -> list:
+@_reader
+def exact_sequence_from_json(ref, basedir=".") -> list:
     """The maps of {"lattices": [...], "maps": [...]}, map i from lattice i
     to lattice i + 1."""
+    obj, basedir = _object(ref, basedir, ("lattices", "maps"))
     lattices = [lattice_from_json(x, basedir) for x in _field(obj, "lattices", list)]
-    maps = _field(obj, "maps")
-    if not isinstance(maps, list) or len(maps) != len(lattices) - 1:
+    maps = _field(obj, "maps", list)
+    if len(maps) != len(lattices) - 1:
         raise ParseError("need one map between each pair of adjacent lattices")
     return [
-        LatticeMap(lattices[i], lattices[i + 1], matrix_from_json(m))
+        LatticeMap(lattices[i], lattices[i + 1], matrix_from_json(m, basedir))
         for i, m in enumerate(maps)
     ]
 
 
-def lattice_map_from_json(obj, basedir=".") -> LatticeMap:
+@_reader
+def lattice_map_from_json(ref, basedir=".") -> LatticeMap:
     """The map of {"source": ..., "target": ..., "matrix": ...}."""
+    obj, basedir = _object(ref, basedir, ("source", "target", "matrix"))
     src = lattice_from_json(_field(obj, "source"), basedir)
     tgt = lattice_from_json(_field(obj, "target"), basedir)
-    return LatticeMap(src, tgt, matrix_from_json(_field(obj, "matrix")))
+    return LatticeMap(src, tgt, matrix_from_json(_field(obj, "matrix"), basedir))
 
 
-def gamma_group_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    try:
-        gamma = group_from_json(obj["gamma"], basedir)
-        und = group_from_json(obj["underlying"], basedir)
-        action = obj.get("action")
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad Gamma-group object: {e}") from e
+@_reader
+def gamma_group_from_json(ref, basedir="."):
+    """A Gamma-group; an absent "action" is the trivial one."""
+    obj, basedir = _object(ref, basedir, ("gamma", "underlying", "action"))
+    gamma = group_from_json(_field(obj, "gamma"), basedir)
+    und = group_from_json(_field(obj, "underlying"), basedir)
+    action = _field(obj, "action", default=None)
     if action is None:
         return co.trivial_gamma_group(gamma, und)
     return co.GammaGroup(gamma, und, _int_table(action))
 
 
-def datum_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
+def module_from_json(ref, basedir="."):
+    """The coefficients of `cohomology h1`: a lattice when the object has a
+    "rho" field, else a Gamma-group."""
+    obj, basedir = _resolve(ref, basedir)
+    if isinstance(obj, dict) and "rho" in obj:
+        return lattice_from_json(obj, basedir)
+    return gamma_group_from_json(obj, basedir)
+
+
+@_reader
+def datum_from_json(ref, basedir="."):
+    obj, basedir = _object(ref, basedir, ("group", "iota"))
     g = group_from_json(_field(obj, "group"), basedir)
     return sr.CMGaloisDatum(g, _field(obj, "iota", int))
 
 
-def abelian_field_from_json(obj) -> nt.AbelianFieldDatum:
+@_reader
+def abelian_field_from_json(ref, basedir=".") -> nt.AbelianFieldDatum:
+    obj, _ = _object(ref, basedir, ("conductor", "subgroup"))
     return nt.AbelianFieldDatum(
         _field(obj, "conductor", int), _int_row(_field(obj, "subgroup"))
     )
 
 
-def tower_law_from_json(obj):
-    if obj is None:
-        return None
-    kind = _field(obj, "kind")
+_LAWS = {"cyclotomic-power": ("l",), "split-obstruction": ("l", "p0", "levels", "prime_bound")}
+
+
+@_reader
+def tower_law_from_json(ref, basedir="."):
+    kind, obj, _ = _kind(ref, basedir, _LAWS)
     if kind == "cyclotomic-power":
         return nt.CyclotomicPowerLaw(_field(obj, "l", int))
-    if kind == "split-obstruction":
-        # only the sizes given: SplitObstructionLaw holds the defaults
-        sizes = {key: _field(obj, key, int) for key in ("levels", "prime_bound") if key in obj}
-        return nt.SplitObstructionLaw(_field(obj, "l", int), _field(obj, "p0", int), **sizes)
-    raise ParseError(f"unknown tower law kind: {kind}")
+    return nt.SplitObstructionLaw(_field(obj, "l", int), _field(obj, "p0", int), **_sizes(obj))
 
 
-def norm_tower_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    levels = tuple(abelian_field_from_json(x) for x in _field(obj, "levels", list))
-    return iv.NormTower(levels, law=tower_law_from_json(obj.get("law")))
+_NORM_TOWER = ("levels", "law")
 
 
-def recipe_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    kind = _field(obj, "kind")
+@_reader
+def norm_tower_from_json(ref, basedir="."):
+    """A norm tower; an absent "law" makes it explicit."""
+    return _norm_tower(*_object(ref, basedir, _NORM_TOWER))
+
+
+def _norm_tower(obj, basedir):
+    levels = tuple(abelian_field_from_json(x, basedir) for x in _field(obj, "levels", list))
+    law = _field(obj, "law", default=None)
+    return iv.NormTower(levels, law=None if law is None else tower_law_from_json(law, basedir))
+
+
+_RECIPES = {
+    "explicit": ("groups", "maps"),
+    "constant-endo": ("relations", "endo"),
+    "subgroup-chain": ("rank", "step", "base"),
+    "norm-tower": _NORM_TOWER,
+    "product": ("factors",),
+}
+
+
+@_reader
+def recipe_from_json(ref, basedir="."):
+    kind, obj, basedir = _kind(ref, basedir, _RECIPES)
     if kind == "explicit":
         groups = [group_from_json(g, basedir) for g in _field(obj, "groups", list)]
         maps = _field(obj, "maps", list)
@@ -225,60 +308,52 @@ def recipe_from_json(obj, basedir="."):
     if kind == "constant-endo":
         return iv.ConstantEndo(
             _int_row(_field(obj, "relations")),
-            matrix_from_json(_field(obj, "endo")),
+            matrix_from_json(_field(obj, "endo"), basedir),
         )
     if kind == "subgroup-chain":
         return iv.SubgroupChain(
             _field(obj, "rank", int),
-            matrix_from_json(_field(obj, "step")),
-            matrix_from_json(_field(obj, "base")),
+            matrix_from_json(_field(obj, "step"), basedir),
+            matrix_from_json(_field(obj, "base"), basedir),
         )
     if kind == "norm-tower":
-        return norm_tower_from_json(obj, basedir)
-    if kind == "product":
-        return iv.Product(
-            tuple(recipe_from_json(f, basedir) for f in _field(obj, "factors", list))
-        )
-    raise ParseError(f"unknown recipe kind: {kind}")
+        return _norm_tower(obj, basedir)
+    return iv.Product(
+        tuple(recipe_from_json(f, basedir) for f in _field(obj, "factors", list))
+    )
 
 
-def torsor_sequence_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    try:
-        A = gamma_group_from_json(obj["a"], basedir)
-        B = gamma_group_from_json(obj["b"], basedir)
-        C = gamma_group_from_json(obj["c"], basedir)
-        inc = GroupHom(A.underlying, B.underlying, _int_row(obj["include"]))
-        prj = GroupHom(B.underlying, C.underlying, _int_row(obj["project"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad sequence object: {e}") from e
+@_reader
+def torsor_sequence_from_json(ref, basedir="."):
+    obj, basedir = _object(ref, basedir, ("a", "b", "c", "include", "project"))
+    A, B, C = (gamma_group_from_json(_field(obj, key), basedir) for key in ("a", "b", "c"))
+    inc = GroupHom(A.underlying, B.underlying, _int_row(_field(obj, "include")))
+    prj = GroupHom(B.underlying, C.underlying, _int_row(_field(obj, "project")))
     return to.ExactGammaSequence(
         A, B, C, to.EquivariantHom(A, B, inc), to.EquivariantHom(B, C, prj)
     )
 
 
-def base_class_from_json(obj, seq, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    try:
-        q = co.CrossedHom(seq.c.gamma, seq.c, _int_row(obj["q_values"]))
-        p = co.CrossedHom(seq.b.gamma, seq.b, _int_row(obj["p_values"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad base object: {e}") from e
+@_reader
+def base_class_from_json(ref, seq, basedir="."):
+    obj, _ = _object(ref, basedir, ("q_values", "p_values"))
+    q = co.CrossedHom(seq.c.gamma, seq.c, _int_row(_field(obj, "q_values")))
+    p = co.CrossedHom(seq.b.gamma, seq.b, _int_row(_field(obj, "p_values")))
     return to.RelativeClass(seq.project, to.TorsorRep(seq.c, q), to.TorsorRep(seq.b, p))
 
 
-def chain_from_json(obj, basedir="."):
-    obj, basedir = _resolve(obj, basedir)
-    kind = _field(obj, "kind")
+_CHAINS = {"layered-obstruction": ("l", "p0", "levels", "prime_bound"),
+           "constant": ("datum", "length")}
+
+
+@_reader
+def chain_from_json(ref, basedir="."):
+    kind, obj, basedir = _kind(ref, basedir, _CHAINS)
     if kind == "layered-obstruction":
-        # only the sizes given: layered_obstruction_tower holds the defaults
-        sizes = {key: _field(obj, key, int) for key in ("levels", "prime_bound") if key in obj}
         return sr.layered_obstruction_tower(_field(obj, "l", int), _field(obj, "p0", int),
-                                            **sizes)
-    if kind == "constant":
-        datum = datum_from_json(_field(obj, "datum"), basedir)
-        return sr.constant_tower(datum, _field(obj, "length", int, 2))
-    raise ParseError(f"unknown chain kind: {kind}")
+                                            **_sizes(obj))
+    datum = datum_from_json(_field(obj, "datum"), basedir)
+    return sr.constant_tower(datum, _field(obj, "length", int, 2))
 
 
 def parse_poly(text: str) -> tuple:

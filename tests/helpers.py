@@ -13,7 +13,8 @@ the action law and lattice twists read on basis vectors with no matrix
 product, matrices stacked one below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
 by summing rotations, the truncated lim^1 obstruction one witness choice at
-a time, and the benchmark's workloads read from their file."""
+a time, and the benchmark's workloads and tools/reach.py read from their
+files."""
 
 import contextlib
 import importlib.util
@@ -32,6 +33,15 @@ from torsorlab import serre as sr
 
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+REACH = WORKLOADS.parent.parent / "tools" / "reach.py"
+
+
+def reach_tool():
+    """tools/reach.py, loaded afresh from its file."""
+    spec = importlib.util.spec_from_file_location("reach", REACH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextlib.contextmanager

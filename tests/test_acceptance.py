@@ -30,6 +30,40 @@ from torsorlab import torsors as to
 # changes any verdict or evidence byte changes it
 SUITE_SHA256 = "46382c16ca389658cd57e7405c38b2a03cee7d0c71c5eac9438350b70b1454cd"
 
+# sha256 of each criterion's seed-0 entry as sorted-key JSON, in criterion
+# order: a change that means to move the evidence of some criteria re-pins
+# their lines and the two whole-report digests, and no other line moves
+CRITERION_SHA256 = {
+    1: "a1216286be626b07ecab8ff6723700c63c0b7925ce440199d1f40d0dab836bae",
+    2: "d88042a603aa9e44a1b5b7059279fb716ed5521468c52f239b41b133446b63f3",
+    3: "2e9a55cc899b5fcd05372edf8fb14594f21d81b1f61f3a966b850e0e02ab1272",
+    4: "09a787bac5257112b0efb6486951a2719386c2526906dbf6f211594252da4757",
+    5: "72d96e4f9063281db8df5c591e773e91a8c44754ae319b1762a781912495bff3",
+    6: "cb1b45f8291a3c70bdeb3808ee75476d80fc18138e57808c7fe8bfba605bd8dc",
+    7: "4191a8e643d0e578750e75a6f8d5ac02634ac853db83353f4d34bf51265de5f8",
+    8: "0d3d3e4c1316d4b413ab4bf8ea57dfdb73c7bd69a6427286513a08c914eef671",
+    9: "06c5898576a93de8dae79a016a1e905934ae1a4df798d7592d219ff35d79ddcb",
+    10: "8945d4a3b74679b388b558decb409d706bf9a630a14a5d686df2dd634fe1b39e",
+    11: "9a3b2f3bcb07fea54c23a8e503edcd2d4a60d81594e8beada428eeaafde4d1b1",
+}
+
+# sha256 of the `suite checks` report's envelope, its fields other than the
+# entries and the tool version, as sorted-key JSON
+ENVELOPE = ("claim", "config", "conventions", "verdict")
+ENVELOPE_SHA256 = "553ab65935d8a864d2968085bea7b271ff2d690f9a583e71d0905365bfaaed21"
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def moved_criteria(results) -> list:
+    """The criteria whose entry is not as pinned in CRITERION_SHA256; the
+    results must be the table's criteria, in order."""
+    assert [r.criterion for r in results] == list(CRITERION_SHA256)
+    return [r.criterion for r in results
+            if _sha256(dataclasses.asdict(r)) != CRITERION_SHA256[r.criterion]]
+
 
 def run_check(fn, criterion, budget_seconds, **kw):
     t0 = time.time()
@@ -397,5 +431,25 @@ def test_suite_is_deterministic():
     out, err = other.communicate(timeout=600)
     assert other.returncode == 0, err.decode()
     assert hashlib.sha256(out).hexdigest() == SUITE_CHECKS_STDOUT_SHA256
+    assert _sha256({key: json.loads(out)[key] for key in ENVELOPE}) == ENVELOPE_SHA256
     assert json.loads(out)["evidence"]["entries"] == json.loads(entries)
     assert hashlib.sha256(entries.encode()).hexdigest() == SUITE_SHA256
+
+
+def test_each_criterion_keeps_its_pin():
+    moved = moved_criteria(pc.run_suite(seed=0))
+    assert not moved, f"the evidence of criteria {moved} moved"
+
+
+def test_a_moved_byte_fails_its_own_criterion_only(monkeypatch):
+    # criterion 10 with one evidence byte more (its case count times ten)
+    # moves its own line of the table and the whole-suite digest, no other
+    def longer():
+        r = pc.check_tame_norm_index()
+        return dataclasses.replace(r, evidence={**r.evidence, "cases": r.evidence["cases"] * 10})
+
+    monkeypatch.setattr(pc, "ALL_CHECKS", tuple(
+        (name, longer if fn is pc.check_tame_norm_index else fn) for name, fn in pc.ALL_CHECKS))
+    results = pc.run_suite(seed=0)
+    assert moved_criteria(results) == [10]
+    assert _sha256([dataclasses.asdict(r) for r in results]) != SUITE_SHA256

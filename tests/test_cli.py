@@ -359,6 +359,7 @@ def _project_float(files):
     (("groups", "classes", "--in"), {"order": 7, "table": [[0, 1], [1, 0]]}),
     (("groups", "classes", "--in"), {"order": 2.0, "table": [[0, 1], [1, 0]]}),
     (("gset", "orbits", "--in"), {"group": C2, "action": [[0, 1], [True, 0]]}),
+    (("gset", "orbits", "--in"), {"group": C2, "size": 7, "action": [[0, 1], [1, 0]]}),
     (("torsor", "verify-twist", "--base", "{base}", "--seq"), _project_float),
     (("torsor", "verify-twist", "--seq", "{seq}", "--base"),
      {"q_values": [0, 1.2], "p_values": [0, True]}),
@@ -367,12 +368,13 @@ def _project_float(files):
     (("nt", "split", "--p", "5", "--poly", "[1.5, 0, 1]"), None),
 ], ids=["explicit-no-groups", "chain-no-base", "not-an-object", "endo-bool",
         "constant-no-datum", "law-no-l", "table-bool", "order-mismatch", "order-float",
-        "action-bool", "project-float", "values-float", "value-out-of-range", "poly-float"])
+        "action-bool", "size-mismatch", "project-float", "values-float", "value-out-of-range", "poly-float"])
 def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, capsys):
     # a missing field, a document that is no object, a boolean or float
     # where an integer belongs (JSON true would read as 1, 1.9 as 1), a group
-    # "order" that is not the size of its table, a cocycle value that is no
-    # element of its group; the
+    # "order" that is not the size of its table or a G-set "size" that is not
+    # the number of its points, a cocycle value that is no element of its
+    # group; the
     # command's other files are fixtures, a callable document is built from
     # them, and a document None means the command line alone is malformed
     if callable(document):
@@ -385,6 +387,29 @@ def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, ca
     assert cli.main(argv) == cli.EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and "parse error" in captured.err
+
+
+C3 = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+
+@pytest.mark.parametrize("command, document, key", [
+    (("cohomology", "h1", "--module"),
+     {"gamma": C2, "underlying": C3, "actoin": [[0, 1, 2], [0, 2, 1]]}, "actoin"),
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [{"conductor": 7, "subgroup": [1, 6]}],
+      "lwa": {"kind": "cyclotomic-power", "l": 3}}, "lwa"),
+    (("nt", "tower-cert", "--tower"),
+     {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7, "levles": 1}},
+     "levles"),
+], ids=["gamma-action", "tower-law", "split-levels"])
+def test_a_misspelled_field_exits_3_and_names_it(command, document, key, tmp_path, capsys):
+    # each once read as absent: the trivial action, an explicit tower and
+    # the default 2 levels, and the command exited 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert cli.main([*command, str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parse error" in captured.err and repr(key) in captured.err
 
 
 @pytest.mark.parametrize("document", [0, True, None, 1.5])

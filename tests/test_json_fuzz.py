@@ -3,7 +3,8 @@ one field of a small valid document (at any depth) is replaced by a drawn
 JSON value, or the whole document is.  Whatever the document, cli.main
 returns an exit code, never reports an internal error, and answers within
 the deadline: malformed or oversized input ends in exit 3 before any large
-allocation."""
+allocation.  A field name changed at any depth also ends in exit 3, with a
+message that names it."""
 
 import contextlib
 import io
@@ -99,6 +100,12 @@ def _paths(doc, at=()):
         yield from _paths(value, at + (key,))
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _replaced(doc, path, value):
     if not path:
         return value
@@ -115,9 +122,10 @@ def _cases(draw):
     return words, option, _replaced(doc, path, draw(_json)), others
 
 
-def _run(words, option, doc, others, tmp) -> None:
-    """cli.main on the document and the command's other files, written to
-    tmp: it returns an exit code and reports no internal error."""
+def _run(words, option, doc, others, tmp) -> tuple:
+    """(exit code, stderr) of cli.main on the document and the command's
+    other files, written to tmp: it returns an exit code and reports no
+    internal error."""
     files = {}
     for name, content in [(option, doc), *others.items()]:
         path = pathlib.Path(tmp) / f"{name.strip('-')}.json"
@@ -129,6 +137,7 @@ def _run(words, option, doc, others, tmp) -> None:
         code = cli.main(argv)
     assert type(code) is int, (argv, doc)
     assert "internal error" not in err.getvalue(), (doc, err.getvalue())
+    return code, err.getvalue()
 
 
 @settings(derandomize=True, max_examples=500, deadline=timedelta(seconds=2))
@@ -145,11 +154,27 @@ def test_any_integer_field_oversized_or_negative(tmp_path):
     swept = 0
     for words, option, doc, others in COMMANDS:
         for path in _paths(doc):
-            field = doc
-            for key in path:
-                field = field[key]
-            if type(field) is int:
+            if type(_at(doc, path)) is int:
                 for value in (10**30, -1):
                     _run(words, option, _replaced(doc, path, value), others, tmp_path)
                     swept += 1
     assert swept > 300, swept
+
+
+def test_a_renamed_field_exits_3_and_names_it(tmp_path):
+    # each field name of each valid document, at any depth, with "_" added:
+    # no reader takes a key it does not name (once a misspelled "law" or
+    # "action" read as absent, and the command exited 0); the keys of a rho
+    # map are group elements, data and not field names, and stay
+    renamed = 0
+    for words, option, doc, others in COMMANDS:
+        for path in _paths(doc):
+            obj = _at(doc, path)
+            if not isinstance(obj, dict) or path[-1:] == ("rho",):
+                continue
+            for key in obj:
+                typo = {(k + "_" if k == key else k): v for k, v in obj.items()}
+                code, err = _run(words, option, _replaced(doc, path, typo), others, tmp_path)
+                assert code == cli.EXIT_ERROR and repr(key + "_") in err, (words, path, key, err)
+                renamed += 1
+    assert renamed > 80, renamed

@@ -1,10 +1,11 @@
 """List the functions of src/torsorlab that the product paths never enter.
 
-The product paths read here are `torsorlab.checks.run_suite()` and one
-seed-1 pass of each perfbench workload: its case set built, then every case
-run, made canonical and checked, as perfbench/run.py does once per case.
-perfbench/workloads.py is loaded from its file and not changed.  The CLI
-is not run, so its commands and the JSON readers behind them are listed.
+The product paths read here are `torsorlab.checks.run_suite()`, one
+seed-1 pass of each perfbench workload (its case set built, then every case
+run, made canonical and checked, as perfbench/run.py does once per case),
+and each command line of the README's CLI block, run in this process
+through `torsorlab.cli.main` on the files of tests/examples/.
+perfbench/workloads.py is loaded from its file and not changed.
 
 A function is every `def` of src/torsorlab/*.py, nested ones and methods
 included; lambdas, comprehensions and class bodies are not.  One counts as
@@ -20,15 +21,18 @@ on two cores):
 
     python3 tools/reach.py
 
-It exits 1 when a check of run_suite reads other than `verified` or a
-workload case fails, so that a listing taken from broken code does not pass
-for one; else 0.
+It exits 1 when a check of run_suite reads other than `verified`, a
+workload case fails or a README command exits other than 0, so that a
+listing taken from broken code does not pass for one; else 0.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib.util
+import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -36,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
+EXAMPLES = ROOT / "tests" / "examples"
 
 
 def tracer_names() -> set:
@@ -79,9 +85,34 @@ def load_workloads():
     return module
 
 
+def readme_commands() -> list:
+    """(line, argv) of each line of the README's CLI block: argv is the line
+    without its leading `torsor-lab`, each word that names a file of
+    tests/examples/ made that file's path."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [(line, [str(EXAMPLES / w) if (EXAMPLES / w).is_file() else w
+                    for w in shlex.split(line)[1:]])
+            for line in block.splitlines()]
+
+
+def run_cli(argv) -> tuple:
+    """(exit code, stdout) of torsorlab.cli.main(argv) in this process; a
+    usage error is its exit code."""
+    from torsorlab import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue()
+
+
 def product_paths() -> tuple:
-    """Run run_suite and one seed-1 pass per workload: (one summary line for
-    each, whether every check read verified and no case failed)."""
+    """Run run_suite, one seed-1 pass per workload and the README's CLI
+    commands: (one summary line for each, whether every check read
+    verified, no case failed and every command exited 0)."""
     from torsorlab import checks
 
     suite = checks.run_suite()
@@ -101,7 +132,11 @@ def product_paths() -> tuple:
                 failed += 1
         out.append(f"{name}: {len(cases)} cases, {failed} failed")
         ok = ok and not failed
-    return out, ok
+    commands = readme_commands()
+    failed = [line for line, argv in commands if run_cli(argv)[0] != 0]
+    out.append(f"README CLI: {len(commands)} commands, {len(failed)} failed"
+               + "".join(f" ({line})" for line in failed))
+    return out, ok and not failed
 
 
 def main() -> int:
