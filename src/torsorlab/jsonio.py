@@ -1,11 +1,9 @@
 """JSON formats for groups, actions, lattices, cocycles, data, and recipes.
 
-Every reader takes a <ref>: an inline value, or a string path resolved
-relative to the file that contains the reference (or, for the document a
-command names, to the working directory).  An object with a key that its
-reader does not name is a ParseError, and so is a document that a
-constructor refuses.
-"""
+Every reader takes a <ref>, an inline value or a path resolved against the
+referring file (the working directory for a command's own file), and raises
+ParseError on a key it does not name, a repeated key, or a document that a
+constructor refuses."""
 
 from __future__ import annotations
 
@@ -52,13 +50,22 @@ def _resolve(ref, basedir):
         return ref, basedir
     path = os.path.join(basedir, ref)
     with open(path) as fh:
-        return json.load(fh), os.path.dirname(path)
+        return json.load(fh, object_pairs_hook=_once), os.path.dirname(path)
+
+
+def _once(pairs) -> dict:
+    """A JSON object; json.load alone keeps the last of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"a JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _object(ref, basedir, fields):
     """The JSON object of a <ref> and the directory its own <ref>s resolve
-    against; ParseError when it is no object or has a key other than
-    `fields`."""
+    against; ParseError when it is no object or has a key not in `fields`."""
     obj, basedir = _resolve(ref, basedir)
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
@@ -164,11 +171,9 @@ def lattice_from_json(ref, basedir="."):
     """Full table, or generators-only with the closure computed here."""
     obj, basedir = _object(ref, basedir, ("rank", "group", "rho"))
     g = group_from_json(_field(obj, "group"), basedir)
-    rho_in = {}
-    for k, v in _field(obj, "rho", dict).items():
-        if not (k.isdigit() and int(k) < g.order):
-            raise ParseError(f"rho key {k!r} is not an element of the group")
-        rho_in[int(k)] = matrix_from_json(v, basedir)
+    # each element has one key, str(element): "01" is none, so it cannot hide "1"
+    rho, _ = _object(_field(obj, "rho"), basedir, [str(t) for t in g.elements()])
+    rho_in = {int(k): matrix_from_json(v, basedir) for k, v in rho.items()}
     rank = _field(obj, "rank", int, None)
     if rank is None:
         if not rho_in:
@@ -255,9 +260,8 @@ def datum_from_json(ref, basedir="."):
 @_reader
 def abelian_field_from_json(ref, basedir=".") -> nt.AbelianFieldDatum:
     obj, _ = _object(ref, basedir, ("conductor", "subgroup"))
-    return nt.AbelianFieldDatum(
-        _field(obj, "conductor", int), _int_row(_field(obj, "subgroup"))
-    )
+    return nt.AbelianFieldDatum(_field(obj, "conductor", int),
+                                _int_row(_field(obj, "subgroup")))
 
 
 _LAWS = {"cyclotomic-power": ("l",), "split-obstruction": ("l", "p0", "levels", "prime_bound")}
@@ -318,9 +322,7 @@ def recipe_from_json(ref, basedir="."):
         )
     if kind == "norm-tower":
         return _norm_tower(obj, basedir)
-    return iv.Product(
-        tuple(recipe_from_json(f, basedir) for f in _field(obj, "factors", list))
-    )
+    return iv.Product(tuple(recipe_from_json(f, basedir) for f in _field(obj, "factors", list)))
 
 
 @_reader

@@ -192,13 +192,15 @@ SIGN = {"rank": 1, "group": "c2.json", "rho": {"1": [[-1]]}}
     (("lattice", "iso"), {"source": SIGN, "target": SIGN, "matrix": [["x"]]}),
     (("cohomology", "h1"), dict(SIGN, rho={"1": [["a"]]})),
     (("cohomology", "h1"), dict(SIGN, rho={"5": [[-1]]})),
+    (("cohomology", "h1"), dict(SIGN, rho={"1": [[-1]], "01": [[1]]})),
     (("cohomology", "h1"), dict(SIGN, rho={"1": [[True]]})),
     (("cohomology", "h1"), dict(SIGN, rho={"0": [[1]], "1": [[2]]})),
 ], ids=["map-entry", "extra-map", "no-maps", "no-matrix", "matrix-entry",
-        "rho-entry", "rho-key", "rho-bool", "rho-no-action"])
+        "rho-entry", "rho-key", "rho-key-twice", "rho-bool", "rho-no-action"])
 def test_malformed_lattice_json_exits_3(command, document, tmp_path, capsys):
     # a matrix entry that is no integer, a missing field, a map too many, a
-    # rho key that is no group element, matrices that are no action (refused
+    # rho key that is no group element or a second spelling of one ("01"
+    # once overwrote "1" in silence), matrices that are no action (refused
     # where the lattice is read, as h1_abelian trusts it): exit 3 with a
     # message, no traceback
     (tmp_path / "c2.json").write_text(json.dumps(group_to_json(gr.cyclic_group(2))))
@@ -387,6 +389,16 @@ def test_malformed_recipe_json_exits_3(command, document, fixtures, tmp_path, ca
     assert cli.main(argv) == cli.EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and "parse error" in captured.err
+
+
+def test_a_repeated_key_exits_3_and_names_it(tmp_path, capsys):
+    # json.load keeps the last of a repeated key: the first "table" was
+    # dropped in silence
+    path = tmp_path / "group.json"
+    path.write_text('{"table": [[0]], "table": [[0, 1], [1, 0]]}')
+    assert cli.main(["groups", "classes", "--in", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parse error" in captured.err and "'table'" in captured.err
 
 
 C3 = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}

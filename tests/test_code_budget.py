@@ -18,8 +18,8 @@ import tokenize
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "torsorlab").glob("*.py"))
 
-CODE_LINES_BOUND = 3847
-AST_NODES_BOUND = 38647
+CODE_LINES_BOUND = 3848
+AST_NODES_BOUND = 38688
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
