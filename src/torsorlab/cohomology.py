@@ -63,7 +63,7 @@ def gamma_group_product(factors) -> tuple[GammaGroup, tuple]:
     for f in factors[1:]:
         n = und.order
         und = direct_product(und, f.underlying)
-        action = tuple(tuple(x + s for s in [n * y for y in fa] for x in a)
+        action = tuple(tuple([x + s for s in [n * y for y in fa] for x in a])
                        for a, fa in zip(action, f.action))
     prod = GammaGroup(gamma, und, action, validate=False)
     maps, stride = [], 1

@@ -191,7 +191,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     is read off the rows of a and b, (a, b)(c, d) = (ac, bd); a product of
     groups is a group, so the table is built unchecked."""
     n = g.order
-    return FiniteGroup(tuple(tuple(x + s for s in [n * y for y in hb] for x in ga)
+    return FiniteGroup(tuple(tuple([x + s for s in [n * y for y in hb] for x in ga])
                              for hb in h.rows for ga in g.rows), validate=False)
 
 

@@ -11,6 +11,7 @@ packed integer holds a polynomial's coefficients in slots of a fixed number
 of bits, wide enough that no slot carries, so a polynomial product is one
 int product (Kronecker substitution; Harvey, J. Symbolic Comput. 2009).  A Gaussian-period
 polynomial is expanded as one bivariate packed int in Z[x]/(x^m - 1)[T],
+each period multiplied in as one shifted add per element of its coset,
 and its coefficients are proved rational by one product with the cofactor
 Psi_m = (x^m - 1) / Phi_m instead of a reduction mod Phi_m; both slot
 bounds are stated where the widths are chosen (`_xpow_slot_bits`,
@@ -752,8 +753,10 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     Z[zeta_m].  E = prod (1 + eta_j T) is one bivariate packed int
     (Kronecker substitution; Harvey, J. Symbolic Comput. 2009): slot (i, k),
     the x^i coefficient of e_k, sits at bit (i (d + 1) + k) w, with w from
-    `_period_slot_bits`.  Each period costs one int product, one cyclic
-    wrap of the x rows m .. 2m - 2 and a shift by one slot for T.
+    `_period_slot_bits`.  A period over a coset H has one set slot per
+    element of H, so multiplying E by it costs |H| shifted adds of E (no
+    dense int product), then one cyclic wrap of the x rows m .. 2m - 2 and
+    a shift by one slot for T.
 
     e_k must be a rational r_k mod Phi_m.  As Q[x] is a domain and Phi_m is
     monic, c = r mod Phi_m iff c Psi_m = r Psi_m mod x^m - 1, with the
@@ -781,7 +784,7 @@ def abelian_defining_polynomial(fld: AbelianFieldDatum) -> NumberFieldDatum:
     e = 1
     for coset in cosets:
         # E += T eta E: the product's top k is at most d - 1 before the shift
-        t = e * sum(1 << (c * row) for c in coset)
+        t = sum([e << (c * row) for c in coset])
         e += ((t & mask) + (t >> shift)) << w
     plus = sum(a << (i * row) for i, a in enumerate(psi) if a > 0)
     minus = sum(-a << (i * row) for i, a in enumerate(psi) if a < 0)
@@ -918,6 +921,8 @@ class SplitObstructionLaw:
     def __post_init__(self):
         if not _is_prime(self.l):
             raise HypothesisFailed(f"the tower law needs a prime l, not {self.l}")
+        if not _is_prime(self.p0) or (self.p0 - 1) % self.l != 0:
+            raise HypothesisFailed("the base prime must split in the l-th roots of unity")
         if not 0 <= self.levels <= MAX_TOWER_LEVELS:
             raise HypothesisFailed(f"levels {self.levels} is outside 0..{MAX_TOWER_LEVELS}")
         # each chosen prime becomes the conductor of a new layer
@@ -1014,8 +1019,6 @@ def split_obstruction_certificate(law: SplitObstructionLaw) -> TowerAnalysis:
     the per-level local data recorded here replays by modular arithmetic.
     """
     l, p0 = law.l, law.p0
-    if not _is_prime(p0) or (p0 - 1) % l != 0:
-        raise HypothesisFailed("the base prime must split in the l-th roots of unity")
     skeleton = scholz_reichardt_skeleton(l)
     fields = [degree_l_datum(l, p0)]
     used = [p0]
@@ -1085,8 +1088,10 @@ def norm_tower_certificate(levels, law=None, horizon: int = 6) -> TowerAnalysis:
     symbolic continuation law, constancy, or an honest unknown.  A
     cyclotomic-power level n has conductor l^(n+1), so its horizon is capped
     at 6, where l <= 7 stays within MAX_CONDUCTOR."""
-    if law is not None and not isinstance(law, (CyclotomicPowerLaw, SplitObstructionLaw)):
-        raise NotATower(f"unknown tower law {law!r}")
+    if law is not None:
+        if not isinstance(law, (CyclotomicPowerLaw, SplitObstructionLaw)):
+            raise NotATower(f"unknown tower law {law!r}")
+        _check_law_levels(tuple(levels), law)
     if horizon <= 0:
         return TowerAnalysis("unknown-at-horizon", "explicit" if law is None else law.kind, None)
     if isinstance(law, CyclotomicPowerLaw):
@@ -1094,6 +1099,31 @@ def norm_tower_certificate(levels, law=None, horizon: int = 6) -> TowerAnalysis:
     if isinstance(law, SplitObstructionLaw):
         return split_obstruction_certificate(law)
     return explicit_tower_certificate(levels)
+
+
+def _check_law_levels(levels, law) -> None:
+    """A law certifies its own tower, so the given levels must be a prefix
+    of it, compared at their true conductors.  Level n of a cyclotomic-power
+    law is law.materialize(n), level 0 being Q.  A split-obstruction law
+    chooses every layer above its first, degree_l_datum(l, p0), inside the
+    certificate, so its given levels are Q, that layer, or Q then that
+    layer.  A mismatch raises NotATower naming the level."""
+    q = AbelianFieldDatum(1, (0,))
+    if isinstance(law, CyclotomicPowerLaw):
+        expected = map(law.materialize, range(len(levels)))
+    else:
+        expected = [q] if levels and reduce_to_conductor(levels[0]) == q else []
+        if len(levels) > len(expected):
+            expected.append(degree_l_datum(law.l, law.p0))
+        if len(levels) > len(expected):
+            raise NotATower(f"level {len(expected)} lies above the first layer of the "
+                            f"{law.kind} tower, whose layers the certificate chooses")
+    for n, (given, want) in enumerate(zip(levels, expected)):
+        if reduce_to_conductor(given) != reduce_to_conductor(want):
+            raise NotATower(
+                f"level {n} (conductor {given.conductor}, subgroup {list(given.subgroup)}) is "
+                f"not level {n} of the {law.kind} tower (conductor {want.conductor}, "
+                f"subgroup {list(want.subgroup)})")
 
 
 def explicit_tower_certificate(levels) -> TowerAnalysis:

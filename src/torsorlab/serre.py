@@ -580,7 +580,7 @@ def layered_obstruction_tower(l: int, p0: int, levels: int = 1,
     """Tower whose layers are cyclic degree-l fields ramified at freshly
     chosen primes subject to the splitting conditions; the attached law
     carries the replayable norm-obstruction certificate.  The law checks
-    l, levels and prime_bound first; a tower whose top group would pass
+    l, p0, levels and prime_bound first; a tower whose top group would pass
     numtheory.MAX_LEVEL_ORDER is refused before any group is built."""
     law = nt.SplitObstructionLaw(l, p0, levels=levels, prime_bound=prime_bound)
     # l >= 2, so l^k is above the bound once k reaches the bound's bit length

@@ -13,8 +13,8 @@ the action law and lattice twists read on basis vectors with no matrix
 product, matrices stacked one below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
 by summing rotations, the truncated lim^1 obstruction one witness choice at
-a time, and the benchmark's workloads and tools/reach.py read from their
-files."""
+a time, and the benchmark's workloads, tools/reach.py and tools/profile.py
+read from their files."""
 
 import contextlib
 import importlib.util
@@ -33,15 +33,23 @@ from torsorlab import serre as sr
 
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-REACH = WORKLOADS.parent.parent / "tools" / "reach.py"
+TOOLS = WORKLOADS.parent.parent / "tools"
 
 
-def reach_tool():
-    """tools/reach.py, loaded afresh from its file."""
-    spec = importlib.util.spec_from_file_location("reach", REACH)
+def _tool(name: str):
+    """tools/<name>.py, loaded afresh from its file."""
+    spec = importlib.util.spec_from_file_location(f"{name}_tool", TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def reach_tool():
+    return _tool("reach")
+
+
+def profile_tool():
+    return _tool("profile")
 
 
 @contextlib.contextmanager

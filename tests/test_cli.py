@@ -527,6 +527,22 @@ def test_nt_tower_cert_names_the_law_at_horizon_0(tower, law, tmp_path, capsys):
     assert code == cli.EXIT_OK and rep["evidence"]["law"] == law
 
 
+@pytest.mark.parametrize("law", [
+    {"kind": "cyclotomic-power", "l": 3},
+    {"kind": "split-obstruction", "l": 3, "p0": 13},
+], ids=["cyclotomic-power", "split-obstruction"])
+@pytest.mark.parametrize("horizon", ["0", "1", "6"])
+def test_a_level_off_the_law_exits_3_and_names_it(law, horizon, tmp_path, capsys):
+    # Q(zeta_7)^+ is neither Q, level 0 of the 3-power cyclotomic tower, nor
+    # the layer of conductor 13 that the split-obstruction law starts from;
+    # the law's certificate was once given all the same (exit 0, "fails")
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"levels": [{"conductor": 7, "subgroup": [1, 6]}], "law": law}))
+    assert cli.main(["--horizon", horizon, "nt", "tower-cert", "--tower", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "level 0 (conductor 7, subgroup [1, 6])" in captured.err
+
+
 @pytest.mark.parametrize("command, left_out, spelled_out", [
     (("nt", "tower-cert", "--tower"),
      {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7}},

@@ -18,8 +18,13 @@ import tokenize
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "torsorlab").glob("*.py"))
 
-CODE_LINES_BOUND = 3848
-AST_NODES_BOUND = 38688
+# raised from 3,848 and 38,688 by the check that a tower's given levels are
+# a prefix of its law's tower (numtheory._check_law_levels and the base-prime
+# test moved into SplitObstructionLaw: +19 lines, +231 nodes), net of the
+# periods by shifted adds (-3 nodes) and criterion 11's factors taken once
+# (-6 lines, +16 nodes)
+CODE_LINES_BOUND = 3861
+AST_NODES_BOUND = 38932
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -23,7 +23,8 @@ from helpers import group_to_json
 C2 = {"table": [[0, 1], [1, 0]]}
 GSET = {"group": C2, "action": [[0, 1], [1, 0]]}
 LATTICE = {"rank": 1, "group": C2, "rho": {"1": [[-1]]}}
-LEVEL = {"conductor": 7, "subgroup": [1, 6]}
+LEVEL = {"conductor": 7, "subgroup": [1, 6]}  # Q(zeta_7)^+, the first layer for l = 3, p0 = 7
+Q = {"conductor": 1, "subgroup": [0]}  # level 0 of a cyclotomic-power tower
 
 
 def _torsor_sequence() -> dict:
@@ -65,7 +66,7 @@ COMMANDS = (
     (("invsys", "classify"), "--recipe",
      {"kind": "subgroup-chain", "rank": 1, "step": [[2]], "base": [[1]]}, {}),
     (("invsys", "classify"), "--recipe",
-     {"kind": "product", "factors": [{"kind": "norm-tower", "levels": [LEVEL],
+     {"kind": "product", "factors": [{"kind": "norm-tower", "levels": [Q],
                                       "law": {"kind": "cyclotomic-power", "l": 3}}]}, {}),
     (("nt", "tower-cert"), "--tower",
      {"levels": [LEVEL], "law": {"kind": "split-obstruction", "l": 3, "p0": 7, "levels": 1,

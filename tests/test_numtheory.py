@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import types
@@ -945,6 +946,31 @@ def test_norm_tower_certificate_dispatcher():
             == nt.cyclotomic_tower_certificate(nt.CyclotomicPowerLaw(3), horizon=6))
     const = nt.norm_tower_certificate([nt.AbelianFieldDatum(7, (1, 6))] * 2)
     assert const.status == "holds"
+
+
+def test_a_law_certifies_only_a_prefix_of_its_own_tower():
+    q, first = nt.AbelianFieldDatum(1, (0,)), nt.degree_l_datum(3, 7)
+    split, cyclo = nt.SplitObstructionLaw(3, 7, levels=1), nt.CyclotomicPowerLaw(3)
+    cert = nt.split_obstruction_certificate(split)
+    # Q, the first layer, Q then it, and the layer written at conductor 14
+    for levels in ((), (q,), (first,), (q, first), (nt.AbelianFieldDatum(14, (1, 13)),)):
+        assert nt.norm_tower_certificate(levels, law=split) == cert
+    ta = nt.norm_tower_certificate((), law=cyclo, horizon=3)
+    assert nt.norm_tower_certificate([cyclo.materialize(n) for n in range(4)],
+                                     law=cyclo, horizon=3) == ta
+    refused = [
+        ((q, first, nt.degree_l_datum(3, 13)), split, "level 2 lies above the first layer"),
+        ((first, first), split, "level 1 lies above the first layer"),
+        ((q, q), split, "level 1 (conductor 1"),
+        ((nt.degree_l_datum(3, 13),), split, "level 0 (conductor 13"),
+        ((first,), cyclo, "level 0 (conductor 7"),
+        ((q, cyclo.materialize(2)), cyclo, "level 1 (conductor 27"),
+        ((q,) * 30, cyclo, "level 1 (conductor 1"),
+    ]
+    for levels, law, message in refused:
+        for horizon in (0, 1, 6):
+            with pytest.raises(nt.NotATower, match=re.escape(message)):
+                nt.norm_tower_certificate(levels, law=law, horizon=horizon)
 
 
 def test_split_obstruction_certificate():

@@ -331,8 +331,8 @@ def test_twist_work(monkeypatch):
     # (293 and 193 when criterion 11 and verify_twist_bijection took each
     # table's least twist by twist_values, 397 and 204 before that, when the
     # walks also twisted by the central, Gamma-fixed generators, which twist
-    # nothing)
-    assert _twist_steps_read(monkeypatch, checks.check_product_h1) == 89
+    # nothing; 89 for criterion 11 when it walked each repeated factor again)
+    assert _twist_steps_read(monkeypatch, checks.check_product_h1) == 81
     assert _twist_steps_read(monkeypatch, checks.check_twist_bijection) == 105
 
 
@@ -355,10 +355,18 @@ def test_benchmark_twist_work(monkeypatch):
 def test_cayley_search_work(monkeypatch):
     # the criteria that search for cocycles, homomorphisms or lifts: the
     # twist bijections (6), the truncated orbits at seed 0 (7) and the H^1
-    # of products (11)
+    # of products (11), where each distinct factor is searched once (15 and
+    # 65 when each of its 11 factors was)
     assert _cayley_work(monkeypatch, checks.check_twist_bijection) == (16, 66)
     assert _cayley_work(monkeypatch, checks.check_truncated_orbit_transitivity) == (159, 545)
-    assert _cayley_work(monkeypatch, checks.check_product_h1) == (15, 65)
+    assert _cayley_work(monkeypatch, checks.check_product_h1) == (8, 50)
+
+
+def test_product_h1_takes_each_distinct_factor_once(monkeypatch):
+    # criterion 11's four products over C2 have 11 factors, 4 of them
+    # distinct: 4 + 4 H^1 (15 when each factor's was computed again)
+    calls, = _calls(monkeypatch, checks.check_product_h1, (co, "h1_nonabelian"))
+    assert calls == 8
 
 
 def test_splitting_dual_oracle_work(monkeypatch):
@@ -386,13 +394,13 @@ def test_gamma_group_law_checks(monkeypatch):
     # products and their underlying groups unchecked (20 check_automorphisms
     # and 30 check_action calls when construction checked them), so its
     # check_action calls are those of check_automorphisms and of the factors'
-    # group tables
+    # group tables (16 and 19 when each repeated factor was walked again)
     automorphisms = (gr.GammaGroup, "check_automorphisms")
     assert _calls(monkeypatch, checks.check_truncated_orbit_transitivity, automorphisms)[0] <= 75
     product_laws, action_laws = _calls(monkeypatch, checks.check_product_h1, automorphisms,
                                        (gr, "check_action"))
-    assert product_laws <= 16
-    assert action_laws <= 19
+    assert product_laws <= 9
+    assert action_laws <= 12
 
 
 def test_truncated_orbit_obstruction_work(monkeypatch):
