@@ -133,13 +133,21 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class GroupHom:
+    """A homomorphism source -> target as the image of each element.
+    Validation reads the map as a tuple of ints and checks that its values
+    are elements, that it keeps the identity and that it is multiplicative
+    at each s of the generating set.  With validate=False the map is taken
+    as given, as CrossedHom takes its values: the caller passes a tuple of
+    ints, and only its length is checked."""
+
     source: FiniteGroup
     target: FiniteGroup
     map: tuple
     validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(x) for x in self.map))
+        if self.validate:
+            object.__setattr__(self, "map", tuple(int(x) for x in self.map))
         if len(self.map) != self.source.order:
             raise InvalidHom("map length mismatch")
         if self.validate:

@@ -214,11 +214,10 @@ def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeM
     linalg.saturated_kernel gives the kernel basis K and its retraction W,
     W K = I, by unit pivots, with an SNF of the unit-free remainder alone
     if one is left; the inclusion map carries W as its `retraction`, so
-    later solves against K multiply and check (linalg.coordinates) instead
-    of factoring K again.  The restricted
-    action is rho_sub(g) = W rho(g) K, checked by K rho_sub(g) == rho(g) K
-    for every group element g: raises NotStable when some rho(g) does not
-    preserve the solution space.
+    later solves against K multiply and check (linalg._retract) instead of
+    factoring K again.  The restricted action is rho_sub(g) = W rho(g) K,
+    checked by K rho_sub(g) == rho(g) K for every group element g: raises
+    NotStable when some rho(g) does not preserve the solution space.
     """
     # no equations: one zero row has the same solutions
     E = la.int_rows(equations) or ((0,) * m.rank,)
@@ -271,7 +270,7 @@ def joint_report(F, G, rank: int) -> JointReport:
     equality is what Hilbert-90 style arguments need.  Where a lattice is
     zero, the ranks are read off the shapes (linalg.elementary_divisors).
     """
-    if any(map(any, la.matmul(G, F))):
+    if not _vanishes(G, la._sparse(F)):
         return JointReport(False, False, False)
     divisors = la.elementary_divisors(F)
     saturated = len(divisors) == rank - len(la.elementary_divisors(G))
@@ -299,19 +298,39 @@ def kernel_sequence_exact(K, W, E) -> bool:
     gives x = d W v, so v = K W v), and ker E is saturated as every kernel
     is, so E K == 0 and equal ranks give col K = ker E.  The elementary
     divisors of E show that E is onto (len(E) unit divisors), and then rank
-    ker E = len(K) - len(E).  W K is read against the unit rows in place.
-    No action on col K is needed either: the kernel of an equivariant map
-    is G-stable, so col K is a sublattice with group action whenever E is a
-    validated LatticeMap matrix.  serre decides its two character sequences
-    and the twisted quotient sequence with it; exactness_report, which
-    serves `lattice exact`, decides each joint by the same lemma.
+    ker E = len(K) - len(E).  No action on col K is needed either: the
+    kernel of an equivariant map is G-stable, so col K is a sublattice with
+    group action whenever E is a validated LatticeMap matrix.  serre
+    decides its two character sequences and the twisted quotient sequence
+    by this rule; exactness_report, which serves `lattice exact`, decides
+    each joint by the same lemma.
+
+    K's nonzeros are read once (la._sparse), here or by the caller that
+    hands them to _kernel_rows_exact, and serve both products; neither is
+    made dense.  The rows of la._times are sorted and hold no zeros, so
+    W K == I is a comparison with the unit rows [(i, 1)] and E K == 0 one
+    with empty rows.
     """
-    return (
-        _is_identity(la.matmul(W, K), la.width(K))
-        and not any(map(any, la.matmul(E, K)))
-        and la.width(K) == len(K) - len(E)
-        and _onto(E, len(E))
-    )
+    if W and la.width(W) != len(K):
+        raise ValueError("the inner dimensions of a product must agree")
+    return _kernel_rows_exact(la._sparse(K), la._sparse(W), la.width(K), E)
+
+
+def _kernel_rows_exact(k, w, r: int, E) -> bool:
+    """kernel_sequence_exact on the nonzeros k of K's rows, r columns wide,
+    and w of W's rows, which the caller has read (la._sparse, or
+    la._pair_rows); W has width len(K)."""
+    return (r == len(k) - len(E) and la._times(w, k) == [[(i, 1)] for i in range(r)]
+            and _vanishes(E, k) and _onto(E, len(E)))
+
+
+def _vanishes(G, f) -> bool:
+    """Is G F == 0, for the nonzeros f of F's rows?  The rows of la._times
+    hold no zeros, so the product is zero when every row is empty; it is
+    never made dense."""
+    if G and la.width(G) != len(f):
+        raise ValueError("the inner dimensions of a product must agree")
+    return not any(la._times(la._sparse(G), f))
 
 
 def exactness_report(seq) -> ExactnessReport:

@@ -5,8 +5,8 @@ unbounded; SNF intermediates blow up well past 64 bits even at modest rank.
 A matrix with no rows is 0 x 0: for no equations on n unknowns, callers
 pass one zero row of length n, which has the same kernel.  int_rows is the
 one conversion from nested sequences; the functions that factor read their
-input through it, while matmul, coordinates and restricted_action, which
-only multiply, take rows as given.  One trusted hand-off skips that read:
+input through it, while matmul and restricted_action, which only
+multiply, take rows as given.  One trusted hand-off skips that read:
 _divisors, the body of elementary_divisors, to which cohomology.h1_abelian
 passes the int lists of rho(s) - I that it builds from a lattice's rows,
 read when the lattice was made.  The SNFResult transforms are int-tuple
@@ -27,10 +27,13 @@ tracks R and R^-1.  The matrices the verifier reads (signed incidence rows,
 0/1 type vectors, the pair equations of the Serre lattices) leave nothing
 to it on the suite's cases.
 
-Solving against K is then a multiply-and-check (coordinates,
-restricted_action): X = W V is the only candidate and K X == V decides, so
-no further SNF is needed.  kernel_basis reads a kernel off one SNF of the
-whole matrix; it is the oracle of saturated_kernel.  solve_int,
+Solving against K is then a multiply-and-check (_retract): X = W V is the
+only candidate and K X == V decides, so no further SNF is needed.  It runs
+on the nonzeros of the rows (_sparse), which a caller that multiplies by
+one K again and again reads once: restricted_action for its matrices, and
+serre for its weight checks and the products W K and E K of its sequences
+(lattices.kernel_sequence_exact).  kernel_basis reads a kernel off one SNF
+of the whole matrix; it is the oracle of saturated_kernel.  solve_int,
 column_space_basis and lattice_contains track transforms and have no caller
 in the verifier: the tests keep them as the reference route.
 """
@@ -333,9 +336,9 @@ def saturated_kernel(matrix) -> tuple[tuple, tuple]:
     rows, so the kernel vectors are exactly those K gives and K is a
     basis.  W is W' on the columns F and 0 on the pivot columns, so
     W K = W' K' = I: W is an integral left inverse of K, its retraction,
-    so K is saturated and `coordinates(K, W, V)` solves K X = V without a
-    further SNF.  A matrix that eliminates on its units alone, as every
-    matrix of pair equations in serre does, takes no SNF.
+    so K is saturated and K X = V is solved without a further SNF, as
+    X = W V if K X == V (_retract).  A matrix that eliminates on its units
+    alone, as every matrix of pair equations in serre does, takes no SNF.
     """
     rows = _rows(matrix, list)
     n = width(rows)
@@ -409,31 +412,18 @@ def _dense(rows, n) -> tuple:
 
 
 def _retract(K, W, V) -> list | None:
-    # X = W V if K X == V, else None
+    # X = W V if K X == V, else None; all four as the nonzeros of their rows
     X = _times(W, V)
     return X if _times(K, X) == V else None
 
 
-def _check_pair(K, W):
-    # with no columns K has no retraction rows, and W is 0 x 0
+def _pair_rows(K, W) -> tuple:
+    # the nonzeros of the rows of a basis K and of its retraction W, after
+    # checking their shapes; with no columns K has no retraction rows, and
+    # W is 0 x 0
     if (len(W), width(W) if W else len(K)) != (width(K), len(K)):
         raise ValueError("the retraction must have the transposed shape of the basis")
-
-
-def coordinates(K, W, V) -> tuple | None:
-    """The X with K X == V, or None; W K must be I.  All three are
-    int-tuple rows, as saturated_kernel returns K and W.
-
-    A left inverse W of K leaves X = W V as the only candidate, so
-    multiplying and checking K X == V gives solve_int(K, V)'s answer, the
-    unique one, from two products over the nonzeros of the rows instead of
-    an SNF.
-    """
-    _check_pair(K, W)
-    if len(V) != len(K):
-        raise ValueError("rhs must have as many rows as the basis")
-    X = _retract(_sparse(K), _sparse(W), _sparse(V))
-    return None if X is None else _dense(X, width(V))
+    return _sparse(K), _sparse(W)
 
 
 def restricted_action(K, W, mats) -> list | None:
@@ -441,15 +431,13 @@ def restricted_action(K, W, mats) -> list | None:
     of K into itself; W is a left inverse of K, and all are int-tuple rows.
 
     M K lies in that lattice exactly when K (W M K) == M K, so each matrix
-    returned is the unique integer one with K X == M K, as coordinates
-    gives it.
+    returned is the unique integer one with K X == M K (_retract).
     """
-    _check_pair(K, W)
+    k_rows, w_rows = _pair_rows(K, W)
     n, r = len(K), width(K)
     mats = tuple(mats)
     if any(len(M) != n or width(M) != n for M in mats):
         raise ValueError("each matrix must be square of the basis's height")
-    k_rows, w_rows = _sparse(K), _sparse(W)
     # each distinct row of the M (of a permutation matrix: a unit row) is
     # multiplied by K once
     distinct = dict.fromkeys(chain.from_iterable(mats))

@@ -29,6 +29,7 @@ from .invsys import NormTower
 from .lattices import (
     LatticeMap,
     ZGLattice,
+    _kernel_rows_exact,
     direct_sum,
     equivariant_sublattice,
     is_equivariant_iso,
@@ -171,13 +172,22 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
 def _check_weights(n: int, xs: tuple, xsbar: tuple) -> tuple:
     """The weight (1, ..., 1, 2) in Z[G] + Z, after checking that it lies in
     X*(S) and that X*(Sbar) meets the weight axis trivially; xs and xsbar
-    are (basis, retraction) pairs, as _xs_kernel gives them."""
-    weight = tuple([1] * n + [2])
-    if la.coordinates(*xs, la.transpose([weight])) is None:
+    are (basis, retraction) pairs, as _xs_kernel gives them.  The checks
+    are made on their nonzeros (_weights_on_rows)."""
+    return _weights_on_rows(n, la._pair_rows(*xs), la._pair_rows(*xsbar))
+
+
+def _weights_on_rows(n: int, xs: tuple, xsbar: tuple) -> tuple:
+    """_check_weights on the nonzeros of the rows of each basis and its
+    retraction, as la._pair_rows reads them: la._retract decides whether
+    a weight column, given by its nonzeros v, lies in the lattice
+    (X = W v, then K X == v)."""
+    ones = [[(0, 1)]] * n
+    if la._retract(*xs, ones + [[(0, 2)]]) is None:
         raise InvalidDatum("the weight lies outside X*(S)")  # cannot happen
-    if la.coordinates(*xsbar, la.transpose([[1] * n])) is not None:
+    if la._retract(*xsbar, ones) is not None:
         raise InvalidDatum("X*(Sbar) meets the weight axis")  # cannot happen
-    return weight
+    return tuple([1] * n + [2])
 
 
 @dataclass(frozen=True)
@@ -226,11 +236,18 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     build_serre is the route by restriction.  Z[G], Z[G] + Z and
     Z[Sigma_F] are permutation lattices, so each E is validated on their
     points (LatticeMap) and no matrix of an action is built.
+
+    The nonzeros of the rows of each K and W are read once, here
+    (la._pair_rows), and everything is decided on those rows: the two
+    weight checks (_weights_on_rows), then W K == I against the unit rows
+    and E K == 0 as empty rows (lattices._kernel_rows_exact, the rule of
+    kernel_sequence_exact).
     """
     g = d.group
     n = g.order
     xs, xsbar = _xs_kernel(d, True), _xs_kernel(d, False)
-    _check_weights(n, xs, xsbar)
+    rows, rows_bar = la._pair_rows(*xs), la._pair_rows(*xsbar)
+    _weights_on_rows(n, rows, rows_bar)
     regular = _left_regular(g)
     ambient = direct_sum(regular, trivial_lattice(g, 1))
     sigma_f, coset_index, _ = _coset_restriction(d)
@@ -246,8 +263,8 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     ranks = (la.width(xs[0]), ambient.rank, f_lat.rank)
     law = ranks == (gg + 1, 2 * gg + 1, gg)
     return SequenceReport(
-        ranks, law, kernel_sequence_exact(*xs, eta_map.matrix),
-        kernel_sequence_exact(*xsbar, res_map.matrix),
+        ranks, law, _kernel_rows_exact(*rows, ranks[0], eta_map.matrix),
+        _kernel_rows_exact(*rows_bar, la.width(xsbar[0]), res_map.matrix),
     )
 
 

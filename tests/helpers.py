@@ -8,7 +8,8 @@ inverse-system recipe, lattice H^1 by the Schreier relators of a
 generating set, permutation lattices placed one point at a time, zero
 lattices and maps, the Serre character sequences and
 the twisted quotient sequence by restricted actions, exactness joints and
-kernel sequences by a second kernel and CM-type bases by coordinates,
+kernel sequences by a second kernel, the coordinates of vectors in a
+lattice with a retraction and CM-type bases by them,
 the action law and lattice twists read on basis vectors with no matrix
 product, matrices stacked one below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
@@ -384,7 +385,7 @@ def h1_from_rows(mats, gens, rows) -> co.CohomologyGroup:
     if z == 0:
         return co.CohomologyGroup(())
     # coboundaries: values (rho(s) - 1) m on the generators
-    Y = la.coordinates(Z, W, stack(minus_identity(mats[s]) for s in gens))
+    Y = coordinates(Z, W, stack(minus_identity(mats[s]) for s in gens))
     if Y is None:
         # every coboundary is a cocycle when the matrices form an action
         raise gr.NotAction("coboundaries must lie in the cocycle lattice")
@@ -515,6 +516,19 @@ def twist_serre_by_restriction(d) -> "sr.TwistedSequence":
     )
 
 
+def coordinates(K, W, V) -> tuple | None:
+    """The X with K X == V, or None, for a basis K whose retraction is W,
+    W K = I; all three are int-tuple rows.  X = W V is the only candidate,
+    so multiplying and checking K X == V (la._retract) gives
+    solve_int(K, V)'s answer.  The library calls la._retract on rows it
+    has read once; the tests solve through this whole-matrix entry."""
+    k, w = la._pair_rows(K, W)
+    if len(V) != len(K):
+        raise ValueError("rhs must have as many rows as the basis")
+    X = la._retract(k, w, la._sparse(V))
+    return None if X is None else la._dense(X, la.width(V))
+
+
 def joint_by_coordinates(F, G, rank: int) -> lt.JointReport:
     """lattices.joint_report by a second kernel: the coordinates X of im f in
     the saturated kernel K of g exist exactly when g f == 0, and then ker g
@@ -528,7 +542,7 @@ def joint_by_coordinates(F, G, rank: int) -> lt.JointReport:
         return lt.JointReport(True, injective, injective)
     if G:
         K, W = la.saturated_kernel(G)
-        X = la.coordinates(K, W, F)
+        X = coordinates(K, W, F)
         if X is None:
             return lt.JointReport(False, False, False)
     else:
@@ -553,7 +567,7 @@ def basis_verdict_by_coordinates(K, W, vectors) -> tuple:
     """(in_lattice, is_basis) of serre._type_verdict by coordinates: the
     vectors against the lattice spanned by the columns of K, whose
     retraction is W, decided by their coordinates X and the SNF of X."""
-    X = la.coordinates(K, W, la.transpose(vectors))
+    X = coordinates(K, W, la.transpose(vectors))
     if X is None:
         return False, False
     r = la.width(K)

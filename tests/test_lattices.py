@@ -462,6 +462,27 @@ def test_kernel_sequence_rule_agrees_with_the_joint_route():
     assert min(seen[key] for key in product((True, False), repeat=2)) >= 100, seen
 
 
+def test_kernel_sequence_rule_refutes_each_wrong_product():
+    # the rule compares W K with the unit rows and E K with empty rows, on
+    # their nonzeros; each product wrong in one entry, or W short of a row,
+    # is refuted, as the joint route refutes it.  E sums the pairs of
+    # coordinates of Z^4; K's columns e_1 - e_0 and e_3 - e_2 span its kernel
+    E = ((1, 1, 0, 0), (0, 0, 1, 1))
+    K = ((-1, 0), (1, 0), (0, -1), (0, 1))
+    W = ((0, 1, 0, 0), (0, 0, 0, 1))
+    assert lt.kernel_sequence_exact(K, W, E) and kernel_sequence_by_joint(K, W, E)
+    wrong = [
+        (K, ((0, 1, 0, 1), (0, 0, 0, 1)), E),  # W K = [[1, 1], [0, 1]]
+        (K, ((0, 2, 0, 0), (0, 0, 0, 1)), E),  # W K = diag(2, 1)
+        (K, ((0, -1, 0, 0), (0, 0, 0, 1)), E),  # W K = diag(-1, 1)
+        (K, W[:1], E),  # W has one row fewer than K has columns
+        (((0, 0),) + K[1:], W, E),  # E K = [[1, 0], [0, 0]], W K = I still
+    ]
+    for k, w, e in wrong:
+        assert not lt.kernel_sequence_exact(k, w, e), (k, w)
+        assert not kernel_sequence_by_joint(k, w, e), (k, w)
+
+
 def test_exactness_report_factors_no_empty_matrix(monkeypatch):
     # the joints and ends at a zero lattice are read off the shapes: the
     # blocks cases' twisted sequences by restriction, zero lattices at both

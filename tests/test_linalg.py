@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from torsorlab import groups as gr
 from torsorlab import linalg as la
-from helpers import bareiss_det, lattice_eq, lattice_index, stack
+from helpers import bareiss_det, coordinates, lattice_eq, lattice_index, stack
 from test_cohomology import _np, _reference_tree_constraints, constraint_cases
 
 
@@ -486,7 +486,7 @@ def test_coordinates_equal_solve_int():
             KY = la.matmul(K, rand(k, c)) if k else ((0,) * c,) * n
             for V in (rand(n, c), KY, plus(KY, rand(n, c))):
                 want = la.solve_int(K, V)
-                got = la.coordinates(K, W, V)
+                got = coordinates(K, W, V)
                 if want is None:
                     assert got is None
                     unsolvable += 1
@@ -496,9 +496,9 @@ def test_coordinates_equal_solve_int():
     assert solved > 100 and unsolvable > 50
     K, W = la.saturated_kernel([[1, 1, 0]])
     with pytest.raises(ValueError):
-        la.coordinates(K, la.transpose(W), ((0,),) * 3)
+        coordinates(K, la.transpose(W), ((0,),) * 3)
     with pytest.raises(ValueError):
-        la.coordinates(K, W, ((0,),) * 2)
+        coordinates(K, W, ((0,),) * 2)
 
 
 @st.composite
@@ -577,7 +577,7 @@ def test_coordinates_equal_solve_int_on_random_input(E, data):
     KYN = tuple(tuple(map(sum, zip(a, b))) for a, b in zip(KY, N))
     for V in (KY, KYN):
         want = la.solve_int(K, V)
-        got = la.coordinates(K, W, V)
+        got = coordinates(K, W, V)
         assert got is None if want is None else _same(got, want)
 
 

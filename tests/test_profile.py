@@ -1,4 +1,5 @@
-"""tools/profile.py books every profiled second to one row.
+"""tools/profile.py books every profiled second to one row, and scales each
+profiled call to the reference speed by the probes around it.
 
 A stand-in callable stands for a product path here, so that the test runs in
 well under a second: it calls a torsorlab function, the standard library
@@ -8,6 +9,7 @@ and builtins, from its own frame and from torsorlab's.
 import cProfile
 import json
 import pstats
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,3 +43,34 @@ def test_each_function_lands_in_one_row_and_the_rows_sum_to_the_total():
         assert v["self_s"] == pytest.approx(sum(mine), rel=1e-9, abs=1e-12)
     assert {"torsorlab.groups", "stdlib", "other"} <= set(rows)
     assert rows["torsorlab.groups"]["calls"] >= 1
+
+
+def test_each_profiled_call_is_scaled_by_the_probes_around_it():
+    # perfbench/speed.py with a probe that always reads twice the reference
+    # time: a host at half the reference speed, so each profiled second is
+    # half a second at the reference speed
+    tool = profile_tool()
+    speed = tool.load(tool.ROOT, "speed")
+    log = []
+
+    def probe():
+        log.append("probe")
+        return 2 * speed.REFERENCE_PROBE_NS
+
+    def run():
+        log.append("run")
+        return _stand_in()
+
+    prof = tool.Probed(SimpleNamespace(probe=probe, at_reference=speed.at_reference))
+    log.clear()  # the probe that warms up
+    for _ in range(2):
+        assert prof.runcall(run) == gr.symmetric_group(4)
+    assert log == ["probe", "run", "probe"] * 2
+    # the same functions and calls, every time halved, summed over both calls
+    assert {f: v[:2] for f, v in prof.stats.items()} == {f: v[:2] for f, v in prof.raw.items()}
+    rows, raw = tool.module_rows(prof.stats), tool.module_rows(prof.raw)
+    assert rows.keys() == raw.keys()
+    for row, v in rows.items():
+        assert v["calls"] == raw[row]["calls"]
+        assert v["self_s"] == pytest.approx(raw[row]["self_s"] / 2, rel=1e-9, abs=1e-12)
+    assert rows["torsorlab.groups"]["calls"] >= 2

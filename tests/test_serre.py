@@ -13,6 +13,7 @@ from torsorlab.catalog import central_involutions, group_catalog
 from helpers import (
     bareiss_det,
     basis_verdict_by_coordinates,
+    coordinates,
     kernel_sequence_by_joint,
     matrix_twin,
     serre_sequence_by_restriction,
@@ -383,7 +384,7 @@ def _type_report_through_build_serre(d, data, phi) -> tuple:
         vectors.append(tuple(vec))
     vectors.append(tuple(conj))
     inc = data.xs_inclusion
-    X = la.coordinates(inc.matrix, inc.retraction, la.transpose(vectors))
+    X = coordinates(inc.matrix, inc.retraction, la.transpose(vectors))
     if X is None:
         return tuple(vectors), False, False
     square = len(X) == la.width(X) == data.xs.rank
@@ -432,8 +433,8 @@ def test_coordinates_in_the_serre_lattice_can_fail():
     data = sr.build_serre(d)
     n = d.group.order
     inc = data.xs_inclusion
-    assert la.coordinates(inc.matrix, inc.retraction, la.transpose([[1] + [0] * n])) is None
-    X = la.coordinates(inc.matrix, inc.retraction, la.transpose([data.weight, [2] * n + [4]]))
+    assert coordinates(inc.matrix, inc.retraction, la.transpose([[1] + [0] * n])) is None
+    X = coordinates(inc.matrix, inc.retraction, la.transpose([data.weight, [2] * n + [4]]))
     assert X is not None and [r[1] for r in X] == [2 * r[0] for r in X]
 
 

@@ -6,10 +6,10 @@ This oracle records every object built that way and runs the validators on
 it: check_action for a G-set, ZGLattice validation (check_rho) for a
 lattice, LatticeMap validation for a map, FiniteGroup validation for a
 group table, GammaGroup validation (check_automorphisms) for a
-Gamma-group and CrossedHom validation (the cocycle law) for a cocycle.  It
-also checks that each holds its tables as tuples of int tuples, and a
-cocycle its values as an int tuple: the form an unchecked constructor takes
-as given.  It covers the coset G-sets of every subgroup of every catalog
+Gamma-group, CrossedHom validation (the cocycle law) for a cocycle and
+GroupHom validation for a homomorphism.  It also checks that each holds its
+tables as tuples of int tuples, and a cocycle its values and a homomorphism
+its map as an int tuple: the form an unchecked constructor takes as given.  It covers the coset G-sets of every subgroup of every catalog
 group of order <= 24, the twisted sequences of the 65 CM data of order <= 16, criterion 2's six
 block groups, the catalog's direct and semidirect products and every
 quotient of a catalog group, the Gamma-group products of criterion 11 and
@@ -37,8 +37,8 @@ from test_groups import _oracle_gamma_groups
 
 
 def _unvalidated(monkeypatch, run) -> list:
-    """Every GSet, ZGLattice, LatticeMap, FiniteGroup, GammaGroup and
-    CrossedHom built with validate=False while run() runs."""
+    """Every GSet, ZGLattice, LatticeMap, FiniteGroup, GammaGroup, CrossedHom
+    and GroupHom built with validate=False while run() runs."""
     built = []
 
     def recording(cls):
@@ -52,7 +52,7 @@ def _unvalidated(monkeypatch, run) -> list:
         monkeypatch.setattr(cls, "__init__", recorded)
 
     for cls in (gs.GSet, lt.ZGLattice, lt.LatticeMap, gr.FiniteGroup, gr.GammaGroup,
-                co.CrossedHom):
+                co.CrossedHom, gr.GroupHom):
         recording(cls)
     run()
     monkeypatch.undo()
@@ -72,6 +72,8 @@ def _validate(obj) -> None:
         gr.FiniteGroup(obj.rows)
     elif isinstance(obj, co.CrossedHom):
         co.CrossedHom(obj.group, obj.coefficient, obj.values)
+    elif isinstance(obj, gr.GroupHom):
+        gr.GroupHom(obj.source, obj.target, obj.map)
     else:
         gr.GammaGroup(obj.gamma, obj.underlying, obj.action)
 
@@ -87,6 +89,8 @@ def _tables(obj) -> list:
         return [obj.rows]
     if isinstance(obj, co.CrossedHom):
         return [(obj.values,)]
+    if isinstance(obj, gr.GroupHom):
+        return [(obj.map,)]
     return [obj.action]  # GSet, GammaGroup
 
 
@@ -161,6 +165,9 @@ def test_unvalidated_objects_pass_the_validators(monkeypatch):
     assert kinds["FiniteGroup"] > 100 and kinds["GammaGroup"] > 100
     # criteria 11, 6 and 7 build 39, 45 and 98 cocycles unchecked
     assert kinds["CrossedHom"] > 150
+    # 1,100 homomorphisms: 511 quotient maps of the catalog, 553 from
+    # all_homs and the rest the embeddings and projections of products
+    assert kinds["GroupHom"] > 1000
 
 
 def _direct_products(monkeypatch, run) -> list:

@@ -51,44 +51,19 @@ def _matmul_calls(monkeypatch, run) -> int:
     return _calls(monkeypatch, run, (la, "matmul"))[0]
 
 
-def _matmul_calls_apart(monkeypatch, run) -> tuple:
-    """(la.matmul calls outside kernel_sequence_exact, kernel_sequence_exact
-    calls through serre) while run() runs: the products W K and E K that
-    decide a sequence are counted apart from the others."""
-    matmul, exact = la.matmul, sr.kernel_sequence_exact
-    counts, inside = [0, 0], [False]
-
-    def counted_matmul(*args):
-        counts[0] += not inside[0]
-        return matmul(*args)
-
-    def counted_exact(*args):
-        counts[1] += 1
-        inside[0] = True
-        try:
-            return exact(*args)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(la, "matmul", counted_matmul)
-    monkeypatch.setattr(sr, "kernel_sequence_exact", counted_exact)
-    run()
-    monkeypatch.setattr(la, "matmul", matmul)
-    monkeypatch.setattr(sr, "kernel_sequence_exact", exact)
-    return tuple(counts)
-
-
 def test_block_decompositions_multiply_only_to_compose(monkeypatch):
     # the twists and equivariance checks of criterion 2 read the points of
-    # their lattices, so the one product per group outside the sequence
-    # check is its compose (930 and 337 calls when the twists and checks
-    # multiplied matrices); each twisted sequence is decided by one
-    # kernel_sequence_exact, whose two products are not counted here
-    products, sequences = _matmul_calls_apart(monkeypatch, checks.check_block_decomposition)
+    # their lattices, so the one product per group is its compose (930 and
+    # 337 calls when the twists and checks multiplied matrices); each
+    # twisted sequence is decided by one kernel_sequence_exact, which
+    # multiplies on the nonzeros of K's rows and calls no la.matmul (18
+    # calls, 12 of them its W K and E K, when it did)
+    products, sequences = _calls(monkeypatch, checks.check_block_decomposition,
+                                 (la, "matmul"), (sr, "kernel_sequence_exact"))
     assert products <= 6 and sequences == 6
     d4 = gr.dihedral_group(4)
-    products, sequences = _matmul_calls_apart(
-        monkeypatch, lambda: sr.conjugation_block_decomposition(d4))
+    products, sequences = _calls(monkeypatch, lambda: sr.conjugation_block_decomposition(d4),
+                                 (la, "matmul"), (sr, "kernel_sequence_exact"))
     assert products <= 1 and sequences == 1
 
 
@@ -184,14 +159,28 @@ def test_permutation_lattices_build_no_matrices(monkeypatch):
 
 def test_character_sequences_read_points_and_distinct_equations(monkeypatch):
     # criterion 4 validates its 130 fibre-sum maps on the points of their
-    # ends, with no product of matrices outside kernel_sequence_exact (344
-    # column permutations and 344 signed-row reads of a monomial product
-    # when it read the matrices at the generators), and takes X*(S) and
-    # X*(Sbar) from the |G|/2 distinct equations (130 _pair_equations calls
-    # when each kernel eliminated all |G| rows)
+    # ends, with no product of matrices (344 column permutations and 344
+    # signed-row reads of a monomial product when it read the matrices at
+    # the generators), and takes X*(S) and X*(Sbar) from the |G|/2 distinct
+    # equations (130 _pair_equations calls when each kernel eliminated all
+    # |G| rows); each sequence multiplies on sparse rows, so la.matmul is
+    # not called at all (260 calls, W K and E K per sequence, when
+    # kernel_sequence_exact took them and they were counted apart)
     assert _calls(monkeypatch, checks.check_character_sequences, (sr, "_pair_equations")) == [0]
-    products, _ = _matmul_calls_apart(monkeypatch, checks.check_character_sequences)
-    assert products == 0
+    assert _matmul_calls(monkeypatch, checks.check_character_sequences) == 0
+
+
+def test_character_sequences_read_each_kernel_once(monkeypatch):
+    # criterion 4 reads the nonzeros of each kernel K, of its retraction W
+    # and of each fibre-sum map E once (la._sparse), and decides the weight
+    # checks, W K == I and E K == 0 on those rows: 3 reads per sequence,
+    # 390 over the 65 data (910 when each weight check read K, W and the
+    # weight column through la.coordinates and W K and E K each read K
+    # again through la.matmul); the products stay 8 per datum
+    sparse, products = _calls(monkeypatch, checks.check_character_sequences,
+                              (la, "_sparse"), (la, "_times"))
+    assert sparse <= 390
+    assert products == 520
 
 
 def test_permutation_h1_checks_each_action_once(monkeypatch):
