@@ -9,7 +9,6 @@ case of criteria 2, 4 and 6 call the same judges.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -191,106 +190,48 @@ def check_cm_type_bases(max_order: int = 12) -> CheckResult:
 # 6. the twist bijection for torsor lifts
 
 
-def _twist_cases():
-    c2 = gr.cyclic_group(2)
-    c3 = gr.cyclic_group(3)
-    s3 = gr.symmetric_group(3)
-
-    def triv(gamma, grp):
-        return co.trivial_gamma_group(gamma, grp)
-
-    cases = []
-
-    # 1 -> C3 -> S3 -> C2 -> 1 over Gamma = C2
-    a_elems = gr.generated_subgroup(s3, [2])
-    inc = gr.GroupHom(c3, s3, tuple(s3.power(2, k) for k in range(3)))
-    cq, proj = gr.quotient(s3, a_elems)
-    A, B, C = triv(c2, c3), triv(c2, s3), triv(c2, cq)
+def _lift_case(gamma, a, b, inc, proj, lift):
+    """The exact sequence 1 -> A -> B -> C -> 1 of a, b and proj's target,
+    each with the trivial action of gamma, and two base classes over it: the
+    trivial lift, and the cocycle `lift` of B over q = proj o lift."""
+    A, B, C = (co.trivial_gamma_group(gamma, g) for g in (a, b, proj.target))
     seq = to.ExactGammaSequence(
         A, B, C, to.EquivariantHom(A, B, inc), to.EquivariantHom(B, C, proj)
     )
-    bases = [
+    q = co.CrossedHom(gamma, C, tuple(map(proj, lift)))
+    return seq, [
         to.RelativeClass(seq.project, to.trivial_torsor(C), to.trivial_torsor(B)),
-        to.RelativeClass(
-            seq.project,
-            to.TorsorRep(C, co.CrossedHom(c2, C, (0, 1))),
-            to.TorsorRep(B, co.CrossedHom(c2, B, (0, 1))),
-        ),
+        to.RelativeClass(seq.project, to.TorsorRep(C, q),
+                         to.TorsorRep(B, co.CrossedHom(gamma, B, lift))),
     ]
-    cases.append(("kernel-C3-total-S3", seq, bases))
 
-    # 1 -> C2 -> C4 -> C2 -> 1 over Gamma = C2, two distinct base lifts
-    c4 = gr.cyclic_group(4)
-    inc2 = gr.GroupHom(c2, c4, (0, 2))
-    cq2, proj2 = gr.quotient(c4, (0, 2))
-    A2, B2, C2g = triv(c2, c2), triv(c2, c4), triv(c2, cq2)
-    seq2 = to.ExactGammaSequence(
-        A2, B2, C2g, to.EquivariantHom(A2, B2, inc2), to.EquivariantHom(B2, C2g, proj2)
-    )
-    bases2 = [
-        to.RelativeClass(seq2.project, to.trivial_torsor(C2g), to.trivial_torsor(B2)),
-        to.RelativeClass(
-            seq2.project,
-            to.trivial_torsor(C2g),
-            to.TorsorRep(B2, co.CrossedHom(c2, B2, (0, 2))),
-        ),
-    ]
-    cases.append(("kernel-C2-total-C4", seq2, bases2))
 
-    # 1 -> V4 -> A4 -> C3 -> 1 over Gamma = C3
-    a4 = gr.alternating_group_4()
-    v4_elems = next(h for h in gr.all_subgroups(a4) if len(h) == 4)
-    v4 = gr.direct_product(c2, c2)
-    inc3 = None
-    sub = sorted(v4_elems)
-    for img1, img2 in itertools.permutations(sub[1:], 2):
-        cand = {0: 0, 1: img1, 2: img2, 3: a4.mul(img1, img2)}
-        try:
-            inc3 = gr.GroupHom(v4, a4, tuple(cand[i] for i in range(4)))
-            break
-        except gr.InvalidHom:
-            continue
-    cq3, proj3 = gr.quotient(a4, v4_elems)
-    A3, B3, C3g = triv(c3, v4), triv(c3, a4), triv(c3, cq3)
-    seq3 = to.ExactGammaSequence(
-        A3, B3, C3g, to.EquivariantHom(A3, B3, inc3), to.EquivariantHom(B3, C3g, proj3)
+def _twist_cases():
+    """(name, sequence, base classes) for each case of criterion 6."""
+    c2, c3, c4 = (gr.cyclic_group(n) for n in (2, 3, 4))
+    s3, a4 = gr.symmetric_group(3), gr.alternating_group_4()
+    c2c2 = gr.direct_product(c2, c2)
+    # V4 is elementary abelian, so its sorted elements 0 < x < y < xy are the
+    # images of 0, 1, 2, 3 in C2 x C2
+    v4 = next(h for h in gr.all_subgroups(a4) if len(h) == 4)
+    t = next(x for x in a4.elements() if a4.element_order(x) == 3)
+    # (name, Gamma, A, B, A -> B, lift); B -> C is the quotient by A
+    rows = (
+        ("kernel-C3-total-S3", c2, c3, s3,
+         gr.GroupHom(c3, s3, tuple(s3.power(2, k) for k in range(3))), (0, 1)),
+        # two distinct base lifts over the trivial base
+        ("kernel-C2-total-C4", c2, c2, c4, gr.GroupHom(c2, c4, (0, 2)), (0, 2)),
+        ("kernel-V4-total-A4", c3, c2c2, a4, gr.GroupHom(c2c2, a4, v4),
+         tuple(a4.power(t, k) for k in range(3))),
     )
-    three_cycle = next(
-        x for x in a4.elements() if a4.element_order(x) == 3 and proj3(x) != 0
-    )
-    qc = proj3(three_cycle)
-    # use a base with nontrivial quotient cocycle when the orders line up
-    qvals = tuple(cq3.power(qc, k) for k in range(3))
-    pvals = tuple(a4.power(three_cycle, k) for k in range(3))
-    bases3 = [
-        to.RelativeClass(seq3.project, to.trivial_torsor(C3g), to.trivial_torsor(B3)),
-        to.RelativeClass(
-            seq3.project,
-            to.TorsorRep(C3g, co.CrossedHom(c3, C3g, qvals)),
-            to.TorsorRep(B3, co.CrossedHom(c3, B3, pvals)),
-        ),
-    ]
-    cases.append(("kernel-V4-total-A4", seq3, bases3))
-
-    # 1 -> S3 -> S3 x C2 -> C2 -> 1 over Gamma = S3
-    b4 = gr.direct_product(s3, c2)
-    e1, _, _, p2 = gr.product_embeddings(s3, c2, b4)
-    A4g, B4g, C4g = triv(s3, s3), triv(s3, b4), triv(s3, c2)
-    seq4 = to.ExactGammaSequence(
-        A4g, B4g, C4g, to.EquivariantHom(A4g, B4g, e1), to.EquivariantHom(B4g, C4g, p2)
-    )
-    sign = tuple(0 if s3.element_order(x) in (1, 3) else 1 for x in s3.elements())
-    sgn_cocycle = co.CrossedHom(s3, C4g, sign)
-    lift_vals = tuple(x + s3.order * sign[x] for x in s3.elements())
-    bases4 = [
-        to.RelativeClass(seq4.project, to.trivial_torsor(C4g), to.trivial_torsor(B4g)),
-        to.RelativeClass(
-            seq4.project,
-            to.TorsorRep(C4g, sgn_cocycle),
-            to.TorsorRep(B4g, co.CrossedHom(s3, B4g, lift_vals)),
-        ),
-    ]
-    cases.append(("kernel-S3-total-S3xC2", seq4, bases4))
+    cases = [(name, *_lift_case(gamma, a, b, inc, gr.quotient(b, inc.map)[1], lift))
+             for name, gamma, a, b, inc, lift in rows]
+    # 1 -> S3 -> S3 x C2 -> C2 -> 1 over Gamma = S3, lifting the sign: x
+    # goes to (x, sign x), and the odd x are those of order 2
+    s3c2 = gr.direct_product(s3, c2)
+    e1, _, _, p2 = gr.product_embeddings(s3, c2, s3c2)
+    sign_lift = tuple(x + s3.order * (s3.element_order(x) == 2) for x in s3.elements())
+    cases.append(("kernel-S3-total-S3xC2", *_lift_case(s3, s3, s3c2, e1, p2, sign_lift)))
     return cases
 
 
@@ -335,6 +276,14 @@ def _twisted_family(system, fam, a_top):
     return tuple(co.twist_cocycle(f, a) for f, a in zip(fam, avals))
 
 
+def _random_chain(rng, pool, length) -> tuple:
+    """(groups, maps) of a random truncated system: length + 1 groups drawn
+    from pool, then for each i a homomorphism groups[i + 1] -> groups[i]
+    drawn from all_homs."""
+    groups = tuple(rng.choice(pool) for _ in range(length + 1))
+    return groups, tuple(rng.choice(co.all_homs(h, g)) for g, h in zip(groups, groups[1:]))
+
+
 def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckResult:
     rng = random.Random(seed)
     pool = [
@@ -343,14 +292,8 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
     evidence = {"systems": 0, "orbit_failures": 0, "scan_systems": 0, "scan_choices": 0}
     findings = []
     for _ in range(count):
-        length = rng.randint(1, 5)
-        groups = [pool[rng.randrange(len(pool))] for _ in range(length + 1)]
-        maps = []
-        for i in range(length):
-            homs = co.all_homs(groups[i + 1], groups[i])
-            maps.append(homs[rng.randrange(len(homs))])
-        sys = iv.ExplicitFinite(tuple(groups), tuple(maps))
-        rep = iv.lim1_truncated(sys, budget=50000)
+        groups, maps = _random_chain(rng, pool, rng.randint(1, 5))
+        rep = iv.lim1_truncated(iv.ExplicitFinite(groups, maps), budget=50000)
         evidence["systems"] += 1
         findings.append(rep.orbit_count == 1)
         if not findings[-1]:
@@ -359,28 +302,16 @@ def check_truncated_orbit_transitivity(seed: int = 0, count: int = 50) -> CheckR
     gamma_pool = [gr.cyclic_group(2), gr.cyclic_group(3)]
     level_pool = [gr.cyclic_group(2), gr.cyclic_group(3), gr.cyclic_group(4),
                   gr.symmetric_group(3)]
-    scans = 0
-    while scans < 8:
-        gamma = gamma_pool[rng.randrange(2)]
-        length = rng.randint(1, 2)
-        groups = [level_pool[rng.randrange(len(level_pool))] for _ in range(length + 1)]
-        if sum(g.order for g in groups) > 200:
-            continue
-        levels = [co.trivial_gamma_group(gamma, g) for g in groups]
-        maps = []
-        for i in range(length):
-            homs = co.all_homs(groups[i + 1], groups[i])
-            maps.append(homs[rng.randrange(len(homs))])
-        system = co.TruncatedGammaSystem(tuple(levels), tuple(maps))
-        tops = co.all_homs(gamma, groups[length])
-        if not tops:
-            continue
-        top_hom = tops[rng.randrange(len(tops))]
-        top = co.CrossedHom(gamma, levels[length], top_hom.map)
-        fam = co.compatible_family(system, top)
-        famp = _twisted_family(system, fam, rng.randrange(groups[length].order))
+    for _ in range(8):
+        gamma = rng.choice(gamma_pool)
+        groups, maps = _random_chain(rng, level_pool, rng.randint(1, 2))
+        levels = tuple(co.trivial_gamma_group(gamma, g) for g in groups)
+        system = co.TruncatedGammaSystem(levels, maps)
+        # all_homs holds the trivial hom, so there is a top to draw
+        top_hom = rng.choice(co.all_homs(gamma, groups[-1]))
+        fam = co.compatible_family(system, co.CrossedHom(gamma, levels[-1], top_hom.map))
+        famp = _twisted_family(system, fam, rng.randrange(groups[-1].order))
         findings.append(_every_witness_choice_trivial(system, fam, famp, evidence))
-        scans += 1
         evidence["scan_systems"] += 1
     # systems with a nontrivial action at every level
     c2 = gr.cyclic_group(2)

@@ -46,7 +46,7 @@ def _emit(claim, verdict, evidence, args):
     }
     if args.timing:
         rep["timing_ms"] = int((time.time() - args._t0) * 1000)
-    text = json.dumps(rep, indent=2, sort_keys=True, default=_default)
+    text = json.dumps(rep, indent=2, sort_keys=True)
     # a failed write, to --out or to stdout (a closed pipe), is the
     # report's own error, not one of reading the input
     try:
@@ -61,12 +61,6 @@ def _emit(claim, verdict, evidence, args):
         return EXIT_ERROR
     print(f"[torsor-lab] {claim}: {verdict}", file=sys.stderr)
     return _EXITS.get(verdict, EXIT_ERROR)
-
-
-def _default(obj):
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    return str(obj)
 
 
 def _decided(status) -> str:

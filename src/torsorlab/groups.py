@@ -584,21 +584,20 @@ def all_subgroups(g: FiniteGroup) -> tuple:
 
 
 def left_cosets(g: FiniteGroup, elems) -> tuple[list, list]:
-    """The left cosets xH of the subgroup H = elems as sorted tuples, ordered
-    by minimal element, and the index of the coset of each element.  The
-    coset xH is read off row x of the table, as [x a for a in H]."""
+    """The least element of each left coset xH of the subgroup H = elems, in
+    increasing order, and the index of the coset of each element.  The table
+    is walked in order, so the first x not yet placed is the least element
+    of its coset, which is read off row x of the table as [x a for a in H]."""
     h = set(elems)
     coset_of = [-1] * g.order
-    cosets = []
+    firsts = []
     for x, row in enumerate(g.rows):
-        if coset_of[x] >= 0:
-            continue
-        cs = tuple(sorted([row[a] for a in h]))
-        ci = len(cosets)
-        cosets.append(cs)
-        for y in cs:
-            coset_of[y] = ci
-    return cosets, coset_of
+        if coset_of[x] < 0:
+            ci = len(firsts)
+            for a in h:
+                coset_of[row[a]] = ci
+            firsts.append(x)
+    return firsts, coset_of
 
 
 def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
@@ -610,9 +609,8 @@ def quotient(g: FiniteGroup, n) -> tuple[FiniteGroup, GroupHom]:
     nset = set(n)
     if not is_normal(g, nset):
         raise NotNormal("subgroup is not normal")
-    cosets, coset_of = left_cosets(g, nset)
+    firsts, coset_of = left_cosets(g, nset)
     # identity coset contains 0 and is found first, so identity index is 0
-    firsts = [cs[0] for cs in cosets]
     rows = tuple(tuple(coset_of[r[b]] for b in firsts) for r in (g.rows[a] for a in firsts))
     q = FiniteGroup(rows, validate=False)
     proj = GroupHom(g, q, tuple(coset_of), validate=False)

@@ -96,8 +96,7 @@ def coset_gset(g: FiniteGroup, h) -> GSet:
     hset = set(h)
     if not is_subgroup(g, hset):
         raise NotSubgroup("not a subgroup")
-    cosets, coset_of = left_cosets(g, hset)
-    firsts = [cs[0] for cs in cosets]
+    firsts, coset_of = left_cosets(g, hset)
     action = tuple([tuple([coset_of[row[x]] for x in firsts]) for row in g.rows])
     return GSet(g, action, validate=False)
 

@@ -225,7 +225,7 @@ def equivariant_sublattice(m: ZGLattice, equations) -> tuple[ZGLattice, LatticeM
         raise ValueError("equation width must match rank")
     K, W = la.saturated_kernel(E)
     group = m.group
-    rho = la.restricted_action(K, W, m.rho)
+    rho = la.restricted_action(*la._pair_rows(K, W), m.rho)
     if rho is None:
         raise NotStable("action does not preserve the solution space")
     sub = ZGLattice(group, rho, validate=False)
@@ -287,39 +287,32 @@ def _onto(M, rank: int) -> bool:
     return la.elementary_divisors(M).count(1) == rank
 
 
-def kernel_sequence_exact(K, W, E) -> bool:
-    """Is 0 -> col K -> M -E-> F -> 0 exact, where M has rank len(K), F has
-    rank len(E) and W is the claimed retraction of K?
+def kernel_sequence_exact(k, w, r: int, E) -> bool:
+    """Is 0 -> col K -> M -E-> F -> 0 exact, where K has r columns, M has
+    rank len(K), F has rank len(E) and W is the claimed retraction of K?
+    k and w are the nonzeros of the rows of K and W, as la._pair_rows reads
+    them, which raises ValueError unless W has the transposed shape of K.
 
-    It is exactly when W K == I, E K == 0 and E is onto with width K ==
-    len(K) - rank E; no second kernel is needed, by the rank lemma: a
-    saturated sublattice inside a saturated lattice of the same rank is
-    equal to it.  W K == I makes K injective and col K saturated (d v = K x
-    gives x = d W v, so v = K W v), and ker E is saturated as every kernel
-    is, so E K == 0 and equal ranks give col K = ker E.  The elementary
-    divisors of E show that E is onto (len(E) unit divisors), and then rank
-    ker E = len(K) - len(E).  No action on col K is needed either: the
-    kernel of an equivariant map is G-stable, so col K is a sublattice with
-    group action whenever E is a validated LatticeMap matrix.  serre
-    decides its two character sequences and the twisted quotient sequence
-    by this rule; exactness_report, which serves `lattice exact`, decides
-    each joint by the same lemma.
+    It is exactly when W K == I, E K == 0 and E is onto with r == len(K) -
+    rank E; no second kernel is needed, by the rank lemma: a saturated
+    sublattice inside a saturated lattice of the same rank is equal to it.
+    W K == I makes K injective and col K saturated (d v = K x gives x = d W
+    v, so v = K W v), and ker E is saturated as every kernel is, so E K == 0
+    and equal ranks give col K = ker E.  The elementary divisors of E show
+    that E is onto (len(E) unit divisors), and then rank ker E = len(K) -
+    len(E).  No action on col K is needed either: the kernel of an
+    equivariant map is G-stable, so col K is a sublattice with group action
+    whenever E is a validated LatticeMap matrix.  serre decides its two
+    character sequences and the twisted quotient sequence by this rule;
+    exactness_report, which serves `lattice exact`, decides each joint by
+    the same lemma.
 
-    K's nonzeros are read once (la._sparse), here or by the caller that
-    hands them to _kernel_rows_exact, and serve both products; neither is
-    made dense.  The rows of la._times are sorted and hold no zeros, so
-    W K == I is a comparison with the unit rows [(i, 1)] and E K == 0 one
-    with empty rows.
+    r is given, not read off w: a K with one column too many whose extra
+    column W sends to zero has W K == I on its first r columns.  The rows
+    of la._times are sorted and hold no zeros, so W K == I is a comparison
+    with the unit rows [(i, 1)] and E K == 0 one with empty rows; neither
+    product is made dense.
     """
-    if W and la.width(W) != len(K):
-        raise ValueError("the inner dimensions of a product must agree")
-    return _kernel_rows_exact(la._sparse(K), la._sparse(W), la.width(K), E)
-
-
-def _kernel_rows_exact(k, w, r: int, E) -> bool:
-    """kernel_sequence_exact on the nonzeros k of K's rows, r columns wide,
-    and w of W's rows, which the caller has read (la._sparse, or
-    la._pair_rows); W has width len(K)."""
     return (r == len(k) - len(E) and la._times(w, k) == [[(i, 1)] for i in range(r)]
             and _vanishes(E, k) and _onto(E, len(E)))
 

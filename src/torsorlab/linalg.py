@@ -5,8 +5,9 @@ unbounded; SNF intermediates blow up well past 64 bits even at modest rank.
 A matrix with no rows is 0 x 0: for no equations on n unknowns, callers
 pass one zero row of length n, which has the same kernel.  int_rows is the
 one conversion from nested sequences; the functions that factor read their
-input through it, while matmul and restricted_action, which only
-multiply, take rows as given.  One trusted hand-off skips that read:
+input through it, while matmul, which only multiplies, takes rows as given,
+and restricted_action takes the nonzeros of a basis's rows (_pair_rows).
+One trusted hand-off skips that read:
 _divisors, the body of elementary_divisors, to which cohomology.h1_abelian
 passes the int lists of rho(s) - I that it builds from a lattice's rows,
 read when the lattice was made.  The SNFResult transforms are int-tuple
@@ -29,10 +30,12 @@ to it on the suite's cases.
 
 Solving against K is then a multiply-and-check (_retract): X = W V is the
 only candidate and K X == V decides, so no further SNF is needed.  It runs
-on the nonzeros of the rows (_sparse), which a caller that multiplies by
-one K again and again reads once: restricted_action for its matrices, and
-serre for its weight checks and the products W K and E K of its sequences
-(lattices.kernel_sequence_exact).  kernel_basis reads a kernel off one SNF
+on the nonzeros of the rows (_sparse), which _pair_rows reads once for a
+basis K and its retraction W, after checking their shapes, and every
+consumer takes as read: restricted_action for its matrices, serre's weight
+checks (_weights_on_rows), and the products W K and E K of each sequence
+(lattices.kernel_sequence_exact), so that twist_serre restricts its action
+and decides its sequence on one read.  kernel_basis reads a kernel off one SNF
 of the whole matrix; it is the oracle of saturated_kernel.  solve_int,
 column_space_basis and lattice_contains track transforms and have no caller
 in the verifier: the tests keep them as the reference route.
@@ -426,25 +429,26 @@ def _pair_rows(K, W) -> tuple:
     return _sparse(K), _sparse(W)
 
 
-def restricted_action(K, W, mats) -> list | None:
+def restricted_action(k, w, mats) -> list | None:
     """[W M K for M in mats], or None unless every M maps the column lattice
-    of K into itself; W is a left inverse of K, and all are int-tuple rows.
+    of K into itself; W is a left inverse of K, k and w are the nonzeros of
+    their rows as _pair_rows reads them, and each M is int-tuple rows.
 
     M K lies in that lattice exactly when K (W M K) == M K, so each matrix
     returned is the unique integer one with K X == M K (_retract).
     """
-    k_rows, w_rows = _pair_rows(K, W)
-    n, r = len(K), width(K)
+    # _pair_rows has checked that W has a row per column of K
+    n, r = len(k), len(w)
     mats = tuple(mats)
     if any(len(M) != n or width(M) != n for M in mats):
         raise ValueError("each matrix must be square of the basis's height")
     # each distinct row of the M (of a permutation matrix: a unit row) is
     # multiplied by K once
     distinct = dict.fromkeys(chain.from_iterable(mats))
-    product = dict(zip(distinct, _times(_sparse(distinct), k_rows)))
+    product = dict(zip(distinct, _times(_sparse(distinct), k)))
     out = []
     for M in mats:
-        X = _retract(k_rows, w_rows, [product[row] for row in M])
+        X = _retract(k, w, [product[row] for row in M])
         if X is None:
             return None
         out.append(_dense(X, r))

@@ -29,7 +29,6 @@ from .invsys import NormTower
 from .lattices import (
     LatticeMap,
     ZGLattice,
-    _kernel_rows_exact,
     direct_sum,
     equivariant_sublattice,
     is_equivariant_iso,
@@ -163,25 +162,17 @@ def build_serre(d: CMGaloisDatum) -> SerreData:
     xsbar, xsbar_inc = equivariant_sublattice(regular, _pair_equations(d, False))
     if xs.rank != d.half_order + 1 or xsbar.rank != d.half_order:
         raise InvalidDatum("rank law violated")  # cannot happen for valid data
-    weight = _check_weights(
-        n, (xs_inc.matrix, xs_inc.retraction), (xsbar_inc.matrix, xsbar_inc.retraction)
-    )
+    weight = _weights_on_rows(n, la._pair_rows(xs_inc.matrix, xs_inc.retraction),
+                              la._pair_rows(xsbar_inc.matrix, xsbar_inc.retraction))
     return SerreData(regular, ambient, xs, xs_inc, xsbar, xsbar_inc, weight)
 
 
-def _check_weights(n: int, xs: tuple, xsbar: tuple) -> tuple:
+def _weights_on_rows(n: int, xs: tuple, xsbar: tuple) -> tuple:
     """The weight (1, ..., 1, 2) in Z[G] + Z, after checking that it lies in
     X*(S) and that X*(Sbar) meets the weight axis trivially; xs and xsbar
-    are (basis, retraction) pairs, as _xs_kernel gives them.  The checks
-    are made on their nonzeros (_weights_on_rows)."""
-    return _weights_on_rows(n, la._pair_rows(*xs), la._pair_rows(*xsbar))
-
-
-def _weights_on_rows(n: int, xs: tuple, xsbar: tuple) -> tuple:
-    """_check_weights on the nonzeros of the rows of each basis and its
-    retraction, as la._pair_rows reads them: la._retract decides whether
-    a weight column, given by its nonzeros v, lies in the lattice
-    (X = W v, then K X == v)."""
+    are the nonzeros of the rows of each basis and its retraction, as
+    la._pair_rows reads them.  la._retract decides whether a weight column,
+    given by its nonzeros v, lies in the lattice (X = W v, then K X == v)."""
     ones = [[(0, 1)]] * n
     if la._retract(*xs, ones + [[(0, 2)]]) is None:
         raise InvalidDatum("the weight lies outside X*(S)")  # cannot happen
@@ -240,8 +231,7 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     The nonzeros of the rows of each K and W are read once, here
     (la._pair_rows), and everything is decided on those rows: the two
     weight checks (_weights_on_rows), then W K == I against the unit rows
-    and E K == 0 as empty rows (lattices._kernel_rows_exact, the rule of
-    kernel_sequence_exact).
+    and E K == 0 as empty rows (kernel_sequence_exact).
     """
     g = d.group
     n = g.order
@@ -263,8 +253,8 @@ def verify_serre_sequence(d: CMGaloisDatum) -> SequenceReport:
     ranks = (la.width(xs[0]), ambient.rank, f_lat.rank)
     law = ranks == (gg + 1, 2 * gg + 1, gg)
     return SequenceReport(
-        ranks, law, _kernel_rows_exact(*rows, ranks[0], eta_map.matrix),
-        _kernel_rows_exact(*rows_bar, la.width(xsbar[0]), res_map.matrix),
+        ranks, law, kernel_sequence_exact(*rows, ranks[0], eta_map.matrix),
+        kernel_sequence_exact(*rows_bar, la.width(xsbar[0]), res_map.matrix),
     )
 
 
@@ -298,7 +288,9 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
     restricted to it, which is the twist of the restricted translations, as
     restricted matrices are unique.  Exactness is decided as in
     verify_serre_sequence, by kernel_sequence_exact against the validated
-    restriction map; build_serre is the route by restriction.
+    restriction map, on the same nonzeros of K's and W's rows that the
+    restriction reads (la._pair_rows); build_serre is the route by
+    restriction.
     """
     g = d.group
     n = g.order
@@ -316,7 +308,8 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
         permutation_lattice(GSet(g, right_cosets, validate=False)), taut,
         permutation_lattice(sigma_f),
     )
-    sub_rho = la.restricted_action(K, W, tw_middle.rho)
+    rows = la._pair_rows(K, W)
+    sub_rho = la.restricted_action(*rows, tw_middle.rho)
     if sub_rho is None:
         raise InvalidDatum("the twisted action does not preserve X*(Sbar)")  # cannot happen
     # restricted_action has checked K X = M K for every element
@@ -330,7 +323,7 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
         d, tw_middle, tw_sub, sub_inc, tw_quotient, res_map,
         tw_middle == permutation_lattice(conjugation_twist(g)),
         tw_quotient == permutation_lattice(GSet(g, coset_conj, validate=False)),
-        kernel_sequence_exact(K, W, res_map.matrix), action_trivial,
+        kernel_sequence_exact(*rows, la.width(K), res_map.matrix), action_trivial,
     )
 
 

@@ -475,7 +475,8 @@ def xsbar_twist_by_restriction(d) -> tuple:
     inclusion."""
     g = d.group
     m, inc = lt.equivariant_sublattice(sr._right_regular(g), sr._pair_equations(d, False))
-    left = la.restricted_action(inc.matrix, inc.retraction, sr._left_regular(g).rho)
+    left = la.restricted_action(*la._pair_rows(inc.matrix, inc.retraction),
+                                sr._left_regular(g).rho)
     if left is None:
         raise sr.InvalidDatum("left translation does not preserve X*(Sbar)")
     taut = co.CrossedHom(g, co.trivial_gamma_group(g, g), tuple(g.elements()))
@@ -550,6 +551,14 @@ def joint_by_coordinates(F, G, rank: int) -> lt.JointReport:
     s = la.smith_normal_form(X, transforms=())
     free = s.rank < len(X)
     return lt.JointReport(True, not free, not free and all(d in (0, 1) for d in s.diagonal))
+
+
+def kernel_sequence_of(K, W, E) -> bool:
+    """lattices.kernel_sequence_exact on whole matrices: the nonzeros of the
+    rows of K and W read as the library reads them (la._pair_rows, which
+    raises ValueError unless W has the transposed shape of K), and K's
+    width given."""
+    return lt.kernel_sequence_exact(*la._pair_rows(K, W), la.width(K), E)
 
 
 def kernel_sequence_by_joint(K, W, E) -> bool:

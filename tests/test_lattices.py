@@ -14,6 +14,7 @@ from helpers import (
     disjoint_union,
     joint_by_coordinates,
     kernel_sequence_by_joint,
+    kernel_sequence_of,
     lattice_eq,
     matrix_twin,
     permutation_lattice_reference,
@@ -291,11 +292,13 @@ def test_equivariant_sublattice_checks_every_element():
 
 
 def test_restricted_action_rejects_mismatched_shapes():
+    # a matrix of the wrong size is refused by restricted_action, and a
+    # retraction of the wrong shape where the rows are read
     K, W = la.saturated_kernel([[1, -1]])
     with pytest.raises(ValueError):
-        la.restricted_action(K, W, [la.identity(3)])
+        la.restricted_action(*la._pair_rows(K, W), [la.identity(3)])
     with pytest.raises(ValueError):
-        la.restricted_action(K, K, [la.identity(2)])
+        la._pair_rows(K, K)
 
 
 def test_exactness_split_sequence():
@@ -455,7 +458,7 @@ def test_kernel_sequence_rule_agrees_with_the_joint_route():
     seen = Counter()
     for _ in range(2400):
         K, W, E = _random_kernel_triple(rng)
-        exact = lt.kernel_sequence_exact(K, W, E)
+        exact = kernel_sequence_of(K, W, E)
         assert exact == kernel_sequence_by_joint(K, W, E), (K, W, E)
         zero_ended = not (len(K) and la.width(K) and len(E))
         seen[exact, zero_ended] += 1
@@ -470,17 +473,28 @@ def test_kernel_sequence_rule_refutes_each_wrong_product():
     E = ((1, 1, 0, 0), (0, 0, 1, 1))
     K = ((-1, 0), (1, 0), (0, -1), (0, 1))
     W = ((0, 1, 0, 0), (0, 0, 0, 1))
-    assert lt.kernel_sequence_exact(K, W, E) and kernel_sequence_by_joint(K, W, E)
+    assert kernel_sequence_of(K, W, E) and kernel_sequence_by_joint(K, W, E)
     wrong = [
         (K, ((0, 1, 0, 1), (0, 0, 0, 1)), E),  # W K = [[1, 1], [0, 1]]
         (K, ((0, 2, 0, 0), (0, 0, 0, 1)), E),  # W K = diag(2, 1)
         (K, ((0, -1, 0, 0), (0, 0, 0, 1)), E),  # W K = diag(-1, 1)
         (K, W[:1], E),  # W has one row fewer than K has columns
         (((0, 0),) + K[1:], W, E),  # E K = [[1, 0], [0, 0]], W K = I still
+        (tuple(row + (0,) for row in K), W, E),  # K a zero column too wide: W K = [I | 0]
     ]
+    # K's width is given with the rows, not read off W, so W one row short
+    # and K one column too wide are refuted on the rows too
     for k, w, e in wrong:
-        assert not lt.kernel_sequence_exact(k, w, e), (k, w)
+        rows = la._sparse(k), la._sparse(w)
+        assert not lt.kernel_sequence_exact(*rows, la.width(k), e), (k, w)
         assert not kernel_sequence_by_joint(k, w, e), (k, w)
+    # read as the library reads them, a W one row short or of the wrong
+    # width is refused (la._pair_rows), and so is an E of the wrong width
+    for w in (W[:1], tuple(row[:3] for row in W), tuple(row + (0,) for row in W)):
+        with pytest.raises(ValueError):
+            kernel_sequence_of(K, w, E)
+    with pytest.raises(ValueError):
+        kernel_sequence_of(K, W, tuple(row[:3] for row in E))
 
 
 def test_exactness_report_factors_no_empty_matrix(monkeypatch):
@@ -693,7 +707,7 @@ def test_equivariant_sublattice_on_serre_lattices():
                 checked += 1
             # twist_serre's twisted (conjugation) action on the same sublattice
             conj = lt.permutation_lattice(gs.conjugation_twist(g)).rho
-            twisted = la.restricted_action(K, W, conj)
+            twisted = la.restricted_action(*la._pair_rows(K, W), conj)
             ref = _reference_restriction(K, conj)
             assert all(_same(a, b) for a, b in zip(twisted, ref))
     assert checked == 3 * 65

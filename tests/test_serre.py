@@ -15,6 +15,7 @@ from helpers import (
     basis_verdict_by_coordinates,
     coordinates,
     kernel_sequence_by_joint,
+    kernel_sequence_of,
     matrix_twin,
     serre_sequence_by_restriction,
     twist_lattice_by_basis_images,
@@ -464,19 +465,19 @@ def test_kernel_sequence_rule_can_refute():
             for row in E:
                 row[n] = -1
         E = la.int_rows(E)
-        assert lt.kernel_sequence_exact(K, W, E)
+        assert kernel_sequence_of(K, W, E)
         # one row doubled: the same kernel, but E is not onto
         doubled = _twice(E[:1]) + E[1:]
         assert lt.joint_report(K, doubled, len(K)).exact
-        assert not lt.kernel_sequence_exact(K, W, doubled)
+        assert not kernel_sequence_of(K, W, doubled)
         # 2K: ker E / im 2K is finite and nonzero
         twice = _twice(K)
         joint = lt.joint_report(twice, E, len(K))
         assert joint.composite_zero and joint.image_equals_kernel_saturated
         assert not joint.image_equals_kernel_integral and not joint.exact
-        assert not lt.kernel_sequence_exact(twice, W, E)
+        assert not kernel_sequence_of(twice, W, E)
         # a W that is no left inverse of K
-        assert not lt.kernel_sequence_exact(K, _twice(W), E)
+        assert not kernel_sequence_of(K, _twice(W), E)
 
 
 def _twice(M) -> tuple:
@@ -502,7 +503,7 @@ def test_serre_kernel_sequences_agree_with_the_joint_route():
                 E = la.int_rows(E)
                 for k, w, e in ((K, W, E), (K, W, _twice(E[:1]) + E[1:]), (K, W, E[1:]),
                                 (_twice(K), W, E), (K, _twice(W), E)):
-                    exact = lt.kernel_sequence_exact(k, w, e)
+                    exact = kernel_sequence_of(k, w, e)
                     assert exact == kernel_sequence_by_joint(k, w, e)
                     seen[exact] += 1
     assert seen == {True: 2 * 65, False: 8 * 65}
@@ -546,15 +547,15 @@ def test_type_verdict_counts_the_rank_of_xs():
 def test_the_serre_data_checks_can_fire(monkeypatch):
     d = sr.CMGaloisDatum(gr.cyclic_group(4), 2)
     n = d.group.order
-    xs, xsbar = sr._xs_kernel(d, True), sr._xs_kernel(d, False)
-    assert sr._check_weights(n, xs, xsbar) == (1,) * n + (2,)
+    xs, xsbar = (la._pair_rows(*sr._xs_kernel(d, c)) for c in (True, False))
+    assert sr._weights_on_rows(n, xs, xsbar) == (1,) * n + (2,)
     # c = 0 added to the equations: the weight leaves X*(S)
     no_weight = la.saturated_kernel(sr._pair_equations(d, True) + ((0,) * n + (1,),))
     with pytest.raises(sr.InvalidDatum, match="weight lies outside"):
-        sr._check_weights(n, no_weight, xsbar)
+        sr._weights_on_rows(n, la._pair_rows(*no_weight), xsbar)
     # no equations: X*(Sbar) would be all of Z[G], which holds (1, ..., 1)
     with pytest.raises(sr.InvalidDatum, match="weight axis"):
-        sr._check_weights(n, xs, la.saturated_kernel(((0,) * n,)))
+        sr._weights_on_rows(n, xs, la._pair_rows(*la.saturated_kernel(((0,) * n,))))
     # one pair's equation dropped from the distinct equations that both
     # kernels read: they grow past the rank law
     xs_equations = sr._xs_equations

@@ -57,10 +57,16 @@ def test_block_decompositions_multiply_only_to_compose(monkeypatch):
     # 337 calls when the twists and checks multiplied matrices); each
     # twisted sequence is decided by one kernel_sequence_exact, which
     # multiplies on the nonzeros of K's rows and calls no la.matmul (18
-    # calls, 12 of them its W K and E K, when it did)
-    products, sequences = _calls(monkeypatch, checks.check_block_decomposition,
-                                 (la, "matmul"), (sr, "kernel_sequence_exact"))
-    assert products <= 6 and sequences == 6
+    # calls, 12 of them its W K and E K, when it did).  twist_serre reads
+    # the nonzeros of K and W once (la._pair_rows) for both the restricted
+    # action and the sequence; with the distinct rows of the twisted
+    # middle's action, the restriction map E and the two factors of the one
+    # compose, that is 6 reads per group (8 when restricted_action and
+    # kernel_sequence_exact each read K and W)
+    products, sequences, sparse = _calls(
+        monkeypatch, checks.check_block_decomposition,
+        (la, "matmul"), (sr, "kernel_sequence_exact"), (la, "_sparse"))
+    assert products <= 6 and sequences == 6 and sparse == 36
     d4 = gr.dihedral_group(4)
     products, sequences = _calls(monkeypatch, lambda: sr.conjugation_block_decomposition(d4),
                                  (la, "matmul"), (sr, "kernel_sequence_exact"))
@@ -176,11 +182,14 @@ def test_character_sequences_read_each_kernel_once(monkeypatch):
     # checks, W K == I and E K == 0 on those rows: 3 reads per sequence,
     # 390 over the 65 data (910 when each weight check read K, W and the
     # weight column through la.coordinates and W K and E K each read K
-    # again through la.matmul); the products stay 8 per datum
-    sparse, products = _calls(monkeypatch, checks.check_character_sequences,
-                              (la, "_sparse"), (la, "_times"))
+    # again through la.matmul); the products stay 8 per datum, and each of
+    # the 130 sequences is decided by one kernel_sequence_exact on the rows
+    sparse, products, sequences = _calls(
+        monkeypatch, checks.check_character_sequences,
+        (la, "_sparse"), (la, "_times"), (sr, "kernel_sequence_exact"))
     assert sparse <= 390
     assert products == 520
+    assert sequences == 130
 
 
 def test_permutation_h1_checks_each_action_once(monkeypatch):
