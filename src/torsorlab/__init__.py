@@ -8,5 +8,6 @@ and the number-theoretic certificates that feed them.
 __version__ = "0.1.0"
 
 # Convention flag: the quotient-of-Serre-group character lattice is cut out
-# by n + (involution)n = 0.  Reports carry this so the choice is auditable.
+# by n + (involution)n = 0.  CLI reports carry it under `conventions`, so the
+# choice is auditable.
 SBAR_CONDITION = 0

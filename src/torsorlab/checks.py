@@ -201,8 +201,7 @@ def _lift_case(gamma, a, b, inc, proj, lift):
     q = co.CrossedHom(gamma, C, tuple(map(proj, lift)))
     return seq, [
         to.RelativeClass(seq.project, to.trivial_torsor(C), to.trivial_torsor(B)),
-        to.RelativeClass(seq.project, to.TorsorRep(C, q),
-                         to.TorsorRep(B, co.CrossedHom(gamma, B, lift))),
+        to.RelativeClass(seq.project, q, co.CrossedHom(gamma, B, lift)),
     ]
 
 

@@ -168,7 +168,7 @@ def cmd_torsor_verify(args, seq, base):
         "table": [
             {
                 "kernel_class": list(cls.values),
-                "relative_class": list(rep.relative_classes[m].p.cocycle.values),
+                "relative_class": list(rep.relative_classes[m].values),
             }
             for cls, m in zip(rep.kernel_h1_classes, rep.mapping)
             if m >= 0

@@ -325,21 +325,19 @@ def _cayley_search(gamma: FiniteGroup, coeff: GammaGroup, gens, candidates) -> l
     return out
 
 
-def _budgeted_gens(gamma: FiniteGroup, n: GammaGroup, budget: int) -> tuple:
-    """generating_set(gamma); BudgetExceeded when the candidate values at
-    those generators, |n|^(number of gens), exceed budget."""
-    gens = generating_set(gamma)
-    total = n.underlying.order ** len(gens)
+def _check_budget(total: int, budget: int) -> None:
+    """BudgetExceeded when a search would try more than `budget` choices of
+    values at the generators."""
     if total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
-    return gens
 
 
 def enumerate_cocycles(gamma: FiniteGroup, n: GammaGroup,
                        budget: int = DEFAULT_BUDGET) -> tuple:
     """All crossed homomorphisms gamma -> n, as sorted value tuples;
     NotAction unless gamma acts on n by automorphisms."""
-    gens = _budgeted_gens(gamma, n, budget)
+    gens = generating_set(gamma)
+    _check_budget(n.underlying.order ** len(gens), budget)
     n.check_automorphisms()
     every = [n.underlying.elements()] * len(gens)
     return tuple(sorted(_cayley_search(gamma, n, gens, every)))
@@ -405,20 +403,29 @@ def twist_classes(coefficient: GammaGroup, tables, by) -> dict:
     return label
 
 
-def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
-                  budget: int = DEFAULT_BUDGET) -> NonabelianH1:
-    """The twist classes of the crossed homomorphisms gamma -> n.
-    BudgetExceeded comes first; then NotAction from the one automorphism
-    check, which twist_classes makes before it reads the searched tables
-    (the search itself needs no action to be by automorphisms)."""
-    gens = _budgeted_gens(gamma, n, budget)
-    every = [n.underlying.elements()] * len(gens)
-    tables = _cayley_search(gamma, n, gens, every)
-    label = twist_classes(n, tables, n.underlying.elements())
+def _twist_class_search(gamma: FiniteGroup, n: GammaGroup, gens, candidates, by,
+                        budget: int) -> NonabelianH1:
+    """The classes under twisting by the subgroup `by` of n of the crossed
+    homomorphisms gamma -> n with a value from candidates[i] at gens[i],
+    each represented by its least table.  BudgetExceeded comes first; then
+    NotAction from the one automorphism check, which twist_classes makes
+    before it reads the searched tables (the search itself needs no action
+    to be by automorphisms)."""
+    _check_budget(math.prod(map(len, candidates)), budget)
+    label = twist_classes(n, _cayley_search(gamma, n, gens, candidates), by)
     return NonabelianH1(
         tuple(CrossedHom(gamma, n, rep, validate=False) for rep in dict.fromkeys(label.values())),
         label,
     )
+
+
+def h1_nonabelian(gamma: FiniteGroup, n: GammaGroup,
+                  budget: int = DEFAULT_BUDGET) -> NonabelianH1:
+    """The twist classes of the crossed homomorphisms gamma -> n: every
+    element of n at each generator, twisted by all of n."""
+    gens = generating_set(gamma)
+    every = n.underlying.elements()
+    return _twist_class_search(gamma, n, gens, [every] * len(gens), every, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,6 @@ class Lim1Verdict:
     status: str  # "trivial" | "uncountable" | "unknown"
     reason: str = ""
     certificate: dict | None = None
-    factors: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +297,12 @@ def lim1_classify(recipe, horizon: int = DEFAULT_HORIZON) -> Lim1Verdict:
     if isinstance(recipe, Product):
         sub = tuple(lim1_classify(f, horizon) for f in recipe.factors)
         if all(v.status == "trivial" for v in sub):
-            return Lim1Verdict("trivial", reason="every factor is trivial", factors=sub)
+            return Lim1Verdict("trivial", reason="every factor is trivial")
         if any(v.status == "uncountable" for v in sub):
             bad = next(v for v in sub if v.status == "uncountable")
-            return Lim1Verdict(
-                "uncountable", reason="a factor is uncountable",
-                certificate=bad.certificate, factors=sub,
-            )
-        return Lim1Verdict("unknown", reason="undecided factor", factors=sub)
+            return Lim1Verdict("uncountable", reason="a factor is uncountable",
+                               certificate=bad.certificate)
+        return Lim1Verdict("unknown", reason="undecided factor")
     verdict = ml_check(recipe, horizon)
     if verdict.holds:
         return Lim1Verdict("trivial", reason="Mittag-Leffler holds: " + verdict.proof)

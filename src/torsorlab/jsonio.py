@@ -341,7 +341,7 @@ def base_class_from_json(ref, seq, basedir="."):
     obj, _ = _object(ref, basedir, ("q_values", "p_values"))
     q = co.CrossedHom(seq.c.gamma, seq.c, _int_row(_field(obj, "q_values")))
     p = co.CrossedHom(seq.b.gamma, seq.b, _int_row(_field(obj, "p_values")))
-    return to.RelativeClass(seq.project, to.TorsorRep(seq.c, q), to.TorsorRep(seq.b, p))
+    return to.RelativeClass(seq.project, q, p)
 
 
 _CHAINS = {"layered-obstruction": ("l", "p0", "levels", "prime_bound"),

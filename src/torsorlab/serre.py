@@ -3,7 +3,8 @@
 Everything is built on abstract data (finite group plus central involution),
 never on embedded number fields: the lattice-level claims are invariant
 under that abstraction.  Convention: the quotient-of-Serre-group lattice is
-cut out by n + (involution)n = 0; the flag travels with every report.
+cut out by n + (involution)n = 0, the convention that SBAR_CONDITION names
+and every CLI report carries under `conventions`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import SBAR_CONDITION
 from . import linalg as la
 from . import numtheory as nt
 from .cohomology import CrossedHom, h1_abelian, trivial_gamma_group, twist_lattice
@@ -139,7 +139,6 @@ class SerreData:
     xsbar: ZGLattice  # solutions of n + (iota)n = 0 inside Z[G]
     xsbar_inclusion: LatticeMap
     weight: tuple  # the constant element, in ambient coordinates
-    condition: int = SBAR_CONDITION
 
 
 def build_serre(d: CMGaloisDatum) -> SerreData:
@@ -187,7 +186,6 @@ class SequenceReport:
     rank_law_holds: bool
     with_constant_exact: bool  # 0 -> X*(S) -> Z[S_K] + Z -> Z[S_F] -> 0
     quotient_exact: bool  # 0 -> X*(Sbar) -> Z[S_K] -> Z[S_F] -> 0
-    condition: int = SBAR_CONDITION
 
 
 def _coset_restriction(d: CMGaloisDatum):
@@ -348,7 +346,6 @@ class BlockDecompositionReport:
     twisted_sub_iso: bool  # twisted X*(Sbar) = the block permutation lattice
     block_ranks: tuple
     total_rank: int
-    condition: int = SBAR_CONDITION
 
 
 def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionReport:

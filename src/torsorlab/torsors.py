@@ -1,23 +1,24 @@
 """Concrete finite torsors: relative classes and the twist bijection.
 
-A torsor under a Gamma-group A is carried by its descent cocycle.
+A torsor under a Gamma-group A is its descent cocycle, a CrossedHom with
+values in A (Serre, Galois Cohomology, I 5.3): the trivial torsor is the
+trivial cocycle, and the relative classes over a base cocycle q are the
+classes of the lifts of q under twisting by the kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cohomology import (
-    BudgetExceeded,
     CrossedHom,
     DEFAULT_BUDGET,
     GammaGroup,
+    NonabelianH1,
     NotCocycle,
-    _cayley_search,
+    _twist_class_search,
     h1_nonabelian,
     trivial_cocycle,
-    twist_classes,
     twist_group,
 )
 from .groups import GroupHom, generating_set
@@ -31,18 +32,8 @@ class NotExact(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TorsorRep:
-    structure: GammaGroup
-    cocycle: CrossedHom
-
-    def __post_init__(self):
-        if self.cocycle.coefficient != self.structure:
-            raise NotCocycle("cocycle must take values in the structure group")
-
-
-def trivial_torsor(structure: GammaGroup) -> TorsorRep:
-    return TorsorRep(structure, trivial_cocycle(structure.gamma, structure))
+def trivial_torsor(structure: GammaGroup) -> CrossedHom:
+    return trivial_cocycle(structure.gamma, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -78,48 +69,36 @@ class RelativeClass:
     """A lift p of the base cocycle q along v, with v o p = q on the nose."""
 
     vmap: EquivariantHom
-    q: TorsorRep
-    p: TorsorRep
+    q: CrossedHom
+    p: CrossedHom
 
     def __post_init__(self):
-        if self.q.structure != self.vmap.target:
+        if self.q.coefficient != self.vmap.target:
             raise IncompatibleActions("base torsor lives over the wrong group")
-        if self.p.structure != self.vmap.source:
+        if self.p.coefficient != self.vmap.source:
             raise IncompatibleActions("lift lives over the wrong group")
         for t in self.vmap.source.gamma.elements():
-            if self.vmap(self.p.cocycle(t)) != self.q.cocycle(t):
+            if self.vmap(self.p(t)) != self.q(t):
                 raise NotCocycle("lift does not map onto the base cocycle")
 
 
-def relative_h1(v: EquivariantHom, q: TorsorRep,
-                budget: int = DEFAULT_BUDGET) -> tuple:
-    """(representatives, partition) of the lifts of q along v modulo kernel
-    twists: the relative classes in the order of their least tables, and
-    twist_classes of the lift tables, each to its class's least table;
-    NotAction unless Gamma acts on the source by automorphisms (checked by
-    twist_classes).
+def relative_h1(v: EquivariantHom, q: CrossedHom,
+                budget: int = DEFAULT_BUDGET) -> NonabelianH1:
+    """The relative classes over the base cocycle q: the lifts f of q along
+    v modulo twists by the kernel of v, from the search of h1_nonabelian
+    (cohomology._twist_class_search) with each generator value ranging over
+    the v-fiber of q's value there.  BudgetExceeded first, then NotAction
+    unless Gamma acts on the source by automorphisms.
 
-    Lifts are searched on the generating set of Gamma by closing its Cayley
-    graph (cohomology._cayley_search): each generator value ranges over the
-    v-fiber of the base value.
+    v o f and q are cocycles that agree on the generators, so v o f = q for
+    every table found.
     """
-    if q.structure != v.target:
+    if q.coefficient != v.target:
         raise IncompatibleActions("base torsor over the wrong group")
-    gamma = v.source.gamma
     B = v.source
-    gens = generating_set(gamma)
-    fibers = [tuple(x for x in B.underlying.elements() if v(x) == q.cocycle(s))
-              for s in gens]
-    total = math.prod(map(len, fibers))
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidate lifts exceed budget {budget}")
-    # v o f and q are cocycles that agree on the generators, so v o f = q
-    lifts = _cayley_search(gamma, B, gens, fibers)
-    label = twist_classes(B, lifts, v.hom.kernel())
-    return tuple(
-        RelativeClass(v, q, TorsorRep(B, CrossedHom(gamma, B, r, validate=False)))
-        for r in dict.fromkeys(label.values())
-    ), label
+    gens = generating_set(B.gamma)
+    fibers = [tuple(x for x in B.underlying.elements() if v(x) == q(s)) for s in gens]
+    return _twist_class_search(B.gamma, B, gens, fibers, v.hom.kernel(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +145,7 @@ class TwistBijectionReport:
     it."""
 
     kernel_h1_classes: tuple  # canonical representatives in the inner form
-    relative_classes: tuple  # canonical representatives of lifts
+    relative_classes: tuple  # the lift cocycles of relative_h1's classes
     mapping: tuple  # index of the relative class hit by each kernel class
     bijective: bool
     neutral_to_base: bool
@@ -197,7 +176,7 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     gamma = seq.b.gamma
     B = seq.b
     A = seq.a
-    p0 = base.p.cocycle
+    p0 = base.p
     # inner form of the kernel: the twist of B by the base cocycle, restricted
     emb = seq.include.hom.map
     back = {e: i for i, e in enumerate(emb)}
@@ -211,8 +190,8 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
     twisted_kernel = GammaGroup(gamma, A.underlying, action)
 
     kernel_h1 = h1_nonabelian(gamma, twisted_kernel, budget)
-    rel, label = relative_h1(base.vmap, base.q, budget)
-    rel_index = {rc.p.cocycle.values: i for i, rc in enumerate(rel)}
+    rel = relative_h1(base.vmap, base.q, budget)
+    rel_index = {rc.values: i for i, rc in enumerate(rel.classes)}
     mapping = []
     for cls in kernel_h1.classes:
         lifted = tuple(
@@ -220,14 +199,14 @@ def verify_twist_bijection(seq: ExactGammaSequence, base: RelativeClass,
         )
         # must be a genuine B-cocycle over q
         CrossedHom(gamma, B, lifted)
-        mapping.append(rel_index.get(label.get(lifted), -1))
-    bijective = -1 not in mapping and len(set(mapping)) == len(mapping) == len(rel)
+        mapping.append(rel_index.get(rel.partition.get(lifted), -1))
+    bijective = -1 not in mapping and len(set(mapping)) == len(mapping) == rel.count
     neutral = kernel_h1.classes[0].values == trivial_cocycle(gamma, twisted_kernel).values
     neutral_to_base = (neutral and mapping[0] >= 0
-                       and rel[mapping[0]].p.cocycle.values == label.get(p0.values))
+                       and rel.classes[mapping[0]].values == rel.partition.get(p0.values))
     return TwistBijectionReport(
         kernel_h1.classes,
-        rel,
+        rel.classes,
         tuple(mapping),
         bijective,
         neutral_to_base,

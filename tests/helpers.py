@@ -14,8 +14,8 @@ the action law and lattice twists read on basis vectors with no matrix
 product, matrices stacked one below the other, and subgroups and their
 generating sets by closing from {0} each time, Gaussian-period polynomials
 by summing rotations, the truncated lim^1 obstruction one witness choice at
-a time, and the benchmark's workloads, tools/reach.py and tools/profile.py
-read from their files."""
+a time, and the benchmark's workloads, tools/reach.py, tools/profile.py and
+tools/kinds.py read from their files."""
 
 import contextlib
 import importlib.util
@@ -51,6 +51,10 @@ def reach_tool():
 
 def profile_tool():
     return _tool("profile")
+
+
+def kinds_tool():
+    return _tool("kinds")
 
 
 @contextlib.contextmanager

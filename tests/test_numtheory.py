@@ -1,9 +1,7 @@
 import builtins
 import dataclasses
 import hashlib
-import importlib.util
 import json
-import pathlib
 import random
 import re
 import subprocess
@@ -17,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsorlab import numtheory as nt
-from helpers import (period_expansion_by_rotations, period_polynomial_by_rotations, poly_divmod, poly_mul,
-                     poly_trim, powmod_reference, squarefree_decomposition_reference)
+from helpers import (perfbench_workloads, period_expansion_by_rotations, period_polynomial_by_rotations,
+                     poly_divmod, poly_mul, poly_trim, powmod_reference, squarefree_decomposition_reference)
 from test_acceptance import _env
 
 
@@ -230,15 +228,6 @@ def test_squarefree_decomposition_stops_at_a_unit_gcd(monkeypatch):
     assert calls["_fp_quo"] > 0
 
 
-def _perfbench_workloads():
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 # sha256 of the defining polynomials below, taken before padd/psub took over
 # the integer period sums
 PERIOD_POLYNOMIALS_SHA256 = (
@@ -247,12 +236,10 @@ PERIOD_POLYNOMIALS_SHA256 = (
 
 def test_abelian_defining_polynomial_on_benchmark_fields():
     # every conductor and subgroup the benchmark's splitting cases draw from
-    wl = _perfbench_workloads()
-    rows = []
-    for m in wl.CONDUCTORS:
-        for h in wl.split_fields(m):
-            fld = nt.AbelianFieldDatum(m, h)
-            rows.append([m, list(h), list(nt.abelian_defining_polynomial(fld).poly)])
+    with perfbench_workloads() as wl:
+        fields = [(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)]
+    rows = [[m, list(h), list(nt.abelian_defining_polynomial(nt.AbelianFieldDatum(m, h)).poly)]
+            for m, h in fields]
     assert len(rows) == 267
     blob = json.dumps(rows, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == PERIOD_POLYNOMIALS_SHA256
@@ -274,8 +261,8 @@ def test_period_polynomials_are_proved_irreducible_by_one_prime(monkeypatch):
     # the benchmark's splitting fields, and every field criterion 9 builds
     from torsorlab import checks
 
-    wl = _perfbench_workloads()
-    fields = [nt.AbelianFieldDatum(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)]
+    with perfbench_workloads() as wl:
+        fields = [nt.AbelianFieldDatum(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)]
     built = nt.abelian_defining_polynomial
     monkeypatch.setattr(nt, "abelian_defining_polynomial",
                         lambda fld: fields.append(fld) or built(fld))
@@ -501,9 +488,9 @@ def test_split_path_makes_no_tuple_division(monkeypatch):
     # tuples, the exact one over Z, is not taken again, and neither is the
     # equal-degree split; F_p[x] runs on the list kernel, whose derivative
     # the squarefree stage reads
-    wl = _perfbench_workloads()
-    cases = [c.args for c in wl.build("tables-primes", 1)
-             if c.kind == "split" and c.args[0] == 40]
+    with perfbench_workloads() as wl:
+        cases = [c.args for c in wl.build("tables-primes", 1)
+                 if c.kind == "split" and c.args[0] == 40]
     assert len(cases) > 10
 
     def run():
@@ -650,9 +637,9 @@ def test_period_polynomials():
 def _period_oracle_fields() -> list:
     # every unit subgroup of every conductor m <= 60, and every field the
     # benchmark's splitting cases draw from
-    wl = _perfbench_workloads()
-    return ([nt.AbelianFieldDatum(m, h) for m in range(1, 61) for h in nt.unit_subgroups(m)]
-            + [nt.AbelianFieldDatum(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)])
+    with perfbench_workloads() as wl:
+        bench = [nt.AbelianFieldDatum(m, h) for m in wl.CONDUCTORS for h in wl.split_fields(m)]
+    return [nt.AbelianFieldDatum(m, h) for m in range(1, 61) for h in nt.unit_subgroups(m)] + bench
 
 
 def test_packed_period_polynomials_match_the_rotation_oracle():

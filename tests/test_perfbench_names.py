@@ -2,29 +2,17 @@
 
 perfbench/tracing.py binds its TIMED and COUNTED (module, attribute) pairs
 with setattr when a traced run starts, so a renamed or deleted function
-breaks only that run.  The tuples are read from the file's syntax tree,
-without importing the benchmark.
+breaks only that run.  The tuples are read from the file's syntax tree by
+tools/reach.py's tracer_names, without importing the benchmark.
 """
 
-import ast
 import importlib
-import pathlib
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def _wrapped() -> list:
-    pairs = []
-    for node in ast.parse(TRACING.read_text()).body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED")
-                        for t in node.targets)):
-            pairs += ast.literal_eval(node.value)
-    return pairs
+from helpers import reach_tool
 
 
 def test_every_traced_name_resolves():
-    pairs = _wrapped()
+    pairs = reach_tool().tracer_names()
     assert len(pairs) == len(set(pairs)) > 0
     missing = []
     for module, attr in pairs:

@@ -38,33 +38,32 @@ def test_relative_h1_plain_h1_when_base_trivial_group():
     B = co.trivial_gamma_group(gamma, s3)
     C = co.trivial_gamma_group(gamma, gr.trivial_group())
     v = to.EquivariantHom(B, C, gr.GroupHom(s3, gr.trivial_group(), (0,) * 6))
-    q = to.trivial_torsor(C)
-    reps, label = to.relative_h1(v, q)
+    rel = to.relative_h1(v, to.trivial_torsor(C))
     plain = co.h1_nonabelian(gamma, B)
-    assert len(reps) == plain.count == 2
-    assert label == plain.partition
+    assert rel.count == plain.count == 2
+    assert rel.partition == plain.partition and rel.classes == plain.classes
 
 
 def test_relative_h1_identity_map_single_class():
     n = c2_on_c2_structure()
     v = to.EquivariantHom(n, n, gr.identity_hom(n.underlying))
-    q = to.TorsorRep(n, co.CrossedHom(n.gamma, n, (0, 1)))
-    reps, _ = to.relative_h1(v, q)
-    assert len(reps) == 1
-    assert reps[0].p.cocycle.values == q.cocycle.values
+    q = co.CrossedHom(n.gamma, n, (0, 1))
+    rel = to.relative_h1(v, q)
+    assert rel.classes == (q,) and rel.cocycle_count == 1
 
 
 def test_relative_h1_s3_sequence_counts():
     seq = s3_sequence()
     v = seq.project
-    q_triv = to.trivial_torsor(seq.c)
-    reps, _ = to.relative_h1(v, q_triv)
     # lifts valued in the kernel: only the trivial hom C2 -> C3
-    assert len(reps) == 1
-    q_id = to.TorsorRep(seq.c, co.CrossedHom(seq.c.gamma, seq.c, (0, 1)))
-    reps, label = to.relative_h1(v, q_id)
+    assert to.relative_h1(v, to.trivial_torsor(seq.c)).count == 1
+    q_id = co.CrossedHom(seq.c.gamma, seq.c, (0, 1))
+    rel = to.relative_h1(v, q_id)
     # three transposition lifts, fused by kernel conjugation
-    assert len(reps) == 1 and len(label) == 3
+    assert rel.count == 1 and rel.cocycle_count == 3
+    # the budget counts the fibre of the one generator, three lifts
+    with pytest.raises(co.BudgetExceeded):
+        to.relative_h1(v, q_id, budget=2)
 
 
 def quotient_map(b: co.GammaGroup, n_elems) -> to.EquivariantHom:
@@ -106,12 +105,12 @@ def test_relative_h1_matches_brute_force():
         kernel = v.hom.kernel()
         cocycles = brute_cocycles(b.gamma, b)
         for qvals in brute_cocycles(b.gamma, v.target):
-            q = to.TorsorRep(v.target, co.CrossedHom(b.gamma, v.target, qvals))
+            q = co.CrossedHom(b.gamma, v.target, qvals)
             lifts = [f for f in cocycles if tuple(map(v, f)) == qvals]
             least = {f: min(co.twist_values(b, f, kernel)) for f in lifts}
-            reps, label = to.relative_h1(v, q)
-            assert [rc.p.cocycle.values for rc in reps] == sorted(set(least.values()))
-            assert label == least, (b, n_elems, qvals)
+            rel = to.relative_h1(v, q)
+            assert [rc.values for rc in rel.classes] == sorted(set(least.values()))
+            assert rel.partition == least, (b, n_elems, qvals)
 
 
 def twist_components(b: co.GammaGroup, tables, by) -> list:
@@ -176,12 +175,11 @@ def test_twist_classes_equal_the_whole_orbit_reference():
 def test_twist_bijection_s3():
     seq = s3_sequence()
     bases = []
-    q_triv = to.trivial_torsor(seq.c)
     bases.append(to.RelativeClass(
-        seq.project, q_triv, to.trivial_torsor(seq.b)
+        seq.project, to.trivial_torsor(seq.c), to.trivial_torsor(seq.b)
     ))
-    q_id = to.TorsorRep(seq.c, co.CrossedHom(seq.c.gamma, seq.c, (0, 1)))
-    p_lift = to.TorsorRep(seq.b, co.CrossedHom(seq.b.gamma, seq.b, (0, 1)))
+    q_id = co.CrossedHom(seq.c.gamma, seq.c, (0, 1))
+    p_lift = co.CrossedHom(seq.b.gamma, seq.b, (0, 1))
     bases.append(to.RelativeClass(seq.project, q_id, p_lift))
     for base in bases:
         rep = to.verify_twist_bijection(seq, base)
@@ -217,11 +215,13 @@ def test_twist_bijection_degenerate_c_trivial():
 def test_twist_bijection_maps_a_lift_with_no_label_to_minus_one(monkeypatch):
     # negative control for the lookup: when the search of relative_h1 misses
     # the lift (0, 1), the kernel class (0, 1) lifts to a table with no label
-    # in the partition, so it maps to -1 and the bijection refutes
-    search = to._cayley_search
-    monkeypatch.setattr(to, "_cayley_search", lambda *args: [
-        t for t in search(*args) if t != (0, 1)])
-    rep = to.verify_twist_bijection(*c_trivial_sequence())
+    # in the partition, so it maps to -1 and the bijection refutes.  Only the
+    # search over B drops it: the kernel's H^1 searches the twisted kernel.
+    seq, base = c_trivial_sequence()
+    search = co._cayley_search
+    monkeypatch.setattr(co, "_cayley_search", lambda gamma, coeff, *rest: [
+        t for t in search(gamma, coeff, *rest) if coeff is not seq.b or t != (0, 1)])
+    rep = to.verify_twist_bijection(seq, base)
     assert rep.mapping == (0, -1)
     assert not rep.bijective and rep.neutral_to_base
 
@@ -325,8 +325,8 @@ def reference_factors(seq: to.ExactGammaSequence, base: to.RelativeClass):
                 if B.underlying.conj(b1, emb[x]) != B.underlying.conj(b2, emb[x]):
                     return False
     # the twisted kernel must equal the twist through the base of q
-    twisted_b = co.twist_group(B, base.p.cocycle)
-    q0 = base.q.cocycle
+    twisted_b = co.twist_group(B, base.p)
+    q0 = base.q
     lift_of = {}
     for b in B.underlying.elements():
         lift_of.setdefault(seq.project(b), b)
@@ -358,8 +358,8 @@ def test_abelian_kernel_action_factors_agrees_with_the_all_pairs_loops():
                 qvals = tuple(map(seq.project, pvals))
                 base = to.RelativeClass(
                     seq.project,
-                    to.TorsorRep(seq.c, co.CrossedHom(b.gamma, seq.c, qvals)),
-                    to.TorsorRep(b, co.CrossedHom(b.gamma, b, pvals)),
+                    co.CrossedHom(b.gamma, seq.c, qvals),
+                    co.CrossedHom(b.gamma, b, pvals),
                 )
                 rep = to.verify_twist_bijection(seq, base)
                 assert rep.bijective and rep.neutral_to_base

@@ -11,7 +11,6 @@ from torsorlab import lattices as lt
 from torsorlab import linalg as la
 from torsorlab import numtheory as nt
 from torsorlab import serre as sr
-from torsorlab import torsors as ts
 from helpers import perfbench_workloads
 
 
@@ -259,8 +258,7 @@ def test_permutation_h1_divisor_rows(monkeypatch):
 
 
 def _cayley_work(monkeypatch, run) -> tuple:
-    """(_cayley_search calls, value tables they return) while run() runs;
-    torsors calls it by the name it imports, so both names are wrapped."""
+    """(_cayley_search calls, value tables they return) while run() runs."""
     search, counts = co._cayley_search, [0, 0]
 
     def counted(*args):
@@ -270,10 +268,8 @@ def _cayley_work(monkeypatch, run) -> tuple:
         return tables
 
     monkeypatch.setattr(co, "_cayley_search", counted)
-    monkeypatch.setattr(ts, "_cayley_search", counted)
     run()
     monkeypatch.setattr(co, "_cayley_search", search)
-    monkeypatch.setattr(ts, "_cayley_search", search)
     return tuple(counts)
 
 

@@ -44,14 +44,15 @@ README = ROOT / "README.md"
 EXAMPLES = ROOT / "tests" / "examples"
 
 
-def tracer_names() -> set:
-    """The (module, attribute) pairs of TIMED and COUNTED in tracing.py."""
-    pairs = set()
+def tracer_names() -> list:
+    """The (module, attribute) pairs of TIMED and COUNTED in tracing.py, in
+    file order."""
+    pairs = []
     for node in ast.parse(TRACING.read_text()).body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED")
                         for t in node.targets)):
-            pairs.update(ast.literal_eval(node.value))
+            pairs += ast.literal_eval(node.value)
     return pairs
 
 
@@ -59,7 +60,7 @@ def defined_functions() -> dict:
     """{(file, first line, name): label} of every def in src/torsorlab, read
     from the code objects that compiling each module gives; the label ends
     in `(tracer)` when tracing.py names the function."""
-    traced = tracer_names()
+    traced = set(tracer_names())
     found = {}
     for path in sorted((SRC / "torsorlab").glob("*.py")):
         todo = [compile(path.read_text(), str(path), "exec")]
