@@ -339,7 +339,7 @@ def check_lim1_dichotomy(horizon: int = 8) -> CheckResult:
     nothing, and the tower's certificate must come out the same when it is
     recomputed from the tower's recipe."""
     evidence, findings, verdicts = {}, [], {}
-    tower = sr.serre_tower_recipe(sr.layered_obstruction_tower(3, 7, levels=1))
+    tower = sr.layered_obstruction_tower(3, 7, levels=1)
     cases = (
         ("halving-subgroup-chain", iv.SubgroupChain(1, ((2,),), ((1,),)), "uncountable"),
         ("identity-endomorphism", iv.ConstantEndo((0,), ((1,),)), "trivial"),

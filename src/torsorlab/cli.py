@@ -249,9 +249,9 @@ def cmd_serre_sequence(args, datum):
 
 
 def cmd_serre_tower(args, chain):
-    recipe = sr.serre_tower_recipe(jsonio.chain_from_json(chain))
+    tower = jsonio.chain_from_json(chain)
     return _emit_lim1(
-        "serre-tower-classification", iv.lim1_classify(recipe, args.horizon), args
+        "serre-tower-classification", iv.lim1_classify(tower, args.horizon), args
     )
 
 

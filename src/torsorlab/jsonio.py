@@ -354,8 +354,10 @@ def chain_from_json(ref, basedir="."):
     if kind == "layered-obstruction":
         return sr.layered_obstruction_tower(_field(obj, "l", int), _field(obj, "p0", int),
                                             **_sizes(obj))
-    datum = datum_from_json(_field(obj, "datum"), basedir)
-    return sr.constant_tower(datum, _field(obj, "length", int, 2))
+    # the format requires a valid datum, though a constant chain's norm
+    # tower is length + 1 copies of Q whatever it is
+    datum_from_json(_field(obj, "datum"), basedir)
+    return sr.constant_tower(_field(obj, "length", int, 2))
 
 
 def parse_poly(text: str) -> tuple:

@@ -472,11 +472,11 @@ def dedekind_split(fld: NumberFieldDatum, p: int) -> SplittingType:
 # the largest conductor whose units are listed: units_mod scans every
 # residue, about 0.3 s at this bound, and the towers scan it again per level
 MAX_CONDUCTOR = 10**6
-# the most levels a tower or chain may ask for: a constant chain this long
-# is built and classified in about 0.3 s
+# the most levels a tower or chain may ask for: the norm tower of a constant
+# chain this long is built and classified in about 0.2 s
 MAX_TOWER_LEVELS = 10**5
-# the largest group order of a level of a layered-obstruction tower: its
-# table has order^2 entries, 4 * 10^6 at this bound
+# the levels a layered-obstruction chain may ask for, through the order
+# 2 * l^(levels + 1) of the top group of the Serre tower the chain stands for
 MAX_LEVEL_ORDER = 2000
 
 

@@ -15,15 +15,7 @@ from itertools import product
 from . import linalg as la
 from . import numtheory as nt
 from .cohomology import CrossedHom, h1_abelian, trivial_gamma_group, twist_lattice
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    centralizer,
-    conjugacy_classes,
-    cyclic_group,
-    direct_product,
-    product_embeddings,
-)
+from .groups import FiniteGroup, centralizer, conjugacy_classes, cyclic_group, direct_product
 from .gsets import GSet, coset_gset, conjugation_twist, gset_iso, sub_gset
 from .invsys import NormTower
 from .lattices import (
@@ -36,7 +28,6 @@ from .lattices import (
     permutation_lattice,
     trivial_lattice,
 )
-from .numtheory import NotATower
 
 
 class InvalidDatum(ValueError):
@@ -331,15 +322,12 @@ def twist_serre(d: CMGaloisDatum) -> TwistedSequence:
 
 @dataclass(frozen=True)
 class BlockData:
-    class_elements: tuple  # conjugacy class of the totally real side
-    representative: int
-    centralizer: tuple
+    centralizer: tuple  # of the class's least element in the totally real side
     rank: int  # block rank = class size = index of the centralizer
 
 
 @dataclass(frozen=True)
 class BlockDecompositionReport:
-    f_group_order: int
     blocks: tuple
     class_embedding_iso: bool  # classes of the factor match embedded classes
     first_map_iso: bool  # blockwise class lattice onto embedded class lattice
@@ -363,7 +351,7 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
     blocks, class_isos, block_maps = [], [], []
     for cls in conjugacy_classes(f_group):
         z = centralizer(f_group, cls[0])
-        blocks.append(BlockData(cls, cls[0], z, len(cls)))
+        blocks.append(BlockData(z, len(cls)))
         # the class as an F-set by conjugation, and as a G-set through the
         # projection G -> F: actions, as conjugation and its pullback are
         f_action = tuple(tuple(cls.index(f_group.conj(t, x)) for x in cls)
@@ -390,7 +378,6 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
     sub_iso = is_equivariant_iso(composite)
 
     return BlockDecompositionReport(
-        f_group_order=nF,
         blocks=tuple(blocks),
         class_embedding_iso=all(class_isos),
         first_map_iso=all(map(is_equivariant_iso, block_maps)),
@@ -402,8 +389,6 @@ def conjugation_block_decomposition(f_group: FiniteGroup) -> BlockDecompositionR
 
 @dataclass(frozen=True)
 class VanishingReport:
-    f_group_order: int
-    block_count: int
     all_vanish: bool
     per_block: tuple  # (representative, centralizer order, h1 trivial)
 
@@ -416,7 +401,7 @@ def block_h1_vanishing(f_group: FiniteGroup) -> VanishingReport:
         z = centralizer(f_group, cls[0])
         trivial = h1_abelian(f_group, permutation_lattice(coset_gset(f_group, z))).is_trivial
         rows.append((cls[0], len(z), trivial))
-    return VanishingReport(f_group.order, len(rows), all(t for *_, t in rows), tuple(rows))
+    return VanishingReport(all(t for *_, t in rows), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -543,86 +528,23 @@ def all_cm_types(d: CMGaloisDatum):
 # towers
 
 
-@dataclass(frozen=True)
-class TowerRecipe:
-    """Chain of CM data with surjections (larger level maps onto smaller),
-    optionally carrying the arithmetic of the corresponding field tower."""
-
-    data: tuple  # CMGaloisDatum per level, small to large
-    maps: tuple  # maps[i]: data[i+1].group -> data[i].group
-    arithmetic: NormTower | None = None
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.data) - 1:
-            raise NotATower("need one surjection per adjacent pair")
-        for i, u in enumerate(self.maps):
-            if u.source != self.data[i + 1].group or u.target != self.data[i].group:
-                raise NotATower("map %d connects the wrong groups" % i)
-            if not u.is_surjective():
-                raise NotATower("map %d is not surjective" % i)
-            if u(self.data[i + 1].iota) != self.data[i].iota:
-                raise NotATower("map %d does not respect the involutions" % i)
-
-
-def serre_tower_recipe(t: TowerRecipe) -> NormTower:
-    """The inverse system of twisted-quotient block data, as a recipe the
-    lim^1 classifier consumes."""
-    if t.arithmetic is not None:
-        return t.arithmetic
-    constant = all(d == t.data[0] for d in t.data) and all(
-        u.map == tuple(t.data[0].group.elements()) for u in t.maps
-    )
-    if constant:
-        return NormTower(
-            tuple(nt.AbelianFieldDatum(1, (0,)) for _ in t.data), law=None
-        )
-    raise NotATower(
-        "no arithmetic attached: a non-constant abstract tower has no "
-        "desk-decidable norm data"
-    )
-
-
 def layered_obstruction_tower(l: int, p0: int, levels: int = 1,
-                              prime_bound: int = 20000) -> TowerRecipe:
+                              prime_bound: int = 20000) -> NormTower:
     """Tower whose layers are cyclic degree-l fields ramified at freshly
-    chosen primes subject to the splitting conditions; the attached law
-    carries the replayable norm-obstruction certificate.  The law checks
-    l, p0, levels and prime_bound first; a tower whose top group would pass
-    numtheory.MAX_LEVEL_ORDER is refused before any group is built."""
+    chosen primes subject to the splitting conditions; the law carries the
+    replayable norm-obstruction certificate.  The law checks l, p0, levels
+    and prime_bound first; a chain whose Serre tower's top group, of order
+    2*l^(levels+1), would pass numtheory.MAX_LEVEL_ORDER is refused."""
     law = nt.SplitObstructionLaw(l, p0, levels=levels, prime_bound=prime_bound)
     # l >= 2, so l^k is above the bound once k reaches the bound's bit length
     if 2 * l ** min(levels + 1, nt.MAX_LEVEL_ORDER.bit_length()) > nt.MAX_LEVEL_ORDER:
         raise nt.HypothesisFailed(
             f"the top group of order 2*{l}^{levels + 1} is above the bound {nt.MAX_LEVEL_ORDER}")
-    c2 = cyclic_group(2)
-    cl = cyclic_group(l)
-    data = []
-    maps = []
-    prev_f = None
-    for k in range(levels + 1):
-        f_grp = cl if k == 0 else direct_product(prev_f, cl)
-        G = direct_product(f_grp, c2)
-        data.append(CMGaloisDatum(G, f_grp.order))
-        if k > 0:
-            _, _, pf, _ = product_embeddings(prev_f, cl, f_grp)
-            # K-level map: (f, eps) -> (proj f, eps)
-            nbig, nsmall = f_grp.order, prev_f.order
-            mapping = []
-            for idx in range(G.order):
-                f_part, eps = idx % nbig, idx // nbig
-                mapping.append(pf(f_part) + nsmall * eps)
-            maps.append(GroupHom(G, data[k - 1].group, tuple(mapping)))
-        prev_f = f_grp
-    arithmetic = NormTower((nt.degree_l_datum(l, p0),), law=law)
-    return TowerRecipe(tuple(data), tuple(maps), arithmetic)
+    return NormTower((nt.degree_l_datum(l, p0),), law=law)
 
 
-def constant_tower(d: CMGaloisDatum, length: int) -> TowerRecipe:
-    from .groups import identity_hom
-
+def constant_tower(length: int) -> NormTower:
+    """The norm tower of a constant chain: length + 1 copies of Q."""
     if not 0 <= length <= nt.MAX_TOWER_LEVELS:
         raise nt.HypothesisFailed(f"length {length} is outside 0..{nt.MAX_TOWER_LEVELS}")
-    return TowerRecipe(
-        tuple([d] * (length + 1)),
-        tuple([identity_hom(d.group)] * length),
-    )
+    return NormTower((nt.AbelianFieldDatum(1, (0,)),) * (length + 1), law=None)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -561,6 +562,31 @@ def test_tower_fields_left_out_take_the_defaults(command, left_out, spelled_out,
         path.write_text(json.dumps(doc))
         reports.append(run_cli(capsys, [*command, str(path)]))
     assert reports[0] == reports[1] and reports[0][0] == cli.EXIT_OK
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent / "examples"
+
+
+@pytest.mark.parametrize("chain, levels, law", [
+    ({"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 1},
+     [{"conductor": 7, "subgroup": [1, 6]}],
+     {"kind": "split-obstruction", "l": 3, "p0": 7, "levels": 1}),
+    (str(EXAMPLES / "chain.json"), [LEVEL] * 4, None),
+], ids=["layered-obstruction", "constant-length-3"])
+def test_serre_tower_reports_its_norm_tower(chain, levels, law, tmp_path, capsys):
+    # a chain is read as its norm tower: the report is invsys classify's on
+    # that tower, but for the claim
+    if isinstance(chain, dict):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain))
+        chain = str(path)
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"kind": "norm-tower", "levels": levels, "law": law}))
+    code, rep = run_cli(capsys, ["serre", "tower", "--chain", chain])
+    same_code, same = run_cli(capsys, ["invsys", "classify", "--recipe", str(recipe)])
+    assert rep.pop("claim") == "serre-tower-classification"
+    assert same.pop("claim") == "lim1-classification"
+    assert (code, rep) == (same_code, same)
 
 
 def test_tower_fields_keep_their_type_checks():
