@@ -480,20 +480,51 @@ def center(g: FiniteGroup) -> tuple:
 
 def is_subgroup(g: FiniteGroup, elems) -> bool:
     """Whether elems are the indices of a subgroup of g; an element that is
-    not an int, or is a bool, is no index."""
+    not an int, or is a bool, is no index.
+
+    A walk from 0 collects generators T: each point of S = elems that is not
+    yet reached joins T, and every product y t of a reached y by t in T must
+    stay in S.  The walk ends having reached all of S, so S = <T> as a
+    monoid and S t is in S for each t in T, hence S S is in S; a monoid
+    inside a finite group is a group.  |S| |T| table reads in place of
+    |S|^2.  The walk is its own code: all_subgroups builds with _closure
+    what this function validates."""
     s = set(elems)
     if (0 not in s or not all(type(x) is int for x in s)
-            or not s.issubset(g.elements())):
+            or min(s) < 0 or max(s) >= g.order):
         return False
     rows = g.rows
-    return all(rows[a][b] in s for a in s for b in s)
+    reached, gens = {0}, []
+    for t in s:
+        if t in reached:
+            continue
+        gens.append(t)
+        # the reached points by the new generator, then each new point by all
+        frontier, by = list(reached), (t,)
+        while frontier:
+            new = []
+            for y in frontier:
+                ry = rows[y]
+                for u in by:
+                    z = ry[u]
+                    if z not in reached:
+                        if z not in s:
+                            return False
+                        reached.add(z)
+                        new.append(z)
+            frontier, by = new, gens
+    return True
 
 
 def is_normal(g: FiniteGroup, elems) -> bool:
+    """Whether elems are a normal subgroup of g.  If t N t^-1 is in N for
+    each generator t of g, it is for every product of generators, so only
+    generating_set(g) conjugates, as check_action validates an action."""
     s = set(elems)
-    return is_subgroup(g, elems) and all(
-        g.conj(t, a) in s for t in g.elements() for a in s
-    )
+    if not is_subgroup(g, s):
+        return False
+    rows, inv = g.rows, g.inverses
+    return all(rows[rows[t][a]][inv[t]] in s for t in generating_set(g) for a in s)
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> tuple:
@@ -585,16 +616,17 @@ def all_subgroups(g: FiniteGroup) -> tuple:
 
 def left_cosets(g: FiniteGroup, elems) -> tuple[list, list]:
     """The least element of each left coset xH of the subgroup H = elems, in
-    increasing order, and the index of the coset of each element.  The table
-    is walked in order, so the first x not yet placed is the least element
-    of its coset, which is read off row x of the table as [x a for a in H]."""
-    h = set(elems)
+    increasing order, and the index of the coset of each element.  The left
+    cosets partition g, so the table is walked in order and the first x not
+    yet placed is the least element of its coset, which is read off row x of
+    the table as [x a for a in H]; elems is iterated as given, and a repeated
+    element only places its point again."""
     coset_of = [-1] * g.order
     firsts = []
     for x, row in enumerate(g.rows):
         if coset_of[x] < 0:
             ci = len(firsts)
-            for a in h:
+            for a in elems:
                 coset_of[row[a]] = ci
             firsts.append(x)
     return firsts, coset_of

@@ -92,12 +92,17 @@ def orbits(x: GSet) -> EtaleDecomposition:
 def coset_gset(g: FiniteGroup, h) -> GSet:
     """Left action on left cosets xH, cosets ordered by minimal element.
     Left multiplication permutes the left cosets of a subgroup, so only H
-    is checked (is_subgroup)."""
-    hset = set(h)
-    if not is_subgroup(g, hset):
+    is checked (is_subgroup), and nothing is built before it is; h is a
+    collection of H's elements, read twice and not copied.  g xH is the
+    coset of g x, so column j of the action is the coset of g firsts[j] for
+    every g; column 0 is coset_of itself, since firsts[0] = 0.  For H = 1
+    each coset is a point and the action is the table itself."""
+    if not is_subgroup(g, h):
         raise NotSubgroup("not a subgroup")
-    firsts, coset_of = left_cosets(g, hset)
-    action = tuple([tuple([coset_of[row[x]] for x in firsts]) for row in g.rows])
+    firsts, coset_of = left_cosets(g, h)
+    rows = g.rows
+    action = rows if len(firsts) == g.order else tuple(
+        zip(coset_of, *[[coset_of[r[x]] for r in rows] for x in firsts[1:]]))
     return GSet(g, action, validate=False)
 
 

@@ -475,9 +475,6 @@ MAX_CONDUCTOR = 10**6
 # the most levels a tower or chain may ask for: the norm tower of a constant
 # chain this long is built and classified in about 0.2 s
 MAX_TOWER_LEVELS = 10**5
-# the levels a layered-obstruction chain may ask for, through the order
-# 2 * l^(levels + 1) of the top group of the Serre tower the chain stands for
-MAX_LEVEL_ORDER = 2000
 
 
 def _check_conductor(m: int) -> None:

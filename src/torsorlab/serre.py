@@ -533,13 +533,9 @@ def layered_obstruction_tower(l: int, p0: int, levels: int = 1,
     """Tower whose layers are cyclic degree-l fields ramified at freshly
     chosen primes subject to the splitting conditions; the law carries the
     replayable norm-obstruction certificate.  The law checks l, p0, levels
-    and prime_bound first; a chain whose Serre tower's top group, of order
-    2*l^(levels+1), would pass numtheory.MAX_LEVEL_ORDER is refused."""
+    and prime_bound (levels up to numtheory.MAX_TOWER_LEVELS); no group is
+    built, so the chain asks for no more than the law does."""
     law = nt.SplitObstructionLaw(l, p0, levels=levels, prime_bound=prime_bound)
-    # l >= 2, so l^k is above the bound once k reaches the bound's bit length
-    if 2 * l ** min(levels + 1, nt.MAX_LEVEL_ORDER.bit_length()) > nt.MAX_LEVEL_ORDER:
-        raise nt.HypothesisFailed(
-            f"the top group of order 2*{l}^{levels + 1} is above the bound {nt.MAX_LEVEL_ORDER}")
     return NormTower((nt.degree_l_datum(l, p0),), law=law)
 
 

@@ -12,7 +12,8 @@ kernel sequences by a second kernel, the coordinates of vectors in a
 lattice with a retraction and CM-type bases by them,
 the action law and lattice twists read on basis vectors with no matrix
 product, matrices stacked one below the other, and subgroups and their
-generating sets by closing from {0} each time, Gaussian-period polynomials
+generating sets by closing from {0} each time, subgroups by every pairwise
+product and coset actions one row at a time, Gaussian-period polynomials
 by summing rotations, the truncated lim^1 obstruction one witness choice at
 a time, and the benchmark's workloads, tools/reach.py, tools/profile.py and
 tools/kinds.py read from their files."""
@@ -714,6 +715,30 @@ def subgroup_generating_set_by_closure(g: gr.FiniteGroup, elems) -> tuple:
                 changed = True
                 break
     return tuple(gens) or (0,)
+
+
+def is_subgroup_pairwise(g: gr.FiniteGroup, elems) -> bool:
+    """groups.is_subgroup by its definition: int indices of g holding 0 and
+    every product a b of two of them."""
+    s = set(elems)
+    if (0 not in s or not all(type(x) is int for x in s)
+            or not s.issubset(range(g.order))):
+        return False
+    return all(g.rows[a][b] in s for a in s for b in s)
+
+
+def is_normal_pairwise(g: gr.FiniteGroup, elems) -> bool:
+    """groups.is_normal by its definition: a subgroup holding t a t^-1 for
+    every t of g and a of it."""
+    s = set(elems)
+    return is_subgroup_pairwise(g, s) and all(g.conj(t, a) in s for t in g.elements() for a in s)
+
+
+def coset_action_by_rows(g: gr.FiniteGroup, h) -> tuple:
+    """coset_gset(g, h).action one row at a time: row t sends the coset of x
+    to the coset of t x, for the least x of each coset."""
+    firsts, coset_of = gr.left_cosets(g, set(h))
+    return tuple(tuple(coset_of[g.mul(t, x)] for x in firsts) for t in g.elements())
 
 
 def period_expansion_by_rotations(cosets, m: int) -> list:

@@ -466,7 +466,8 @@ C2_IOTA_1 = {"group": C2, "iota": 1}
     (("lattice", "exact", "--in"), {"lattices": 5, "maps": []}),
     (("serre", "tower", "--chain"), {"kind": "constant", "datum": C2_IOTA_1, "length": 10**30}),
     (("serre", "tower", "--chain"), {"kind": "constant", "datum": C2_IOTA_1, "length": 10**8}),
-    (("serre", "tower", "--chain"), {"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 9}),
+    (("serre", "tower", "--chain"),
+     {"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 10**5 + 1}),
     (("serre", "tower", "--chain"),
      {"kind": "layered-obstruction", "l": 3, "p0": 10**12 + 39, "levels": 1}),
     (("nt", "tower-cert", "--tower"),
@@ -477,7 +478,7 @@ C2_IOTA_1 = {"group": C2, "iota": 1}
       "law": {"kind": "split-obstruction", "l": 3, "p0": 7, "prime_bound": 10**12}}),
 ], ids=["iota-out-of-range", "constant-chain-iota", "split-l-0", "norm-tower-l-0",
         "cyclotomic-l-4", "cyclotomic-l-10007", "lattices-not-a-list", "constant-length-10^30",
-        "constant-length-10^8", "layered-levels-9", "layered-p0-10^12",
+        "constant-length-10^8", "layered-levels-100001", "layered-p0-10^12",
         "split-prime-bound-10^12", "norm-tower-prime-bound-10^12"])
 def test_out_of_range_input_exits_3_in_a_subprocess(command, document, tmp_path):
     # an involution that is no group element, a tower law whose l is not
@@ -485,8 +486,9 @@ def test_out_of_range_input_exits_3_in_a_subprocess(command, document, tmp_path)
     # conductors pass numtheory.MAX_CONDUCTOR (l = 10007 once scanned 10^8
     # residues at level 1), a lattice list that is no list, a chain longer
     # than numtheory.MAX_TOWER_LEVELS (10^30 overflowed, 10^8 ran without
-    # end), a layered tower whose top group passes numtheory.MAX_LEVEL_ORDER
-    # (levels 9: order 2 * 3^10, once a MemoryError) or whose base prime
+    # end) or a layered chain with more levels than MAX_TOWER_LEVELS (its
+    # Serre tower's top group, of order 2 * 3^10 at levels 9, was once built
+    # and raised a MemoryError), a layered chain whose base prime
     # passes MAX_CONDUCTOR (once scanned 10^12 residues), a prime bound above
     # MAX_CONDUCTOR (once a MemoryError in the sieve): exit 3 with a message
     # and no traceback, and no hang, which the timeout turns into a failure
@@ -571,11 +573,16 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent / "examples"
     ({"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 1},
      [{"conductor": 7, "subgroup": [1, 6]}],
      {"kind": "split-obstruction", "l": 3, "p0": 7, "levels": 1}),
+    ({"kind": "layered-obstruction", "l": 3, "p0": 7, "levels": 9},
+     [{"conductor": 7, "subgroup": [1, 6]}],
+     {"kind": "split-obstruction", "l": 3, "p0": 7, "levels": 9}),
     (str(EXAMPLES / "chain.json"), [LEVEL] * 4, None),
-], ids=["layered-obstruction", "constant-length-3"])
+], ids=["layered-obstruction", "layered-levels-9", "constant-length-3"])
 def test_serre_tower_reports_its_norm_tower(chain, levels, law, tmp_path, capsys):
     # a chain is read as its norm tower: the report is invsys classify's on
-    # that tower, but for the claim
+    # that tower, but for the claim; at levels 9 too, which the chain once
+    # refused (the order 2 * 3^10 of its Serre tower's top group) though
+    # the norm tower builds no group
     if isinstance(chain, dict):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(chain))

@@ -31,9 +31,15 @@ SRC = sorted((ROOT / "src" / "torsorlab").glob("*.py"))
 # (-26 lines, -203 nodes); lowered from 3,746 and 37,992 when a Serre
 # tower became its norm tower (serre.TowerRecipe, serre_tower_recipe and the
 # CM-data chain they validated went) and the blocks reports lost their five
-# unread fields (-67 lines, -592 nodes)
-CODE_LINES_BOUND = 3679
-AST_NODES_BOUND = 37400
+# unread fields (-67 lines, -592 nodes); raised to 3,694 and 37,502 when
+# is_subgroup came to walk generators (|S| |T| table reads in place of the
+# |S|^2 of the pairwise test) and coset_gset to build its action a column
+# per coset, or take the table itself for H = 1, which cut h1-permutation's
+# case_p50_ms by 9.8-17.6 % and its tail by 11.6-17.6 % in perfbench pairs
+# at seeds 1 and 2 (BENCH_coset_gset.json), net of
+# numtheory.MAX_LEVEL_ORDER and its refusal going (+15 lines, +102 nodes)
+CODE_LINES_BOUND = 3694
+AST_NODES_BOUND = 37502
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -10,7 +10,8 @@ from torsorlab import groups as gr
 from torsorlab import gsets as gs
 from torsorlab import lattices as lt
 from torsorlab import numtheory as nt
-from helpers import all_subgroups_by_closure, subgroup_generating_set_by_closure
+from helpers import (all_subgroups_by_closure, is_normal_pairwise, is_subgroup_pairwise,
+                     subgroup_generating_set_by_closure)
 
 
 def brute_classes(g):
@@ -206,6 +207,49 @@ def test_subgroups_by_extension_match_closing_from_the_identity():
         assert subgroups == all_subgroups_by_closure(g), g
         for h in subgroups:
             assert gr.subgroup_generating_set(g, h) == subgroup_generating_set_by_closure(g, h)
+
+
+def _subset_cases(rng):
+    """Per catalog group of order <= 24: every subgroup, each with one
+    element added or removed, and seeded random subsets."""
+    for _, g in catalog.group_catalog(24):
+        cases = []
+        for h in gr.all_subgroups(g):
+            cases.append(h)
+            cases += [tuple(set(h) ^ {x}) for x in g.elements()]
+        cases += [tuple(rng.sample(range(g.order), rng.randint(1, g.order))) for _ in range(50)]
+        yield g, cases
+
+
+def test_subgroup_and_normality_tests_match_the_pairwise_definitions():
+    # is_subgroup walks generators and is_normal conjugates by generators
+    # only; both must agree with every product and every conjugate
+    checked = subgroups = 0
+    for g, cases in _subset_cases(random.Random(1)):
+        for elems in cases:
+            want = is_subgroup_pairwise(g, elems)
+            assert gr.is_subgroup(g, elems) == want, (g, elems)
+            assert gr.is_normal(g, elems) == is_normal_pairwise(g, elems), (g, elems)
+            checked += 1
+            subgroups += want
+    assert (checked, subgroups) == (17091, 1542)
+    c2 = gr.cyclic_group(2)
+    for elems in ((0, 1.0), (0, "1"), (0, True), (False, 1), (0, None), (0, -1), (0, 2), (),
+                  (0, 1, 1)):
+        assert gr.is_subgroup(c2, elems) == is_subgroup_pairwise(c2, elems), elems
+        assert gr.is_normal(c2, elems) == is_normal_pairwise(c2, elems), elems
+
+
+def test_the_subgroup_walk_is_its_own_code(monkeypatch):
+    # the validator must not share _closure with all_subgroups, which builds
+    # what it validates, nor read the generating set that _closure finds
+    def refuse(*args):
+        raise AssertionError("is_subgroup read a closure")
+
+    s4 = gr.symmetric_group(4)
+    for name in ("_closure", "generating_set", "subgroup_generating_set", "generated_subgroup"):
+        monkeypatch.setattr(gr, name, refuse)
+    assert gr.is_subgroup(s4, (0, 1)) and not gr.is_subgroup(s4, (0, 1, 2))
 
 
 def test_a_validated_table_keeps_its_generating_set(monkeypatch):

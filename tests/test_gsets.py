@@ -7,7 +7,7 @@ import pytest
 from torsorlab import catalog
 from torsorlab import groups as gr
 from torsorlab import gsets as gs
-from helpers import disjoint_union, regular_gset, trivial_gset
+from helpers import coset_action_by_rows, disjoint_union, regular_gset, trivial_gset
 
 
 def brute_iso_scan(x, y):
@@ -78,6 +78,15 @@ def test_coset_gset():
     assert gs.coset_gset(s3, (0,)) == regular_gset(s3)
     with pytest.raises(gr.NotSubgroup):
         gs.coset_gset(s3, (0, 2))
+
+
+def test_coset_actions_by_columns_match_the_rows():
+    # coset_gset builds its action a column per coset; criterion 3's 747
+    # pairs must read the action built one row at a time
+    pairs = [(g, h) for _, g in catalog.group_catalog(24) for h in gr.all_subgroups(g)]
+    assert len(pairs) == 747
+    for g, h in pairs:
+        assert gs.coset_gset(g, h).action == coset_action_by_rows(g, h), (g, h)
 
 
 def test_an_index_outside_the_group_is_no_subgroup():
