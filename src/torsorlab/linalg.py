@@ -306,9 +306,11 @@ def elementary_divisors(matrix) -> tuple:
 
 def _divisors(rows) -> tuple:
     """elementary_divisors of the matrix whose nonzero rows are `rows`, int
-    lists of equal length that it eliminates in place.  The one hand-off
-    that skips the read through _rows: the caller builds the lists itself,
-    from rows already read (cohomology.h1_abelian from a lattice's rho)."""
+    lists of equal length that it eliminates in place.  The hand-off that
+    skips the read through _rows, for its two callers, which build the
+    lists themselves: cohomology.h1_abelian from a lattice's rho, already
+    read, and serre._type_verdict, the differences of the CM-type vectors
+    from the last, after checking that they have one length."""
     units = _unit_pivots(rows)
     rows = [r for r in rows if any(r)]
     if not rows:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import index, sub
 
 from . import linalg as la
 from . import numtheory as nt
@@ -47,16 +48,20 @@ class CMGaloisDatum:
     iota: int
 
     def __post_init__(self):
-        g, i = self.group, self.iota
+        g = self.group
+        try:
+            i = index(self.iota)
+        except TypeError as e:
+            raise InvalidDatum("the involution must be an element of the group") from e
         if not 0 <= i < g.order:
             raise InvalidDatum("the involution must be an element of the group")
         if i == g.identity:
             raise InvalidDatum("the involution must be nontrivial")
-        if g.mul(i, i) != g.identity:
-            raise InvalidDatum("the distinguished element must square to 1")
-        # central: i s == s i for every s, row i of the table against column i
         rows = g.rows
-        if any(rows[s][i] != x for s, x in enumerate(rows[i])):
+        if rows[i][i]:  # i i is not the identity, 0
+            raise InvalidDatum("the distinguished element must square to 1")
+        # central: i s == s i for every s, column i of the table against row i
+        if tuple([r[i] for r in rows]) != rows[i]:
             raise InvalidDatum("the involution must be central")
 
     @property
@@ -417,33 +422,42 @@ class CMTypeBasisReport:
 
 
 def _cm_type(d: CMGaloisDatum, phi) -> tuple:
-    g = d.group
-    phi = tuple(sorted(set(int(x) for x in phi)))
-    iphi = {g.mul(d.iota, x) for x in phi}
-    if set(phi) & iphi or len(phi) * 2 != g.order or set(phi) | iphi != set(g.elements()):
+    """phi as a sorted tuple of distinct elements, checked against row iota
+    of the group table in one pass: |G|/2 elements, each read through
+    operator.index and in range, none the conjugate iota s of another.  The
+    pairs {s, iota s} partition G, so |G|/2 elements from distinct pairs
+    pick one from each.  NotCMType otherwise."""
+    partner = d.group.rows[d.iota]
+    try:
+        chosen = set(map(index, phi))
+    except TypeError as e:
+        raise NotCMType("a CM type is a set of integer group elements") from e
+    n = len(partner)
+    if len(chosen) * 2 != n or not all(0 <= s < n and partner[s] not in chosen for s in chosen):
         raise NotCMType("the subset must pick one element from each pair")
-    return phi
+    return tuple(sorted(chosen))
 
 
 def _type_vectors(d: CMGaloisDatum, phi: tuple) -> list:
     """The modified type sums, one per element of phi, then the conjugate
-    sum, each in Z[G] + Z coordinates with the constant last."""
-    g = d.group
-    n = g.order
-    vectors = []
-    for i, tau in enumerate(phi):
-        vec = [0] * (n + 1)
-        vec[tau] += 1
-        for j, tau2 in enumerate(phi):
-            if j != i:
-                vec[g.mul(d.iota, tau2)] += 1
-        vec[n] = 1
-        vectors.append(tuple(vec))
-    conj_sum = [0] * (n + 1)
+    sum, each in Z[G] + Z coordinates with the constant last.
+
+    The conjugate sum J = e_c + sum of e_(iota tau) over tau in phi is built
+    once, off row iota of the group table.  The modified sum of tau,
+    e_tau + sum of e_(iota sigma) over sigma != tau in phi, + e_c, is J
+    with e_tau added and e_(iota tau) taken away: a copy of J with +1 at
+    tau and -1 at iota tau."""
+    partner = d.group.rows[d.iota]
+    conj = [0] * len(partner) + [1]
     for tau in phi:
-        conj_sum[g.mul(d.iota, tau)] += 1
-    conj_sum[n] = 1
-    vectors.append(tuple(conj_sum))
+        conj[partner[tau]] += 1
+    vectors = []
+    for tau in phi:
+        vec = conj[:]
+        vec[tau] += 1
+        vec[partner[tau]] -= 1
+        vectors.append(tuple(vec))
+    vectors.append(tuple(conj))
     return vectors
 
 
@@ -469,6 +483,16 @@ def _type_verdict(rows: list, vectors) -> tuple[bool, bool]:
     divisors as X*(S) has rank.  Then they are independent and span a
     saturated lattice; inside X*(S), saturated as every kernel is, and of
     the same rank, it is all of X*(S).
+
+    The equations are checked on the vectors as given.  The divisors are
+    read off the rows v_i - v_last, one for each vector before the last,
+    together with v_last itself: that change of rows is unimodular, so it
+    keeps every elementary divisor, and with them both verdicts.  For a CM
+    type the last vector is the conjugate sum J, and each v_i - J is
+    e_tau - e_(iota tau) (_type_vectors): their unit pivots, at the tau,
+    clear no other row, as neither J nor another difference holds a tau.
+    ValueError unless the vectors have one length, as elementary_divisors
+    requires of its rows.
     """
     for row in rows:
         for v in vectors:
@@ -478,7 +502,11 @@ def _type_verdict(rows: list, vectors) -> tuple[bool, bool]:
             if t:
                 return False, False
     rank = la.width(vectors) - len(rows)
-    return True, la.elementary_divisors(vectors).count(1) == len(vectors) == rank
+    if len(set(map(len, vectors))) > 1:
+        raise ValueError("the vectors must have one length")
+    last = vectors[-1]
+    diffs = [list(map(sub, v, last)) for v in vectors[:-1]] + [list(last)]
+    return True, la._divisors([r for r in diffs if any(r)]).count(1) == len(vectors) == rank
 
 
 def _type_report(d: CMGaloisDatum, rows: list, phi: tuple) -> CMTypeBasisReport:
@@ -497,6 +525,12 @@ def cm_type_basis(d: CMGaloisDatum, phi) -> CMTypeBasisReport:
     independent.  They are a basis when their elementary divisors hold as
     many units as that rank: a saturated sublattice of X*(S), which is
     saturated as a kernel, of the same rank is X*(S) itself (_type_verdict).
+
+    The sums are built in one pass over the conjugate sum J: each modified
+    sum is a copy of J with +1 at tau and -1 at iota tau (_type_vectors).
+    The divisors are read off the differences from J, e_tau - e_(iota tau),
+    with J: a unimodular change of rows, whose unit pivots clear no other
+    row (_type_verdict).
     """
     phi = _cm_type(d, phi)
     return _type_report(d, _xs_equations(d), phi)
@@ -511,17 +545,10 @@ def cm_type_bases(d: CMGaloisDatum):
 
 
 def all_cm_types(d: CMGaloisDatum):
-    """Every transversal of the involution pairing."""
-    g = d.group
-    pairs = []
-    seen = set()
-    for s in g.elements():
-        if s in seen:
-            continue
-        t = g.mul(d.iota, s)
-        seen.update((s, t))
-        pairs.append((s, t))
-    yield from product(*pairs)
+    """Every transversal of the involution pairing: one of each pair
+    (s, iota s), s < iota s, read off row iota of the group table in the
+    order of s."""
+    yield from product(*[(s, t) for s, t in enumerate(d.group.rows[d.iota]) if s < t])
 
 
 # ---------------------------------------------------------------------------

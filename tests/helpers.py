@@ -593,6 +593,25 @@ def basis_verdict_by_coordinates(K, W, vectors) -> tuple:
     )
 
 
+def type_vectors_by_definition(d, phi) -> list:
+    """serre._type_vectors by the definition of each modified type sum,
+    e_tau + sum of e_(iota sigma) over sigma != tau in phi, + e_c, with the
+    conjugate sum, sum of e_(iota tau) over phi, + e_c, last: every entry
+    added one product of the group table at a time."""
+    g, n = d.group, d.group.order
+    vectors = []
+    for tau in list(phi) + [None]:
+        vec = [0] * (n + 1)
+        if tau is not None:
+            vec[tau] += 1
+        for sigma in phi:
+            if sigma != tau:
+                vec[g.mul(d.iota, sigma)] += 1
+        vec[n] += 1
+        vectors.append(tuple(vec))
+    return vectors
+
+
 def basis_images(mat) -> list:
     """The images mat e_j of the basis vectors: the columns of mat, read
     entry by entry."""

@@ -37,9 +37,12 @@ SRC = sorted((ROOT / "src" / "torsorlab").glob("*.py"))
 # per coset, or take the table itself for H = 1, which cut h1-permutation's
 # case_p50_ms by 9.8-17.6 % and its tail by 11.6-17.6 % in perfbench pairs
 # at seeds 1 and 2 (BENCH_coset_gset.json), net of
-# numtheory.MAX_LEVEL_ORDER and its refusal going (+15 lines, +102 nodes)
-CODE_LINES_BOUND = 3694
-AST_NODES_BOUND = 37502
+# numtheory.MAX_LEVEL_ORDER and its refusal going (+15 lines, +102 nodes);
+# lowered from 3,694 and 37,502 when the CM-type vectors became copies of
+# the conjugate sum and all_cm_types came to read its pairs off row iota
+# (-2 lines, -7 nodes)
+CODE_LINES_BOUND = 3692
+AST_NODES_BOUND = 37495
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

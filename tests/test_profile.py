@@ -1,13 +1,17 @@
 """tools/profile.py books every profiled second to one row, and scales each
-profiled call to the reference speed by the probes around it.
+profiled call to the reference speed by the probes around it; with --ops it
+counts the bytecodes run in each module of src/torsorlab.
 
-A stand-in callable stands for a product path here, so that the test runs in
+A stand-in callable stands for a product path here, so that each test runs in
 well under a second: it calls a torsorlab function, the standard library
 and builtins, from its own frame and from torsorlab's.
 """
 
 import cProfile
+import dis
+import importlib.util
 import json
+import sys
 import pstats
 from types import SimpleNamespace
 
@@ -74,3 +78,81 @@ def test_each_profiled_call_is_scaled_by_the_probes_around_it():
         assert v["calls"] == raw[row]["calls"]
         assert v["self_s"] == pytest.approx(raw[row]["self_s"] / 2, rel=1e-9, abs=1e-12)
     assert rows["torsorlab.groups"]["calls"] >= 2
+
+
+_STAND_IN = '''
+import json
+
+
+def straight(x):
+    y = x + 1
+    return y * 2
+
+
+def loop(n):
+    t = 0
+    for i in range(n):
+        t += i
+    return t
+
+
+def calls(x):
+    json.dumps([x])
+    return sorted([x, 1], key=straight)
+'''
+
+
+def _stand_in_module(root, name):
+    """Load the stand-in as src/torsorlab/<name>.py of a checkout at root."""
+    path = root / "src" / "torsorlab" / f"{name}.py"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(_STAND_IN)
+    spec = importlib.util.spec_from_file_location(f"stand_in_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _known(f) -> int:
+    # a straight-line function runs each of its instructions once; the
+    # tracer's call event stands in for RESUME, which Python 3.11 adds
+    return sum(i.opname != "RESUME" for i in dis.get_instructions(f))
+
+
+def test_the_op_counter_books_a_stand_in_of_known_count(tmp_path):
+    tool = profile_tool()
+    m = _stand_in_module(tmp_path, "alpha")
+    counter = tool.OpCounter(tmp_path)
+    assert counter.runcall(m.straight, 3) == 8
+    assert counter.counts == {"torsorlab.alpha": _known(m.straight)}
+    # a second call adds as much again
+    counter.runcall(m.straight, 4)
+    assert counter.counts == {"torsorlab.alpha": 2 * _known(m.straight)}
+    # a loop adds the same count per pass
+    loops = []
+    for n in range(4):
+        counter = tool.OpCounter(tmp_path)
+        counter.runcall(m.loop, n)
+        loops.append(counter.counts["torsorlab.alpha"])
+    steps = {b - a for a, b in zip(loops, loops[1:])}
+    assert len(steps) == 1 and steps.pop() > 0
+
+
+def test_the_op_counter_sees_only_the_frames_of_src_torsorlab(tmp_path):
+    tool = profile_tool()
+    alpha, beta = _stand_in_module(tmp_path, "alpha"), _stand_in_module(tmp_path, "beta")
+    counter = tool.OpCounter(tmp_path)
+    # the standard library's json frames count nothing; the two calls of
+    # straight that sorted makes through C count in full, in beta's row
+    counter.runcall(beta.calls, 5)
+    assert counter.counts == {"torsorlab.beta": _known(beta.calls) + 2 * _known(beta.straight)}
+    # this file's own frames count nothing; each module keeps its row
+    counter = tool.OpCounter(tmp_path)
+    counter.runcall(lambda: (alpha.straight(1), beta.straight(2), beta.straight(3)))
+    assert counter.counts == {"torsorlab.alpha": _known(alpha.straight),
+                              "torsorlab.beta": 2 * _known(beta.straight)}
+    # another checkout's src/torsorlab is not this one's
+    counter = tool.OpCounter(tmp_path / "elsewhere")
+    counter.runcall(alpha.straight, 1)
+    assert counter.counts == {}
+    assert sys.gettrace() is None

@@ -20,6 +20,7 @@ from helpers import (
     serre_sequence_by_restriction,
     twist_lattice_by_basis_images,
     twist_serre_by_restriction,
+    type_vectors_by_definition,
     xsbar_twist_by_restriction,
 )
 
@@ -339,22 +340,36 @@ def test_basis_verdict_can_refute():
     # e_0 breaks n_s + n_(iota s) = c
     e0 = (1,) + (0,) * d.group.order
     assert sr._type_verdict(xs, vectors[:-1] + [e0]) == (False, False)
+    # vectors of unequal length are refused, as elementary_divisors refuses
+    # them, whether the longer one is subtracted or subtracted from
+    for longer in (0, -1):
+        wrong = list(vectors)
+        wrong[longer] += (0,)
+        with pytest.raises(ValueError):
+            sr._type_verdict(xs, wrong)
 
 
 def _type_variants(vectors):
     """The type vectors, then with the first doubled, one entry shifted,
-    the first replaced by the sum of the others, and the last dropped."""
-    first = vectors[0]
+    the first replaced by the sum of the others, and the last dropped; then
+    with the last, the row _type_verdict subtracts from the others, doubled
+    or zeroed, with the conjugate sum moved first, and with the first
+    repeated after the last."""
+    first, last = vectors[0], vectors[-1]
     yield vectors
     yield [tuple(2 * x for x in first)] + vectors[1:]
     yield [(first[0] + 1,) + first[1:]] + vectors[1:]
     yield [tuple(map(sum, zip(*vectors[1:])))] + vectors[1:]
     yield vectors[:-1]
+    yield vectors[:-1] + [tuple(2 * x for x in last)]
+    yield vectors[:-1] + [(0,) * len(last)]
+    yield [last] + vectors[:-1]
+    yield vectors + [first]
 
 
 def test_type_verdicts_agree_with_the_coordinate_route():
     # the rank-lemma verdict against coordinates in a saturated kernel, on
-    # every CM type of order <= 12 and four wrong variants of each
+    # every CM type of order <= 12 and eight variants of each
     seen = Counter()
     for _, g in group_catalog(12):
         for iota in central_involutions(g):
@@ -365,8 +380,36 @@ def test_type_verdicts_agree_with_the_coordinate_route():
                     verdict = sr._type_verdict(xs, vectors)
                     assert verdict == basis_verdict_by_coordinates(K, W, vectors)
                     seen[verdict] += 1
-    assert sum(seen.values()) == 5 * 650
+    assert sum(seen.values()) == 9 * 650
     assert set(seen) == {(True, True), (True, False), (False, False)}
+
+
+def test_type_vectors_match_their_definition():
+    # each modified sum built by its definition, against the copies of the
+    # conjugate sum, on every CM type of order <= 12
+    types = 0
+    for _, g in group_catalog(12):
+        for iota in central_involutions(g):
+            d = sr.CMGaloisDatum(g, iota)
+            for phi in sr.all_cm_types(d):
+                phi = sr._cm_type(d, phi)
+                assert sr._type_vectors(d, phi) == type_vectors_by_definition(d, phi)
+                types += 1
+    assert types == 650
+
+
+@pytest.mark.parametrize("phi", [(0, 5), (0, -1), (0, 1.5), (0, "1"), (0, None), 3, (0, 2),
+                                 (0,), (0, 1, 3)])
+def test_malformed_cm_types_raise_not_cm_type(phi):
+    # C4 with iota = 2 pairs 0 with 2 and 1 with 3
+    with pytest.raises(sr.NotCMType):
+        sr.cm_type_basis(sr.CMGaloisDatum(gr.cyclic_group(4), 2), phi)
+
+
+@pytest.mark.parametrize("iota", [2.0, "2", None, 4, -2])
+def test_malformed_involutions_raise_invalid_datum(iota):
+    with pytest.raises(sr.InvalidDatum):
+        sr.CMGaloisDatum(gr.cyclic_group(4), iota)
 
 
 def _type_report_through_build_serre(d, data, phi) -> tuple:

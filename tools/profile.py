@@ -30,7 +30,7 @@ Run from anywhere, standard library only (about 8 s on two cores: a
 profiled pass runs about 2.5 times slower than a plain one, and the probes
 and the per-call tables take about as long again):
 
-    python3 tools/profile.py [--root CHECKOUT]
+    python3 tools/profile.py [--root CHECKOUT] [--ops]
 
 --root names the checkout whose src/ and perfbench/ are profiled (default:
 the one that holds this script), so one copy of the script reads two trees.
@@ -39,6 +39,16 @@ self time and calls, then the TOP functions with the most self time; every
 time is at the reference speed, and `measured_s` gives the total and each
 row's self time as measured.  It exits 1 when a check of run_suite reads
 other than `verified` or raises, or a workload case fails.
+
+--ops counts work instead of time, over the same calls: the bytecodes run
+in the frames of src/torsorlab, per module, for each check of run_suite and
+each case kind of each workload (OpCounter, by sys.settrace with opcode
+events).  A count does not depend on the host's speed, and two runs under
+one interpreter give the same counts, so it tells whether a wall time that
+moved had its work move too.  Its limits, printed with it: work inside C
+builtins is not seen, and counts are compared only under one Python
+version.  The whole run takes about 10 s on two cores.  The last line of
+stdout is JSON: per run and group, the total and the count of each module.
 """
 
 from __future__ import annotations
@@ -195,28 +205,81 @@ def load(root: Path, name: str):
     return module
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--root", type=Path, default=ROOT)
-    args = p.parse_args(argv)
-    root = args.root.resolve()
-    sys.path.insert(0, str(root / "src"))
-    out, ok = {}, True
-    speed = load(root, "speed")
+class OpCounter:
+    """Bytecodes run in the frames of `root`'s src/torsorlab, per module,
+    summed over the calls made through `runcall`.
+
+    sys.settrace's global tracer is called as each frame starts (or a
+    generator resumes); for a frame whose code is defined in a module of
+    src/torsorlab it turns on opcode events (`f_trace_opcodes`) and off line
+    events, and returns that module's local tracer, which adds one to the
+    module's count per opcode event.  Every other frame gets no local tracer
+    and counts nothing; the frames it calls are judged on their own."""
+
+    def __init__(self, root: Path):
+        self.root, self.counts, self._local = root, {}, {}
+
+    def _tracer_of(self, filename: str):
+        row = "other" if generated(filename) else row_of(filename, self.root)
+        if not row.startswith("torsorlab."):
+            return None
+        counts = self.counts
+        counts.setdefault(row, 0)
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                counts[row] += 1
+            return local
+
+        return local
+
+    def _global(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        if filename not in self._local:
+            self._local[filename] = self._tracer_of(filename)
+        local = self._local[filename]
+        if local is not None:
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return local
+
+    def runcall(self, func, *args):
+        sys.settrace(self._global)
+        try:
+            return func(*args)
+        finally:
+            sys.settrace(None)
+
+
+OPS_LIMITS = (
+    "C builtins are not seen: work done inside big-int arithmetic, sorted, "
+    "set and list operations or any other C code runs no bytecode of "
+    "src/torsorlab and counts nothing",
+    "counts depend on the interpreter: compare them only between runs under "
+    "one Python version, never across versions",
+)
+
+
+def walk(root: Path, runner) -> tuple[dict, bool]:
+    """Run every check of run_suite and every case of the seed-1 workloads,
+    each through `runner(run, group).runcall`, where run is `suite` or a
+    workload and group the check's name or the case's kind.  Returns
+    ({run: note}, ok), ok False when a check reads other than `verified` or
+    raises, or a case fails."""
+    notes, ok = {}, True
     for name in ("suite", "h1-permutation", "serre-lattices", "tables-primes"):
-        prof = Probed(speed)
         if name == "suite":
             from torsorlab import checks
 
             # run_suite's default run, one check at a time, so that each
-            # check is scaled by the probes around it
+            # check is scaled by the probes around it, or counted apart
             unverified = 0
-            for _, check in checks.ALL_CHECKS:
+            for check_name, check in checks.ALL_CHECKS:
                 try:
-                    unverified += prof.runcall(check).verdict != "verified"
+                    unverified += runner(name, check_name).runcall(check).verdict != "verified"
                 except Exception:
                     unverified += 1
-            note = f"run_suite, {unverified} checks not verified"
+            notes[name] = f"run_suite, {unverified} checks not verified"
             ok = ok and not unverified
         else:
             workloads = load(root, "workloads")
@@ -224,13 +287,57 @@ def main(argv=None) -> int:
             for case in cases:
                 run, canon, check = workloads.KINDS[case.kind]
                 try:
-                    failed += not check(case.args, canon(case.args, prof.runcall(run, case.args)))
+                    answer = runner(name, case.kind).runcall(run, case.args)
+                    failed += not check(case.args, canon(case.args, answer))
                 except Exception:
                     failed += 1
-            note = f"seed 1, {len(cases)} cases, {failed} failed"
+            notes[name] = f"seed 1, {len(cases)} cases, {failed} failed"
             ok = ok and not failed
-        out[name] = report(name, prof, note, root)
-    print(json.dumps({"root": str(root), "seed": 1, "runs": out}))
+    return notes, ok
+
+
+def ops_report(name: str, note: str, counters: dict) -> dict:
+    """Print one run's bytecode counts per group and module, and return them
+    for the JSON line."""
+    print(f"== {name}: {note}; bytecodes run in src/torsorlab frames")
+    groups = {}
+    for group, counter in counters.items():
+        modules = dict(sorted(counter.counts.items(), key=lambda kv: (-kv[1], kv[0])))
+        groups[group] = {"total": sum(modules.values()), "modules": modules}
+        print(f"  {group:<36} {groups[group]['total']:>10,}  " + "  ".join(
+            f"{row.removeprefix('torsorlab.')} {n:,}" for row, n in modules.items()))
+    return {"note": note, "total": sum(g["total"] for g in groups.values()), "groups": groups}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--root", type=Path, default=ROOT)
+    p.add_argument("--ops", action="store_true",
+                   help="count the bytecodes run in src/torsorlab per module instead")
+    args = p.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    runners = {}
+    if args.ops:
+        def runner(name, group):
+            return runners.setdefault(name, {}).setdefault(group, OpCounter(root))
+    else:
+        speed = load(root, "speed")
+
+        def runner(name, group):
+            if name not in runners:
+                runners[name] = Probed(speed)
+            return runners[name]
+    notes, ok = walk(root, runner)
+    if args.ops:
+        out = {name: ops_report(name, notes[name], runners[name]) for name in notes}
+        for limit in OPS_LIMITS:
+            print(f"limit: {limit}")
+        print(json.dumps({"root": str(root), "seed": 1, "python": sys.version.split()[0],
+                          "limits": list(OPS_LIMITS), "runs": out}))
+    else:
+        out = {name: report(name, runners[name], notes[name], root) for name in notes}
+        print(json.dumps({"root": str(root), "seed": 1, "runs": out}))
     return 0 if ok else 1
 
 
